@@ -17,9 +17,11 @@ Two engines answer the same queries:
   expanded range queries.
 
 Brute-force oracles apply the query definitions literally over all users
-and anchor every correctness test.  Queries are read-only; each call
-keeps its scratch state local, so a quiesced index can serve concurrent
-readers (benchmarks run single-threaded for reproducible counters).
+and anchor every correctness test.  Queries leave the index's entries
+unchanged but are not safe to run concurrently: each one moves pages in
+the index's shared LRU buffer and bumps its counters, and
+:class:`FriendLists` fills its row cache lazily.  Issue queries against
+one index from one thread at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from heapq import heappush, heapreplace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .keys import KeyLayout, SequenceValueMap
@@ -231,6 +234,16 @@ class _RowSpan:
         return self.bound_pages[bisect_right(self.bound_zs, z) - 1]
 
 
+# friend row states of the kNN walk within one partition
+_OPEN, _EXHAUSTED, _RETIRED = range(3)
+
+
+def _owner_rows(rows: Sequence[tuple[int, tuple[int, ...]]]) -> tuple[dict[int, int], list[int]]:
+    """Map each owner uid to its friend row, and count each row's owners."""
+    row_of = {uid: row_i for row_i, (_, uids) in enumerate(rows) for uid in uids}
+    return row_of, [len(uids) for _, uids in rows]
+
+
 class _EngineBase:
     def __init__(self, index: MovingObjectIndex, store: PolicyStore, scan_block_shift: int = SCAN_BLOCK_SHIFT) -> None:
         self.index = index
@@ -317,16 +330,6 @@ class PebQueryEngine(_EngineBase):
                 last = pid
         return tuple(span.entries[i:j])
 
-    def _probe_new(self, span: _RowSpan, zs: int, ze: int) -> tuple[LeafEntry, ...]:
-        """Entries inside [zs, ze] served from the retained row cursor.
-
-        The span walk already fetched (and charged) these pages, so a
-        widening rescan of the same row costs no further I/O.
-        """
-        i = bisect_left(span.zs, zs)
-        j = bisect_right(span.zs, ze)
-        return tuple(span.entries[i:j])
-
     # -- range query -----------------------------------------------------------
 
     def prq(self, req: PrqRequest, skip_rule: bool = True) -> set[int]:
@@ -345,24 +348,29 @@ class PebQueryEngine(_EngineBase):
         t_q = req.t_q
         rect = req.rect
         seen: set[int] = set()
+        row_of, unseen = _owner_rows(rows)
         spans: dict[tuple[int, int], _RowSpan] = {}
         for tid, label in self.index.live_partitions():
             enlarged = enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L)
             zivs = self._zivs(enlarged)
             if not zivs:
                 continue
-            for svq, uids in rows:
-                if skip_rule and all(u in seen for u in uids):
+            for row_i, (svq, _) in enumerate(rows):
+                if skip_rule and not unseen[row_i]:
                     continue
                 span = spans.get((tid, svq))
                 if span is None:
                     span = spans[(tid, svq)] = self._row_span(tid, svq)
                 for zs, ze in zivs:
-                    if skip_rule and all(u in seen for u in uids):
+                    if skip_rule and not unseen[row_i]:
                         break
                     for entry in self._probe(span, zs, ze):
                         uid = entry.uid
-                        seen.add(uid)
+                        if uid not in seen:
+                            seen.add(uid)
+                            owner_row = row_of.get(uid)
+                            if owner_row is not None:
+                                unseen[owner_row] -= 1
                         if uid not in result:
                             px = entry.x + entry.vx * (t_q - entry.t)
                             py = entry.y + entry.vy * (t_q - entry.t)
@@ -389,6 +397,22 @@ class PebQueryEngine(_EngineBase):
         square of side twice the k'th candidate distance, which keeps the
         result exact no matter where the walk stopped.  Fewer than k
         visible users yields all of them with the result flagged short.
+
+        Rows that can no longer change the answer are retired from the
+        walk.  Within a partition each row is *open*, *retired* (every
+        owner uid in it has been seen; its cells do nothing) or
+        *exhausted* (its span holds no entry outside the z bounds already
+        covered for it, but an owner is still unseen because it lives in
+        another partition; its cells only run the termination test).  A
+        row's entries carry its own sequence value in the key, so only the
+        row's own scans change its state.  An open row whose round interval
+        does not yet reach the nearest entry outside its covered bounds has
+        nothing to scan, so its cell, too, only runs the termination test.
+        The walk over a partition ends once no row is open and either no
+        row is exhausted or there are fewer than k candidates, because no
+        later cell could then scan or stop.  None of this changes which row
+        spans are read, in which order, or the cell at which the walk
+        stops, so answers and I/O are those of the full walk.
         """
         self.store.check_user(req.qid)
         rows = self.friends.rows(req.qid)
@@ -414,78 +438,112 @@ class PebQueryEngine(_EngineBase):
         m = len(rows)
 
         candidates: dict[int, float] = {}
+        nearest: list[float] = []  # max-heap (negated) of the k smallest distances
         seen: set[int] = set()
+        row_of, unseen = _owner_rows(rows)
+        state = [_OPEN] * m  # per-partition row states and their counts
+        n_open = n_exhausted = 0
 
         def interval_for(square: Rect, tid: int, label: float) -> tuple[int, int]:
             cells = cells_covering(enlarge(square, label, t_q, self.index.max_speeds, side), self.grid)
             return z_corner_interval(cells, self.grid)
 
         def process(entry: LeafEntry) -> None:
+            nonlocal n_open, n_exhausted
             uid = entry.uid
             if uid in seen:
                 return
             seen.add(uid)
+            owner_row = row_of.get(uid)
+            if owner_row is not None:
+                unseen[owner_row] -= 1
+                if not unseen[owner_row]:
+                    if state[owner_row] == _OPEN:
+                        n_open -= 1
+                    elif state[owner_row] == _EXHAUSTED:
+                        n_exhausted -= 1
+                    state[owner_row] = _RETIRED
             px = entry.x + entry.vx * (t_q - entry.t)
             py = entry.y + entry.vy * (t_q - entry.t)
             if _visible(store, uid, req.qid, px, py, t_q):
-                candidates[uid] = math.hypot(px - qx, py - qy)
-
-        def kth() -> float | None:
-            if len(candidates) < k:
-                return None
-            return sorted(candidates.values())[k - 1]
+                d = math.hypot(px - qx, py - qy)
+                candidates[uid] = d
+                if len(nearest) < k:
+                    heappush(nearest, -d)
+                elif d < -nearest[0]:
+                    heapreplace(nearest, -d)
 
         def search_partition(tid: int, label: float) -> None:
-            spans: dict[int, _RowSpan] = {}
-            covered: dict[int, tuple[int, int]] = {}  # row -> scanned z bounds
+            nonlocal n_open, n_exhausted
+            for row_i in range(m):
+                state[row_i] = _OPEN if unseen[row_i] else _RETIRED
+            n_open = m - state.count(_RETIRED)
+            n_exhausted = 0
+            if not n_open:
+                return
+            spans: list[_RowSpan | None] = [None] * m
+            # a read row's entries [done_lo, done_hi) are the ones inside the
+            # z bounds scanned so far for it; below and above hold the z of
+            # the nearest entries outside them (an unread row wakes at once)
+            done_lo = [0] * m
+            done_hi = [0] * m
+            below = [-1] * m
+            above = [-1] * m
+            no_z = self.grid.max_z + 1
+            visited_cols = [-1] * m  # last column visited while the row was open
             col_ivs: dict[int, tuple[int, int]] = {}
 
             def column_interval(col: int) -> tuple[int, int]:
-                iv = col_ivs.get(col)
-                if iv is None:
-                    radius = (col + 1) * r_q
-                    square = (
-                        max(qx - radius, 0.0),
-                        max(qy - radius, 0.0),
-                        min(qx + radius, side),
-                        min(qy + radius, side),
-                    )
-                    iv = col_ivs[col] = interval_for(square, tid, label)
+                radius = (col + 1) * r_q
+                square = (
+                    max(qx - radius, 0.0),
+                    max(qy - radius, 0.0),
+                    min(qx + radius, side),
+                    min(qy + radius, side),
+                )
+                iv = col_ivs[col] = interval_for(square, tid, label)
                 return iv
 
             def scan_row(row_i: int, zs: int, ze: int) -> None:
                 # scan only the uncovered remainder; the retained row span
                 # (read once) proves emptiness without extra page fetches
-                svq = rows[row_i][0]
-                span = spans.get(row_i)
+                nonlocal n_open, n_exhausted
+                span = spans[row_i]
                 if span is None:
-                    span = spans[row_i] = self._row_span(tid, svq)
-                done = covered.get(row_i)
-                if done is None:
-                    deltas = [(zs, ze)]
-                    covered[row_i] = (zs, ze)
-                else:
-                    deltas = []
-                    if zs < done[0]:
-                        deltas.append((zs, done[0] - 1))
-                    if ze > done[1]:
-                        deltas.append((done[1] + 1, ze))
-                    covered[row_i] = (min(zs, done[0]), max(ze, done[1]))
-                for d_lo, d_hi in deltas:
-                    for entry in self._probe_new(span, d_lo, d_hi):
+                    span = spans[row_i] = self._row_span(tid, rows[row_i][0])
+                    done_lo[row_i] = done_hi[row_i] = bisect_left(span.zs, zs)
+                z_list = span.zs
+                lo = done_lo[row_i]
+                if lo and z_list[lo - 1] >= zs:
+                    new_lo = done_lo[row_i] = bisect_left(z_list, zs, 0, lo)
+                    for entry in span.entries[new_lo:lo]:
                         process(entry)
+                    lo = new_lo
+                hi = done_hi[row_i]
+                if hi < len(z_list) and z_list[hi] <= ze:
+                    new_hi = done_hi[row_i] = bisect_right(z_list, ze, hi)
+                    for entry in span.entries[hi:new_hi]:
+                        process(entry)
+                    hi = new_hi
+                below[row_i] = z_list[lo - 1] if lo else -1
+                above[row_i] = z_list[hi] if hi < len(z_list) else no_z
+                if state[row_i] == _OPEN and not lo and hi == len(z_list):
+                    state[row_i] = _EXHAUSTED
+                    n_open -= 1
+                    n_exhausted += 1
 
-            visited_cols: dict[int, int] = {}  # row -> last visited column
             for row_i, col in self.traversal(m, n_cols):
-                if all(u in seen for u in rows[row_i][1]):
-                    visited_cols[row_i] = col
+                row_state = state[row_i]
+                if row_state == _RETIRED:
                     continue
-                zs, ze = column_interval(col)
-                scan_row(row_i, zs, ze)
-                visited_cols[row_i] = col
-                kdist = kth()
-                if kdist is not None and kdist <= (col + 1) * r_q:
+                if row_state == _OPEN:
+                    zs, ze = col_ivs.get(col) or column_interval(col)
+                    if zs <= below[row_i] or ze >= above[row_i]:
+                        scan_row(row_i, zs, ze)
+                    visited_cols[row_i] = col
+                if len(nearest) == k and -nearest[0] <= (col + 1) * r_q:
                     # vertical scan of this column, shortened to 2*kdist
+                    kdist = -nearest[0]
                     square = (
                         max(qx - kdist, 0.0),
                         max(qy - kdist, 0.0),
@@ -494,11 +552,10 @@ class PebQueryEngine(_EngineBase):
                     )
                     v_lo, v_hi = interval_for(square, tid, label)
                     for other in range(m):
-                        if visited_cols.get(other) == col:
-                            continue
-                        if all(u in seen for u in rows[other][1]):
-                            continue
-                        scan_row(other, v_lo, v_hi)
+                        if state[other] == _OPEN and visited_cols[other] != col:
+                            scan_row(other, v_lo, v_hi)
+                    return
+                if not n_open and (not n_exhausted or len(nearest) < k):
                     return
 
         for tid, label in live:

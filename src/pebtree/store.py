@@ -601,10 +601,17 @@ class MovingObjectIndex:
         if obj.uid in self._current:
             raise ValueError(f"object {obj.uid} already indexed; use update()")
         key, tid, label = self.key_for(obj)
-        if self._partition_count.get(tid, 0) > 0 and self._partition_label[tid] != label:
+        self._check_label(tid, label, self._partition_count.get(tid, 0))
+        self._insert_keyed(obj, key, tid, label)
+
+    def _check_label(self, tid: int, label: float, others: int) -> None:
+        """Refuse ``label`` for partition ``tid`` while ``others`` entries hold another."""
+        if others > 0 and self._partition_label[tid] != label:
             raise ValueError(
                 f"partition {tid} still holds entries for label {self._partition_label[tid]}"
             )
+
+    def _insert_keyed(self, obj: MovingObject, key: int, tid: int, label: float) -> None:
         self.tree.insert(LeafEntry(key, obj.uid, obj.x, obj.y, obj.vx, obj.vy, obj.t_u, obj.uid))
         self._current[obj.uid] = (key, tid)
         self._partition_label[tid] = label
@@ -622,11 +629,19 @@ class MovingObjectIndex:
             del self._partition_label[tid]
 
     def update(self, obj: MovingObject, now: float | None = None) -> None:
-        """Replace the object's entry with a fresh one as of ``now``."""
+        """Replace the object's entry with a fresh one as of ``now``.
+
+        A refused update (the target partition still holds entries under
+        another label) raises ``ValueError`` and leaves the index as it was.
+        """
         if now is not None and now != obj.t_u:
             obj = replace(obj, t_u=now)
+        _, old_tid = self._current[obj.uid]
+        key, tid, label = self.key_for(obj)
+        # the object's own old entry leaves the partition before the insert
+        self._check_label(tid, label, self._partition_count.get(tid, 0) - (old_tid == tid))
         self.delete(obj.uid)
-        self.insert(obj)
+        self._insert_keyed(obj, key, tid, label)
 
     def live_partitions(self) -> list[tuple[int, float]]:
         """Partitions currently holding entries, with their labels."""

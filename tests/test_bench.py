@@ -1,10 +1,12 @@
 import csv
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
 
+from pebtree import bench
 from pebtree.bench import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -63,6 +65,21 @@ def test_query_batch_io_deterministic(small_instance):
     b = run_query_batch(small_instance, "peb", queries, oracle_every=0)
     assert a.mean_io == b.mean_io
     assert a.p95_io == b.p95_io
+
+
+def test_query_batch_wall_time_excludes_oracle(small_instance, monkeypatch):
+    delay_s = 0.02
+    oracle = bench.oracle_range
+
+    def slow_oracle(*args):
+        time.sleep(delay_s)
+        return oracle(*args)
+
+    monkeypatch.setattr(bench, "oracle_range", slow_oracle)
+    queries = gen_queries(SMALL, "range", list(small_instance.objects.values()))
+    stats = run_query_batch(small_instance, "peb", queries, oracle_every=1)
+    assert stats.checked == len(queries) and stats.failures == 0
+    assert stats.wall_ms < 0.25 * len(queries) * delay_s * 1000.0
 
 
 def test_zero_query_spec_writes_header_only(tmp_path):

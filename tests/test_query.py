@@ -1,11 +1,13 @@
 import math
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 
 from pebtree.keys import KeyLayout, assign_sequence_values
 from pebtree.motion import MovingObject, TimePartitionConfig
 from pebtree.policy import (
+    DAY,
     CompatibilityIndex,
     LocationPrivacyPolicy,
     PolicyStore,
@@ -17,7 +19,11 @@ from pebtree.query import (
     FriendLists,
     PebQueryEngine,
     PknnRequest,
+    PknnResult,
     PrqRequest,
+    Rect,
+    _RowSpan,
+    _visible,
     antidiagonal_order,
     build_prq_key_intervals,
     enlarge,
@@ -27,9 +33,9 @@ from pebtree.query import (
     oracle_range,
     subtract_intervals,
 )
-from pebtree.store import DirectionalSpeeds, MovingObjectIndex
+from pebtree.store import DirectionalSpeeds, LeafEntry, MovingObjectIndex
 from pebtree.workload import WorkloadConfig, gen_policies, gen_queries, gen_uniform
-from pebtree.zcurve import GridConfig
+from pebtree.zcurve import GridConfig, cells_covering, z_corner_interval
 
 TIME_CFG = TimePartitionConfig(120.0, 2)
 GRID = GridConfig(L=1000.0, levels=10)
@@ -386,3 +392,241 @@ def test_updates_reflected_in_queries(random_instance):
     for uid in uids:
         peb.index.update(objects[uid])
         bx.index.update(objects[uid])
+
+
+# -- kNN walk against the full-matrix reference ------------------------------------------
+
+
+def _probe_new(span, zs, ze):
+    """Entries of a row span inside [zs, ze]; the span read charged their pages."""
+    i = bisect_left(span.zs, zs)
+    j = bisect_right(span.zs, ze)
+    return tuple(span.entries[i:j])
+
+
+def reference_pknn(self: PebQueryEngine, req: PknnRequest) -> PknnResult:
+    """The kNN walk as it stood before row retirement, kept as a reference.
+
+    The k visible users nearest the query point at query time.
+
+    Partitions are searched one at a time.  Within a partition the
+    (friend row x expansion round) matrix is walked in the traversal
+    order; each visited cell scans only the part of its round's curve
+    interval not already covered for that row (rounds nest, so earlier
+    work is never rescanned).  Once k verified candidates sit inside
+    the current round's inscribed circle, the remaining rows of the
+    column are vertically scanned with the interval shortened to the
+    square of side twice the k'th candidate distance, which keeps the
+    result exact no matter where the walk stopped.  Fewer than k
+    visible users yields all of them with the result flagged short.
+    """
+    self.store.check_user(req.qid)
+    rows = self.friends.rows(req.qid)
+    k = req.k
+    if not rows:
+        return PknnResult((), short=True)
+    n = self.index.entry_count
+    if n == 0:
+        return PknnResult((), short=True)
+    live = self.index.live_partitions()
+    if not live:
+        return PknnResult((), short=True)
+    side = self.grid.L
+    r_q = estimate_dk(min(k, n), n, side) / k
+    if r_q <= 0:
+        r_q = self.grid.cell_size
+    qx, qy = req.qloc
+    t_q = req.t_q
+    store = self.store
+    # the column whose square, clamped, covers the whole space
+    needed = max(qx, side - qx, qy, side - qy)
+    n_cols = max(1, math.ceil(needed / r_q))
+    m = len(rows)
+
+    candidates: dict[int, float] = {}
+    seen: set[int] = set()
+
+    def interval_for(square: Rect, tid: int, label: float) -> tuple[int, int]:
+        cells = cells_covering(enlarge(square, label, t_q, self.index.max_speeds, side), self.grid)
+        return z_corner_interval(cells, self.grid)
+
+    def process(entry: LeafEntry) -> None:
+        uid = entry.uid
+        if uid in seen:
+            return
+        seen.add(uid)
+        px = entry.x + entry.vx * (t_q - entry.t)
+        py = entry.y + entry.vy * (t_q - entry.t)
+        if _visible(store, uid, req.qid, px, py, t_q):
+            candidates[uid] = math.hypot(px - qx, py - qy)
+
+    def kth() -> float | None:
+        if len(candidates) < k:
+            return None
+        return sorted(candidates.values())[k - 1]
+
+    def search_partition(tid: int, label: float) -> None:
+        spans: dict[int, _RowSpan] = {}
+        covered: dict[int, tuple[int, int]] = {}  # row -> scanned z bounds
+        col_ivs: dict[int, tuple[int, int]] = {}
+
+        def column_interval(col: int) -> tuple[int, int]:
+            iv = col_ivs.get(col)
+            if iv is None:
+                radius = (col + 1) * r_q
+                square = (
+                    max(qx - radius, 0.0),
+                    max(qy - radius, 0.0),
+                    min(qx + radius, side),
+                    min(qy + radius, side),
+                )
+                iv = col_ivs[col] = interval_for(square, tid, label)
+            return iv
+
+        def scan_row(row_i: int, zs: int, ze: int) -> None:
+            # scan only the uncovered remainder; the retained row span
+            # (read once) proves emptiness without extra page fetches
+            svq = rows[row_i][0]
+            span = spans.get(row_i)
+            if span is None:
+                span = spans[row_i] = self._row_span(tid, svq)
+            done = covered.get(row_i)
+            if done is None:
+                deltas = [(zs, ze)]
+                covered[row_i] = (zs, ze)
+            else:
+                deltas = []
+                if zs < done[0]:
+                    deltas.append((zs, done[0] - 1))
+                if ze > done[1]:
+                    deltas.append((done[1] + 1, ze))
+                covered[row_i] = (min(zs, done[0]), max(ze, done[1]))
+            for d_lo, d_hi in deltas:
+                for entry in _probe_new(span, d_lo, d_hi):
+                    process(entry)
+
+        visited_cols: dict[int, int] = {}  # row -> last visited column
+        for row_i, col in self.traversal(m, n_cols):
+            if all(u in seen for u in rows[row_i][1]):
+                visited_cols[row_i] = col
+                continue
+            zs, ze = column_interval(col)
+            scan_row(row_i, zs, ze)
+            visited_cols[row_i] = col
+            kdist = kth()
+            if kdist is not None and kdist <= (col + 1) * r_q:
+                # vertical scan of this column, shortened to 2*kdist
+                square = (
+                    max(qx - kdist, 0.0),
+                    max(qy - kdist, 0.0),
+                    min(qx + kdist, side),
+                    min(qy + kdist, side),
+                )
+                v_lo, v_hi = interval_for(square, tid, label)
+                for other in range(m):
+                    if visited_cols.get(other) == col:
+                        continue
+                    if all(u in seen for u in rows[other][1]):
+                        continue
+                    scan_row(other, v_lo, v_hi)
+                return
+
+    for tid, label in live:
+        search_partition(tid, label)
+    ranked = sorted((d, uid) for uid, d in candidates.items())[:k]
+    return PknnResult(tuple((uid, d) for d, uid in ranked), short=len(ranked) < k)
+
+
+@pytest.fixture(scope="module")
+def churned_instance():
+    """Wide, long policies over three live partitions, reported at t = 0, 30, 70."""
+    cfg = WorkloadConfig(
+        n_users=500,
+        policies_per_user=25,
+        theta=0.5,
+        seed=13,
+        group_size=50,
+        policy_side=(300.0, 800.0),
+        policy_duration=(DAY / 3, DAY),
+    )
+    objects = gen_uniform(cfg)
+    policies, graph = gen_policies([o.uid for o in objects], cfg)
+    store = PolicyStore(policies, graph, [o.uid for o in objects], space_side=cfg.space_side)
+    current = {o.uid: o for o in objects}
+    peb, _ = build_engines(current, store)
+    rng = random.Random(3)
+    uids = sorted(current)
+    for t_u, part in ((30.0, uids[::3]), (70.0, uids[1::3])):
+        for uid in part:
+            obj = current[uid]
+            current[uid] = MovingObject(uid, rng.uniform(0, 1000), rng.uniform(0, 1000), obj.vx, obj.vy, t_u)
+            peb.index.update(current[uid])
+    queries = [
+        PknnRequest(q.qid, q.qloc, k, q.t_q)
+        for k in (1, 3, 8)
+        for q in gen_queries(cfg, "knn", list(current.values()), now=70.0, count=20)
+    ]
+    return current, store, peb, queries
+
+
+def _run_batch(peb, call, queries):
+    """Per-query (neighbors, short, reads, misses) from a cold buffer."""
+    peb.index.reset_io(cold=True)
+    buf = peb.index.buffer
+    out = []
+    for req in queries:
+        reads, misses = buf.reads, buf.misses
+        result = call(req)
+        out.append((result.neighbors, result.short, buf.reads - reads, buf.misses - misses))
+    return out
+
+
+def test_pknn_matches_full_walk_reference(churned_instance):
+    current, store, peb, queries = churned_instance
+    assert len(peb.index.live_partitions()) == 3
+    stopped = []  # one flag per partition walk: True while it has not run out
+
+    def tracked(n_rows, n_cols):
+        stopped.append(True)
+        yield from antidiagonal_order(n_rows, n_cols)
+        stopped[-1] = False
+
+    reference = PebQueryEngine(peb.index, store, peb.friends, traversal=tracked)
+    want = _run_batch(peb, lambda req: reference_pknn(reference, req), queries)
+    got = _run_batch(peb, peb.pknn, queries)
+    # both kinds of walk are exercised: short results, and walks that end
+    # on the termination test
+    shorts = sum(short for _, short, _, _ in want)
+    assert 0 < shorts < len(queries)
+    assert any(stopped)
+    for req, g, w in zip(queries, got, want):
+        assert g == w, req
+    for req, (neighbors, short, _, _) in zip(queries, got):
+        assert PknnResult(neighbors, short) == oracle_knn(current.values(), store, req)
+
+
+def test_pknn_short_walk_skips_cells(random_instance):
+    cfg, objects, store, peb, bx = random_instance
+    assert len(peb.index.live_partitions()) == 1
+    shapes = []
+    cells = []
+
+    def counting(n_rows, n_cols):
+        shapes.append(n_rows * n_cols)
+        cells.append(0)
+        for cell in antidiagonal_order(n_rows, n_cols):
+            cells[-1] += 1
+            yield cell
+
+    engine = PebQueryEngine(peb.index, store, peb.friends, traversal=counting)
+    short = 0
+    for q in gen_queries(cfg, "knn", list(objects.values()), count=25):
+        req = PknnRequest(q.qid, q.qloc, 10, q.t_q)
+        shapes.clear()
+        cells.clear()
+        result = engine.pknn(req)
+        assert result == oracle_knn(objects.values(), store, req)
+        if result.short and shapes:
+            short += 1
+            assert cells[0] < shapes[0]
+    assert short

@@ -239,6 +239,28 @@ def test_index_insert_update_delete_cycle():
     assert index.live_partitions() == []
 
 
+def test_refused_update_leaves_index_unchanged():
+    index = build_index()
+    index.insert(MovingObject(1, 10.0, 10.0, 0.0, 0.0, 0.0))
+    index.insert(MovingObject(2, 20.0, 20.0, 0.0, 0.0, 0.0))
+    index.update(MovingObject(2, 20.0, 20.0, 0.0, 0.0, 60.0))
+    assert index.live_partitions() == [(0, 60.0), (1, 120.0)]
+    count = index.entry_count
+    # label 240 recycles partition 0, which uid 1 still holds under label 60
+    with pytest.raises(ValueError):
+        index.update(MovingObject(2, 20.0, 20.0, 0.0, 0.0, 130.0))
+    assert index.contains(2)
+    assert index.entry_count == count
+    assert index.live_partitions() == [(0, 60.0), (1, 120.0)]
+    index.tree.audit()
+    # uid 1 is partition 0's only entry: its own update may relabel it
+    index.update(MovingObject(1, 10.0, 10.0, 0.0, 0.0, 130.0))
+    index.update(MovingObject(2, 20.0, 20.0, 0.0, 0.0, 130.0))
+    assert index.live_partitions() == [(0, 240.0)]
+    assert index.entry_count == count
+    index.tree.audit()
+
+
 def test_index_rejects_double_insert():
     index = build_index()
     index.insert(MovingObject(1, 0.0, 0.0, 0.0, 0.0, 0.0))
