@@ -18,6 +18,7 @@ The store is read-only after loading; concurrent readers are fine.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -208,6 +209,9 @@ def _alpha_mutual(
     return 0.5 * total, False
 
 
+_ABOVE_HALF = math.nextafter(0.5, 1.0)
+
+
 def compatibility(store: PolicyStore, u1: int, u2: int) -> CompatibilityScore:
     """Degree of compatibility between two users' policies (symmetric)."""
     a, mutual = _alpha_mutual(
@@ -215,8 +219,11 @@ def compatibility(store: PolicyStore, u1: int, u2: int) -> CompatibilityScore:
     )
     if a == 0.0:
         return CompatibilityScore(0.0, 0.0, False)
-    c = 0.5 * (1.0 + a) if mutual else a
-    return CompatibilityScore(a, c, mutual)
+    if not mutual:
+        return CompatibilityScore(a, a, False)
+    # a mutual pair scores above every one-sided pair (at most 0.5), also when
+    # its overlap is too small to show in 0.5 * (1 + a)
+    return CompatibilityScore(a, max(0.5 * (1.0 + a), _ABOVE_HALF), True)
 
 
 class CompatibilityIndex:
@@ -267,10 +274,6 @@ class CompatibilityIndex:
     def related(self, u: int) -> list[int]:
         """Users with non-zero compatibility to ``u``, ascending."""
         return self._neighbors.get(u, [])
-
-    def users_by_group_size(self) -> list[int]:
-        """Users ordered by descending related count, ties by ascending id."""
-        return sorted(self._neighbors, key=lambda u: (-len(self._neighbors[u]), u))
 
 
 def related_users(index: CompatibilityIndex, u: int) -> set[int]:

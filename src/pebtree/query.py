@@ -30,12 +30,14 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappush, heapreplace
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .keys import KeyLayout, SequenceValueMap
 from .motion import MovingObject
 from .policy import PolicyStore, point_in_rect, time_in_set
-from .store import DirectionalSpeeds, LeafEntry, MovingObjectIndex
+from .store import BPlusTree, DirectionalSpeeds, LeafEntry, MovingObjectIndex
 from .zcurve import cells_covering, z_corner_interval, z_decompose
 
 Rect = tuple[float, float, float, float]
@@ -206,18 +208,18 @@ class FriendLists:
             self._rows[viewer] = cached
         return cached
 
-    def sv_bounds(self, viewer: int) -> tuple[int, int] | None:
-        rows = self.rows(viewer)
-        if not rows:
-            return None
-        return rows[0][0], rows[-1][0]
-
 
 class _RowSpan:
     """Cached location of one (partition, sequence value) key span.
 
-    Built from a single descent plus a sibling walk; later probes bisect
-    the cached entry list and re-charge the pages the walk would touch.
+    Built from a single descent plus a sibling walk.  Queries then bisect
+    the cached entry list and re-charge the pages that a search descending
+    once per curve interval would touch (its probes): the root ``path``,
+    then the distinct leaves of the interval's entries or, for an empty
+    interval, the leaf its start lands on.  ``bound_zs[b]`` is the first
+    curve value of ``bound_pages[b]``, the span's ``b``-th leaf (0 for the
+    first), so an empty interval lands on the leaf of the bound segment
+    holding its start.
     """
 
     __slots__ = ("path", "zs", "entries", "entry_pages", "bound_zs", "bound_pages")
@@ -230,8 +232,35 @@ class _RowSpan:
         self.bound_zs = bound_zs
         self.bound_pages = bound_pages
 
-    def landing_page(self, z: int) -> int:
-        return self.bound_pages[bisect_right(self.bound_zs, z) - 1]
+    def charge_probes(
+        self, tree: BPlusTree, starts: Sequence[int], hits: Sequence[tuple[int, int, int]], n_ivs: int
+    ) -> None:
+        """Charge one probe for each of the first ``n_ivs`` curve intervals.
+
+        ``starts`` are the sorted interval starts and ``hits`` the
+        ascending (interval, first entry, end entry) triples of the
+        intervals that hold entries.  Touched leaves only move forward
+        along the span, so identical probes come in runs: the empty
+        intervals whose starts share a bound segment, and any neighbouring
+        probe of that segment's leaf alone.  Each run is charged with one
+        :meth:`~pebtree.store.BPlusTree.touch_probe` call.
+        """
+        bound_zs = self.bound_zs
+        probes: list[tuple[tuple[int, ...], int]] = []  # (leaves, times)
+        done = 0  # intervals before this one are counted
+        for iv, i, j in (*hits, (n_ivs, 0, 0)):
+            while done < iv:
+                seg = bisect_right(bound_zs, starts[done]) - 1
+                end = iv
+                if seg + 1 < len(bound_zs):
+                    end = bisect_left(starts, bound_zs[seg + 1], done, iv)
+                probes.append(((self.bound_pages[seg],), end - done))
+                done = end
+            if i < j:
+                probes.append((tuple(dict.fromkeys(self.entry_pages[i:j])), 1))
+                done = iv + 1
+        for leaves, run in groupby(probes, key=itemgetter(0)):
+            tree.touch_probe(self.path, leaves, sum(times for _, times in run))
 
 
 # friend row states of the kNN walk within one partition
@@ -280,64 +309,51 @@ class PebQueryEngine(_EngineBase):
     # -- row spans ------------------------------------------------------------
 
     def _row_span(self, tid: int, svq: int) -> _RowSpan:
-        layout = self.layout
         tree = self.index.tree
-        hi_key = layout.peb_key_q(tid, svq, self.grid.max_z)
-        lo_key = layout.peb_key_q(tid, svq, 0)
-        path, leaf, i = tree.descend(lo_key)
+        lo_key = self.layout.peb_key_q(tid, svq, 0)
+        end = (lo_key + self.grid.max_z + 1, -1)  # the first composite past the span
+        path, node, i = tree.descend(lo_key)
         zs: list[int] = []
         entries: list[LeafEntry] = []
         entry_pages: list[int] = []
         bound_zs = [0]
-        bound_pages = [leaf.page_id]
-        node = leaf
-        fresh = False
+        bound_pages = [node.page_id]
         while True:
-            if fresh:
-                if node.keys and node.keys[0][0] <= hi_key:
-                    bound_zs.append(layout.zv_of(node.keys[0][0]))
-                    bound_pages.append(node.page_id)
-                fresh = False
             keys = node.keys
-            while i < len(keys):
-                k = keys[i][0]
-                if k > hi_key:
-                    return _RowSpan(path, zs, entries, entry_pages, bound_zs, bound_pages)
-                zs.append(layout.zv_of(k))
-                entries.append(node.entries[i])
-                entry_pages.append(node.page_id)
-                i += 1
-            if node.next_leaf is None:
+            j = bisect_left(keys, end, i)
+            # keys in the span share its partition and sequence value prefix
+            zs += [k - lo_key for k, _ in keys[i:j]]
+            entries += node.entries[i:j]
+            entry_pages += [node.page_id] * (j - i)
+            if j < len(keys) or node.next_leaf is None:
                 return _RowSpan(path, zs, entries, entry_pages, bound_zs, bound_pages)
             node = tree._node(node.next_leaf)
             i = 0
-            fresh = True
-
-    def _probe(self, span: _RowSpan, zs: int, ze: int) -> tuple[LeafEntry, ...]:
-        """Entries of a row span inside [zs, ze]; charges the pages touched."""
-        tree = self.index.tree
-        for pid in span.path:
-            tree.touch_page(pid)
-        i = bisect_left(span.zs, zs)
-        j = bisect_right(span.zs, ze)
-        if i == j:
-            tree.touch_page(span.landing_page(zs))
-            return ()
-        last = None
-        for pid in span.entry_pages[i:j]:
-            if pid != last:
-                tree.touch_page(pid)
-                last = pid
-        return tuple(span.entries[i:j])
+            if node.keys and node.keys[0] < end:
+                bound_zs.append(node.keys[0][0] - lo_key)
+                bound_pages.append(node.page_id)
 
     # -- range query -----------------------------------------------------------
 
     def prq(self, req: PrqRequest, skip_rule: bool = True) -> set[int]:
         """Users inside the window at query time who allow the issuer to see them.
 
-        ``skip_rule=False`` disables skipping of the remaining intervals of
-        an already-retrieved user's sequence value; results are identical,
-        only the I/O changes.
+        Each friend row's key span is read once per partition and crossed
+        with the window's curve intervals in one pass: bisecting the sorted
+        interval starts with each entry's curve value finds the intervals
+        that hold entries, whose entries are verified in key order, and
+        jumps past those that hold none.  The row's I/O is then charged as
+        one probe per curve interval it reached, each run of identical
+        probes at once (:meth:`_RowSpan.charge_probes`).  Right after a
+        probe its pages are the most recent in the buffer, so a repeat hits
+        every page and leaves the LRU order as it was; verifying entries
+        touches no page.  The counters and the buffer state are therefore
+        those of probing the intervals one by one.
+
+        With ``skip_rule`` a row's remaining intervals are skipped once
+        every owner in it has been retrieved (a user has only one location).
+        ``skip_rule=False`` disables that; results are identical, only the
+        I/O changes.
         """
         self.store.check_user(req.qid)
         rows = self.friends.rows(req.qid)
@@ -345,26 +361,35 @@ class PebQueryEngine(_EngineBase):
         if not rows:
             return result
         store = self.store
+        tree = self.index.tree
         t_q = req.t_q
         rect = req.rect
         seen: set[int] = set()
         row_of, unseen = _owner_rows(rows)
-        spans: dict[tuple[int, int], _RowSpan] = {}
         for tid, label in self.index.live_partitions():
             enlarged = enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L)
             zivs = self._zivs(enlarged)
             if not zivs:
                 continue
+            starts = [zs for zs, _ in zivs]
             for row_i, (svq, _) in enumerate(rows):
                 if skip_rule and not unseen[row_i]:
                     continue
-                span = spans.get((tid, svq))
-                if span is None:
-                    span = spans[(tid, svq)] = self._row_span(tid, svq)
-                for zs, ze in zivs:
-                    if skip_rule and not unseen[row_i]:
-                        break
-                    for entry in self._probe(span, zs, ze):
+                span = self._row_span(tid, svq)
+                z_list = span.zs
+                hits: list[tuple[int, int, int]] = []
+                charged = len(zivs)
+                e = bisect_left(z_list, starts[0])
+                e_end = bisect_right(z_list, zivs[-1][1])
+                while e < e_end:
+                    iv = bisect_right(starts, z_list[e]) - 1
+                    ze = zivs[iv][1]
+                    if z_list[e] > ze:  # between intervals: jump to the next one
+                        e = bisect_left(z_list, starts[iv + 1], e, e_end)
+                        continue
+                    j = bisect_right(z_list, ze, e, e_end)
+                    hits.append((iv, e, j))
+                    for entry in span.entries[e:j]:
                         uid = entry.uid
                         if uid not in seen:
                             seen.add(uid)
@@ -380,6 +405,11 @@ class PebQueryEngine(_EngineBase):
                                 and _visible(store, uid, req.qid, px, py, t_q)
                             ):
                                 result.add(uid)
+                    e = j
+                    if skip_rule and not unseen[row_i]:
+                        charged = iv + 1  # the row is retired: skip its later intervals
+                        break
+                span.charge_probes(tree, starts, hits, charged)
         return result
 
     # -- kNN query ---------------------------------------------------------------

@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .keys import KeyLayout, SequenceValueMap
 from .motion import MovingObject, TimePartitionConfig, index_partition, label_timestamp, position_at
@@ -148,6 +148,11 @@ class Node:
 _MIN_KEY = (-1, -1)
 
 
+def _check(ok: bool, fault: str) -> None:
+    if not ok:
+        raise AssertionError(fault)
+
+
 class BPlusTree:
     """B+-tree over composite (key, uid) with simulated paging.
 
@@ -200,6 +205,25 @@ class BPlusTree:
         node = self.pages.get(page_id)
         if node is not None:
             self.buffer.touch(page_id, node.leaf)
+
+    def touch_probe(self, path: Sequence[int], pages: Sequence[int], times: int = 1) -> None:
+        """Re-charge ``times`` identical probes, each touching ``path`` then ``pages``.
+
+        Right after one probe its pages are the most recently used in the
+        buffer, in probe order, so a repeat hits every page and leaves the
+        LRU order as it was: repeats only add reads.  That holds while the
+        whole probe fits in the buffer; a larger probe evicts its own first
+        pages, so its repeats are replayed touch by touch.
+        """
+        probe = (*path, *pages)
+        fits = len(probe) <= self.buffer.capacity
+        for _ in range(1 if fits else times):
+            for pid in probe:
+                self.touch_page(pid)
+        if fits and times > 1:
+            nodes = [node for node in map(self.pages.get, probe) if node is not None]
+            self.buffer.reads += (times - 1) * len(nodes)
+            self.buffer.leaf_reads += (times - 1) * sum(node.leaf for node in nodes)
 
     # -- descent ------------------------------------------------------------
 
@@ -448,12 +472,12 @@ class BPlusTree:
     # -- integrity audit (test support) --------------------------------------
 
     def audit(self) -> None:
-        """Check structural invariants; raises AssertionError on violation."""
+        """Check structural invariants; raises AssertionError on violation, also under ``-O``."""
         root = self.pages[self.root_id]
         leaf_pages: list[int] = []
         count = self._audit_node(root, None, None, 1, leaf_pages)
-        assert count == self.entry_count, "entry count drift"
-        assert len(leaf_pages) == self.leaf_count, "leaf count drift"
+        _check(count == self.entry_count, "entry count drift")
+        _check(len(leaf_pages) == self.leaf_count, "leaf count drift")
         # leaf chain matches in-order leaf sequence and is globally sorted
         chain = []
         node = root
@@ -466,26 +490,26 @@ class BPlusTree:
             if node.next_leaf is None:
                 break
             node = self.pages[node.next_leaf]
-        assert chain == leaf_pages, "leaf chain disagrees with tree order"
-        assert flat == sorted(flat), "leaf chain not sorted"
-        assert len(set(flat)) == len(flat), "duplicate composite keys"
+        _check(chain == leaf_pages, "leaf chain disagrees with tree order")
+        _check(flat == sorted(flat), "leaf chain not sorted")
+        _check(len(set(flat)) == len(flat), "duplicate composite keys")
 
     def _audit_node(self, node: Node, lo, hi, depth: int, leaf_pages: list[int]) -> int:
         is_root = node.page_id == self.root_id
         if node.leaf:
-            assert depth == self.height, "uneven leaf depth"
+            _check(depth == self.height, "uneven leaf depth")
             if not is_root:
-                assert len(node.keys) >= self.leaf_cap // 2, "leaf underflow"
-            assert len(node.keys) <= self.leaf_cap, "leaf overflow"
+                _check(len(node.keys) >= self.leaf_cap // 2, "leaf underflow")
+            _check(len(node.keys) <= self.leaf_cap, "leaf overflow")
             for k in node.keys:
-                assert (lo is None or k >= lo) and (hi is None or k < hi), "key outside fence range"
+                _check((lo is None or k >= lo) and (hi is None or k < hi), "key outside fence range")
             leaf_pages.append(node.page_id)
             return len(node.keys)
         if not is_root:
-            assert len(node.children) >= self.internal_cap // 2, "internal underflow"
-        assert len(node.children) <= self.internal_cap, "internal overflow"
-        assert len(node.children) == len(node.keys) + 1, "fence/child mismatch"
-        assert node.keys == sorted(node.keys), "unsorted fences"
+            _check(len(node.children) >= self.internal_cap // 2, "internal underflow")
+        _check(len(node.children) <= self.internal_cap, "internal overflow")
+        _check(len(node.children) == len(node.keys) + 1, "fence/child mismatch")
+        _check(node.keys == sorted(node.keys), "unsorted fences")
         total = 0
         bounds = [lo] + list(node.keys) + [hi]
         for i, child_pid in enumerate(node.children):
@@ -694,6 +718,10 @@ class MovingObjectIndex:
             page_size=snap["tree"]["page_size"],
         )
         index.tree = BPlusTree.from_snapshot(snap["tree"])
+        try:
+            index.tree.audit()
+        except (AssertionError, KeyError) as exc:
+            raise ValueError(f"snapshot {path}: corrupt tree: {exc!r}") from exc
         index.max_speeds = DirectionalSpeeds(*snap["max_speeds"])
         index._partition_label = {int(t): lab for t, lab in snap["partition_labels"].items()}
         tid_shift = index.layout.zv_bits
@@ -705,5 +733,10 @@ class MovingObjectIndex:
             index._current[entry.uid] = (entry.key, tid)
             counts[tid] = counts.get(tid, 0) + 1
         index._partition_count = counts
+        if set(counts) != set(index._partition_label):
+            raise ValueError(
+                f"snapshot {path}: partition labels cover {sorted(index._partition_label)}"
+                f" but entries sit in partitions {sorted(counts)}"
+            )
         index.buffer.clear()
         return index

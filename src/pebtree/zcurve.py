@@ -18,6 +18,7 @@ Pure functions throughout; thread-safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 CellRect = tuple[int, int, int, int]  # (cx_lo, cy_lo, cx_hi, cy_hi), inclusive
 
@@ -40,11 +41,11 @@ class GridConfig:
         if not 1 <= self.levels <= 30:
             raise ValueError("levels must be in [1, 30]")
 
-    @property
+    @cached_property
     def cells_per_axis(self) -> int:
         return 1 << self.levels
 
-    @property
+    @cached_property
     def cell_size(self) -> float:
         return self.L / self.cells_per_axis
 
@@ -52,9 +53,18 @@ class GridConfig:
     def zv_bits(self) -> int:
         return 2 * self.levels
 
-    @property
+    @cached_property
     def max_z(self) -> int:
         return (1 << (2 * self.levels)) - 1
+
+
+def _spread(v: int) -> int:
+    """Move bit i of a value below 2^32 to bit 2i, in five mask steps."""
+    v = (v | (v << 16)) & 0x0000FFFF0000FFFF
+    v = (v | (v << 8)) & 0x00FF00FF00FF00FF
+    v = (v | (v << 4)) & 0x0F0F0F0F0F0F0F0F
+    v = (v | (v << 2)) & 0x3333333333333333
+    return (v | (v << 1)) & 0x5555555555555555
 
 
 def z_encode(cell: tuple[int, int], cfg: GridConfig) -> int:
@@ -64,11 +74,7 @@ def z_encode(cell: tuple[int, int], cfg: GridConfig) -> int:
     if not (0 <= cx < n and 0 <= cy < n):
         raise ValueError(f"cell {cell} outside {n}x{n} grid")
     low, high = (cy, cx) if cfg.y_low else (cx, cy)
-    z = 0
-    for i in range(cfg.levels):
-        z |= ((low >> i) & 1) << (2 * i)
-        z |= ((high >> i) & 1) << (2 * i + 1)
-    return z
+    return _spread(low) | (_spread(high) << 1)
 
 
 def z_decode(z: int, cfg: GridConfig) -> tuple[int, int]:
@@ -84,18 +90,16 @@ def z_decode(z: int, cfg: GridConfig) -> tuple[int, int]:
 
 def cell_of(x: float, y: float, cfg: GridConfig) -> tuple[int, int]:
     """Cell containing a point; coordinates at ``L`` clamp to the last cell."""
-    n = cfg.cells_per_axis
-    cx = min(max(int(x / cfg.cell_size), 0), n - 1)
-    cy = min(max(int(y / cfg.cell_size), 0), n - 1)
-    return cx, cy
+    last = cfg.cells_per_axis - 1
+    size = cfg.cell_size
+    return min(max(int(x / size), 0), last), min(max(int(y / size), 0), last)
 
 
 def cell_span(lo: float, hi: float, cfg: GridConfig) -> tuple[int, int]:
     """Inclusive range of cells overlapping the closed interval [lo, hi]."""
-    n = cfg.cells_per_axis
-    c_lo = min(max(int(lo / cfg.cell_size), 0), n - 1)
-    c_hi = min(max(int(hi / cfg.cell_size), 0), n - 1)
-    return c_lo, c_hi
+    last = cfg.cells_per_axis - 1
+    size = cfg.cell_size
+    return min(max(int(lo / size), 0), last), min(max(int(hi / size), 0), last)
 
 
 def cells_covering(rect: tuple[float, float, float, float], cfg: GridConfig) -> CellRect:

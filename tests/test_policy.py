@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pebtree.policy import (
     DAY,
@@ -144,6 +144,14 @@ time_strategy = st.tuples(st.floats(0, DAY), st.floats(1.0, 12.0)).map(
 
 @settings(max_examples=150)
 @given(r1=rect_strategy, t1=time_strategy, r2=rect_strategy, t2=time_strategy, one_sided=st.booleans())
+# a mutual overlap far below the float resolution of 0.5 * (1 + alpha)
+@example(
+    r1=(0.125, 1.5176436128178538e-08, 50.125, 50.00000001517644),
+    t1=(0.0, 1.0),
+    r2=(50.0, 50.0, 100.0, 100.0),
+    t2=(0.0, 1.0),
+    one_sided=False,
+)
 def test_alpha_symmetry_and_bounds(r1, t1, r2, t2, one_sided):
     g = RelationshipGraph()
     p12 = policy(1, 2, r1, t1[0], t1[1], g)

@@ -23,6 +23,7 @@ from pebtree.query import (
     PrqRequest,
     Rect,
     _RowSpan,
+    _owner_rows,
     _visible,
     antidiagonal_order,
     build_prq_key_intervals,
@@ -33,7 +34,7 @@ from pebtree.query import (
     oracle_range,
     subtract_intervals,
 )
-from pebtree.store import DirectionalSpeeds, LeafEntry, MovingObjectIndex
+from pebtree.store import BPlusTree, DirectionalSpeeds, LeafEntry, MovingObjectIndex
 from pebtree.workload import WorkloadConfig, gen_policies, gen_queries, gen_uniform
 from pebtree.zcurve import GridConfig, cells_covering, z_corner_interval
 
@@ -537,11 +538,10 @@ def reference_pknn(self: PebQueryEngine, req: PknnRequest) -> PknnResult:
     return PknnResult(tuple((uid, d) for d, uid in ranked), short=len(ranked) < k)
 
 
-@pytest.fixture(scope="module")
-def churned_instance():
+def _churned(n_users):
     """Wide, long policies over three live partitions, reported at t = 0, 30, 70."""
     cfg = WorkloadConfig(
-        n_users=500,
+        n_users=n_users,
         policies_per_user=25,
         theta=0.5,
         seed=13,
@@ -566,7 +566,12 @@ def churned_instance():
         for k in (1, 3, 8)
         for q in gen_queries(cfg, "knn", list(current.values()), now=70.0, count=20)
     ]
-    return current, store, peb, queries
+    return cfg, current, store, peb, queries
+
+
+@pytest.fixture(scope="module")
+def churned_instance():
+    return _churned(500)
 
 
 def _run_batch(peb, call, queries):
@@ -582,7 +587,7 @@ def _run_batch(peb, call, queries):
 
 
 def test_pknn_matches_full_walk_reference(churned_instance):
-    current, store, peb, queries = churned_instance
+    _, current, store, peb, queries = churned_instance
     assert len(peb.index.live_partitions()) == 3
     stopped = []  # one flag per partition walk: True while it has not run out
 
@@ -630,3 +635,229 @@ def test_pknn_short_walk_skips_cells(random_instance):
             short += 1
             assert cells[0] < shapes[0]
     assert short
+
+
+# -- range query against the per-interval reference ----------------------------------------
+
+
+def _probe(self: PebQueryEngine, span: _RowSpan, zs: int, ze: int) -> tuple[LeafEntry, ...]:
+    """Entries of a row span inside [zs, ze]; charges the pages touched."""
+    tree = self.index.tree
+    for pid in span.path:
+        tree.touch_page(pid)
+    i = bisect_left(span.zs, zs)
+    j = bisect_right(span.zs, ze)
+    if i == j:
+        # the leaf the interval start lands on
+        tree.touch_page(span.bound_pages[bisect_right(span.bound_zs, zs) - 1])
+        return ()
+    last = None
+    for pid in span.entry_pages[i:j]:
+        if pid != last:
+            tree.touch_page(pid)
+            last = pid
+    return tuple(span.entries[i:j])
+
+
+def reference_prq(self: PebQueryEngine, req: PrqRequest, skip_rule: bool = True) -> set[int]:
+    """The range query as it stood with one charged probe per curve interval.
+
+    Users inside the window at query time who allow the issuer to see them.
+
+    ``skip_rule=False`` disables skipping of the remaining intervals of
+    an already-retrieved user's sequence value; results are identical,
+    only the I/O changes.
+    """
+    self.store.check_user(req.qid)
+    rows = self.friends.rows(req.qid)
+    result: set[int] = set()
+    if not rows:
+        return result
+    store = self.store
+    t_q = req.t_q
+    rect = req.rect
+    seen: set[int] = set()
+    row_of, unseen = _owner_rows(rows)
+    spans: dict[tuple[int, int], _RowSpan] = {}
+    for tid, label in self.index.live_partitions():
+        enlarged = enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L)
+        zivs = self._zivs(enlarged)
+        if not zivs:
+            continue
+        for row_i, (svq, _) in enumerate(rows):
+            if skip_rule and not unseen[row_i]:
+                continue
+            span = spans.get((tid, svq))
+            if span is None:
+                span = spans[(tid, svq)] = self._row_span(tid, svq)
+            for zs, ze in zivs:
+                if skip_rule and not unseen[row_i]:
+                    break
+                for entry in _probe(self, span, zs, ze):
+                    uid = entry.uid
+                    if uid not in seen:
+                        seen.add(uid)
+                        owner_row = row_of.get(uid)
+                        if owner_row is not None:
+                            unseen[owner_row] -= 1
+                    if uid not in result:
+                        px = entry.x + entry.vx * (t_q - entry.t)
+                        py = entry.y + entry.vy * (t_q - entry.t)
+                        if (
+                            rect[0] <= px <= rect[2]
+                            and rect[1] <= py <= rect[3]
+                            and _visible(store, uid, req.qid, px, py, t_q)
+                        ):
+                            result.add(uid)
+    return result
+
+
+def _prq_trace(engine, call, queries, skip_rule, cold_each):
+    """Per-query answer, buffer counters and LRU order.
+
+    ``cold_each`` empties the buffer before every query; otherwise it is
+    emptied once and each query starts from the buffer the previous left.
+    """
+    buf = engine.index.buffer
+    engine.index.reset_io(cold=True)
+    out = []
+    for req in queries:
+        if cold_each:
+            engine.index.reset_io(cold=True)
+        answer = call(engine, req, skip_rule=skip_rule)
+        out.append((answer, buf.counters(), list(buf._lru)))
+    return out
+
+
+def _assert_prq_matches_reference(engine, queries):
+    for skip_rule in (True, False):
+        for cold_each in (True, False):
+            want = _prq_trace(engine, reference_prq, queries, skip_rule, cold_each)
+            got = _prq_trace(engine, PebQueryEngine.prq, queries, skip_rule, cold_each)
+            for req, g, w in zip(queries, got, want):
+                assert g == w, (req, skip_rule, cold_each)
+
+
+def test_prq_matches_per_interval_reference(churned_instance):
+    cfg, current, store, peb, _ = churned_instance
+    assert len(peb.index.live_partitions()) == 3
+    queries = gen_queries(cfg, "range", list(current.values()), now=70.0, count=40)
+    answers = [oracle_range(current.values(), store, req) for req in queries]
+    assert any(answers)
+    _assert_prq_matches_reference(peb, queries)
+    assert [peb.prq(req) for req in queries] == answers
+
+
+@pytest.fixture(scope="module")
+def churned_large_instance():
+    return _churned(800)
+
+
+@pytest.mark.parametrize("buffer_pages", [3, 4, 6])
+def test_prq_matches_reference_on_small_pages_and_buffers(churned_large_instance, buffer_pages):
+    # 4 entries per leaf make a tree of height 4, so a 3-page buffer cannot
+    # hold one probe and its repeats are replayed touch by touch
+    cfg, current, store, peb, _ = churned_large_instance
+    index = MovingObjectIndex(
+        TIME_CFG, GRID, peb.layout, sv_map=peb.index.sv_map, buffer_pages=buffer_pages, page_size=256
+    )
+    for obj in current.values():
+        index.insert(obj)
+    assert index.tree.height == 4
+    assert len(index.live_partitions()) == 3
+    replayed = []
+    touch_probe = index.tree.touch_probe
+
+    def recording(path, pages, times=1):
+        replayed.append(times > 1 and len(path) + len(pages) > buffer_pages)
+        touch_probe(path, pages, times)
+
+    index.tree.touch_probe = recording
+    engine = PebQueryEngine(index, store, peb.friends)
+    queries = gen_queries(cfg, "range", list(current.values()), now=70.0, count=15)
+    _assert_prq_matches_reference(engine, queries)
+    assert any(replayed) == (buffer_pages < index.tree.height)
+
+
+def test_touch_probe_equals_touch_loop():
+    rng = random.Random(5)
+    trees = []
+    for _ in range(2):
+        tree = BPlusTree(page_size=256, buffer_pages=5)
+        for key in random.Random(1).sample(range(10_000), 300):
+            tree.insert(LeafEntry(key, key, 0.0, 0.0, 0.0, 0.0, 0.0, key))
+        trees.append(tree)
+    plain, batched = trees
+    pages = sorted(plain.pages) + [10**6]  # one id that is no page
+    for _ in range(300):
+        path = rng.sample(pages, rng.randint(0, 3))
+        leaves = [rng.choice(pages) for _ in range(rng.randint(1, 4))]
+        times = rng.randint(1, 5)
+        for _ in range(times):
+            for pid in path + leaves:
+                plain.touch_page(pid)
+        batched.touch_probe(path, leaves, times)
+        assert batched.buffer.counters() == plain.buffer.counters()
+        assert list(batched.buffer._lru) == list(plain.buffer._lru)
+
+
+def reference_row_span(self: PebQueryEngine, tid: int, svq: int) -> _RowSpan:
+    """The row span read as it stood with one key compared per step, kept as a reference."""
+    layout = self.layout
+    tree = self.index.tree
+    hi_key = layout.peb_key_q(tid, svq, self.grid.max_z)
+    lo_key = layout.peb_key_q(tid, svq, 0)
+    path, leaf, i = tree.descend(lo_key)
+    zs: list[int] = []
+    entries: list[LeafEntry] = []
+    entry_pages: list[int] = []
+    bound_zs = [0]
+    bound_pages = [leaf.page_id]
+    node = leaf
+    fresh = False
+    while True:
+        if fresh:
+            if node.keys and node.keys[0][0] <= hi_key:
+                bound_zs.append(layout.zv_of(node.keys[0][0]))
+                bound_pages.append(node.page_id)
+            fresh = False
+        keys = node.keys
+        while i < len(keys):
+            k = keys[i][0]
+            if k > hi_key:
+                return _RowSpan(path, zs, entries, entry_pages, bound_zs, bound_pages)
+            zs.append(layout.zv_of(k))
+            entries.append(node.entries[i])
+            entry_pages.append(node.page_id)
+            i += 1
+        if node.next_leaf is None:
+            return _RowSpan(path, zs, entries, entry_pages, bound_zs, bound_pages)
+        node = tree._node(node.next_leaf)
+        i = 0
+        fresh = True
+
+
+def test_row_span_matches_reference(churned_large_instance):
+    # every sequence value in every partition, read through 256-byte pages
+    # (spans cross leaves) and through the default pages
+    cfg, current, store, peb, _ = churned_large_instance
+    small = MovingObjectIndex(TIME_CFG, GRID, peb.layout, sv_map=peb.index.sv_map, buffer_pages=4, page_size=256)
+    for obj in current.values():
+        small.insert(obj)
+    svqs = sorted({peb.layout.quantize_sv(sv) for sv in peb.index.sv_map.values.values()})
+    crossing = 0
+    for index in (small, peb.index):
+        engine = PebQueryEngine(index, store, peb.friends)
+        buf = index.buffer
+        for tid, _ in index.live_partitions():
+            for svq in (0, *svqs, (1 << peb.layout.sv_bits) - 1):
+                traces = []
+                for read in (reference_row_span, PebQueryEngine._row_span):
+                    index.reset_io(cold=True)
+                    span = read(engine, tid, svq)
+                    traces.append(
+                        ([getattr(span, a) for a in _RowSpan.__slots__], buf.counters(), list(buf._lru))
+                    )
+                assert traces[0] == traces[1], (tid, svq)
+                crossing += len(span.bound_pages) > 1
+    assert crossing

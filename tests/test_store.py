@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -315,3 +316,42 @@ def test_snapshot_kind_mismatch(tmp_path):
     index.save(path)
     with pytest.raises(ValueError):
         MovingObjectIndex.load(path)  # needs the sequence value map
+
+
+def _tampered(tmp_path, edit):
+    index = build_index()
+    rng = random.Random(4)
+    for uid in range(150):
+        index.insert(MovingObject(uid, rng.uniform(0, 1000), rng.uniform(0, 1000), 0.0, 0.0, 0.0))
+    path = tmp_path / "index.snap"
+    index.save(path)
+    snap = json.loads(path.read_text())
+    edit(snap)
+    path.write_text(json.dumps(snap))
+    return path
+
+
+def _leaf_pages(snap):
+    return [p for p in snap["tree"]["pages"] if p["leaf"]]
+
+
+@pytest.mark.parametrize(
+    "edit, fault",
+    [
+        (lambda snap: snap["partition_labels"].clear(), "partition labels"),
+        (lambda snap: snap["partition_labels"].update({"1": 120.0}), "partition labels"),
+        (lambda snap: _leaf_pages(snap)[0]["keys"].reverse(), "corrupt tree"),
+        (lambda snap: _leaf_pages(snap)[1]["keys"].pop(), "corrupt tree"),
+        (lambda snap: snap["tree"].update(entry_count=149), "corrupt tree"),
+    ],
+)
+def test_snapshot_load_rejects_tampering(tmp_path, edit, fault):
+    path = _tampered(tmp_path, edit)
+    with pytest.raises(ValueError, match=fault):
+        MovingObjectIndex.load(path)
+
+
+def test_untampered_snapshot_still_loads(tmp_path):
+    loaded = MovingObjectIndex.load(_tampered(tmp_path, lambda snap: None))
+    assert loaded.live_partitions() == [(0, 60.0)]
+    assert loaded.entry_count == 150

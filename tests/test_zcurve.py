@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +77,37 @@ def test_encode_range_checks():
         z_encode((0, -1), cfg)
     with pytest.raises(ValueError):
         z_decode(64, cfg)
+
+
+def loop_encode(cell, cfg):
+    """The bit-by-bit interleaving loop that ``z_encode`` replaced."""
+    cx, cy = cell
+    low, high = (cy, cx) if cfg.y_low else (cx, cy)
+    z = 0
+    for i in range(cfg.levels):
+        z |= ((low >> i) & 1) << (2 * i)
+        z |= ((high >> i) & 1) << (2 * i + 1)
+    return z
+
+
+@pytest.mark.parametrize("y_low", [False, True])
+def test_encode_equals_interleaving_loop(y_low):
+    for levels in range(1, 6):
+        cfg = GridConfig(L=1.0, levels=levels, y_low=y_low)
+        for cx in range(cfg.cells_per_axis):
+            for cy in range(cfg.cells_per_axis):
+                assert z_encode((cx, cy), cfg) == loop_encode((cx, cy), cfg)
+    rng = random.Random(17)
+    for levels in range(6, 31):
+        cfg = GridConfig(L=1.0, levels=levels, y_low=y_low)
+        last = cfg.cells_per_axis - 1
+        cells = [(0, last), (last, 0), (last, last)]
+        cells += [(rng.randint(0, last), rng.randint(0, last)) for _ in range(200)]
+        for cell in cells:
+            z = z_encode(cell, cfg)
+            assert z == loop_encode(cell, cfg)
+            assert z_decode(z, cfg) == cell
+        assert z_encode((last, last), cfg) == cfg.max_z
 
 
 def test_decompose_full_grid():
