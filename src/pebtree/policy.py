@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 DAY = 24.0
 
@@ -212,6 +212,12 @@ def _alpha_mutual(
 _ABOVE_HALF = math.nextafter(0.5, 1.0)
 
 
+def _degree(a: float, mutual: bool) -> float:
+    # a mutual pair scores above every one-sided pair (at most 0.5), also when
+    # its overlap is too small to show in 0.5 * (1 + a)
+    return max(0.5 * (1.0 + a), _ABOVE_HALF) if mutual and a != 0.0 else a
+
+
 def compatibility(store: PolicyStore, u1: int, u2: int) -> CompatibilityScore:
     """Degree of compatibility between two users' policies (symmetric)."""
     a, mutual = _alpha_mutual(
@@ -219,25 +225,22 @@ def compatibility(store: PolicyStore, u1: int, u2: int) -> CompatibilityScore:
     )
     if a == 0.0:
         return CompatibilityScore(0.0, 0.0, False)
-    if not mutual:
-        return CompatibilityScore(a, a, False)
-    # a mutual pair scores above every one-sided pair (at most 0.5), also when
-    # its overlap is too small to show in 0.5 * (1 + a)
-    return CompatibilityScore(a, max(0.5 * (1.0 + a), _ABOVE_HALF), True)
+    return CompatibilityScore(a, _degree(a, mutual), mutual)
 
 
 class CompatibilityIndex:
-    """Compatibility scores for every pair that shares at least one policy.
+    """Compatibility degrees of every pair that shares at least one policy.
 
     Only such pairs can score above zero, so the index stays linear in the
-    number of policies rather than quadratic in users.
+    number of policies rather than quadratic in users.  Keys are (lower id,
+    higher id) pairs.
     """
 
-    def __init__(self, scores: dict[tuple[int, int], CompatibilityScore]) -> None:
-        self._scores = scores
+    def __init__(self, values: dict[tuple[int, int], float]) -> None:
+        self._c = values
         self._neighbors: dict[int, list[int]] = {}
-        for (u, v), s in scores.items():
-            if s.c > 0:
+        for (u, v), c in values.items():
+            if c > 0:
                 self._neighbors.setdefault(u, []).append(v)
                 self._neighbors.setdefault(v, []).append(u)
         for lst in self._neighbors.values():
@@ -245,31 +248,35 @@ class CompatibilityIndex:
 
     @classmethod
     def from_store(cls, store: PolicyStore) -> "CompatibilityIndex":
-        scores: dict[tuple[int, int], CompatibilityScore] = {}
-        for owner, per_owner in store._directed.items():
-            for viewer in per_owner:
-                key = (owner, viewer) if owner < viewer else (viewer, owner)
-                if key not in scores:
-                    scores[key] = compatibility(store, key[0], key[1])
-        return cls(scores)
+        """Score every pair in one pass over each owner's directed policies.
+
+        A one-sided pair is scored from its owner's side and a two-way pair
+        once, from its lower id; either way the values equal
+        :func:`compatibility` with the lower id first.
+        """
+        side, day = store.space_side, store.day
+        directed = store._directed
+        empty: dict[int, LocationPrivacyPolicy] = {}
+        values: dict[tuple[int, int], float] = {}
+        for owner, per_owner in directed.items():
+            for viewer, p in per_owner.items():
+                back = directed.get(viewer, empty).get(owner)
+                if back is None:
+                    a, mutual = _alpha_mutual(p, None, side, day)
+                elif owner < viewer:
+                    a, mutual = _alpha_mutual(p, back, side, day)
+                else:
+                    continue
+                values[(owner, viewer) if owner < viewer else (viewer, owner)] = _degree(a, mutual)
+        return cls(values)
 
     @classmethod
     def from_values(cls, values: dict[tuple[int, int], float]) -> "CompatibilityIndex":
-        """Build from given compatibility values (mutual iff above 0.5)."""
-        scores = {}
-        for (u, v), c in values.items():
-            key = (u, v) if u < v else (v, u)
-            mutual = c > 0.5
-            a = 2 * c - 1 if mutual else c
-            scores[key] = CompatibilityScore(a, c, mutual)
-        return cls(scores)
-
-    def score(self, u: int, v: int) -> CompatibilityScore:
-        key = (u, v) if u < v else (v, u)
-        return self._scores.get(key, CompatibilityScore(0.0, 0.0, False))
+        """Build from given compatibility values, keyed by either id order."""
+        return cls({((u, v) if u < v else (v, u)): c for (u, v), c in values.items()})
 
     def c(self, u: int, v: int) -> float:
-        return self.score(u, v).c
+        return self._c.get((u, v) if u < v else (v, u), 0.0)
 
     def related(self, u: int) -> list[int]:
         """Users with non-zero compatibility to ``u``, ascending."""
@@ -287,6 +294,49 @@ def related_users(index: CompatibilityIndex, u: int) -> set[int]:
 # Relationship file:
 #     owner_id,role_label,member_id
 
+T = TypeVar("T")
+
+
+def read_records(path: str | Path, parse: Callable[[list[str]], T]) -> list[T]:
+    """Parse each non-blank line of a comma-separated file.
+
+    ``parse`` receives the line's fields.  A ``ValueError`` it raises is
+    raised again with the file name and the line number in front.
+    """
+    out = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                out.append(parse(line.split(",")))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    return out
+
+
+def record_fields(fields: list[str], names: str) -> list[str]:
+    """``fields`` if it has one field per comma-separated name in ``names``."""
+    n = names.count(",") + 1
+    if len(fields) != n:
+        raise ValueError(f"expected {n} fields ({names}), got {len(fields)}")
+    return fields
+
+
+def finite_field(text: str, name: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is {text!r}, not a finite number")
+    return value
+
+
+def time_field(text: str, name: str) -> float:
+    value = finite_field(text, name)
+    if value < 0:
+        raise ValueError(f"{name} is {text!r}, a negative time")
+    return value
+
 
 def save_policies(policies: Iterable[LocationPrivacyPolicy], path: str | Path, day: float = DAY) -> None:
     with open(path, "w") as fh:
@@ -297,22 +347,17 @@ def save_policies(policies: Iterable[LocationPrivacyPolicy], path: str | Path, d
 
 
 def load_policies(path: str | Path, day: float = DAY) -> list[LocationPrivacyPolicy]:
-    policies = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            owner, role, x_lo, y_lo, x_hi, y_hi, t_lo, t_hi = line.split(",")
-            policies.append(
-                LocationPrivacyPolicy(
-                    int(owner),
-                    role,
-                    (float(x_lo), float(y_lo), float(x_hi), float(y_hi)),
-                    make_time_set(float(t_lo), float(t_hi), day),
-                )
-            )
-    return policies
+    def parse(fields: list[str]) -> LocationPrivacyPolicy:
+        owner, role, *rect, t_lo, t_hi = record_fields(fields, "owner_id,role_label,x_lo,y_lo,x_hi,y_hi,t_lo,t_hi")
+        x_lo, y_lo, x_hi, y_hi = (finite_field(v, n) for v, n in zip(rect, ("x_lo", "y_lo", "x_hi", "y_hi")))
+        return LocationPrivacyPolicy(
+            int(owner),
+            role,
+            (x_lo, y_lo, x_hi, y_hi),
+            make_time_set(time_field(t_lo, "t_lo"), time_field(t_hi, "t_hi"), day),
+        )
+
+    return read_records(path, parse)
 
 
 def save_relationships(graph: RelationshipGraph, path: str | Path) -> None:
@@ -322,12 +367,11 @@ def save_relationships(graph: RelationshipGraph, path: str | Path) -> None:
 
 
 def load_relationships(path: str | Path) -> RelationshipGraph:
+    def parse(fields: list[str]) -> tuple[int, str, int]:
+        owner, role, member = record_fields(fields, "owner_id,role_label,member_id")
+        return int(owner), role, int(member)
+
     graph = RelationshipGraph()
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            owner, role, member = line.split(",")
-            graph.add(int(owner), role, int(member))
+    for owner, role, member in read_records(path, parse):
+        graph.add(owner, role, member)
     return graph

@@ -428,6 +428,16 @@ class PebQueryEngine(_EngineBase):
         result exact no matter where the walk stopped.  Fewer than k
         visible users yields all of them with the result flagged short.
 
+        Round ``c`` (0-based) covers the square of half-side
+        ``(c + 1) * r_q``.  The step is ``r_q = estimate_dk(min(k, n_f),
+        n_f, L) / k``, where ``n_f`` counts the owners in the issuer's
+        friend rows: only they can be answers.  The paper's Bx-tree
+        estimate counts all N indexed users instead, which assumes the
+        neighbors are drawn from all of them; for an issuer who can see a
+        small share of the users, that step is so short that nearly every
+        cell scans nothing.  The step only sets how far each round reaches,
+        so any step gives the same answers.
+
         Rows that can no longer change the answer are retired from the
         walk.  Within a partition each row is *open*, *retired* (every
         owner uid in it has been seen; its cells do nothing) or
@@ -449,14 +459,12 @@ class PebQueryEngine(_EngineBase):
         k = req.k
         if not rows:
             return PknnResult((), short=True)
-        n = self.index.entry_count
-        if n == 0:
-            return PknnResult((), short=True)
         live = self.index.live_partitions()
         if not live:
             return PknnResult((), short=True)
         side = self.grid.L
-        r_q = estimate_dk(min(k, n), n, side) / k
+        n_f = sum(len(uids) for _, uids in rows)  # each owner sits in one row
+        r_q = estimate_dk(min(k, n_f), n_f, side) / k
         if r_q <= 0:
             r_q = self.grid.cell_size
         qx, qy = req.qloc

@@ -18,7 +18,16 @@ from random import Random
 from typing import Iterable
 
 from .motion import MovingObject
-from .policy import DAY, LocationPrivacyPolicy, RelationshipGraph, make_time_set
+from .policy import (
+    DAY,
+    LocationPrivacyPolicy,
+    RelationshipGraph,
+    finite_field,
+    make_time_set,
+    read_records,
+    record_fields,
+    time_field,
+)
 from .query import PknnRequest, PrqRequest
 
 
@@ -460,15 +469,18 @@ def save_objects(objects: Iterable[MovingObject], path: str | Path) -> None:
 
 
 def load_objects(path: str | Path) -> list[MovingObject]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            uid, x, y, vx, vy, t_u = line.split(",")
-            out.append(MovingObject(int(uid), float(x), float(y), float(vx), float(vy), float(t_u)))
-    return out
+    def parse(fields: list[str]) -> MovingObject:
+        uid, x, y, vx, vy, t_u = record_fields(fields, "uid,x,y,vx,vy,t_u")
+        return MovingObject(
+            int(uid),
+            finite_field(x, "x"),
+            finite_field(y, "y"),
+            finite_field(vx, "vx"),
+            finite_field(vy, "vy"),
+            time_field(t_u, "t_u"),
+        )
+
+    return read_records(path, parse)
 
 
 def save_queries(queries: Iterable[PrqRequest | PknnRequest], path: str | Path) -> None:
@@ -482,18 +494,15 @@ def save_queries(queries: Iterable[PrqRequest | PknnRequest], path: str | Path) 
 
 
 def load_queries(path: str | Path) -> list[PrqRequest | PknnRequest]:
-    out: list[PrqRequest | PknnRequest] = []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts == [""]:
-                continue
-            if parts[0] == "range":
-                _, qid, t_q, x_lo, y_lo, x_hi, y_hi = parts
-                out.append(PrqRequest(int(qid), (float(x_lo), float(y_lo), float(x_hi), float(y_hi)), float(t_q)))
-            elif parts[0] == "knn":
-                _, qid, t_q, qx, qy, k = parts
-                out.append(PknnRequest(int(qid), (float(qx), float(qy)), int(k), float(t_q)))
-            else:
-                raise ValueError(f"unknown query tag {parts[0]!r}")
-    return out
+    def parse(fields: list[str]) -> PrqRequest | PknnRequest:
+        if fields[0] == "range":
+            _, qid, t_q, *rect = record_fields(fields, "range,qid,t_q,x_lo,y_lo,x_hi,y_hi")
+            x_lo, y_lo, x_hi, y_hi = (finite_field(v, n) for v, n in zip(rect, ("x_lo", "y_lo", "x_hi", "y_hi")))
+            return PrqRequest(int(qid), (x_lo, y_lo, x_hi, y_hi), time_field(t_q, "t_q"))
+        if fields[0] == "knn":
+            _, qid, t_q, qx, qy, k = record_fields(fields, "knn,qid,t_q,qx,qy,k")
+            qloc = (finite_field(qx, "qx"), finite_field(qy, "qy"))
+            return PknnRequest(int(qid), qloc, int(k), time_field(t_q, "t_q"))
+        raise ValueError(f"unknown query tag {fields[0]!r}")
+
+    return read_records(path, parse)

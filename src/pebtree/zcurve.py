@@ -142,31 +142,33 @@ def z_decompose(rect: CellRect, cfg: GridConfig, min_block_shift: int = 0) -> li
         raise ValueError(f"cell rectangle {rect} outside {n}x{n} grid")
 
     runs: list[list[int]] = []
-
-    def emit(lo: int, hi: int) -> None:
-        if runs and runs[-1][1] + 1 == lo:
-            runs[-1][1] = hi
-        else:
-            runs.append([lo, hi])
-
-    y_low = cfg.y_low
-
-    def walk(x0: int, y0: int, shift: int, z0: int) -> None:
+    # quadrants as (dx, dy, z rank), last to first: a block's quadrants that
+    # meet the rectangle are pushed in this order, so the depth-first walk
+    # pops them, and emits runs, in curve order
+    if cfg.y_low:
+        quads = ((1, 1, 3), (1, 0, 2), (0, 1, 1), (0, 0, 0))
+    else:
+        quads = ((1, 1, 3), (0, 1, 2), (1, 0, 1), (0, 0, 0))
+    stack = [(0, 0, cfg.levels, 0)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        x0, y0, shift, z0 = pop()
         last = (1 << shift) - 1
         x1, y1 = x0 + last, y0 + last
-        if cx_lo > x1 or cx_hi < x0 or cy_lo > y1 or cy_hi < y0:
-            return
         if (cx_lo <= x0 and x1 <= cx_hi and cy_lo <= y0 and y1 <= cy_hi) or shift <= min_block_shift:
-            emit(z0, z0 + (1 << (2 * shift)) - 1)
-            return
-        h = 1 << (shift - 1)
-        quarter = 1 << (2 * (shift - 1))
-        for q in range(4):
-            if y_low:
-                dx, dy = (q >> 1) & 1, q & 1
+            z1 = z0 + (1 << (2 * shift)) - 1
+            if runs and runs[-1][1] + 1 == z0:
+                runs[-1][1] = z1
             else:
-                dx, dy = q & 1, (q >> 1) & 1
-            walk(x0 + dx * h, y0 + dy * h, shift - 1, z0 + q * quarter)
-
-    walk(0, 0, cfg.levels, 0)
+                runs.append([z0, z1])
+            continue
+        shift -= 1
+        h = 1 << shift
+        quarter = h * h
+        for dx, dy, q in quads:
+            x = x0 + dx * h
+            y = y0 + dy * h
+            if x <= cx_hi and y <= cy_hi and x + h > cx_lo and y + h > cy_lo:
+                push((x, y, shift, z0 + q * quarter))
     return [(lo, hi) for lo, hi in runs]

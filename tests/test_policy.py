@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pebtree.keys import assign_sequence_values
 from pebtree.policy import (
     DAY,
     CompatibilityIndex,
@@ -21,6 +23,7 @@ from pebtree.policy import (
     time_set_duration,
     time_set_overlap,
 )
+from pebtree.workload import WorkloadConfig, gen_policies
 
 SIDE = 1000.0
 FULL_RECT = (0.0, 0.0, SIDE, SIDE)
@@ -134,6 +137,31 @@ def test_related_users_symmetry_random():
             assert u in related_users(index, v)
 
 
+def test_from_store_equals_pairwise_compatibility():
+    # the one-pass build against compatibility() called once per pair,
+    # lower id first, bit for bit
+    cfg = WorkloadConfig(n_users=600, policies_per_user=20, theta=0.5, seed=3, group_size=50)
+    uids = list(range(cfg.n_users))
+    policies, graph = gen_policies(uids, cfg)
+    store = PolicyStore(policies, graph, uids, space_side=cfg.space_side)
+    want: dict[tuple[int, int], float] = {}
+    for owner, per_owner in store._directed.items():
+        for viewer in per_owner:
+            key = (owner, viewer) if owner < viewer else (viewer, owner)
+            if key not in want:
+                want[key] = compatibility(store, *key).c
+    two_way = [key for key in want if store.directed(*key) and store.directed(key[1], key[0])]
+    assert len(two_way) < len(want)
+    assert any(want[key] > 0.5 for key in two_way) and any(want[key] <= 0.5 for key in two_way)
+    index = CompatibilityIndex.from_store(store)
+    reference = CompatibilityIndex(want)
+    for (u, v), c in want.items():
+        assert index.c(u, v).hex() == index.c(v, u).hex() == c.hex()
+    for u in uids:
+        assert index.related(u) == reference.related(u)
+    assert assign_sequence_values(uids, index) == assign_sequence_values(uids, reference)
+
+
 rect_strategy = st.tuples(
     st.floats(0, 800), st.floats(0, 800), st.floats(50, 200), st.floats(50, 200)
 ).map(lambda t: (t[0], t[1], min(t[0] + t[2], SIDE), min(t[1] + t[3], SIDE)))
@@ -242,3 +270,42 @@ def test_policy_file_round_trip(tmp_path):
     assert loaded == policies
     g2 = load_relationships(r_path)
     assert list(g2.records()) == list(g.records())
+
+
+@pytest.mark.parametrize(
+    "bad, fault",
+    [
+        ("2,u1,0.0,0.0,50.0,50.0,8.0", "expected 8 fields"),
+        ("2,u1,0.0,0.0,nan,50.0,8.0,17.0", "x_hi is 'nan', not a finite number"),
+        ("2,u1,0.0,0.0,50.0,50.0,-8.0,17.0", "t_lo is '-8.0', a negative time"),
+        ("2,u1,0.0,0.0,50.0,50.0,8.0,30.0", "outside [0, 24.0]"),
+        ("two,u1,0.0,0.0,50.0,50.0,8.0,17.0", "invalid literal for int"),
+    ],
+)
+def test_load_policies_rejects_bad_line(tmp_path, bad, fault):
+    path = tmp_path / "policies.csv"
+    good = "1,u2,10.0,20.0,110.5,220.25,8.0,17.0\n"
+    path.write_text(good + bad + "\n")
+    with pytest.raises(ValueError, match=f"policies.csv, line 2: .*{re.escape(fault)}"):
+        load_policies(path)
+    path.write_text(good)
+    assert load_policies(path) == [
+        LocationPrivacyPolicy(1, "u2", (10.0, 20.0, 110.5, 220.25), make_time_set(8.0, 17.0))
+    ]
+
+
+@pytest.mark.parametrize(
+    "bad, fault",
+    [
+        ("1,u2", "expected 3 fields (owner_id,role_label,member_id), got 2"),
+        ("1,u2,2,3", "expected 3 fields"),
+        ("1,u2,b", "invalid literal for int"),
+    ],
+)
+def test_load_relationships_rejects_bad_line(tmp_path, bad, fault):
+    path = tmp_path / "relationships.csv"
+    path.write_text("1,u2,2\n" + bad + "\n")
+    with pytest.raises(ValueError, match=f"relationships.csv, line 2: .*{re.escape(fault)}"):
+        load_relationships(path)
+    path.write_text("1,u2,2\n")
+    assert list(load_relationships(path).records()) == [(1, "u2", 2)]

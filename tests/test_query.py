@@ -426,14 +426,12 @@ def reference_pknn(self: PebQueryEngine, req: PknnRequest) -> PknnResult:
     k = req.k
     if not rows:
         return PknnResult((), short=True)
-    n = self.index.entry_count
-    if n == 0:
-        return PknnResult((), short=True)
     live = self.index.live_partitions()
     if not live:
         return PknnResult((), short=True)
     side = self.grid.L
-    r_q = estimate_dk(min(k, n), n, side) / k
+    n_f = sum(len(uids) for _, uids in rows)
+    r_q = estimate_dk(min(k, n_f), n_f, side) / k
     if r_q <= 0:
         r_q = self.grid.cell_size
     qx, qy = req.qloc
@@ -635,6 +633,56 @@ def test_pknn_short_walk_skips_cells(random_instance):
             short += 1
             assert cells[0] < shapes[0]
     assert short
+
+
+def test_pknn_walk_ignores_users_outside_friend_rows():
+    # Users whom no policy links to anyone change neither the cells a kNN
+    # walk visits nor its I/O.  Their sequence values sort after every
+    # other user's, and one leaf holds all entries, so adding theirs moves
+    # no friend entry to another page.
+    cfg = WorkloadConfig(n_users=300, policies_per_user=20, theta=0.5, seed=21, group_size=50)
+    base = gen_uniform(cfg)
+    policies, graph = gen_policies([o.uid for o in base], cfg)
+    rng = random.Random(4)
+    extra = [
+        MovingObject(uid, rng.uniform(0, 1000), rng.uniform(0, 1000), 0.0, 0.0, 0.0)
+        for uid in range(cfg.n_users, 4 * cfg.n_users)
+    ]
+    queries = [
+        PknnRequest(q.qid, q.qloc, k, q.t_q)
+        for k in (1, 5, 10)
+        for q in gen_queries(cfg, "knn", base, count=20)
+    ]
+    traces = []
+    for objects in (base, base + extra):
+        store = PolicyStore(policies, graph, [o.uid for o in objects], space_side=cfg.space_side)
+        sv_map = assign_sequence_values([o.uid for o in objects], CompatibilityIndex.from_store(store))
+        layout = KeyLayout.for_index(TIME_CFG, GRID, max_sv=sv_map.max_value + 1.0)
+        index = MovingObjectIndex(TIME_CFG, GRID, layout, sv_map=sv_map, page_size=1 << 17)
+        for obj in objects:
+            index.insert(obj)
+        assert index.tree.height == 1
+        cells = []
+
+        def counting(n_rows, n_cols):
+            for cell in antidiagonal_order(n_rows, n_cols):
+                cells.append(cell)
+                yield cell
+
+        engine = PebQueryEngine(index, store, FriendLists(store, sv_map, layout), traversal=counting)
+
+        def walk(req):
+            cells.clear()
+            result = engine.pknn(req)
+            cells_per_query.append(len(cells))
+            return result
+
+        cells_per_query = []
+        answers = _run_batch(engine, walk, queries)
+        traces.append((answers, cells_per_query))
+        for req, (neighbors, short, _, _) in zip(queries, answers):
+            assert PknnResult(neighbors, short) == oracle_knn(objects, store, req)
+    assert traces[0] == traces[1]
 
 
 # -- range query against the per-interval reference ----------------------------------------

@@ -1,9 +1,12 @@
 import math
+import re
 import statistics
 
 import pytest
 
+from pebtree.motion import MovingObject
 from pebtree.policy import PolicyStore
+from pebtree.query import PknnRequest, PrqRequest
 from pebtree.workload import (
     NETWORK_SPEED_CLASSES,
     UniformWorld,
@@ -218,3 +221,48 @@ def test_object_and_query_files_round_trip(tmp_path):
     save_queries(queries, qpath)
     loaded = load_queries(qpath)
     assert loaded == queries
+
+
+@pytest.mark.parametrize(
+    "bad, fault",
+    [
+        ("7,1.0,2.0,0.5,0.5", "expected 6 fields"),
+        ("7,1.0,abc,0.5,0.5,0.0", "could not convert"),
+        ("7,nan,2.0,0.5,0.5,0.0", "x is 'nan', not a finite number"),
+        ("7,1.0,2.0,inf,0.5,0.0", "vx is 'inf'"),
+        ("7,1.0,2.0,0.5,0.5,-3.0", "t_u is '-3.0', a negative time"),
+        ("x7,1.0,2.0,0.5,0.5,0.0", "invalid literal for int"),
+    ],
+)
+def test_load_objects_rejects_bad_line(tmp_path, bad, fault):
+    path = tmp_path / "objects.csv"
+    path.write_text(f"1,1.0,2.0,0.5,0.5,0.0\n\n{bad}\n")
+    with pytest.raises(ValueError, match=f"objects.csv, line 3: .*{re.escape(fault)}"):
+        load_objects(path)
+    path.write_text("1,1.0,2.0,0.5,0.5,0.0\n")
+    assert load_objects(path) == [MovingObject(1, 1.0, 2.0, 0.5, 0.5, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "bad, fault",
+    [
+        ("knn,3,12.0,50.0,50.0", "expected 6 fields (knn,qid,t_q,qx,qy,k)"),
+        ("range,3,12.0,0.0,0.0,10.0", "expected 7 fields"),
+        ("knn,3,12.0,nan,50.0,2", "qx is 'nan'"),
+        ("range,3,-1.0,0.0,0.0,10.0,10.0", "t_q is '-1.0', a negative time"),
+        ("range,3,12.0,0.0,0.0,10.0,-inf", "y_hi is '-inf'"),
+        ("knn,3,12.0,50.0,50.0,0", "k must be at least 1"),
+        ("near,3,12.0,50.0,50.0,2", "unknown query tag 'near'"),
+    ],
+)
+def test_load_queries_rejects_bad_line(tmp_path, bad, fault):
+    path = tmp_path / "queries.csv"
+    good = "range,3,12.0,0.0,0.0,10.0,10.0\nknn,3,12.0,50.0,50.0,2\n"
+    path.write_text(good + bad + "\n")
+    with pytest.raises(ValueError, match=f"queries.csv, line 3: .*{re.escape(fault)}"):
+        load_queries(path)
+    path.write_text(good)
+    assert load_queries(path) == [
+        PrqRequest(3, (0.0, 0.0, 10.0, 10.0), 12.0),
+        PknnRequest(3, (50.0, 50.0), 2, 12.0),
+    ]

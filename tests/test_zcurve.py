@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pebtree.query import SCAN_BLOCK_SHIFT
 from pebtree.zcurve import (
     GridConfig,
     cell_of,
@@ -181,6 +182,70 @@ def test_coarse_decompose_is_superset(data):
     coarse_set = intervals_to_set(coarse)
     assert exact <= coarse_set
     assert len(coarse) <= len(z_decompose(rect, cfg))
+
+
+def recursive_decompose(rect, cfg, min_block_shift=0):
+    """The recursive quadtree walk that ``z_decompose`` replaced."""
+    cx_lo, cy_lo, cx_hi, cy_hi = rect
+    if cx_lo > cx_hi or cy_lo > cy_hi:
+        return []
+    n = cfg.cells_per_axis
+    if not (0 <= cx_lo and cx_hi < n and 0 <= cy_lo and cy_hi < n):
+        raise ValueError(f"cell rectangle {rect} outside {n}x{n} grid")
+
+    runs: list[list[int]] = []
+
+    def emit(lo: int, hi: int) -> None:
+        if runs and runs[-1][1] + 1 == lo:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi])
+
+    y_low = cfg.y_low
+
+    def walk(x0: int, y0: int, shift: int, z0: int) -> None:
+        last = (1 << shift) - 1
+        x1, y1 = x0 + last, y0 + last
+        if cx_lo > x1 or cx_hi < x0 or cy_lo > y1 or cy_hi < y0:
+            return
+        if (cx_lo <= x0 and x1 <= cx_hi and cy_lo <= y0 and y1 <= cy_hi) or shift <= min_block_shift:
+            emit(z0, z0 + (1 << (2 * shift)) - 1)
+            return
+        h = 1 << (shift - 1)
+        quarter = 1 << (2 * (shift - 1))
+        for q in range(4):
+            if y_low:
+                dx, dy = (q >> 1) & 1, q & 1
+            else:
+                dx, dy = q & 1, (q >> 1) & 1
+            walk(x0 + dx * h, y0 + dy * h, shift - 1, z0 + q * quarter)
+
+    walk(0, 0, cfg.levels, 0)
+    return [(lo, hi) for lo, hi in runs]
+
+
+@pytest.mark.parametrize("y_low", [False, True])
+def test_decompose_equals_recursive_walk(y_low):
+    # every rectangle of grids up to 8x8, at every block shift
+    for levels in range(1, 4):
+        cfg = GridConfig(L=1.0, levels=levels, y_low=y_low)
+        n = cfg.cells_per_axis
+        spans = [(lo, hi) for lo in range(n) for hi in range(lo, n)]
+        for x_lo, x_hi in spans:
+            for y_lo, y_hi in spans:
+                rect = (x_lo, y_lo, x_hi, y_hi)
+                for shift in range(levels + 1):
+                    assert z_decompose(rect, cfg, shift) == recursive_decompose(rect, cfg, shift)
+    # random rectangles of the query grid, exact and at the query block shift
+    rng = random.Random(29)
+    cfg = GridConfig(L=1000.0, levels=10, y_low=y_low)
+    last = cfg.cells_per_axis - 1
+    for _ in range(300):
+        x_lo, x_hi = sorted(rng.randint(0, last) for _ in range(2))
+        y_lo, y_hi = sorted(rng.randint(0, last) for _ in range(2))
+        rect = (x_lo, y_lo, x_hi, y_hi)
+        for shift in (0, SCAN_BLOCK_SHIFT):
+            assert z_decompose(rect, cfg, shift) == recursive_decompose(rect, cfg, shift)
 
 
 def test_aligned_blocks_are_contiguous_runs():
