@@ -331,6 +331,11 @@ def finite_field(text: str, name: str) -> float:
     return value
 
 
+def rect_fields(texts: list[str]) -> Rect:
+    x_lo, y_lo, x_hi, y_hi = (finite_field(t, n) for t, n in zip(texts, ("x_lo", "y_lo", "x_hi", "y_hi")))
+    return (x_lo, y_lo, x_hi, y_hi)
+
+
 def time_field(text: str, name: str) -> float:
     value = finite_field(text, name)
     if value < 0:
@@ -349,11 +354,10 @@ def save_policies(policies: Iterable[LocationPrivacyPolicy], path: str | Path, d
 def load_policies(path: str | Path, day: float = DAY) -> list[LocationPrivacyPolicy]:
     def parse(fields: list[str]) -> LocationPrivacyPolicy:
         owner, role, *rect, t_lo, t_hi = record_fields(fields, "owner_id,role_label,x_lo,y_lo,x_hi,y_hi,t_lo,t_hi")
-        x_lo, y_lo, x_hi, y_hi = (finite_field(v, n) for v, n in zip(rect, ("x_lo", "y_lo", "x_hi", "y_hi")))
         return LocationPrivacyPolicy(
             int(owner),
             role,
-            (x_lo, y_lo, x_hi, y_hi),
+            rect_fields(rect),
             make_time_set(time_field(t_lo, "t_lo"), time_field(t_hi, "t_hi"), day),
         )
 

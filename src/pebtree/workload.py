@@ -26,6 +26,7 @@ from .policy import (
     make_time_set,
     read_records,
     record_fields,
+    rect_fields,
     time_field,
 )
 from .query import PknnRequest, PrqRequest
@@ -497,8 +498,7 @@ def load_queries(path: str | Path) -> list[PrqRequest | PknnRequest]:
     def parse(fields: list[str]) -> PrqRequest | PknnRequest:
         if fields[0] == "range":
             _, qid, t_q, *rect = record_fields(fields, "range,qid,t_q,x_lo,y_lo,x_hi,y_hi")
-            x_lo, y_lo, x_hi, y_hi = (finite_field(v, n) for v, n in zip(rect, ("x_lo", "y_lo", "x_hi", "y_hi")))
-            return PrqRequest(int(qid), (x_lo, y_lo, x_hi, y_hi), time_field(t_q, "t_q"))
+            return PrqRequest(int(qid), rect_fields(rect), time_field(t_q, "t_q"))
         if fields[0] == "knn":
             _, qid, t_q, qx, qy, k = record_fields(fields, "knn,qid,t_q,qx,qy,k")
             qloc = (finite_field(qx, "qx"), finite_field(qy, "qy"))

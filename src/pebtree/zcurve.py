@@ -150,10 +150,8 @@ def z_decompose(rect: CellRect, cfg: GridConfig, min_block_shift: int = 0) -> li
     else:
         quads = ((1, 1, 3), (0, 1, 2), (1, 0, 1), (0, 0, 0))
     stack = [(0, 0, cfg.levels, 0)]
-    pop = stack.pop
-    push = stack.append
     while stack:
-        x0, y0, shift, z0 = pop()
+        x0, y0, shift, z0 = stack.pop()
         last = (1 << shift) - 1
         x1, y1 = x0 + last, y0 + last
         if (cx_lo <= x0 and x1 <= cx_hi and cy_lo <= y0 and y1 <= cy_hi) or shift <= min_block_shift:
@@ -170,5 +168,5 @@ def z_decompose(rect: CellRect, cfg: GridConfig, min_block_shift: int = 0) -> li
             x = x0 + dx * h
             y = y0 + dy * h
             if x <= cx_hi and y <= cy_hi and x + h > cx_lo and y + h > cy_lo:
-                push((x, y, shift, z0 + q * quarter))
+                stack.append((x, y, shift, z0 + q * quarter))
     return [(lo, hi) for lo, hi in runs]

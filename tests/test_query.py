@@ -408,6 +408,8 @@ def _probe_new(span, zs, ze):
 def reference_pknn(self: PebQueryEngine, req: PknnRequest) -> PknnResult:
     """The kNN walk as it stood before row retirement, kept as a reference.
 
+    Its step is sized by the issuer's friend owners, as in ``pknn``.
+
     The k visible users nearest the query point at query time.
 
     Partitions are searched one at a time.  Within a partition the
