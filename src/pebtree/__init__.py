@@ -21,7 +21,6 @@ from .query import (
     PknnRequest,
     PknnResult,
     PrqRequest,
-    build_prq_key_intervals,
     enlarge,
     estimate_dk,
     oracle_knn,
@@ -56,7 +55,6 @@ __all__ = [
     "WorkloadConfig",
     "alpha",
     "assign_sequence_values",
-    "build_prq_key_intervals",
     "compatibility",
     "cost_c",
     "cost_c1",

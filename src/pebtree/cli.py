@@ -95,10 +95,12 @@ def _workload_from_args(args: argparse.Namespace, parser: argparse.ArgumentParse
 
 
 def _load_data_dir(data_dir: Path):
+    config = data_dir / "config.txt"
+    cfg = load_config(config) if config.exists() else WorkloadConfig()
     objects = load_objects(data_dir / "objects.csv")
     graph = load_relationships(data_dir / "relationships.csv")
-    policies = load_policies(data_dir / "policies.csv")
-    store = PolicyStore(policies, graph, [o.uid for o in objects])
+    policies = load_policies(data_dir / "policies.csv", cfg.day)
+    store = PolicyStore(policies, graph, [o.uid for o in objects], space_side=cfg.space_side, day=cfg.day)
     return objects, store
 
 
@@ -145,6 +147,8 @@ def cmd_gen(args, parser) -> int:
             for key in (
                 "n_users",
                 "max_speed",
+                "space_side",
+                "day",
                 "distribution",
                 "destinations",
                 "policies_per_user",

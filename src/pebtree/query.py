@@ -3,18 +3,24 @@
 Two engines answer the same queries:
 
 * :class:`PebQueryEngine` runs against the policy-embedded index.  A range
-  query enlarges the window per time partition, decomposes it into curve
-  intervals, crosses those with the issuer's friend sequence values, and
-  scans the resulting key intervals, skipping the remaining intervals of a
-  sequence value once its user has been retrieved (a user has only one
-  location).  The kNN query walks a (friend row x expansion round) search
-  matrix in anti-diagonal order, keeps one curve interval per round, and
-  finishes with a vertical scan of the last visited column shortened to
-  the square of side twice the k'th candidate distance.
+  query enlarges the window per time partition and decomposes it into
+  curve intervals.  Each friend sequence value owns the key prefix
+  ``partition | sequence value``, so its key intervals are the curve
+  intervals offset by that prefix; the tree's leaf cursor scans them,
+  stopping once every owner of the sequence value has been retrieved (a
+  user has only one location).  The kNN query walks a (friend row x
+  expansion round) search matrix in anti-diagonal order, keeps one curve
+  interval per round, and finishes with a vertical scan of the last
+  visited column shortened to the square of side twice the k'th candidate
+  distance.
 
 * :class:`BaselineQueryEngine` runs against the baseline index: a plain
   spatial query first, policy filtering after, with kNN by incrementally
   expanded range queries.
+
+Both engines read the tree only through
+:meth:`~pebtree.store.BPlusTree.scan_intervals`, so a query's charged I/O
+is the buffer misses of the pages it reads.
 
 Brute-force oracles apply the query definitions literally over all users
 and anchor every correctness test.  Queries leave the index's entries
@@ -30,14 +36,12 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappush, heapreplace
-from itertools import groupby
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .keys import KeyLayout, SequenceValueMap
 from .motion import MovingObject
 from .policy import PolicyStore, point_in_rect, time_in_set
-from .store import BPlusTree, DirectionalSpeeds, LeafEntry, MovingObjectIndex
+from .store import DirectionalSpeeds, LeafEntry, MovingObjectIndex
 from .zcurve import cells_covering, z_corner_interval, z_decompose
 
 Rect = tuple[float, float, float, float]
@@ -120,44 +124,6 @@ def estimate_dk(k: int, n_users: int, side: float) -> float:
     return side * (2.0 / math.sqrt(math.pi)) * (1.0 - math.sqrt(1.0 - ratio))
 
 
-@dataclass(frozen=True)
-class KeyInterval:
-    lo: int
-    hi: int
-    uids: frozenset[int]
-
-
-def build_prq_key_intervals(
-    sv_rows: Sequence[tuple[int, tuple[int, ...]] | int],
-    z_intervals: Sequence[tuple[int, int]],
-    tid: int,
-    layout: KeyLayout,
-) -> list[KeyInterval]:
-    """Cross friend sequence values with curve intervals; refine to disjoint.
-
-    Rows are (quantized sv, uids) pairs (bare ints are accepted for
-    untagged values).  Output intervals are sorted, pairwise disjoint and
-    non-adjacent, cover exactly the same key set as the inputs, and carry
-    the union of the uids that produced them.
-    """
-    raw: list[tuple[int, int, frozenset[int]]] = []
-    for row in sv_rows:
-        svq, uids = (row, ()) if isinstance(row, int) else row
-        for zs, ze in z_intervals:
-            if zs > ze:
-                raise ValueError(f"bad z-interval ({zs}, {ze})")
-            raw.append((layout.peb_key_q(tid, svq, zs), layout.peb_key_q(tid, svq, ze), frozenset(uids)))
-    raw.sort(key=lambda t: (t[0], t[1]))
-    merged: list[list] = []
-    for lo, hi, uids in raw:
-        if merged and lo <= merged[-1][1] + 1:
-            merged[-1][1] = max(merged[-1][1], hi)
-            merged[-1][2] |= uids
-        else:
-            merged.append([lo, hi, set(uids)])
-    return [KeyInterval(lo, hi, frozenset(uids)) for lo, hi, uids in merged]
-
-
 def antidiagonal_order(n_rows: int, n_cols: int) -> Iterator[tuple[int, int]]:
     """Triangular search order: anti-diagonals from the upper-left corner.
 
@@ -209,60 +175,6 @@ class FriendLists:
         return cached
 
 
-class _RowSpan:
-    """Cached location of one (partition, sequence value) key span.
-
-    Built from a single descent plus a sibling walk.  Queries then bisect
-    the cached entry list and re-charge the pages that a search descending
-    once per curve interval would touch (its probes): the root ``path``,
-    then the distinct leaves of the interval's entries or, for an empty
-    interval, the leaf its start lands on.  ``bound_zs[b]`` is the first
-    curve value of ``bound_pages[b]``, the span's ``b``-th leaf (0 for the
-    first), so an empty interval lands on the leaf of the bound segment
-    holding its start.
-    """
-
-    __slots__ = ("path", "zs", "entries", "entry_pages", "bound_zs", "bound_pages")
-
-    def __init__(self, path, zs, entries, entry_pages, bound_zs, bound_pages):
-        self.path = path
-        self.zs = zs
-        self.entries = entries
-        self.entry_pages = entry_pages
-        self.bound_zs = bound_zs
-        self.bound_pages = bound_pages
-
-    def charge_probes(
-        self, tree: BPlusTree, starts: Sequence[int], hits: Sequence[tuple[int, int, int]], n_ivs: int
-    ) -> None:
-        """Charge one probe for each of the first ``n_ivs`` curve intervals.
-
-        ``starts`` are the sorted interval starts and ``hits`` the
-        ascending (interval, first entry, end entry) triples of the
-        intervals that hold entries.  Touched leaves only move forward
-        along the span, so identical probes come in runs: the empty
-        intervals whose starts share a bound segment, and any neighbouring
-        probe of that segment's leaf alone.  Each run is charged with one
-        :meth:`~pebtree.store.BPlusTree.touch_probe` call.
-        """
-        bound_zs = self.bound_zs
-        probes: list[tuple[tuple[int, ...], int]] = []  # (leaves, times)
-        done = 0  # intervals before this one are counted
-        for iv, i, j in (*hits, (n_ivs, 0, 0)):
-            while done < iv:
-                seg = bisect_right(bound_zs, starts[done]) - 1
-                end = iv
-                if seg + 1 < len(bound_zs):
-                    end = bisect_left(starts, bound_zs[seg + 1], done, iv)
-                probes.append(((self.bound_pages[seg],), end - done))
-                done = end
-            if i < j:
-                probes.append((tuple(dict.fromkeys(self.entry_pages[i:j])), 1))
-                done = iv + 1
-        for leaves, run in groupby(probes, key=itemgetter(0)):
-            tree.touch_probe(self.path, leaves, sum(times for _, times in run))
-
-
 # friend row states of the kNN walk within one partition
 _OPEN, _EXHAUSTED, _RETIRED = range(3)
 
@@ -306,52 +218,27 @@ class PebQueryEngine(_EngineBase):
         self.friends = friends
         self.traversal = traversal
 
-    # -- row spans ------------------------------------------------------------
+    # -- scans ---------------------------------------------------------------
 
-    def _row_span(self, tid: int, svq: int) -> _RowSpan:
-        tree = self.index.tree
-        lo_key = self.layout.peb_key_q(tid, svq, 0)
-        end = (lo_key + self.grid.max_z + 1, -1)  # the first composite past the span
-        path, node, i = tree.descend(lo_key)
-        zs: list[int] = []
+    def _row_span(self, tid: int, svq: int) -> tuple[list[int], list[LeafEntry]]:
+        """Curve values and entries of one (partition, sequence value) key span, in key order."""
+        base = self.layout.peb_key_q(tid, svq, 0)
         entries: list[LeafEntry] = []
-        entry_pages: list[int] = []
-        bound_zs = [0]
-        bound_pages = [node.page_id]
-        while True:
-            keys = node.keys
-            j = bisect_left(keys, end, i)
-            # keys in the span share its partition and sequence value prefix
-            zs += [k - lo_key for k, _ in keys[i:j]]
-            entries += node.entries[i:j]
-            entry_pages += [node.page_id] * (j - i)
-            if j < len(keys) or node.next_leaf is None:
-                return _RowSpan(path, zs, entries, entry_pages, bound_zs, bound_pages)
-            node = tree._node(node.next_leaf)
-            i = 0
-            if node.keys and node.keys[0] < end:
-                bound_zs.append(node.keys[0][0] - lo_key)
-                bound_pages.append(node.page_id)
-
-    # -- range query -----------------------------------------------------------
+        self.index.tree.scan_intervals(((0, self.grid.max_z),), entries.append, base)
+        return [entry.key - base for entry in entries], entries
 
     def prq(self, req: PrqRequest, skip_rule: bool = True) -> set[int]:
         """Users inside the window at query time who allow the issuer to see them.
 
-        Each friend row's key span is read once per partition and crossed
-        with the window's curve intervals in one pass: bisecting the sorted
-        interval starts with each entry's curve value finds the intervals
-        that hold entries, whose entries are verified in key order, and
-        jumps past those that hold none.  The row's I/O is then charged as
-        one probe per curve interval it reached, each run of identical
-        probes at once (:meth:`_RowSpan.charge_probes`).  Right after a
-        probe its pages are the most recent in the buffer, so a repeat hits
-        every page and leaves the LRU order as it was; verifying entries
-        touches no page.  The counters and the buffer state are therefore
-        those of probing the intervals one by one.
+        For each live partition the enlarged window is decomposed into
+        curve intervals once; then each friend row's key intervals, the
+        curve intervals offset by the row's key prefix, are read with one
+        leaf-cursor scan.  Only the row's owners can be visible to the
+        issuer, so only their entries are verified.
 
-        With ``skip_rule`` a row's remaining intervals are skipped once
-        every owner in it has been retrieved (a user has only one location).
+        With ``skip_rule`` a row's scan stops at the entry that completes
+        its owners, and a row whose owners were all retrieved in an earlier
+        partition is not scanned (a user has only one location).
         ``skip_rule=False`` disables that; results are identical, only the
         I/O changes.
         """
@@ -362,54 +249,31 @@ class PebQueryEngine(_EngineBase):
             return result
         store = self.store
         tree = self.index.tree
+        layout = self.layout
+        qid = req.qid
         t_q = req.t_q
-        rect = req.rect
-        seen: set[int] = set()
+        x_lo, y_lo, x_hi, y_hi = rect = req.rect
         row_of, unseen = _owner_rows(rows)
+
+        def visit(entry: LeafEntry) -> bool:
+            # entries of a row's key span carry its sequence value: an owner found is the row's own
+            row_i = row_of.get(entry.uid)
+            if row_i is None:
+                return False
+            unseen[row_i] -= 1
+            px = entry.x + entry.vx * (t_q - entry.t)
+            py = entry.y + entry.vy * (t_q - entry.t)
+            if x_lo <= px <= x_hi and y_lo <= py <= y_hi and _visible(store, entry.uid, qid, px, py, t_q):
+                result.add(entry.uid)
+            return skip_rule and not unseen[row_i]
+
         for tid, label in self.index.live_partitions():
-            enlarged = enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L)
-            zivs = self._zivs(enlarged)
+            zivs = self._zivs(enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L))
             if not zivs:
                 continue
-            starts = [zs for zs, _ in zivs]
             for row_i, (svq, _) in enumerate(rows):
-                if skip_rule and not unseen[row_i]:
-                    continue
-                span = self._row_span(tid, svq)
-                z_list = span.zs
-                hits: list[tuple[int, int, int]] = []
-                charged = len(zivs)
-                e = bisect_left(z_list, starts[0])
-                e_end = bisect_right(z_list, zivs[-1][1])
-                while e < e_end:
-                    iv = bisect_right(starts, z_list[e]) - 1
-                    ze = zivs[iv][1]
-                    if z_list[e] > ze:  # between intervals: jump to the next one
-                        e = bisect_left(z_list, starts[iv + 1], e, e_end)
-                        continue
-                    j = bisect_right(z_list, ze, e, e_end)
-                    hits.append((iv, e, j))
-                    for entry in span.entries[e:j]:
-                        uid = entry.uid
-                        if uid not in seen:
-                            seen.add(uid)
-                            owner_row = row_of.get(uid)
-                            if owner_row is not None:
-                                unseen[owner_row] -= 1
-                        if uid not in result:
-                            px = entry.x + entry.vx * (t_q - entry.t)
-                            py = entry.y + entry.vy * (t_q - entry.t)
-                            if (
-                                rect[0] <= px <= rect[2]
-                                and rect[1] <= py <= rect[3]
-                                and _visible(store, uid, req.qid, px, py, t_q)
-                            ):
-                                result.add(uid)
-                    e = j
-                    if skip_rule and not unseen[row_i]:
-                        charged = iv + 1  # the row is retired: skip its later intervals
-                        break
-                span.charge_probes(tree, starts, hits, charged)
+                if unseen[row_i] or not skip_rule:
+                    tree.scan_intervals(zivs, visit, layout.peb_key_q(tid, svq, 0))
         return result
 
     # -- kNN query ---------------------------------------------------------------
@@ -519,7 +383,7 @@ class PebQueryEngine(_EngineBase):
             n_exhausted = 0
             if not n_open:
                 return
-            spans: list[_RowSpan | None] = [None] * m
+            spans: list[tuple[list[int], list[LeafEntry]] | None] = [None] * m
             # a read row's entries [done_lo, done_hi) are the ones inside the
             # z bounds scanned so far for it; below and above hold the z of
             # the nearest entries outside them (an unread row wakes at once)
@@ -549,18 +413,18 @@ class PebQueryEngine(_EngineBase):
                 span = spans[row_i]
                 if span is None:
                     span = spans[row_i] = self._row_span(tid, rows[row_i][0])
-                    done_lo[row_i] = done_hi[row_i] = bisect_left(span.zs, zs)
-                z_list = span.zs
+                    done_lo[row_i] = done_hi[row_i] = bisect_left(span[0], zs)
+                z_list, entries = span
                 lo = done_lo[row_i]
                 if lo and z_list[lo - 1] >= zs:
                     new_lo = done_lo[row_i] = bisect_left(z_list, zs, 0, lo)
-                    for entry in span.entries[new_lo:lo]:
+                    for entry in entries[new_lo:lo]:
                         process(entry)
                     lo = new_lo
                 hi = done_hi[row_i]
                 if hi < len(z_list) and z_list[hi] <= ze:
                     new_hi = done_hi[row_i] = bisect_right(z_list, ze, hi)
-                    for entry in span.entries[hi:new_hi]:
+                    for entry in entries[hi:new_hi]:
                         process(entry)
                     hi = new_hi
                 below[row_i] = z_list[lo - 1] if lo else -1
@@ -627,10 +491,8 @@ class BaselineQueryEngine(_EngineBase):
                 done = scanned.setdefault(tid, [])
                 zivs = subtract_intervals(zivs, done)
                 scanned[tid] = merge_intervals(done, zivs)
-            if not zivs:
-                continue
-            intervals = [(layout.bx_key(tid, zs), layout.bx_key(tid, ze)) for zs, ze in zivs]
-            tree.scan_intervals(intervals, out.append)
+            if zivs:
+                tree.scan_intervals(zivs, out.append, layout.bx_key(tid, 0))
         return out
 
     def range_query(self, req: PrqRequest) -> set[int]:

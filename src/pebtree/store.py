@@ -3,8 +3,12 @@
 Pages are plain in-memory objects sized by a byte budget: a 4 KB page
 holds 64 leaf records (64 bytes each: key, uid, four motion fields,
 update time, policy handle) or 256 child slots (16 bytes per fence/child
-pair).  Every page access goes through the buffer; the benchmark's
-charged I/O is the number of buffer misses.  Benchmarks are meant to run
+pair).  Every page read goes through :meth:`BPlusTree.touch_page`, which
+charges it to the buffer; the benchmark's charged I/O is the number of
+buffer misses.  Queries read the tree through one leaf cursor,
+:meth:`BPlusTree.scan_intervals`, which seeks through
+:meth:`BPlusTree.descend` and walks the leaf chain, so the charged pages
+are exactly the pages a query reads.  Benchmarks are meant to run
 single-threaded so the counters stay reproducible; parallel experiments
 should use independent instances.
 
@@ -19,6 +23,7 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -30,6 +35,7 @@ PAGE_SIZE = 4096
 LEAF_RECORD_BYTES = 64
 INTERNAL_RECORD_BYTES = 16
 BUFFER_PAGES = 50
+SNAPSHOT_FORMAT = 1  # bump when the snapshot layout changes
 
 
 class LeafEntry(NamedTuple):
@@ -48,11 +54,6 @@ class TreeStats(NamedTuple):
     leaf_count: int
     entry_count: int
     page_count: int
-
-
-class ScanStats(NamedTuple):
-    matched: int
-    leaves_touched: int
 
 
 class IoCounters(NamedTuple):
@@ -195,51 +196,27 @@ class BPlusTree:
         del self.pages[node.page_id]
         self.buffer.drop(node.page_id)
 
-    def _node(self, page_id: int) -> Node:
+    def touch_page(self, page_id: int) -> Node:
+        """Read a page, charging the access to the buffer."""
         node = self.pages[page_id]
         self.buffer.touch(page_id, node.leaf)
         return node
 
-    def touch_page(self, page_id: int) -> None:
-        """Re-charge an access to a page already located by an earlier scan."""
-        node = self.pages.get(page_id)
-        if node is not None:
-            self.buffer.touch(page_id, node.leaf)
-
-    def touch_probe(self, path: Sequence[int], pages: Sequence[int], times: int = 1) -> None:
-        """Re-charge ``times`` identical probes, each touching ``path`` then ``pages``.
-
-        Right after one probe its pages are the most recently used in the
-        buffer, in probe order, so a repeat hits every page and leaves the
-        LRU order as it was: repeats only add reads.  That holds while the
-        whole probe fits in the buffer; a larger probe evicts its own first
-        pages, so its repeats are replayed touch by touch.
-        """
-        probe = (*path, *pages)
-        fits = len(probe) <= self.buffer.capacity
-        for _ in range(1 if fits else times):
-            for pid in probe:
-                self.touch_page(pid)
-        if fits and times > 1:
-            nodes = [node for node in map(self.pages.get, probe) if node is not None]
-            self.buffer.reads += (times - 1) * len(nodes)
-            self.buffer.leaf_reads += (times - 1) * sum(node.leaf for node in nodes)
-
     # -- descent ------------------------------------------------------------
 
     def _descend(self, composite: tuple[int, int]) -> tuple[list[tuple[Node, int]], Node]:
+        """Root-to-leaf path of (node, child slot) pairs for a mutation, and the leaf."""
         path: list[tuple[Node, int]] = []
-        node = self._node(self.root_id)
+        node = self.touch_page(self.root_id)
         while not node.leaf:
             i = bisect_right(node.keys, composite)
             path.append((node, i))
-            node = self._node(node.children[i])
+            node = self.touch_page(node.children[i])
         return path, node
 
-    def descend(self, key: int, uid: int = -1) -> tuple[tuple[int, ...], Node, int]:
-        """Locate the leaf for (key, uid); returns (path page ids, leaf, slot)."""
-        path, leaf = self._descend((key, uid))
-        return tuple(n.page_id for n, _ in path), leaf, bisect_left(leaf.keys, (key, uid))
+    def descend(self, key: int) -> Node:
+        """Seek the leaf where entries with ``key`` start, reading each page on the way."""
+        return self._descend((key, -1))[1]
 
     # -- mutation -----------------------------------------------------------
 
@@ -319,8 +296,8 @@ class BPlusTree:
             if size >= need:
                 return
             parent, idx = path[-1]
-            left = self._node(parent.children[idx - 1]) if idx > 0 else None
-            right = self._node(parent.children[idx + 1]) if idx + 1 < len(parent.children) else None
+            left = self.touch_page(parent.children[idx - 1]) if idx > 0 else None
+            right = self.touch_page(parent.children[idx + 1]) if idx + 1 < len(parent.children) else None
             if node.leaf:
                 if left is not None and len(left.keys) > self.leaf_cap // 2:
                     node.keys.insert(0, left.keys.pop())
@@ -391,79 +368,57 @@ class BPlusTree:
 
     # -- scans ---------------------------------------------------------------
 
-    def range_scan(self, lo: int, hi: int, visit: Callable[[LeafEntry], None]) -> ScanStats:
-        """Visit entries with lo <= key <= hi in key order.
+    def scan_intervals(
+        self, intervals: Sequence[tuple[int, int]], visit: Callable[[LeafEntry], object], base: int = 0
+    ) -> None:
+        """Visit, in key order, the entries with keys in ``base + [lo, hi]`` per interval.
 
-        Descends once to the leaf that would contain ``lo`` and then
-        follows the sibling chain; every touched page is charged through
-        the buffer.
-        """
-        if lo > hi:
-            raise ValueError("empty key range")
-        _, leaf = self._descend((lo, -1))
-        leaves = 1
-        matched = 0
-        i = bisect_left(leaf.keys, (lo, -1))
-        while True:
-            while i < len(leaf.keys):
-                if leaf.keys[i][0] > hi:
-                    return ScanStats(matched, leaves)
-                visit(leaf.entries[i])
-                matched += 1
-                i += 1
-            if leaf.next_leaf is None:
-                return ScanStats(matched, leaves)
-            leaf = self._node(leaf.next_leaf)
-            leaves += 1
-            i = 0
-
-    def scan_intervals(self, intervals: list[tuple[int, int]], visit: Callable[[LeafEntry], None]) -> ScanStats:
-        """Scan a sorted list of disjoint key intervals with a leaf cursor.
-
-        Re-descends only when the next interval starts beyond the current
-        leaf, mirroring one locate-then-walk pass per search range.
+        ``intervals`` are sorted and disjoint.  The cursor seeks through
+        :meth:`descend` when an interval starts beyond the leaf it holds,
+        and otherwise bisects that leaf; it follows the sibling chain while
+        the interval goes on past a leaf's last entry, and jumps over the
+        intervals that hold no entry of the leaf.  This is the Bx-tree's
+        locate-then-walk per search interval, with every seek and sibling
+        read charged as it happens.  A ``visit`` that returns true ends the
+        scan before any further page is read.
         """
         leaf: Node | None = None
-        matched = 0
-        leaves = 0
-        for lo, hi in intervals:
-            lo_c = (lo, -1)
-            if leaf is None or not leaf.keys or leaf.keys[-1] < lo_c:
-                _, leaf = self._descend(lo_c)
-                leaves += 1
-            i = bisect_left(leaf.keys, lo_c)
+        keys: list = []
+        k, n = 0, len(intervals)
+        while k < n:
+            lo, hi = intervals[k]
+            lo += base
+            if not keys or keys[-1][0] < lo:
+                leaf = self.descend(lo)
+                keys = leaf.keys
+            i = bisect_left(keys, (lo, -1))
+            end = (hi + base + 1, -1)  # the first composite past the interval
             while True:
-                while i < len(leaf.keys):
-                    if leaf.keys[i][0] > hi:
-                        break
-                    visit(leaf.entries[i])
-                    matched += 1
-                    i += 1
-                else:
-                    if leaf.next_leaf is not None:
-                        leaf = self._node(leaf.next_leaf)
-                        leaves += 1
-                        i = 0
-                        continue
-                break
-        return ScanStats(matched, leaves)
-
-    def entries_in(self, lo: int, hi: int) -> list[LeafEntry]:
-        out: list[LeafEntry] = []
-        self.range_scan(lo, hi, out.append)
-        return out
+                j = bisect_left(keys, end, i)
+                for entry in leaf.entries[i:j]:
+                    if visit(entry):
+                        return
+                if j < len(keys) or leaf.next_leaf is None:
+                    break
+                leaf = self.touch_page(leaf.next_leaf)
+                keys = leaf.keys
+                i = 0
+            if j == len(keys):
+                k += 1
+            else:  # jump over the intervals that end before the leaf's next entry
+                k = bisect_left(intervals, keys[j][0] - base, k + 1, n, key=itemgetter(1))
 
     def iter_entries(self) -> Iterator[LeafEntry]:
         """In-order traversal over the leaf chain (charged like any scan)."""
         leaf = self._leftmost_leaf()
         while leaf is not None:
             yield from leaf.entries
-            leaf = self._node(leaf.next_leaf) if leaf.next_leaf is not None else None
+            leaf = self.touch_page(leaf.next_leaf) if leaf.next_leaf is not None else None
 
     def _leftmost_leaf(self) -> Node:
-        node = self._node(self.root_id)
+        node = self.touch_page(self.root_id)
         while not node.leaf:
-            node = self._node(node.children[0])
+            node = self.touch_page(node.children[0])
         return node
 
     def stats(self) -> TreeStats:
@@ -687,6 +642,7 @@ class MovingObjectIndex:
 
     def save(self, path: str | Path) -> None:
         snap = {
+            "format": SNAPSHOT_FORMAT,
             "kind": self.kind,
             "time_cfg": {"delta_t_mu": self.time_cfg.delta_t_mu, "n": self.time_cfg.n},
             "grid": {"L": self.grid.L, "levels": self.grid.levels, "y_low": self.grid.y_low},
@@ -705,6 +661,8 @@ class MovingObjectIndex:
     @classmethod
     def load(cls, path: str | Path, sv_map: SequenceValueMap | None = None) -> "MovingObjectIndex":
         snap = json.loads(Path(path).read_text())
+        if snap.get("format") != SNAPSHOT_FORMAT:
+            raise ValueError(f"snapshot {path}: format version {snap.get('format')!r}, expected {SNAPSHOT_FORMAT}")
         if snap["kind"] == "peb" and sv_map is None:
             raise ValueError("loading a policy-embedded index requires its sequence value map")
         if snap["kind"] == "bx" and sv_map is not None:

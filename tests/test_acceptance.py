@@ -343,7 +343,7 @@ def test_c11_property_suites(equivalence_instances):
             tree.audit()
     tree.audit()
     got = []
-    tree.range_scan(0, 30_000, got.append)
+    tree.scan_intervals([(0, 30_000)], got.append)
     shadow_ok = [(e.key, e.uid) for e in got] == sorted(member_set)
 
     # z-curve round trip, exhaustive for levels <= 5

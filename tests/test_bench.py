@@ -23,9 +23,10 @@ from pebtree.bench import (
     validate_cost,
     write_csv,
 )
+from pebtree.cli import _build_indexes, _load_data_dir
 from pebtree.cli import main as cli_main
-from pebtree.query import PknnResult
-from pebtree.workload import WorkloadConfig, gen_queries
+from pebtree.query import PknnResult, PrqRequest, oracle_knn, oracle_range
+from pebtree.workload import WorkloadConfig, gen_queries, load_queries
 
 SMALL = WorkloadConfig(n_users=150, policies_per_user=8, theta=0.5, group_size=30, seed=17, queries_per_point=12)
 
@@ -227,6 +228,27 @@ def test_cli_gen_build_query_round_trip(tmp_path):
     assert snap.exists()
     assert cli_main(["query", "--data-dir", str(data), "--engine", "peb", "--limit", "4"]) == 0
     assert cli_main(["query", "--data-dir", str(data), "--engine", "oracle", "--limit", "4"]) == 0
+
+
+def test_cli_data_dir_keeps_the_generated_space_side(tmp_path):
+    config = tmp_path / "side.txt"
+    config.write_text("space_side=2000\n")
+    data = tmp_path / "data"
+    argv = ["gen", "--out-dir", str(data), "--config", str(config), "-N", "150", "--policies", "6", "--seed", "4"]
+    assert cli_main(argv + ["--group-size", "30", "--queries", "5"]) == 0
+    objects, store = _load_data_dir(data)
+    assert store.space_side == 2000.0
+    assert max(max(o.x, o.y) for o in objects) > 1000.0
+    built, _ = _build_indexes(objects, store)
+    queries = load_queries(data / "queries.csv")
+    for kind, run_range, run_knn in (("peb", "prq", "pknn"), ("bx", "range_query", "knn_query")):
+        index, engine = built[kind]
+        assert index.grid.L == 2000.0
+        for q in queries:
+            if isinstance(q, PrqRequest):
+                assert getattr(engine, run_range)(q) == oracle_range(objects, store, q)
+            else:
+                assert getattr(engine, run_knn)(q) == oracle_knn(objects, store, q)
 
 
 def test_cli_bench_writes_csv_and_exits_zero(tmp_path):

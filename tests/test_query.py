@@ -22,11 +22,9 @@ from pebtree.query import (
     PknnResult,
     PrqRequest,
     Rect,
-    _RowSpan,
     _owner_rows,
     _visible,
     antidiagonal_order,
-    build_prq_key_intervals,
     enlarge,
     estimate_dk,
     merge_intervals,
@@ -37,6 +35,7 @@ from pebtree.query import (
 from pebtree.store import BPlusTree, DirectionalSpeeds, LeafEntry, MovingObjectIndex
 from pebtree.workload import WorkloadConfig, gen_policies, gen_queries, gen_uniform
 from pebtree.zcurve import GridConfig, cells_covering, z_corner_interval
+from test_store import reference_scan_intervals
 
 TIME_CFG = TimePartitionConfig(120.0, 2)
 GRID = GridConfig(L=1000.0, levels=10)
@@ -119,22 +118,49 @@ def test_estimate_dk_validates_inputs():
 # -- key interval construction ---------------------------------------------------
 
 
+def _dense_tree(layout, tid, svqs):
+    """A tree holding one entry at every key of the given (partition, sequence value) rows."""
+    tree = BPlusTree()
+    for svq in svqs:
+        for zv in range(1 << layout.zv_bits):
+            key = layout.peb_key_q(tid, svq, zv)
+            tree.insert(LeafEntry(key, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0))
+    return tree
+
+
+def _row_scan_keys(tree, layout, tid, svqs, zivs):
+    """Keys read by one cursor scan per row, each row's intervals offset by its key prefix."""
+    keys = []
+    for svq in svqs:
+        tree.scan_intervals(zivs, lambda e: keys.append(e.key), layout.peb_key_q(tid, svq, 0))
+    return keys
+
+
+def _runs(keys):
+    """Maximal runs of consecutive integers in an ascending key list."""
+    runs = []
+    for key in keys:
+        if runs and key == runs[-1][1] + 1:
+            runs[-1][1] = key
+        else:
+            runs.append([key, key])
+    return [tuple(run) for run in runs]
+
+
 def test_single_row_single_interval():
     layout = KeyLayout(tid_bits=2, sv_bits=7, zv_bits=6, frac_bits=0)
-    out = build_prq_key_intervals([(25, (30,))], [(13, 16)], 0, layout)
-    assert len(out) == 1
-    assert (out[0].lo, out[0].hi) == (1613, 1616)
-    assert out[0].uids == {30}
+    tree = _dense_tree(layout, 0, (24, 25, 26))
+    assert _row_scan_keys(tree, layout, 0, (25,), [(13, 16)]) == [1613, 1614, 1615, 1616]
 
 
 def test_reference_search_range_list():
     # five friends x two curve intervals: ten ranges per partition, ordered
     # by sequence value then curve value
     layout = KeyLayout(tid_bits=2, sv_bits=7, zv_bits=6, frac_bits=0)
-    rows = [(25, (30,)), (50, (12,)), (55, (100,)), (80, (130,)), (89, (59,))]
-    out = build_prq_key_intervals(rows, [(13, 16), (25, 28)], 0, layout)
-    assert len(out) == 10
-    bounds = [(iv.lo, iv.hi) for iv in out]
+    rows = (25, 50, 55, 80, 89)
+    tree = _dense_tree(layout, 0, range(20, 95))
+    bounds = _runs(_row_scan_keys(tree, layout, 0, rows, [(13, 16), (25, 28)]))
+    assert len(bounds) == 10
     assert bounds == sorted(bounds)
     assert bounds[0] == (25 * 64 + 13, 25 * 64 + 16)
     assert bounds[1] == (25 * 64 + 25, 25 * 64 + 28)
@@ -145,7 +171,10 @@ def test_reference_search_range_list():
 
 
 def test_interval_refinement_preserves_key_set():
+    # rows own disjoint key prefixes, so scanning each row's curve
+    # intervals offset by its prefix reads exactly the crossed key set
     layout = KeyLayout(tid_bits=2, sv_bits=8, zv_bits=4, frac_bits=0)
+    tree = _dense_tree(layout, 1, range(200))
     rng = random.Random(17)
     for _ in range(50):
         rows = sorted(rng.sample(range(200), rng.randint(1, 6)))
@@ -156,17 +185,11 @@ def test_interval_refinement_preserves_key_set():
             hi = rng.randint(lo, 15)
             zivs.append((lo, hi))
             cursor = hi + 2
-        out = build_prq_key_intervals(rows, zivs, 1, layout)
-        expected = set()
+        expected = []
         for svq in rows:
             for lo, hi in zivs:
-                expected.update(range(layout.peb_key_q(1, svq, lo), layout.peb_key_q(1, svq, hi) + 1))
-        got = set()
-        for iv in out:
-            got.update(range(iv.lo, iv.hi + 1))
-        assert got == expected
-        for a, b in zip(out, out[1:]):
-            assert a.hi + 1 < b.lo  # disjoint and non-adjacent
+                expected.extend(range(layout.peb_key_q(1, svq, lo), layout.peb_key_q(1, svq, hi) + 1))
+        assert _row_scan_keys(tree, layout, 1, rows, zivs) == expected
 
 
 def test_interval_subtract_and_merge():
@@ -400,9 +423,10 @@ def test_updates_reflected_in_queries(random_instance):
 
 def _probe_new(span, zs, ze):
     """Entries of a row span inside [zs, ze]; the span read charged their pages."""
-    i = bisect_left(span.zs, zs)
-    j = bisect_right(span.zs, ze)
-    return tuple(span.entries[i:j])
+    z_list, entries = span
+    i = bisect_left(z_list, zs)
+    j = bisect_right(z_list, ze)
+    return tuple(entries[i:j])
 
 
 def reference_pknn(self: PebQueryEngine, req: PknnRequest) -> PknnResult:
@@ -467,7 +491,7 @@ def reference_pknn(self: PebQueryEngine, req: PknnRequest) -> PknnResult:
         return sorted(candidates.values())[k - 1]
 
     def search_partition(tid: int, label: float) -> None:
-        spans: dict[int, _RowSpan] = {}
+        spans: dict[int, tuple[list[int], list[LeafEntry]]] = {}
         covered: dict[int, tuple[int, int]] = {}  # row -> scanned z bounds
         col_ivs: dict[int, tuple[int, int]] = {}
 
@@ -690,33 +714,19 @@ def test_pknn_walk_ignores_users_outside_friend_rows():
 # -- range query against the per-interval reference ----------------------------------------
 
 
-def _probe(self: PebQueryEngine, span: _RowSpan, zs: int, ze: int) -> tuple[LeafEntry, ...]:
-    """Entries of a row span inside [zs, ze]; charges the pages touched."""
-    tree = self.index.tree
-    for pid in span.path:
-        tree.touch_page(pid)
-    i = bisect_left(span.zs, zs)
-    j = bisect_right(span.zs, ze)
-    if i == j:
-        # the leaf the interval start lands on
-        tree.touch_page(span.bound_pages[bisect_right(span.bound_zs, zs) - 1])
-        return ()
-    last = None
-    for pid in span.entry_pages[i:j]:
-        if pid != last:
-            tree.touch_page(pid)
-            last = pid
-    return tuple(span.entries[i:j])
+class _RowDone(Exception):
+    """Raised by the reference's visit once a row's owners are all retrieved."""
 
 
 def reference_prq(self: PebQueryEngine, req: PrqRequest, skip_rule: bool = True) -> set[int]:
-    """The range query as it stood with one charged probe per curve interval.
+    """The range query as a locate-then-walk per key interval, kept as a reference.
 
     Users inside the window at query time who allow the issuer to see them.
 
-    ``skip_rule=False`` disables skipping of the remaining intervals of
-    an already-retrieved user's sequence value; results are identical,
-    only the I/O changes.
+    Each row's key intervals are built explicitly and scanned one by one
+    with the interval-by-interval cursor loop; every entry is verified.
+    With ``skip_rule`` a row's scan ends at the entry that completes its
+    owners and a row whose owners are all retrieved is not scanned.
     """
     self.store.check_user(req.qid)
     rows = self.friends.rows(req.qid)
@@ -724,41 +734,41 @@ def reference_prq(self: PebQueryEngine, req: PrqRequest, skip_rule: bool = True)
     if not rows:
         return result
     store = self.store
+    layout = self.layout
     t_q = req.t_q
     rect = req.rect
     seen: set[int] = set()
     row_of, unseen = _owner_rows(rows)
-    spans: dict[tuple[int, int], _RowSpan] = {}
     for tid, label in self.index.live_partitions():
         enlarged = enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L)
         zivs = self._zivs(enlarged)
-        if not zivs:
-            continue
         for row_i, (svq, _) in enumerate(rows):
             if skip_rule and not unseen[row_i]:
                 continue
-            span = spans.get((tid, svq))
-            if span is None:
-                span = spans[(tid, svq)] = self._row_span(tid, svq)
-            for zs, ze in zivs:
+
+            def visit(entry):
+                uid = entry.uid
+                if uid not in seen:
+                    seen.add(uid)
+                    owner_row = row_of.get(uid)
+                    if owner_row is not None:
+                        unseen[owner_row] -= 1
+                px = entry.x + entry.vx * (t_q - entry.t)
+                py = entry.y + entry.vy * (t_q - entry.t)
+                if (
+                    rect[0] <= px <= rect[2]
+                    and rect[1] <= py <= rect[3]
+                    and _visible(store, uid, req.qid, px, py, t_q)
+                ):
+                    result.add(uid)
                 if skip_rule and not unseen[row_i]:
-                    break
-                for entry in _probe(self, span, zs, ze):
-                    uid = entry.uid
-                    if uid not in seen:
-                        seen.add(uid)
-                        owner_row = row_of.get(uid)
-                        if owner_row is not None:
-                            unseen[owner_row] -= 1
-                    if uid not in result:
-                        px = entry.x + entry.vx * (t_q - entry.t)
-                        py = entry.y + entry.vy * (t_q - entry.t)
-                        if (
-                            rect[0] <= px <= rect[2]
-                            and rect[1] <= py <= rect[3]
-                            and _visible(store, uid, req.qid, px, py, t_q)
-                        ):
-                            result.add(uid)
+                    raise _RowDone
+
+            key_intervals = [(layout.peb_key_q(tid, svq, zs), layout.peb_key_q(tid, svq, ze)) for zs, ze in zivs]
+            try:
+                reference_scan_intervals(self.index.tree, key_intervals, visit)
+            except _RowDone:
+                pass
     return result
 
 
@@ -779,13 +789,14 @@ def _prq_trace(engine, call, queries, skip_rule, cold_each):
     return out
 
 
-def _assert_prq_matches_reference(engine, queries):
+def _assert_prq_matches_reference(engine, queries, answers):
     for skip_rule in (True, False):
         for cold_each in (True, False):
             want = _prq_trace(engine, reference_prq, queries, skip_rule, cold_each)
             got = _prq_trace(engine, PebQueryEngine.prq, queries, skip_rule, cold_each)
-            for req, g, w in zip(queries, got, want):
+            for req, g, w, answer in zip(queries, got, want, answers):
                 assert g == w, (req, skip_rule, cold_each)
+                assert g[0] == answer, (req, skip_rule)
 
 
 def test_prq_matches_per_interval_reference(churned_instance):
@@ -794,8 +805,7 @@ def test_prq_matches_per_interval_reference(churned_instance):
     queries = gen_queries(cfg, "range", list(current.values()), now=70.0, count=40)
     answers = [oracle_range(current.values(), store, req) for req in queries]
     assert any(answers)
-    _assert_prq_matches_reference(peb, queries)
-    assert [peb.prq(req) for req in queries] == answers
+    _assert_prq_matches_reference(peb, queries, answers)
 
 
 @pytest.fixture(scope="module")
@@ -805,8 +815,8 @@ def churned_large_instance():
 
 @pytest.mark.parametrize("buffer_pages", [3, 4, 6])
 def test_prq_matches_reference_on_small_pages_and_buffers(churned_large_instance, buffer_pages):
-    # 4 entries per leaf make a tree of height 4, so a 3-page buffer cannot
-    # hold one probe and its repeats are replayed touch by touch
+    # 4 entries per leaf make a tree of height 4, so row scans cross leaves
+    # and a 3-page buffer cannot hold one seek path and its leaf
     cfg, current, store, peb, _ = churned_large_instance
     index = MovingObjectIndex(
         TIME_CFG, GRID, peb.layout, sv_map=peb.index.sv_map, buffer_pages=buffer_pages, page_size=256
@@ -815,99 +825,8 @@ def test_prq_matches_reference_on_small_pages_and_buffers(churned_large_instance
         index.insert(obj)
     assert index.tree.height == 4
     assert len(index.live_partitions()) == 3
-    replayed = []
-    touch_probe = index.tree.touch_probe
-
-    def recording(path, pages, times=1):
-        replayed.append(times > 1 and len(path) + len(pages) > buffer_pages)
-        touch_probe(path, pages, times)
-
-    index.tree.touch_probe = recording
     engine = PebQueryEngine(index, store, peb.friends)
     queries = gen_queries(cfg, "range", list(current.values()), now=70.0, count=15)
-    _assert_prq_matches_reference(engine, queries)
-    assert any(replayed) == (buffer_pages < index.tree.height)
-
-
-def test_touch_probe_equals_touch_loop():
-    rng = random.Random(5)
-    trees = []
-    for _ in range(2):
-        tree = BPlusTree(page_size=256, buffer_pages=5)
-        for key in random.Random(1).sample(range(10_000), 300):
-            tree.insert(LeafEntry(key, key, 0.0, 0.0, 0.0, 0.0, 0.0, key))
-        trees.append(tree)
-    plain, batched = trees
-    pages = sorted(plain.pages) + [10**6]  # one id that is no page
-    for _ in range(300):
-        path = rng.sample(pages, rng.randint(0, 3))
-        leaves = [rng.choice(pages) for _ in range(rng.randint(1, 4))]
-        times = rng.randint(1, 5)
-        for _ in range(times):
-            for pid in path + leaves:
-                plain.touch_page(pid)
-        batched.touch_probe(path, leaves, times)
-        assert batched.buffer.counters() == plain.buffer.counters()
-        assert list(batched.buffer._lru) == list(plain.buffer._lru)
-
-
-def reference_row_span(self: PebQueryEngine, tid: int, svq: int) -> _RowSpan:
-    """The row span read as it stood with one key compared per step, kept as a reference."""
-    layout = self.layout
-    tree = self.index.tree
-    hi_key = layout.peb_key_q(tid, svq, self.grid.max_z)
-    lo_key = layout.peb_key_q(tid, svq, 0)
-    path, leaf, i = tree.descend(lo_key)
-    zs: list[int] = []
-    entries: list[LeafEntry] = []
-    entry_pages: list[int] = []
-    bound_zs = [0]
-    bound_pages = [leaf.page_id]
-    node = leaf
-    fresh = False
-    while True:
-        if fresh:
-            if node.keys and node.keys[0][0] <= hi_key:
-                bound_zs.append(layout.zv_of(node.keys[0][0]))
-                bound_pages.append(node.page_id)
-            fresh = False
-        keys = node.keys
-        while i < len(keys):
-            k = keys[i][0]
-            if k > hi_key:
-                return _RowSpan(path, zs, entries, entry_pages, bound_zs, bound_pages)
-            zs.append(layout.zv_of(k))
-            entries.append(node.entries[i])
-            entry_pages.append(node.page_id)
-            i += 1
-        if node.next_leaf is None:
-            return _RowSpan(path, zs, entries, entry_pages, bound_zs, bound_pages)
-        node = tree._node(node.next_leaf)
-        i = 0
-        fresh = True
-
-
-def test_row_span_matches_reference(churned_large_instance):
-    # every sequence value in every partition, read through 256-byte pages
-    # (spans cross leaves) and through the default pages
-    cfg, current, store, peb, _ = churned_large_instance
-    small = MovingObjectIndex(TIME_CFG, GRID, peb.layout, sv_map=peb.index.sv_map, buffer_pages=4, page_size=256)
-    for obj in current.values():
-        small.insert(obj)
-    svqs = sorted({peb.layout.quantize_sv(sv) for sv in peb.index.sv_map.values.values()})
-    crossing = 0
-    for index in (small, peb.index):
-        engine = PebQueryEngine(index, store, peb.friends)
-        buf = index.buffer
-        for tid, _ in index.live_partitions():
-            for svq in (0, *svqs, (1 << peb.layout.sv_bits) - 1):
-                traces = []
-                for read in (reference_row_span, PebQueryEngine._row_span):
-                    index.reset_io(cold=True)
-                    span = read(engine, tid, svq)
-                    traces.append(
-                        ([getattr(span, a) for a in _RowSpan.__slots__], buf.counters(), list(buf._lru))
-                    )
-                assert traces[0] == traces[1], (tid, svq)
-                crossing += len(span.bound_pages) > 1
-    assert crossing
+    answers = [oracle_range(current.values(), store, req) for req in queries]
+    assert any(answers)
+    _assert_prq_matches_reference(engine, queries, answers)

@@ -1,11 +1,12 @@
 import json
 import random
+from bisect import bisect_left
 
 import pytest
 
 from pebtree.keys import KeyLayout
 from pebtree.motion import MovingObject, TimePartitionConfig
-from pebtree.store import BPlusTree, LeafEntry, MovingObjectIndex
+from pebtree.store import BPlusTree, IoCounters, LeafEntry, MovingObjectIndex
 from pebtree.zcurve import GridConfig
 
 
@@ -15,7 +16,7 @@ def entry(key, uid=0):
 
 def collect_range(tree, lo, hi):
     out = []
-    tree.range_scan(lo, hi, out.append)
+    tree.scan_intervals([(lo, hi)], out.append)
     return [(e.key, e.uid) for e in out]
 
 
@@ -131,15 +132,8 @@ def test_range_scan_empty_range_touches_a_leaf():
     for k in range(10):
         tree.insert(entry(k))
     tree.buffer.clear()
-    stats = tree.range_scan(100, 200, lambda e: None)
-    assert stats.matched == 0
-    assert stats.leaves_touched >= 1
-
-
-def test_range_scan_rejects_inverted_range():
-    tree = BPlusTree()
-    with pytest.raises(ValueError):
-        tree.range_scan(5, 4, lambda e: None)
+    assert collect_range(tree, 100, 200) == []
+    assert tree.buffer.counters().leaf_reads == 1
 
 
 def test_scan_intervals_equals_separate_scans():
@@ -151,10 +145,125 @@ def test_scan_intervals_equals_separate_scans():
     intervals = [(0, 100), (340, 342), (350, 900), (2000, 4999)]
     got = []
     tree.scan_intervals(intervals, got.append)
-    expected = []
+    expected = [kv for lo, hi in intervals for kv in collect_range(tree, lo, hi)]
+    assert [(e.key, e.uid) for e in got] == expected
+
+
+def reference_scan_intervals(self, intervals, visit):
+    """The interval-by-interval cursor loop as it stood before intervals were bisected, kept as a reference.
+
+    Scan a sorted list of disjoint key intervals with a leaf cursor.
+
+    Re-descends only when the next interval starts beyond the current
+    leaf, mirroring one locate-then-walk pass per search range.
+    """
+    leaf = None
     for lo, hi in intervals:
-        expected.extend(e for e in tree.entries_in(lo, hi))
-    assert [(e.key, e.uid) for e in got] == [(e.key, e.uid) for e in expected]
+        lo_c = (lo, -1)
+        if leaf is None or not leaf.keys or leaf.keys[-1] < lo_c:
+            _, leaf = self._descend(lo_c)
+        i = bisect_left(leaf.keys, lo_c)
+        while True:
+            while i < len(leaf.keys):
+                if leaf.keys[i][0] > hi:
+                    break
+                visit(leaf.entries[i])
+                i += 1
+            else:
+                if leaf.next_leaf is not None:
+                    leaf = self.touch_page(leaf.next_leaf)
+                    i = 0
+                    continue
+            break
+
+
+def _random_intervals(rng, span):
+    bounds = sorted(rng.sample(range(span), 2 * rng.randint(1, 12)))
+    return list(zip(bounds[::2], bounds[1::2]))
+
+
+@pytest.mark.parametrize("buffer_pages", [3, 4, 5, 6])
+def test_scan_intervals_charges_like_the_per_interval_loop(buffer_pages):
+    rng = random.Random(buffer_pages)
+    trees = []
+    for _ in range(2):
+        tree = BPlusTree(page_size=256, buffer_pages=buffer_pages)
+        for k in random.Random(8).sample(range(20_000), 600):
+            tree.insert(entry(k, k % 3))
+        trees.append(tree)
+    cursor, reference = trees
+    assert cursor.height >= 3
+    base = 1000
+    for _ in range(300):
+        intervals = _random_intervals(rng, 19_000)
+        got, want = [], []
+        cursor.scan_intervals(intervals, got.append, base)
+        reference_scan_intervals(reference, [(base + lo, base + hi) for lo, hi in intervals], want.append)
+        assert got == want
+        assert cursor.buffer.counters() == reference.buffer.counters()
+        assert list(cursor.buffer._lru) == list(reference.buffer._lru)
+
+
+def hand_built_tree():
+    """Root page 0 over four leaves holding keys 1-7 (odd), 10-16, 20-26 and 30-36 (even)."""
+
+    def page(pid, keys, children=(), next_leaf=None):
+        leaf = not children
+        return {
+            "id": pid,
+            "leaf": leaf,
+            "keys": [(k, 0) for k in keys],
+            "entries": [list(entry(k)) for k in keys] if leaf else [],
+            "children": list(children),
+            "next_leaf": next_leaf,
+        }
+
+    pages = [
+        page(0, [10, 20, 30], children=[1, 2, 3, 4]),
+        page(1, [1, 3, 5, 7], next_leaf=2),
+        page(2, [10, 12, 14, 16], next_leaf=3),
+        page(3, [20, 22, 24, 26], next_leaf=4),
+        page(4, [30, 32, 34, 36]),
+    ]
+    tree = BPlusTree.from_snapshot(
+        {"page_size": 256, "buffer_pages": 50, "pages": pages, "root": 0, "next_page": 5,
+         "height": 2, "leaf_count": 4, "entry_count": 16}
+    )
+    tree.audit()
+    return tree
+
+
+def test_scan_intervals_charges_its_seeks_and_walked_leaves():
+    tree = hand_built_tree()
+    got = []
+    tree.scan_intervals([(2, 3), (5, 11), (13, 13), (16, 17), (33, 40)], lambda e: got.append(e.key))
+    assert got == [3, 5, 7, 10, 16, 34, 36]
+    # seek leaf 1 for (2, 3); walk on to leaf 2 for (5, 11); (13, 13) and
+    # (16, 17) bisect leaf 2, and 16 ends it, so the walk reads leaf 3 to
+    # find 17's end; (33, 40) starts past leaf 3 and seeks leaf 4 anew
+    assert tree.buffer.counters() == IoCounters(reads=6, misses=5, leaf_reads=4, leaf_misses=4, writes=0)
+    assert list(tree.buffer._lru) == [1, 2, 3, 0, 4]
+
+
+def test_scan_intervals_offsets_intervals_by_base():
+    tree = hand_built_tree()
+    got = []
+    tree.scan_intervals([(0, 2), (4, 10)], lambda e: got.append(e.key), base=20)
+    assert got == [20, 22, 24, 26, 30]
+
+
+def test_scan_intervals_stops_when_visit_returns_true():
+    tree = hand_built_tree()
+    got = []
+
+    def visit(e):
+        got.append(e.key)
+        return e.key == 7  # the last entry of the first leaf
+
+    tree.scan_intervals([(0, 100)], visit)
+    assert got == [1, 3, 5, 7]
+    assert tree.buffer.counters().reads == 2  # the root and leaf 1; leaf 2 is never read
+    assert list(tree.buffer._lru) == [0, 1]
 
 
 def test_stats_leaf_count_bounds():
@@ -174,10 +283,10 @@ def test_buffer_repeat_query_costs_zero_when_tree_fits():
         tree.insert(entry(k))
     assert tree.stats().page_count <= 500
     tree.buffer.clear()
-    tree.range_scan(100, 1900, lambda e: None)
+    collect_range(tree, 100, 1900)
     first = tree.buffer.counters().misses
     assert first > 0
-    tree.range_scan(100, 1900, lambda e: None)
+    collect_range(tree, 100, 1900)
     assert tree.buffer.counters().misses == first  # second run fully buffered
 
 
@@ -194,7 +303,7 @@ def test_io_determinism():
                 pass
         tree.buffer.clear()
         for lo in range(0, 10_000, 500):
-            tree.range_scan(lo, lo + 400, lambda e: None)
+            collect_range(tree, lo, lo + 400)
         return tree.buffer.counters()
 
     assert run() == run()
@@ -299,12 +408,10 @@ def test_snapshot_round_trip(tmp_path):
     assert loaded.stats() == index.stats()
     assert loaded.live_partitions() == index.live_partitions()
     assert loaded.max_speeds == index.max_speeds
-    lo = loaded.layout.bx_key(0, 0)
-    hi = loaded.layout.bx_key(0, loaded.grid.max_z)
-    assert [e for e in loaded.tree.entries_in(lo, hi)] == [e for e in index.tree.entries_in(lo, hi)]
+    assert list(loaded.tree.iter_entries()) == list(index.tree.iter_entries())
     loaded.tree.audit()
     # updates keep working after a reload
-    obj = loaded.tree.entries_in(lo, hi)[0]
+    obj = next(loaded.tree.iter_entries())
     loaded.update(MovingObject(obj.uid, obj.x, obj.y, obj.vx, obj.vy, 30.0))
     assert loaded.contains(obj.uid)
 
@@ -355,3 +462,18 @@ def test_untampered_snapshot_still_loads(tmp_path):
     loaded = MovingObjectIndex.load(_tampered(tmp_path, lambda snap: None))
     assert loaded.live_partitions() == [(0, 60.0)]
     assert loaded.entry_count == 150
+
+
+@pytest.mark.parametrize(
+    "edit, fault",
+    [
+        (lambda snap: snap.pop("format"), "format version None"),
+        (lambda snap: snap.update(format=99), "format version 99"),
+    ],
+)
+def test_snapshot_load_checks_the_format_version(tmp_path, edit, fault):
+    assert MovingObjectIndex.load(_tampered(tmp_path, lambda snap: None)).entry_count == 150
+    path = _tampered(tmp_path, edit)
+    with pytest.raises(ValueError, match=fault) as raised:
+        MovingObjectIndex.load(path)
+    assert str(path) in str(raised.value)
