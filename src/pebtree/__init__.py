@@ -12,7 +12,6 @@ from .policy import (
     alpha,
     compatibility,
     evaluate_visibility,
-    related_users,
 )
 from .query import (
     BaselineQueryEngine,
@@ -71,7 +70,6 @@ __all__ = [
     "oracle_knn",
     "oracle_range",
     "position_at",
-    "related_users",
     "z_decode",
     "z_decompose",
     "z_encode",

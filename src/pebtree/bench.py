@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .costmodel import CostParams, cost_c, cost_c1, fit_cost_params
-from .keys import KeyLayout, SequenceValueMap, assign_sequence_values
+from .keys import KeyLayout, assign_sequence_values
 from .motion import MovingObject, TimePartitionConfig
 from .policy import CompatibilityIndex, PolicyStore
 from .query import (
@@ -33,7 +33,7 @@ from .query import (
     oracle_knn,
     oracle_range,
 )
-from .store import BUFFER_PAGES, MovingObjectIndex
+from .store import MovingObjectIndex
 from .workload import WorkloadConfig, gen_queries, gen_policies, make_world
 from .zcurve import GridConfig
 
@@ -75,8 +75,6 @@ class ExperimentSpec:
     sweeps: tuple[str, ...] = ("users",)
     out_path: str | None = None
     oracle_every: int = 1
-    cost_params: tuple[float, float] | None = None
-    buffer_pages: int = BUFFER_PAGES
 
 
 @dataclass
@@ -85,16 +83,11 @@ class Instance:
 
     cfg: WorkloadConfig
     time_cfg: TimePartitionConfig
-    grid: GridConfig
     objects: dict[int, MovingObject]
     world: object
     store: PolicyStore
-    compat: CompatibilityIndex
-    sv_map: SequenceValueMap
-    layout: KeyLayout
     peb: MovingObjectIndex
     bx: MovingObjectIndex
-    friends: FriendLists
     peb_engine: PebQueryEngine
     bx_engine: BaselineQueryEngine
     preproc_seconds: float
@@ -102,15 +95,10 @@ class Instance:
     update_cursor: int = 0
 
 
-def build_instance(
-    cfg: WorkloadConfig,
-    time_cfg: TimePartitionConfig | None = None,
-    grid: GridConfig | None = None,
-    buffer_pages: int = BUFFER_PAGES,
-) -> Instance:
+def build_instance(cfg: WorkloadConfig) -> Instance:
     """Generate data and policies, encode them, and load both indexes."""
-    time_cfg = time_cfg or TimePartitionConfig()
-    grid = grid or GridConfig(L=cfg.space_side)
+    time_cfg = TimePartitionConfig()
+    grid = GridConfig(L=cfg.space_side)
     objects, world = make_world(cfg)
     uids = [o.uid for o in objects]
     policies, graph = gen_policies(uids, cfg)
@@ -120,26 +108,20 @@ def build_instance(
     sv_map = assign_sequence_values(uids, compat)
     preproc = time.perf_counter() - t0
     layout = KeyLayout.for_index(time_cfg, grid, max_sv=sv_map.max_value + 1.0)
-    peb = MovingObjectIndex(time_cfg, grid, layout, sv_map=sv_map, buffer_pages=buffer_pages)
-    bx = MovingObjectIndex(time_cfg, grid, layout, buffer_pages=buffer_pages)
+    peb = MovingObjectIndex(time_cfg, grid, layout, sv_map=sv_map)
+    bx = MovingObjectIndex(time_cfg, grid, layout)
     for obj in objects:
         peb.insert(obj)
         bx.insert(obj)
-    friends = FriendLists(store, sv_map, layout)
     return Instance(
         cfg=cfg,
         time_cfg=time_cfg,
-        grid=grid,
         objects={o.uid: o for o in objects},
         world=world,
         store=store,
-        compat=compat,
-        sv_map=sv_map,
-        layout=layout,
         peb=peb,
         bx=bx,
-        friends=friends,
-        peb_engine=PebQueryEngine(peb, store, friends),
+        peb_engine=PebQueryEngine(peb, store, FriendLists(store, sv_map, layout)),
         bx_engine=BaselineQueryEngine(bx, store),
         preproc_seconds=preproc,
     )
@@ -251,12 +233,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(ordered[pos])
 
 
-def point_rows(
-    inst: Instance,
-    oracle_every: int = 1,
-    cost_params: tuple[float, float] | None = None,
-    round_no: int = 0,
-) -> list[dict]:
+def point_rows(inst: Instance, oracle_every: int = 1, round_no: int = 0) -> list[dict]:
     """The four CSV rows (two indexes x two query types) of one point."""
     cfg = inst.cfg
     horizon = inst.time_cfg.delta_t_mu
@@ -269,13 +246,7 @@ def point_rows(
             stats = run_query_batch(inst, engine_name, queries, oracle_every)
             estimate = ""
             if engine_name == "peb" and query_type == "range":
-                if cost_params is not None:
-                    a1, a2 = cost_params
-                    estimate = cost_c(
-                        CostParams(a1, a2, cfg.n_users, cfg.policies_per_user, cfg.theta, cfg.space_side, leaf_count)
-                    )
-                else:
-                    estimate = cost_c1(cfg.policies_per_user, cfg.theta, leaf_count)
+                estimate = cost_c1(cfg.policies_per_user, cfg.theta, leaf_count)
             rows.append(
                 {
                     "N": cfg.n_users,
@@ -326,18 +297,18 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[dict], bool]:
     for sweep in spec.sweeps:
         for cfg in sweep_configs(sweep, spec.base):
             try:
-                inst = build_instance(cfg, buffer_pages=spec.buffer_pages)
+                inst = build_instance(cfg)
             except ValueError as exc:
                 rows.append(_error_row(cfg, sweep, str(exc)))
                 continue
             if sweep == "updates":
                 for round_no in range(1, UPDATE_ROUNDS + 1):
                     run_update_round(inst)
-                    batch = point_rows(inst, spec.oracle_every, spec.cost_params, round_no=round_no)
+                    batch = point_rows(inst, spec.oracle_every, round_no=round_no)
                     rows.extend(batch)
                     all_ok &= all(r["oracle_ok"] == 1.0 for r in batch)
             else:
-                batch = point_rows(inst, spec.oracle_every, spec.cost_params)
+                batch = point_rows(inst, spec.oracle_every)
                 rows.extend(batch)
                 all_ok &= all(r["oracle_ok"] == 1.0 for r in batch)
     if spec.out_path:
@@ -489,25 +460,15 @@ def validate_cost(
 
 # -- key=value config files ----------------------------------------------------------
 
-_CONFIG_FIELDS = {
-    "n_users": int,
-    "max_speed": float,
-    "space_side": float,
-    "distribution": str,
-    "destinations": int,
-    "policies_per_user": int,
-    "theta": float,
-    "group_size": int,
-    "seed": int,
-    "day": float,
-    "query_window": float,
-    "k": int,
-    "queries_per_point": int,
-}
+def _config_parsers() -> dict[str, type]:
+    """The fields a config file holds, the scalar ``WorkloadConfig`` fields, with their parsers."""
+    types = {"int": int, "float": float, "str": str}
+    return {f.name: types[f.type] for f in fields(WorkloadConfig) if f.type in types}
 
 
 def load_config(path: str | Path) -> WorkloadConfig:
     """Read a workload config from ``key=value`` lines (# comments allowed)."""
+    parsers = _config_parsers()
     overrides = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -516,7 +477,12 @@ def load_config(path: str | Path) -> WorkloadConfig:
         if "=" not in line:
             raise ValueError(f"bad config line {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_FIELDS:
+        if key not in parsers:
             raise ValueError(f"unknown config key {key!r}")
-        overrides[key] = _CONFIG_FIELDS[key](value)
+        overrides[key] = parsers[key](value)
     return WorkloadConfig(**overrides)
+
+
+def save_config(cfg: WorkloadConfig, path: str | Path) -> None:
+    """Write every field :func:`load_config` reads, one ``key=value`` line each."""
+    Path(path).write_text("".join(f"{name}={getattr(cfg, name)}\n" for name in _config_parsers()))

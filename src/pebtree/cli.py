@@ -20,7 +20,7 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .bench import (
@@ -29,6 +29,7 @@ from .bench import (
     load_config,
     measure_preprocessing,
     run_experiment,
+    save_config,
     validate_cost,
 )
 from .keys import assign_sequence_values
@@ -56,42 +57,25 @@ SWEEP_NAMES = ("users", "policies", "theta", "window", "k", "speed", "destinatio
 
 
 def _add_workload_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--users", "-N", type=int, default=10_000, help="number of users")
-    p.add_argument("--policies", type=int, default=50, help="policies per user")
-    p.add_argument("--theta", type=float, default=0.7, help="grouping factor in [0, 1]")
-    p.add_argument("--group-size", type=int, default=100)
-    p.add_argument("--max-speed", type=float, default=3.0)
-    p.add_argument("--distribution", choices=("uniform", "network"), default="uniform")
-    p.add_argument("--destinations", type=int, default=100)
-    p.add_argument("--window", type=float, default=200.0, help="range query window side")
-    p.add_argument("--k", type=int, default=5, help="kNN neighbor count")
-    p.add_argument("--queries", type=int, default=200, help="queries per type per point")
+    # each flag's dest is a WorkloadConfig field; an unset flag (None) keeps
+    # the config file's value, or the field's default
+    p.add_argument("--users", "-N", dest="n_users", type=int, help="number of users")
+    p.add_argument("--policies", dest="policies_per_user", type=int, help="policies per user")
+    p.add_argument("--theta", type=float, help="grouping factor in [0, 1]")
+    p.add_argument("--group-size", type=int)
+    p.add_argument("--max-speed", type=float)
+    p.add_argument("--distribution", choices=("uniform", "network"))
+    p.add_argument("--destinations", type=int)
+    p.add_argument("--window", dest="query_window", type=float, help="range query window side")
+    p.add_argument("--k", type=int, help="kNN neighbor count")
+    p.add_argument("--queries", dest="queries_per_point", type=int, help="queries per type per point")
     p.add_argument("--config", type=Path, help="key=value config file (overridden by flags set explicitly)")
 
 
-def _workload_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> WorkloadConfig:
-    if args.config:
-        base = load_config(args.config)
-    else:
-        base = WorkloadConfig()
-    flag_map = {
-        "users": "n_users",
-        "policies": "policies_per_user",
-        "theta": "theta",
-        "group_size": "group_size",
-        "max_speed": "max_speed",
-        "distribution": "distribution",
-        "destinations": "destinations",
-        "window": "query_window",
-        "k": "k",
-        "queries": "queries_per_point",
-    }
-    overrides = {}
-    for flag, field in flag_map.items():
-        value = getattr(args, flag)
-        if parser.get_default(flag) != value or not args.config:
-            overrides[field] = value
-    return replace(base, seed=args.seed, **overrides)
+def _workload_from_args(args: argparse.Namespace) -> WorkloadConfig:
+    base = load_config(args.config) if args.config else WorkloadConfig()
+    names = {f.name for f in fields(WorkloadConfig)}
+    return replace(base, **{name: v for name, v in vars(args).items() if name in names and v is not None})
 
 
 def _load_data_dir(data_dir: Path):
@@ -130,8 +114,8 @@ def _build_indexes(objects, store, kinds=("peb", "bx")):
     return built, sv_map
 
 
-def cmd_gen(args, parser) -> int:
-    cfg = _workload_from_args(args, parser)
+def cmd_gen(args) -> int:
+    cfg = _workload_from_args(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     objects, _ = make_world(cfg)
@@ -141,31 +125,12 @@ def cmd_gen(args, parser) -> int:
     save_relationships(graph, out / "relationships.csv")
     queries = list(gen_queries(cfg, "range", objects)) + list(gen_queries(cfg, "knn", objects))
     save_queries(queries, out / "queries.csv")
-    (out / "config.txt").write_text(
-        "".join(
-            f"{key}={getattr(cfg, key)}\n"
-            for key in (
-                "n_users",
-                "max_speed",
-                "space_side",
-                "day",
-                "distribution",
-                "destinations",
-                "policies_per_user",
-                "theta",
-                "group_size",
-                "seed",
-                "query_window",
-                "k",
-                "queries_per_point",
-            )
-        )
-    )
+    save_config(cfg, out / "config.txt")
     print(f"wrote {len(objects)} objects, {len(policies)} policies, {len(queries)} queries to {out}")
     return 0
 
 
-def cmd_build(args, parser) -> int:
+def cmd_build(args) -> int:
     objects, store = _load_data_dir(Path(args.data_dir))
     built, _ = _build_indexes(objects, store, kinds=(args.index,))
     index, _engine = built[args.index]
@@ -180,7 +145,7 @@ def cmd_build(args, parser) -> int:
     return 0
 
 
-def cmd_query(args, parser) -> int:
+def cmd_query(args) -> int:
     data_dir = Path(args.data_dir)
     objects, store = _load_data_dir(data_dir)
     queries = load_queries(data_dir / "queries.csv")
@@ -217,8 +182,8 @@ def cmd_query(args, parser) -> int:
     return 0
 
 
-def cmd_bench(args, parser) -> int:
-    base = _workload_from_args(args, parser)
+def cmd_bench(args) -> int:
+    base = _workload_from_args(args)
     spec = ExperimentSpec(
         base=base,
         sweeps=tuple(args.sweep) if args.sweep else ("users",),
@@ -232,8 +197,8 @@ def cmd_bench(args, parser) -> int:
     return 0 if ok else 1
 
 
-def cmd_cost(args, parser) -> int:
-    base = _workload_from_args(args, parser)
+def cmd_cost(args) -> int:
+    base = _workload_from_args(args)
     try:
         report = validate_cost(base)
     except ValueError as exc:
@@ -248,8 +213,8 @@ def cmd_cost(args, parser) -> int:
     return 0
 
 
-def cmd_preproc(args, parser) -> int:
-    base = _workload_from_args(args, parser)
+def cmd_preproc(args) -> int:
+    base = _workload_from_args(args)
     rows = measure_preprocessing(base, ns=tuple(args.sizes) if args.sizes else DESK_USER_SWEEP)
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["N", "seconds", "seed"])
@@ -268,21 +233,21 @@ def main(argv: list[str] | None = None) -> int:
 
     p_gen = sub.add_parser("gen", help="generate a dataset, policies, and queries")
     _add_workload_flags(p_gen)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out-dir", required=True)
-    p_gen.set_defaults(func=cmd_gen, flag_parser=p_gen)
+    p_gen.set_defaults(func=cmd_gen)
 
     p_build = sub.add_parser("build", help="build an index from generated files")
     p_build.add_argument("--data-dir", required=True)
     p_build.add_argument("--index", choices=("peb", "bx"), default="peb")
     p_build.add_argument("--snapshot", help="write an index snapshot file")
-    p_build.set_defaults(func=cmd_build, flag_parser=p_build)
+    p_build.set_defaults(func=cmd_build)
 
     p_query = sub.add_parser("query", help="run the generated query file")
     p_query.add_argument("--data-dir", required=True)
     p_query.add_argument("--engine", choices=("peb", "bx", "oracle"), default="peb")
     p_query.add_argument("--limit", type=int, default=0, help="run only the first N queries")
-    p_query.set_defaults(func=cmd_query, flag_parser=p_query)
+    p_query.set_defaults(func=cmd_query)
 
     p_bench = sub.add_parser("bench", help="run benchmark sweeps, write CSV")
     _add_workload_flags(p_bench)
@@ -290,23 +255,23 @@ def main(argv: list[str] | None = None) -> int:
     p_bench.add_argument("--sweep", action="append", choices=SWEEP_NAMES, help="repeatable; default users")
     p_bench.add_argument("--out", default="bench.csv")
     p_bench.add_argument("--oracle-every", type=int, default=1, help="oracle-check every i'th query (0 disables)")
-    p_bench.set_defaults(func=cmd_bench, flag_parser=p_bench)
+    p_bench.set_defaults(func=cmd_bench)
 
     p_cost = sub.add_parser("cost", help="fit and validate the cost model")
     _add_workload_flags(p_cost)
-    p_cost.add_argument("--seed", type=int, default=0)
+    p_cost.add_argument("--seed", type=int)
     p_cost.add_argument("--out", default="cost.csv")
-    p_cost.set_defaults(func=cmd_cost, flag_parser=p_cost)
+    p_cost.set_defaults(func=cmd_cost)
 
     p_pre = sub.add_parser("preproc", help="time policy encoding across dataset sizes")
     _add_workload_flags(p_pre)
-    p_pre.add_argument("--seed", type=int, default=0)
+    p_pre.add_argument("--seed", type=int)
     p_pre.add_argument("--sizes", type=int, nargs="*", help="dataset sizes to time")
     p_pre.add_argument("--out", default="preproc.csv")
-    p_pre.set_defaults(func=cmd_preproc, flag_parser=p_pre)
+    p_pre.set_defaults(func=cmd_preproc)
 
     args = parser.parse_args(argv)
-    return args.func(args, args.flag_parser)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -141,9 +141,6 @@ class KeyLayout:
         tid = key >> (self.sv_bits + self.zv_bits)
         return tid, svq, zv
 
-    def zv_of(self, key: int) -> int:
-        return key & ((1 << self.zv_bits) - 1)
-
     def _check_tid(self, tid: int) -> None:
         if not 0 <= tid < (1 << self.tid_bits):
             raise ValueError(f"time partition {tid} overflows {self.tid_bits}-bit field")

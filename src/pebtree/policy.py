@@ -110,9 +110,6 @@ class RelationshipGraph:
     def members(self, owner: int, role: str) -> frozenset[int]:
         return frozenset(self._roles.get(owner, {}).get(role, ()))
 
-    def holds(self, owner: int, role: str, member: int) -> bool:
-        return member in self._roles.get(owner, {}).get(role, ())
-
     def records(self) -> Iterable[tuple[int, str, int]]:
         for owner, roles in sorted(self._roles.items()):
             for role, members in sorted(roles.items()):
@@ -136,13 +133,11 @@ class PolicyStore:
         day: float = DAY,
     ) -> None:
         self.users = frozenset(users)
-        self.graph = graph
         self.space_side = space_side
         self.day = day
-        self.policies = tuple(policies)
         self._directed: dict[int, dict[int, LocationPrivacyPolicy]] = {}
         self._owners_naming: dict[int, list[int]] = {}
-        for p in self.policies:
+        for p in policies:
             targets = graph.members(p.owner, p.role)
             if not targets:
                 raise ValueError(f"policy role {p.role!r} of user {p.owner} has no members")
@@ -281,10 +276,6 @@ class CompatibilityIndex:
     def related(self, u: int) -> list[int]:
         """Users with non-zero compatibility to ``u``, ascending."""
         return self._neighbors.get(u, [])
-
-
-def related_users(index: CompatibilityIndex, u: int) -> set[int]:
-    return set(index.related(u))
 
 
 # --- file formats -----------------------------------------------------------

@@ -87,9 +87,6 @@ class PknnResult:
     neighbors: tuple[tuple[int, float], ...]
     short: bool
 
-    def kth_distance(self) -> float | None:
-        return self.neighbors[-1][1] if self.neighbors else None
-
 
 def enlarge(rect: Rect, t_lab: float, t_q: float, speeds: DirectionalSpeeds, space_side: float) -> Rect:
     """Expand a query window so index-time positions of matches are covered.
@@ -186,19 +183,14 @@ def _owner_rows(rows: Sequence[tuple[int, tuple[int, ...]]]) -> tuple[dict[int, 
 
 
 class _EngineBase:
-    def __init__(self, index: MovingObjectIndex, store: PolicyStore, scan_block_shift: int = SCAN_BLOCK_SHIFT) -> None:
+    def __init__(self, index: MovingObjectIndex, store: PolicyStore) -> None:
         self.index = index
         self.store = store
         self.grid = index.grid
         self.layout = index.layout
-        self.block_shift = scan_block_shift
 
     def _zivs(self, rect: Rect) -> list[tuple[int, int]]:
-        return z_decompose(cells_covering(rect, self.grid), self.grid, self.block_shift)
-
-    def _full_space(self) -> Rect:
-        side = self.grid.L
-        return (0.0, 0.0, side, side)
+        return z_decompose(cells_covering(rect, self.grid), self.grid, SCAN_BLOCK_SHIFT)
 
 
 class PebQueryEngine(_EngineBase):
@@ -209,12 +201,11 @@ class PebQueryEngine(_EngineBase):
         index: MovingObjectIndex,
         store: PolicyStore,
         friends: FriendLists,
-        scan_block_shift: int = SCAN_BLOCK_SHIFT,
         traversal: TraversalOrder = antidiagonal_order,
     ) -> None:
         if index.kind != "peb":
             raise ValueError("engine requires a policy-embedded index")
-        super().__init__(index, store, scan_block_shift)
+        super().__init__(index, store)
         self.friends = friends
         self.traversal = traversal
 
@@ -283,9 +274,15 @@ class PebQueryEngine(_EngineBase):
 
         Partitions are searched one at a time.  Within a partition the
         (friend row x expansion round) matrix is walked in the traversal
-        order; each visited cell scans only the part of its round's curve
-        interval not already covered for that row (rounds nest, so earlier
-        work is never rescanned).  Once k verified candidates sit inside
+        order.  A row's first visit reads the row's whole key span,
+        ``partition | sequence value | [0, max_z]``, with one leaf-cursor
+        scan; each visited cell then verifies only the span's entries in
+        the part of its round's curve interval not yet covered for that row
+        (rounds nest, so no entry is verified twice).  So every row that
+        still has an unseen owner is read once per partition, however early
+        the walk stops (in row order, under the anti-diagonal traversal);
+        the walk only chooses which of the entries read get verified.
+        Once k verified candidates sit inside
         the current round's inscribed circle, the remaining rows of the
         column are vertically scanned with the interval shortened to the
         square of side twice the k'th candidate distance, which keeps the
@@ -311,12 +308,11 @@ class PebQueryEngine(_EngineBase):
         row's entries carry its own sequence value in the key, so only the
         row's own scans change its state.  An open row whose round interval
         does not yet reach the nearest entry outside its covered bounds has
-        nothing to scan, so its cell, too, only runs the termination test.
-        The walk over a partition ends once no row is open and either no
-        row is exhausted or there are fewer than k candidates, because no
-        later cell could then scan or stop.  None of this changes which row
-        spans are read, in which order, or the cell at which the walk
-        stops, so answers and I/O are those of the full walk.
+        nothing to verify, so its cell, too, only runs the termination test.
+        The walk over a partition ends once no row is open, because no later
+        cell could then read or verify an entry.  None of this changes which
+        row spans are read, in which order, or which entries are verified,
+        so answers and I/O are those of the full walk.
         """
         self.store.check_user(req.qid)
         rows = self.friends.rows(req.qid)
@@ -343,15 +339,15 @@ class PebQueryEngine(_EngineBase):
         nearest: list[float] = []  # max-heap (negated) of the k smallest distances
         seen: set[int] = set()
         row_of, unseen = _owner_rows(rows)
-        state = [_OPEN] * m  # per-partition row states and their counts
-        n_open = n_exhausted = 0
+        state = [_OPEN] * m  # per-partition row states, and the open rows' count
+        n_open = 0
 
         def interval_for(square: Rect, tid: int, label: float) -> tuple[int, int]:
             cells = cells_covering(enlarge(square, label, t_q, self.index.max_speeds, side), self.grid)
             return z_corner_interval(cells, self.grid)
 
         def process(entry: LeafEntry) -> None:
-            nonlocal n_open, n_exhausted
+            nonlocal n_open
             uid = entry.uid
             if uid in seen:
                 return
@@ -362,8 +358,6 @@ class PebQueryEngine(_EngineBase):
                 if not unseen[owner_row]:
                     if state[owner_row] == _OPEN:
                         n_open -= 1
-                    elif state[owner_row] == _EXHAUSTED:
-                        n_exhausted -= 1
                     state[owner_row] = _RETIRED
             px = entry.x + entry.vx * (t_q - entry.t)
             py = entry.y + entry.vy * (t_q - entry.t)
@@ -376,11 +370,10 @@ class PebQueryEngine(_EngineBase):
                     heapreplace(nearest, -d)
 
         def search_partition(tid: int, label: float) -> None:
-            nonlocal n_open, n_exhausted
+            nonlocal n_open
             for row_i in range(m):
                 state[row_i] = _OPEN if unseen[row_i] else _RETIRED
             n_open = m - state.count(_RETIRED)
-            n_exhausted = 0
             if not n_open:
                 return
             spans: list[tuple[list[int], list[LeafEntry]] | None] = [None] * m
@@ -407,9 +400,9 @@ class PebQueryEngine(_EngineBase):
                 return iv
 
             def scan_row(row_i: int, zs: int, ze: int) -> None:
-                # scan only the uncovered remainder; the retained row span
-                # (read once) proves emptiness without extra page fetches
-                nonlocal n_open, n_exhausted
+                # the first visit reads the whole span; each visit verifies
+                # the entries between the old and the new z bounds
+                nonlocal n_open
                 span = spans[row_i]
                 if span is None:
                     span = spans[row_i] = self._row_span(tid, rows[row_i][0])
@@ -432,7 +425,6 @@ class PebQueryEngine(_EngineBase):
                 if state[row_i] == _OPEN and not lo and hi == len(z_list):
                     state[row_i] = _EXHAUSTED
                     n_open -= 1
-                    n_exhausted += 1
 
             for row_i, col in self.traversal(m, n_cols):
                 row_state = state[row_i]
@@ -457,7 +449,7 @@ class PebQueryEngine(_EngineBase):
                         if state[other] == _OPEN and visited_cols[other] != col:
                             scan_row(other, v_lo, v_hi)
                     return
-                if not n_open and (not n_exhausted or len(nearest) < k):
+                if not n_open:
                     return
 
         for tid, label in live:
@@ -469,17 +461,19 @@ class PebQueryEngine(_EngineBase):
 class BaselineQueryEngine(_EngineBase):
     """Spatial-index-then-filter query processor for the baseline index."""
 
-    def __init__(self, index: MovingObjectIndex, store: PolicyStore, scan_block_shift: int = SCAN_BLOCK_SHIFT) -> None:
+    def __init__(self, index: MovingObjectIndex, store: PolicyStore) -> None:
         if index.kind != "bx":
             raise ValueError("engine requires a baseline index")
-        super().__init__(index, store, scan_block_shift)
+        super().__init__(index, store)
 
     def _spatial_candidates(self, rect: Rect, t_q: float, scanned: dict[int, list[tuple[int, int]]] | None = None) -> list[LeafEntry]:
         """Entries whose window scan retrieves them for this rectangle.
 
         ``scanned`` carries per-partition curve intervals already covered
-        by earlier rounds of an incremental search; newly covered parts are
-        merged back in.
+        by earlier rounds of an incremental search, and only the rest is
+        scanned.  Rounds nest, and a window's intervals cover exactly the
+        scan blocks it meets, so each round's intervals contain the
+        previous round's and replace them.
         """
         out: list[LeafEntry] = []
         layout = self.layout
@@ -488,9 +482,9 @@ class BaselineQueryEngine(_EngineBase):
             enlarged = enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L)
             zivs = self._zivs(enlarged)
             if scanned is not None:
-                done = scanned.setdefault(tid, [])
+                done = scanned.get(tid, [])
+                scanned[tid] = zivs
                 zivs = subtract_intervals(zivs, done)
-                scanned[tid] = merge_intervals(done, zivs)
             if zivs:
                 tree.scan_intervals(zivs, out.append, layout.bx_key(tid, 0))
         return out
@@ -569,17 +563,6 @@ def subtract_intervals(new: list[tuple[int, int]], covered: list[tuple[int, int]
         if start <= hi:
             out.append((start, hi))
     return out
-
-
-def merge_intervals(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Union of two interval lists as sorted disjoint non-adjacent intervals."""
-    merged: list[list[int]] = []
-    for lo, hi in sorted(a + b):
-        if merged and lo <= merged[-1][1] + 1:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged]
 
 
 # -- brute-force oracles --------------------------------------------------------

@@ -25,7 +25,7 @@ from collections import OrderedDict
 from dataclasses import replace
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .keys import KeyLayout, SequenceValueMap
 from .motion import MovingObject, TimePartitionConfig, index_partition, label_timestamp, position_at
@@ -61,7 +61,6 @@ class IoCounters(NamedTuple):
     misses: int
     leaf_reads: int
     leaf_misses: int
-    writes: int
 
 
 class DirectionalSpeeds(NamedTuple):
@@ -98,35 +97,30 @@ class PageBuffer:
         self.misses = 0
         self.leaf_reads = 0
         self.leaf_misses = 0
-        self.writes = 0
 
-    def touch(self, page_id: int, leaf: bool) -> bool:
-        """Access a page; returns True when the access missed the buffer."""
+    def touch(self, page_id: int, leaf: bool) -> None:
+        """Access a page, counting a miss when it is not resident."""
         self.reads += 1
         if leaf:
             self.leaf_reads += 1
         if page_id in self._lru:
             self._lru.move_to_end(page_id)
-            return False
+            return
         self.misses += 1
         if leaf:
             self.leaf_misses += 1
         self._lru[page_id] = None
         while len(self._lru) > self.capacity:
             self._lru.popitem(last=False)
-        return True
-
-    def note_write(self, page_id: int) -> None:
-        self.writes += 1
 
     def drop(self, page_id: int) -> None:
         self._lru.pop(page_id, None)
 
     def counters(self) -> IoCounters:
-        return IoCounters(self.reads, self.misses, self.leaf_reads, self.leaf_misses, self.writes)
+        return IoCounters(self.reads, self.misses, self.leaf_reads, self.leaf_misses)
 
     def reset_counters(self) -> None:
-        self.reads = self.misses = self.leaf_reads = self.leaf_misses = self.writes = 0
+        self.reads = self.misses = self.leaf_reads = self.leaf_misses = 0
 
     def clear(self) -> None:
         """Empty the buffer (cold cache) and zero the counters."""
@@ -161,16 +155,10 @@ class BPlusTree:
     between 50% and 100% everywhere but the root.
     """
 
-    def __init__(
-        self,
-        page_size: int = PAGE_SIZE,
-        buffer_pages: int = BUFFER_PAGES,
-        leaf_record: int = LEAF_RECORD_BYTES,
-        internal_record: int = INTERNAL_RECORD_BYTES,
-    ) -> None:
+    def __init__(self, page_size: int = PAGE_SIZE, buffer_pages: int = BUFFER_PAGES) -> None:
         self.page_size = page_size
-        self.leaf_cap = page_size // leaf_record
-        self.internal_cap = page_size // internal_record
+        self.leaf_cap = page_size // LEAF_RECORD_BYTES
+        self.internal_cap = page_size // INTERNAL_RECORD_BYTES
         if self.leaf_cap < 4 or self.internal_cap < 4:
             raise ValueError("page size too small for the record formats")
         self.buffer = PageBuffer(buffer_pages)
@@ -189,7 +177,6 @@ class BPlusTree:
         self._next_page += 1
         self.pages[node.page_id] = node
         self.buffer.touch(node.page_id, leaf)
-        self.buffer.note_write(node.page_id)
         return node
 
     def _free(self, node: Node) -> None:
@@ -229,7 +216,6 @@ class BPlusTree:
             raise ValueError(f"duplicate entry {composite}")
         leaf.keys.insert(i, composite)
         leaf.entries.insert(i, entry)
-        self.buffer.note_write(leaf.page_id)
         self.entry_count += 1
         if len(leaf.keys) > self.leaf_cap:
             self._split_leaf(leaf, path)
@@ -243,7 +229,6 @@ class BPlusTree:
         del leaf.entries[mid:]
         right.next_leaf = leaf.next_leaf
         leaf.next_leaf = right.page_id
-        self.buffer.note_write(leaf.page_id)
         self.leaf_count += 1
         self._insert_in_parent(path, right.keys[0], right.page_id)
 
@@ -259,7 +244,6 @@ class BPlusTree:
         parent, idx = path.pop()
         parent.keys.insert(idx, sep)
         parent.children.insert(idx + 1, right_pid)
-        self.buffer.note_write(parent.page_id)
         if len(parent.children) > self.internal_cap:
             mid = len(parent.keys) // 2
             up_sep = parent.keys[mid]
@@ -279,7 +263,6 @@ class BPlusTree:
             raise KeyError(f"no entry {composite}")
         del leaf.keys[i]
         del leaf.entries[i]
-        self.buffer.note_write(leaf.page_id)
         self.entry_count -= 1
         self._rebalance(leaf, path)
 
@@ -303,13 +286,11 @@ class BPlusTree:
                     node.keys.insert(0, left.keys.pop())
                     node.entries.insert(0, left.entries.pop())
                     parent.keys[idx - 1] = node.keys[0]
-                    self._note_writes(left, node, parent)
                     return
                 if right is not None and len(right.keys) > self.leaf_cap // 2:
                     node.keys.append(right.keys.pop(0))
                     node.entries.append(right.entries.pop(0))
                     parent.keys[idx] = right.keys[0]
-                    self._note_writes(node, right, parent)
                     return
                 if left is not None:
                     left.keys.extend(node.keys)
@@ -318,7 +299,6 @@ class BPlusTree:
                     del parent.keys[idx - 1]
                     del parent.children[idx]
                     self._free(node)
-                    self._note_writes(left, parent)
                 else:
                     assert right is not None
                     node.keys.extend(right.keys)
@@ -327,20 +307,17 @@ class BPlusTree:
                     del parent.keys[idx]
                     del parent.children[idx + 1]
                     self._free(right)
-                    self._note_writes(node, parent)
                 self.leaf_count -= 1
             else:
                 if left is not None and len(left.children) > self.internal_cap // 2:
                     node.keys.insert(0, parent.keys[idx - 1])
                     parent.keys[idx - 1] = left.keys.pop()
                     node.children.insert(0, left.children.pop())
-                    self._note_writes(left, node, parent)
                     return
                 if right is not None and len(right.children) > self.internal_cap // 2:
                     node.keys.append(parent.keys[idx])
                     parent.keys[idx] = right.keys.pop(0)
                     node.children.append(right.children.pop(0))
-                    self._note_writes(node, right, parent)
                     return
                 if left is not None:
                     left.keys.append(parent.keys[idx - 1])
@@ -349,7 +326,6 @@ class BPlusTree:
                     del parent.keys[idx - 1]
                     del parent.children[idx]
                     self._free(node)
-                    self._note_writes(left, parent)
                 else:
                     assert right is not None
                     node.keys.append(parent.keys[idx])
@@ -358,13 +334,8 @@ class BPlusTree:
                     del parent.keys[idx]
                     del parent.children[idx + 1]
                     self._free(right)
-                    self._note_writes(node, parent)
             path.pop()
             node = parent
-
-    def _note_writes(self, *nodes: Node) -> None:
-        for n in nodes:
-            self.buffer.note_write(n.page_id)
 
     # -- scans ---------------------------------------------------------------
 
@@ -407,19 +378,6 @@ class BPlusTree:
                 k += 1
             else:  # jump over the intervals that end before the leaf's next entry
                 k = bisect_left(intervals, keys[j][0] - base, k + 1, n, key=itemgetter(1))
-
-    def iter_entries(self) -> Iterator[LeafEntry]:
-        """In-order traversal over the leaf chain (charged like any scan)."""
-        leaf = self._leftmost_leaf()
-        while leaf is not None:
-            yield from leaf.entries
-            leaf = self.touch_page(leaf.next_leaf) if leaf.next_leaf is not None else None
-
-    def _leftmost_leaf(self) -> Node:
-        node = self.touch_page(self.root_id)
-        while not node.leaf:
-            node = self.touch_page(node.children[0])
-        return node
 
     def stats(self) -> TreeStats:
         return TreeStats(self.height, self.leaf_count, self.entry_count, len(self.pages))
@@ -663,38 +621,47 @@ class MovingObjectIndex:
         snap = json.loads(Path(path).read_text())
         if snap.get("format") != SNAPSHOT_FORMAT:
             raise ValueError(f"snapshot {path}: format version {snap.get('format')!r}, expected {SNAPSHOT_FORMAT}")
-        if snap["kind"] == "peb" and sv_map is None:
-            raise ValueError("loading a policy-embedded index requires its sequence value map")
-        if snap["kind"] == "bx" and sv_map is not None:
-            raise ValueError("baseline snapshot does not take a sequence value map")
-        index = cls(
-            TimePartitionConfig(**snap["time_cfg"]),
-            GridConfig(**snap["grid"]),
-            KeyLayout(**snap["layout"]),
-            sv_map=sv_map,
-            buffer_pages=snap["tree"]["buffer_pages"],
-            page_size=snap["tree"]["page_size"],
-        )
-        index.tree = BPlusTree.from_snapshot(snap["tree"])
         try:
-            index.tree.audit()
+            kind = snap["kind"]
+            time_cfg = TimePartitionConfig(**snap["time_cfg"])
+            grid = GridConfig(**snap["grid"])
+            layout = KeyLayout(**snap["layout"])
+            tree = BPlusTree.from_snapshot(snap["tree"])
+            max_speeds = DirectionalSpeeds(*snap["max_speeds"])
+            labels = {int(t): lab for t, lab in snap["partition_labels"].items()}
+        except KeyError as exc:
+            raise ValueError(f"snapshot {path}: missing field {exc}") from None
+        if kind == "peb" and sv_map is None:
+            raise ValueError("loading a policy-embedded index requires its sequence value map")
+        if kind == "bx" and sv_map is not None:
+            raise ValueError("baseline snapshot does not take a sequence value map")
+        if layout.zv_bits != grid.zv_bits:
+            raise ValueError(f"snapshot {path}: key layout has {layout.zv_bits} z-value bits, grid {grid.zv_bits}")
+        if time_cfg.num_partitions > 1 << layout.tid_bits:
+            raise ValueError(
+                f"snapshot {path}: {layout.tid_bits}-bit partition field"
+                f" cannot hold {time_cfg.num_partitions} partitions"
+            )
+        index = cls(time_cfg, grid, layout, sv_map=sv_map)
+        index.tree = tree
+        try:
+            tree.audit()
         except (AssertionError, KeyError) as exc:
             raise ValueError(f"snapshot {path}: corrupt tree: {exc!r}") from exc
-        index.max_speeds = DirectionalSpeeds(*snap["max_speeds"])
-        index._partition_label = {int(t): lab for t, lab in snap["partition_labels"].items()}
-        tid_shift = index.layout.zv_bits
-        if snap["kind"] == "peb":
-            tid_shift += index.layout.sv_bits
+        index.max_speeds = max_speeds
+        index._partition_label = labels
+        tid_shift = layout.zv_bits + (layout.sv_bits if kind == "peb" else 0)
         counts: dict[int, int] = {}
-        for entry in index.tree.iter_entries():
-            tid = entry.key >> tid_shift
-            index._current[entry.uid] = (entry.key, tid)
-            counts[tid] = counts.get(tid, 0) + 1
+        for node in tree.pages.values():  # the maps need no key order: read pages, not the leaf chain
+            if node.leaf:
+                for entry in node.entries:
+                    tid = entry.key >> tid_shift
+                    index._current[entry.uid] = (entry.key, tid)
+                    counts[tid] = counts.get(tid, 0) + 1
         index._partition_count = counts
-        if set(counts) != set(index._partition_label):
+        if set(counts) != set(labels):
             raise ValueError(
-                f"snapshot {path}: partition labels cover {sorted(index._partition_label)}"
+                f"snapshot {path}: partition labels cover {sorted(labels)}"
                 f" but entries sit in partitions {sorted(counts)}"
             )
-        index.buffer.clear()
         return index

@@ -2,7 +2,8 @@ import csv
 import subprocess
 import sys
 import time
-from dataclasses import replace
+import argparse
+from dataclasses import fields, replace
 
 import pytest
 
@@ -19,11 +20,12 @@ from pebtree.bench import (
     run_experiment,
     run_query_batch,
     run_update_round,
+    save_config,
     sweep_configs,
     validate_cost,
     write_csv,
 )
-from pebtree.cli import _build_indexes, _load_data_dir
+from pebtree.cli import _add_workload_flags, _build_indexes, _load_data_dir
 from pebtree.cli import main as cli_main
 from pebtree.query import PknnResult, PrqRequest, oracle_knn, oracle_range
 from pebtree.workload import WorkloadConfig, gen_queries, load_queries
@@ -196,7 +198,45 @@ def test_load_config_key_value(tmp_path):
         load_config(bad)
 
 
+def test_save_config_round_trips_every_field(tmp_path):
+    changed = {}
+    for f in fields(WorkloadConfig):
+        value = f.default
+        if not isinstance(value, (int, float, str)):  # the tuple fields stay out of config files
+            continue
+        changed[f.name] = "network" if f.name == "distribution" else value + (3 if isinstance(value, int) else 0.375)
+    cfg = replace(WorkloadConfig(), **changed)
+    assert all(getattr(cfg, name) != getattr(WorkloadConfig(), name) for name in changed)
+    path = tmp_path / "config.txt"
+    save_config(cfg, path)
+    assert load_config(path) == cfg
+    assert len(path.read_text().splitlines()) == len(changed) == 13
+
+
 # -- CLI ------------------------------------------------------------------------
+
+
+def test_every_workload_flag_sets_a_config_field():
+    parser = argparse.ArgumentParser()
+    _add_workload_flags(parser)
+    names = {f.name for f in fields(WorkloadConfig)}
+    dests = [a.dest for a in parser._actions if a.dest not in ("help", "config")]
+    assert len(dests) == 10
+    assert set(dests) <= names
+    # an unset flag leaves the field to the config file or the default
+    assert all(parser.get_default(dest) is None for dest in dests)
+
+
+def test_cli_flag_set_to_its_default_overrides_the_config(tmp_path):
+    config = tmp_path / "c.txt"
+    config.write_text("n_users=120\npolicies_per_user=10\ngroup_size=60\nqueries_per_point=3\nseed=9\n")
+    data = tmp_path / "data"
+    assert cli_main(["gen", "--out-dir", str(data), "--config", str(config), "--policies", "50"]) == 0
+    written = load_config(data / "config.txt")
+    assert (written.n_users, written.policies_per_user, written.seed) == (120, 50, 9)
+    owners = [line.split(",")[0] for line in (data / "policies.csv").read_text().splitlines()]
+    assert len(owners) == 120 * 50
+    assert all(owners.count(owner) == 50 for owner in set(owners))
 
 
 def test_cli_gen_build_query_round_trip(tmp_path):
@@ -284,6 +324,15 @@ def test_cli_bench_writes_csv_and_exits_zero(tmp_path):
 def test_cli_bench_requires_seed():
     with pytest.raises(SystemExit):
         cli_main(["bench", "--out", "x.csv"])
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from pebtree import *", namespace)
+    import pebtree
+
+    assert pebtree.__all__
+    assert all(name in namespace for name in pebtree.__all__)
 
 
 def test_cli_entry_point_installed():

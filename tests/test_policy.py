@@ -17,7 +17,6 @@ from pebtree.policy import (
     load_policies,
     load_relationships,
     make_time_set,
-    related_users,
     save_policies,
     save_relationships,
     time_set_duration,
@@ -112,9 +111,9 @@ def test_worked_example_values_echoed():
     for (u, v), c in values.items():
         assert index.c(u, v) == pytest.approx(c)
         assert index.c(v, u) == pytest.approx(c)
-    assert related_users(index, 3) == {4, 5, 6}
-    assert related_users(index, 1) == {2, 4}
-    assert related_users(index, 7) == set()
+    assert set(index.related(3)) == {4, 5, 6}
+    assert set(index.related(1)) == {2, 4}
+    assert set(index.related(7)) == set()
 
 
 def test_related_users_symmetry_random():
@@ -133,8 +132,8 @@ def test_related_users_symmetry_random():
     store = make_store(specs, users)
     index = CompatibilityIndex.from_store(store)
     for u in users:
-        for v in related_users(index, u):
-            assert u in related_users(index, v)
+        for v in index.related(u):
+            assert u in index.related(v)
 
 
 def test_from_store_equals_pairwise_compatibility():

@@ -27,7 +27,6 @@ from pebtree.query import (
     antidiagonal_order,
     enlarge,
     estimate_dk,
-    merge_intervals,
     oracle_knn,
     oracle_range,
     subtract_intervals,
@@ -192,11 +191,10 @@ def test_interval_refinement_preserves_key_set():
         assert _row_scan_keys(tree, layout, 1, rows, zivs) == expected
 
 
-def test_interval_subtract_and_merge():
+def test_interval_subtract():
     covered = [(10, 20), (40, 50)]
     new = [(5, 12), (15, 45), (60, 70)]
     assert subtract_intervals(new, covered) == [(5, 9), (21, 39), (60, 70)]
-    assert merge_intervals(covered, [(21, 39)]) == [(10, 50)]
     assert subtract_intervals([(10, 20)], [(0, 100)]) == []
 
 
@@ -577,7 +575,7 @@ def _churned(n_users):
     policies, graph = gen_policies([o.uid for o in objects], cfg)
     store = PolicyStore(policies, graph, [o.uid for o in objects], space_side=cfg.space_side)
     current = {o.uid: o for o in objects}
-    peb, _ = build_engines(current, store)
+    peb, bx = build_engines(current, store)
     rng = random.Random(3)
     uids = sorted(current)
     for t_u, part in ((30.0, uids[::3]), (70.0, uids[1::3])):
@@ -585,12 +583,13 @@ def _churned(n_users):
             obj = current[uid]
             current[uid] = MovingObject(uid, rng.uniform(0, 1000), rng.uniform(0, 1000), obj.vx, obj.vy, t_u)
             peb.index.update(current[uid])
+            bx.index.update(current[uid])
     queries = [
         PknnRequest(q.qid, q.qloc, k, q.t_q)
         for k in (1, 3, 8)
         for q in gen_queries(cfg, "knn", list(current.values()), now=70.0, count=20)
     ]
-    return cfg, current, store, peb, queries
+    return cfg, current, store, peb, bx, queries
 
 
 @pytest.fixture(scope="module")
@@ -611,7 +610,7 @@ def _run_batch(peb, call, queries):
 
 
 def test_pknn_matches_full_walk_reference(churned_instance):
-    _, current, store, peb, queries = churned_instance
+    _, current, store, peb, _, queries = churned_instance
     assert len(peb.index.live_partitions()) == 3
     stopped = []  # one flag per partition walk: True while it has not run out
 
@@ -632,6 +631,47 @@ def test_pknn_matches_full_walk_reference(churned_instance):
         assert g == w, req
     for req, (neighbors, short, _, _) in zip(queries, got):
         assert PknnResult(neighbors, short) == oracle_knn(current.values(), store, req)
+
+
+def _row_reads_trace(peb, queries, cold_each):
+    """Per-query buffer counters and LRU order of ``pknn``, and of reading each friend row's whole span."""
+    index = peb.index
+    (tid, _), = index.live_partitions()
+    full = ((0, index.grid.max_z),)
+
+    def read_rows(req):
+        for svq, _ in peb.friends.rows(req.qid):
+            index.tree.scan_intervals(full, lambda entry: None, peb.layout.peb_key_q(tid, svq, 0))
+
+    traces = []
+    for call in (peb.pknn, read_rows):
+        index.reset_io(cold=True)
+        trace = []
+        for req in queries:
+            if cold_each:
+                index.reset_io(cold=True)
+            call(req)
+            trace.append((index.buffer.counters(), list(index.buffer._lru)))
+        traces.append(trace)
+    return traces
+
+
+@pytest.mark.parametrize("cold_each", [True, False])
+def test_pknn_reads_every_friend_row_once_however_early_it_stops(random_instance, cold_each):
+    # in one partition every friend row has an unseen owner, so the walk
+    # reads each row's whole key span once, in row order, whether it ends
+    # on the termination test or runs out of rows
+    cfg, objects, store, peb, _ = random_instance
+    assert len(peb.index.live_partitions()) == 1
+    queries = [
+        PknnRequest(q.qid, q.qloc, k, q.t_q)
+        for k in (1, 5, 10)
+        for q in gen_queries(cfg, "knn", list(objects.values()), count=20)
+    ]
+    results = [peb.pknn(req) for req in queries]
+    assert any(r.short for r in results) and not all(r.short for r in results)
+    got, want = _row_reads_trace(peb, queries, cold_each)
+    assert got == want
 
 
 def test_pknn_short_walk_skips_cells(random_instance):
@@ -800,7 +840,7 @@ def _assert_prq_matches_reference(engine, queries, answers):
 
 
 def test_prq_matches_per_interval_reference(churned_instance):
-    cfg, current, store, peb, _ = churned_instance
+    cfg, current, store, peb, _, _ = churned_instance
     assert len(peb.index.live_partitions()) == 3
     queries = gen_queries(cfg, "range", list(current.values()), now=70.0, count=40)
     answers = [oracle_range(current.values(), store, req) for req in queries]
@@ -817,7 +857,7 @@ def churned_large_instance():
 def test_prq_matches_reference_on_small_pages_and_buffers(churned_large_instance, buffer_pages):
     # 4 entries per leaf make a tree of height 4, so row scans cross leaves
     # and a 3-page buffer cannot hold one seek path and its leaf
-    cfg, current, store, peb, _ = churned_large_instance
+    cfg, current, store, peb, _, _ = churned_large_instance
     index = MovingObjectIndex(
         TIME_CFG, GRID, peb.layout, sv_map=peb.index.sv_map, buffer_pages=buffer_pages, page_size=256
     )
@@ -830,3 +870,54 @@ def test_prq_matches_reference_on_small_pages_and_buffers(churned_large_instance
     answers = [oracle_range(current.values(), store, req) for req in queries]
     assert any(answers)
     _assert_prq_matches_reference(engine, queries, answers)
+
+
+# -- baseline kNN against the interval-merging reference ------------------------------------
+
+
+def _merge_intervals(a, b):
+    """Union of two interval lists as sorted disjoint non-adjacent intervals."""
+    merged = []
+    for lo, hi in sorted(a + b):
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return [(lo, hi) for lo, hi in merged]
+
+
+class _MergingBaseline(BaselineQueryEngine):
+    """The baseline engine as it stood when each round merged its new intervals into the covered ones."""
+
+    def _spatial_candidates(self, rect, t_q, scanned=None):
+        out = []
+        for tid, label in self.index.live_partitions():
+            zivs = self._zivs(enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L))
+            if scanned is not None:
+                done = scanned.setdefault(tid, [])
+                zivs = subtract_intervals(zivs, done)
+                scanned[tid] = _merge_intervals(done, zivs)
+            if zivs:
+                self.index.tree.scan_intervals(zivs, out.append, self.layout.bx_key(tid, 0))
+        return out
+
+
+@pytest.mark.parametrize("instance", ["churned_instance", "churned_large_instance"])
+def test_bx_knn_matches_the_merging_reference(instance, request):
+    _, current, store, _, bx, queries = request.getfixturevalue(instance)
+    assert len(bx.index.live_partitions()) == 3
+    reference = _MergingBaseline(bx.index, store)
+    buf = bx.index.buffer
+    for cold_each in (True, False):
+        traces = []
+        for call in (reference.knn_query, bx.knn_query):
+            bx.index.reset_io(cold=True)
+            trace = []
+            for req in queries:
+                if cold_each:
+                    bx.index.reset_io(cold=True)
+                trace.append((call(req), buf.counters(), list(buf._lru)))
+            traces.append(trace)
+        want, got = traces
+        for req, g, w in zip(queries, got, want):
+            assert g == w, (req, cold_each)

@@ -184,6 +184,26 @@ def test_coarse_decompose_is_superset(data):
     assert len(coarse) <= len(z_decompose(rect, cfg))
 
 
+@settings(max_examples=200, deadline=None)
+@given(levels=st.integers(min_value=4, max_value=7), data=st.data())
+def test_scan_block_decompose_of_a_nested_rectangle_is_covered(levels, data):
+    # the baseline kNN search relies on this: its rounds nest, so each
+    # round's intervals contain every earlier round's
+    cfg = GridConfig(L=float(1 << levels), levels=levels)
+    n = cfg.cells_per_axis
+    bx_lo = data.draw(st.integers(0, n - 1))
+    bx_hi = data.draw(st.integers(bx_lo, n - 1))
+    by_lo = data.draw(st.integers(0, n - 1))
+    by_hi = data.draw(st.integers(by_lo, n - 1))
+    ax_lo = data.draw(st.integers(bx_lo, bx_hi))
+    ax_hi = data.draw(st.integers(ax_lo, bx_hi))
+    ay_lo = data.draw(st.integers(by_lo, by_hi))
+    ay_hi = data.draw(st.integers(ay_lo, by_hi))
+    inner = z_decompose((ax_lo, ay_lo, ax_hi, ay_hi), cfg, SCAN_BLOCK_SHIFT)
+    outer = z_decompose((bx_lo, by_lo, bx_hi, by_hi), cfg, SCAN_BLOCK_SHIFT)
+    assert intervals_to_set(inner) <= intervals_to_set(outer)
+
+
 def recursive_decompose(rect, cfg, min_block_shift=0):
     """The recursive quadtree walk that ``z_decompose`` replaced."""
     cx_lo, cy_lo, cx_hi, cy_hi = rect
