@@ -282,12 +282,12 @@ class PebQueryEngine(_EngineBase):
         still has an unseen owner is read once per partition, however early
         the walk stops (in row order, under the anti-diagonal traversal);
         the walk only chooses which of the entries read get verified.
-        Once k verified candidates sit inside
-        the current round's inscribed circle, the remaining rows of the
-        column are vertically scanned with the interval shortened to the
-        square of side twice the k'th candidate distance, which keeps the
-        result exact no matter where the walk stopped.  Fewer than k
-        visible users yields all of them with the result flagged short.
+        Once k verified candidates sit inside the current round's
+        inscribed circle, the remaining rows of the column are vertically
+        scanned with the interval shortened to the square of side twice
+        the k'th candidate distance, which keeps the result exact no
+        matter where the walk stopped.  Fewer than k visible users yields
+        all of them with the result flagged short.
 
         Round ``c`` (0-based) covers the square of half-side
         ``(c + 1) * r_q``.  The step is ``r_q = estimate_dk(min(k, n_f),

@@ -623,9 +623,11 @@ class MovingObjectIndex:
             raise ValueError(f"snapshot {path}: format version {snap.get('format')!r}, expected {SNAPSHOT_FORMAT}")
         try:
             kind = snap["kind"]
-            time_cfg = TimePartitionConfig(**snap["time_cfg"])
-            grid = GridConfig(**snap["grid"])
-            layout = KeyLayout(**snap["layout"])
+            tc, g, lay = snap["time_cfg"], snap["grid"], snap["layout"]
+            # every field save() writes is required: a dataclass default would hide a missing one
+            time_cfg = TimePartitionConfig(tc["delta_t_mu"], tc["n"])
+            grid = GridConfig(g["L"], g["levels"], g["y_low"])
+            layout = KeyLayout(lay["tid_bits"], lay["sv_bits"], lay["zv_bits"], lay["frac_bits"])
             tree = BPlusTree.from_snapshot(snap["tree"])
             max_speeds = DirectionalSpeeds(*snap["max_speeds"])
             labels = {int(t): lab for t, lab in snap["partition_labels"].items()}

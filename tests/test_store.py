@@ -485,6 +485,7 @@ def test_snapshot_load_checks_the_format_version(tmp_path, edit, fault):
         (lambda snap: snap["layout"].update(tid_bits=1), "1-bit partition field cannot hold 3 partitions"),
         (lambda snap: snap.pop("tree"), "missing field 'tree'"),
         (lambda snap: snap.pop("max_speeds"), "missing field 'max_speeds'"),
+        (lambda snap: snap["grid"].pop("L"), "missing field 'L'"),
     ],
 )
 def test_snapshot_load_checks_the_key_layout_and_the_fields(tmp_path, edit, fault):
