@@ -13,12 +13,18 @@ in their own region), yet a pair counts as mutual only when the regions
 overlap as well.  Pairs with region-disjoint policies and overlapping
 times therefore score by the one-sided fallback formula.
 
+Sequence value assignment reads every user's related users but the
+degrees of few pairs, so :class:`CompatibilityIndex` stores the neighbour
+lists plus the degrees of two-way pairs only, and scores any other pair
+when asked.
+
 The store is read-only after loading; concurrent readers are fine.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
@@ -57,15 +63,21 @@ def time_set_span(t_int: TimeSet, day: float = DAY) -> tuple[float, float]:
     raise ValueError(f"time set {t_int} is not a single daily interval")
 
 
+# conditional expressions pick what min() and max() of two would, without the calls
+
+
 def rect_area(rect: Rect) -> float:
     x_lo, y_lo, x_hi, y_hi = rect
-    return max(0.0, x_hi - x_lo) * max(0.0, y_hi - y_lo)
+    w, h = x_hi - x_lo, y_hi - y_lo
+    return (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
 
 
 def rect_overlap_area(a: Rect, b: Rect) -> float:
-    w = min(a[2], b[2]) - max(a[0], b[0])
-    h = min(a[3], b[3]) - max(a[1], b[1])
-    return max(0.0, w) * max(0.0, h)
+    ax_lo, ay_lo, ax_hi, ay_hi = a
+    bx_lo, by_lo, bx_hi, by_hi = b
+    w = (bx_hi if bx_hi < ax_hi else ax_hi) - (bx_lo if bx_lo > ax_lo else ax_lo)
+    h = (by_hi if by_hi < ay_hi else ay_hi) - (by_lo if by_lo > ay_lo else ay_lo)
+    return (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
 
 
 def point_in_rect(x: float, y: float, rect: Rect) -> bool:
@@ -135,20 +147,29 @@ class PolicyStore:
         self.users = frozenset(users)
         self.space_side = space_side
         self.day = day
-        self._directed: dict[int, dict[int, LocationPrivacyPolicy]] = {}
-        self._owners_naming: dict[int, list[int]] = {}
+        # role member lists are read as they are: no set per policy
+        roles, no_roles = graph._roles, {}
+        directed: defaultdict[int, dict[int, LocationPrivacyPolicy]] = defaultdict(dict)
+        naming: defaultdict[int, list[int]] = defaultdict(list)
         for p in policies:
-            targets = graph.members(p.owner, p.role)
+            owner = p.owner
+            targets = roles.get(owner, no_roles).get(p.role)
             if not targets:
-                raise ValueError(f"policy role {p.role!r} of user {p.owner} has no members")
-            per_owner = self._directed.setdefault(p.owner, {})
+                raise ValueError(f"policy role {p.role!r} of user {owner} has no members")
+            per_owner = directed[owner]
             for v in targets:
                 if v in per_owner:
-                    raise ValueError(f"two policies for ordered pair ({p.owner}, {v})")
+                    raise ValueError(f"two policies for ordered pair ({owner}, {v})")
                 per_owner[v] = p
-                self._owners_naming.setdefault(v, []).append(p.owner)
-        for lst in self._owners_naming.values():
+                naming[v].append(owner)
+        for lst in naming.values():
             lst.sort()
+        self._directed = dict(directed)
+        self._owners_naming = dict(naming)
+        for who, uids in (("owner", self._directed.keys()), ("member", self._owners_naming.keys())):
+            unknown = uids - self.users
+            if unknown:
+                raise ValueError(f"policy {who} {min(unknown)} is not a known user")
 
     def directed(self, owner: int, viewer: int) -> LocationPrivacyPolicy | None:
         """The owner's policy applicable to ``viewer``, if any."""
@@ -194,9 +215,10 @@ def _alpha_mutual(
     s = space_side * space_side
     if p12 is not None and p21 is not None:
         overlap = rect_overlap_area(p12.rect, p21.rect)
-        shared = time_set_overlap(p12.t_int, p21.t_int)
-        if overlap > 0 and shared > 0:
-            return (overlap / s) * (shared / day), True
+        if overlap > 0:
+            shared = time_set_overlap(p12.t_int, p21.t_int)
+            if shared > 0:
+                return (overlap / s) * (shared / day), True
     total = 0.0
     for p in (p12, p21):
         if p is not None:
@@ -224,54 +246,95 @@ def compatibility(store: PolicyStore, u1: int, u2: int) -> CompatibilityScore:
 
 
 class CompatibilityIndex:
-    """Compatibility degrees of every pair that shares at least one policy.
+    """Users related by compatibility, and the degree of any pair.
 
-    Only such pairs can score above zero, so the index stays linear in the
-    number of policies rather than quadratic in users.  Keys are (lower id,
-    higher id) pairs.
+    Only a pair that shares at least one policy can score above zero, so
+    the neighbour lists stay linear in the number of policies rather than
+    quadratic in users.  Built from a store, the index keeps those lists
+    and the degrees of the two-way pairs (each user holds a policy toward
+    the other); any other pair is scored on demand by :func:`compatibility`,
+    lower id first, which is all that sequence value assignment reads.
     """
 
-    def __init__(self, values: dict[tuple[int, int], float]) -> None:
-        self._c = values
-        self._neighbors: dict[int, list[int]] = {}
-        for (u, v), c in values.items():
-            if c > 0:
-                self._neighbors.setdefault(u, []).append(v)
-                self._neighbors.setdefault(v, []).append(u)
-        for lst in self._neighbors.values():
-            lst.sort()
+    def __init__(
+        self,
+        neighbors: dict[int, list[int]],
+        scores: dict[tuple[int, int], float],
+        store: PolicyStore | None = None,
+    ) -> None:
+        self._neighbors = neighbors
+        self._c = scores  # keyed (lower id, higher id)
+        self._store = store
 
     @classmethod
     def from_store(cls, store: PolicyStore) -> "CompatibilityIndex":
-        """Score every pair in one pass over each owner's directed policies.
+        """Neighbour lists from the store's policy maps, scoring two-way pairs only.
 
-        A one-sided pair is scored from its owner's side and a two-way pair
-        once, from its lower id; either way the values equal
-        :func:`compatibility` with the lower id first.
+        A user's candidates are the viewers it names and the owners naming
+        it, less the pairs whose degree is not positive.  A two-way pair is
+        scored once, from its lower id, since even a mutual overlap can
+        underflow to a zero degree.  A one-sided pair's degree is half its
+        one policy's weight, positive unless the policy has no area, no time
+        or a weight below the float range; only the one-sided pairs of an
+        owner with a policy that a safe floor cannot clear are scored.
         """
         side, day = store.space_side, store.day
-        directed = store._directed
-        empty: dict[int, LocationPrivacyPolicy] = {}
-        values: dict[tuple[int, int], float] = {}
-        for owner, per_owner in directed.items():
-            for viewer, p in per_owner.items():
-                back = directed.get(viewer, empty).get(owner)
-                if back is None:
-                    a, mutual = _alpha_mutual(p, None, side, day)
-                elif owner < viewer:
-                    a, mutual = _alpha_mutual(p, back, side, day)
-                else:
-                    continue
-                values[(owner, viewer) if owner < viewer else (viewer, owner)] = _degree(a, mutual)
-        return cls(values)
+        directed, naming = store._directed, store._owners_naming
+        # rounding is monotone, so a policy whose sides and time intervals all
+        # exceed `floor` weighs at least a floor-sized one, which is positive
+        floor = 1e-100
+        if not 0.5 * (((floor * floor) / (side * side)) * (floor / day)) > 0:
+            floor = math.inf
+        no_policies: dict[int, LocationPrivacyPolicy] = {}
+        scores: dict[tuple[int, int], float] = {}
+        neighbors: dict[int, list[int]] = {}
+        suspects: list[int] = []  # owners with a policy that may weigh nothing
+        for u in directed.keys() | naming.keys():
+            per_owner = directed.get(u, no_policies)
+            owners = naming.get(u, ())
+            for v in per_owner.keys() & owners:
+                if u < v:
+                    scores[(u, v)] = _degree(*_alpha_mutual(per_owner[v], directed[v][u], side, day))
+            neighbors[u] = sorted(per_owner.keys() | owners)
+            for _, _, (x_lo, y_lo, x_hi, y_hi), t in per_owner.values():
+                if not (
+                    x_hi - x_lo > floor
+                    and y_hi - y_lo > floor
+                    and 0 < len(t) < 3
+                    and t[0][1] - t[0][0] > floor
+                    and t[-1][1] - t[-1][0] > floor
+                ):
+                    suspects.append(u)
+                    break
+        dropped = [pair for pair, c in scores.items() if not c > 0]
+        for u in suspects:
+            for v in directed[u]:
+                if u not in directed.get(v, no_policies) and not compatibility(store, u, v).c > 0:
+                    dropped.append((u, v))
+        for u, v in dropped:
+            neighbors[u].remove(v)
+            neighbors[v].remove(u)
+        return cls(neighbors, scores, store)
 
     @classmethod
     def from_values(cls, values: dict[tuple[int, int], float]) -> "CompatibilityIndex":
         """Build from given compatibility values, keyed by either id order."""
-        return cls({((u, v) if u < v else (v, u)): c for (u, v), c in values.items()})
+        scores = {((u, v) if u < v else (v, u)): c for (u, v), c in values.items()}
+        neighbors: dict[int, list[int]] = {}
+        for (u, v), c in scores.items():
+            if c > 0:
+                neighbors.setdefault(u, []).append(v)
+                neighbors.setdefault(v, []).append(u)
+        for lst in neighbors.values():
+            lst.sort()
+        return cls(neighbors, scores)
 
     def c(self, u: int, v: int) -> float:
-        return self._c.get((u, v) if u < v else (v, u), 0.0)
+        key = (u, v) if u < v else (v, u)
+        c = self._c.get(key)
+        if c is None:
+            return 0.0 if self._store is None else compatibility(self._store, *key).c
+        return c
 
     def related(self, u: int) -> list[int]:
         """Users with non-zero compatibility to ``u``, ascending."""

@@ -657,6 +657,8 @@ class MovingObjectIndex:
         for node in tree.pages.values():  # the maps need no key order: read pages, not the leaf chain
             if node.leaf:
                 for entry in node.entries:
+                    if entry.uid in index._current:
+                        raise ValueError(f"snapshot {path}: two entries for uid {entry.uid}")
                     tid = entry.key >> tid_shift
                     index._current[entry.uid] = (entry.key, tid)
                     counts[tid] = counts.get(tid, 0) + 1

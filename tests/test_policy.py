@@ -8,6 +8,8 @@ from pebtree.keys import assign_sequence_values
 from pebtree.policy import (
     DAY,
     CompatibilityIndex,
+    _alpha_mutual,
+    _degree,
     LocationPrivacyPolicy,
     PolicyStore,
     RelationshipGraph,
@@ -153,12 +155,89 @@ def test_from_store_equals_pairwise_compatibility():
     assert len(two_way) < len(want)
     assert any(want[key] > 0.5 for key in two_way) and any(want[key] <= 0.5 for key in two_way)
     index = CompatibilityIndex.from_store(store)
-    reference = CompatibilityIndex(want)
+    reference = CompatibilityIndex.from_values(want)
     for (u, v), c in want.items():
         assert index.c(u, v).hex() == index.c(v, u).hex() == c.hex()
     for u in uids:
         assert index.related(u) == reference.related(u)
     assert assign_sequence_values(uids, index) == assign_sequence_values(uids, reference)
+
+
+def reference_from_store(store):
+    """The eager build that scored every sharing pair, kept as a reference."""
+    side, day = store.space_side, store.day
+    directed = store._directed
+    empty: dict[int, LocationPrivacyPolicy] = {}
+    values: dict[tuple[int, int], float] = {}
+    for owner, per_owner in directed.items():
+        for viewer, p in per_owner.items():
+            back = directed.get(viewer, empty).get(owner)
+            if back is None:
+                a, mutual = _alpha_mutual(p, None, side, day)
+            elif owner < viewer:
+                a, mutual = _alpha_mutual(p, back, side, day)
+            else:
+                continue
+            values[(owner, viewer) if owner < viewer else (viewer, owner)] = _degree(a, mutual)
+    return CompatibilityIndex.from_values(values), values
+
+
+def assert_matches_reference(store):
+    """Neighbour lists, every sharing pair's degree and the sequence values equal the eager build's."""
+    index = CompatibilityIndex.from_store(store)
+    reference, values = reference_from_store(store)
+    for u in store.users:
+        assert index.related(u) == reference.related(u)
+    for (u, v), c in values.items():
+        assert index.c(u, v).hex() == index.c(v, u).hex() == c.hex()
+    users = sorted(store.users)
+    assert assign_sequence_values(users, index) == assign_sequence_values(users, reference)
+    return index, values
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "network"])
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_from_store_equals_eager_reference(distribution, theta):
+    cfg = WorkloadConfig(n_users=500, policies_per_user=20, theta=theta, seed=5, distribution=distribution)
+    uids = list(range(cfg.n_users))
+    policies, graph = gen_policies(uids, cfg)
+    store = PolicyStore(policies, graph, uids, space_side=cfg.space_side)
+    _, values = assert_matches_reference(store)
+    assert len(values) > 2000
+
+
+def test_from_store_equals_eager_reference_on_degenerate_policies():
+    tiny = 1e-150
+    store = make_store(
+        [
+            # an empty time set, one-sided and two-way
+            (1, 2, FULL_RECT, 9.0, 9.0),
+            (3, 4, FULL_RECT, 5.0, 5.0),
+            (4, 3, FULL_RECT, 12.0, 12.0),
+            # a zero-width and a zero-height rectangle
+            (5, 6, (100.0, 0.0, 100.0, 500.0), 0.0, 12.0),
+            (6, 1, (0.0, 300.0, 500.0, 300.0), 0.0, 12.0),
+            # a weight that underflows: 0.5 * area * duration is below the float range
+            (7, 8, (0.0, 0.0, tiny, tiny), 0.0, 1e-20),
+            # a two-way pair whose mutual overlap product underflows to 0
+            (9, 10, (0.0, 0.0, tiny, tiny), 0.0, 1e-20),
+            (10, 9, FULL_RECT, 0.0, 12.0),
+            # wrapping time sets with an empty part still weigh something
+            (11, 12, (0.0, 0.0, 10.0, 10.0), 5.0, 0.0),
+            (12, 13, (0.0, 0.0, 10.0, 10.0), DAY, 3.0),
+            # healthy pairs next to the degenerate ones
+            (1, 3, FULL_RECT, 0.0, DAY),
+            (3, 1, FULL_RECT, 0.0, DAY),
+            (8, 9, (0.0, 0.0, 50.0, 50.0), 8.0, 17.0),
+        ],
+        users=range(1, 15),
+    )
+    assert _alpha_mutual(store.directed(9, 10), store.directed(10, 9), SIDE, DAY) == (0.0, True)
+    index, values = assert_matches_reference(store)
+    zero = {pair for pair, c in values.items() if c == 0.0}
+    assert zero == {(1, 2), (3, 4), (5, 6), (1, 6), (7, 8), (9, 10)}
+    assert index.related(1) == [3] and index.related(9) == [8]
+    assert index.related(12) == [11, 13]
 
 
 rect_strategy = st.tuples(
@@ -244,6 +323,15 @@ def test_one_policy_per_ordered_pair_enforced():
     p_b = LocationPrivacyPolicy(1, "other", FULL_RECT, make_time_set(12.0, 18.0))
     with pytest.raises(ValueError):
         PolicyStore([p_a, p_b], g, [1, 2])
+
+
+@pytest.mark.parametrize("owner, member, uid", [(99, 2, 99), (1, 99, 99)])
+def test_policy_naming_an_unknown_user_rejected(owner, member, uid):
+    g = RelationshipGraph()
+    p = policy(owner, member, FULL_RECT, 0.0, DAY, g)
+    with pytest.raises(ValueError, match=f"policy (owner|member) {uid} is not a known user"):
+        PolicyStore([p], g, [1, 2])
+    assert PolicyStore([p], g, [1, 2, 99]).owners_naming(member) == [owner]
 
 
 def test_wraparound_interval():

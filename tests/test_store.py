@@ -457,6 +457,20 @@ def test_snapshot_load_rejects_tampering(tmp_path, edit, fault):
         MovingObjectIndex.load(path)
 
 
+def _give_second_entry_the_first_uid(snap):
+    leaf = _leaf_pages(snap)[0]
+    uid = leaf["entries"][0][1]
+    leaf["entries"][1][1] = leaf["entries"][1][7] = uid
+    leaf["keys"][1][1] = uid
+
+
+def test_snapshot_load_rejects_two_entries_for_one_uid(tmp_path):
+    path = _tampered(tmp_path, _give_second_entry_the_first_uid)
+    with pytest.raises(ValueError, match="two entries for uid") as raised:
+        MovingObjectIndex.load(path)
+    assert str(path) in str(raised.value)
+
+
 def test_untampered_snapshot_still_loads(tmp_path):
     loaded = MovingObjectIndex.load(_tampered(tmp_path, lambda snap: None))
     assert loaded.live_partitions() == [(0, 60.0)]
