@@ -240,6 +240,17 @@ def test_from_store_equals_eager_reference_on_degenerate_policies():
     assert index.related(12) == [11, 13]
 
 
+def test_from_store_equals_eager_reference_when_no_weight_fits_a_float():
+    # a space so large that every weight underflows: no pair is related
+    graph = RelationshipGraph()
+    policies = [policy(1, 2, FULL_RECT, 0.0, DAY, graph), policy(2, 1, FULL_RECT, 0.0, DAY, graph)]
+    policies.append(policy(3, 1, FULL_RECT, 8.0, 17.0, graph))
+    store = PolicyStore(policies, graph, [1, 2, 3], space_side=1e300)
+    index, values = assert_matches_reference(store)
+    assert set(values.values()) == {0.0}
+    assert [index.related(u) for u in (1, 2, 3)] == [[], [], []]
+
+
 rect_strategy = st.tuples(
     st.floats(0, 800), st.floats(0, 800), st.floats(50, 200), st.floats(50, 200)
 ).map(lambda t: (t[0], t[1], min(t[0] + t[2], SIDE), min(t[1] + t[3], SIDE)))
