@@ -253,7 +253,8 @@ class CompatibilityIndex:
     quadratic in users.  Built from a store, the index keeps those lists
     and the degrees of the two-way pairs (each user holds a policy toward
     the other); any other pair is scored on demand by :func:`compatibility`,
-    lower id first, which is all that sequence value assignment reads.
+    lower id first.  Sequence value assignment reads every list but the
+    degrees of few pairs.
     """
 
     def __init__(
