@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import statistics
@@ -5,7 +6,7 @@ import statistics
 import pytest
 
 from pebtree.motion import MovingObject
-from pebtree.policy import PolicyStore
+from pebtree.policy import PolicyStore, save_policies, save_relationships
 from pebtree.query import PknnRequest, PrqRequest
 from pebtree.workload import (
     NETWORK_SPEED_CLASSES,
@@ -161,6 +162,38 @@ def test_policies_pair_uniqueness_and_load():
     # constructing the store enforces one policy per ordered pair
     store = PolicyStore(policies, graph, users, space_side=cfg.space_side)
     assert sum(len(store.owners_naming(u)) for u in users) == len(policies)
+
+
+# sha256 of policies.csv and relationships.csv, written at the commit before
+# the compact policy records: they pin the random draw order of gen_policies
+GOLDEN_POLICY_FILES = [
+    (
+        WorkloadConfig(n_users=300, policies_per_user=8, theta=0.7, group_size=20, seed=3),
+        "7f5b1354e99acf2e545d009e3e736641b6e5a246291c197423c3e719999a8b53",
+        "736df1b0796e02e7d3b5f4a516f7b27da9e7584808996a744ab7c188c25d79b9",
+    ),
+    (
+        WorkloadConfig(n_users=300, policies_per_user=8, theta=0.0, group_size=20, seed=4),
+        "47b77a39b503d8582e7602c2fa93ddc6a6754b6e0eff625056c77f125a12a2ea",
+        "0d6881db695d3368f1297ff125e80098b9d1c0eb4428e1d26259aa33b1b6c6d5",
+    ),
+    (  # most of these daily windows wrap past midnight
+        WorkloadConfig(
+            n_users=300, policies_per_user=8, theta=0.5, group_size=20, seed=5, policy_duration=(18.0, 23.5)
+        ),
+        "72822b0deb2a9e209dacf09dae559a9eef107cb7a05d955832397ff05d0a6765",
+        "43719de8c105f418ab81f723b9ca03bfe26378076b22aaaac31b399bef8f8c85",
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg, policies_sha, relationships_sha", GOLDEN_POLICY_FILES)
+def test_policy_files_match_golden_digests(tmp_path, cfg, policies_sha, relationships_sha):
+    policies, graph = gen_policies(range(cfg.n_users), cfg)
+    save_policies(policies, tmp_path / "policies.csv")
+    save_relationships(graph, tmp_path / "relationships.csv")
+    assert hashlib.sha256((tmp_path / "policies.csv").read_bytes()).hexdigest() == policies_sha
+    assert hashlib.sha256((tmp_path / "relationships.csv").read_bytes()).hexdigest() == relationships_sha
 
 
 def test_policies_infeasible_configs_rejected():
