@@ -121,7 +121,7 @@ def cmd_gen(args) -> int:
     objects, _ = make_world(cfg)
     policies, graph = gen_policies([o.uid for o in objects], cfg)
     save_objects(objects, out / "objects.csv")
-    save_policies(policies, out / "policies.csv", cfg.day)
+    save_policies(policies, out / "policies.csv")
     save_relationships(graph, out / "relationships.csv")
     queries = list(gen_queries(cfg, "range", objects)) + list(gen_queries(cfg, "knn", objects))
     save_queries(queries, out / "queries.csv")

@@ -2,7 +2,8 @@
 
 A policy ``<role, loc_r, t_int>`` owned by one user grants the members of
 ``role`` sight of the owner's location while the owner is inside the
-rectangle ``loc_r`` during the daily time set ``t_int``.  Pairs of users
+rectangle ``loc_r`` during the daily time set ``t_int``, one window
+``[t_lo, t_hi)`` that may wrap past midnight.  Pairs of users
 are scored with a compatibility degree in [0, 1]: above 0.5 when both
 directions can disclose simultaneously (their regions and time sets
 overlap), at most 0.5 otherwise.
@@ -35,32 +36,44 @@ TimeSet = tuple[tuple[float, float], ...]  # disjoint half-open [lo, hi) interva
 
 
 class LocationPrivacyPolicy(NamedTuple):
+    """One policy, stored as ``policies.csv`` holds it.
+
+    The daily window is ``[t_lo, t_hi)`` of a day of length ``day``; it
+    wraps past midnight when ``t_lo > t_hi`` and is empty when the two are
+    equal.  Both ends lie in ``[0, day]``, which :class:`PolicyStore` and
+    :func:`load_policies` check.
+    """
+
     owner: int
     role: str
     rect: Rect
-    t_int: TimeSet
+    t_lo: float
+    t_hi: float
+    day: float = DAY
+
+    @property
+    def t_int(self) -> TimeSet:
+        """The daily window as disjoint half-open intervals within ``[0, day]``."""
+        _, _, _, t_lo, t_hi, day = self
+        if t_lo < t_hi:
+            return ((t_lo, t_hi),)
+        if t_lo > t_hi:
+            return ((0.0, t_hi), (t_lo, day))
+        return ()
+
+    def active_at(self, t: float) -> bool:
+        """Whether time ``t`` falls in the daily window."""
+        _, _, _, t_lo, t_hi, day = self
+        tm = t % day
+        if t_lo <= t_hi:
+            return t_lo <= tm < t_hi
+        # `tm < day` also holds for a tiny negative t, whose remainder rounds to day
+        return t_lo <= tm < day or tm < t_hi
 
 
-def make_time_set(t_lo: float, t_hi: float, day: float = DAY) -> TimeSet:
-    """Daily interval as a time set; ``t_lo > t_hi`` wraps past midnight."""
+def check_window(t_lo: float, t_hi: float, day: float) -> None:
     if not (0 <= t_lo <= day and 0 <= t_hi <= day):
         raise ValueError(f"interval [{t_lo}, {t_hi}] outside [0, {day}]")
-    if t_lo == t_hi:
-        return ()
-    if t_lo < t_hi:
-        return ((t_lo, t_hi),)
-    return ((0.0, t_hi), (t_lo, day))
-
-
-def time_set_span(t_int: TimeSet, day: float = DAY) -> tuple[float, float]:
-    """Collapse a time set back to a single (t_lo, t_hi) record."""
-    if not t_int:
-        return (0.0, 0.0)
-    if len(t_int) == 1:
-        return t_int[0]
-    if len(t_int) == 2 and t_int[0][0] == 0.0 and t_int[1][1] == day:
-        return (t_int[1][0], t_int[0][1])
-    raise ValueError(f"time set {t_int} is not a single daily interval")
 
 
 # conditional expressions pick what min() and max() of two would, without the calls
@@ -96,11 +109,6 @@ def time_set_overlap(a: TimeSet, b: TimeSet) -> float:
     return total
 
 
-def time_in_set(t: float, t_int: TimeSet, day: float = DAY) -> bool:
-    tm = t % day
-    return any(lo <= tm < hi for lo, hi in t_int)
-
-
 class CompatibilityScore(NamedTuple):
     alpha: float
     c: float
@@ -111,13 +119,20 @@ class RelationshipGraph:
     """Per-owner map from relationship label to the users holding it."""
 
     def __init__(self) -> None:
-        # lists keep memory low for the common singleton roles
-        self._roles: dict[int, dict[str, list[int]]] = {}
+        # members are tuples of distinct ids in first-seen order: one tuple can
+        # serve many roles, and the garbage collector stops tracking them
+        self._roles: dict[int, dict[str, tuple[int, ...]]] = {}
 
     def add(self, owner: int, role: str, member: int) -> None:
-        members = self._roles.setdefault(owner, {}).setdefault(role, [])
+        """Add one member to a role; this copies the role, so build large ones with :meth:`set_roles`."""
+        roles = self._roles.setdefault(owner, {})
+        members = roles.get(role, ())
         if member not in members:
-            members.append(member)
+            roles[role] = members + (member,)
+
+    def set_roles(self, owner: int, roles: dict[str, tuple[int, ...]]) -> None:
+        """Make ``roles`` the owner's whole role map; each tuple must hold distinct ids."""
+        self._roles[owner] = roles
 
     def members(self, owner: int, role: str) -> frozenset[int]:
         return frozenset(self._roles.get(owner, {}).get(role, ()))
@@ -132,8 +147,9 @@ class RelationshipGraph:
 class PolicyStore:
     """All policies of a deployment, indexed for per-pair lookup.
 
-    At most one policy may apply per ordered (owner, viewer) pair; the
-    constructor rejects violations.
+    At most one policy may apply per ordered (owner, viewer) pair, and
+    every policy's window must lie in the store's day; the constructor
+    rejects violations.
     """
 
     def __init__(
@@ -152,10 +168,13 @@ class PolicyStore:
         directed: defaultdict[int, dict[int, LocationPrivacyPolicy]] = defaultdict(dict)
         naming: defaultdict[int, list[int]] = defaultdict(list)
         for p in policies:
-            owner = p.owner
-            targets = roles.get(owner, no_roles).get(p.role)
+            owner, role, _, t_lo, t_hi, p_day = p
+            if p_day != day:
+                raise ValueError(f"policy of user {owner} has a day of {p_day}, the store {day}")
+            check_window(t_lo, t_hi, day)
+            targets = roles.get(owner, no_roles).get(role)
             if not targets:
-                raise ValueError(f"policy role {p.role!r} of user {owner} has no members")
+                raise ValueError(f"policy role {role!r} of user {owner} has no members")
             per_owner = directed[owner]
             for v in targets:
                 if v in per_owner:
@@ -191,7 +210,7 @@ def evaluate_visibility(store: PolicyStore, owner: int, viewer: int, loc: tuple[
     p = store.directed(owner, viewer)
     if p is None:
         return False
-    return point_in_rect(loc[0], loc[1], p.rect) and time_in_set(t, p.t_int, store.day)
+    return point_in_rect(loc[0], loc[1], p.rect) and p.active_at(t)
 
 
 def alpha(
@@ -297,13 +316,16 @@ class CompatibilityIndex:
                 if u < v:
                     scores[(u, v)] = _degree(*_alpha_mutual(per_owner[v], directed[v][u], side, day))
             neighbors[u] = sorted(per_owner.keys() | owners)
-            for _, _, (x_lo, y_lo, x_hi, y_hi), t in per_owner.values():
+            for _, _, (x_lo, y_lo, x_hi, y_hi), t_lo, t_hi, _ in per_owner.values():
+                # the time intervals: [t_lo, t_hi), or [0, t_hi) and [t_lo, day) wrapped
                 if not (
                     x_hi - x_lo > floor
                     and y_hi - y_lo > floor
-                    and 0 < len(t) < 3
-                    and t[0][1] - t[0][0] > floor
-                    and t[-1][1] - t[-1][0] > floor
+                    and (
+                        t_hi - t_lo > floor
+                        if t_lo < t_hi
+                        else t_lo > t_hi and t_hi > floor and day - t_lo > floor
+                    )
                 ):
                     suspects.append(u)
                     break
@@ -398,23 +420,18 @@ def time_field(text: str, name: str) -> float:
     return value
 
 
-def save_policies(policies: Iterable[LocationPrivacyPolicy], path: str | Path, day: float = DAY) -> None:
+def save_policies(policies: Iterable[LocationPrivacyPolicy], path: str | Path) -> None:
     with open(path, "w") as fh:
-        for p in policies:
-            t_lo, t_hi = time_set_span(p.t_int, day)
-            x_lo, y_lo, x_hi, y_hi = p.rect
-            fh.write(f"{p.owner},{p.role},{x_lo!r},{y_lo!r},{x_hi!r},{y_hi!r},{t_lo!r},{t_hi!r}\n")
+        for owner, role, (x_lo, y_lo, x_hi, y_hi), t_lo, t_hi, _ in policies:
+            fh.write(f"{owner},{role},{x_lo!r},{y_lo!r},{x_hi!r},{y_hi!r},{t_lo!r},{t_hi!r}\n")
 
 
 def load_policies(path: str | Path, day: float = DAY) -> list[LocationPrivacyPolicy]:
     def parse(fields: list[str]) -> LocationPrivacyPolicy:
         owner, role, *rect, t_lo, t_hi = record_fields(fields, "owner_id,role_label,x_lo,y_lo,x_hi,y_hi,t_lo,t_hi")
-        return LocationPrivacyPolicy(
-            int(owner),
-            role,
-            rect_fields(rect),
-            make_time_set(time_field(t_lo, "t_lo"), time_field(t_hi, "t_hi"), day),
-        )
+        window = time_field(t_lo, "t_lo"), time_field(t_hi, "t_hi")
+        check_window(*window, day)
+        return LocationPrivacyPolicy(int(owner), role, rect_fields(rect), *window, day)
 
     return read_records(path, parse)
 
@@ -430,7 +447,11 @@ def load_relationships(path: str | Path) -> RelationshipGraph:
         owner, role, member = record_fields(fields, "owner_id,role_label,member_id")
         return int(owner), role, int(member)
 
-    graph = RelationshipGraph()
+    # dicts as ordered sets: duplicates drop out in linear time, first-seen order stays
+    roles: dict[int, dict[str, dict[int, None]]] = {}
     for owner, role, member in read_records(path, parse):
-        graph.add(owner, role, member)
+        roles.setdefault(owner, {}).setdefault(role, {})[member] = None
+    graph = RelationshipGraph()
+    for owner, owner_roles in roles.items():
+        graph.set_roles(owner, {role: tuple(members) for role, members in owner_roles.items()})
     return graph

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .keys import KeyLayout, SequenceValueMap
 from .motion import MovingObject
-from .policy import PolicyStore, point_in_rect, time_in_set
+from .policy import PolicyStore, point_in_rect
 from .store import DirectionalSpeeds, LeafEntry, MovingObjectIndex
 from .zcurve import cells_covering, z_corner_interval, z_decompose
 
@@ -52,6 +52,16 @@ Rect = tuple[float, float, float, float]
 SCAN_BLOCK_SHIFT = 4
 
 
+def _check_query(t_q: float, coords: tuple[float, ...], what: str) -> None:
+    # the checks load_queries makes on each field
+    if not math.isfinite(t_q):
+        raise ValueError(f"t_q is {t_q!r}, not a finite number")
+    if t_q < 0:
+        raise ValueError(f"t_q is {t_q!r}, a negative time")
+    if not all(map(math.isfinite, coords)):
+        raise ValueError(f"query {what} {coords} is not finite")
+
+
 @dataclass(frozen=True)
 class PrqRequest:
     """Range query: issuer, window rectangle, query time."""
@@ -61,6 +71,7 @@ class PrqRequest:
     t_q: float
 
     def __post_init__(self) -> None:
+        _check_query(self.t_q, self.rect, "rectangle")
         x_lo, y_lo, x_hi, y_hi = self.rect
         if x_lo > x_hi or y_lo > y_hi:
             raise ValueError(f"degenerate query rectangle {self.rect}")
@@ -76,6 +87,7 @@ class PknnRequest:
     t_q: float
 
     def __post_init__(self) -> None:
+        _check_query(self.t_q, self.qloc, "point")
         if self.k < 1:
             raise ValueError("k must be at least 1")
 
@@ -144,7 +156,7 @@ def _visible(store: PolicyStore, owner: int, viewer: int, x: float, y: float, t:
     p = per_owner.get(viewer)
     if p is None:
         return False
-    return point_in_rect(x, y, p.rect) and time_in_set(t, p.t_int, store.day)
+    return point_in_rect(x, y, p.rect) and p.active_at(t)
 
 
 class FriendLists:

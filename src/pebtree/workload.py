@@ -23,7 +23,6 @@ from .policy import (
     LocationPrivacyPolicy,
     RelationshipGraph,
     finite_field,
-    make_time_set,
     read_records,
     record_fields,
     rect_fields,
@@ -356,9 +355,15 @@ def gen_policies(
 
     graph = RelationshipGraph()
     policies: list[LocationPrivacyPolicy] = []
+    # each value is drawn as rng.uniform(a, b) computes it, a + (b - a) * random()
+    random = rng.random
     side_lo, side_hi = cfg.policy_side
     dur_lo, dur_hi = cfg.policy_duration
-    space = cfg.space_side
+    side_span, dur_span = side_hi - side_lo, dur_hi - dur_lo
+    space, day = cfg.space_side, cfg.day
+    # every policy toward one target shares its role name and member tuple
+    grant_to = {u: (f"u{u}", (u,)) for u in users}
+    add_policy = policies.append
     for owner in users:
         g = groups[group_of[owner]]
         chosen: set[int] = set()
@@ -374,24 +379,20 @@ def gen_policies(
                 cand = users[rng.randrange(n)]
                 if cand != owner and cand not in chosen:
                     chosen.add(cand)
+        roles = {}
         for target in sorted(chosen):
-            w = rng.uniform(side_lo, side_hi)
-            h = rng.uniform(side_lo, side_hi)
-            cx = rng.uniform(w / 2, space - w / 2)
-            cy = rng.uniform(h / 2, space - h / 2)
-            start = rng.uniform(0.0, cfg.day)
-            duration = rng.uniform(dur_lo, dur_hi)
-            end = (start + duration) % cfg.day
-            role = f"u{target}"
-            graph.add(owner, role, target)
-            policies.append(
-                LocationPrivacyPolicy(
-                    owner,
-                    role,
-                    (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
-                    make_time_set(start, end, cfg.day),
-                )
+            half_w = (side_lo + side_span * random()) / 2
+            half_h = (side_lo + side_span * random()) / 2
+            cx = half_w + ((space - half_w) - half_w) * random()
+            cy = half_h + ((space - half_h) - half_h) * random()
+            start = day * random()  # 0.0 + (day - 0.0) * random(), exactly
+            end = (start + (dur_lo + dur_span * random())) % day
+            role, members = grant_to[target]
+            roles[role] = members
+            add_policy(
+                LocationPrivacyPolicy(owner, role, (cx - half_w, cy - half_h, cx + half_w, cy + half_h), start, end, day)
             )
+        graph.set_roles(owner, roles)
     return policies, graph
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pebtree.keys import assign_sequence_values
+from pebtree.query import _visible
 from pebtree.policy import (
     DAY,
     CompatibilityIndex,
@@ -18,7 +20,6 @@ from pebtree.policy import (
     evaluate_visibility,
     load_policies,
     load_relationships,
-    make_time_set,
     save_policies,
     save_relationships,
     time_set_duration,
@@ -28,13 +29,12 @@ from pebtree.workload import WorkloadConfig, gen_policies
 
 SIDE = 1000.0
 FULL_RECT = (0.0, 0.0, SIDE, SIDE)
-FULL_DAY = make_time_set(0.0, DAY)
 
 
 def policy(owner, target, rect, t_lo, t_hi, graph):
     role = f"u{target}"
     graph.add(owner, role, target)
-    return LocationPrivacyPolicy(owner, role, rect, make_time_set(t_lo, t_hi))
+    return LocationPrivacyPolicy(owner, role, rect, t_lo, t_hi)
 
 
 def overlap_area_oracle(r1, r2, steps=400):
@@ -331,7 +331,7 @@ def test_one_policy_per_ordered_pair_enforced():
     g = RelationshipGraph()
     p_a = policy(1, 2, FULL_RECT, 0.0, 12.0, g)
     g.add(1, "other", 2)
-    p_b = LocationPrivacyPolicy(1, "other", FULL_RECT, make_time_set(12.0, 18.0))
+    p_b = LocationPrivacyPolicy(1, "other", FULL_RECT, 12.0, 18.0)
     with pytest.raises(ValueError):
         PolicyStore([p_a, p_b], g, [1, 2])
 
@@ -346,11 +346,102 @@ def test_policy_naming_an_unknown_user_rejected(owner, member, uid):
 
 
 def test_wraparound_interval():
-    t_int = make_time_set(20.0, 4.0)
-    assert time_set_duration(t_int) == pytest.approx(8.0)
-    assert time_set_overlap(t_int, make_time_set(22.0, 23.0)) == pytest.approx(1.0)
-    assert time_set_overlap(t_int, make_time_set(2.0, 6.0)) == pytest.approx(2.0)
-    assert time_set_overlap(t_int, make_time_set(5.0, 19.0)) == 0.0
+    def t_int(t_lo, t_hi):
+        return LocationPrivacyPolicy(1, "u2", FULL_RECT, t_lo, t_hi).t_int
+
+    assert t_int(20.0, 4.0) == ((0.0, 4.0), (20.0, DAY))
+    assert time_set_duration(t_int(20.0, 4.0)) == pytest.approx(8.0)
+    assert time_set_overlap(t_int(20.0, 4.0), t_int(22.0, 23.0)) == pytest.approx(1.0)
+    assert time_set_overlap(t_int(20.0, 4.0), t_int(2.0, 6.0)) == pytest.approx(2.0)
+    assert time_set_overlap(t_int(20.0, 4.0), t_int(5.0, 19.0)) == 0.0
+
+
+def reference_time_set(t_lo, t_hi, day):
+    """The time set a policy held before its window was stored flat."""
+    if t_lo == t_hi:
+        return ()
+    if t_lo < t_hi:
+        return ((t_lo, t_hi),)
+    return ((0.0, t_hi), (t_lo, day))
+
+
+def reference_time_in_set(t, t_int, day):
+    tm = t % day
+    return any(lo <= tm < hi for lo, hi in t_int)
+
+
+def assert_window_agrees(t_lo, t_hi, day, t):
+    want = reference_time_set(t_lo, t_hi, day)
+    p = LocationPrivacyPolicy(1, "u2", FULL_RECT, t_lo, t_hi, day)
+    assert p.t_int == want
+    inside = reference_time_in_set(t, want, day)
+    assert p.active_at(t) == inside
+    g = RelationshipGraph()
+    g.add(1, "u2", 2)
+    store = PolicyStore([p], g, [1, 2], space_side=SIDE, day=day)
+    assert evaluate_visibility(store, 1, 2, (5.0, 5.0), t) == inside
+    assert _visible(store, 1, 2, 5.0, 5.0, t) == inside
+    return inside
+
+
+@pytest.mark.parametrize(
+    "t_lo, t_hi, t, inside",
+    [
+        (8.0, 17.0, 8.0, True),  # t at the window's start
+        (8.0, 17.0, 17.0, False),  # t at its end
+        (8.0, 17.0, 8.0 + 3 * DAY, True),
+        (0.0, 6.0, 2 * DAY, True),  # t a multiple of the day
+        (20.0, 4.0, -DAY, True),
+        (20.0, 4.0, 22.0, True),  # a wrapping window
+        (20.0, 4.0, 3.0, True),
+        (20.0, 4.0, 4.0, False),
+        (20.0, 4.0, 20.0, True),
+        (20.0, 4.0, 12.0, False),
+        (20.0, 4.0, -1e-20, False),  # the remainder rounds to the day itself
+        (9.0, 9.0, 9.0, False),  # an empty window
+        (0.0, 0.0, 0.0, False),
+        (DAY, 5.0, DAY, True),  # t_lo at the day's end leaves [0, t_hi)
+        (DAY, 5.0, 5.0, False),
+        (DAY, 0.0, 0.0, False),
+        (0.0, DAY, DAY - 1e-9, True),
+        (8.0, 17.0, math.nan, False),
+        (20.0, 4.0, math.inf, False),
+    ],
+)
+def test_window_edges_agree_with_the_time_set(t_lo, t_hi, t, inside):
+    assert assert_window_agrees(t_lo, t_hi, DAY, t) == inside
+
+
+@settings(max_examples=300)
+@given(data=st.data(), day=st.sampled_from([DAY, 7.0, 1.0, 0.1]))
+def test_window_agrees_with_the_time_set(data, day):
+    end = st.one_of(st.floats(0.0, day), st.sampled_from([0.0, day]))
+    t_lo = data.draw(end, label="t_lo")
+    t_hi = data.draw(st.one_of(end, st.just(t_lo)), label="t_hi")
+    k = data.draw(st.integers(-3, 3), label="days")
+    t = data.draw(
+        st.one_of(
+            st.floats(-1e4, 1e4),
+            st.sampled_from([t_lo, t_hi, 0.0, day]).map(lambda x: x + k * day),
+            st.sampled_from([-1e-20, -0.0, math.nan, math.inf, -math.inf]),
+        ),
+        label="t",
+    )
+    assert_window_agrees(t_lo, t_hi, day, t)
+
+
+def test_store_refuses_a_policy_of_another_day():
+    g = RelationshipGraph()
+    g.add(1, "u2", 2)
+    p = LocationPrivacyPolicy(1, "u2", FULL_RECT, 8.0, 17.0)
+    assert p.day == DAY
+    with pytest.raises(ValueError, match="policy of user 1 has a day of 24.0, the store 12.0"):
+        PolicyStore([p], g, [1, 2], day=12.0)
+    half_day = p._replace(t_hi=11.0, day=12.0)
+    assert PolicyStore([half_day], g, [1, 2], day=12.0).directed(1, 2) is half_day
+    for bad in (p._replace(t_hi=30.0), p._replace(t_lo=-1.0), p._replace(t_lo=math.nan)):
+        with pytest.raises(ValueError, match=r"outside \[0, 24.0\]"):
+            PolicyStore([bad], g, [1, 2])
 
 
 def test_policy_file_round_trip(tmp_path):
@@ -388,8 +479,25 @@ def test_load_policies_rejects_bad_line(tmp_path, bad, fault):
         load_policies(path)
     path.write_text(good)
     assert load_policies(path) == [
-        LocationPrivacyPolicy(1, "u2", (10.0, 20.0, 110.5, 220.25), make_time_set(8.0, 17.0))
+        LocationPrivacyPolicy(1, "u2", (10.0, 20.0, 110.5, 220.25), 8.0, 17.0)
     ]
+
+
+def test_load_relationships_drops_duplicates_in_first_seen_order(tmp_path):
+    records = [(1, "friends", 5), (1, "friends", 3), (2, "boss", 1), (1, "friends", 5), (1, "friends", 4)]
+    records += [(1, "friends", 3), (2, "boss", 1)]
+    # a large role, each member twice, neither order sorted
+    records += [(7, "all", m) for m in range(20_000, 0, -1)] + [(7, "all", m) for m in range(1, 20_001)]
+    path = tmp_path / "relationships.csv"
+    path.write_text("".join(f"{o},{r},{m}\n" for o, r, m in records))
+    graph = load_relationships(path)
+    assert graph._roles == {1: {"friends": (5, 3, 4)}, 2: {"boss": (1,)}, 7: {"all": tuple(range(20_000, 0, -1))}}
+    one_by_one = RelationshipGraph()
+    for record in records[:7]:
+        one_by_one.add(*record)
+    assert one_by_one._roles == {1: {"friends": (5, 3, 4)}, 2: {"boss": (1,)}}
+    assert list(graph.records())[:4] == [(1, "friends", 3), (1, "friends", 4), (1, "friends", 5), (2, "boss", 1)]
+    assert graph.members(7, "all") == frozenset(range(1, 20_001))
 
 
 @pytest.mark.parametrize(

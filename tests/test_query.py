@@ -12,7 +12,6 @@ from pebtree.policy import (
     LocationPrivacyPolicy,
     PolicyStore,
     RelationshipGraph,
-    make_time_set,
 )
 from pebtree.query import (
     BaselineQueryEngine,
@@ -242,7 +241,7 @@ def reference_scenario():
     for uid, (rect, (lo, hi)) in specs.items():
         role = "u1"
         graph.add(uid, role, 1)
-        policies.append(LocationPrivacyPolicy(uid, role, rect, make_time_set(lo, hi)))
+        policies.append(LocationPrivacyPolicy(uid, role, rect, lo, hi))
     store = PolicyStore(policies, graph, objects, space_side=1000.0)
     return objects, store, t_q
 
@@ -300,6 +299,34 @@ def test_unknown_issuer_rejected():
         bx.knn_query(PknnRequest(999, (0.0, 0.0), 1, t_q))
     with pytest.raises(KeyError):
         oracle_range(objects.values(), store, PrqRequest(999, (0.0, 0.0, 10.0, 10.0), t_q))
+
+
+@pytest.mark.parametrize(
+    "t_q, fault",
+    [
+        (math.nan, "t_q is nan, not a finite number"),
+        (math.inf, "t_q is inf, not a finite number"),
+        (-5.0, "t_q is -5.0, a negative time"),
+    ],
+)
+def test_request_refuses_a_bad_query_time(t_q, fault):
+    # before, nan failed inside the curve code, inf answered nothing and -5.0 answered
+    with pytest.raises(ValueError, match=fault):
+        PrqRequest(1, (30.0, 30.0, 110.0, 80.0), t_q)
+    with pytest.raises(ValueError, match=fault):
+        PknnRequest(1, (50.0, 50.0), 1, t_q)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_request_refuses_a_non_finite_coordinate(bad):
+    for i in range(4):
+        rect = [30.0, 30.0, 110.0, 80.0]
+        rect[i] = bad
+        with pytest.raises(ValueError, match="query rectangle .* is not finite"):
+            PrqRequest(1, tuple(rect), 12.0)
+    for qloc in ((bad, 50.0), (50.0, bad)):
+        with pytest.raises(ValueError, match="query point .* is not finite"):
+            PknnRequest(1, qloc, 1, 12.0)
 
 
 # -- randomized equivalence ------------------------------------------------------------

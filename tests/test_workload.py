@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import statistics
+import tracemalloc
 
 import pytest
 
@@ -194,6 +195,22 @@ def test_policy_files_match_golden_digests(tmp_path, cfg, policies_sha, relation
     save_relationships(graph, tmp_path / "relationships.csv")
     assert hashlib.sha256((tmp_path / "policies.csv").read_bytes()).hexdigest() == policies_sha
     assert hashlib.sha256((tmp_path / "relationships.csv").read_bytes()).hexdigest() == relationships_sha
+
+
+def test_generated_policies_stay_within_the_memory_budget():
+    # about 600 B a policy with a nested time set, a role string and a member
+    # list per policy; about 350 B with flat windows and shared roles
+    cfg = WorkloadConfig(n_users=2000, policies_per_user=20, theta=0.7, seed=5)
+    users = list(range(cfg.n_users))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        policies, graph = gen_policies(users, cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(policies) == 40_000 and len(list(graph.records())) == 40_000
+    assert held / len(policies) <= 450
 
 
 def test_policies_infeasible_configs_rejected():
