@@ -163,15 +163,17 @@ class PolicyStore:
         self.users = frozenset(users)
         self.space_side = space_side
         self.day = day
-        # role member lists are read as they are: no set per policy
+        # role member tuples are read as they are: no set per policy
         roles, no_roles = graph._roles, {}
         directed: defaultdict[int, dict[int, LocationPrivacyPolicy]] = defaultdict(dict)
         naming: defaultdict[int, list[int]] = defaultdict(list)
         for p in policies:
             owner, role, _, t_lo, t_hi, p_day = p
-            if p_day != day:
-                raise ValueError(f"policy of user {owner} has a day of {p_day}, the store {day}")
-            check_window(t_lo, t_hi, day)
+            if not (p_day == day and 0.0 <= t_lo <= day and 0.0 <= t_hi <= day):
+                # one test in the common case; the branches name the fault
+                if p_day != day:
+                    raise ValueError(f"policy of user {owner} has a day of {p_day}, the store {day}")
+                check_window(t_lo, t_hi, day)
             targets = roles.get(owner, no_roles).get(role)
             if not targets:
                 raise ValueError(f"policy role {role!r} of user {owner} has no members")

@@ -433,11 +433,12 @@ def test_window_agrees_with_the_time_set(data, day):
 def test_store_refuses_a_policy_of_another_day():
     g = RelationshipGraph()
     g.add(1, "u2", 2)
-    p = LocationPrivacyPolicy(1, "u2", FULL_RECT, 8.0, 17.0)
+    p = LocationPrivacyPolicy(1, "u2", FULL_RECT, 8.0, 11.0)
     assert p.day == DAY
+    # the window fits either day
     with pytest.raises(ValueError, match="policy of user 1 has a day of 24.0, the store 12.0"):
         PolicyStore([p], g, [1, 2], day=12.0)
-    half_day = p._replace(t_hi=11.0, day=12.0)
+    half_day = p._replace(day=12.0)
     assert PolicyStore([half_day], g, [1, 2], day=12.0).directed(1, 2) is half_day
     for bad in (p._replace(t_hi=30.0), p._replace(t_lo=-1.0), p._replace(t_lo=math.nan)):
         with pytest.raises(ValueError, match=r"outside \[0, 24.0\]"):

@@ -307,6 +307,7 @@ def test_unknown_issuer_rejected():
         (math.nan, "t_q is nan, not a finite number"),
         (math.inf, "t_q is inf, not a finite number"),
         (-5.0, "t_q is -5.0, a negative time"),
+        (-1e-9, "t_q is -1e-09, a negative time"),
     ],
 )
 def test_request_refuses_a_bad_query_time(t_q, fault):
