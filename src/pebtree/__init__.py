@@ -11,7 +11,6 @@ from .policy import (
     RelationshipGraph,
     alpha,
     compatibility,
-    evaluate_visibility,
 )
 from .query import (
     BaselineQueryEngine,
@@ -59,7 +58,6 @@ __all__ = [
     "cost_c1",
     "enlarge",
     "estimate_dk",
-    "evaluate_visibility",
     "fit_cost_params",
     "gen_network",
     "gen_policies",

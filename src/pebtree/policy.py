@@ -205,16 +205,6 @@ class PolicyStore:
             raise KeyError(f"unknown user id {uid}")
 
 
-def evaluate_visibility(store: PolicyStore, owner: int, viewer: int, loc: tuple[float, float], t: float) -> bool:
-    """True iff ``viewer`` may see ``owner`` located at ``loc`` at time ``t``."""
-    store.check_user(owner)
-    store.check_user(viewer)
-    p = store.directed(owner, viewer)
-    if p is None:
-        return False
-    return point_in_rect(loc[0], loc[1], p.rect) and p.active_at(t)
-
-
 def alpha(
     p12: LocationPrivacyPolicy | None,
     p21: LocationPrivacyPolicy | None,

@@ -8,11 +8,9 @@ Two engines answer the same queries:
   ``partition | sequence value``, so its key intervals are the curve
   intervals offset by that prefix; the tree's leaf cursor scans them,
   stopping once every owner of the sequence value has been retrieved (a
-  user has only one location).  The kNN query walks a (friend row x
-  expansion round) search matrix in anti-diagonal order, keeps one curve
-  interval per round, and finishes with a vertical scan of the last
-  visited column shortened to the square of side twice the k'th candidate
-  distance.
+  user has only one location).  The kNN query reads each friend row's
+  whole key span once per partition, verifies every owner entry it reads,
+  and skips in later partitions the rows whose owners were all found.
 
 * :class:`BaselineQueryEngine` runs against the baseline index: a plain
   spatial query first, policy filtering after, with kNN by incrementally
@@ -33,16 +31,16 @@ one index from one thread at a time.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import heappush, heapreplace
+from heapq import nsmallest
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .keys import KeyLayout, SequenceValueMap
 from .motion import MovingObject
 from .policy import PolicyStore, point_in_rect
 from .store import DirectionalSpeeds, LeafEntry, MovingObjectIndex
-from .zcurve import cells_covering, z_corner_interval, z_decompose
+from .zcurve import cells_covering, z_decompose
+from .zcurve import z_corner_interval  # noqa: F401  perfbench/harness.py's tracer wraps it by this name
 
 Rect = tuple[float, float, float, float]
 
@@ -138,7 +136,8 @@ def antidiagonal_order(n_rows: int, n_cols: int) -> Iterator[tuple[int, int]]:
 
     Yields 0-based (row, column) pairs; within a diagonal the column
     decreases, so the sequence alternates between advancing the curve
-    radius and advancing the sequence-value row.
+    radius and advancing the sequence-value row.  With one column it is
+    row order.
     """
     for d in range(n_rows + n_cols - 1):
         for r in range(max(0, d - n_cols + 1), min(d, n_rows - 1) + 1):
@@ -184,10 +183,6 @@ class FriendLists:
         return cached
 
 
-# friend row states of the kNN walk within one partition
-_OPEN, _EXHAUSTED, _RETIRED = range(3)
-
-
 def _owner_rows(rows: Sequence[tuple[int, tuple[int, ...]]]) -> tuple[dict[int, int], list[int]]:
     """Map each owner uid to its friend row, and count each row's owners."""
     row_of = {uid: row_i for row_i, (_, uids) in enumerate(rows) for uid in uids}
@@ -206,7 +201,13 @@ class _EngineBase:
 
 
 class PebQueryEngine(_EngineBase):
-    """Query processor for the policy-embedded index."""
+    """Query processor for the policy-embedded index.
+
+    ``traversal`` orders each partition's friend rows in :meth:`pknn`,
+    called as ``traversal(n_rows, 1)``; the default,
+    :func:`antidiagonal_order`, yields them in row order.  It is kept
+    because perfbench counts the rows a kNN query visits through it.
+    """
 
     def __init__(
         self,
@@ -222,13 +223,6 @@ class PebQueryEngine(_EngineBase):
         self.traversal = traversal
 
     # -- scans ---------------------------------------------------------------
-
-    def _row_span(self, tid: int, svq: int) -> tuple[list[int], list[LeafEntry]]:
-        """Curve values and entries of one (partition, sequence value) key span, in key order."""
-        base = self.layout.peb_key_q(tid, svq, 0)
-        entries: list[LeafEntry] = []
-        self.index.tree.scan_intervals(((0, self.grid.max_z),), entries.append, base)
-        return [entry.key - base for entry in entries], entries
 
     def prq(self, req: PrqRequest, skip_rule: bool = True) -> set[int]:
         """Users inside the window at query time who allow the issuer to see them.
@@ -284,190 +278,52 @@ class PebQueryEngine(_EngineBase):
     def pknn(self, req: PknnRequest) -> PknnResult:
         """The k visible users nearest the query point at query time.
 
-        Partitions are searched one at a time.  Within a partition the
-        (friend row x expansion round) matrix is walked in the traversal
-        order.  A row's first visit reads the row's whole key span,
-        ``partition | sequence value | [0, max_z]``, with one leaf-cursor
-        scan; each visited cell then verifies only the span's entries in
-        the part of its round's curve interval not yet covered for that row
-        (rounds nest, so no entry is verified twice).  So every row that
-        still has an unseen owner is read once per partition, however early
-        the walk stops (in row order, under the anti-diagonal traversal);
-        the walk only chooses which of the entries read get verified.
-        Once k verified candidates sit inside the current round's
-        inscribed circle, the remaining rows of the column are vertically
-        scanned with the interval shortened to the square of side twice
-        the k'th candidate distance, which keeps the result exact no
-        matter where the walk stopped.  Fewer than k visible users yields
-        all of them with the result flagged short.
+        For each live partition, each friend row that still has an unseen
+        owner is read with one leaf-cursor scan of its whole key span,
+        ``partition | sequence value | [0, max_z]``, and every owner entry
+        read is verified: extrapolated to the query time, tested against
+        its policy toward the issuer, and ranked by distance.  A user has
+        only one location, so a row whose owners were all found is not
+        read in a later partition.  The answer is the k nearest verified
+        users, ties broken by ascending uid as in :func:`oracle_knn`;
+        fewer than k visible users yields all of them with the result
+        flagged short.
 
-        Round ``c`` (0-based) covers the square of half-side
-        ``(c + 1) * r_q``.  The step is ``r_q = estimate_dk(min(k, n_f),
-        n_f, L) / k``, where ``n_f`` counts the owners in the issuer's
-        friend rows: only they can be answers.  The paper's Bx-tree
-        estimate counts all N indexed users instead, which assumes the
-        neighbors are drawn from all of them; for an issuer who can see a
-        small share of the users, that step is so short that nearly every
-        cell scans nothing.  The step only sets how far each round reaches,
-        so any step gives the same answers.
-
-        Rows that can no longer change the answer are retired from the
-        walk.  Within a partition each row is *open*, *retired* (every
-        owner uid in it has been seen; its cells do nothing) or
-        *exhausted* (its span holds no entry outside the z bounds already
-        covered for it, but an owner is still unseen because it lives in
-        another partition; its cells only run the termination test).  A
-        row's entries carry its own sequence value in the key, so only the
-        row's own scans change its state.  An open row whose round interval
-        does not yet reach the nearest entry outside its covered bounds has
-        nothing to verify, so its cell, too, only runs the termination test.
-        The walk over a partition ends once no row is open, because no later
-        cell could then read or verify an entry.  None of this changes which
-        row spans are read, in which order, or which entries are verified,
-        so answers and I/O are those of the full walk.
+        This is the paper's (friend row x expansion round) search matrix
+        reduced to one round whose square covers the whole space.  The
+        paper walks more rounds so it can stop early, but a row span holds
+        a few entries and a leaf dozens, so reading part of a span costs
+        the pages of reading all of it.
         """
         self.store.check_user(req.qid)
         rows = self.friends.rows(req.qid)
-        k = req.k
-        if not rows:
-            return PknnResult((), short=True)
-        live = self.index.live_partitions()
-        if not live:
-            return PknnResult((), short=True)
-        side = self.grid.L
-        n_f = sum(len(uids) for _, uids in rows)  # each owner sits in one row
-        r_q = estimate_dk(min(k, n_f), n_f, side) / k
-        if r_q <= 0:
-            r_q = self.grid.cell_size
+        store = self.store
+        tree = self.index.tree
+        layout = self.layout
+        full = ((0, self.grid.max_z),)
+        qid = req.qid
         qx, qy = req.qloc
         t_q = req.t_q
-        store = self.store
-        # the column whose square, clamped, covers the whole space
-        needed = max(qx, side - qx, qy, side - qy)
-        n_cols = max(1, math.ceil(needed / r_q))
-        m = len(rows)
-
-        candidates: dict[int, float] = {}
-        nearest: list[float] = []  # max-heap (negated) of the k smallest distances
-        seen: set[int] = set()
         row_of, unseen = _owner_rows(rows)
-        state = [_OPEN] * m  # per-partition row states, and the open rows' count
-        n_open = 0
+        candidates: list[tuple[float, int]] = []
 
-        def interval_for(square: Rect, tid: int, label: float) -> tuple[int, int]:
-            cells = cells_covering(enlarge(square, label, t_q, self.index.max_speeds, side), self.grid)
-            return z_corner_interval(cells, self.grid)
-
-        def process(entry: LeafEntry) -> None:
-            nonlocal n_open
-            uid = entry.uid
-            if uid in seen:
+        def visit(entry: LeafEntry) -> None:
+            # entries of a row's key span carry its sequence value: an owner found is the row's own
+            row_i = row_of.get(entry.uid)
+            if row_i is None:
                 return
-            seen.add(uid)
-            owner_row = row_of.get(uid)
-            if owner_row is not None:
-                unseen[owner_row] -= 1
-                if not unseen[owner_row]:
-                    if state[owner_row] == _OPEN:
-                        n_open -= 1
-                    state[owner_row] = _RETIRED
+            unseen[row_i] -= 1
             px = entry.x + entry.vx * (t_q - entry.t)
             py = entry.y + entry.vy * (t_q - entry.t)
-            if _visible(store, uid, req.qid, px, py, t_q):
-                d = math.hypot(px - qx, py - qy)
-                candidates[uid] = d
-                if len(nearest) < k:
-                    heappush(nearest, -d)
-                elif d < -nearest[0]:
-                    heapreplace(nearest, -d)
+            if _visible(store, entry.uid, qid, px, py, t_q):
+                candidates.append((math.hypot(px - qx, py - qy), entry.uid))
 
-        def search_partition(tid: int, label: float) -> None:
-            nonlocal n_open
-            for row_i in range(m):
-                state[row_i] = _OPEN if unseen[row_i] else _RETIRED
-            n_open = m - state.count(_RETIRED)
-            if not n_open:
-                return
-            spans: list[tuple[list[int], list[LeafEntry]] | None] = [None] * m
-            # a read row's entries [done_lo, done_hi) are the ones inside the
-            # z bounds scanned so far for it; below and above hold the z of
-            # the nearest entries outside them (an unread row wakes at once)
-            done_lo = [0] * m
-            done_hi = [0] * m
-            below = [-1] * m
-            above = [-1] * m
-            no_z = self.grid.max_z + 1
-            visited_cols = [-1] * m  # last column visited while the row was open
-            col_ivs: dict[int, tuple[int, int]] = {}
-
-            def column_interval(col: int) -> tuple[int, int]:
-                radius = (col + 1) * r_q
-                square = (
-                    max(qx - radius, 0.0),
-                    max(qy - radius, 0.0),
-                    min(qx + radius, side),
-                    min(qy + radius, side),
-                )
-                iv = col_ivs[col] = interval_for(square, tid, label)
-                return iv
-
-            def scan_row(row_i: int, zs: int, ze: int) -> None:
-                # the first visit reads the whole span; each visit verifies
-                # the entries between the old and the new z bounds
-                nonlocal n_open
-                span = spans[row_i]
-                if span is None:
-                    span = spans[row_i] = self._row_span(tid, rows[row_i][0])
-                    done_lo[row_i] = done_hi[row_i] = bisect_left(span[0], zs)
-                z_list, entries = span
-                lo = done_lo[row_i]
-                if lo and z_list[lo - 1] >= zs:
-                    new_lo = done_lo[row_i] = bisect_left(z_list, zs, 0, lo)
-                    for entry in entries[new_lo:lo]:
-                        process(entry)
-                    lo = new_lo
-                hi = done_hi[row_i]
-                if hi < len(z_list) and z_list[hi] <= ze:
-                    new_hi = done_hi[row_i] = bisect_right(z_list, ze, hi)
-                    for entry in entries[hi:new_hi]:
-                        process(entry)
-                    hi = new_hi
-                below[row_i] = z_list[lo - 1] if lo else -1
-                above[row_i] = z_list[hi] if hi < len(z_list) else no_z
-                if state[row_i] == _OPEN and not lo and hi == len(z_list):
-                    state[row_i] = _EXHAUSTED
-                    n_open -= 1
-
-            for row_i, col in self.traversal(m, n_cols):
-                row_state = state[row_i]
-                if row_state == _RETIRED:
-                    continue
-                if row_state == _OPEN:
-                    zs, ze = col_ivs.get(col) or column_interval(col)
-                    if zs <= below[row_i] or ze >= above[row_i]:
-                        scan_row(row_i, zs, ze)
-                    visited_cols[row_i] = col
-                if len(nearest) == k and -nearest[0] <= (col + 1) * r_q:
-                    # vertical scan of this column, shortened to 2*kdist
-                    kdist = -nearest[0]
-                    square = (
-                        max(qx - kdist, 0.0),
-                        max(qy - kdist, 0.0),
-                        min(qx + kdist, side),
-                        min(qy + kdist, side),
-                    )
-                    v_lo, v_hi = interval_for(square, tid, label)
-                    for other in range(m):
-                        if state[other] == _OPEN and visited_cols[other] != col:
-                            scan_row(other, v_lo, v_hi)
-                    return
-                if not n_open:
-                    return
-
-        for tid, label in live:
-            search_partition(tid, label)
-        ranked = sorted((d, uid) for uid, d in candidates.items())[:k]
-        return PknnResult(tuple((uid, d) for d, uid in ranked), short=len(ranked) < k)
+        for tid, _ in self.index.live_partitions():
+            for row_i, _ in self.traversal(len(rows), 1):
+                if unseen[row_i]:
+                    tree.scan_intervals(full, visit, layout.peb_key_q(tid, rows[row_i][0], 0))
+        ranked = nsmallest(req.k, candidates)
+        return PknnResult(tuple((uid, d) for d, uid in ranked), short=len(ranked) < req.k)
 
 
 class BaselineQueryEngine(_EngineBase):

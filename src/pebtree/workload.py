@@ -330,7 +330,10 @@ def gen_policies(
     out-of-group users; theta of exactly 0 means no grouping at all and
     targets are drawn from the whole population.  Each policy registers
     its single target in its own role, so at most one policy exists per
-    ordered pair.
+    ordered pair.  A policy's daily window starts at a uniform time of day
+    and lasts a duration drawn uniformly from ``policy_duration``, which
+    must satisfy ``0 < lo <= hi <= day``; a duration of the whole day gives
+    the window ``[0, day)``.
     """
     users = list(users)
     n = len(users)
@@ -359,8 +362,10 @@ def gen_policies(
     random = rng.random
     side_lo, side_hi = cfg.policy_side
     dur_lo, dur_hi = cfg.policy_duration
-    side_span, dur_span = side_hi - side_lo, dur_hi - dur_lo
     space, day = cfg.space_side, cfg.day
+    if not 0.0 < dur_lo <= dur_hi <= day:
+        raise ValueError(f"policy duration {cfg.policy_duration} is not within 0 < lo <= hi <= day {day}")
+    side_span, dur_span = side_hi - side_lo, dur_hi - dur_lo
     # every policy toward one target shares its role name and member tuple
     grant_to = {u: (f"u{u}", (u,)) for u in users}
     add_policy = policies.append
@@ -386,7 +391,11 @@ def gen_policies(
             cx = half_w + ((space - half_w) - half_w) * random()
             cy = half_h + ((space - half_h) - half_h) * random()
             start = day * random()  # 0.0 + (day - 0.0) * random(), exactly
-            end = (start + (dur_lo + dur_span * random())) % day
+            duration = dur_lo + dur_span * random()
+            if duration >= day:  # the whole day; (start + day) % day would empty the window
+                start, end = 0.0, day
+            else:
+                end = (start + duration) % day
             role, members = grant_to[target]
             roles[role] = members
             add_policy(

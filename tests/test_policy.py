@@ -17,7 +17,6 @@ from pebtree.policy import (
     RelationshipGraph,
     alpha,
     compatibility,
-    evaluate_visibility,
     load_policies,
     load_relationships,
     save_policies,
@@ -305,26 +304,28 @@ def test_mutual_pairs_can_disclose_simultaneously(r1, r2, t1, t2):
                 if min(hi1, hi2) - max(lo1, lo2) > 1e-9:
                     shared = max(lo1, lo2)
         assert shared is not None
-        assert evaluate_visibility(store, 1, 2, (x, y), shared)
-        assert evaluate_visibility(store, 2, 1, (x, y), shared)
+        assert _visible(store, 1, 2, x, y, shared)
+        assert _visible(store, 2, 1, x, y, shared)
 
 
 def test_visibility_basics():
     store = make_store([(1, 2, (100.0, 100.0, 300.0, 300.0), 8.0, 17.0)], users=[1, 2, 3])
-    assert evaluate_visibility(store, 1, 2, (200.0, 200.0), 12.0)
-    assert evaluate_visibility(store, 1, 2, (200.0, 200.0), 12.0 + 2 * DAY)  # cyclic time
-    assert not evaluate_visibility(store, 1, 2, (200.0, 200.0), 20.0)  # outside hours
-    assert not evaluate_visibility(store, 1, 2, (50.0, 200.0), 12.0)  # outside region
-    assert not evaluate_visibility(store, 1, 3, (200.0, 200.0), 12.0)  # not in role
-    assert not evaluate_visibility(store, 2, 1, (200.0, 200.0), 12.0)  # no reverse policy
+    assert _visible(store, 1, 2, 200.0, 200.0, 12.0)
+    assert _visible(store, 1, 2, 200.0, 200.0, 12.0 + 2 * DAY)  # cyclic time
+    assert not _visible(store, 1, 2, 200.0, 200.0, 20.0)  # outside hours
+    assert not _visible(store, 1, 2, 50.0, 200.0, 12.0)  # outside region
+    assert not _visible(store, 1, 3, 200.0, 200.0, 12.0)  # not in role
+    assert not _visible(store, 2, 1, 200.0, 200.0, 12.0)  # no reverse policy
 
 
 def test_visibility_unknown_user_rejected():
+    # the store rejects an unknown id; visibility itself does not validate
+    # ids, and an unknown user holds no policy and is named by none
     store = make_store([(1, 2, FULL_RECT, 0.0, DAY)], users=[1, 2])
     with pytest.raises(KeyError):
-        evaluate_visibility(store, 99, 2, (0.0, 0.0), 0.0)
-    with pytest.raises(KeyError):
-        evaluate_visibility(store, 1, 99, (0.0, 0.0), 0.0)
+        store.check_user(99)
+    assert not _visible(store, 99, 2, 0.0, 0.0, 0.0)
+    assert not _visible(store, 1, 99, 0.0, 0.0, 0.0)
 
 
 def test_one_policy_per_ordered_pair_enforced():
@@ -379,7 +380,6 @@ def assert_window_agrees(t_lo, t_hi, day, t):
     g = RelationshipGraph()
     g.add(1, "u2", 2)
     store = PolicyStore([p], g, [1, 2], space_side=SIDE, day=day)
-    assert evaluate_visibility(store, 1, 2, (5.0, 5.0), t) == inside
     assert _visible(store, 1, 2, 5.0, 5.0, t) == inside
     return inside
 

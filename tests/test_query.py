@@ -409,12 +409,10 @@ def test_oracle_input_order_invariance(random_instance):
 
 
 def test_pknn_monotone_expansion_and_final_window():
-    # the expansion squares strictly grow; verified indirectly by checking
-    # the traversal helper plus the engine's public behavior on a crafted
-    # instance where the first column already yields k candidates
+    # the query point sits on the issuer's one visible friend
     objects, store, t_q = reference_scenario()
     peb, _ = build_engines(objects, store)
-    req = PknnRequest(1, (60.0, 55.0), 1, t_q)  # sits on the visible friend
+    req = PknnRequest(1, (60.0, 55.0), 1, t_q)
     result = peb.pknn(req)
     assert result.neighbors[0][0] == 12
     assert result.neighbors[0][1] == pytest.approx(0.0)
@@ -444,7 +442,15 @@ def test_updates_reflected_in_queries(random_instance):
         bx.index.update(objects[uid])
 
 
-# -- kNN walk against the full-matrix reference ------------------------------------------
+# -- kNN query against the search-matrix walk ---------------------------------------------
+
+
+def _row_span(engine, tid, svq):
+    """Curve values and entries of one (partition, sequence value) key span, in key order."""
+    base = engine.layout.peb_key_q(tid, svq, 0)
+    entries = []
+    engine.index.tree.scan_intervals(((0, engine.grid.max_z),), entries.append, base)
+    return [entry.key - base for entry in entries], entries
 
 
 def _probe_new(span, zs, ze):
@@ -456,9 +462,11 @@ def _probe_new(span, zs, ze):
 
 
 def reference_pknn(self: PebQueryEngine, req: PknnRequest) -> PknnResult:
-    """The kNN walk as it stood before row retirement, kept as a reference.
+    """The (friend row x expansion round) kNN walk, kept as a reference.
 
-    Its step is sized by the issuer's friend owners, as in ``pknn``.
+    Its step is sized by the issuer's friend owners.  A row's first visit
+    reads the row's whole key span, and each visit verifies only the
+    entries its round's interval newly covers.
 
     The k visible users nearest the query point at query time.
 
@@ -540,7 +548,7 @@ def reference_pknn(self: PebQueryEngine, req: PknnRequest) -> PknnResult:
             svq = rows[row_i][0]
             span = spans.get(row_i)
             if span is None:
-                span = spans[row_i] = self._row_span(tid, svq)
+                span = spans[row_i] = _row_span(self, tid, svq)
             done = covered.get(row_i)
             if done is None:
                 deltas = [(zs, ze)]
@@ -625,6 +633,24 @@ def churned_instance():
     return _churned(500)
 
 
+@pytest.fixture(scope="module")
+def churned_large_instance():
+    return _churned(800)
+
+
+def _small_page_index(instance, buffer_pages):
+    """The instance's current objects in a tree of 4-entry leaves and a small buffer."""
+    _, current, _, peb, _, _ = instance
+    index = MovingObjectIndex(
+        TIME_CFG, GRID, peb.layout, sv_map=peb.index.sv_map, buffer_pages=buffer_pages, page_size=256
+    )
+    for obj in current.values():
+        index.insert(obj)
+    assert index.tree.height == 4
+    assert len(index.live_partitions()) == 3
+    return index
+
+
 def _run_batch(peb, call, queries):
     """Per-query (neighbors, short, reads, misses) from a cold buffer."""
     peb.index.reset_io(cold=True)
@@ -637,9 +663,12 @@ def _run_batch(peb, call, queries):
     return out
 
 
-def test_pknn_matches_full_walk_reference(churned_instance):
-    _, current, store, peb, _, queries = churned_instance
-    assert len(peb.index.live_partitions()) == 3
+def _assert_pknn_matches_reference(engine, store, objects, queries):
+    """Same answers as the walk and the oracle, and never more I/O than the walk.
+
+    A later partition skips the rows whose owners the walk had read but not
+    verified, so at least one query reads fewer pages.
+    """
     stopped = []  # one flag per partition walk: True while it has not run out
 
     def tracked(n_rows, n_cols):
@@ -647,18 +676,46 @@ def test_pknn_matches_full_walk_reference(churned_instance):
         yield from antidiagonal_order(n_rows, n_cols)
         stopped[-1] = False
 
-    reference = PebQueryEngine(peb.index, store, peb.friends, traversal=tracked)
-    want = _run_batch(peb, lambda req: reference_pknn(reference, req), queries)
-    got = _run_batch(peb, peb.pknn, queries)
+    reference = PebQueryEngine(engine.index, store, engine.friends, traversal=tracked)
+
+    def walk(req):
+        return reference_pknn(reference, req)
+
+    def cold_each(call):
+        return [_run_batch(engine, call, [req])[0] for req in queries]
+
+    # cold buffer per query: answers, page reads and misses
+    want = cold_each(walk)
+    got = cold_each(engine.pknn)
     # both kinds of walk are exercised: short results, and walks that end
     # on the termination test
     shorts = sum(short for _, short, _, _ in want)
     assert 0 < shorts < len(queries)
     assert any(stopped)
-    for req, g, w in zip(queries, got, want):
-        assert g == w, req
-    for req, (neighbors, short, _, _) in zip(queries, got):
-        assert PknnResult(neighbors, short) == oracle_knn(current.values(), store, req)
+    for req, (g_nb, g_short, g_reads, g_misses), (w_nb, w_short, w_reads, w_misses) in zip(queries, got, want):
+        assert (g_nb, g_short) == (w_nb, w_short), req
+        assert PknnResult(g_nb, g_short) == oracle_knn(objects, store, req)
+        assert g_reads <= w_reads, req
+        assert g_misses <= w_misses, req
+    assert any(g[2] < w[2] for g, w in zip(got, want))
+    # warm buffer across the batch: the total misses
+    assert sum(g[3] for g in _run_batch(engine, engine.pknn, queries)) <= sum(
+        w[3] for w in _run_batch(engine, walk, queries)
+    )
+
+
+def test_pknn_matches_full_walk_reference(churned_instance, churned_large_instance):
+    for _, current, store, peb, _, queries in (churned_instance, churned_large_instance):
+        assert len(peb.index.live_partitions()) == 3
+        _assert_pknn_matches_reference(peb, store, current.values(), queries)
+
+
+@pytest.mark.parametrize("buffer_pages", [3, 4, 6])
+def test_pknn_matches_full_walk_reference_on_small_pages_and_buffers(churned_large_instance, buffer_pages):
+    # row spans cross leaves, and a 3-page buffer cannot hold one seek path and its leaf
+    _, current, store, peb, _, queries = churned_large_instance
+    engine = PebQueryEngine(_small_page_index(churned_large_instance, buffer_pages), store, peb.friends)
+    _assert_pknn_matches_reference(engine, store, current.values(), queries)
 
 
 def _row_reads_trace(peb, queries, cold_each):
@@ -686,9 +743,9 @@ def _row_reads_trace(peb, queries, cold_each):
 
 @pytest.mark.parametrize("cold_each", [True, False])
 def test_pknn_reads_every_friend_row_once_however_early_it_stops(random_instance, cold_each):
-    # in one partition every friend row has an unseen owner, so the walk
-    # reads each row's whole key span once, in row order, whether it ends
-    # on the termination test or runs out of rows
+    # in one partition every friend row has an unseen owner, so pknn reads
+    # each row's whole key span once, in row order, whether or not the
+    # answer is short
     cfg, objects, store, peb, _ = random_instance
     assert len(peb.index.live_partitions()) == 1
     queries = [
@@ -702,36 +759,9 @@ def test_pknn_reads_every_friend_row_once_however_early_it_stops(random_instance
     assert got == want
 
 
-def test_pknn_short_walk_skips_cells(random_instance):
-    cfg, objects, store, peb, bx = random_instance
-    assert len(peb.index.live_partitions()) == 1
-    shapes = []
-    cells = []
-
-    def counting(n_rows, n_cols):
-        shapes.append(n_rows * n_cols)
-        cells.append(0)
-        for cell in antidiagonal_order(n_rows, n_cols):
-            cells[-1] += 1
-            yield cell
-
-    engine = PebQueryEngine(peb.index, store, peb.friends, traversal=counting)
-    short = 0
-    for q in gen_queries(cfg, "knn", list(objects.values()), count=25):
-        req = PknnRequest(q.qid, q.qloc, 10, q.t_q)
-        shapes.clear()
-        cells.clear()
-        result = engine.pknn(req)
-        assert result == oracle_knn(objects.values(), store, req)
-        if result.short and shapes:
-            short += 1
-            assert cells[0] < shapes[0]
-    assert short
-
-
 def test_pknn_walk_ignores_users_outside_friend_rows():
-    # Users whom no policy links to anyone change neither the cells a kNN
-    # walk visits nor its I/O.  Their sequence values sort after every
+    # Users whom no policy links to anyone change neither the friend rows a
+    # kNN query visits nor its I/O.  Their sequence values sort after every
     # other user's, and one leaf holds all entries, so adding theirs moves
     # no friend entry to another page.
     cfg = WorkloadConfig(n_users=300, policies_per_user=20, theta=0.5, seed=21, group_size=50)
@@ -876,24 +906,12 @@ def test_prq_matches_per_interval_reference(churned_instance):
     _assert_prq_matches_reference(peb, queries, answers)
 
 
-@pytest.fixture(scope="module")
-def churned_large_instance():
-    return _churned(800)
-
-
 @pytest.mark.parametrize("buffer_pages", [3, 4, 6])
 def test_prq_matches_reference_on_small_pages_and_buffers(churned_large_instance, buffer_pages):
     # 4 entries per leaf make a tree of height 4, so row scans cross leaves
     # and a 3-page buffer cannot hold one seek path and its leaf
     cfg, current, store, peb, _, _ = churned_large_instance
-    index = MovingObjectIndex(
-        TIME_CFG, GRID, peb.layout, sv_map=peb.index.sv_map, buffer_pages=buffer_pages, page_size=256
-    )
-    for obj in current.values():
-        index.insert(obj)
-    assert index.tree.height == 4
-    assert len(index.live_partitions()) == 3
-    engine = PebQueryEngine(index, store, peb.friends)
+    engine = PebQueryEngine(_small_page_index(churned_large_instance, buffer_pages), store, peb.friends)
     queries = gen_queries(cfg, "range", list(current.values()), now=70.0, count=15)
     answers = [oracle_range(current.values(), store, req) for req in queries]
     assert any(answers)

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from pebtree.motion import MovingObject
-from pebtree.policy import PolicyStore, save_policies, save_relationships
+from pebtree.policy import DAY, PolicyStore, save_policies, save_relationships
 from pebtree.query import PknnRequest, PrqRequest
 from pebtree.workload import (
     NETWORK_SPEED_CLASSES,
@@ -221,6 +221,29 @@ def test_policies_infeasible_configs_rejected():
             range(100),
             WorkloadConfig(n_users=100, policies_per_user=60, theta=1.0, group_size=50, seed=0),
         )
+
+
+def test_a_full_day_duration_gives_the_whole_day():
+    def policies(duration):
+        cfg = WorkloadConfig(n_users=50, policies_per_user=3, theta=0.0, seed=1, policy_duration=duration)
+        return gen_policies(range(50), cfg)[0]
+
+    full_day = policies((DAY, DAY))
+    assert len(full_day) == 150
+    assert all((p.t_lo, p.t_hi) == (0.0, DAY) for p in full_day)
+    assert all(p.active_at(t) for p in full_day for t in (0.0, 7.5, DAY - 1e-9, DAY))
+    # a whole-day window consumes a start and a duration draw like any other,
+    # so the regions drawn after it are unchanged
+    assert [p.rect for p in full_day] == [p.rect for p in policies((DAY / 6, DAY / 2))]
+
+
+@pytest.mark.parametrize(
+    "duration", [(0.0, 6.0), (-1.0, 6.0), (8.0, 6.0), (6.0, DAY + 1.0), (math.nan, 6.0), (6.0, math.inf)]
+)
+def test_policy_duration_outside_the_day_rejected(duration):
+    cfg = WorkloadConfig(n_users=20, policies_per_user=2, theta=0.0, seed=0, policy_duration=duration)
+    with pytest.raises(ValueError, match="policy duration"):
+        gen_policies(range(20), cfg)
 
 
 def test_policy_shapes_within_bounds():
