@@ -43,6 +43,7 @@ from .policy import (
 )
 from .query import PrqRequest, oracle_knn, oracle_range
 from .workload import (
+    DISTRIBUTIONS,
     WorkloadConfig,
     gen_policies,
     gen_queries,
@@ -64,7 +65,7 @@ def _add_workload_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float, help="grouping factor in [0, 1]")
     p.add_argument("--group-size", type=int)
     p.add_argument("--max-speed", type=float)
-    p.add_argument("--distribution", choices=("uniform", "network"))
+    p.add_argument("--distribution", choices=DISTRIBUTIONS)
     p.add_argument("--destinations", type=int)
     p.add_argument("--window", dest="query_window", type=float, help="range query window side")
     p.add_argument("--k", type=int, help="kNN neighbor count")

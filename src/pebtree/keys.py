@@ -1,10 +1,20 @@
 """Sequence value assignment and index key construction.
 
-Sequence values place policy-compatible users at nearby reals: users are
-processed in descending order of how many others they relate to; each new
-anchor sits one separation step ``delta`` above the previous anchor, and
-every not-yet-assigned user related to the anchor lands at
-``anchor + (1 - C)``, so higher compatibility means a smaller gap.
+Sequence values place policy-compatible users at nearby reals.  The
+paper's rule processes users in descending order of how many others they
+relate to; each user still unassigned when reached becomes an anchor one
+separation step ``delta`` above the previous anchor, and every
+not-yet-assigned user related to the anchor lands at ``anchor + (1 - C)``,
+so higher compatibility means a smaller gap.
+
+Left alone, the first anchors absorb every related user, members of other
+policy groups included, so one group's users end up under many anchors
+far apart in key order.  A community step therefore runs first: label
+propagation over the two-way pairs (each user holds a policy toward the
+other) splits the users into communities; anchors are taken community by
+community, and an anchor absorbs only related users of its own community
+or users with no two-way pair.  Without two-way pairs every user is its
+own community and the rule is the paper's.
 
 Keys are fixed-width bit concatenations.  The policy-embedded key is
 ``time partition | quantized sequence value | Z-value`` so that integer
@@ -15,14 +25,20 @@ dominate location.  The baseline key drops the sequence value field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq, itemgetter
 from typing import Iterable, Protocol
 
 from .motion import TimePartitionConfig
 from .zcurve import GridConfig
 
+PROPAGATION_ROUNDS = 3
+
 
 class CompatibilityOracle(Protocol):
     def related(self, u: int) -> list[int]: ...
+
+    def two_way(self, u: int) -> list[int]: ...
 
     def c(self, u: int, v: int) -> float: ...
 
@@ -55,31 +71,83 @@ def assign_sequence_values(
 ) -> SequenceValueMap:
     """Assign every user a sequence value.
 
-    Users are ordered by descending related-user count with ties broken by
-    ascending id.  The first user receives ``sv0``; each later user still
-    unassigned when reached becomes a new anchor at the previous anchor's
-    value plus ``delta``; unassigned members of an anchor's group receive
-    ``anchor + (1 - C(anchor, member))``.
+    Users are ranked by descending related-user count with ties broken by
+    ascending id, the paper's order.  :func:`communities` labels the users
+    that have a two-way pair; a user without one is labelled by its own
+    rank.  The anchor loop visits the users by (label, rank), so it walks
+    each community in one stretch, in the paper's order within it.  The
+    first user visited receives ``sv0``; each later user still unassigned
+    when reached becomes a new anchor at the previous anchor's value plus
+    ``delta``; each unassigned user related to the anchor that shares its
+    label or has no two-way pair receives ``anchor + (1 - C(anchor, member))``.
+
+    Without two-way pairs every label is a rank, and this is the paper's
+    rule: the visit order is the rank order and every related user is
+    absorbed.  The result does not depend on the order of ``users``.
     """
     if sv0 <= 1:
         raise ValueError("sv0 must exceed 1")
     if delta <= 1:
         raise ValueError("delta must exceed 1")
     user_set = set(users)
-    order = sorted(user_set, key=lambda u: (-len(compat.related(u)), u))
+    related = compat.related
+    order = sorted(user_set, key=lambda u: (-len(related(u)), u))
+    community = communities(order, compat)
+    # (label, rank, user) triples sort without a key function
+    visits = sorted(zip([community.get(u, i) for i, u in enumerate(order)], range(len(order)), order))
     values: dict[int, float] = {}
     anchors: list[int] = []
     anchor_sv = sv0 - delta
-    for u in order:
+    for _, _, u in visits:
         if u in values:
             continue
         anchor_sv += delta
         values[u] = anchor_sv
         anchors.append(u)
-        for m in compat.related(u):
-            if m in user_set and m not in values:
+        label = community.get(u)
+        for m in related(u):
+            # a user without a two-way pair matches any anchor's label
+            if m in user_set and m not in values and community.get(m, label) == label:
                 values[m] = anchor_sv + (1.0 - compat.c(u, m))
     return SequenceValueMap(values, sv0, delta, tuple(anchors))
+
+
+def communities(order: list[int], compat: CompatibilityOracle) -> dict[int, int]:
+    """Community labels of the users in ``order`` that have a two-way pair among them.
+
+    Label propagation (Raghavan, Albert and Kumara, Phys. Rev. E 76,
+    036106, 2007): each user starts with its position in ``order`` as its
+    label; then, in that order and for at most ``PROPAGATION_ROUNDS``
+    rounds, each takes the label most frequent among its two-way
+    partners, the smallest on a tie (the earliest, best-related user's),
+    until a round changes nothing.
+    """
+    label = {u: i for i, u in enumerate(order)}
+    members = set(order)
+    voters = []
+    for u in order:
+        partners = compat.two_way(u)
+        if not members.issuperset(partners):
+            partners = [v for v in partners if v in members]
+        if partners:
+            # a getter of one index returns a bare label, so name a lone partner twice
+            voters.append((u, itemgetter(*partners) if len(partners) > 1 else itemgetter(partners[0], partners[0])))
+    for _ in range(PROPAGATION_ROUNDS):
+        changed = False
+        for u, heard_by in voters:
+            heard = heard_by(label)
+            best = heard[0]
+            if heard.count(best) * 2 <= len(heard):  # no majority: count every label
+                ascending = sorted(heard)
+                # a label heard n times appears here n - 1 times, in ascending order
+                repeats = list(compress(ascending, map(eq, ascending, ascending[1:])))
+                best = max(repeats, key=repeats.count) if repeats else ascending[0]
+            if best != label[u]:
+                label[u] = best
+                changed = True
+        if not changed:
+            break
+    return {u: label[u] for u, _ in voters}
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ in their own region), yet a pair counts as mutual only when the regions
 overlap as well.  Pairs with region-disjoint policies and overlapping
 times therefore score by the one-sided fallback formula.
 
-Sequence value assignment reads every user's related users but the
-degrees of few pairs, so :class:`CompatibilityIndex` stores the neighbour
-lists plus the degrees of two-way pairs only, and scores any other pair
-when asked.
+Sequence value assignment reads every user's related users and two-way
+partners but the degrees of few pairs, so :class:`CompatibilityIndex`
+stores the neighbour lists, the two-way lists and the degrees of two-way
+pairs only, and scores any other pair when asked.
 
 The store is read-only after loading; concurrent readers are fine.
 """
@@ -60,6 +60,16 @@ class LocationPrivacyPolicy(NamedTuple):
         if t_lo > t_hi:
             return ((0.0, t_hi), (t_lo, day))
         return ()
+
+    @property
+    def duration(self) -> float:
+        """Length of the daily window: ``time_set_duration(self.t_int)``, summed in the same order."""
+        _, _, _, t_lo, t_hi, day = self
+        if t_lo < t_hi:
+            return t_hi - t_lo
+        if t_lo > t_hi:
+            return t_hi + (day - t_lo)
+        return 0.0
 
     def active_at(self, t: float) -> bool:
         """Whether time ``t`` falls in the daily window."""
@@ -233,7 +243,7 @@ def _alpha_mutual(
     total = 0.0
     for p in (p12, p21):
         if p is not None:
-            total += (rect_area(p.rect) / s) * (time_set_duration(p.t_int) / day)
+            total += (rect_area(p.rect) / s) * (p.duration / day)
     return 0.5 * total, False
 
 
@@ -261,21 +271,24 @@ class CompatibilityIndex:
 
     Only a pair that shares at least one policy can score above zero, so
     the neighbour lists stay linear in the number of policies rather than
-    quadratic in users.  Built from a store, the index keeps those lists
-    and the degrees of the two-way pairs (each user holds a policy toward
-    the other); any other pair is scored on demand by :func:`compatibility`,
-    lower id first.  Sequence value assignment reads every list but the
-    degrees of few pairs.
+    quadratic in users.  Built from a store, the index keeps those lists,
+    the two-way lists (the related users toward whom each user holds a
+    policy and who hold one back) and the degrees of the two-way pairs;
+    any other pair is scored on demand by :func:`compatibility`, lower id
+    first.  Sequence value assignment reads every list but the degrees of
+    few pairs.
     """
 
     def __init__(
         self,
         neighbors: dict[int, list[int]],
         scores: dict[tuple[int, int], float],
+        two_way: dict[int, list[int]],
         store: PolicyStore | None = None,
     ) -> None:
         self._neighbors = neighbors
         self._c = scores  # keyed (lower id, higher id)
+        self._two_way = two_way
         self._store = store
 
     @classmethod
@@ -283,7 +296,8 @@ class CompatibilityIndex:
         """Neighbour lists from the store's policy maps, scoring two-way pairs only.
 
         A user's candidates are the viewers it names and the owners naming
-        it, less the pairs whose degree is not positive.  A two-way pair is
+        it, less the pairs whose degree is not positive; its two-way list
+        holds the candidates that are both.  A two-way pair is
         scored once, from its lower id, since even a mutual overlap can
         underflow to a zero degree.  A one-sided pair's degree is half its
         one policy's weight, positive unless the policy has no area, no time
@@ -300,13 +314,17 @@ class CompatibilityIndex:
         no_policies: dict[int, LocationPrivacyPolicy] = {}
         scores: dict[tuple[int, int], float] = {}
         neighbors: dict[int, list[int]] = {}
+        two_way: dict[int, list[int]] = {}
         suspects: list[int] = []  # owners with a policy that may weigh nothing
         for u in directed.keys() | naming.keys():
             per_owner = directed.get(u, no_policies)
             owners = naming.get(u, ())
-            for v in per_owner.keys() & owners:
-                if u < v:
-                    scores[(u, v)] = _degree(*_alpha_mutual(per_owner[v], directed[v][u], side, day))
+            both = per_owner.keys() & owners
+            if both:
+                for v in both:
+                    if u < v:
+                        scores[(u, v)] = _degree(*_alpha_mutual(per_owner[v], directed[v][u], side, day))
+                two_way[u] = sorted(both)
             neighbors[u] = sorted(per_owner.keys() | owners)
             for _, _, (x_lo, y_lo, x_hi, y_hi), t_lo, t_hi, _ in per_owner.values():
                 # the time intervals: [t_lo, t_hi), or [0, t_hi) and [t_lo, day) wrapped
@@ -322,6 +340,9 @@ class CompatibilityIndex:
                     suspects.append(u)
                     break
         dropped = [pair for pair, c in scores.items() if not c > 0]
+        for u, v in dropped:
+            two_way[u].remove(v)
+            two_way[v].remove(u)
         for u in suspects:
             for v in directed[u]:
                 if u not in directed.get(v, no_policies) and not compatibility(store, u, v).c > 0:
@@ -329,20 +350,25 @@ class CompatibilityIndex:
         for u, v in dropped:
             neighbors[u].remove(v)
             neighbors[v].remove(u)
-        return cls(neighbors, scores, store)
+        return cls(neighbors, scores, two_way, store)
 
     @classmethod
-    def from_values(cls, values: dict[tuple[int, int], float]) -> "CompatibilityIndex":
-        """Build from given compatibility values, keyed by either id order."""
+    def from_values(
+        cls, values: dict[tuple[int, int], float], two_way: Iterable[tuple[int, int]] = ()
+    ) -> "CompatibilityIndex":
+        """Build from given compatibility values, keyed by either id order.
+
+        ``two_way`` names the pairs in which each user holds a policy toward
+        the other; like the related pairs, only those with a positive value
+        count.
+        """
         scores = {((u, v) if u < v else (v, u)): c for (u, v), c in values.items()}
-        neighbors: dict[int, list[int]] = {}
-        for (u, v), c in scores.items():
-            if c > 0:
-                neighbors.setdefault(u, []).append(v)
-                neighbors.setdefault(v, []).append(u)
-        for lst in neighbors.values():
-            lst.sort()
-        return cls(neighbors, scores)
+        pairs = {(u, v) if u < v else (v, u) for u, v in two_way}
+        return cls(
+            _adjacency(pair for pair, c in scores.items() if c > 0),
+            scores,
+            _adjacency(pair for pair in pairs if scores.get(pair, 0.0) > 0),
+        )
 
     def c(self, u: int, v: int) -> float:
         key = (u, v) if u < v else (v, u)
@@ -354,6 +380,21 @@ class CompatibilityIndex:
     def related(self, u: int) -> list[int]:
         """Users with non-zero compatibility to ``u``, ascending."""
         return self._neighbors.get(u, [])
+
+    def two_way(self, u: int) -> list[int]:
+        """Related users toward whom ``u`` holds a policy and who hold one back, ascending."""
+        return self._two_way.get(u, [])
+
+
+def _adjacency(pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    """Each id's partners in ``pairs``, ascending."""
+    adjacency: dict[int, list[int]] = {}
+    for u, v in pairs:
+        adjacency.setdefault(u, []).append(v)
+        adjacency.setdefault(v, []).append(u)
+    for lst in adjacency.values():
+        lst.sort()
+    return adjacency
 
 
 # --- file formats -----------------------------------------------------------

@@ -31,9 +31,17 @@ from .policy import (
 from .query import PknnRequest, PrqRequest
 
 
+DISTRIBUTIONS = ("uniform", "network")
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
-    """One benchmark point's data generation parameters."""
+    """One benchmark point's data generation parameters.
+
+    Construction refuses a ``distribution`` other than those in
+    ``DISTRIBUTIONS``, a ``theta`` outside ``[0, 1]`` and a
+    ``policy_duration`` outside ``0 < lo <= hi <= day``, naming the field.
+    """
 
     n_users: int = 10_000
     max_speed: float = 3.0
@@ -50,6 +58,15 @@ class WorkloadConfig:
     query_window: float = 200.0
     k: int = 5
     queries_per_point: int = 200
+
+    def __post_init__(self) -> None:
+        if self.distribution not in DISTRIBUTIONS:
+            raise ValueError(f"distribution {self.distribution!r} is not one of {DISTRIBUTIONS}")
+        if not 0.0 <= self.theta <= 1.0:
+            raise ValueError(f"theta {self.theta} is not within [0, 1]")
+        lo, hi = self.policy_duration
+        if not 0.0 < lo <= hi <= self.day:
+            raise ValueError(f"policy_duration {self.policy_duration} is not within 0 < lo <= hi <= day {self.day}")
 
     def stream(self, name: str) -> Random:
         return Random(f"{self.seed}/{name}")
@@ -296,9 +313,7 @@ def make_world(cfg: WorkloadConfig, objects: list[MovingObject] | None = None):
     if cfg.distribution == "uniform":
         objs = objects if objects is not None else gen_uniform(cfg)
         return objs, UniformWorld(objs, cfg.space_side)
-    if cfg.distribution == "network":
-        return gen_network(cfg)
-    raise ValueError(f"unknown distribution {cfg.distribution!r}")
+    return gen_network(cfg)
 
 
 # -- policies -----------------------------------------------------------------
@@ -331,9 +346,8 @@ def gen_policies(
     targets are drawn from the whole population.  Each policy registers
     its single target in its own role, so at most one policy exists per
     ordered pair.  A policy's daily window starts at a uniform time of day
-    and lasts a duration drawn uniformly from ``policy_duration``, which
-    must satisfy ``0 < lo <= hi <= day``; a duration of the whole day gives
-    the window ``[0, day)``.
+    and lasts a duration drawn uniformly from ``policy_duration``; a
+    duration of the whole day gives the window ``[0, day)``.
     """
     users = list(users)
     n = len(users)
@@ -342,8 +356,6 @@ def gen_policies(
     n_p = cfg.policies_per_user
     if n_p >= n:
         raise ValueError("policies per user must be below the user count")
-    if not 0.0 <= cfg.theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
     rng = cfg.stream("policies")
     groups, group_of = assign_groups(users, cfg)
     k_in = int(cfg.theta * n_p) if cfg.theta > 0 else 0
@@ -363,8 +375,6 @@ def gen_policies(
     side_lo, side_hi = cfg.policy_side
     dur_lo, dur_hi = cfg.policy_duration
     space, day = cfg.space_side, cfg.day
-    if not 0.0 < dur_lo <= dur_hi <= day:
-        raise ValueError(f"policy duration {cfg.policy_duration} is not within 0 < lo <= hi <= day {day}")
     side_span, dur_span = side_hi - side_lo, dur_hi - dur_lo
     # every policy toward one target shares its role name and member tuple
     grant_to = {u: (f"u{u}", (u,)) for u in users}

@@ -196,6 +196,9 @@ def test_load_config_key_value(tmp_path):
     bad.write_text("nope=1\n")
     with pytest.raises(ValueError):
         load_config(bad)
+    bad.write_text("theta=1.5\n")
+    with pytest.raises(ValueError, match="theta"):
+        load_config(bad)
 
 
 def test_save_config_round_trips_every_field(tmp_path):
@@ -204,7 +207,8 @@ def test_save_config_round_trips_every_field(tmp_path):
         value = f.default
         if not isinstance(value, (int, float, str)):  # the tuple fields stay out of config files
             continue
-        changed[f.name] = "network" if f.name == "distribution" else value + (3 if isinstance(value, int) else 0.375)
+        # three quarters keep theta in [0, 1] and the default durations within the day
+        changed[f.name] = "network" if f.name == "distribution" else (value + 3 if isinstance(value, int) else value * 0.75)
     cfg = replace(WorkloadConfig(), **changed)
     assert all(getattr(cfg, name) != getattr(WorkloadConfig(), name) for name in changed)
     path = tmp_path / "config.txt"

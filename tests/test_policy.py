@@ -154,11 +154,12 @@ def test_from_store_equals_pairwise_compatibility():
     assert len(two_way) < len(want)
     assert any(want[key] > 0.5 for key in two_way) and any(want[key] <= 0.5 for key in two_way)
     index = CompatibilityIndex.from_store(store)
-    reference = CompatibilityIndex.from_values(want)
+    reference = CompatibilityIndex.from_values(want, two_way)
     for (u, v), c in want.items():
         assert index.c(u, v).hex() == index.c(v, u).hex() == c.hex()
     for u in uids:
         assert index.related(u) == reference.related(u)
+        assert index.two_way(u) == reference.two_way(u)
     assert assign_sequence_values(uids, index) == assign_sequence_values(uids, reference)
 
 
@@ -168,6 +169,7 @@ def reference_from_store(store):
     directed = store._directed
     empty: dict[int, LocationPrivacyPolicy] = {}
     values: dict[tuple[int, int], float] = {}
+    two_way: list[tuple[int, int]] = []
     for owner, per_owner in directed.items():
         for viewer, p in per_owner.items():
             back = directed.get(viewer, empty).get(owner)
@@ -175,18 +177,20 @@ def reference_from_store(store):
                 a, mutual = _alpha_mutual(p, None, side, day)
             elif owner < viewer:
                 a, mutual = _alpha_mutual(p, back, side, day)
+                two_way.append((owner, viewer))
             else:
                 continue
             values[(owner, viewer) if owner < viewer else (viewer, owner)] = _degree(a, mutual)
-    return CompatibilityIndex.from_values(values), values
+    return CompatibilityIndex.from_values(values, two_way), values
 
 
 def assert_matches_reference(store):
-    """Neighbour lists, every sharing pair's degree and the sequence values equal the eager build's."""
+    """Neighbour and two-way lists, every sharing pair's degree and the sequence values equal the eager build's."""
     index = CompatibilityIndex.from_store(store)
     reference, values = reference_from_store(store)
     for u in store.users:
         assert index.related(u) == reference.related(u)
+        assert index.two_way(u) == reference.two_way(u)
     for (u, v), c in values.items():
         assert index.c(u, v).hex() == index.c(v, u).hex() == c.hex()
     users = sorted(store.users)
@@ -237,6 +241,8 @@ def test_from_store_equals_eager_reference_on_degenerate_policies():
     assert zero == {(1, 2), (3, 4), (5, 6), (1, 6), (7, 8), (9, 10)}
     assert index.related(1) == [3] and index.related(9) == [8]
     assert index.related(12) == [11, 13]
+    # the two-way pairs of zero degree leave the two-way lists too
+    assert [index.two_way(u) for u in (1, 3, 4, 9, 10)] == [[3], [1], [], [], []]
 
 
 def test_from_store_equals_eager_reference_when_no_weight_fits_a_float():
@@ -375,6 +381,8 @@ def assert_window_agrees(t_lo, t_hi, day, t):
     want = reference_time_set(t_lo, t_hi, day)
     p = LocationPrivacyPolicy(1, "u2", FULL_RECT, t_lo, t_hi, day)
     assert p.t_int == want
+    # bit for bit, as the degree of a one-sided pair reads it
+    assert p.duration.hex() == float(time_set_duration(want)).hex()
     inside = reference_time_in_set(t, want, day)
     assert p.active_at(t) == inside
     g = RelationshipGraph()

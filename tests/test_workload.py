@@ -3,6 +3,7 @@ import math
 import re
 import statistics
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -241,9 +242,25 @@ def test_a_full_day_duration_gives_the_whole_day():
     "duration", [(0.0, 6.0), (-1.0, 6.0), (8.0, 6.0), (6.0, DAY + 1.0), (math.nan, 6.0), (6.0, math.inf)]
 )
 def test_policy_duration_outside_the_day_rejected(duration):
-    cfg = WorkloadConfig(n_users=20, policies_per_user=2, theta=0.0, seed=0, policy_duration=duration)
-    with pytest.raises(ValueError, match="policy duration"):
-        gen_policies(range(20), cfg)
+    with pytest.raises(ValueError, match="policy_duration"):
+        WorkloadConfig(n_users=20, policies_per_user=2, theta=0.0, seed=0, policy_duration=duration)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("theta", -0.1), ("theta", 1.5), ("theta", math.nan), ("distribution", "gaussian"), ("distribution", "Uniform")],
+)
+def test_config_field_outside_its_domain_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        WorkloadConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        replace(WorkloadConfig(), **{field: value})
+
+
+def test_policy_duration_checked_against_the_configured_day():
+    assert WorkloadConfig(day=12.0, policy_duration=(1.0, 12.0)).day == 12.0
+    with pytest.raises(ValueError, match="policy_duration"):
+        WorkloadConfig(day=6.0)  # the default durations run to half of a 24-hour day
 
 
 def test_policy_shapes_within_bounds():
