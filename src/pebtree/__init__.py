@@ -8,6 +8,7 @@ from .policy import (
     CompatibilityScore,
     LocationPrivacyPolicy,
     PolicyStore,
+    PolicyTable,
     RelationshipGraph,
     alpha,
     compatibility,
@@ -46,6 +47,7 @@ __all__ = [
     "PknnRequest",
     "PknnResult",
     "PolicyStore",
+    "PolicyTable",
     "PrqRequest",
     "RelationshipGraph",
     "SequenceValueMap",

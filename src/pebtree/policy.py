@@ -14,20 +14,34 @@ in their own region), yet a pair counts as mutual only when the regions
 overlap as well.  Pairs with region-disjoint policies and overlapping
 times therefore score by the one-sided fallback formula.
 
+Policies are stored as columns.  A :class:`PolicyTable` holds one row per
+policy: ``array('d')`` columns for the rectangle and the window, an owner
+column, a role column and one day length.  :class:`PolicyStore` maps each
+ordered (owner, viewer) pair to the row of its policy in dicts of ints, so
+the garbage collector walks neither the policies nor the maps to them.
+Visibility checks and :meth:`CompatibilityIndex.from_store` read the
+columns in place; a :class:`LocationPrivacyPolicy` record is built only on
+demand, when a table is indexed or iterated (the file writer does this)
+or by :meth:`PolicyStore.directed`.
+
 Sequence value assignment reads every user's related users and two-way
 partners but the degrees of few pairs, so :class:`CompatibilityIndex`
 stores the neighbour lists, the two-way lists and the degrees of two-way
 pairs only, and scores any other pair when asked.
 
-The store is read-only after loading; concurrent readers are fine.
+The store and the table it keeps are read-only after construction, so
+readers may share them; the query engines that read them are not safe to
+run concurrently (see :mod:`pebtree.query`).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 DAY = 24.0
 
@@ -54,57 +68,95 @@ class LocationPrivacyPolicy(NamedTuple):
     @property
     def t_int(self) -> TimeSet:
         """The daily window as disjoint half-open intervals within ``[0, day]``."""
-        _, _, _, t_lo, t_hi, day = self
-        if t_lo < t_hi:
-            return ((t_lo, t_hi),)
-        if t_lo > t_hi:
-            return ((0.0, t_hi), (t_lo, day))
-        return ()
+        return window_time_set(self.t_lo, self.t_hi, self.day)
 
     @property
     def duration(self) -> float:
         """Length of the daily window: ``time_set_duration(self.t_int)``, summed in the same order."""
-        _, _, _, t_lo, t_hi, day = self
-        if t_lo < t_hi:
-            return t_hi - t_lo
-        if t_lo > t_hi:
-            return t_hi + (day - t_lo)
-        return 0.0
+        return window_duration(self.t_lo, self.t_hi, self.day)
 
     def active_at(self, t: float) -> bool:
         """Whether time ``t`` falls in the daily window."""
-        _, _, _, t_lo, t_hi, day = self
-        tm = t % day
-        if t_lo <= t_hi:
-            return t_lo <= tm < t_hi
-        # `tm < day` also holds for a tiny negative t, whose remainder rounds to day
-        return t_lo <= tm < day or tm < t_hi
+        return window_contains(self.t_lo, self.t_hi, self.day, t)
+
+
+def window_time_set(t_lo: float, t_hi: float, day: float) -> TimeSet:
+    if t_lo < t_hi:
+        return ((t_lo, t_hi),)
+    if t_lo > t_hi:
+        return ((0.0, t_hi), (t_lo, day))
+    return ()
+
+
+def window_duration(t_lo: float, t_hi: float, day: float) -> float:
+    if t_lo < t_hi:
+        return t_hi - t_lo
+    if t_lo > t_hi:
+        return t_hi + (day - t_lo)
+    return 0.0
+
+
+def window_contains(t_lo: float, t_hi: float, day: float, t: float) -> bool:
+    tm = t % day
+    if t_lo <= t_hi:
+        return t_lo <= tm < t_hi
+    # `tm < day` also holds for a tiny negative t, whose remainder rounds to day
+    return t_lo <= tm < day or tm < t_hi
+
+
+class PolicyTable(Sequence[LocationPrivacyPolicy]):
+    """Policies of one day length as columns, one row per policy.
+
+    The rectangle sides and the window ends are ``array('d')`` columns, so
+    the garbage collector has nothing to walk in them.  The owner column is
+    a list that holds the caller's own int objects: dicts keyed by the same
+    objects then find them by identity.  Indexing and iteration build
+    :class:`LocationPrivacyPolicy` records on demand; a slice is a table.
+    """
+
+    def __init__(self, day: float = DAY) -> None:
+        self.day = day
+        self.owner: list[int] = []
+        self.role: list[str] = []
+        self.x_lo, self.y_lo, self.x_hi, self.y_hi = array("d"), array("d"), array("d"), array("d")
+        self.t_lo, self.t_hi = array("d"), array("d")
+
+    def _columns(self) -> tuple:
+        return (self.owner, self.role, self.x_lo, self.y_lo, self.x_hi, self.y_hi, self.t_lo, self.t_hi)
+
+    def append(
+        self, owner: int, role: str, x_lo: float, y_lo: float, x_hi: float, y_hi: float, t_lo: float, t_hi: float
+    ) -> None:
+        for column, value in zip(self._columns(), (owner, role, x_lo, y_lo, x_hi, y_hi, t_lo, t_hi)):
+            column.append(value)
+
+    def __len__(self) -> int:
+        return len(self.owner)
+
+    def __getitem__(self, row: int | slice) -> LocationPrivacyPolicy | PolicyTable:
+        if isinstance(row, slice):
+            part = PolicyTable(self.day)
+            for column, values in zip(part._columns(), self._columns()):
+                column.extend(values[row])
+            return part
+        return LocationPrivacyPolicy(
+            self.owner[row],
+            self.role[row],
+            (self.x_lo[row], self.y_lo[row], self.x_hi[row], self.y_hi[row]),
+            self.t_lo[row],
+            self.t_hi[row],
+            self.day,
+        )
+
+    def __iter__(self) -> Iterator[LocationPrivacyPolicy]:
+        day = self.day
+        for owner, role, x_lo, y_lo, x_hi, y_hi, t_lo, t_hi in zip(*self._columns()):
+            yield LocationPrivacyPolicy(owner, role, (x_lo, y_lo, x_hi, y_hi), t_lo, t_hi, day)
 
 
 def check_window(t_lo: float, t_hi: float, day: float) -> None:
     if not (0 <= t_lo <= day and 0 <= t_hi <= day):
         raise ValueError(f"interval [{t_lo}, {t_hi}] outside [0, {day}]")
-
-
-# conditional expressions pick what min() and max() of two would, without the calls
-
-
-def rect_area(rect: Rect) -> float:
-    x_lo, y_lo, x_hi, y_hi = rect
-    w, h = x_hi - x_lo, y_hi - y_lo
-    return (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
-
-
-def rect_overlap_area(a: Rect, b: Rect) -> float:
-    ax_lo, ay_lo, ax_hi, ay_hi = a
-    bx_lo, by_lo, bx_hi, by_hi = b
-    w = (bx_hi if bx_hi < ax_hi else ax_hi) - (bx_lo if bx_lo > ax_lo else ax_lo)
-    h = (by_hi if by_hi < ay_hi else ay_hi) - (by_lo if by_lo > ay_lo else ay_lo)
-    return (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
-
-
-def point_in_rect(x: float, y: float, rect: Rect) -> bool:
-    return rect[0] <= x <= rect[2] and rect[1] <= y <= rect[3]
 
 
 def time_set_duration(t_int: TimeSet) -> float:
@@ -157,14 +209,16 @@ class RelationshipGraph:
 class PolicyStore:
     """All policies of a deployment, indexed for per-pair lookup.
 
-    At most one policy may apply per ordered (owner, viewer) pair, and
-    every policy's window must lie in the store's day; the constructor
-    rejects violations.
+    The store keeps a :class:`PolicyTable` and maps each ordered (owner,
+    viewer) pair to the row of the policy that applies, in dicts of ints.
+    Given records rather than a table, it converts them once.  At most one
+    policy may apply per ordered pair, and every policy's window must lie
+    in the store's day; the constructor rejects violations.
     """
 
     def __init__(
         self,
-        policies: Iterable[LocationPrivacyPolicy],
+        policies: PolicyTable | Iterable[LocationPrivacyPolicy],
         graph: RelationshipGraph,
         users: Iterable[int],
         space_side: float = 1000.0,
@@ -173,16 +227,23 @@ class PolicyStore:
         self.users = frozenset(users)
         self.space_side = space_side
         self.day = day
-        # role member tuples are read as they are: no set per policy
-        roles, no_roles = graph._roles, {}
-        directed: defaultdict[int, dict[int, LocationPrivacyPolicy]] = defaultdict(dict)
-        naming: defaultdict[int, list[int]] = defaultdict(list)
-        for p in policies:
-            owner, role, _, t_lo, t_hi, p_day = p
-            if not (p_day == day and 0.0 <= t_lo <= day and 0.0 <= t_hi <= day):
-                # one test in the common case; the branches name the fault
+        if isinstance(policies, PolicyTable):
+            table = policies
+            if table.day != day:
+                raise ValueError(f"the policy table has a day of {table.day}, the store {day}")
+        else:
+            table = PolicyTable(day)
+            for owner, role, rect, t_lo, t_hi, p_day in policies:
                 if p_day != day:
                     raise ValueError(f"policy of user {owner} has a day of {p_day}, the store {day}")
+                table.append(owner, role, *rect, t_lo, t_hi)
+        self.policies = table
+        # role member tuples are read as they are: no set per policy
+        roles, no_roles = graph._roles, {}
+        directed: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        naming: defaultdict[int, list[int]] = defaultdict(list)
+        for row, (owner, role, t_lo, t_hi) in enumerate(zip(table.owner, table.role, table.t_lo, table.t_hi)):
+            if not (0.0 <= t_lo <= day and 0.0 <= t_hi <= day):
                 check_window(t_lo, t_hi, day)
             targets = roles.get(owner, no_roles).get(role)
             if not targets:
@@ -191,10 +252,11 @@ class PolicyStore:
             for v in targets:
                 if v in per_owner:
                     raise ValueError(f"two policies for ordered pair ({owner}, {v})")
-                per_owner[v] = p
+                per_owner[v] = row
                 naming[v].append(owner)
         for lst in naming.values():
             lst.sort()
+        # dicts of ints only: the garbage collector leaves the inner ones untracked
         self._directed = dict(directed)
         self._owners_naming = dict(naming)
         for who, uids in (("owner", self._directed.keys()), ("member", self._owners_naming.keys())):
@@ -202,9 +264,15 @@ class PolicyStore:
             if unknown:
                 raise ValueError(f"policy {who} {min(unknown)} is not a known user")
 
+    def row(self, owner: int, viewer: int) -> int | None:
+        """The table row of the owner's policy applicable to ``viewer``, if any."""
+        per_owner = self._directed.get(owner)
+        return None if per_owner is None else per_owner.get(viewer)
+
     def directed(self, owner: int, viewer: int) -> LocationPrivacyPolicy | None:
         """The owner's policy applicable to ``viewer``, if any."""
-        return self._directed.get(owner, {}).get(viewer)
+        row = self.row(owner, viewer)
+        return None if row is None else self.policies[row]
 
     def owners_naming(self, viewer: int) -> list[int]:
         """Users holding a policy toward ``viewer`` (the viewer's friend set)."""
@@ -231,19 +299,48 @@ def _alpha_mutual(
     space_side: float,
     day: float,
 ) -> tuple[float, bool]:
-    if p12 is None and p21 is None:
+    """:func:`_alpha_mutual_rows` of two records, both windows read in a day of length ``day``."""
+    table = PolicyTable(day)
+    rows: list[int | None] = []
+    for p in (p12, p21):
+        if p is None:
+            rows.append(None)
+        else:
+            rows.append(len(table))
+            owner, role, rect, t_lo, t_hi, _ = p
+            table.append(owner, role, *rect, t_lo, t_hi)
+    return _alpha_mutual_rows(table, *rows, space_side)
+
+
+def _alpha_mutual_rows(
+    table: PolicyTable, r12: int | None, r21: int | None, space_side: float
+) -> tuple[float, bool]:
+    """The score of the policies in rows ``r12`` and ``r21`` (``None`` for no policy), and whether it is mutual."""
+    if r12 is None and r21 is None:
         return 0.0, False
     s = space_side * space_side
-    if p12 is not None and p21 is not None:
-        overlap = rect_overlap_area(p12.rect, p21.rect)
+    day, t_lo, t_hi = table.day, table.t_lo, table.t_hi
+    x_lo, y_lo, x_hi, y_hi = table.x_lo, table.y_lo, table.x_hi, table.y_hi
+    # the columns are read in place; conditional expressions pick what min()
+    # and max() of two would, without the calls
+    if r12 is not None and r21 is not None:
+        a_lo, a_hi, b_lo, b_hi = x_lo[r12], x_hi[r12], x_lo[r21], x_hi[r21]
+        w = (b_hi if b_hi < a_hi else a_hi) - (b_lo if b_lo > a_lo else a_lo)
+        a_lo, a_hi, b_lo, b_hi = y_lo[r12], y_hi[r12], y_lo[r21], y_hi[r21]
+        h = (b_hi if b_hi < a_hi else a_hi) - (b_lo if b_lo > a_lo else a_lo)
+        overlap = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
         if overlap > 0:
-            shared = time_set_overlap(p12.t_int, p21.t_int)
+            shared = time_set_overlap(
+                window_time_set(t_lo[r12], t_hi[r12], day), window_time_set(t_lo[r21], t_hi[r21], day)
+            )
             if shared > 0:
                 return (overlap / s) * (shared / day), True
     total = 0.0
-    for p in (p12, p21):
-        if p is not None:
-            total += (rect_area(p.rect) / s) * (p.duration / day)
+    for r in (r12, r21):
+        if r is not None:
+            w, h = x_hi[r] - x_lo[r], y_hi[r] - y_lo[r]
+            area = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
+            total += (area / s) * (window_duration(t_lo[r], t_hi[r], day) / day)
     return 0.5 * total, False
 
 
@@ -258,9 +355,7 @@ def _degree(a: float, mutual: bool) -> float:
 
 def compatibility(store: PolicyStore, u1: int, u2: int) -> CompatibilityScore:
     """Degree of compatibility between two users' policies (symmetric)."""
-    a, mutual = _alpha_mutual(
-        store.directed(u1, u2), store.directed(u2, u1), store.space_side, store.day
-    )
+    a, mutual = _alpha_mutual_rows(store.policies, store.row(u1, u2), store.row(u2, u1), store.space_side)
     if a == 0.0:
         return CompatibilityScore(0.0, 0.0, False)
     return CompatibilityScore(a, _degree(a, mutual), mutual)
@@ -304,18 +399,17 @@ class CompatibilityIndex:
         or a weight below the float range; only the one-sided pairs of an
         owner with a policy that a safe floor cannot clear are scored.
         """
-        side, day = store.space_side, store.day
+        side, day, table = store.space_side, store.day, store.policies
         directed, naming = store._directed, store._owners_naming
         # rounding is monotone, so a policy whose sides and time intervals all
         # exceed `floor` weighs at least a floor-sized one, which is positive
         floor = 1e-100
         if not 0.5 * (((floor * floor) / (side * side)) * (floor / day)) > 0:
             floor = math.inf
-        no_policies: dict[int, LocationPrivacyPolicy] = {}
+        no_policies: dict[int, int] = {}
         scores: dict[tuple[int, int], float] = {}
         neighbors: dict[int, list[int]] = {}
         two_way: dict[int, list[int]] = {}
-        suspects: list[int] = []  # owners with a policy that may weigh nothing
         for u in directed.keys() | naming.keys():
             per_owner = directed.get(u, no_policies)
             owners = naming.get(u, ())
@@ -323,22 +417,22 @@ class CompatibilityIndex:
             if both:
                 for v in both:
                     if u < v:
-                        scores[(u, v)] = _degree(*_alpha_mutual(per_owner[v], directed[v][u], side, day))
+                        scores[(u, v)] = _degree(*_alpha_mutual_rows(table, per_owner[v], directed[v][u], side))
                 two_way[u] = sorted(both)
             neighbors[u] = sorted(per_owner.keys() | owners)
-            for _, _, (x_lo, y_lo, x_hi, y_hi), t_lo, t_hi, _ in per_owner.values():
-                # the time intervals: [t_lo, t_hi), or [0, t_hi) and [t_lo, day) wrapped
-                if not (
-                    x_hi - x_lo > floor
-                    and y_hi - y_lo > floor
-                    and (
-                        t_hi - t_lo > floor
-                        if t_lo < t_hi
-                        else t_lo > t_hi and t_hi > floor and day - t_lo > floor
-                    )
-                ):
-                    suspects.append(u)
-                    break
+        # owners with a policy that may weigh nothing, found in one pass over the columns
+        suspects = {
+            u
+            for u, x_lo, y_lo, x_hi, y_hi, t_lo, t_hi in zip(
+                table.owner, table.x_lo, table.y_lo, table.x_hi, table.y_hi, table.t_lo, table.t_hi
+            )
+            # the time intervals: [t_lo, t_hi), or [0, t_hi) and [t_lo, day) wrapped
+            if not (
+                x_hi - x_lo > floor
+                and y_hi - y_lo > floor
+                and (t_hi - t_lo > floor if t_lo < t_hi else t_lo > t_hi and t_hi > floor and day - t_lo > floor)
+            )
+        }
         dropped = [pair for pair, c in scores.items() if not c > 0]
         for u, v in dropped:
             two_way[u].remove(v)
@@ -407,23 +501,22 @@ def _adjacency(pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
 T = TypeVar("T")
 
 
-def read_records(path: str | Path, parse: Callable[[list[str]], T]) -> list[T]:
-    """Parse each non-blank line of a comma-separated file.
+def read_records(path: str | Path, parse: Callable[[list[str]], T]) -> Iterator[T]:
+    """Yield the parse of each non-blank line of a comma-separated file.
 
     ``parse`` receives the line's fields.  A ``ValueError`` it raises is
     raised again with the file name and the line number in front.
     """
-    out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(parse(line.split(",")))
+                record = parse(line.split(","))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
-    return out
+            yield record
 
 
 def record_fields(fields: list[str], names: str) -> list[str]:
@@ -459,14 +552,17 @@ def save_policies(policies: Iterable[LocationPrivacyPolicy], path: str | Path) -
             fh.write(f"{owner},{role},{x_lo!r},{y_lo!r},{x_hi!r},{y_hi!r},{t_lo!r},{t_hi!r}\n")
 
 
-def load_policies(path: str | Path, day: float = DAY) -> list[LocationPrivacyPolicy]:
-    def parse(fields: list[str]) -> LocationPrivacyPolicy:
+def load_policies(path: str | Path, day: float = DAY) -> PolicyTable:
+    def parse(fields: list[str]) -> tuple[int, str, float, float, float, float, float, float]:
         owner, role, *rect, t_lo, t_hi = record_fields(fields, "owner_id,role_label,x_lo,y_lo,x_hi,y_hi,t_lo,t_hi")
         window = time_field(t_lo, "t_lo"), time_field(t_hi, "t_hi")
         check_window(*window, day)
-        return LocationPrivacyPolicy(int(owner), role, rect_fields(rect), *window, day)
+        return (int(owner), role, *rect_fields(rect), *window)
 
-    return read_records(path, parse)
+    table = PolicyTable(day)
+    for record in read_records(path, parse):
+        table.append(*record)
+    return table
 
 
 def save_relationships(graph: RelationshipGraph, path: str | Path) -> None:

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .keys import KeyLayout, SequenceValueMap
 from .motion import MovingObject
-from .policy import PolicyStore, point_in_rect
+from .policy import PolicyStore, window_contains
 from .store import DirectionalSpeeds, LeafEntry, MovingObjectIndex
 from .zcurve import cells_covering, z_decompose
 from .zcurve import z_corner_interval  # noqa: F401  perfbench/harness.py's tracer wraps it by this name
@@ -148,14 +148,20 @@ TraversalOrder = Callable[[int, int], Iterator[tuple[int, int]]]
 
 
 def _visible(store: PolicyStore, owner: int, viewer: int, x: float, y: float, t: float) -> bool:
-    # hot path shared by engines and oracles: no id validation here
+    # hot path shared by engines and oracles: no id validation here, and the
+    # policy's columns are read where they are, with no record built
     per_owner = store._directed.get(owner)
     if per_owner is None:
         return False
-    p = per_owner.get(viewer)
-    if p is None:
+    row = per_owner.get(viewer)
+    if row is None:
         return False
-    return point_in_rect(x, y, p.rect) and p.active_at(t)
+    p = store.policies
+    return (
+        p.x_lo[row] <= x <= p.x_hi[row]
+        and p.y_lo[row] <= y <= p.y_hi[row]
+        and window_contains(p.t_lo[row], p.t_hi[row], p.day, t)
+    )
 
 
 class FriendLists:

@@ -21,6 +21,7 @@ from .motion import MovingObject
 from .policy import (
     DAY,
     LocationPrivacyPolicy,
+    PolicyTable,
     RelationshipGraph,
     finite_field,
     read_records,
@@ -336,7 +337,7 @@ def assign_groups(users: Iterable[int], cfg: WorkloadConfig) -> tuple[list[list[
 
 def gen_policies(
     users: Iterable[int], cfg: WorkloadConfig
-) -> tuple[list[LocationPrivacyPolicy], RelationshipGraph]:
+) -> tuple[PolicyTable, RelationshipGraph]:
     """Random policies steered by the grouping factor.
 
     Users are partitioned into groups of ``group_size``.  With grouping
@@ -347,12 +348,13 @@ def gen_policies(
     its single target in its own role, so at most one policy exists per
     ordered pair.  A policy's daily window starts at a uniform time of day
     and lasts a duration drawn uniformly from ``policy_duration``; a
-    duration of the whole day gives the window ``[0, day)``.
+    duration of the whole day gives the window ``[0, day)``.  The policies
+    fill a :class:`PolicyTable` of ``cfg.day`` in owner order.
     """
     users = list(users)
     n = len(users)
     if n == 0:
-        return [], RelationshipGraph()
+        return PolicyTable(cfg.day), RelationshipGraph()
     n_p = cfg.policies_per_user
     if n_p >= n:
         raise ValueError("policies per user must be below the user count")
@@ -369,7 +371,7 @@ def gen_policies(
         raise ValueError("not enough out-of-group users for the requested policies")
 
     graph = RelationshipGraph()
-    policies: list[LocationPrivacyPolicy] = []
+    policies = PolicyTable(cfg.day)
     # each value is drawn as rng.uniform(a, b) computes it, a + (b - a) * random()
     random = rng.random
     side_lo, side_hi = cfg.policy_side
@@ -378,7 +380,15 @@ def gen_policies(
     side_span, dur_span = side_hi - side_lo, dur_hi - dur_lo
     # every policy toward one target shares its role name and member tuple
     grant_to = {u: (f"u{u}", (u,)) for u in users}
-    add_policy = policies.append
+    # one bound append per column: no record and no rect tuple per policy
+    add_owner, add_role = policies.owner.append, policies.role.append
+    add_x_lo, add_y_lo, add_x_hi, add_y_hi = (
+        policies.x_lo.append,
+        policies.y_lo.append,
+        policies.x_hi.append,
+        policies.y_hi.append,
+    )
+    add_t_lo, add_t_hi = policies.t_lo.append, policies.t_hi.append
     for owner in users:
         g = groups[group_of[owner]]
         chosen: set[int] = set()
@@ -408,9 +418,14 @@ def gen_policies(
                 end = (start + duration) % day
             role, members = grant_to[target]
             roles[role] = members
-            add_policy(
-                LocationPrivacyPolicy(owner, role, (cx - half_w, cy - half_h, cx + half_w, cy + half_h), start, end, day)
-            )
+            add_owner(owner)
+            add_role(role)
+            add_x_lo(cx - half_w)
+            add_y_lo(cy - half_h)
+            add_x_hi(cx + half_w)
+            add_y_hi(cy + half_h)
+            add_t_lo(start)
+            add_t_hi(end)
         graph.set_roles(owner, roles)
     return policies, graph
 
@@ -501,7 +516,7 @@ def load_objects(path: str | Path) -> list[MovingObject]:
             time_field(t_u, "t_u"),
         )
 
-    return read_records(path, parse)
+    return list(read_records(path, parse))
 
 
 def save_queries(queries: Iterable[PrqRequest | PknnRequest], path: str | Path) -> None:
@@ -525,4 +540,4 @@ def load_queries(path: str | Path) -> list[PrqRequest | PknnRequest]:
             return PknnRequest(int(qid), qloc, int(k), time_field(t_q, "t_q"))
         raise ValueError(f"unknown query tag {fields[0]!r}")
 
-    return read_records(path, parse)
+    return list(read_records(path, parse))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -14,6 +15,7 @@ from pebtree.policy import (
     _degree,
     LocationPrivacyPolicy,
     PolicyStore,
+    PolicyTable,
     RelationshipGraph,
     alpha,
     compatibility,
@@ -145,8 +147,8 @@ def test_from_store_equals_pairwise_compatibility():
     policies, graph = gen_policies(uids, cfg)
     store = PolicyStore(policies, graph, uids, space_side=cfg.space_side)
     want: dict[tuple[int, int], float] = {}
-    for owner, per_owner in store._directed.items():
-        for viewer in per_owner:
+    for viewer in uids:
+        for owner in store.owners_naming(viewer):
             key = (owner, viewer) if owner < viewer else (viewer, owner)
             if key not in want:
                 want[key] = compatibility(store, *key).c
@@ -166,13 +168,11 @@ def test_from_store_equals_pairwise_compatibility():
 def reference_from_store(store):
     """The eager build that scored every sharing pair, kept as a reference."""
     side, day = store.space_side, store.day
-    directed = store._directed
-    empty: dict[int, LocationPrivacyPolicy] = {}
     values: dict[tuple[int, int], float] = {}
     two_way: list[tuple[int, int]] = []
-    for owner, per_owner in directed.items():
-        for viewer, p in per_owner.items():
-            back = directed.get(viewer, empty).get(owner)
+    for viewer in sorted(store.users):
+        for owner in store.owners_naming(viewer):
+            p, back = store.directed(owner, viewer), store.directed(viewer, owner)
             if back is None:
                 a, mutual = _alpha_mutual(p, None, side, day)
             elif owner < viewer:
@@ -254,6 +254,124 @@ def test_from_store_equals_eager_reference_when_no_weight_fits_a_float():
     index, values = assert_matches_reference(store)
     assert set(values.values()) == {0.0}
     assert [index.related(u) for u in (1, 2, 3)] == [[], [], []]
+
+
+# sha256 of every related pair's degree and of the sequence values, written
+# at the commit before the columnar policy table; it pins both bit for bit
+GOLDEN_DEGREES_AND_SEQUENCE_VALUES = "b3398d0c6b0aea09d2fbeaf6c83490a3ea26264405cab8a345ec6b4c5564311d"
+
+
+def test_degrees_and_sequence_values_match_golden_digest():
+    cfg = WorkloadConfig(n_users=2000, policies_per_user=20, theta=0.7, seed=3)
+    uids = list(range(cfg.n_users))
+    policies, graph = gen_policies(uids, cfg)
+    index = CompatibilityIndex.from_store(PolicyStore(policies, graph, uids, space_side=cfg.space_side))
+    sv_map = assign_sequence_values(uids, index)
+    digest = hashlib.sha256()
+    for u in uids:
+        for v in index.related(u):
+            if u < v:
+                digest.update(f"{u},{v},{index.c(u, v).hex()}\n".encode())
+    for uid, value in sorted(sv_map.values.items()):
+        digest.update(f"{uid},{value.hex()}\n".encode())
+    assert digest.hexdigest() == GOLDEN_DEGREES_AND_SEQUENCE_VALUES
+
+
+def test_store_from_records_answers_as_from_the_table():
+    cfg = WorkloadConfig(n_users=300, policies_per_user=12, theta=0.5, group_size=30, seed=8)
+    uids = list(range(cfg.n_users))
+    table, graph = gen_policies(uids, cfg)
+    from_table = PolicyStore(table, graph, uids, space_side=cfg.space_side)
+    from_list = PolicyStore(list(table), graph, uids, space_side=cfg.space_side)
+    rng = random.Random(4)
+    visible = 0
+    for viewer in uids:
+        owners = from_table.owners_naming(viewer)
+        assert from_list.owners_naming(viewer) == owners
+        for owner in owners:
+            p = from_table.directed(owner, viewer)
+            assert from_list.directed(owner, viewer) == p
+            x_lo, y_lo, x_hi, y_hi = p.rect
+            x, y = rng.uniform(x_lo - 10.0, x_hi + 10.0), rng.uniform(y_lo - 10.0, y_hi + 10.0)
+            t = rng.uniform(-DAY, 2 * DAY)
+            seen = _visible(from_table, owner, viewer, x, y, t)
+            assert _visible(from_list, owner, viewer, x, y, t) == seen
+            visible += seen
+    assert visible > 100
+    by_table, by_list = CompatibilityIndex.from_store(from_table), CompatibilityIndex.from_store(from_list)
+    for u in uids:
+        assert by_list.related(u) == by_table.related(u)
+        assert by_list.two_way(u) == by_table.two_way(u)
+        assert [by_list.c(u, v).hex() for v in by_list.related(u)] == [by_table.c(u, v).hex() for v in by_table.related(u)]
+    with pytest.raises(ValueError, match="the policy table has a day of 24.0, the store 12.0"):
+        PolicyStore(table, graph, uids, space_side=cfg.space_side, day=12.0)
+
+
+def test_policy_table_round_trips_through_the_file(tmp_path):
+    # most of these daily windows wrap past midnight
+    cfg = WorkloadConfig(n_users=200, policies_per_user=10, theta=0.5, group_size=40, seed=9, policy_duration=(18.0, 23.5))
+    table, _ = gen_policies(range(cfg.n_users), cfg)
+    save_policies(table, tmp_path / "policies.csv")
+    loaded = load_policies(tmp_path / "policies.csv")
+    assert isinstance(loaded, PolicyTable) and loaded.day == table.day
+    records = list(table)
+    assert list(loaded) == records and len(loaded) == len(records) == 2000
+    assert any(p.t_lo > p.t_hi for p in records)
+    # indexing and slicing build the same records
+    assert [table[i] for i in range(len(table))] == records
+    assert table[-1] == records[-1]
+    assert isinstance(table[10:20], PolicyTable) and list(table[10:20]) == records[10:20]
+    assert list(table[::-7]) == records[::-7]
+    with pytest.raises(IndexError):
+        table[len(table)]
+
+
+@settings(max_examples=300)
+@given(data=st.data(), day=st.sampled_from([DAY, 7.0]))
+def test_visible_on_the_columns_equals_the_record(data, day):
+    coord = st.floats(0.0, SIDE)
+    x_lo, x_hi = sorted((data.draw(coord, label="x"), data.draw(coord, label="x")))
+    y_lo, y_hi = sorted((data.draw(coord, label="y"), data.draw(coord, label="y")))
+    end = st.floats(0.0, day)
+    t_lo, t_hi = data.draw(
+        st.one_of(
+            st.tuples(end, end).map(lambda w: (max(w), min(w))),  # wrapped past midnight
+            end.map(lambda t: (t, t)),  # empty
+            st.sampled_from([(0.0, day), (day, 0.0)]),  # the whole day, and an empty wrap
+            st.tuples(end, end),
+        ),
+        label="window",
+    )
+
+    def near(lo, hi):
+        # on an edge, just outside one, or anywhere in the space
+        return st.one_of(
+            st.sampled_from([lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]), coord
+        )
+
+    x, y = data.draw(near(x_lo, x_hi), label="px"), data.draw(near(y_lo, y_hi), label="py")
+    k = data.draw(st.integers(-2, 2), label="days")
+    t = data.draw(
+        st.one_of(
+            st.floats(-1e3, 1e3),
+            st.sampled_from([t_lo, t_hi, 0.0, day]).map(lambda v: v + k * day),
+            st.sampled_from([-1e-20, -0.0]),  # a tiny negative time's remainder rounds to the day
+        ),
+        label="t",
+    )
+    table = PolicyTable(day)
+    # another policy first, so the one under test sits in row 1
+    table.append(3, "u1", 0.0, 0.0, SIDE, SIDE, 0.0, day)
+    table.append(1, "u2", x_lo, y_lo, x_hi, y_hi, t_lo, t_hi)
+    g = RelationshipGraph()
+    g.add(3, "u1", 1)
+    g.add(1, "u2", 2)
+    store = PolicyStore(table, g, [1, 2, 3], space_side=SIDE, day=day)
+    rec = store.directed(1, 2)
+    assert rec == table[1] == LocationPrivacyPolicy(1, "u2", (x_lo, y_lo, x_hi, y_hi), t_lo, t_hi, day)
+    r_x_lo, r_y_lo, r_x_hi, r_y_hi = rec.rect
+    in_rect = r_x_lo <= x <= r_x_hi and r_y_lo <= y <= r_y_hi
+    assert _visible(store, 1, 2, x, y, t) == (in_rect and rec.active_at(t))
 
 
 rect_strategy = st.tuples(
@@ -447,7 +565,8 @@ def test_store_refuses_a_policy_of_another_day():
     with pytest.raises(ValueError, match="policy of user 1 has a day of 24.0, the store 12.0"):
         PolicyStore([p], g, [1, 2], day=12.0)
     half_day = p._replace(day=12.0)
-    assert PolicyStore([half_day], g, [1, 2], day=12.0).directed(1, 2) is half_day
+    # records are built on demand: an equal one comes back
+    assert PolicyStore([half_day], g, [1, 2], day=12.0).directed(1, 2) == half_day
     for bad in (p._replace(t_hi=30.0), p._replace(t_lo=-1.0), p._replace(t_lo=math.nan)):
         with pytest.raises(ValueError, match=r"outside \[0, 24.0\]"):
             PolicyStore([bad], g, [1, 2])
@@ -465,7 +584,7 @@ def test_policy_file_round_trip(tmp_path):
     save_policies(policies, p_path)
     save_relationships(g, r_path)
     loaded = load_policies(p_path)
-    assert loaded == policies
+    assert list(loaded) == policies
     g2 = load_relationships(r_path)
     assert list(g2.records()) == list(g.records())
 
@@ -487,7 +606,7 @@ def test_load_policies_rejects_bad_line(tmp_path, bad, fault):
     with pytest.raises(ValueError, match=f"policies.csv, line 2: .*{re.escape(fault)}"):
         load_policies(path)
     path.write_text(good)
-    assert load_policies(path) == [
+    assert list(load_policies(path)) == [
         LocationPrivacyPolicy(1, "u2", (10.0, 20.0, 110.5, 220.25), 8.0, 17.0)
     ]
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import re
@@ -32,7 +33,7 @@ def test_empty_dataset():
     cfg = WorkloadConfig(n_users=0, seed=1)
     assert gen_uniform(cfg) == []
     policies, graph = gen_policies([], cfg)
-    assert policies == [] and list(graph.records()) == []
+    assert len(policies) == 0 and list(graph.records()) == []
     with pytest.raises(ValueError):
         gen_queries(cfg, "range", [])
 
@@ -212,6 +213,20 @@ def test_generated_policies_stay_within_the_memory_budget():
         tracemalloc.stop()
     assert len(policies) == 40_000 and len(list(graph.records())) == 40_000
     assert held / len(policies) <= 450
+
+
+def test_generated_policies_leave_the_collector_nothing_to_walk():
+    # a record per policy kept one tracked object per policy alive; the
+    # columns keep none, and the count after a full collection is exact
+    cfg = WorkloadConfig(n_users=2000, policies_per_user=20, theta=0.7, seed=5)
+    users = list(range(cfg.n_users))
+    gc.collect()
+    before = len(gc.get_objects())
+    policies, graph = gen_policies(users, cfg)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert len(policies) == 40_000
+    assert grown < len(policies) / 10
 
 
 def test_policies_infeasible_configs_rejected():
