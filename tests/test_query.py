@@ -1,9 +1,11 @@
+import hashlib
 import math
 import random
 from bisect import bisect_left, bisect_right
 
 import pytest
 
+from pebtree.bench import build_instance, run_update_round
 from pebtree.keys import KeyLayout, assign_sequence_values
 from pebtree.motion import MovingObject, TimePartitionConfig
 from pebtree.policy import (
@@ -967,3 +969,74 @@ def test_bx_knn_matches_the_merging_reference(instance, request):
         want, got = traces
         for req, g, w in zip(queries, got, want):
             assert g == w, (req, cold_each)
+
+
+# -- golden answers and I/O ------------------------------------------------------
+
+GOLDEN_CONFIGS = {
+    "uniform": WorkloadConfig(n_users=2000, policies_per_user=10, seed=3),
+    "visible": WorkloadConfig(
+        n_users=2000, policies_per_user=10, seed=3, policy_side=(400.0, 1000.0), policy_duration=(DAY / 2, DAY)
+    ),
+    "network": WorkloadConfig(n_users=2000, distribution="network", policies_per_user=10, seed=3),
+}
+
+# sha256 per (engine, query kind) of every query's answer and charged-I/O
+# delta over three query points (set-up and two update rounds), written
+# before the table-driven curve decomposition, so they pin that every answer
+# and every page read, and with them the buffer's LRU order, stayed bit-identical
+GOLDEN_QUERY_DIGESTS = {
+    "uniform": {
+        ("peb", "range"): "e18e9ccccb01b63b3cbe6037c8ddde15b14a27bb430acf4326b4d4b55ebb1526",
+        ("peb", "knn"): "331e9a5d60b93ee98112e896d39cc038f733a299546555fabd246e814a3ca4ee",
+        ("bx", "range"): "ad1ce88fb03358e1038cfbe1e865eef050db8dd4890dd63acbf23a3f3bfa7d66",
+        ("bx", "knn"): "ffb7dafd2220d2f3f9fca24c5a98314a5456be9b40a6bcfedb717adb1ac49ab9",
+    },
+    "visible": {
+        ("peb", "range"): "5615706e84f92b7ac096b491a150b0608f495fb69a542edada8f0912cab4851e",
+        ("peb", "knn"): "3f31bc4cbd194724bf62a4c7649b4b1d679396d842a929c679c8c5174dd66377",
+        ("bx", "range"): "7e519e278146303811afd5b88cfdfb4852185e9fd2db41b4c2f56f879fdbc05c",
+        ("bx", "knn"): "caa694db4b0013a26e9c8886ccda84b6398bdbdd00933687e4a02405d6702a11",
+    },
+    "network": {
+        ("peb", "range"): "3f580c82590affca886f1c7252ab7ca1bce19686fbdd3303f998fdac239e68c4",
+        ("peb", "knn"): "3d9c1f4cbbaad2d65c43c235bf970eb23c311bc626d2b6e523cfcb7b98b8215c",
+        ("bx", "range"): "690cc9562a83ad5ba69876758cfc0797230cc81b76028eb4a831f1270c0bcb46",
+        ("bx", "knn"): "fdf5943ad3bbde17ea9ebb22154d3a75e4cf608bd5f7e9335c9e4d218efc4487",
+    },
+}
+
+
+def query_digests(cfg: WorkloadConfig, rounds: int, count: int) -> dict[tuple[str, str], str]:
+    inst = build_instance(cfg)
+    engines = {
+        "peb": (inst.peb, inst.peb_engine.prq, inst.peb_engine.pknn),
+        "bx": (inst.bx, inst.bx_engine.range_query, inst.bx_engine.knn_query),
+    }
+    digests = {(name, kind): hashlib.sha256() for name in engines for kind in ("range", "knn")}
+    for round_no in range(rounds + 1):
+        if round_no:
+            run_update_round(inst)
+        objects = list(inst.objects.values())
+        horizon = inst.time_cfg.delta_t_mu
+        for kind in ("range", "knn"):
+            queries = gen_queries(cfg, kind, objects, now=inst.now, horizon=horizon, count=count)
+            for name, (index, run_range, run_knn) in engines.items():
+                index.reset_io(cold=True)
+                digest = digests[name, kind]
+                for q in queries:
+                    before = index.buffer.counters()
+                    if kind == "range":
+                        answer = ",".join(map(str, sorted(run_range(q))))
+                    else:
+                        got = run_knn(q)
+                        answer = ",".join(f"{uid}:{d.hex()}" for uid, d in got.neighbors) + f";{got.short}"
+                    after = index.buffer.counters()
+                    delta = [a - b for a, b in zip(after, before)]
+                    digest.update(f"{answer}|{delta}\n".encode())
+    return {key: d.hexdigest() for key, d in digests.items()}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_answers_and_io_match_golden_digests(name):
+    assert query_digests(GOLDEN_CONFIGS[name], rounds=2, count=40) == GOLDEN_QUERY_DIGESTS[name]
