@@ -72,6 +72,9 @@ class DirectionalSpeeds(NamedTuple):
     neg_y: float
 
     def absorb(self, vx: float, vy: float) -> "DirectionalSpeeds":
+        """The maxima with one more velocity folded in; ``self`` unless one grows."""
+        if not (vx > self.pos_x or -vx > self.neg_x or vy > self.pos_y or -vy > self.neg_y):
+            return self
         return DirectionalSpeeds(
             max(self.pos_x, vx),
             max(self.neg_x, -vx),

@@ -6,19 +6,29 @@ cells decompose into maximal runs of consecutive Z-values so that a
 two-dimensional window becomes a short list of one-dimensional key
 intervals.
 
+Decomposition is table-driven.  For a 64 x 64 tile, four tables hold one
+4 096-bit mask per column or row bound ("column <= x", "column >= x" and
+the same for rows), with bit z standing for the cell of Z-value z.  The
+AND of four masks is the rectangle's cells in the tile, and its runs of
+set bits are the rectangle's runs of the curve, read off the mask's
+binary string.  Larger grids are walked as a quadtree down to such tiles.
+
 Interleave orientation is not universal across illustrations of the
 curve, so it is a config flag: by default the x bit of each pair sits at
 the even (less significant) position.  The reference worked example of
 the 8x8 grid is reproduced with ``y_low=True`` and with curve positions
 displayed 1-based; see the tests for the recorded convention.
 
-Pure functions throughout; thread-safe.
+Pure functions throughout; thread-safe: the tables are built once at
+import and never written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import accumulate
+from operator import or_
 
 CellRect = tuple[int, int, int, int]  # (cx_lo, cy_lo, cx_hi, cy_hi), inclusive
 
@@ -67,6 +77,31 @@ def _spread(v: int) -> int:
     return (v | (v << 1)) & 0x5555555555555555
 
 
+# Tile masks for z_decompose.  Bit z of a mask stands for the cell of Z-value
+# z in a 64 x 64 tile: _A_LE[v] holds the cells whose even-bit coordinate a is
+# at most v, _A_GE[v] those whose a is at least v, and _B_* the same for the
+# odd-bit coordinate b.  Built once at import and never written.
+_TILE_BITS = 6
+_TILE_LAST = (1 << _TILE_BITS) - 1
+
+
+def _tile_masks() -> tuple[list[int], list[int], list[int], list[int]]:
+    spread = [_spread(v) for v in range(_TILE_LAST + 1)]
+    a_zero = reduce(or_, (1 << (bits << 1) for bits in spread))  # the cells with a = 0
+    b_zero = reduce(or_, (1 << bits for bits in spread))  # the cells with b = 0
+    a_lines = [a_zero << bits for bits in spread]
+    b_lines = [b_zero << (bits << 1) for bits in spread]
+    return (
+        list(accumulate(a_lines, or_)),
+        list(accumulate(reversed(a_lines), or_))[::-1],
+        list(accumulate(b_lines, or_)),
+        list(accumulate(reversed(b_lines), or_))[::-1],
+    )
+
+
+_A_LE, _A_GE, _B_LE, _B_GE = _tile_masks()
+
+
 def z_encode(cell: tuple[int, int], cfg: GridConfig) -> int:
     """Z-value of a grid cell by bit interleaving."""
     cx, cy = cell
@@ -96,14 +131,24 @@ def cell_of(x: float, y: float, cfg: GridConfig) -> tuple[int, int]:
 
 
 def cell_span(lo: float, hi: float, cfg: GridConfig) -> tuple[int, int]:
-    """Inclusive range of cells overlapping the closed interval [lo, hi]."""
+    """Inclusive range of cells overlapping the closed interval [lo, hi].
+
+    An end beyond the space clamps to the edge cell.  An interval that
+    misses ``[0, L]`` overlaps no cell: its range is empty (first > last).
+    """
+    if hi < 0.0 or lo > cfg.L or lo > hi:
+        return 1, 0
     last = cfg.cells_per_axis - 1
     size = cfg.cell_size
     return min(max(int(lo / size), 0), last), min(max(int(hi / size), 0), last)
 
 
 def cells_covering(rect: tuple[float, float, float, float], cfg: GridConfig) -> CellRect:
-    """Cell rectangle covering a closed continuous rectangle."""
+    """Cell rectangle covering a closed continuous rectangle.
+
+    A rectangle that misses the space on either axis covers no cell, and
+    its cell rectangle is empty, so it decomposes to no interval.
+    """
     x_lo, y_lo, x_hi, y_hi = rect
     cx_lo, cx_hi = cell_span(x_lo, x_hi, cfg)
     cy_lo, cy_hi = cell_span(y_lo, y_hi, cfg)
@@ -114,8 +159,8 @@ def z_corner_interval(rect: CellRect, cfg: GridConfig) -> tuple[int, int]:
     """Minimum and maximum Z-value over a cell rectangle.
 
     Interleaving is monotone in each coordinate, so the extremes sit at
-    the low and high corners; this is the single search interval used per
-    expansion round of the kNN search.
+    the low and high corners.  No query calls it; it is kept because
+    perfbench's tracer wraps ``pebtree.query.z_corner_interval`` by name.
     """
     cx_lo, cy_lo, cx_hi, cy_hi = rect
     if cx_lo > cx_hi or cy_lo > cy_hi:
@@ -129,10 +174,16 @@ def z_decompose(rect: CellRect, cfg: GridConfig, min_block_shift: int = 0) -> li
     With ``min_block_shift=0`` the result is exact: sorted, pairwise
     disjoint, non-adjacent intervals whose union is precisely the set of
     Z-values of cells in the rectangle.  A positive ``min_block_shift``
-    stops subdividing at blocks of ``2^shift`` cells per side and emits
-    partially covered blocks whole, yielding fewer, slightly wider
-    intervals (a superset of the exact ones); query code uses this to
-    bound per-window interval counts.
+    covers every block of ``2^shift`` cells per side that the rectangle
+    meets whole, yielding fewer, slightly wider intervals (a superset of
+    the exact ones); query code uses this to bound per-window interval
+    counts.
+
+    The rectangle is snapped to such blocks ("units").  A quadtree walk
+    over the unit grid emits fully covered blocks and stops at tiles of
+    64 x 64 units; each partly covered tile is finished with one AND of
+    four precomputed tile masks, whose runs of set bits are the tile's
+    runs of the curve.  Grids of at most 64 units per side are one tile.
     """
     cx_lo, cy_lo, cx_hi, cy_hi = rect
     if cx_lo > cx_hi or cy_lo > cy_hi:
@@ -141,32 +192,52 @@ def z_decompose(rect: CellRect, cfg: GridConfig, min_block_shift: int = 0) -> li
     if not (0 <= cx_lo and cx_hi < n and 0 <= cy_lo and cy_hi < n):
         raise ValueError(f"cell rectangle {rect} outside {n}x{n} grid")
 
-    runs: list[list[int]] = []
-    # quadrants as (dx, dy, z rank), last to first: a block's quadrants that
-    # meet the rectangle are pushed in this order, so the depth-first walk
-    # pops them, and emits runs, in curve order
+    shift = min(max(min_block_shift, 0), cfg.levels)
+    # a is the coordinate on the even bits of the Z-value, b the one on the odd bits
     if cfg.y_low:
-        quads = ((1, 1, 3), (1, 0, 2), (0, 1, 1), (0, 0, 0))
+        a_lo, b_lo, a_hi, b_hi = cy_lo >> shift, cx_lo >> shift, cy_hi >> shift, cx_hi >> shift
     else:
-        quads = ((1, 1, 3), (0, 1, 2), (1, 0, 1), (0, 0, 0))
-    stack = [(0, 0, cfg.levels, 0)]
+        a_lo, b_lo, a_hi, b_hi = cx_lo >> shift, cy_lo >> shift, cx_hi >> shift, cy_hi >> shift
+    unit_bits = 2 * shift
+    runs: list[tuple[int, int]] = []
+    stack = [(0, 0, cfg.levels - shift, 0)]
     while stack:
-        x0, y0, shift, z0 = stack.pop()
-        last = (1 << shift) - 1
-        x1, y1 = x0 + last, y0 + last
-        if (cx_lo <= x0 and x1 <= cx_hi and cy_lo <= y0 and y1 <= cy_hi) or shift <= min_block_shift:
-            z1 = z0 + (1 << (2 * shift)) - 1
-            if runs and runs[-1][1] + 1 == z0:
-                runs[-1][1] = z1
-            else:
-                runs.append([z0, z1])
-            continue
-        shift -= 1
-        h = 1 << shift
-        quarter = h * h
-        for dx, dy, q in quads:
-            x = x0 + dx * h
-            y = y0 + dy * h
-            if x <= cx_hi and y <= cy_hi and x + h > cx_lo and y + h > cy_lo:
-                stack.append((x, y, shift, z0 + q * quarter))
-    return [(lo, hi) for lo, hi in runs]
+        a0, b0, side_bits, z0 = stack.pop()
+        last = (1 << side_bits) - 1
+        if a_lo <= a0 and a0 + last <= a_hi and b_lo <= b0 and b0 + last <= b_hi:
+            lo = z0 << unit_bits
+            hi = ((z0 + (1 << (2 * side_bits))) << unit_bits) - 1
+            if runs and runs[-1][1] + 1 == lo:
+                lo = runs.pop()[0]
+            runs.append((lo, hi))
+        elif side_bits <= _TILE_BITS:
+            mask = (
+                _A_GE[max(a_lo - a0, 0)]
+                & _A_LE[min(a_hi - a0, _TILE_LAST)]
+                & _B_GE[max(b_lo - b0, 0)]
+                & _B_LE[min(b_hi - b0, _TILE_LAST)]
+            )
+            # string index i holds bit top - i, so searching from the end finds
+            # the runs lowest first: the run ending at j starts after the next '0'
+            bits = format(mask, "b")
+            top = z0 + len(bits) - 1
+            end = len(bits)
+            first = len(runs)
+            while end > 0:
+                j = bits.rfind("1", 0, end)
+                end = bits.rfind("0", 0, j)
+                runs.append(((top - j) << unit_bits, ((top - end) << unit_bits) - 1))
+            # a tile's runs are maximal within it; only its first can continue the last tile's
+            if first and runs[first - 1][1] + 1 == runs[first][0]:
+                runs[first - 1 : first + 1] = [(runs[first - 1][0], runs[first][1])]
+        else:
+            side_bits -= 1
+            h = 1 << side_bits
+            quarter = h * h
+            # quadrants last to first, so the depth-first walk pops them in curve order
+            for q in (3, 2, 1, 0):
+                a = a0 + (q & 1) * h
+                b = b0 + (q >> 1) * h
+                if a <= a_hi and b <= b_hi and a + h > a_lo and b + h > b_lo:
+                    stack.append((a, b, side_bits, z0 + q * quarter))
+    return runs

@@ -1040,3 +1040,22 @@ def query_digests(cfg: WorkloadConfig, rounds: int, count: int) -> dict[tuple[st
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
 def test_answers_and_io_match_golden_digests(name):
     assert query_digests(GOLDEN_CONFIGS[name], rounds=2, count=40) == GOLDEN_QUERY_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "rect",
+    [
+        (1500.0, 1500.0, 1600.0, 1600.0),
+        (-300.0, -300.0, -200.0, -200.0),
+        (1500.0, 400.0, 1600.0, 600.0),
+        (400.0, -400.0, 600.0, -300.0),
+    ],
+)
+def test_window_outside_the_space_answers_empty_without_reads(rect):
+    inst = build_instance(GOLDEN_CONFIGS["uniform"])
+    for index, run in ((inst.peb, inst.peb_engine.prq), (inst.bx, inst.bx_engine.range_query)):
+        for qid, t_q in ((5, 10.0), (17, 95.0)):
+            req = PrqRequest(qid, rect, t_q)
+            index.reset_io(cold=True)
+            assert run(req) == set() == oracle_range(inst.objects.values(), inst.store, req)
+            assert index.buffer.counters().reads == 0

@@ -379,6 +379,28 @@ def test_index_tracks_directional_speeds():
     assert (speeds.pos_x, speeds.neg_x, speeds.pos_y, speeds.neg_y) == (2.0, 1.0, 0.5, 3.0)
 
 
+def test_speed_maxima_equal_the_fold_of_every_velocity(tmp_path):
+    index = build_index()
+    rng = random.Random(6)
+    speeds = [0.0, 0.0, 0.0, 0.0]
+    path = tmp_path / "index.snap"
+    for step in range(600):
+        uid = rng.randrange(150)
+        vx, vy = (rng.choice((0.0, -0.0, rng.uniform(-3, 3), rng.uniform(-0.5, 0.5))) for _ in range(2))
+        obj = MovingObject(uid, rng.uniform(0, 1000), rng.uniform(0, 1000), vx, vy, 30.0 * (step // 150))
+        if index.contains(uid):
+            index.update(obj)
+        else:
+            index.insert(obj)
+        # the fold DirectionalSpeeds.absorb once computed on every report
+        speeds = [max(speeds[0], vx), max(speeds[1], -vx), max(speeds[2], vy), max(speeds[3], -vy)]
+        assert [m.hex() for m in index.max_speeds] == [m.hex() for m in speeds]
+        if step % 200 == 199:
+            index.save(path)
+            index = MovingObjectIndex.load(path)
+            assert [m.hex() for m in index.max_speeds] == [m.hex() for m in speeds]
+
+
 def test_index_key_uses_projected_clamped_position():
     index = build_index()
     # fast object near the boundary projects outside; the key must clamp

@@ -266,6 +266,43 @@ def test_decompose_equals_recursive_walk(y_low):
         rect = (x_lo, y_lo, x_hi, y_hi)
         for shift in (0, SCAN_BLOCK_SHIFT):
             assert z_decompose(rect, cfg, shift) == recursive_decompose(rect, cfg, shift)
+    # grids of more than one 64 x 64-unit tile, with rectangle edges on tile
+    # borders, next to them and on the grid's edges
+    for levels in range(7, 13):
+        cfg = GridConfig(L=1.0, levels=levels, y_low=y_low)
+        last = cfg.cells_per_axis - 1
+        for shift in sorted({0, 1, levels - 7, levels - 6, SCAN_BLOCK_SHIFT}):
+            unit = 1 << shift
+            tile = 64 * unit
+            edges = {0, 1, last - 1, last}
+            for border in range(0, last + 1, tile):
+                for cell in (border - unit, border - 1, border, border + unit - 1, border + unit):
+                    if 0 <= cell <= last:
+                        edges.add(cell)
+            edges = sorted(edges)
+            for _ in range(12):
+                x_lo, x_hi = sorted(rng.sample(edges, 2))
+                y_lo, y_hi = sorted(rng.sample(edges, 2))
+                rect = (x_lo, y_lo, x_hi, y_hi)
+                assert z_decompose(rect, cfg, shift) == recursive_decompose(rect, cfg, shift)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    levels=st.integers(min_value=1, max_value=12),
+    y_low=st.booleans(),
+    data=st.data(),
+)
+def test_decompose_equals_recursive_walk_at_every_shift(levels, y_low, data):
+    cfg = GridConfig(L=1.0, levels=levels, y_low=y_low)
+    last = cfg.cells_per_axis - 1
+    shift = data.draw(st.integers(0, levels))
+    x_lo = data.draw(st.integers(0, last))
+    x_hi = data.draw(st.integers(x_lo, last))
+    y_lo = data.draw(st.integers(0, last))
+    y_hi = data.draw(st.integers(y_lo, last))
+    rect = (x_lo, y_lo, x_hi, y_hi)
+    assert z_decompose(rect, cfg, shift) == recursive_decompose(rect, cfg, shift)
 
 
 def test_aligned_blocks_are_contiguous_runs():
@@ -289,6 +326,28 @@ def test_cell_of_clamps_boundary():
     last = cfg.cells_per_axis - 1
     assert cell_of(1000.0, 1000.0, cfg) == (last, last)
     assert cell_of(-5.0, 1005.0, cfg) == (0, last)
+
+
+@pytest.mark.parametrize(
+    "rect",
+    [
+        (1500.0, 1500.0, 1600.0, 1600.0),
+        (-300.0, -300.0, -200.0, -200.0),
+        (1000.5, 400.0, 1010.0, 600.0),
+        (400.0, -20.0, 600.0, -0.5),
+        (600.0, 400.0, 500.0, 600.0),
+    ],
+)
+def test_cells_covering_a_rectangle_that_misses_the_space_is_empty(rect):
+    cfg = GridConfig(L=1000.0, levels=10)
+    assert z_decompose(cells_covering(rect, cfg), cfg, SCAN_BLOCK_SHIFT) == []
+
+
+def test_cells_covering_clamps_ends_beyond_the_space():
+    cfg = GridConfig(L=1000.0, levels=10)
+    last = cfg.cells_per_axis - 1
+    assert cells_covering((-50.0, 990.0, 0.0, 1200.0), cfg) == (0, cell_of(0, 990.0, cfg)[1], 0, last)
+    assert cells_covering((1000.0, -1.0, 1000.0, 0.0), cfg) == (last, 0, last, 0)
 
 
 def test_cells_covering_contains_positions():
