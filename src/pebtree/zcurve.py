@@ -217,8 +217,9 @@ def z_decompose(rect: CellRect, cfg: GridConfig, min_block_shift: int = 0) -> li
                 & _B_GE[max(b_lo - b0, 0)]
                 & _B_LE[min(b_hi - b0, _TILE_LAST)]
             )
-            # string index i holds bit top - i, so searching from the end finds
-            # the runs lowest first: the run ending at j starts after the next '0'
+            # format() writes the highest bit first, so string index i is unit
+            # top - i and searching from the end finds the runs lowest first;
+            # a run's '1's end at index j and start after the '0' before them
             bits = format(mask, "b")
             top = z0 + len(bits) - 1
             end = len(bits)

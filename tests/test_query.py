@@ -1042,6 +1042,11 @@ def test_answers_and_io_match_golden_digests(name):
     assert query_digests(GOLDEN_CONFIGS[name], rounds=2, count=40) == GOLDEN_QUERY_DIGESTS[name]
 
 
+@pytest.fixture(scope="module")
+def uniform_instance():
+    return build_instance(GOLDEN_CONFIGS["uniform"])
+
+
 @pytest.mark.parametrize(
     "rect",
     [
@@ -1051,8 +1056,8 @@ def test_answers_and_io_match_golden_digests(name):
         (400.0, -400.0, 600.0, -300.0),
     ],
 )
-def test_window_outside_the_space_answers_empty_without_reads(rect):
-    inst = build_instance(GOLDEN_CONFIGS["uniform"])
+def test_window_outside_the_space_answers_empty_without_reads(uniform_instance, rect):
+    inst = uniform_instance
     for index, run in ((inst.peb, inst.peb_engine.prq), (inst.bx, inst.bx_engine.range_query)):
         for qid, t_q in ((5, 10.0), (17, 95.0)):
             req = PrqRequest(qid, rect, t_q)
