@@ -212,8 +212,9 @@ class PolicyStore:
     The store keeps a :class:`PolicyTable` and maps each ordered (owner,
     viewer) pair to the row of the policy that applies, in dicts of ints.
     Given records rather than a table, it converts them once.  At most one
-    policy may apply per ordered pair, and every policy's window must lie
-    in the store's day; the constructor rejects violations.
+    policy may apply per ordered pair, every policy's window must lie in
+    the store's day and every region in the space; the constructor rejects
+    violations.
     """
 
     def __init__(
@@ -238,6 +239,21 @@ class PolicyStore:
                     raise ValueError(f"policy of user {owner} has a day of {p_day}, the store {day}")
                 table.append(owner, role, *rect, t_lo, t_hi)
         self.policies = table
+        # a user is visible only inside a region, so with every region in the
+        # space the engines may skip a window that misses it without a read
+        if table.owner and not (
+            0.0 <= min(table.x_lo)
+            and 0.0 <= min(table.y_lo)
+            and max(table.x_hi) <= space_side
+            and max(table.y_hi) <= space_side
+        ):
+            for owner, *rect in zip(table.owner, table.x_lo, table.y_lo, table.x_hi, table.y_hi):
+                x_lo, y_lo, x_hi, y_hi = rect
+                if not (0.0 <= x_lo and 0.0 <= y_lo and x_hi <= space_side and y_hi <= space_side):
+                    side = f"[0, {space_side}]"
+                    raise ValueError(
+                        f"policy region {tuple(rect)} of user {owner} reaches beyond the space {side} x {side}"
+                    )
         # role member tuples are read as they are: no set per policy
         roles, no_roles = graph._roles, {}
         directed: defaultdict[int, dict[int, int]] = defaultdict(dict)

@@ -147,7 +147,9 @@ def cells_covering(rect: tuple[float, float, float, float], cfg: GridConfig) -> 
     """Cell rectangle covering a closed continuous rectangle.
 
     A rectangle that misses the space on either axis covers no cell, and
-    its cell rectangle is empty, so it decomposes to no interval.
+    its cell rectangle is empty, so it decomposes to no interval.  The
+    engines rely on :class:`pebtree.policy.PolicyStore` refusing policy
+    regions beyond the space: no user can be visible outside it.
     """
     x_lo, y_lo, x_hi, y_hi = rect
     cx_lo, cx_hi = cell_span(x_lo, x_hi, cfg)

@@ -295,6 +295,19 @@ def test_cli_data_dir_keeps_the_generated_space_side(tmp_path):
                 assert getattr(engine, run_knn)(q) == oracle_knn(objects, store, q)
 
 
+def test_cli_data_dir_refuses_a_region_beyond_the_space(tmp_path):
+    data = tmp_path / "data"
+    argv = ["gen", "--out-dir", str(data), "-N", "120", "--policies", "6", "--group-size", "30", "--seed", "4"]
+    assert cli_main(argv + ["--queries", "5"]) == 0
+    policies = data / "policies.csv"
+    lines = policies.read_text().splitlines()
+    fields = lines[0].split(",")
+    fields[4] = "1500.0"  # x_hi
+    policies.write_text("\n".join([",".join(fields), *lines[1:]]) + "\n")
+    with pytest.raises(ValueError, match=r"reaches beyond the space \[0, 1000.0\]"):
+        _load_data_dir(data)
+
+
 def test_cli_bench_writes_csv_and_exits_zero(tmp_path):
     out = tmp_path / "bench.csv"
     rc = cli_main(

@@ -572,6 +572,36 @@ def test_store_refuses_a_policy_of_another_day():
             PolicyStore([bad], g, [1, 2])
 
 
+def test_store_refuses_a_region_beyond_the_space():
+    g = RelationshipGraph()
+    g.add(1, "u2", 2)
+    # the space's own edges, a signed zero included, lie in it
+    for rect in (FULL_RECT, (-0.0, -0.0, 1.0, 1.0), (SIDE, SIDE, SIDE, SIDE)):
+        assert PolicyStore([LocationPrivacyPolicy(1, "u2", rect, 8.0, 11.0)], g, [1, 2]).directed(1, 2).rect == rect
+    beyond = [
+        (-1e-9, 0.0, 10.0, 10.0),
+        (0.0, -5.0, 10.0, 10.0),
+        (0.0, 0.0, 1000.0000001, 10.0),
+        (0.0, 0.0, 10.0, math.inf),
+        (1200.0, 400.0, 1400.0, 600.0),
+    ]
+    for rect in beyond:
+        table = PolicyTable()
+        for owner, x in ((1, 0.0), (3, 50.0)):  # the bad row comes last
+            table.append(owner, "u2", x, 0.0, x + 10.0, 10.0, 8.0, 11.0)
+        table.append(4, "u2", *rect, 8.0, 11.0)
+        graph = RelationshipGraph()
+        for owner in (1, 3, 4):
+            graph.add(owner, "u2", 2)
+        message = r"region \(.*\) of user 4 reaches beyond the space \[0, 1000.0\] x \[0, 1000.0\]"
+        with pytest.raises(ValueError, match=message):
+            PolicyStore(table, graph, [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="reaches beyond the space"):
+            PolicyStore([LocationPrivacyPolicy(1, "u2", rect, 8.0, 11.0)], g, [1, 2])
+    # the side is the store's
+    assert PolicyStore([LocationPrivacyPolicy(1, "u2", beyond[-1], 8.0, 11.0)], g, [1, 2], space_side=2000.0)
+
+
 def test_policy_file_round_trip(tmp_path):
     g = RelationshipGraph()
     policies = [

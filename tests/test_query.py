@@ -1064,3 +1064,27 @@ def test_window_outside_the_space_answers_empty_without_reads(uniform_instance, 
             index.reset_io(cold=True)
             assert run(req) == set() == oracle_range(inst.objects.values(), inst.store, req)
             assert index.buffer.counters().reads == 0
+
+
+def test_regions_beyond_the_space_are_refused_so_skipped_windows_stay_exact():
+    # the owner moves past the wall at x = 1000; its key clamps to the edge
+    # column, while its extrapolated position reaches a window beyond the space
+    objects = {1: MovingObject(1, 500.0, 500.0, 0.0, 0.0, 0.0), 2: MovingObject(2, 999.0, 500.0, 2.5, 0.0, 0.0)}
+    req = PrqRequest(1, (1200.0, 400.0, 1400.0, 600.0), 100.0)
+    for rect in ((0.0, 0.0, 2000.0, 1000.0), (-1.0, 0.0, 1000.0, 1000.0), (0.0, 0.0, 1000.0, 1000.5)):
+        graph = RelationshipGraph()
+        graph.add(2, "u1", 1)
+        with pytest.raises(ValueError, match="reaches beyond the space"):
+            PolicyStore([LocationPrivacyPolicy(2, "u1", rect, 0.0, 24.0)], graph, objects, space_side=1000.0)
+    # the largest region the space admits: the window misses it, and no page is read
+    graph = RelationshipGraph()
+    graph.add(2, "u1", 1)
+    store = PolicyStore([LocationPrivacyPolicy(2, "u1", (0.0, 0.0, 1000.0, 1000.0), 0.0, 24.0)], graph, objects)
+    peb, bx = build_engines(objects, store)
+    for engine, run in ((peb, peb.prq), (bx, bx.range_query)):
+        engine.index.reset_io(cold=True)
+        assert run(req) == set() == oracle_range(objects.values(), store, req)
+        assert engine.index.buffer.counters().reads == 0
+    # a window over the owner's position inside the space still finds it
+    inside = PrqRequest(1, (990.0, 450.0, 1000.0, 550.0), 0.2)
+    assert peb.prq(inside) == bx.range_query(inside) == oracle_range(objects.values(), store, inside) == {2}
