@@ -3,9 +3,14 @@
 Pages are plain in-memory objects sized by a byte budget: a 4 KB page
 holds 64 leaf records (64 bytes each: key, uid, four motion fields,
 update time, policy handle) or 256 child slots (16 bytes per fence/child
-pair).  Every page read goes through :meth:`BPlusTree.touch_page`, which
-charges it to the buffer; the benchmark's charged I/O is the number of
-buffer misses.  Queries read the tree through one leaf cursor,
+pair).  A leaf holds only its records, ordered by (key, uid); an internal
+page holds the (key, uid) fences and its children.  The policy handle is
+the uid, under which the policy store files the owner's policies, so it
+is budgeted in the record size but not stored twice.
+
+Every page read goes through :meth:`BPlusTree.touch_page`, which charges
+it to the buffer; the benchmark's charged I/O is the number of buffer
+misses.  Queries read the tree through one leaf cursor,
 :meth:`BPlusTree.scan_intervals`, which seeks through
 :meth:`BPlusTree.descend` and walks the leaf chain, so the charged pages
 are exactly the pages a query reads.  Benchmarks are meant to run
@@ -35,10 +40,16 @@ PAGE_SIZE = 4096
 LEAF_RECORD_BYTES = 64
 INTERNAL_RECORD_BYTES = 16
 BUFFER_PAGES = 50
-SNAPSHOT_FORMAT = 1  # bump when the snapshot layout changes
+SNAPSHOT_FORMAT = 2  # bump when the snapshot layout changes
 
 
 class LeafEntry(NamedTuple):
+    """A leaf record; the uid is also its policy handle.
+
+    As a tuple it sorts by (key, uid), so a leaf bisects its records with
+    ``(key, uid)`` and ``(key, -1)`` probes directly.
+    """
+
     key: int
     uid: int
     x: float
@@ -46,7 +57,6 @@ class LeafEntry(NamedTuple):
     vx: float
     vy: float
     t: float
-    policy_ref: int
 
 
 class TreeStats(NamedTuple):
@@ -132,18 +142,19 @@ class PageBuffer:
 
 
 class Node:
+    """A page: a leaf has ``entries`` and ``next_leaf``, an internal page ``keys`` and ``children``."""
+
     __slots__ = ("page_id", "leaf", "keys", "entries", "children", "next_leaf")
 
     def __init__(self, page_id: int, leaf: bool) -> None:
         self.page_id = page_id
         self.leaf = leaf
-        self.keys: list = []  # leaf: (key, uid); internal: separator (key, uid)
-        self.entries: list[LeafEntry] = []  # leaf only, parallel to keys
-        self.children: list[int] = []  # internal only
-        self.next_leaf: int | None = None
-
-
-_MIN_KEY = (-1, -1)
+        if leaf:
+            self.entries: list[LeafEntry] = []  # ordered by (key, uid)
+            self.next_leaf: int | None = None
+        else:
+            self.keys: list[tuple[int, int]] = []  # fence (key, uid) before every child but the first
+            self.children: list[int] = []
 
 
 def _check(ok: bool, fault: str) -> None:
@@ -214,26 +225,25 @@ class BPlusTree:
         """Insert one leaf entry; duplicates of (key, uid) are rejected."""
         composite = (entry.key, entry.uid)
         path, leaf = self._descend(composite)
-        i = bisect_left(leaf.keys, composite)
-        if i < len(leaf.keys) and leaf.keys[i] == composite:
+        entries = leaf.entries
+        i = bisect_left(entries, composite)
+        if i < len(entries) and entries[i][:2] == composite:
             raise ValueError(f"duplicate entry {composite}")
-        leaf.keys.insert(i, composite)
-        leaf.entries.insert(i, entry)
+        entries.insert(i, entry)
         self.entry_count += 1
-        if len(leaf.keys) > self.leaf_cap:
+        if len(entries) > self.leaf_cap:
             self._split_leaf(leaf, path)
 
     def _split_leaf(self, leaf: Node, path: list[tuple[Node, int]]) -> None:
-        mid = len(leaf.keys) // 2
+        mid = len(leaf.entries) // 2
         right = self._alloc(leaf=True)
-        right.keys = leaf.keys[mid:]
         right.entries = leaf.entries[mid:]
-        del leaf.keys[mid:]
         del leaf.entries[mid:]
         right.next_leaf = leaf.next_leaf
         leaf.next_leaf = right.page_id
         self.leaf_count += 1
-        self._insert_in_parent(path, right.keys[0], right.page_id)
+        first = right.entries[0]
+        self._insert_in_parent(path, (first.key, first.uid), right.page_id)
 
     def _insert_in_parent(self, path: list[tuple[Node, int]], sep: tuple[int, int], right_pid: int) -> None:
         if not path:
@@ -261,11 +271,11 @@ class BPlusTree:
         """Remove the entry with this (key, uid); missing entries are reported."""
         composite = (key, uid)
         path, leaf = self._descend(composite)
-        i = bisect_left(leaf.keys, composite)
-        if i >= len(leaf.keys) or leaf.keys[i] != composite:
+        entries = leaf.entries
+        i = bisect_left(entries, composite)
+        if i >= len(entries) or entries[i][:2] != composite:
             raise KeyError(f"no entry {composite}")
-        del leaf.keys[i]
-        del leaf.entries[i]
+        del entries[i]
         self.entry_count -= 1
         self._rebalance(leaf, path)
 
@@ -278,25 +288,24 @@ class BPlusTree:
                     self.height -= 1
                 return
             need = (self.leaf_cap // 2) if node.leaf else (self.internal_cap // 2)
-            size = len(node.keys) if node.leaf else len(node.children)
+            size = len(node.entries) if node.leaf else len(node.children)
             if size >= need:
                 return
             parent, idx = path[-1]
             left = self.touch_page(parent.children[idx - 1]) if idx > 0 else None
             right = self.touch_page(parent.children[idx + 1]) if idx + 1 < len(parent.children) else None
             if node.leaf:
-                if left is not None and len(left.keys) > self.leaf_cap // 2:
-                    node.keys.insert(0, left.keys.pop())
-                    node.entries.insert(0, left.entries.pop())
-                    parent.keys[idx - 1] = node.keys[0]
+                if left is not None and len(left.entries) > self.leaf_cap // 2:
+                    first = left.entries.pop()
+                    node.entries.insert(0, first)
+                    parent.keys[idx - 1] = (first.key, first.uid)
                     return
-                if right is not None and len(right.keys) > self.leaf_cap // 2:
-                    node.keys.append(right.keys.pop(0))
+                if right is not None and len(right.entries) > self.leaf_cap // 2:
                     node.entries.append(right.entries.pop(0))
-                    parent.keys[idx] = right.keys[0]
+                    first = right.entries[0]
+                    parent.keys[idx] = (first.key, first.uid)
                     return
                 if left is not None:
-                    left.keys.extend(node.keys)
                     left.entries.extend(node.entries)
                     left.next_leaf = node.next_leaf
                     del parent.keys[idx - 1]
@@ -304,7 +313,6 @@ class BPlusTree:
                     self._free(node)
                 else:
                     assert right is not None
-                    node.keys.extend(right.keys)
                     node.entries.extend(right.entries)
                     node.next_leaf = right.next_leaf
                     del parent.keys[idx]
@@ -357,30 +365,30 @@ class BPlusTree:
         scan before any further page is read.
         """
         leaf: Node | None = None
-        keys: list = []
+        entries: list[LeafEntry] = []
         k, n = 0, len(intervals)
         while k < n:
             lo, hi = intervals[k]
             lo += base
-            if not keys or keys[-1][0] < lo:
+            if not entries or entries[-1].key < lo:
                 leaf = self.descend(lo)
-                keys = leaf.keys
-            i = bisect_left(keys, (lo, -1))
-            end = (hi + base + 1, -1)  # the first composite past the interval
+                entries = leaf.entries
+            i = bisect_left(entries, (lo, -1))
+            end = (hi + base + 1, -1)  # sorts before every entry past the interval
             while True:
-                j = bisect_left(keys, end, i)
-                for entry in leaf.entries[i:j]:
+                j = bisect_left(entries, end, i)
+                for entry in entries[i:j]:
                     if visit(entry):
                         return
-                if j < len(keys) or leaf.next_leaf is None:
+                if j < len(entries) or leaf.next_leaf is None:
                     break
                 leaf = self.touch_page(leaf.next_leaf)
-                keys = leaf.keys
+                entries = leaf.entries
                 i = 0
-            if j == len(keys):
+            if j == len(entries):
                 k += 1
             else:  # jump over the intervals that end before the leaf's next entry
-                k = bisect_left(intervals, keys[j][0] - base, k + 1, n, key=itemgetter(1))
+                k = bisect_left(intervals, entries[j].key - base, k + 1, n, key=itemgetter(1))
 
     def stats(self) -> TreeStats:
         return TreeStats(self.height, self.leaf_count, self.entry_count, len(self.pages))
@@ -389,38 +397,32 @@ class BPlusTree:
 
     def audit(self) -> None:
         """Check structural invariants; raises AssertionError on violation, also under ``-O``."""
-        root = self.pages[self.root_id]
-        leaf_pages: list[int] = []
-        count = self._audit_node(root, None, None, 1, leaf_pages)
+        visited: list[int] = []
+        count = self._audit_node(self.pages[self.root_id], None, None, 1, visited)
         _check(count == self.entry_count, "entry count drift")
+        _check(sorted(visited) == sorted(self.pages), "pages outside the tree or reached twice")
+        _check(max(self.pages) < self._next_page, "page id past the allocation counter")
+        leaf_pages = [pid for pid in visited if self.pages[pid].leaf]  # in tree order
         _check(len(leaf_pages) == self.leaf_count, "leaf count drift")
-        # leaf chain matches in-order leaf sequence and is globally sorted
-        chain = []
-        node = root
-        while not node.leaf:
-            node = self.pages[node.children[0]]
-        flat = []
-        while True:
-            chain.append(node.page_id)
-            flat.extend(node.keys)
-            if node.next_leaf is None:
-                break
-            node = self.pages[node.next_leaf]
-        _check(chain == leaf_pages, "leaf chain disagrees with tree order")
+        chain = [self.pages[pid].next_leaf for pid in leaf_pages]
+        _check(chain == leaf_pages[1:] + [None], "leaf chain disagrees with tree order")
+        flat = [(e.key, e.uid) for pid in leaf_pages for e in self.pages[pid].entries]
         _check(flat == sorted(flat), "leaf chain not sorted")
         _check(len(set(flat)) == len(flat), "duplicate composite keys")
 
-    def _audit_node(self, node: Node, lo, hi, depth: int, leaf_pages: list[int]) -> int:
+    def _audit_node(self, node: Node, lo, hi, depth: int, visited: list[int]) -> int:
         is_root = node.page_id == self.root_id
+        visited.append(node.page_id)
         if node.leaf:
             _check(depth == self.height, "uneven leaf depth")
             if not is_root:
-                _check(len(node.keys) >= self.leaf_cap // 2, "leaf underflow")
-            _check(len(node.keys) <= self.leaf_cap, "leaf overflow")
-            for k in node.keys:
+                _check(len(node.entries) >= self.leaf_cap // 2, "leaf underflow")
+            _check(len(node.entries) <= self.leaf_cap, "leaf overflow")
+            for e in node.entries:
+                k = (e.key, e.uid)
                 _check((lo is None or k >= lo) and (hi is None or k < hi), "key outside fence range")
-            leaf_pages.append(node.page_id)
-            return len(node.keys)
+            return len(node.entries)
+        _check(depth < self.height, "uneven leaf depth")
         if not is_root:
             _check(len(node.children) >= self.internal_cap // 2, "internal underflow")
         _check(len(node.children) <= self.internal_cap, "internal overflow")
@@ -429,30 +431,23 @@ class BPlusTree:
         total = 0
         bounds = [lo] + list(node.keys) + [hi]
         for i, child_pid in enumerate(node.children):
-            total += self._audit_node(self.pages[child_pid], bounds[i], bounds[i + 1], depth + 1, leaf_pages)
+            total += self._audit_node(self.pages[child_pid], bounds[i], bounds[i + 1], depth + 1, visited)
         return total
 
     # -- snapshot -------------------------------------------------------------
 
     def to_snapshot(self) -> dict:
+        """Page images: a leaf writes its entries and chain link, an internal page its fences and children."""
         pages = []
         for pid in sorted(self.pages):
             node = self.pages[pid]
-            pages.append(
-                {
-                    "id": pid,
-                    "leaf": node.leaf,
-                    "keys": node.keys,
-                    "entries": [list(e) for e in node.entries] if node.leaf else [],
-                    "children": node.children,
-                    "next_leaf": node.next_leaf,
-                }
-            )
+            if node.leaf:
+                pages.append({"id": pid, "leaf": True, "entries": node.entries, "next_leaf": node.next_leaf})
+            else:
+                pages.append({"id": pid, "leaf": False, "keys": node.keys, "children": node.children})
         return {
             "page_size": self.page_size,
             "buffer_pages": self.buffer.capacity,
-            "leaf_cap": self.leaf_cap,
-            "internal_cap": self.internal_cap,
             "root": self.root_id,
             "next_page": self._next_page,
             "height": self.height,
@@ -467,10 +462,12 @@ class BPlusTree:
         tree.pages.clear()
         for p in snap["pages"]:
             node = Node(p["id"], p["leaf"])
-            node.keys = [tuple(k) for k in p["keys"]]
-            node.entries = [LeafEntry(*e) for e in p["entries"]]
-            node.children = list(p["children"])
-            node.next_leaf = p["next_leaf"]
+            if node.leaf:
+                node.entries = [LeafEntry(*e) for e in p["entries"]]
+                node.next_leaf = p["next_leaf"]
+            else:
+                node.keys = [(key, uid) for key, uid in p["keys"]]
+                node.children = list(p["children"])
             tree.pages[node.page_id] = node
         tree.root_id = snap["root"]
         tree._next_page = snap["next_page"]
@@ -507,7 +504,8 @@ class MovingObjectIndex:
         self.kind = "peb" if sv_map is not None else "bx"
         self.tree = BPlusTree(page_size=page_size, buffer_pages=buffer_pages)
         self.max_speeds = ZERO_SPEEDS
-        self._current: dict[int, tuple[int, int]] = {}  # uid -> (key, tid)
+        self._current: dict[int, int] = {}  # uid -> key
+        self._tid_shift = layout.zv_bits + (layout.sv_bits if sv_map is not None else 0)  # key -> partition
         self._partition_label: dict[int, float] = {}
         self._partition_count: dict[int, int] = {}
         self._svq: dict[int, int] = {}
@@ -552,14 +550,15 @@ class MovingObjectIndex:
             )
 
     def _insert_keyed(self, obj: MovingObject, key: int, tid: int, label: float) -> None:
-        self.tree.insert(LeafEntry(key, obj.uid, obj.x, obj.y, obj.vx, obj.vy, obj.t_u, obj.uid))
-        self._current[obj.uid] = (key, tid)
+        self.tree.insert(LeafEntry(key, obj.uid, obj.x, obj.y, obj.vx, obj.vy, obj.t_u))
+        self._current[obj.uid] = key
         self._partition_label[tid] = label
         self._partition_count[tid] = self._partition_count.get(tid, 0) + 1
         self.max_speeds = self.max_speeds.absorb(obj.vx, obj.vy)
 
     def delete(self, uid: int) -> None:
-        key, tid = self._current.pop(uid)
+        key = self._current.pop(uid)
+        tid = key >> self._tid_shift
         self.tree.delete(key, uid)
         remaining = self._partition_count[tid] - 1
         if remaining:
@@ -576,7 +575,7 @@ class MovingObjectIndex:
         """
         if now is not None and now != obj.t_u:
             obj = replace(obj, t_u=now)
-        _, old_tid = self._current[obj.uid]
+        old_tid = self._current[obj.uid] >> self._tid_shift
         key, tid, label = self.key_for(obj)
         # the object's own old entry leaves the partition before the insert
         self._check_label(tid, label, self._partition_count.get(tid, 0) - (old_tid == tid))
@@ -621,54 +620,61 @@ class MovingObjectIndex:
 
     @classmethod
     def load(cls, path: str | Path, sv_map: SequenceValueMap | None = None) -> "MovingObjectIndex":
+        """Rebuild a saved index; a snapshot that is not one :meth:`save` could write raises ``ValueError``."""
         snap = json.loads(Path(path).read_text())
-        if snap.get("format") != SNAPSHOT_FORMAT:
-            raise ValueError(f"snapshot {path}: format version {snap.get('format')!r}, expected {SNAPSHOT_FORMAT}")
+        version = snap.get("format") if isinstance(snap, dict) else None
+        if version != SNAPSHOT_FORMAT:
+            raise ValueError(f"snapshot {path}: format version {version!r}, expected {SNAPSHOT_FORMAT}")
         try:
-            kind = snap["kind"]
-            tc, g, lay = snap["time_cfg"], snap["grid"], snap["layout"]
-            # every field save() writes is required: a dataclass default would hide a missing one
-            time_cfg = TimePartitionConfig(tc["delta_t_mu"], tc["n"])
-            grid = GridConfig(g["L"], g["levels"], g["y_low"])
-            layout = KeyLayout(lay["tid_bits"], lay["sv_bits"], lay["zv_bits"], lay["frac_bits"])
-            tree = BPlusTree.from_snapshot(snap["tree"])
-            max_speeds = DirectionalSpeeds(*snap["max_speeds"])
-            labels = {int(t): lab for t, lab in snap["partition_labels"].items()}
+            return cls._from_snapshot(snap, sv_map)
         except KeyError as exc:
             raise ValueError(f"snapshot {path}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"snapshot {path}: {exc}") from exc
+
+    @classmethod
+    def _from_snapshot(cls, snap: dict, sv_map: SequenceValueMap | None) -> "MovingObjectIndex":
+        kind = snap["kind"]
+        tc, g, lay = snap["time_cfg"], snap["grid"], snap["layout"]
+        # every field save() writes is required: a dataclass default would hide a missing one
+        time_cfg = TimePartitionConfig(tc["delta_t_mu"], tc["n"])
+        grid = GridConfig(g["L"], g["levels"], g["y_low"])
+        layout = KeyLayout(lay["tid_bits"], lay["sv_bits"], lay["zv_bits"], lay["frac_bits"])
+        tree = BPlusTree.from_snapshot(snap["tree"])
+        max_speeds = DirectionalSpeeds(*map(float, snap["max_speeds"]))
+        labels = {int(t): float(lab) for t, lab in snap["partition_labels"].items()}
+        if kind not in ("peb", "bx"):
+            raise ValueError(f"unknown index kind {kind!r}")
         if kind == "peb" and sv_map is None:
             raise ValueError("loading a policy-embedded index requires its sequence value map")
         if kind == "bx" and sv_map is not None:
             raise ValueError("baseline snapshot does not take a sequence value map")
         if layout.zv_bits != grid.zv_bits:
-            raise ValueError(f"snapshot {path}: key layout has {layout.zv_bits} z-value bits, grid {grid.zv_bits}")
+            raise ValueError(f"key layout has {layout.zv_bits} z-value bits, grid {grid.zv_bits}")
         if time_cfg.num_partitions > 1 << layout.tid_bits:
             raise ValueError(
-                f"snapshot {path}: {layout.tid_bits}-bit partition field"
-                f" cannot hold {time_cfg.num_partitions} partitions"
+                f"{layout.tid_bits}-bit partition field cannot hold {time_cfg.num_partitions} partitions"
             )
         index = cls(time_cfg, grid, layout, sv_map=sv_map)
         index.tree = tree
         try:
             tree.audit()
-        except (AssertionError, KeyError) as exc:
-            raise ValueError(f"snapshot {path}: corrupt tree: {exc!r}") from exc
+        except (AssertionError, KeyError, TypeError) as exc:
+            raise ValueError(f"corrupt tree: {exc!r}") from exc
         index.max_speeds = max_speeds
         index._partition_label = labels
-        tid_shift = layout.zv_bits + (layout.sv_bits if kind == "peb" else 0)
         counts: dict[int, int] = {}
         for node in tree.pages.values():  # the maps need no key order: read pages, not the leaf chain
             if node.leaf:
                 for entry in node.entries:
                     if entry.uid in index._current:
-                        raise ValueError(f"snapshot {path}: two entries for uid {entry.uid}")
-                    tid = entry.key >> tid_shift
-                    index._current[entry.uid] = (entry.key, tid)
+                        raise ValueError(f"two entries for uid {entry.uid}")
+                    tid = entry.key >> index._tid_shift
+                    index._current[entry.uid] = entry.key
                     counts[tid] = counts.get(tid, 0) + 1
         index._partition_count = counts
         if set(counts) != set(labels):
             raise ValueError(
-                f"snapshot {path}: partition labels cover {sorted(labels)}"
-                f" but entries sit in partitions {sorted(counts)}"
+                f"partition labels cover {sorted(labels)} but entries sit in partitions {sorted(counts)}"
             )
         return index

@@ -329,7 +329,7 @@ def test_c11_property_suites(equivalence_instances):
             uid = rng.randrange(4)
             if (key, uid) in member_set:
                 continue
-            tree.insert(LeafEntry(key, uid, 0.0, 0.0, 0.0, 0.0, 0.0, uid))
+            tree.insert(LeafEntry(key, uid, 0.0, 0.0, 0.0, 0.0, 0.0))
             member_set.add((key, uid))
             members.append((key, uid))
         else:

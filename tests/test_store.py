@@ -6,12 +6,12 @@ import pytest
 
 from pebtree.keys import KeyLayout
 from pebtree.motion import MovingObject, TimePartitionConfig
-from pebtree.store import BPlusTree, IoCounters, LeafEntry, MovingObjectIndex
+from pebtree.store import SNAPSHOT_FORMAT, BPlusTree, IoCounters, LeafEntry, MovingObjectIndex
 from pebtree.zcurve import GridConfig
 
 
 def entry(key, uid=0):
-    return LeafEntry(key, uid, float(key % 97), float(key % 89), 0.5, -0.5, 0.0, uid)
+    return LeafEntry(key, uid, float(key % 97), float(key % 89), 0.5, -0.5, 0.0)
 
 
 def collect_range(tree, lo, hi):
@@ -160,12 +160,12 @@ def reference_scan_intervals(self, intervals, visit):
     leaf = None
     for lo, hi in intervals:
         lo_c = (lo, -1)
-        if leaf is None or not leaf.keys or leaf.keys[-1] < lo_c:
+        if leaf is None or not leaf.entries or leaf.entries[-1] < lo_c:
             _, leaf = self._descend(lo_c)
-        i = bisect_left(leaf.keys, lo_c)
+        i = bisect_left(leaf.entries, lo_c)
         while True:
-            while i < len(leaf.keys):
-                if leaf.keys[i][0] > hi:
+            while i < len(leaf.entries):
+                if leaf.entries[i].key > hi:
                     break
                 visit(leaf.entries[i])
                 i += 1
@@ -208,15 +208,9 @@ def hand_built_tree():
     """Root page 0 over four leaves holding keys 1-7 (odd), 10-16, 20-26 and 30-36 (even)."""
 
     def page(pid, keys, children=(), next_leaf=None):
-        leaf = not children
-        return {
-            "id": pid,
-            "leaf": leaf,
-            "keys": [(k, 0) for k in keys],
-            "entries": [list(entry(k)) for k in keys] if leaf else [],
-            "children": list(children),
-            "next_leaf": next_leaf,
-        }
+        if children:
+            return {"id": pid, "leaf": False, "keys": [(k, 0) for k in keys], "children": list(children)}
+        return {"id": pid, "leaf": True, "entries": [entry(k) for k in keys], "next_leaf": next_leaf}
 
     pages = [
         page(0, [10, 20, 30], children=[1, 2, 3, 4]),
@@ -463,14 +457,34 @@ def _leaf_pages(snap):
     return [p for p in snap["tree"]["pages"] if p["leaf"]]
 
 
+def _add_an_orphan_leaf(snap):
+    """A copy of the first leaf, under fresh uids and a page id no fence reaches."""
+    orphan = json.loads(json.dumps(_leaf_pages(snap)[0]))
+    orphan["id"] = snap["tree"]["next_page"]
+    snap["tree"]["next_page"] += 1
+    for e in orphan["entries"]:
+        e[1] += 1000
+    snap["tree"]["pages"].append(orphan)
+
+
+def _link_the_last_leaf_to_the_first(snap):
+    leaves = _leaf_pages(snap)
+    leaves[-1]["next_leaf"] = leaves[0]["id"]
+
+
 @pytest.mark.parametrize(
     "edit, fault",
     [
         (lambda snap: snap["partition_labels"].clear(), "partition labels"),
         (lambda snap: snap["partition_labels"].update({"1": 120.0}), "partition labels"),
-        (lambda snap: _leaf_pages(snap)[0]["keys"].reverse(), "corrupt tree"),
-        (lambda snap: _leaf_pages(snap)[1]["keys"].pop(), "corrupt tree"),
+        (lambda snap: _leaf_pages(snap)[0]["entries"].reverse(), "corrupt tree"),
+        (lambda snap: _leaf_pages(snap)[1]["entries"].pop(), "corrupt tree"),
+        # one entry gone from inside a leaf, the entry count left at 150
+        (lambda snap: _leaf_pages(snap)[0]["entries"].pop(5), "corrupt tree"),
         (lambda snap: snap["tree"].update(entry_count=149), "corrupt tree"),
+        (_add_an_orphan_leaf, "pages outside the tree"),
+        (lambda snap: snap["tree"].update(next_page=1), "page id past the allocation counter"),
+        (_link_the_last_leaf_to_the_first, "leaf chain disagrees"),
     ],
 )
 def test_snapshot_load_rejects_tampering(tmp_path, edit, fault):
@@ -481,9 +495,7 @@ def test_snapshot_load_rejects_tampering(tmp_path, edit, fault):
 
 def _give_second_entry_the_first_uid(snap):
     leaf = _leaf_pages(snap)[0]
-    uid = leaf["entries"][0][1]
-    leaf["entries"][1][1] = leaf["entries"][1][7] = uid
-    leaf["keys"][1][1] = uid
+    leaf["entries"][1][1] = leaf["entries"][0][1]
 
 
 def test_snapshot_load_rejects_two_entries_for_one_uid(tmp_path):
@@ -503,6 +515,7 @@ def test_untampered_snapshot_still_loads(tmp_path):
     "edit, fault",
     [
         (lambda snap: snap.pop("format"), "format version None"),
+        (lambda snap: snap.update(format=1), "format version 1, expected 2"),
         (lambda snap: snap.update(format=99), "format version 99"),
     ],
 )
@@ -522,6 +535,12 @@ def test_snapshot_load_checks_the_format_version(tmp_path, edit, fault):
         (lambda snap: snap.pop("tree"), "missing field 'tree'"),
         (lambda snap: snap.pop("max_speeds"), "missing field 'max_speeds'"),
         (lambda snap: snap["grid"].pop("L"), "missing field 'L'"),
+        (lambda snap: snap["max_speeds"].pop(), "DirectionalSpeeds"),
+        (lambda snap: _leaf_pages(snap)[0]["entries"][3].pop(), "LeafEntry"),
+        (lambda snap: snap["grid"].update(levels="10"), "not supported between"),
+        (lambda snap: snap.update(tree=[snap["tree"]]), "list indices"),
+        (lambda snap: snap["partition_labels"].update(x=60.0), "invalid literal for int"),
+        (lambda snap: snap.update(kind="zz"), "unknown index kind 'zz'"),
     ],
 )
 def test_snapshot_load_checks_the_key_layout_and_the_fields(tmp_path, edit, fault):
@@ -529,3 +548,29 @@ def test_snapshot_load_checks_the_key_layout_and_the_fields(tmp_path, edit, faul
     with pytest.raises(ValueError, match=fault) as raised:
         MovingObjectIndex.load(path)
     assert str(path) in str(raised.value)
+
+
+# the snapshot's field names per format version: a layout change must bump SNAPSHOT_FORMAT and add its row
+SNAPSHOT_FIELDS = {
+    2: {
+        "header": ["format", "grid", "kind", "layout", "max_speeds", "partition_labels", "time_cfg", "tree"],
+        "tree": ["buffer_pages", "entry_count", "height", "leaf_count", "next_page", "page_size", "pages", "root"],
+        "leaf page": ["entries", "id", "leaf", "next_leaf"],
+        "leaf entry": ["key", "uid", "x", "y", "vx", "vy", "t"],
+        "internal page": ["children", "id", "keys", "leaf"],
+    },
+}
+
+
+def test_snapshot_field_names_are_pinned_per_format(tmp_path):
+    snap = json.loads(_tampered(tmp_path, lambda snap: None).read_text())
+    internal = [p for p in snap["tree"]["pages"] if not p["leaf"]]
+    assert internal and {len(entry) for p in _leaf_pages(snap) for entry in p["entries"]} == {len(LeafEntry._fields)}
+    found = {
+        "header": sorted(snap),
+        "tree": sorted(snap["tree"]),
+        "leaf page": sorted({name for p in _leaf_pages(snap) for name in p}),
+        "internal page": sorted({name for p in internal for name in p}),
+        "leaf entry": list(LeafEntry._fields),
+    }
+    assert found == SNAPSHOT_FIELDS[SNAPSHOT_FORMAT]
