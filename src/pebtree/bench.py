@@ -90,40 +90,51 @@ class Instance:
     bx: MovingObjectIndex
     peb_engine: PebQueryEngine
     bx_engine: BaselineQueryEngine
-    preproc_seconds: float
     now: float = 0.0
     update_cursor: int = 0
 
 
+def build_indexes(
+    objects: Sequence[MovingObject], store: PolicyStore, kinds: Sequence[str] = ("peb", "bx")
+) -> dict[str, tuple[MovingObjectIndex, PebQueryEngine | BaselineQueryEngine]]:
+    """Encode the policies and load each named index (``peb``, ``bx``) with its query engine."""
+    time_cfg = TimePartitionConfig()
+    grid = GridConfig(L=store.space_side)
+    compat = CompatibilityIndex.from_store(store)
+    sv_map = assign_sequence_values([o.uid for o in objects], compat)
+    layout = KeyLayout.for_index(time_cfg, grid, max_sv=sv_map.max_value + 1.0)
+    built = {}
+    if "peb" in kinds:
+        peb = MovingObjectIndex(time_cfg, grid, layout, sv_map=sv_map)
+        for obj in objects:
+            peb.insert(obj)
+        built["peb"] = (peb, PebQueryEngine(peb, store, FriendLists(store, sv_map, layout)))
+    if "bx" in kinds:
+        bx = MovingObjectIndex(time_cfg, grid, layout)
+        for obj in objects:
+            bx.insert(obj)
+        built["bx"] = (bx, BaselineQueryEngine(bx, store))
+    return built
+
+
 def build_instance(cfg: WorkloadConfig) -> Instance:
     """Generate data and policies, encode them, and load both indexes."""
-    time_cfg = TimePartitionConfig()
-    grid = GridConfig(L=cfg.space_side)
     objects, world = make_world(cfg)
     uids = [o.uid for o in objects]
     policies, graph = gen_policies(uids, cfg)
     store = PolicyStore(policies, graph, uids, space_side=cfg.space_side, day=cfg.day)
-    t0 = time.perf_counter()
-    compat = CompatibilityIndex.from_store(store)
-    sv_map = assign_sequence_values(uids, compat)
-    preproc = time.perf_counter() - t0
-    layout = KeyLayout.for_index(time_cfg, grid, max_sv=sv_map.max_value + 1.0)
-    peb = MovingObjectIndex(time_cfg, grid, layout, sv_map=sv_map)
-    bx = MovingObjectIndex(time_cfg, grid, layout)
-    for obj in objects:
-        peb.insert(obj)
-        bx.insert(obj)
+    built = build_indexes(objects, store)
+    (peb, peb_engine), (bx, bx_engine) = built["peb"], built["bx"]
     return Instance(
         cfg=cfg,
-        time_cfg=time_cfg,
+        time_cfg=peb.time_cfg,
         objects={o.uid: o for o in objects},
         world=world,
         store=store,
         peb=peb,
         bx=bx,
-        peb_engine=PebQueryEngine(peb, store, FriendLists(store, sv_map, layout)),
-        bx_engine=BaselineQueryEngine(bx, store),
-        preproc_seconds=preproc,
+        peb_engine=peb_engine,
+        bx_engine=bx_engine,
     )
 
 

@@ -26,15 +26,14 @@ from pathlib import Path
 from .bench import (
     DESK_USER_SWEEP,
     ExperimentSpec,
+    build_indexes,
     load_config,
     measure_preprocessing,
     run_experiment,
     save_config,
     validate_cost,
 )
-from .keys import assign_sequence_values
 from .policy import (
-    CompatibilityIndex,
     PolicyStore,
     load_policies,
     load_relationships,
@@ -89,32 +88,6 @@ def _load_data_dir(data_dir: Path):
     return objects, store
 
 
-def _build_indexes(objects, store, kinds=("peb", "bx")):
-    from .keys import KeyLayout
-    from .motion import TimePartitionConfig
-    from .query import BaselineQueryEngine, FriendLists, PebQueryEngine
-    from .store import MovingObjectIndex
-    from .zcurve import GridConfig
-
-    time_cfg = TimePartitionConfig()
-    grid = GridConfig(L=store.space_side)
-    compat = CompatibilityIndex.from_store(store)
-    sv_map = assign_sequence_values([o.uid for o in objects], compat)
-    layout = KeyLayout.for_index(time_cfg, grid, max_sv=sv_map.max_value + 1.0)
-    built = {}
-    if "peb" in kinds:
-        peb = MovingObjectIndex(time_cfg, grid, layout, sv_map=sv_map)
-        for o in objects:
-            peb.insert(o)
-        built["peb"] = (peb, PebQueryEngine(peb, store, FriendLists(store, sv_map, layout)))
-    if "bx" in kinds:
-        bx = MovingObjectIndex(time_cfg, grid, layout)
-        for o in objects:
-            bx.insert(o)
-        built["bx"] = (bx, BaselineQueryEngine(bx, store))
-    return built, sv_map
-
-
 def cmd_gen(args) -> int:
     cfg = _workload_from_args(args)
     out = Path(args.out_dir)
@@ -133,7 +106,7 @@ def cmd_gen(args) -> int:
 
 def cmd_build(args) -> int:
     objects, store = _load_data_dir(Path(args.data_dir))
-    built, _ = _build_indexes(objects, store, kinds=(args.index,))
+    built = build_indexes(objects, store, kinds=(args.index,))
     index, _engine = built[args.index]
     stats = index.stats()
     print(
@@ -161,7 +134,7 @@ def cmd_query(args) -> int:
                 res = oracle_knn(objects, store, q)
                 print(f"knn qid={q.qid} k={q.k} -> {[(u, round(d, 3)) for u, d in res.neighbors]}")
         return 0
-    built, _ = _build_indexes(objects, store, kinds=(args.engine,))
+    built = build_indexes(objects, store, kinds=(args.engine,))
     index, engine = built[args.engine]
     index.reset_io(cold=True)
     total_io = 0

@@ -11,6 +11,7 @@ from pebtree import bench
 from pebtree.bench import (
     CSV_COLUMNS,
     ExperimentSpec,
+    build_indexes,
     build_instance,
     knn_results_match,
     linear_fit_r2,
@@ -25,7 +26,7 @@ from pebtree.bench import (
     validate_cost,
     write_csv,
 )
-from pebtree.cli import _add_workload_flags, _build_indexes, _load_data_dir
+from pebtree.cli import _add_workload_flags, _load_data_dir
 from pebtree.cli import main as cli_main
 from pebtree.query import PknnResult, PrqRequest, oracle_knn, oracle_range
 from pebtree.workload import WorkloadConfig, gen_queries, load_queries
@@ -43,7 +44,6 @@ def test_build_instance_loads_both_indexes(small_instance):
     assert inst.peb.entry_count == SMALL.n_users
     assert inst.bx.entry_count == SMALL.n_users
     assert inst.peb.kind == "peb" and inst.bx.kind == "bx"
-    assert inst.preproc_seconds > 0
     inst.peb.tree.audit()
     inst.bx.tree.audit()
 
@@ -283,7 +283,7 @@ def test_cli_data_dir_keeps_the_generated_space_side(tmp_path):
     objects, store = _load_data_dir(data)
     assert store.space_side == 2000.0
     assert max(max(o.x, o.y) for o in objects) > 1000.0
-    built, _ = _build_indexes(objects, store)
+    built = build_indexes(objects, store)
     queries = load_queries(data / "queries.csv")
     for kind, run_range, run_knn in (("peb", "prq", "pknn"), ("bx", "range_query", "knn_query")):
         index, engine = built[kind]
