@@ -5,12 +5,10 @@ from .keys import KeyLayout, SequenceValueMap, assign_sequence_values
 from .motion import MovingObject, TimePartitionConfig, index_partition, label_timestamp, position_at
 from .policy import (
     CompatibilityIndex,
-    CompatibilityScore,
     LocationPrivacyPolicy,
     PolicyStore,
     PolicyTable,
     RelationshipGraph,
-    alpha,
     compatibility,
 )
 from .query import (
@@ -33,7 +31,6 @@ __all__ = [
     "BPlusTree",
     "BaselineQueryEngine",
     "CompatibilityIndex",
-    "CompatibilityScore",
     "CostParams",
     "FriendLists",
     "GridConfig",
@@ -53,7 +50,6 @@ __all__ = [
     "SequenceValueMap",
     "TimePartitionConfig",
     "WorkloadConfig",
-    "alpha",
     "assign_sequence_values",
     "compatibility",
     "cost_c",

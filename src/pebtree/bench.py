@@ -375,26 +375,6 @@ def measure_preprocessing(
     return rows
 
 
-def linear_fit_r2(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Coefficient of determination of the least-squares line through (xs, ys)."""
-    n = len(xs)
-    if n < 2:
-        raise ValueError("need at least two points")
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    if sxx == 0:
-        raise ValueError("degenerate x values")
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
-    if ss_tot == 0:
-        return 1.0
-    return 1.0 - ss_res / ss_tot
-
-
 # -- cost model validation -----------------------------------------------------------
 
 

@@ -55,9 +55,6 @@ class SequenceValueMap:
     def __getitem__(self, uid: int) -> float:
         return self.values[uid]
 
-    def __contains__(self, uid: int) -> bool:
-        return uid in self.values
-
     @property
     def max_value(self) -> float:
         return max(self.values.values(), default=0.0)
@@ -186,11 +183,8 @@ class KeyLayout:
             raise ValueError(f"sequence value {sv} overflows {self.sv_bits}-bit field")
         return q
 
-    def peb_key(self, tid: int, sv: float, zv: int) -> int:
-        """Policy-embedded key: tid | quantized sv | zv."""
-        return self.peb_key_q(tid, self.quantize_sv(sv), zv)
-
     def peb_key_q(self, tid: int, svq: int, zv: int) -> int:
+        """Policy-embedded key: tid | quantized sv | zv."""
         self._check_tid(tid)
         if not 0 <= svq < (1 << self.sv_bits):
             raise ValueError(f"quantized sequence value {svq} overflows field")
@@ -202,12 +196,6 @@ class KeyLayout:
         self._check_tid(tid)
         self._check_zv(zv)
         return (tid << self.zv_bits) | zv
-
-    def split_peb(self, key: int) -> tuple[int, int, int]:
-        zv = key & ((1 << self.zv_bits) - 1)
-        svq = (key >> self.zv_bits) & ((1 << self.sv_bits) - 1)
-        tid = key >> (self.sv_bits + self.zv_bits)
-        return tid, svq, zv
 
     def _check_tid(self, tid: int) -> None:
         if not 0 <= tid < (1 << self.tid_bits):

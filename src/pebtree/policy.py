@@ -21,8 +21,7 @@ ordered (owner, viewer) pair to the row of its policy in dicts of ints, so
 the garbage collector walks neither the policies nor the maps to them.
 Visibility checks and :meth:`CompatibilityIndex.from_store` read the
 columns in place; a :class:`LocationPrivacyPolicy` record is built only on
-demand, when a table is indexed or iterated (the file writer does this)
-or by :meth:`PolicyStore.directed`.
+demand, when a table is iterated (the file writer does this).
 
 Sequence value assignment reads every user's related users and two-way
 partners but the degrees of few pairs, so :class:`CompatibilityIndex`
@@ -39,7 +38,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections import defaultdict
-from collections.abc import Sequence
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
@@ -70,15 +68,6 @@ class LocationPrivacyPolicy(NamedTuple):
         """The daily window as disjoint half-open intervals within ``[0, day]``."""
         return window_time_set(self.t_lo, self.t_hi, self.day)
 
-    @property
-    def duration(self) -> float:
-        """Length of the daily window: ``time_set_duration(self.t_int)``, summed in the same order."""
-        return window_duration(self.t_lo, self.t_hi, self.day)
-
-    def active_at(self, t: float) -> bool:
-        """Whether time ``t`` falls in the daily window."""
-        return window_contains(self.t_lo, self.t_hi, self.day, t)
-
 
 def window_time_set(t_lo: float, t_hi: float, day: float) -> TimeSet:
     if t_lo < t_hi:
@@ -104,14 +93,14 @@ def window_contains(t_lo: float, t_hi: float, day: float, t: float) -> bool:
     return t_lo <= tm < day or tm < t_hi
 
 
-class PolicyTable(Sequence[LocationPrivacyPolicy]):
+class PolicyTable:
     """Policies of one day length as columns, one row per policy.
 
     The rectangle sides and the window ends are ``array('d')`` columns, so
     the garbage collector has nothing to walk in them.  The owner column is
     a list that holds the caller's own int objects: dicts keyed by the same
-    objects then find them by identity.  Indexing and iteration build
-    :class:`LocationPrivacyPolicy` records on demand; a slice is a table.
+    objects then find them by identity.  Iteration builds
+    :class:`LocationPrivacyPolicy` records on demand.
     """
 
     def __init__(self, day: float = DAY) -> None:
@@ -133,21 +122,6 @@ class PolicyTable(Sequence[LocationPrivacyPolicy]):
     def __len__(self) -> int:
         return len(self.owner)
 
-    def __getitem__(self, row: int | slice) -> LocationPrivacyPolicy | PolicyTable:
-        if isinstance(row, slice):
-            part = PolicyTable(self.day)
-            for column, values in zip(part._columns(), self._columns()):
-                column.extend(values[row])
-            return part
-        return LocationPrivacyPolicy(
-            self.owner[row],
-            self.role[row],
-            (self.x_lo[row], self.y_lo[row], self.x_hi[row], self.y_hi[row]),
-            self.t_lo[row],
-            self.t_hi[row],
-            self.day,
-        )
-
     def __iter__(self) -> Iterator[LocationPrivacyPolicy]:
         day = self.day
         for owner, role, x_lo, y_lo, x_hi, y_hi, t_lo, t_hi in zip(*self._columns()):
@@ -159,22 +133,12 @@ def check_window(t_lo: float, t_hi: float, day: float) -> None:
         raise ValueError(f"interval [{t_lo}, {t_hi}] outside [0, {day}]")
 
 
-def time_set_duration(t_int: TimeSet) -> float:
-    return sum(hi - lo for lo, hi in t_int)
-
-
 def time_set_overlap(a: TimeSet, b: TimeSet) -> float:
     total = 0.0
     for lo1, hi1 in a:
         for lo2, hi2 in b:
             total += max(0.0, min(hi1, hi2) - max(lo1, lo2))
     return total
-
-
-class CompatibilityScore(NamedTuple):
-    alpha: float
-    c: float
-    mutual: bool
 
 
 class RelationshipGraph:
@@ -195,9 +159,6 @@ class RelationshipGraph:
     def set_roles(self, owner: int, roles: dict[str, tuple[int, ...]]) -> None:
         """Make ``roles`` the owner's whole role map; each tuple must hold distinct ids."""
         self._roles[owner] = roles
-
-    def members(self, owner: int, role: str) -> frozenset[int]:
-        return frozenset(self._roles.get(owner, {}).get(role, ()))
 
     def records(self) -> Iterable[tuple[int, str, int]]:
         for owner, roles in sorted(self._roles.items()):
@@ -285,11 +246,6 @@ class PolicyStore:
         per_owner = self._directed.get(owner)
         return None if per_owner is None else per_owner.get(viewer)
 
-    def directed(self, owner: int, viewer: int) -> LocationPrivacyPolicy | None:
-        """The owner's policy applicable to ``viewer``, if any."""
-        row = self.row(owner, viewer)
-        return None if row is None else self.policies[row]
-
     def owners_naming(self, viewer: int) -> list[int]:
         """Users holding a policy toward ``viewer`` (the viewer's friend set)."""
         return self._owners_naming.get(viewer, [])
@@ -297,35 +253,6 @@ class PolicyStore:
     def check_user(self, uid: int) -> None:
         if uid not in self.users:
             raise KeyError(f"unknown user id {uid}")
-
-
-def alpha(
-    p12: LocationPrivacyPolicy | None,
-    p21: LocationPrivacyPolicy | None,
-    space_side: float = 1000.0,
-    day: float = DAY,
-) -> float:
-    """Pairwise policy overlap score in [0, 1]; 0 when neither policy exists."""
-    return _alpha_mutual(p12, p21, space_side, day)[0]
-
-
-def _alpha_mutual(
-    p12: LocationPrivacyPolicy | None,
-    p21: LocationPrivacyPolicy | None,
-    space_side: float,
-    day: float,
-) -> tuple[float, bool]:
-    """:func:`_alpha_mutual_rows` of two records, both windows read in a day of length ``day``."""
-    table = PolicyTable(day)
-    rows: list[int | None] = []
-    for p in (p12, p21):
-        if p is None:
-            rows.append(None)
-        else:
-            rows.append(len(table))
-            owner, role, rect, t_lo, t_hi, _ = p
-            table.append(owner, role, *rect, t_lo, t_hi)
-    return _alpha_mutual_rows(table, *rows, space_side)
 
 
 def _alpha_mutual_rows(
@@ -369,12 +296,9 @@ def _degree(a: float, mutual: bool) -> float:
     return max(0.5 * (1.0 + a), _ABOVE_HALF) if mutual and a != 0.0 else a
 
 
-def compatibility(store: PolicyStore, u1: int, u2: int) -> CompatibilityScore:
+def compatibility(store: PolicyStore, u1: int, u2: int) -> float:
     """Degree of compatibility between two users' policies (symmetric)."""
-    a, mutual = _alpha_mutual_rows(store.policies, store.row(u1, u2), store.row(u2, u1), store.space_side)
-    if a == 0.0:
-        return CompatibilityScore(0.0, 0.0, False)
-    return CompatibilityScore(a, _degree(a, mutual), mutual)
+    return _degree(*_alpha_mutual_rows(store.policies, store.row(u1, u2), store.row(u2, u1), store.space_side))
 
 
 class CompatibilityIndex:
@@ -455,7 +379,7 @@ class CompatibilityIndex:
             two_way[v].remove(u)
         for u in suspects:
             for v in directed[u]:
-                if u not in directed.get(v, no_policies) and not compatibility(store, u, v).c > 0:
+                if u not in directed.get(v, no_policies) and not compatibility(store, u, v) > 0:
                     dropped.append((u, v))
         for u, v in dropped:
             neighbors[u].remove(v)
@@ -484,7 +408,7 @@ class CompatibilityIndex:
         key = (u, v) if u < v else (v, u)
         c = self._c.get(key)
         if c is None:
-            return 0.0 if self._store is None else compatibility(self._store, *key).c
+            return 0.0 if self._store is None else compatibility(self._store, *key)
         return c
 
     def related(self, u: int) -> list[int]:

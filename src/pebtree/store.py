@@ -25,6 +25,7 @@ baseline keys.
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import replace
@@ -616,12 +617,26 @@ class MovingObjectIndex:
             "partition_labels": {str(t): lab for t, lab in self._partition_label.items()},
             "tree": self.tree.to_snapshot(),
         }
-        Path(path).write_text(json.dumps(snap))
+        # write beside the target and rename over it, so a failed save keeps the last good snapshot
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(snap))
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path, sv_map: SequenceValueMap | None = None) -> "MovingObjectIndex":
         """Rebuild a saved index; a snapshot that is not one :meth:`save` could write raises ``ValueError``."""
-        snap = json.loads(Path(path).read_text())
+        try:
+            snap = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            raise ValueError(f"snapshot {path}: not UTF-8 JSON: {exc}") from exc
         version = snap.get("format") if isinstance(snap, dict) else None
         if version != SNAPSHOT_FORMAT:
             raise ValueError(f"snapshot {path}: format version {version!r}, expected {SNAPSHOT_FORMAT}")

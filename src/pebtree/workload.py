@@ -20,7 +20,6 @@ from typing import Iterable
 from .motion import MovingObject
 from .policy import (
     DAY,
-    LocationPrivacyPolicy,
     PolicyTable,
     RelationshipGraph,
     finite_field,
@@ -218,6 +217,7 @@ class NetworkWorld:
 
     RAMP = 60.0  # distance over which speed ramps between floor and vmax
     FLOOR = 0.1  # minimum speed so objects never stall
+    STEP = 5.0  # simulation time step
 
     def __init__(self, net: RouteNetwork, cfg: WorkloadConfig, rng: Random) -> None:
         self.net = net
@@ -259,9 +259,9 @@ class NetworkWorld:
         ramp_down = self.FLOOR + (t.vmax - self.FLOOR) * min(1.0, remaining / self.RAMP)
         return min(t.vmax, ramp_up, ramp_down)
 
-    def advance(self, to_time: float, step: float = 5.0) -> None:
+    def advance(self, to_time: float) -> None:
         while self.now < to_time - 1e-9:
-            dt = min(step, to_time - self.now)
+            dt = min(self.STEP, to_time - self.now)
             for t in self._travelers.values():
                 self._move(t, dt)
             self.now += dt
@@ -310,10 +310,10 @@ def gen_network(cfg: WorkloadConfig) -> tuple[list[MovingObject], NetworkWorld]:
     return [world.report(uid) for uid in range(cfg.n_users)], world
 
 
-def make_world(cfg: WorkloadConfig, objects: list[MovingObject] | None = None):
+def make_world(cfg: WorkloadConfig):
     if cfg.distribution == "uniform":
-        objs = objects if objects is not None else gen_uniform(cfg)
-        return objs, UniformWorld(objs, cfg.space_side)
+        objects = gen_uniform(cfg)
+        return objects, UniformWorld(objects, cfg.space_side)
     return gen_network(cfg)
 
 
@@ -428,22 +428,6 @@ def gen_policies(
             add_t_hi(end)
         graph.set_roles(owner, roles)
     return policies, graph
-
-
-def realized_grouping_factor(
-    policies: Iterable[LocationPrivacyPolicy],
-    graph: RelationshipGraph,
-    group_of: dict[int, int],
-) -> float:
-    """Fraction of policies whose target shares the owner's group."""
-    total = 0
-    in_group = 0
-    for p in policies:
-        for target in graph.members(p.owner, p.role):
-            total += 1
-            if group_of[target] == group_of[p.owner]:
-                in_group += 1
-    return in_group / total if total else 0.0
 
 
 # -- queries --------------------------------------------------------------------

@@ -14,7 +14,6 @@ from pebtree.bench import (
     build_indexes,
     build_instance,
     knn_results_match,
-    linear_fit_r2,
     load_config,
     measure_preprocessing,
     point_rows,
@@ -176,13 +175,6 @@ def test_validate_cost_reports_infeasible_points():
     by_value = {r["value"]: r for r in report.rows if r["param"] == "n_p"}
     assert isinstance(by_value[8]["ratio"], float)
     assert "below the user count" in by_value[200]["ratio"]  # infeasible, reported
-
-
-def test_linear_fit_r2():
-    xs = [1.0, 2.0, 3.0, 4.0]
-    assert linear_fit_r2(xs, [2.0, 4.0, 6.0, 8.0]) == pytest.approx(1.0)
-    assert linear_fit_r2(xs, [2.1, 3.9, 6.2, 7.9]) > 0.99
-    assert linear_fit_r2(xs, [5.0, 1.0, 7.0, 2.0]) < 0.5
 
 
 def test_load_config_key_value(tmp_path):

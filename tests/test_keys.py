@@ -268,7 +268,7 @@ def test_peb_key_bit_concatenation_example():
 
 def test_peb_key_zero():
     layout = KeyLayout(tid_bits=2, sv_bits=4, zv_bits=4, frac_bits=0)
-    assert layout.peb_key(0, 0.0, 0) == 0
+    assert layout.peb_key_q(0, layout.quantize_sv(0.0), 0) == 0
 
 
 def test_key_field_overflow_rejected():
@@ -309,8 +309,9 @@ def test_layout_for_index_sizes_fields():
     assert layout.tid_bits == 2
     assert layout.zv_bits == 20
     assert layout.quantize_sv(42.0) == 42 * 256
-    tid, svq, zv = layout.split_peb(layout.peb_key(2, 41.5, 12345))
-    assert (tid, svq, zv) == (2, layout.quantize_sv(41.5), 12345)
+    assert layout.sv_bits == (42 * 256).bit_length() == 14
+    key = layout.peb_key_q(2, layout.quantize_sv(41.5), 12345)
+    assert key == (2 << 34) | (int(41.5 * 256) << 20) | 12345
 
 
 @settings(max_examples=500, deadline=None)

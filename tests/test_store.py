@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from bisect import bisect_left
 
@@ -448,8 +449,11 @@ def _tampered(tmp_path, edit):
     path = tmp_path / "index.snap"
     index.save(path)
     snap = json.loads(path.read_text())
-    edit(snap)
-    path.write_text(json.dumps(snap))
+    raw = edit(snap)
+    if isinstance(raw, bytes):  # the edit replaces the whole file
+        path.write_bytes(raw)
+    else:
+        path.write_text(json.dumps(snap))
     return path
 
 
@@ -505,6 +509,27 @@ def test_snapshot_load_rejects_two_entries_for_one_uid(tmp_path):
     assert str(path) in str(raised.value)
 
 
+def test_failed_save_keeps_the_last_good_snapshot(tmp_path, monkeypatch):
+    path = _tampered(tmp_path, lambda snap: None)
+    good = path.read_bytes()
+    index = MovingObjectIndex.load(path)
+    index.insert(MovingObject(500, 1.0, 1.0, 0.0, 0.0, 0.0))
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        index.save(path)
+    assert path.read_bytes() == good
+    assert MovingObjectIndex.load(path).entry_count == 150
+    assert sorted(tmp_path.iterdir()) == [path]
+    monkeypatch.undo()
+    index.save(path)
+    assert MovingObjectIndex.load(path).entry_count == 151
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_untampered_snapshot_still_loads(tmp_path):
     loaded = MovingObjectIndex.load(_tampered(tmp_path, lambda snap: None))
     assert loaded.live_partitions() == [(0, 60.0)]
@@ -517,6 +542,10 @@ def test_untampered_snapshot_still_loads(tmp_path):
         (lambda snap: snap.pop("format"), "format version None"),
         (lambda snap: snap.update(format=1), "format version 1, expected 2"),
         (lambda snap: snap.update(format=99), "format version 99"),
+        # cut short mid-write, empty, and not UTF-8
+        (lambda snap: b'{"format": 2, "kind": "bx"', "not UTF-8 JSON: Expecting ',' delimiter"),
+        (lambda snap: b"", "not UTF-8 JSON: Expecting value"),
+        (lambda snap: b"\xff\xfe", "not UTF-8 JSON: 'utf-8' codec can't decode"),
     ],
 )
 def test_snapshot_load_checks_the_format_version(tmp_path, edit, fault):

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from pebtree.motion import MovingObject
-from pebtree.policy import DAY, PolicyStore, save_policies, save_relationships
+from pebtree.policy import DAY, PolicyStore, save_policies, save_relationships, window_contains
 from pebtree.query import PknnRequest, PrqRequest
 from pebtree.workload import (
     NETWORK_SPEED_CLASSES,
@@ -23,7 +23,6 @@ from pebtree.workload import (
     gen_uniform,
     load_objects,
     load_queries,
-    realized_grouping_factor,
     save_objects,
     save_queries,
 )
@@ -137,25 +136,26 @@ def test_policies_theta_one_targets_in_group():
     users = list(range(300))
     policies, graph = gen_policies(users, cfg)
     _, group_of = assign_groups(users, cfg)
-    assert realized_grouping_factor(policies, graph, group_of) == 1.0
+    assert statistics.fmean(group_of[o] == group_of[m] for o, _, m in graph.records()) == 1.0
     assert len(policies) == 300 * 10
 
 
 def test_policies_theta_zero_spreads_over_population():
     cfg = WorkloadConfig(n_users=600, policies_per_user=10, theta=0.0, group_size=50, seed=2)
     users = list(range(600))
-    policies, graph = gen_policies(users, cfg)
+    _, graph = gen_policies(users, cfg)
     _, group_of = assign_groups(users, cfg)
-    realized = realized_grouping_factor(policies, graph, group_of)
+    realized = statistics.fmean(group_of[o] == group_of[m] for o, _, m in graph.records())
     assert realized < 0.25  # in-group hits only by chance
 
 
 def test_policies_realized_theta_tracks_parameter():
     cfg = WorkloadConfig(n_users=1500, policies_per_user=20, theta=0.7, group_size=100, seed=6)
     users = list(range(1500))
-    policies, graph = gen_policies(users, cfg)
+    _, graph = gen_policies(users, cfg)
     _, group_of = assign_groups(users, cfg)
-    assert realized_grouping_factor(policies, graph, group_of) == pytest.approx(0.7, abs=0.02)
+    realized = statistics.fmean(group_of[o] == group_of[m] for o, _, m in graph.records())
+    assert realized == pytest.approx(0.7, abs=0.02)
 
 
 def test_policies_pair_uniqueness_and_load():
@@ -247,7 +247,7 @@ def test_a_full_day_duration_gives_the_whole_day():
     full_day = policies((DAY, DAY))
     assert len(full_day) == 150
     assert all((p.t_lo, p.t_hi) == (0.0, DAY) for p in full_day)
-    assert all(p.active_at(t) for p in full_day for t in (0.0, 7.5, DAY - 1e-9, DAY))
+    assert all(window_contains(p.t_lo, p.t_hi, p.day, t) for p in full_day for t in (0.0, 7.5, DAY - 1e-9, DAY))
     # a whole-day window consumes a start and a duration draw like any other,
     # so the regions drawn after it are unchanged
     assert [p.rect for p in full_day] == [p.rect for p in policies((DAY / 6, DAY / 2))]
@@ -282,7 +282,7 @@ def test_policy_shapes_within_bounds():
     cfg = WorkloadConfig(n_users=120, policies_per_user=8, seed=13)
     policies, _ = gen_policies(range(120), cfg)
     lo, hi = cfg.policy_side
-    for p in policies[:200]:
+    for p in list(policies)[:200]:
         x_lo, y_lo, x_hi, y_hi = p.rect
         assert 0.0 <= x_lo < x_hi <= cfg.space_side
         assert 0.0 <= y_lo < y_hi <= cfg.space_side
