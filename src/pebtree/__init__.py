@@ -25,7 +25,7 @@ from .query import (
 )
 from .store import BPlusTree, LeafEntry, MovingObjectIndex, PageBuffer
 from .workload import WorkloadConfig, gen_network, gen_policies, gen_queries, gen_uniform
-from .zcurve import GridConfig, z_decode, z_decompose, z_encode
+from .zcurve import GridConfig, z_decompose, z_encode
 
 __all__ = [
     "BPlusTree",
@@ -66,7 +66,6 @@ __all__ = [
     "oracle_knn",
     "oracle_range",
     "position_at",
-    "z_decode",
     "z_decompose",
     "z_encode",
 ]

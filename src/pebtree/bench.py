@@ -7,8 +7,9 @@ runs a batch of range and kNN queries through both with cold buffers per
 mean and 95th-percentile charged I/O, an oracle-equality pass rate, the
 analytical cost estimate (range queries), and wall time.
 
-Rows are a pure function of (spec, seed); any oracle mismatch makes the
-run report failure so callers can exit nonzero.
+Rows are a pure function of the sweeps and the base configuration, seed
+included; any oracle mismatch makes the run report failure so callers can
+exit nonzero.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import csv
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .costmodel import CostParams, cost_c, cost_c1, fit_cost_params
 from .keys import KeyLayout, assign_sequence_values
@@ -57,24 +58,24 @@ CSV_COLUMNS = [
 ]
 
 DESK_USER_SWEEP = (2_000, 5_000, 10_000, 20_000)
-POLICY_SWEEP = (10, 25, 50, 75, 100)
 THETA_SWEEP = (0.0, 0.25, 0.5, 0.75, 1.0)
-WINDOW_SWEEP = (100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0, 900.0, 1000.0)
-K_SWEEP = (1, 3, 5, 7, 10)
-SPEED_SWEEP = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-DESTINATION_SWEEP = (25, 50, 100, 200, 500)
+# each sweep sets one WorkloadConfig field to each of its values;
+# ``destinations`` runs on the road network, and ``updates`` reruns the base
+# point after each of UPDATE_ROUNDS update rounds
+SWEEPS = {
+    "users": ("n_users", DESK_USER_SWEEP),
+    "policies": ("policies_per_user", (10, 25, 50, 75, 100)),
+    "theta": ("theta", THETA_SWEEP),
+    "window": ("query_window", (100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0, 900.0, 1000.0)),
+    "k": ("k", (1, 3, 5, 7, 10)),
+    "speed": ("max_speed", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
+    "destinations": ("destinations", (25, 50, 100, 200, 500)),
+    "updates": (None, (None,)),
+}
 UPDATE_ROUNDS = 8
 UPDATE_FRACTION = 0.25
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Which sweeps to run and how."""
-
-    base: WorkloadConfig
-    sweeps: tuple[str, ...] = ("users",)
-    out_path: str | None = None
-    oracle_every: int = 1
+# the range and kNN methods of each index kind's query engine
+QUERY_METHODS = {"peb": ("prq", "pknn"), "bx": ("range_query", "knn_query")}
 
 
 @dataclass
@@ -160,10 +161,12 @@ def run_update_round(inst: Instance) -> None:
 
 
 def knn_results_match(got: PknnResult, want: PknnResult, tol: float = 1e-9) -> bool:
-    """Distance multisets equal within tol; membership may differ only at
-    the k'th distance."""
+    """No user twice, distance multisets equal within tol; membership may
+    differ only at the k'th distance."""
     if got.short != want.short or len(got.neighbors) != len(want.neighbors):
         return False
+    if len({u for u, _ in got.neighbors}) != len(got.neighbors):
+        return False  # a user has one location
     got_d = [d for _, d in got.neighbors]
     want_d = [d for _, d in want.neighbors]
     if any(abs(a - b) > tol for a, b in zip(got_d, want_d)):
@@ -187,36 +190,45 @@ class BatchStats:
     failures: int
 
 
+def run_queries(
+    index: MovingObjectIndex,
+    engine: PebQueryEngine | BaselineQueryEngine,
+    queries: Iterable[PrqRequest | PknnRequest],
+) -> Iterator[tuple[PrqRequest | PknnRequest, set[int] | PknnResult, int, int, float]]:
+    """Run queries through one engine from a cold buffer.
+
+    Yields ``(query, answer, misses, leaf misses, engine seconds)`` per
+    query; the seconds time the engine call alone, so work the caller does
+    between queries is not counted.
+    """
+    run_range, run_knn = (getattr(engine, name) for name in QUERY_METHODS[index.kind])
+    index.reset_io(cold=True)
+    for q in queries:
+        before = index.buffer.counters()
+        t0 = time.perf_counter()
+        got = run_range(q) if isinstance(q, PrqRequest) else run_knn(q)
+        seconds = time.perf_counter() - t0
+        after = index.buffer.counters()
+        yield q, got, after.misses - before.misses, after.leaf_misses - before.leaf_misses, seconds
+
+
 def run_query_batch(
     inst: Instance,
     engine_name: str,
     queries: Sequence[PrqRequest | PknnRequest],
     oracle_every: int = 1,
 ) -> BatchStats:
-    """Run one cold-buffer batch of queries through one engine."""
-    if engine_name == "peb":
-        index, run_range, run_knn = inst.peb, inst.peb_engine.prq, inst.peb_engine.pknn
-    elif engine_name == "bx":
-        index, run_range, run_knn = inst.bx, inst.bx_engine.range_query, inst.bx_engine.knn_query
-    else:
-        raise ValueError(f"unknown engine {engine_name!r}")
-    index.reset_io(cold=True)
+    """Run one cold-buffer batch of queries through one engine (``peb`` or ``bx``)."""
+    index, engine = {"peb": (inst.peb, inst.peb_engine), "bx": (inst.bx, inst.bx_engine)}[engine_name]
     ios: list[int] = []
     leaf_ios: list[int] = []
     checked = failures = 0
     objs = inst.objects.values()
     wall_s = 0.0  # engine calls only; the oracle cross-checks are not timed
-    for i, q in enumerate(queries):
-        before = index.buffer.counters()
-        t0 = time.perf_counter()
-        if isinstance(q, PrqRequest):
-            got = run_range(q)
-        else:
-            got = run_knn(q)
-        wall_s += time.perf_counter() - t0
-        after = index.buffer.counters()
-        ios.append(after.misses - before.misses)
-        leaf_ios.append(after.leaf_misses - before.leaf_misses)
+    for i, (q, got, io, leaf_io, seconds) in enumerate(run_queries(index, engine, queries)):
+        ios.append(io)
+        leaf_ios.append(leaf_io)
+        wall_s += seconds
         if oracle_every and i % oracle_every == 0:
             checked += 1
             if isinstance(q, PrqRequest):
@@ -282,48 +294,38 @@ def point_rows(inst: Instance, oracle_every: int = 1, round_no: int = 0) -> list
 
 
 def sweep_configs(sweep: str, base: WorkloadConfig) -> list[WorkloadConfig]:
-    if sweep == "users":
-        return [replace(base, n_users=n) for n in DESK_USER_SWEEP]
-    if sweep == "policies":
-        return [replace(base, policies_per_user=p) for p in POLICY_SWEEP]
-    if sweep == "theta":
-        return [replace(base, theta=t) for t in THETA_SWEEP]
-    if sweep == "window":
-        return [replace(base, query_window=w) for w in WINDOW_SWEEP]
-    if sweep == "k":
-        return [replace(base, k=k) for k in K_SWEEP]
-    if sweep == "speed":
-        return [replace(base, max_speed=s) for s in SPEED_SWEEP]
-    if sweep == "destinations":
-        return [replace(base, distribution="network", destinations=d) for d in DESTINATION_SWEEP]
-    if sweep == "updates":
+    """The measurement points of one of the :data:`SWEEPS`."""
+    field_name, values = SWEEPS[sweep]
+    if field_name is None:
         return [base]
-    raise ValueError(f"unknown sweep {sweep!r}")
+    network = {"distribution": "network"} if sweep == "destinations" else {}
+    return [replace(base, **network, **{field_name: value}) for value in values]
 
 
-def run_experiment(spec: ExperimentSpec) -> tuple[list[dict], bool]:
-    """Run every sweep point; returns (rows, all oracle checks passed)."""
+def run_experiment(
+    base: WorkloadConfig, sweeps: Sequence[str], out_path: str | Path | None, oracle_every: int
+) -> tuple[list[dict], bool]:
+    """Run every sweep point, writing the rows to ``out_path`` if given, and
+    checking every ``oracle_every``'th query (0: none) against the oracle;
+    returns (rows, all oracle checks passed)."""
     rows: list[dict] = []
     all_ok = True
-    for sweep in spec.sweeps:
-        for cfg in sweep_configs(sweep, spec.base):
+    for sweep in sweeps:
+        rounds = range(1, UPDATE_ROUNDS + 1) if sweep == "updates" else (0,)
+        for cfg in sweep_configs(sweep, base):
             try:
                 inst = build_instance(cfg)
             except ValueError as exc:
                 rows.append(_error_row(cfg, sweep, str(exc)))
                 continue
-            if sweep == "updates":
-                for round_no in range(1, UPDATE_ROUNDS + 1):
+            for round_no in rounds:
+                if round_no:
                     run_update_round(inst)
-                    batch = point_rows(inst, spec.oracle_every, round_no=round_no)
-                    rows.extend(batch)
-                    all_ok &= all(r["oracle_ok"] == 1.0 for r in batch)
-            else:
-                batch = point_rows(inst, spec.oracle_every)
+                batch = point_rows(inst, oracle_every, round_no)
                 rows.extend(batch)
                 all_ok &= all(r["oracle_ok"] == 1.0 for r in batch)
-    if spec.out_path:
-        write_csv(rows, spec.out_path)
+    if out_path:
+        write_csv(rows, out_path)
     return rows, all_ok
 
 
@@ -341,9 +343,9 @@ def _error_row(cfg: WorkloadConfig, sweep: str, message: str) -> dict:
     return row
 
 
-def write_csv(rows: Iterable[dict], path: str | Path) -> None:
+def write_csv(rows: Iterable[dict], path: str | Path, columns: Sequence[str] = CSV_COLUMNS) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
@@ -364,14 +366,12 @@ def measure_preprocessing(
         uids = list(range(n))
         policies, graph = gen_policies(uids, cfg)
         store = PolicyStore(policies, graph, uids, space_side=cfg.space_side, day=cfg.day)
-        best = None
+        seconds = []
         for _ in range(max(repetitions, 1)):
             t0 = time.perf_counter()
-            compat = CompatibilityIndex.from_store(store)
-            assign_sequence_values(uids, compat)
-            elapsed = time.perf_counter() - t0
-            best = elapsed if best is None else min(best, elapsed)
-        rows.append({"N": n, "seconds": best, "seed": cfg.seed})
+            assign_sequence_values(uids, CompatibilityIndex.from_store(store))
+            seconds.append(time.perf_counter() - t0)
+        rows.append({"N": n, "seconds": min(seconds), "seed": cfg.seed})
     return rows
 
 

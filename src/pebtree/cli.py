@@ -11,13 +11,12 @@ Subcommands:
 * ``preproc``  time policy encoding across dataset sizes
 
 ``pebtree bench --seed`` is mandatory: rows are a pure function of the
-spec and seed, and a nonzero exit reports any oracle mismatch.
+flags and seed, and a nonzero exit reports any oracle mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from dataclasses import fields, replace
@@ -25,13 +24,15 @@ from pathlib import Path
 
 from .bench import (
     DESK_USER_SWEEP,
-    ExperimentSpec,
+    SWEEPS,
     build_indexes,
     load_config,
     measure_preprocessing,
     run_experiment,
+    run_queries,
     save_config,
     validate_cost,
+    write_csv,
 )
 from .policy import (
     PolicyStore,
@@ -40,7 +41,7 @@ from .policy import (
     save_policies,
     save_relationships,
 )
-from .query import PrqRequest, oracle_knn, oracle_range
+from .query import PknnResult, PrqRequest, oracle_knn, oracle_range
 from .workload import (
     DISTRIBUTIONS,
     WorkloadConfig,
@@ -52,8 +53,6 @@ from .workload import (
     save_objects,
     save_queries,
 )
-
-SWEEP_NAMES = ("users", "policies", "theta", "window", "k", "speed", "destinations", "updates")
 
 
 def _add_workload_flags(p: argparse.ArgumentParser) -> None:
@@ -119,6 +118,12 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _shown(answer: set[int] | PknnResult) -> list:
+    if isinstance(answer, PknnResult):
+        return [(u, round(d, 3)) for u, d in answer.neighbors]
+    return sorted(answer)
+
+
 def cmd_query(args) -> int:
     data_dir = Path(args.data_dir)
     objects, store = _load_data_dir(data_dir)
@@ -128,29 +133,16 @@ def cmd_query(args) -> int:
     if args.engine == "oracle":
         for q in queries:
             if isinstance(q, PrqRequest):
-                res = sorted(oracle_range(objects, store, q))
-                print(f"range qid={q.qid} t={q.t_q:.2f} -> {res}")
+                print(f"range qid={q.qid} t={q.t_q:.2f} -> {_shown(oracle_range(objects, store, q))}")
             else:
-                res = oracle_knn(objects, store, q)
-                print(f"knn qid={q.qid} k={q.k} -> {[(u, round(d, 3)) for u, d in res.neighbors]}")
+                print(f"knn qid={q.qid} k={q.k} -> {_shown(oracle_knn(objects, store, q))}")
         return 0
-    built = build_indexes(objects, store, kinds=(args.engine,))
-    index, engine = built[args.engine]
-    index.reset_io(cold=True)
+    index, engine = build_indexes(objects, store, kinds=(args.engine,))[args.engine]
     total_io = 0
-    for q in queries:
-        before = index.buffer.counters().misses
-        if isinstance(q, PrqRequest):
-            run = engine.prq if args.engine == "peb" else engine.range_query
-            res = sorted(run(q))
-            label = "range"
-        else:
-            run = engine.pknn if args.engine == "peb" else engine.knn_query
-            res = [(u, round(d, 3)) for u, d in run(q).neighbors]
-            label = "knn"
-        io = index.buffer.counters().misses - before
+    for q, answer, io, _leaf_io, _seconds in run_queries(index, engine, queries):
         total_io += io
-        print(f"{label} qid={q.qid} io={io} -> {res}")
+        label = "range" if isinstance(q, PrqRequest) else "knn"
+        print(f"{label} qid={q.qid} io={io} -> {_shown(answer)}")
     if queries:
         print(f"mean charged I/O: {total_io / len(queries):.2f} over {len(queries)} queries")
     return 0
@@ -158,14 +150,8 @@ def cmd_query(args) -> int:
 
 def cmd_bench(args) -> int:
     base = _workload_from_args(args)
-    spec = ExperimentSpec(
-        base=base,
-        sweeps=tuple(args.sweep) if args.sweep else ("users",),
-        out_path=args.out,
-        oracle_every=args.oracle_every,
-    )
     started = time.perf_counter()
-    rows, ok = run_experiment(spec)
+    rows, ok = run_experiment(base, args.sweep or ("users",), args.out, args.oracle_every)
     elapsed = time.perf_counter() - started
     print(f"{len(rows)} rows -> {args.out} in {elapsed:.1f}s; oracle {'ok' if ok else 'FAILED'}")
     return 0 if ok else 1
@@ -178,11 +164,7 @@ def cmd_cost(args) -> int:
     except ValueError as exc:
         print(f"cost model fit failed: {exc}")
         return 1
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["param", "value", "measured", "estimated", "ratio"])
-        writer.writeheader()
-        for row in report.rows:
-            writer.writerow(row)
+    write_csv(report.rows, args.out, ["param", "value", "measured", "estimated", "ratio"])
     print(f"fitted a1={report.a1:.4g} a2={report.a2:.4g}; {len(report.rows)} rows -> {args.out}")
     return 0
 
@@ -190,11 +172,7 @@ def cmd_cost(args) -> int:
 def cmd_preproc(args) -> int:
     base = _workload_from_args(args)
     rows = measure_preprocessing(base, ns=tuple(args.sizes) if args.sizes else DESK_USER_SWEEP)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["N", "seconds", "seed"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    write_csv(rows, args.out, ["N", "seconds", "seed"])
     for row in rows:
         print(f"N={row['N']}: {row['seconds']:.3f}s")
     print(f"{len(rows)} rows -> {args.out}")
@@ -226,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     p_bench = sub.add_parser("bench", help="run benchmark sweeps, write CSV")
     _add_workload_flags(p_bench)
     p_bench.add_argument("--seed", type=int, required=True, help="mandatory for reproducible rows")
-    p_bench.add_argument("--sweep", action="append", choices=SWEEP_NAMES, help="repeatable; default users")
+    p_bench.add_argument("--sweep", action="append", choices=SWEEPS, help="repeatable; default users")
     p_bench.add_argument("--out", default="bench.csv")
     p_bench.add_argument("--oracle-every", type=int, default=1, help="oracle-check every i'th query (0 disables)")
     p_bench.set_defaults(func=cmd_bench)

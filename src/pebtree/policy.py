@@ -149,13 +149,6 @@ class RelationshipGraph:
         # serve many roles, and the garbage collector stops tracking them
         self._roles: dict[int, dict[str, tuple[int, ...]]] = {}
 
-    def add(self, owner: int, role: str, member: int) -> None:
-        """Add one member to a role; this copies the role, so build large ones with :meth:`set_roles`."""
-        roles = self._roles.setdefault(owner, {})
-        members = roles.get(role, ())
-        if member not in members:
-            roles[role] = members + (member,)
-
     def set_roles(self, owner: int, roles: dict[str, tuple[int, ...]]) -> None:
         """Make ``roles`` the owner's whole role map; each tuple must hold distinct ids."""
         self._roles[owner] = roles
@@ -172,15 +165,14 @@ class PolicyStore:
 
     The store keeps a :class:`PolicyTable` and maps each ordered (owner,
     viewer) pair to the row of the policy that applies, in dicts of ints.
-    Given records rather than a table, it converts them once.  At most one
-    policy may apply per ordered pair, every policy's window must lie in
-    the store's day and every region in the space; the constructor rejects
-    violations.
+    At most one policy may apply per ordered pair, the table's day must be
+    the store's, every policy's window must lie in that day and every
+    region in the space; the constructor rejects violations.
     """
 
     def __init__(
         self,
-        policies: PolicyTable | Iterable[LocationPrivacyPolicy],
+        table: PolicyTable,
         graph: RelationshipGraph,
         users: Iterable[int],
         space_side: float = 1000.0,
@@ -189,16 +181,8 @@ class PolicyStore:
         self.users = frozenset(users)
         self.space_side = space_side
         self.day = day
-        if isinstance(policies, PolicyTable):
-            table = policies
-            if table.day != day:
-                raise ValueError(f"the policy table has a day of {table.day}, the store {day}")
-        else:
-            table = PolicyTable(day)
-            for owner, role, rect, t_lo, t_hi, p_day in policies:
-                if p_day != day:
-                    raise ValueError(f"policy of user {owner} has a day of {p_day}, the store {day}")
-                table.append(owner, role, *rect, t_lo, t_hi)
+        if table.day != day:
+            raise ValueError(f"the policy table has a day of {table.day}, the store {day}")
         self.policies = table
         # a user is visible only inside a region, so with every region in the
         # space the engines may skip a window that misses it without a read

@@ -28,7 +28,6 @@ import json
 import os
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from dataclasses import replace
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -568,14 +567,12 @@ class MovingObjectIndex:
             del self._partition_count[tid]
             del self._partition_label[tid]
 
-    def update(self, obj: MovingObject, now: float | None = None) -> None:
-        """Replace the object's entry with a fresh one as of ``now``.
+    def update(self, obj: MovingObject) -> None:
+        """Replace the object's entry with a fresh one as of ``obj.t_u``.
 
         A refused update (the target partition still holds entries under
         another label) raises ``ValueError`` and leaves the index as it was.
         """
-        if now is not None and now != obj.t_u:
-            obj = replace(obj, t_u=now)
         old_tid = self._current[obj.uid] >> self._tid_shift
         key, tid, label = self.key_for(obj)
         # the object's own old entry leaves the partition before the insert

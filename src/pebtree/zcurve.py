@@ -112,17 +112,6 @@ def z_encode(cell: tuple[int, int], cfg: GridConfig) -> int:
     return _spread(low) | (_spread(high) << 1)
 
 
-def z_decode(z: int, cfg: GridConfig) -> tuple[int, int]:
-    """Inverse of :func:`z_encode`."""
-    if not 0 <= z <= cfg.max_z:
-        raise ValueError(f"z-value {z} out of range")
-    low = high = 0
-    for i in range(cfg.levels):
-        low |= ((z >> (2 * i)) & 1) << i
-        high |= ((z >> (2 * i + 1)) & 1) << i
-    return (high, low) if cfg.y_low else (low, high)
-
-
 def cell_of(x: float, y: float, cfg: GridConfig) -> tuple[int, int]:
     """Cell containing a point; coordinates at ``L`` clamp to the last cell."""
     last = cfg.cells_per_axis - 1

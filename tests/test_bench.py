@@ -10,7 +10,6 @@ import pytest
 from pebtree import bench
 from pebtree.bench import (
     CSV_COLUMNS,
-    ExperimentSpec,
     build_indexes,
     build_instance,
     knn_results_match,
@@ -18,6 +17,7 @@ from pebtree.bench import (
     measure_preprocessing,
     point_rows,
     run_experiment,
+    run_queries,
     run_query_batch,
     run_update_round,
     save_config,
@@ -100,10 +100,8 @@ def strip_wall(rows):
 
 def test_run_experiment_rows_deterministic(tmp_path):
     cfg = replace(SMALL, queries_per_point=8)
-    spec = ExperimentSpec(base=cfg, sweeps=("theta",), out_path=str(tmp_path / "a.csv"), oracle_every=4)
-    rows_a, ok_a = run_experiment(spec)
-    spec_b = ExperimentSpec(base=cfg, sweeps=("theta",), out_path=str(tmp_path / "b.csv"), oracle_every=4)
-    rows_b, ok_b = run_experiment(spec_b)
+    rows_a, ok_a = run_experiment(cfg, ("theta",), tmp_path / "a.csv", 4)
+    rows_b, ok_b = run_experiment(cfg, ("theta",), tmp_path / "b.csv", 4)
     assert ok_a and ok_b
     assert strip_wall(rows_a) == strip_wall(rows_b)
 
@@ -112,8 +110,7 @@ def test_run_experiment_reports_infeasible_point():
     # theta=1 with group_size <= policies_per_user cannot host the in-group
     # policies; the run keeps going and reports the point as an error row
     cfg = replace(SMALL, group_size=8, policies_per_user=8, queries_per_point=4)
-    spec = ExperimentSpec(base=cfg, sweeps=("theta",), oracle_every=0)
-    rows, ok = run_experiment(spec)
+    rows, ok = run_experiment(cfg, ("theta",), None, 0)
     errors = [r for r in rows if r["index"] == "error"]
     assert errors
     normal = [r for r in rows if r["index"] != "error"]
@@ -137,7 +134,8 @@ def test_sweep_configs_cover_grid():
     assert [c.theta for c in sweep_configs("theta", base)] == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert [c.query_window for c in sweep_configs("window", base)][0] == 100.0
     assert all(c.distribution == "network" for c in sweep_configs("destinations", base))
-    with pytest.raises(ValueError):
+    assert sweep_configs("updates", base) == [base]
+    with pytest.raises(KeyError):
         sweep_configs("nope", base)
 
 
@@ -155,6 +153,11 @@ def test_knn_results_match_rules():
         PknnResult(((1, 1.0), (2, 2.0)), short=False),
     )
     assert not knn_results_match(a, PknnResult(((1, 1.0), (2, 2.5)), short=False))
+    # a user has one location: a repeated user is no answer
+    assert not knn_results_match(
+        PknnResult(((3, 0.5), (3, 1.0)), short=False),
+        PknnResult(((3, 0.5), (7, 1.0)), short=False),
+    )
     assert not knn_results_match(a, PknnResult(((1, 1.0),), short=True))
 
 
@@ -277,14 +280,13 @@ def test_cli_data_dir_keeps_the_generated_space_side(tmp_path):
     assert max(max(o.x, o.y) for o in objects) > 1000.0
     built = build_indexes(objects, store)
     queries = load_queries(data / "queries.csv")
-    for kind, run_range, run_knn in (("peb", "prq", "pknn"), ("bx", "range_query", "knn_query")):
-        index, engine = built[kind]
+    for index, engine in built.values():
         assert index.grid.L == 2000.0
-        for q in queries:
+        for q, got, *_ in run_queries(index, engine, queries):
             if isinstance(q, PrqRequest):
-                assert getattr(engine, run_range)(q) == oracle_range(objects, store, q)
+                assert got == oracle_range(objects, store, q)
             else:
-                assert getattr(engine, run_knn)(q) == oracle_knn(objects, store, q)
+                assert got == oracle_knn(objects, store, q)
 
 
 def test_cli_data_dir_refuses_a_region_beyond_the_space(tmp_path):

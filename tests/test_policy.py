@@ -32,10 +32,17 @@ SIDE = 1000.0
 FULL_RECT = (0.0, 0.0, SIDE, SIDE)
 
 
-def policy(owner, target, rect, t_lo, t_hi, graph):
-    role = f"u{target}"
-    graph.add(owner, role, target)
-    return LocationPrivacyPolicy(owner, role, rect, t_lo, t_hi)
+def table_and_graph(policy_specs, day=DAY):
+    """A policy table and its relationship graph from ``(owner, target, rect,
+    t_lo, t_hi)`` specs; each policy's role ``u<target>`` holds its target alone."""
+    table, roles = PolicyTable(day), {}
+    for owner, target, rect, t_lo, t_hi in policy_specs:
+        table.append(owner, f"u{target}", *rect, t_lo, t_hi)
+        roles.setdefault(owner, {})[f"u{target}"] = (target,)
+    graph = RelationshipGraph()
+    for owner, owner_roles in roles.items():
+        graph.set_roles(owner, owner_roles)
+    return table, graph
 
 
 def overlap_area_oracle(r1, r2, steps=400):
@@ -50,10 +57,8 @@ def overlap_area_oracle(r1, r2, steps=400):
     return hits / (steps * steps) * SIDE * SIDE
 
 
-def make_store(policy_specs, users):
-    graph = RelationshipGraph()
-    policies = [policy(o, t, rect, lo, hi, graph) for o, t, rect, lo, hi in policy_specs]
-    return PolicyStore(policies, graph, users, space_side=SIDE)
+def make_store(policy_specs, users, space_side=SIDE, day=DAY):
+    return PolicyStore(*table_and_graph(policy_specs, day), users, space_side=space_side, day=day)
 
 
 def test_alpha_full_coverage_is_mutual_one():
@@ -245,10 +250,8 @@ def test_from_store_equals_eager_reference_on_degenerate_policies():
 
 def test_from_store_equals_eager_reference_when_no_weight_fits_a_float():
     # a space so large that every weight underflows: no pair is related
-    graph = RelationshipGraph()
-    policies = [policy(1, 2, FULL_RECT, 0.0, DAY, graph), policy(2, 1, FULL_RECT, 0.0, DAY, graph)]
-    policies.append(policy(3, 1, FULL_RECT, 8.0, 17.0, graph))
-    store = PolicyStore(policies, graph, [1, 2, 3], space_side=1e300)
+    specs = [(1, 2, FULL_RECT, 0.0, DAY), (2, 1, FULL_RECT, 0.0, DAY), (3, 1, FULL_RECT, 8.0, 17.0)]
+    store = make_store(specs, [1, 2, 3], space_side=1e300)
     index, values = assert_matches_reference(store)
     assert set(values.values()) == {0.0}
     assert [index.related(u) for u in (1, 2, 3)] == [[], [], []]
@@ -273,38 +276,6 @@ def test_degrees_and_sequence_values_match_golden_digest():
     for uid, value in sorted(sv_map.values.items()):
         digest.update(f"{uid},{value.hex()}\n".encode())
     assert digest.hexdigest() == GOLDEN_DEGREES_AND_SEQUENCE_VALUES
-
-
-def test_store_from_records_answers_as_from_the_table():
-    cfg = WorkloadConfig(n_users=300, policies_per_user=12, theta=0.5, group_size=30, seed=8)
-    uids = list(range(cfg.n_users))
-    table, graph = gen_policies(uids, cfg)
-    from_table = PolicyStore(table, graph, uids, space_side=cfg.space_side)
-    records = list(table)
-    from_list = PolicyStore(records, graph, uids, space_side=cfg.space_side)
-    assert list(from_list.policies) == records
-    rng = random.Random(4)
-    visible = 0
-    for viewer in uids:
-        owners = from_table.owners_naming(viewer)
-        assert from_list.owners_naming(viewer) == owners
-        for owner in owners:
-            row = from_table.row(owner, viewer)
-            assert from_list.row(owner, viewer) == row
-            x_lo, y_lo, x_hi, y_hi = records[row].rect
-            x, y = rng.uniform(x_lo - 10.0, x_hi + 10.0), rng.uniform(y_lo - 10.0, y_hi + 10.0)
-            t = rng.uniform(-DAY, 2 * DAY)
-            seen = _visible(from_table, owner, viewer, x, y, t)
-            assert _visible(from_list, owner, viewer, x, y, t) == seen
-            visible += seen
-    assert visible > 100
-    by_table, by_list = CompatibilityIndex.from_store(from_table), CompatibilityIndex.from_store(from_list)
-    for u in uids:
-        assert by_list.related(u) == by_table.related(u)
-        assert by_list.two_way(u) == by_table.two_way(u)
-        assert [by_list.c(u, v).hex() for v in by_list.related(u)] == [by_table.c(u, v).hex() for v in by_table.related(u)]
-    with pytest.raises(ValueError, match="the policy table has a day of 24.0, the store 12.0"):
-        PolicyStore(table, graph, uids, space_side=cfg.space_side, day=12.0)
 
 
 def test_policy_table_round_trips_through_the_file(tmp_path):
@@ -357,8 +328,8 @@ def test_visible_on_the_columns_equals_the_record(data, day):
     table.append(3, "u1", 0.0, 0.0, SIDE, SIDE, 0.0, day)
     table.append(1, "u2", x_lo, y_lo, x_hi, y_hi, t_lo, t_hi)
     g = RelationshipGraph()
-    g.add(3, "u1", 1)
-    g.add(1, "u2", 2)
+    g.set_roles(3, {"u1": (1,)})
+    g.set_roles(1, {"u2": (2,)})
     store = PolicyStore(table, g, [1, 2, 3], space_side=SIDE, day=day)
     rec = list(table)[store.row(1, 2)]
     assert rec == LocationPrivacyPolicy(1, "u2", (x_lo, y_lo, x_hi, y_hi), t_lo, t_hi, day)
@@ -386,10 +357,7 @@ time_strategy = st.tuples(st.floats(0, DAY), st.floats(1.0, 12.0)).map(
     one_sided=False,
 )
 def test_alpha_symmetry_and_bounds(r1, t1, r2, t2, one_sided):
-    g = RelationshipGraph()
-    p12 = policy(1, 2, r1, t1[0], t1[1], g)
-    p21 = None if one_sided else policy(2, 1, r2, t2[0], t2[1], g)
-    store = PolicyStore([p for p in (p12, p21) if p], g, [1, 2], space_side=SIDE)
+    store = make_store([(1, 2, r1, *t1)] + ([] if one_sided else [(2, 1, r2, *t2)]), [1, 2])
     a_fwd, mutual = _alpha_mutual_rows(store.policies, store.row(1, 2), store.row(2, 1), SIDE)
     a_rev, _ = _alpha_mutual_rows(store.policies, store.row(2, 1), store.row(1, 2), SIDE)
     assert a_fwd == pytest.approx(a_rev)
@@ -406,10 +374,8 @@ def test_alpha_symmetry_and_bounds(r1, t1, r2, t2, one_sided):
 @settings(max_examples=50)
 @given(r1=rect_strategy, r2=rect_strategy, t1=time_strategy, t2=time_strategy)
 def test_mutual_pairs_can_disclose_simultaneously(r1, r2, t1, t2):
-    g = RelationshipGraph()
-    p12 = policy(1, 2, r1, t1[0], t1[1], g)
-    p21 = policy(2, 1, r2, t2[0], t2[1], g)
-    store = PolicyStore([p12, p21], g, [1, 2], space_side=SIDE)
+    store = make_store([(1, 2, r1, *t1), (2, 1, r2, *t2)], [1, 2])
+    p12, p21 = store.policies
     if _alpha_mutual_rows(store.policies, store.row(1, 2), store.row(2, 1), SIDE)[1]:
         # a shared location in the region overlap and a shared instant exist
         x = max(r1[0], r2[0])
@@ -445,21 +411,21 @@ def test_visibility_unknown_user_rejected():
 
 
 def test_one_policy_per_ordered_pair_enforced():
+    table = PolicyTable()
+    table.append(1, "u2", *FULL_RECT, 0.0, 12.0)
+    table.append(1, "other", *FULL_RECT, 12.0, 18.0)
     g = RelationshipGraph()
-    p_a = policy(1, 2, FULL_RECT, 0.0, 12.0, g)
-    g.add(1, "other", 2)
-    p_b = LocationPrivacyPolicy(1, "other", FULL_RECT, 12.0, 18.0)
+    g.set_roles(1, {"u2": (2,), "other": (2,)})
     with pytest.raises(ValueError):
-        PolicyStore([p_a, p_b], g, [1, 2])
+        PolicyStore(table, g, [1, 2])
 
 
 @pytest.mark.parametrize("owner, member, uid", [(99, 2, 99), (1, 99, 99)])
 def test_policy_naming_an_unknown_user_rejected(owner, member, uid):
-    g = RelationshipGraph()
-    p = policy(owner, member, FULL_RECT, 0.0, DAY, g)
+    table, g = table_and_graph([(owner, member, FULL_RECT, 0.0, DAY)])
     with pytest.raises(ValueError, match=f"policy (owner|member) {uid} is not a known user"):
-        PolicyStore([p], g, [1, 2])
-    assert PolicyStore([p], g, [1, 2, 99]).owners_naming(member) == [owner]
+        PolicyStore(table, g, [1, 2])
+    assert PolicyStore(table, g, [1, 2, 99]).owners_naming(member) == [owner]
 
 
 def test_wraparound_interval():
@@ -495,9 +461,7 @@ def assert_window_agrees(t_lo, t_hi, day, t):
     assert window_duration(t_lo, t_hi, day).hex() == float(sum(hi - lo for lo, hi in want)).hex()
     inside = reference_time_in_set(t, want, day)
     assert window_contains(t_lo, t_hi, day, t) == inside
-    g = RelationshipGraph()
-    g.add(1, "u2", 2)
-    store = PolicyStore([p], g, [1, 2], space_side=SIDE, day=day)
+    store = make_store([(1, 2, FULL_RECT, t_lo, t_hi)], [1, 2], day=day)
     assert _visible(store, 1, 2, 5.0, 5.0, t) == inside
     return inside
 
@@ -549,27 +513,23 @@ def test_window_agrees_with_the_time_set(data, day):
 
 
 def test_store_refuses_a_policy_of_another_day():
-    g = RelationshipGraph()
-    g.add(1, "u2", 2)
-    p = LocationPrivacyPolicy(1, "u2", FULL_RECT, 8.0, 11.0)
-    assert p.day == DAY
+    table, g = table_and_graph([(1, 2, FULL_RECT, 8.0, 11.0)])
+    assert table.day == DAY
     # the window fits either day
-    with pytest.raises(ValueError, match="policy of user 1 has a day of 24.0, the store 12.0"):
-        PolicyStore([p], g, [1, 2], day=12.0)
-    half_day = p._replace(day=12.0)
+    with pytest.raises(ValueError, match="the policy table has a day of 24.0, the store 12.0"):
+        PolicyStore(table, g, [1, 2], day=12.0)
     # records are built on demand: an equal one comes back
-    assert list(PolicyStore([half_day], g, [1, 2], day=12.0).policies) == [half_day]
-    for bad in (p._replace(t_hi=30.0), p._replace(t_lo=-1.0), p._replace(t_lo=math.nan)):
+    half_day = LocationPrivacyPolicy(1, "u2", FULL_RECT, 8.0, 11.0, 12.0)
+    assert list(make_store([(1, 2, FULL_RECT, 8.0, 11.0)], [1, 2], day=12.0).policies) == [half_day]
+    for t_lo, t_hi in ((8.0, 30.0), (-1.0, 11.0), (math.nan, 11.0)):
         with pytest.raises(ValueError, match=r"outside \[0, 24.0\]"):
-            PolicyStore([bad], g, [1, 2])
+            make_store([(1, 2, FULL_RECT, t_lo, t_hi)], [1, 2])
 
 
 def test_store_refuses_a_region_beyond_the_space():
-    g = RelationshipGraph()
-    g.add(1, "u2", 2)
     # the space's own edges, a signed zero included, lie in it
     for rect in (FULL_RECT, (-0.0, -0.0, 1.0, 1.0), (SIDE, SIDE, SIDE, SIDE)):
-        store = PolicyStore([LocationPrivacyPolicy(1, "u2", rect, 8.0, 11.0)], g, [1, 2])
+        store = make_store([(1, 2, rect, 8.0, 11.0)], [1, 2])
         assert [p.rect for p in store.policies] == [rect]
     beyond = [
         (-1e-9, 0.0, 10.0, 10.0),
@@ -585,23 +545,25 @@ def test_store_refuses_a_region_beyond_the_space():
         table.append(4, "u2", *rect, 8.0, 11.0)
         graph = RelationshipGraph()
         for owner in (1, 3, 4):
-            graph.add(owner, "u2", 2)
+            graph.set_roles(owner, {"u2": (2,)})
         message = r"region \(.*\) of user 4 reaches beyond the space \[0, 1000.0\] x \[0, 1000.0\]"
         with pytest.raises(ValueError, match=message):
             PolicyStore(table, graph, [1, 2, 3, 4])
         with pytest.raises(ValueError, match="reaches beyond the space"):
-            PolicyStore([LocationPrivacyPolicy(1, "u2", rect, 8.0, 11.0)], g, [1, 2])
+            make_store([(1, 2, rect, 8.0, 11.0)], [1, 2])
     # the side is the store's
-    assert PolicyStore([LocationPrivacyPolicy(1, "u2", beyond[-1], 8.0, 11.0)], g, [1, 2], space_side=2000.0)
+    assert make_store([(1, 2, beyond[-1], 8.0, 11.0)], [1, 2], space_side=2000.0)
 
 
 def test_policy_file_round_trip(tmp_path):
-    g = RelationshipGraph()
-    policies = [
-        policy(1, 2, (10.0, 20.0, 110.5, 220.25), 8.0, 17.0, g),
-        policy(2, 1, (0.0, 0.0, 50.0, 50.0), 22.0, 3.5, g),  # wraps midnight
-        policy(3, 1, FULL_RECT, 0.0, DAY, g),
-    ]
+    table, g = table_and_graph(
+        [
+            (1, 2, (10.0, 20.0, 110.5, 220.25), 8.0, 17.0),
+            (2, 1, (0.0, 0.0, 50.0, 50.0), 22.0, 3.5),  # wraps midnight
+            (3, 1, FULL_RECT, 0.0, DAY),
+        ]
+    )
+    policies = list(table)
     p_path = tmp_path / "policies.csv"
     r_path = tmp_path / "relationships.csv"
     save_policies(policies, p_path)
@@ -643,10 +605,6 @@ def test_load_relationships_drops_duplicates_in_first_seen_order(tmp_path):
     path.write_text("".join(f"{o},{r},{m}\n" for o, r, m in records))
     graph = load_relationships(path)
     assert graph._roles == {1: {"friends": (5, 3, 4)}, 2: {"boss": (1,)}, 7: {"all": tuple(range(20_000, 0, -1))}}
-    one_by_one = RelationshipGraph()
-    for record in records[:7]:
-        one_by_one.add(*record)
-    assert one_by_one._roles == {1: {"friends": (5, 3, 4)}, 2: {"boss": (1,)}}
     assert list(graph.records())[:4] == [(1, "friends", 3), (1, "friends", 4), (1, "friends", 5), (2, "boss", 1)]
 
 

@@ -11,8 +11,8 @@ from pebtree.motion import MovingObject, TimePartitionConfig
 from pebtree.policy import (
     DAY,
     CompatibilityIndex,
-    LocationPrivacyPolicy,
     PolicyStore,
+    PolicyTable,
     RelationshipGraph,
 )
 from pebtree.query import (
@@ -239,11 +239,10 @@ def reference_scenario():
         100: ((300.0, 300.0, 400.0, 400.0), (8.0, 17.0)),  # denies here
         130: ((40.0, 50.0, 70.0, 80.0), (14.0, 18.0)),  # later hours
     }
-    policies = []
+    policies = PolicyTable()
     for uid, (rect, (lo, hi)) in specs.items():
-        role = "u1"
-        graph.add(uid, role, 1)
-        policies.append(LocationPrivacyPolicy(uid, role, rect, lo, hi))
+        graph.set_roles(uid, {"u1": (1,)})
+        policies.append(uid, "u1", *rect, lo, hi)
     store = PolicyStore(policies, graph, objects, space_side=1000.0)
     return objects, store, t_q
 
@@ -1100,15 +1099,19 @@ def test_regions_beyond_the_space_are_refused_so_skipped_windows_stay_exact():
     # column, while its extrapolated position reaches a window beyond the space
     objects = {1: MovingObject(1, 500.0, 500.0, 0.0, 0.0, 0.0), 2: MovingObject(2, 999.0, 500.0, 2.5, 0.0, 0.0)}
     req = PrqRequest(1, (1200.0, 400.0, 1400.0, 600.0), 100.0)
-    for rect in ((0.0, 0.0, 2000.0, 1000.0), (-1.0, 0.0, 1000.0, 1000.0), (0.0, 0.0, 1000.0, 1000.5)):
-        graph = RelationshipGraph()
-        graph.add(2, "u1", 1)
-        with pytest.raises(ValueError, match="reaches beyond the space"):
-            PolicyStore([LocationPrivacyPolicy(2, "u1", rect, 0.0, 24.0)], graph, objects, space_side=1000.0)
-    # the largest region the space admits: the window misses it, and no page is read
     graph = RelationshipGraph()
-    graph.add(2, "u1", 1)
-    store = PolicyStore([LocationPrivacyPolicy(2, "u1", (0.0, 0.0, 1000.0, 1000.0), 0.0, 24.0)], graph, objects)
+    graph.set_roles(2, {"u1": (1,)})
+
+    def one_policy(rect):
+        table = PolicyTable()
+        table.append(2, "u1", *rect, 0.0, 24.0)
+        return table
+
+    for rect in ((0.0, 0.0, 2000.0, 1000.0), (-1.0, 0.0, 1000.0, 1000.0), (0.0, 0.0, 1000.0, 1000.5)):
+        with pytest.raises(ValueError, match="reaches beyond the space"):
+            PolicyStore(one_policy(rect), graph, objects, space_side=1000.0)
+    # the largest region the space admits: the window misses it, and no page is read
+    store = PolicyStore(one_policy((0.0, 0.0, 1000.0, 1000.0)), graph, objects)
     peb, bx = build_engines(objects, store)
     for engine, run in ((peb, peb.prq), (bx, bx.range_query)):
         engine.index.reset_io(cold=True)

@@ -2,6 +2,7 @@ import json
 import os
 import random
 from bisect import bisect_left
+from dataclasses import replace
 
 import pytest
 
@@ -330,7 +331,7 @@ def test_index_insert_update_delete_cycle():
     assert index.entry_count == 1
     assert index.live_partitions() == [(0, 60.0)]
     # moving to a later time shifts the partition
-    index.update(obj, now=30.0)
+    index.update(replace(obj, t_u=30.0))
     assert index.live_partitions() == [(1, 120.0)]
     index.delete(5)
     assert not index.contains(5)
