@@ -6,11 +6,13 @@ Two engines answer the same queries:
   query enlarges the window per time partition and decomposes it into
   curve intervals.  Each friend sequence value owns the key prefix
   ``partition | sequence value``, so its key intervals are the curve
-  intervals offset by that prefix; the tree's leaf cursor scans them,
-  stopping once every owner of the sequence value has been retrieved (a
-  user has only one location).  The kNN query reads each friend row's
-  whole key span once per partition, verifies every owner entry it reads,
-  and skips in later partitions the rows whose owners were all found.
+  intervals offset by that prefix; the tree's leaf cursor scans them.  The
+  kNN query scans each friend row's whole key span instead, and verifies
+  every owner entry it reads.  Both first count, from the index's uid ->
+  partition map, how many of each row's owners sit in each partition;
+  they scan only the (row, partition) pairs that hold an owner, and end
+  each scan at the entry that meets its pair's count (a user has only one
+  location).
 
 * :class:`BaselineQueryEngine` runs against the baseline index: a plain
   spatial query first, policy filtering after, with kNN by incrementally
@@ -189,10 +191,24 @@ class FriendLists:
         return cached
 
 
-def _owner_rows(rows: Sequence[tuple[int, tuple[int, ...]]]) -> tuple[dict[int, int], list[int]]:
-    """Map each owner uid to its friend row, and count each row's owners."""
-    row_of = {uid: row_i for row_i, (_, uids) in enumerate(rows) for uid in uids}
-    return row_of, [len(uids) for _, uids in rows]
+def _owner_rows(
+    index: MovingObjectIndex, rows: Sequence[tuple[int, tuple[int, ...]]]
+) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """Map each indexed owner uid to its friend row, and count owners per (partition, row).
+
+    ``counts[tid][row_i]`` is how many of row ``row_i``'s owners have their
+    entry in partition ``tid``; a partition holding none of the owners has
+    no list.  An owner that is not indexed counts nowhere.
+    """
+    row_of: dict[int, int] = {}
+    counts: dict[int, list[int]] = {}
+    for row_i, (_, uids) in enumerate(rows):
+        for uid in uids:
+            tid = index.partition_of(uid)
+            if tid is not None:
+                row_of[uid] = row_i
+                counts.setdefault(tid, [0] * len(rows))[row_i] += 1
+    return row_of, counts
 
 
 class _EngineBase:
@@ -239,11 +255,11 @@ class PebQueryEngine(_EngineBase):
         leaf-cursor scan.  Only the row's owners can be visible to the
         issuer, so only their entries are verified.
 
-        With ``skip_rule`` a row's scan stops at the entry that completes
-        its owners, and a row whose owners were all retrieved in an earlier
-        partition is not scanned (a user has only one location).
-        ``skip_rule=False`` disables that; results are identical, only the
-        I/O changes.
+        With ``skip_rule`` only the (row, partition) pairs that hold one of
+        the row's owners are scanned, and each scan stops at the entry that
+        completes the pair's owners (a user has only one location).
+        ``skip_rule=False`` scans every row in every live partition to the
+        end of the window; results are identical, only the I/O changes.
         """
         self.store.check_user(req.qid)
         rows = self.friends.rows(req.qid)
@@ -256,26 +272,31 @@ class PebQueryEngine(_EngineBase):
         qid = req.qid
         t_q = req.t_q
         x_lo, y_lo, x_hi, y_hi = rect = req.rect
-        row_of, unseen = _owner_rows(rows)
+        row_of, counts = _owner_rows(self.index, rows)
 
         def visit(entry: LeafEntry) -> bool:
-            # entries of a row's key span carry its sequence value: an owner found is the row's own
+            # entries of a pair's key span carry its row and partition: an owner found is the pair's own
             row_i = row_of.get(entry.uid)
             if row_i is None:
                 return False
-            unseen[row_i] -= 1
+            left[row_i] -= 1
             px = entry.x + entry.vx * (t_q - entry.t)
             py = entry.y + entry.vy * (t_q - entry.t)
             if x_lo <= px <= x_hi and y_lo <= py <= y_hi and _visible(store, entry.uid, qid, px, py, t_q):
                 result.add(entry.uid)
-            return skip_rule and not unseen[row_i]
+            return skip_rule and not left[row_i]
 
         for tid, label in self.index.live_partitions():
+            left = counts.get(tid)  # per row, the partition's owners that visit has yet to meet
+            if left is None:
+                if skip_rule:
+                    continue
+                left = [0] * len(rows)
             zivs = self._zivs(enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L))
             if not zivs:
                 continue
             for row_i, (svq, _) in enumerate(rows):
-                if unseen[row_i] or not skip_rule:
+                if left[row_i] or not skip_rule:
                     tree.scan_intervals(zivs, visit, layout.peb_key_q(tid, svq, 0))
         return result
 
@@ -284,16 +305,16 @@ class PebQueryEngine(_EngineBase):
     def pknn(self, req: PknnRequest) -> PknnResult:
         """The k visible users nearest the query point at query time.
 
-        For each live partition, each friend row that still has an unseen
-        owner is read with one leaf-cursor scan of its whole key span,
-        ``partition | sequence value | [0, max_z]``, and every owner entry
-        read is verified: extrapolated to the query time, tested against
-        its policy toward the issuer, and ranked by distance.  A user has
-        only one location, so a row whose owners were all found is not
-        read in a later partition.  The answer is the k nearest verified
-        users, ties broken by ascending uid as in :func:`oracle_knn`;
-        fewer than k visible users yields all of them with the result
-        flagged short.
+        For each live partition, each friend row with an owner there is
+        read with one leaf-cursor scan of its key span,
+        ``partition | sequence value | [0, max_z]``, which ends at the
+        entry that completes the row's owners in the partition (a user has
+        only one location).  Every owner entry read is verified:
+        extrapolated to the query time, tested against its policy toward
+        the issuer, and ranked by distance.  The answer is the k nearest
+        verified users, ties broken by ascending uid as in
+        :func:`oracle_knn`; fewer than k visible users yields all of them
+        with the result flagged short.
 
         This is the paper's (friend row x expansion round) search matrix
         reduced to one round whose square covers the whole space.  The
@@ -310,23 +331,27 @@ class PebQueryEngine(_EngineBase):
         qid = req.qid
         qx, qy = req.qloc
         t_q = req.t_q
-        row_of, unseen = _owner_rows(rows)
+        row_of, counts = _owner_rows(self.index, rows)
         candidates: list[tuple[float, int]] = []
 
-        def visit(entry: LeafEntry) -> None:
-            # entries of a row's key span carry its sequence value: an owner found is the row's own
+        def visit(entry: LeafEntry) -> bool:
+            # entries of a pair's key span carry its row and partition: an owner found is the pair's own
             row_i = row_of.get(entry.uid)
             if row_i is None:
-                return
-            unseen[row_i] -= 1
+                return False
+            left[row_i] -= 1
             px = entry.x + entry.vx * (t_q - entry.t)
             py = entry.y + entry.vy * (t_q - entry.t)
             if _visible(store, entry.uid, qid, px, py, t_q):
                 candidates.append((math.hypot(px - qx, py - qy), entry.uid))
+            return not left[row_i]
 
         for tid, _ in self.index.live_partitions():
+            left = counts.get(tid)  # per row, the partition's owners that visit has yet to meet
+            if left is None:
+                continue
             for row_i, _ in self.traversal(len(rows), 1):
-                if unseen[row_i]:
+                if left[row_i]:
                     tree.scan_intervals(full, visit, layout.peb_key_q(tid, rows[row_i][0], 0))
         ranked = nsmallest(req.k, candidates)
         return PknnResult(tuple((uid, d) for d, uid in ranked), short=len(ranked) < req.k)

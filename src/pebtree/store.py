@@ -587,6 +587,15 @@ class MovingObjectIndex:
     def contains(self, uid: int) -> bool:
         return uid in self._current
 
+    def partition_of(self, uid: int) -> int | None:
+        """Partition of the object's entry, or None when the object is not indexed.
+
+        Read from the in-memory uid → key map an update already keeps, so
+        no page is read or charged.
+        """
+        key = self._current.get(uid)
+        return None if key is None else key >> self._tid_shift
+
     def stats(self) -> TreeStats:
         return self.tree.stats()
 

@@ -360,6 +360,32 @@ def test_refused_update_leaves_index_unchanged():
     index.tree.audit()
 
 
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="a partition's expired entries are never purged")
+def test_recycled_partition_expires_entries_older_than_the_update_interval():
+    # uid 1 last reported at t = 0, so by t = 130 its label-60 entry is older
+    # than delta_t_mu = 120 and must not block label 240 from partition 0
+    index = build_index("peb")
+    index.insert(MovingObject(1, 10.0, 10.0, 0.0, 0.0, 0.0))
+    index.insert(MovingObject(2, 20.0, 20.0, 0.0, 0.0, 0.0))
+    index.update(MovingObject(2, 20.0, 20.0, 0.0, 0.0, 60.0))
+    index.update(MovingObject(2, 20.0, 20.0, 0.0, 0.0, 130.0))
+    assert index.partition_of(2) == 0
+
+
+def test_partition_of_follows_the_entry():
+    index = build_index("peb")
+    assert index.partition_of(5) is None
+    obj = MovingObject(5, 100.0, 200.0, 1.0, -1.0, 0.0)
+    index.insert(obj)
+    assert index.partition_of(5) == 0
+    index.update(replace(obj, t_u=30.0))
+    assert index.partition_of(5) == 1
+    index.update(replace(obj, t_u=70.0))
+    assert index.partition_of(5) == 2
+    index.delete(5)
+    assert index.partition_of(5) is None
+
+
 def test_index_rejects_double_insert():
     index = build_index()
     index.insert(MovingObject(1, 0.0, 0.0, 0.0, 0.0, 0.0))
