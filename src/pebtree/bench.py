@@ -186,8 +186,6 @@ class BatchStats:
     mean_leaf_io: float
     oracle_rate: float
     wall_ms: float
-    checked: int
-    failures: int
 
 
 def run_queries(
@@ -243,8 +241,6 @@ def run_query_batch(
         mean_leaf_io=sum(leaf_ios) / n,
         oracle_rate=(checked - failures) / checked if checked else 1.0,
         wall_ms=wall_s * 1000.0,
-        checked=checked,
-        failures=failures,
     )
 
 

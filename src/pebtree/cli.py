@@ -55,6 +55,14 @@ from .workload import (
 )
 
 
+def count(text: str) -> int:
+    """A whole number that is not negative, for flags that count."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def _add_workload_flags(p: argparse.ArgumentParser) -> None:
     # each flag's dest is a WorkloadConfig field; an unset flag (None) keeps
     # the config file's value, or the field's default
@@ -198,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     p_query = sub.add_parser("query", help="run the generated query file")
     p_query.add_argument("--data-dir", required=True)
     p_query.add_argument("--engine", choices=("peb", "bx", "oracle"), default="peb")
-    p_query.add_argument("--limit", type=int, default=0, help="run only the first N queries")
+    p_query.add_argument("--limit", type=count, default=0, help="run only the first N queries (0 runs all)")
     p_query.set_defaults(func=cmd_query)
 
     p_bench = sub.add_parser("bench", help="run benchmark sweeps, write CSV")

@@ -2,17 +2,17 @@
 
 Two engines answer the same queries:
 
-* :class:`PebQueryEngine` runs against the policy-embedded index.  A range
-  query enlarges the window per time partition and decomposes it into
-  curve intervals.  Each friend sequence value owns the key prefix
-  ``partition | sequence value``, so its key intervals are the curve
-  intervals offset by that prefix; the tree's leaf cursor scans them.  The
-  kNN query scans each friend row's whole key span instead, and verifies
-  every owner entry it reads.  Both first count, from the index's uid ->
-  partition map, how many of each row's owners sit in each partition;
-  they scan only the (row, partition) pairs that hold an owner, and end
-  each scan at the entry that meets its pair's count (a user has only one
-  location).
+* :class:`PebQueryEngine` runs against the policy-embedded index.  Both
+  of its queries are one owner scan.  It counts, from the index's uid ->
+  partition map, how many of each friend row's owners sit in each
+  partition, and scans only the (row, partition) pairs that hold an
+  owner.  Each friend sequence value owns the key prefix
+  ``partition | sequence value``, so a pair's key intervals are curve
+  intervals offset by that prefix; the tree's leaf cursor scans them and
+  ends at the entry that meets the pair's count (a user has only one
+  location).  A range query enlarges its window per partition and
+  decomposes it into curve intervals; a kNN query is the range query over
+  the whole space, each pair's full span, ranked by distance.
 
 * :class:`BaselineQueryEngine` runs against the baseline index: a plain
   spatial query first, policy filtering after, with kNN by incrementally
@@ -35,7 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import nsmallest
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator
 
 from .keys import KeyLayout, SequenceValueMap
 from .motion import MovingObject
@@ -141,9 +142,13 @@ def antidiagonal_order(n_rows: int, n_cols: int) -> Iterator[tuple[int, int]]:
     radius and advancing the sequence-value row.  With one column it is
     row order.
     """
-    for d in range(n_rows + n_cols - 1):
-        for r in range(max(0, d - n_cols + 1), min(d, n_rows - 1) + 1):
-            yield r, d - r
+    if n_cols == 1:
+        return zip(range(n_rows), repeat(0))
+    return (
+        (r, d - r)
+        for d in range(n_rows + n_cols - 1)
+        for r in range(max(0, d - n_cols + 1), min(d, n_rows - 1) + 1)
+    )
 
 
 TraversalOrder = Callable[[int, int], Iterator[tuple[int, int]]]
@@ -191,26 +196,6 @@ class FriendLists:
         return cached
 
 
-def _owner_rows(
-    index: MovingObjectIndex, rows: Sequence[tuple[int, tuple[int, ...]]]
-) -> tuple[dict[int, int], dict[int, list[int]]]:
-    """Map each indexed owner uid to its friend row, and count owners per (partition, row).
-
-    ``counts[tid][row_i]`` is how many of row ``row_i``'s owners have their
-    entry in partition ``tid``; a partition holding none of the owners has
-    no list.  An owner that is not indexed counts nowhere.
-    """
-    row_of: dict[int, int] = {}
-    counts: dict[int, list[int]] = {}
-    for row_i, (_, uids) in enumerate(rows):
-        for uid in uids:
-            tid = index.partition_of(uid)
-            if tid is not None:
-                row_of[uid] = row_i
-                counts.setdefault(tid, [0] * len(rows))[row_i] += 1
-    return row_of, counts
-
-
 class _EngineBase:
     def __init__(self, index: MovingObjectIndex, store: PolicyStore) -> None:
         self.index = index
@@ -225,6 +210,7 @@ class _EngineBase:
 class PebQueryEngine(_EngineBase):
     """Query processor for the policy-embedded index.
 
+    :meth:`prq` and :meth:`pknn` share one scan, :meth:`_visible_owners`.
     ``traversal`` orders each partition's friend rows in :meth:`pknn`,
     called as ``traversal(n_rows, 1)``; the default,
     :func:`antidiagonal_order`, yields them in row order.  It is kept
@@ -244,35 +230,39 @@ class PebQueryEngine(_EngineBase):
         self.friends = friends
         self.traversal = traversal
 
-    # -- scans ---------------------------------------------------------------
+    def _visible_owners(
+        self, qid: int, t_q: float, rect: Rect | None, order: TraversalOrder
+    ) -> list[tuple[int, float, float]]:
+        """``(uid, x, y)`` at ``t_q`` of each owner visible to ``qid`` in ``rect``.
 
-    def prq(self, req: PrqRequest, skip_rule: bool = True) -> set[int]:
-        """Users inside the window at query time who allow the issuer to see them.
-
-        For each live partition the enlarged window is decomposed into
-        curve intervals once; then each friend row's key intervals, the
-        curve intervals offset by the row's key prefix, are read with one
-        leaf-cursor scan.  Only the row's owners can be visible to the
-        issuer, so only their entries are verified.
-
-        With ``skip_rule`` only the (row, partition) pairs that hold one of
-        the row's owners are scanned, and each scan stops at the entry that
-        completes the pair's owners (a user has only one location).
-        ``skip_rule=False`` scans every row in every live partition to the
-        end of the window; results are identical, only the I/O changes.
+        Each (friend row, live partition) pair that holds one of the row's
+        owners is read with one leaf-cursor scan of the row's key
+        intervals, the partition's curve intervals offset by the row's key
+        prefix, taking the partition's rows in ``order(n_rows, 1)``.  A
+        scan ends at the entry that meets its pair's owner count, and every
+        owner entry read is extrapolated to ``t_q`` and verified.
+        ``rect=None`` is the whole space: each pair's full span
+        ``[0, max_z]``, with no window enlarged or decomposed.
         """
-        self.store.check_user(req.qid)
-        rows = self.friends.rows(req.qid)
-        result: set[int] = set()
-        if not rows:
-            return result
+        self.store.check_user(qid)
+        rows = self.friends.rows(qid)
+        index = self.index
         store = self.store
-        tree = self.index.tree
+        tree = index.tree
         layout = self.layout
-        qid = req.qid
-        t_q = req.t_q
-        x_lo, y_lo, x_hi, y_hi = rect = req.rect
-        row_of, counts = _owner_rows(self.index, rows)
+        # counts[tid][row_i]: how many of row row_i's owners have their entry in
+        # partition tid; an owner that is not indexed counts nowhere
+        row_of: dict[int, int] = {}
+        counts: dict[int, list[int]] = {}
+        for row_i, (_, uids) in enumerate(rows):
+            for uid in uids:
+                tid = index.partition_of(uid)
+                if tid is not None:
+                    row_of[uid] = row_i
+                    counts.setdefault(tid, [0] * len(rows))[row_i] += 1
+        x_lo, y_lo, x_hi, y_hi = rect or (-math.inf, -math.inf, math.inf, math.inf)
+        full = ((0, self.grid.max_z),)
+        found: list[tuple[int, float, float]] = []
 
         def visit(entry: LeafEntry) -> bool:
             # entries of a pair's key span carry its row and partition: an owner found is the pair's own
@@ -283,38 +273,39 @@ class PebQueryEngine(_EngineBase):
             px = entry.x + entry.vx * (t_q - entry.t)
             py = entry.y + entry.vy * (t_q - entry.t)
             if x_lo <= px <= x_hi and y_lo <= py <= y_hi and _visible(store, entry.uid, qid, px, py, t_q):
-                result.add(entry.uid)
-            return skip_rule and not left[row_i]
+                found.append((entry.uid, px, py))
+            return not left[row_i]
 
-        for tid, label in self.index.live_partitions():
+        for tid, label in index.live_partitions():
             left = counts.get(tid)  # per row, the partition's owners that visit has yet to meet
             if left is None:
-                if skip_rule:
-                    continue
-                left = [0] * len(rows)
-            zivs = self._zivs(enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L))
+                continue
+            zivs = full if rect is None else self._zivs(enlarge(rect, label, t_q, index.max_speeds, self.grid.L))
             if not zivs:
                 continue
-            for row_i, (svq, _) in enumerate(rows):
-                if left[row_i] or not skip_rule:
-                    tree.scan_intervals(zivs, visit, layout.peb_key_q(tid, svq, 0))
-        return result
+            for row_i, _ in order(len(rows), 1):
+                if left[row_i]:
+                    tree.scan_intervals(zivs, visit, layout.peb_key_q(tid, rows[row_i][0], 0))
+        return found
 
-    # -- kNN query ---------------------------------------------------------------
+    def prq(self, req: PrqRequest) -> set[int]:
+        """Users inside the window at query time who allow the issuer to see them.
+
+        Each live partition's window is enlarged and decomposed into curve
+        intervals once, and each friend row holding an owner there is
+        scanned over them in row order; only the row's owners can be
+        visible to the issuer, so only their entries are verified.
+        """
+        return {uid for uid, _, _ in self._visible_owners(req.qid, req.t_q, req.rect, antidiagonal_order)}
 
     def pknn(self, req: PknnRequest) -> PknnResult:
         """The k visible users nearest the query point at query time.
 
-        For each live partition, each friend row with an owner there is
-        read with one leaf-cursor scan of its key span,
-        ``partition | sequence value | [0, max_z]``, which ends at the
-        entry that completes the row's owners in the partition (a user has
-        only one location).  Every owner entry read is verified:
-        extrapolated to the query time, tested against its policy toward
-        the issuer, and ranked by distance.  The answer is the k nearest
-        verified users, ties broken by ascending uid as in
-        :func:`oracle_knn`; fewer than k visible users yields all of them
-        with the result flagged short.
+        The range query over the whole space, with each partition's rows
+        taken in ``self.traversal`` order: every verified owner is ranked
+        by distance, and the answer is the k nearest, ties broken by
+        ascending uid as in :func:`oracle_knn`; fewer than k visible users
+        yields all of them with the result flagged short.
 
         This is the paper's (friend row x expansion round) search matrix
         reduced to one round whose square covers the whole space.  The
@@ -322,38 +313,9 @@ class PebQueryEngine(_EngineBase):
         a few entries and a leaf dozens, so reading part of a span costs
         the pages of reading all of it.
         """
-        self.store.check_user(req.qid)
-        rows = self.friends.rows(req.qid)
-        store = self.store
-        tree = self.index.tree
-        layout = self.layout
-        full = ((0, self.grid.max_z),)
-        qid = req.qid
         qx, qy = req.qloc
-        t_q = req.t_q
-        row_of, counts = _owner_rows(self.index, rows)
-        candidates: list[tuple[float, int]] = []
-
-        def visit(entry: LeafEntry) -> bool:
-            # entries of a pair's key span carry its row and partition: an owner found is the pair's own
-            row_i = row_of.get(entry.uid)
-            if row_i is None:
-                return False
-            left[row_i] -= 1
-            px = entry.x + entry.vx * (t_q - entry.t)
-            py = entry.y + entry.vy * (t_q - entry.t)
-            if _visible(store, entry.uid, qid, px, py, t_q):
-                candidates.append((math.hypot(px - qx, py - qy), entry.uid))
-            return not left[row_i]
-
-        for tid, _ in self.index.live_partitions():
-            left = counts.get(tid)  # per row, the partition's owners that visit has yet to meet
-            if left is None:
-                continue
-            for row_i, _ in self.traversal(len(rows), 1):
-                if left[row_i]:
-                    tree.scan_intervals(full, visit, layout.peb_key_q(tid, rows[row_i][0], 0))
-        ranked = nsmallest(req.k, candidates)
+        found = self._visible_owners(req.qid, req.t_q, None, self.traversal)
+        ranked = nsmallest(req.k, [(math.hypot(px - qx, py - qy), uid) for uid, px, py in found])
         return PknnResult(tuple((uid, d) for d, uid in ranked), short=len(ranked) < req.k)
 
 

@@ -72,15 +72,17 @@ def test_query_batch_io_deterministic(small_instance):
 def test_query_batch_wall_time_excludes_oracle(small_instance, monkeypatch):
     delay_s = 0.02
     oracle = bench.oracle_range
+    calls = []
 
     def slow_oracle(*args):
+        calls.append(args)
         time.sleep(delay_s)
         return oracle(*args)
 
     monkeypatch.setattr(bench, "oracle_range", slow_oracle)
     queries = gen_queries(SMALL, "range", list(small_instance.objects.values()))
     stats = run_query_batch(small_instance, "peb", queries, oracle_every=1)
-    assert stats.checked == len(queries) and stats.failures == 0
+    assert len(calls) == len(queries) and stats.oracle_rate == 1.0
     assert stats.wall_ms < 0.25 * len(queries) * delay_s * 1000.0
 
 
@@ -267,6 +269,19 @@ def test_cli_gen_build_query_round_trip(tmp_path):
     assert snap.exists()
     assert cli_main(["query", "--data-dir", str(data), "--engine", "peb", "--limit", "4"]) == 0
     assert cli_main(["query", "--data-dir", str(data), "--engine", "oracle", "--limit", "4"]) == 0
+
+
+def test_cli_query_refuses_a_negative_limit(tmp_path, capsys):
+    data = tmp_path / "data"
+    argv = ["gen", "--out-dir", str(data), "-N", "120", "--policies", "6", "--group-size", "30", "--seed", "3"]
+    assert cli_main(argv + ["--queries", "5"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["query", "--data-dir", str(data), "--engine", "oracle", "--limit", "-1"])
+    assert exc.value.code == 2
+    assert "argument --limit: -1 is negative" in capsys.readouterr().err
+    assert cli_main(["query", "--data-dir", str(data), "--engine", "oracle", "--limit", "0"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(load_queries(data / "queries.csv"))
 
 
 def test_cli_data_dir_keeps_the_generated_space_side(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pebtree.bench import build_instance, run_update_round
 from pebtree.keys import KeyLayout, assign_sequence_values
-from pebtree.motion import MovingObject, TimePartitionConfig
+from pebtree.motion import MovingObject, TimePartitionConfig, position_at
 from pebtree.policy import (
     DAY,
     CompatibilityIndex,
@@ -374,13 +374,6 @@ def test_random_knn_queries_match_oracle(random_instance):
                     assert {u for u, d in got.neighbors if d < kth - 1e-9} == {
                         u for u, d in want.neighbors if d < kth - 1e-9
                     }
-
-
-def test_skip_rule_never_changes_results(random_instance):
-    cfg, objects, store, peb, bx = random_instance
-    queries = gen_queries(cfg, "range", list(objects.values()), count=40)
-    for req in queries:
-        assert peb.prq(req, skip_rule=True) == peb.prq(req, skip_rule=False)
 
 
 def test_oracle_full_space_returns_visible_set(random_instance):
@@ -824,16 +817,16 @@ class _RowDone(Exception):
     """Raised by the reference's visit once a (row, partition) pair's owners are all retrieved."""
 
 
-def reference_prq(self: PebQueryEngine, req: PrqRequest, skip_rule: bool = True) -> set[int]:
+def reference_prq(self: PebQueryEngine, req: PrqRequest) -> set[int]:
     """The range query as a locate-then-walk per key interval, kept as a reference.
 
     Users inside the window at query time who allow the issuer to see them.
 
     Each row's key intervals are built explicitly and scanned one by one
     with the interval-by-interval cursor loop; every entry is verified.
-    With ``skip_rule`` a (row, partition) pair is scanned only if one of
-    the row's owners has its entry in the partition, and its scan ends at
-    the entry that completes the pair's owners.
+    A (row, partition) pair is scanned only if one of the row's owners has
+    its entry in the partition, and its scan ends at the entry that
+    completes the pair's owners.
     """
     self.store.check_user(req.qid)
     rows = self.friends.rows(req.qid)
@@ -852,7 +845,7 @@ def reference_prq(self: PebQueryEngine, req: PrqRequest, skip_rule: bool = True)
         enlarged = enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L)
         zivs = self._zivs(enlarged)
         for row_i, (svq, _) in enumerate(rows):
-            if skip_rule and not unseen[row_i, tid]:
+            if not unseen[row_i, tid]:
                 continue
 
             def visit(entry):
@@ -870,7 +863,7 @@ def reference_prq(self: PebQueryEngine, req: PrqRequest, skip_rule: bool = True)
                     and _visible(store, uid, req.qid, px, py, t_q)
                 ):
                     result.add(uid)
-                if skip_rule and not unseen[row_i, tid]:
+                if not unseen[row_i, tid]:
                     raise _RowDone
 
             key_intervals = [(layout.peb_key_q(tid, svq, zs), layout.peb_key_q(tid, svq, ze)) for zs, ze in zivs]
@@ -881,7 +874,7 @@ def reference_prq(self: PebQueryEngine, req: PrqRequest, skip_rule: bool = True)
     return result
 
 
-def _prq_trace(engine, call, queries, skip_rule, cold_each):
+def _prq_trace(engine, call, queries, cold_each):
     """Per-query answer, buffer counters and LRU order.
 
     ``cold_each`` empties the buffer before every query; otherwise it is
@@ -893,19 +886,18 @@ def _prq_trace(engine, call, queries, skip_rule, cold_each):
     for req in queries:
         if cold_each:
             engine.index.reset_io(cold=True)
-        answer = call(engine, req, skip_rule=skip_rule)
+        answer = call(engine, req)
         out.append((answer, buf.counters(), list(buf._lru)))
     return out
 
 
 def _assert_prq_matches_reference(engine, queries, answers):
-    for skip_rule in (True, False):
-        for cold_each in (True, False):
-            want = _prq_trace(engine, reference_prq, queries, skip_rule, cold_each)
-            got = _prq_trace(engine, PebQueryEngine.prq, queries, skip_rule, cold_each)
-            for req, g, w, answer in zip(queries, got, want, answers):
-                assert g == w, (req, skip_rule, cold_each)
-                assert g[0] == answer, (req, skip_rule)
+    for cold_each in (True, False):
+        want = _prq_trace(engine, reference_prq, queries, cold_each)
+        got = _prq_trace(engine, PebQueryEngine.prq, queries, cold_each)
+        for req, g, w, answer in zip(queries, got, want, answers):
+            assert g == w, (req, cold_each)
+            assert g[0] == answer, req
 
 
 def test_prq_matches_per_interval_reference(churned_instance):
@@ -1006,11 +998,6 @@ def test_queries_scan_only_the_pairs_that_hold_an_owner(churned_instance, scans)
                 for (row_i, tid), zs in owners.items()
             }
             scans.clear()
-            peb.prq(req, skip_rule=False)
-            assert sorted(pair_of[b] for b in scans) == sorted(
-                (row_i, tid) for tid in windowed for row_i in range(len(rows))
-            )
-            scans.clear()
             peb.prq(req)
         else:
             windowed = live
@@ -1044,10 +1031,8 @@ def test_deleted_owners_leave_no_scan_and_no_answer(scans):
         owners = _pair_owners(peb, rows)
         pair_of = _pair_of_base(peb, rows)
         if isinstance(req, PrqRequest):
-            want = oracle_range(current.values(), store, req)
-            assert peb.prq(req, skip_rule=False) == want, req
             scans.clear()
-            assert peb.prq(req) == want, req
+            assert peb.prq(req) == oracle_range(current.values(), store, req), req
         else:
             scans.clear()
             assert peb.pknn(req) == oracle_knn(current.values(), store, req), req
@@ -1057,6 +1042,32 @@ def test_deleted_owners_leave_no_scan_and_no_answer(scans):
         assert scanned <= set(owners), req
         emptied += len(lost)
     assert emptied
+
+
+def test_whole_space_knn_is_the_whole_space_range_query(churned_instance):
+    # one scan serves both queries: with k at least every user and a window
+    # holding every user, pknn and prq read the same pages and name the same users
+    cfg, current, store, peb, _, knn_queries = churned_instance
+    side = peb.grid.L
+    buf = peb.index.buffer
+    beyond = named = 0
+    for q in knn_queries:
+        # extrapolated positions may leave the space, so the window reaches past it
+        xs, ys = zip(*(position_at(obj, q.t_q) for obj in current.values()))
+        rect = (min(0.0, *xs), min(0.0, *ys), max(side, *xs), max(side, *ys))
+        beyond += rect != (0.0, 0.0, side, side)
+        assert peb._zivs(enlarge(rect, 0.0, q.t_q, peb.index.max_speeds, side)) == [(0, peb.grid.max_z)]
+        traces = []
+        for req in (PknnRequest(q.qid, q.qloc, len(current), q.t_q), PrqRequest(q.qid, rect, q.t_q)):
+            peb.index.reset_io(cold=True)
+            answer = peb.pknn(req) if isinstance(req, PknnRequest) else peb.prq(req)
+            users = answer if isinstance(req, PrqRequest) else {uid for uid, _ in answer.neighbors}
+            traces.append((users, buf.counters(), list(buf._lru)))
+        assert traces[0] == traces[1], q
+        assert traces[1][0] == oracle_range(current.values(), store, req), q
+        assert traces[0][1].misses, q
+        named += len(traces[0][0])
+    assert beyond and named
 
 
 @pytest.fixture(scope="module")
@@ -1117,8 +1128,7 @@ def test_churned_queries_match_the_oracles(churn_world, moves, queries):
     engine = PebQueryEngine(index, store, FriendLists(store, sv_map, layout))
     for qid, x, y, side, k, t_q in queries:
         req = PrqRequest(qid, (x, y, x + side, y + side), t_q)
-        want = oracle_range(current.values(), store, req)
-        assert engine.prq(req) == want == engine.prq(req, skip_rule=False)
+        assert engine.prq(req) == oracle_range(current.values(), store, req)
         knn = PknnRequest(qid, (x, y), k, t_q)
         assert engine.pknn(knn) == oracle_knn(current.values(), store, knn)
 

@@ -1,12 +1,14 @@
-"""Every function, method and class of the package is named by the program.
+"""Every function, method, class and class field of the package is used by the program.
 
 A definition counts as used when its name appears outside its own body in
 ``src/pebtree`` or in the benchmark's ``perfbench/*.py``: as a name, an
 attribute, an imported name or an identifier string (names wrapped or
-looked up by attribute).  Tests do not count, and neither does the package's
-``__init__.py``: a re-export or an ``__all__`` entry is not a use.  So API
-that only tests read fails here until it is deleted or listed below with
-its reason.
+looked up by attribute).  An annotated class field counts as used when the
+program reads it as an attribute or names it in an identifier string;
+setting it, by constructor keyword or assignment, is not a use.  Tests do
+not count, and neither does the package's ``__init__.py``: a re-export or
+an ``__all__`` entry is not a use.  So API that only tests read fails here
+until it is deleted or listed below with its reason.
 """
 
 import ast
@@ -20,6 +22,11 @@ PACKAGE = ROOT / "src" / "pebtree"
 ALLOWED = {
     "CompatibilityIndex.from_values",  # builds the worked-example and reference compatibility fakes
     "MovingObjectIndex.load",  # the library's reader of what `pebtree build --snapshot` writes
+    # the parameters behind the sequence values, which the tests of the paper's worked example and of
+    # sequence-value assignment read
+    "SequenceValueMap.sv0",
+    "SequenceValueMap.delta",
+    "SequenceValueMap.anchors",
 }
 
 
@@ -47,10 +54,32 @@ def definitions(tree, prefix=""):
             yield from definitions(node, prefix)
 
 
-def test_every_definition_is_named_outside_its_own_body():
+def fields(tree):
+    """``(qualified name, field name)`` of every annotated field in a class body."""
+    for qualname, node in definitions(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield f"{qualname}.{stmt.target.id}", stmt.target.id
+
+
+def reads_in(tree):
+    """Each name the tree reads as an attribute or names in an identifier string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            yield node.value
+
+
+def program_trees():
     package = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
     program = package + sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in program}
+    return {path: ast.parse(path.read_text(), str(path)) for path in program}
+
+
+def test_every_definition_is_named_outside_its_own_body():
+    trees = program_trees()
     mentions = Counter(name for tree in trees.values() for name in names_in(tree))
     unused = []
     for path, tree in trees.items():
@@ -65,6 +94,23 @@ def test_every_definition_is_named_outside_its_own_body():
     assert not unused, f"defined but never named by the program: {unused}"
 
 
+def test_every_class_field_is_read_by_the_program():
+    trees = program_trees()
+    read = {name for tree in trees.values() for name in reads_in(tree)}
+    unread = [
+        f"{path.name}: {qualname}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for qualname, name in fields(tree)
+        if name not in read and qualname not in ALLOWED
+    ]
+    assert not unread, f"class fields the program never reads: {unread}"
+
+
 def test_the_allowlist_names_existing_definitions():
-    defined = {qualname for path in PACKAGE.glob("*.py") for qualname, _ in definitions(ast.parse(path.read_text()))}
+    defined = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined.update(qualname for qualname, _ in definitions(tree))
+        defined.update(qualname for qualname, _ in fields(tree))
     assert ALLOWED <= defined
