@@ -76,6 +76,7 @@ UPDATE_ROUNDS = 8
 UPDATE_FRACTION = 0.25
 # the range and kNN methods of each index kind's query engine
 QUERY_METHODS = {"peb": ("prq", "pknn"), "bx": ("range_query", "knn_query")}
+KNN_TOLERANCE = 1e-9  # distance slack when comparing kNN answers
 
 
 @dataclass
@@ -91,8 +92,9 @@ class Instance:
     bx: MovingObjectIndex
     peb_engine: PebQueryEngine
     bx_engine: BaselineQueryEngine
-    now: float = 0.0
-    update_cursor: int = 0
+    # where the update rounds stand: state, not settings
+    now: float = field(default=0.0, init=False)
+    update_cursor: int = field(default=0, init=False)
 
 
 def build_indexes(
@@ -160,22 +162,22 @@ def run_update_round(inst: Instance) -> None:
         inst.update_cursor = 0
 
 
-def knn_results_match(got: PknnResult, want: PknnResult, tol: float = 1e-9) -> bool:
-    """No user twice, distance multisets equal within tol; membership may
-    differ only at the k'th distance."""
+def knn_results_match(got: PknnResult, want: PknnResult) -> bool:
+    """No user twice, distance multisets equal within ``KNN_TOLERANCE``;
+    membership may differ only at the k'th distance."""
     if got.short != want.short or len(got.neighbors) != len(want.neighbors):
         return False
     if len({u for u, _ in got.neighbors}) != len(got.neighbors):
         return False  # a user has one location
     got_d = [d for _, d in got.neighbors]
     want_d = [d for _, d in want.neighbors]
-    if any(abs(a - b) > tol for a, b in zip(got_d, want_d)):
+    if any(abs(a - b) > KNN_TOLERANCE for a, b in zip(got_d, want_d)):
         return False
     if not want.neighbors:
         return True
-    kth = want_d[-1]
-    got_core = {u for u, d in got.neighbors if d < kth - tol}
-    want_core = {u for u, d in want.neighbors if d < kth - tol}
+    core = want_d[-1] - KNN_TOLERANCE  # distances strictly inside the k'th
+    got_core = {u for u, d in got.neighbors if d < core}
+    want_core = {u for u, d in want.neighbors if d < core}
     return got_core == want_core
 
 
@@ -216,7 +218,10 @@ def run_query_batch(
     queries: Sequence[PrqRequest | PknnRequest],
     oracle_every: int = 1,
 ) -> BatchStats:
-    """Run one cold-buffer batch of queries through one engine (``peb`` or ``bx``)."""
+    """Run one cold-buffer batch of queries through one engine (``peb`` or ``bx``),
+    checking every ``oracle_every``'th query (0: none) against the oracle."""
+    if oracle_every < 0:
+        raise ValueError(f"oracle_every {oracle_every} is negative")
     index, engine = {"peb": (inst.peb, inst.peb_engine), "bx": (inst.bx, inst.bx_engine)}[engine_name]
     ios: list[int] = []
     leaf_ios: list[int] = []
@@ -378,7 +383,7 @@ def measure_preprocessing(
 class CostReport:
     a1: float
     a2: float
-    rows: list[dict] = field(default_factory=list)
+    rows: list[dict] = field(default_factory=list, init=False)
 
 
 def measure_prq_leaf_io(inst: Instance) -> float:
@@ -454,20 +459,30 @@ def _config_parsers() -> dict[str, type]:
 
 
 def load_config(path: str | Path) -> WorkloadConfig:
-    """Read a workload config from ``key=value`` lines (# comments allowed)."""
+    """Read a workload config from ``key=value`` lines (# comments allowed).
+
+    A fault raises ``ValueError`` naming the file, and the line number when
+    one line is at fault.
+    """
     parsers = _config_parsers()
     overrides = {}
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"bad config line {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in parsers:
-            raise ValueError(f"unknown config key {key!r}")
-        overrides[key] = parsers[key](value)
-    return WorkloadConfig(**overrides)
+        try:
+            if "=" not in line:
+                raise ValueError(f"bad config line {raw!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in parsers:
+                raise ValueError(f"unknown config key {key!r}")
+            overrides[key] = parsers[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    try:
+        return WorkloadConfig(**overrides)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_config(cfg: WorkloadConfig, path: str | Path) -> None:

@@ -66,8 +66,8 @@ def count(text: str) -> int:
 def _add_workload_flags(p: argparse.ArgumentParser) -> None:
     # each flag's dest is a WorkloadConfig field; an unset flag (None) keeps
     # the config file's value, or the field's default
-    p.add_argument("--users", "-N", dest="n_users", type=int, help="number of users")
-    p.add_argument("--policies", dest="policies_per_user", type=int, help="policies per user")
+    p.add_argument("--users", "-N", dest="n_users", type=count, help="number of users")
+    p.add_argument("--policies", dest="policies_per_user", type=count, help="policies per user")
     p.add_argument("--theta", type=float, help="grouping factor in [0, 1]")
     p.add_argument("--group-size", type=int)
     p.add_argument("--max-speed", type=float)
@@ -75,7 +75,7 @@ def _add_workload_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--destinations", type=int)
     p.add_argument("--window", dest="query_window", type=float, help="range query window side")
     p.add_argument("--k", type=int, help="kNN neighbor count")
-    p.add_argument("--queries", dest="queries_per_point", type=int, help="queries per type per point")
+    p.add_argument("--queries", dest="queries_per_point", type=count, help="queries per type per point")
     p.add_argument("--config", type=Path, help="key=value config file (overridden by flags set explicitly)")
 
 
@@ -214,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     p_bench.add_argument("--seed", type=int, required=True, help="mandatory for reproducible rows")
     p_bench.add_argument("--sweep", action="append", choices=SWEEPS, help="repeatable; default users")
     p_bench.add_argument("--out", default="bench.csv")
-    p_bench.add_argument("--oracle-every", type=int, default=1, help="oracle-check every i'th query (0 disables)")
+    p_bench.add_argument("--oracle-every", type=count, default=1, help="oracle-check every i'th query (0 disables)")
     p_bench.set_defaults(func=cmd_bench)
 
     p_cost = sub.add_parser("cost", help="fit and validate the cost model")
@@ -226,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     p_pre = sub.add_parser("preproc", help="time policy encoding across dataset sizes")
     _add_workload_flags(p_pre)
     p_pre.add_argument("--seed", type=int)
-    p_pre.add_argument("--sizes", type=int, nargs="*", help="dataset sizes to time")
+    p_pre.add_argument("--sizes", type=count, nargs="*", help="dataset sizes to time")
     p_pre.add_argument("--out", default="preproc.csv")
     p_pre.set_defaults(func=cmd_preproc)
 

@@ -2,10 +2,12 @@
 
 Sequence values place policy-compatible users at nearby reals.  The
 paper's rule processes users in descending order of how many others they
-relate to; each user still unassigned when reached becomes an anchor one
-separation step ``delta`` above the previous anchor, and every
-not-yet-assigned user related to the anchor lands at ``anchor + (1 - C)``,
-so higher compatibility means a smaller gap.
+relate to; the first user reached is an anchor at ``SV0``, each later user
+still unassigned when reached becomes an anchor one separation step
+``DELTA`` above the previous anchor, and every not-yet-assigned user
+related to the anchor lands at ``anchor + (1 - C)``, so higher
+compatibility means a smaller gap.  ``SV0`` and ``DELTA`` are the paper's
+values; both exceed 1, so an anchor's members stay below the next anchor.
 
 Left alone, the first anchors absorb every related user, members of other
 policy groups included, so one group's users end up under many anchors
@@ -33,6 +35,8 @@ from .motion import TimePartitionConfig
 from .zcurve import GridConfig
 
 PROPAGATION_ROUNDS = 3
+SV0 = 2.0  # the first anchor's sequence value
+DELTA = 2.0  # the step from one anchor to the next
 
 
 class CompatibilityOracle(Protocol):
@@ -45,11 +49,9 @@ class CompatibilityOracle(Protocol):
 
 @dataclass(frozen=True)
 class SequenceValueMap:
-    """Per-user sequence values plus the parameters that produced them."""
+    """Per-user sequence values and the anchors, in the order they were taken."""
 
     values: dict[int, float]
-    sv0: float
-    delta: float
     anchors: tuple[int, ...]
 
     def __getitem__(self, uid: int) -> float:
@@ -60,12 +62,7 @@ class SequenceValueMap:
         return max(self.values.values(), default=0.0)
 
 
-def assign_sequence_values(
-    users: Iterable[int],
-    compat: CompatibilityOracle,
-    sv0: float = 2.0,
-    delta: float = 2.0,
-) -> SequenceValueMap:
+def assign_sequence_values(users: Iterable[int], compat: CompatibilityOracle) -> SequenceValueMap:
     """Assign every user a sequence value.
 
     Users are ranked by descending related-user count with ties broken by
@@ -73,19 +70,15 @@ def assign_sequence_values(
     that have a two-way pair; a user without one is labelled by its own
     rank.  The anchor loop visits the users by (label, rank), so it walks
     each community in one stretch, in the paper's order within it.  The
-    first user visited receives ``sv0``; each later user still unassigned
+    first user visited receives ``SV0``; each later user still unassigned
     when reached becomes a new anchor at the previous anchor's value plus
-    ``delta``; each unassigned user related to the anchor that shares its
+    ``DELTA``; each unassigned user related to the anchor that shares its
     label or has no two-way pair receives ``anchor + (1 - C(anchor, member))``.
 
     Without two-way pairs every label is a rank, and this is the paper's
     rule: the visit order is the rank order and every related user is
     absorbed.  The result does not depend on the order of ``users``.
     """
-    if sv0 <= 1:
-        raise ValueError("sv0 must exceed 1")
-    if delta <= 1:
-        raise ValueError("delta must exceed 1")
     user_set = set(users)
     related = compat.related
     order = sorted(user_set, key=lambda u: (-len(related(u)), u))
@@ -94,11 +87,11 @@ def assign_sequence_values(
     visits = sorted(zip([community.get(u, i) for i, u in enumerate(order)], range(len(order)), order))
     values: dict[int, float] = {}
     anchors: list[int] = []
-    anchor_sv = sv0 - delta
+    anchor_sv = SV0 - DELTA
     for _, _, u in visits:
         if u in values:
             continue
-        anchor_sv += delta
+        anchor_sv += DELTA
         values[u] = anchor_sv
         anchors.append(u)
         label = community.get(u)
@@ -106,7 +99,7 @@ def assign_sequence_values(
             # a user without a two-way pair matches any anchor's label
             if m in user_set and m not in values and community.get(m, label) == label:
                 values[m] = anchor_sv + (1.0 - compat.c(u, m))
-    return SequenceValueMap(values, sv0, delta, tuple(anchors))
+    return SequenceValueMap(values, tuple(anchors))
 
 
 def communities(order: list[int], compat: CompatibilityOracle) -> dict[int, int]:
@@ -162,17 +155,10 @@ class KeyLayout:
     frac_bits: int = 8
 
     @classmethod
-    def for_index(
-        cls,
-        time_cfg: TimePartitionConfig,
-        grid: GridConfig,
-        max_sv: float,
-        frac_bits: int = 8,
-    ) -> "KeyLayout":
+    def for_index(cls, time_cfg: TimePartitionConfig, grid: GridConfig, max_sv: float) -> "KeyLayout":
         tid_bits = max(1, (time_cfg.num_partitions - 1).bit_length())
-        max_q = round(max_sv * (1 << frac_bits))
-        sv_bits = max(1, max_q.bit_length())
-        return cls(tid_bits, sv_bits, grid.zv_bits, frac_bits)
+        sv_bits = max(1, round(max_sv * (1 << cls.frac_bits)).bit_length())  # the field's default
+        return cls(tid_bits, sv_bits, grid.zv_bits)
 
     def quantize_sv(self, sv: float) -> int:
         """Fixed-point encoding of a sequence value."""

@@ -40,7 +40,7 @@ PAGE_SIZE = 4096
 LEAF_RECORD_BYTES = 64
 INTERNAL_RECORD_BYTES = 16
 BUFFER_PAGES = 50
-SNAPSHOT_FORMAT = 2  # bump when the snapshot layout changes
+SNAPSHOT_FORMAT = 3  # bump when the snapshot layout changes
 
 
 class LeafEntry(NamedTuple):
@@ -155,6 +155,29 @@ class Node:
         else:
             self.keys: list[tuple[int, int]] = []  # fence (key, uid) before every child but the first
             self.children: list[int] = []
+
+
+def _fill(node: Node) -> int:
+    """Entries of a leaf, children of an internal page."""
+    return len(node.entries) if node.leaf else len(node.children)
+
+
+def _borrow(parent: Node, i: int, left: Node, right: Node, to_right: bool) -> None:
+    """Move one entry or child between siblings ``left`` and ``right`` across fence ``i`` of ``parent``."""
+    if left.leaf:
+        if to_right:
+            right.entries.insert(0, left.entries.pop())
+        else:
+            left.entries.append(right.entries.pop(0))
+        parent.keys[i] = right.entries[0][:2]  # a leaf fence is the right page's first (key, uid)
+    elif to_right:  # an internal fence rotates through the parent
+        right.keys.insert(0, parent.keys[i])
+        parent.keys[i] = left.keys.pop()
+        right.children.insert(0, left.children.pop())
+    else:
+        left.keys.append(parent.keys[i])
+        parent.keys[i] = right.keys.pop(0)
+        left.children.append(right.children.pop(0))
 
 
 def _check(ok: bool, fault: str) -> None:
@@ -287,66 +310,36 @@ class BPlusTree:
                     self._free(node)
                     self.height -= 1
                 return
-            need = (self.leaf_cap // 2) if node.leaf else (self.internal_cap // 2)
-            size = len(node.entries) if node.leaf else len(node.children)
-            if size >= need:
+            half = (self.leaf_cap if node.leaf else self.internal_cap) // 2
+            if _fill(node) >= half:
                 return
-            parent, idx = path[-1]
+            parent, idx = path.pop()
             left = self.touch_page(parent.children[idx - 1]) if idx > 0 else None
             right = self.touch_page(parent.children[idx + 1]) if idx + 1 < len(parent.children) else None
-            if node.leaf:
-                if left is not None and len(left.entries) > self.leaf_cap // 2:
-                    first = left.entries.pop()
-                    node.entries.insert(0, first)
-                    parent.keys[idx - 1] = (first.key, first.uid)
-                    return
-                if right is not None and len(right.entries) > self.leaf_cap // 2:
-                    node.entries.append(right.entries.pop(0))
-                    first = right.entries[0]
-                    parent.keys[idx] = (first.key, first.uid)
-                    return
-                if left is not None:
-                    left.entries.extend(node.entries)
-                    left.next_leaf = node.next_leaf
-                    del parent.keys[idx - 1]
-                    del parent.children[idx]
-                    self._free(node)
-                else:
-                    assert right is not None
-                    node.entries.extend(right.entries)
-                    node.next_leaf = right.next_leaf
-                    del parent.keys[idx]
-                    del parent.children[idx + 1]
-                    self._free(right)
-                self.leaf_count -= 1
+            if left is not None and _fill(left) > half:
+                _borrow(parent, idx - 1, left, node, to_right=True)
+                return
+            if right is not None and _fill(right) > half:
+                _borrow(parent, idx, node, right, to_right=False)
+                return
+            if left is not None:
+                self._merge(parent, idx - 1, left, node)
             else:
-                if left is not None and len(left.children) > self.internal_cap // 2:
-                    node.keys.insert(0, parent.keys[idx - 1])
-                    parent.keys[idx - 1] = left.keys.pop()
-                    node.children.insert(0, left.children.pop())
-                    return
-                if right is not None and len(right.children) > self.internal_cap // 2:
-                    node.keys.append(parent.keys[idx])
-                    parent.keys[idx] = right.keys.pop(0)
-                    node.children.append(right.children.pop(0))
-                    return
-                if left is not None:
-                    left.keys.append(parent.keys[idx - 1])
-                    left.keys.extend(node.keys)
-                    left.children.extend(node.children)
-                    del parent.keys[idx - 1]
-                    del parent.children[idx]
-                    self._free(node)
-                else:
-                    assert right is not None
-                    node.keys.append(parent.keys[idx])
-                    node.keys.extend(right.keys)
-                    node.children.extend(right.children)
-                    del parent.keys[idx]
-                    del parent.children[idx + 1]
-                    self._free(right)
-            path.pop()
+                self._merge(parent, idx, node, right)
             node = parent
+
+    def _merge(self, parent: Node, i: int, left: Node, right: Node) -> None:
+        """Fold page ``right`` into its left sibling ``left``, dropping fence ``i`` of ``parent``."""
+        fence = parent.keys.pop(i)
+        del parent.children[i + 1]
+        if left.leaf:
+            left.entries.extend(right.entries)
+            left.next_leaf = right.next_leaf
+            self.leaf_count -= 1
+        else:
+            left.keys += [fence, *right.keys]
+            left.children.extend(right.children)
+        self._free(right)
 
     # -- scans ---------------------------------------------------------------
 
@@ -612,7 +605,7 @@ class MovingObjectIndex:
             "format": SNAPSHOT_FORMAT,
             "kind": self.kind,
             "time_cfg": {"delta_t_mu": self.time_cfg.delta_t_mu, "n": self.time_cfg.n},
-            "grid": {"L": self.grid.L, "levels": self.grid.levels, "y_low": self.grid.y_low},
+            "grid": {"L": self.grid.L, "levels": self.grid.levels},
             "layout": {
                 "tid_bits": self.layout.tid_bits,
                 "sv_bits": self.layout.sv_bits,
@@ -659,7 +652,7 @@ class MovingObjectIndex:
         tc, g, lay = snap["time_cfg"], snap["grid"], snap["layout"]
         # every field save() writes is required: a dataclass default would hide a missing one
         time_cfg = TimePartitionConfig(tc["delta_t_mu"], tc["n"])
-        grid = GridConfig(g["L"], g["levels"], g["y_low"])
+        grid = GridConfig(g["L"], g["levels"])
         layout = KeyLayout(lay["tid_bits"], lay["sv_bits"], lay["zv_bits"], lay["frac_bits"])
         tree = BPlusTree.from_snapshot(snap["tree"])
         max_speeds = DirectionalSpeeds(*map(float, snap["max_speeds"]))

@@ -32,6 +32,8 @@ from .query import PknnRequest, PrqRequest
 
 
 DISTRIBUTIONS = ("uniform", "network")
+# the least value of each count a WorkloadConfig holds
+COUNT_FLOORS = (("n_users", 0), ("policies_per_user", 0), ("queries_per_point", 0), ("group_size", 1), ("k", 1))
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,9 @@ class WorkloadConfig:
     """One benchmark point's data generation parameters.
 
     Construction refuses a ``distribution`` other than those in
-    ``DISTRIBUTIONS``, a ``theta`` outside ``[0, 1]`` and a
-    ``policy_duration`` outside ``0 < lo <= hi <= day``, naming the field.
+    ``DISTRIBUTIONS``, a ``theta`` outside ``[0, 1]``, a ``policy_duration``
+    outside ``0 < lo <= hi <= day``, a negative count of users, policies or
+    queries, and a ``group_size`` or ``k`` below 1, naming the field.
     """
 
     n_users: int = 10_000
@@ -67,6 +70,9 @@ class WorkloadConfig:
         lo, hi = self.policy_duration
         if not 0.0 < lo <= hi <= self.day:
             raise ValueError(f"policy_duration {self.policy_duration} is not within 0 < lo <= hi <= day {self.day}")
+        for name, least in COUNT_FLOORS:
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} {getattr(self, name)} is below {least}")
 
     def stream(self, name: str) -> Random:
         return Random(f"{self.seed}/{name}")

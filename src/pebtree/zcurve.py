@@ -13,11 +13,10 @@ AND of four masks is the rectangle's cells in the tile, and its runs of
 set bits are the rectangle's runs of the curve, read off the mask's
 binary string.  Larger grids are walked as a quadtree down to such tiles.
 
-Interleave orientation is not universal across illustrations of the
-curve, so it is a config flag: by default the x bit of each pair sits at
-the even (less significant) position.  The reference worked example of
-the 8x8 grid is reproduced with ``y_low=True`` and with curve positions
-displayed 1-based; see the tests for the recorded convention.
+The x bit of each pair sits at the even (less significant) position.
+Illustrations of the curve differ in orientation: the reference worked
+example of the 8x8 grid puts y on the even bits, so the tests state its
+rectangle transposed and display curve positions 1-based.
 
 Pure functions throughout; thread-safe: the tables are built once at
 import and never written.
@@ -37,13 +36,11 @@ CellRect = tuple[int, int, int, int]  # (cx_lo, cy_lo, cx_hi, cy_hi), inclusive
 class GridConfig:
     """Geometry of the Z-curve grid.
 
-    ``levels`` is the number of bits per axis.  ``y_low=True`` flips the
-    interleave so the y bit of each pair takes the even position.
+    ``levels`` is the number of bits per axis.
     """
 
     L: float = 1000.0
     levels: int = 10
-    y_low: bool = False
 
     def __post_init__(self) -> None:
         if self.L <= 0:
@@ -108,8 +105,7 @@ def z_encode(cell: tuple[int, int], cfg: GridConfig) -> int:
     n = cfg.cells_per_axis
     if not (0 <= cx < n and 0 <= cy < n):
         raise ValueError(f"cell {cell} outside {n}x{n} grid")
-    low, high = (cy, cx) if cfg.y_low else (cx, cy)
-    return _spread(low) | (_spread(high) << 1)
+    return _spread(cx) | (_spread(cy) << 1)
 
 
 def cell_of(x: float, y: float, cfg: GridConfig) -> tuple[int, int]:
@@ -184,11 +180,8 @@ def z_decompose(rect: CellRect, cfg: GridConfig, min_block_shift: int = 0) -> li
         raise ValueError(f"cell rectangle {rect} outside {n}x{n} grid")
 
     shift = min(max(min_block_shift, 0), cfg.levels)
-    # a is the coordinate on the even bits of the Z-value, b the one on the odd bits
-    if cfg.y_low:
-        a_lo, b_lo, a_hi, b_hi = cy_lo >> shift, cx_lo >> shift, cy_hi >> shift, cx_hi >> shift
-    else:
-        a_lo, b_lo, a_hi, b_hi = cx_lo >> shift, cy_lo >> shift, cx_hi >> shift, cy_hi >> shift
+    # a is the coordinate on the even bits of the Z-value (x), b the one on the odd bits (y)
+    a_lo, b_lo, a_hi, b_hi = cx_lo >> shift, cy_lo >> shift, cx_hi >> shift, cy_hi >> shift
     unit_bits = 2 * shift
     runs: list[tuple[int, int]] = []
     stack = [(0, 0, cfg.levels - shift, 0)]

@@ -69,6 +69,13 @@ def test_query_batch_io_deterministic(small_instance):
     assert a.p95_io == b.p95_io
 
 
+def test_query_batch_refuses_a_negative_oracle_period(small_instance):
+    queries = gen_queries(SMALL, "range", list(small_instance.objects.values()))
+    # i % -3 would check every third query, as 3 does
+    with pytest.raises(ValueError, match="oracle_every -3 is negative"):
+        run_query_batch(small_instance, "peb", queries, oracle_every=-3)
+
+
 def test_query_batch_wall_time_excludes_oracle(small_instance, monkeypatch):
     delay_s = 0.02
     oracle = bench.oracle_range
@@ -198,6 +205,24 @@ def test_load_config_key_value(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        ("n_users=40\nseed=1.5\n", r", line 2: invalid literal for int\(\) with base 10: '1.5'"),
+        ("# comment\n\nseed 3\n", r", line 3: bad config line 'seed 3'"),
+        ("n_users=40\ny_low=1\n", r", line 2: unknown config key 'y_low'"),
+        ("group_size=0\n", r"exp.cfg: group_size 0 is below 1"),
+    ],
+    ids=["not an int", "no equals sign", "unknown key", "refused value"],
+)
+def test_load_config_names_the_file_and_the_line(tmp_path, text, fault):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=fault) as raised:
+        load_config(path)
+    assert str(raised.value).startswith(str(path))
+
+
 def test_save_config_round_trips_every_field(tmp_path):
     changed = {}
     for f in fields(WorkloadConfig):
@@ -282,6 +307,23 @@ def test_cli_query_refuses_a_negative_limit(tmp_path, capsys):
     assert "argument --limit: -1 is negative" in capsys.readouterr().err
     assert cli_main(["query", "--data-dir", str(data), "--engine", "oracle", "--limit", "0"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == len(load_queries(data / "queries.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("gen", "-N"), ("gen", "--policies"), ("gen", "--queries"), ("bench", "--oracle-every"), ("preproc", "--sizes")],
+)
+def test_cli_count_flags_refuse_a_negative_value(tmp_path, capsys, command, flag):
+    small = ["-N", "40", "--policies", "2", "--group-size", "10", "--queries", "2"]
+    own = {
+        "gen": ["--out-dir", str(tmp_path / "data")],
+        "bench": ["--seed", "1", "--sweep", "k", "--out", str(tmp_path / "bench.csv")],
+        "preproc": ["--out", str(tmp_path / "preproc.csv")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, *small, *own, flag, "-1"])
+    assert exc.value.code == 2
+    assert "-1 is negative" in capsys.readouterr().err
 
 
 def test_cli_data_dir_keeps_the_generated_space_side(tmp_path):

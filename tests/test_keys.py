@@ -4,7 +4,7 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pebtree.keys import KeyLayout, assign_sequence_values, communities
+from pebtree.keys import DELTA, SV0, KeyLayout, assign_sequence_values, communities
 from pebtree.motion import TimePartitionConfig
 from pebtree.policy import CompatibilityIndex, PolicyStore
 from pebtree.workload import WorkloadConfig, assign_groups, gen_policies
@@ -69,7 +69,7 @@ def random_instance(seed, n_users, n_pairs, two_way_share):
 
 def test_worked_example_assignment():
     index = CompatibilityIndex.from_values(WORKED_VALUES)
-    svm = assign_sequence_values([1, 2, 3, 4, 5, 6], index, sv0=2.0, delta=2.0)
+    svm = assign_sequence_values([1, 2, 3, 4, 5, 6], index)
     assert svm[3] == pytest.approx(2.0)
     assert svm[4] == pytest.approx(2.2)
     assert svm[5] == pytest.approx(2.8)
@@ -84,7 +84,7 @@ def test_worked_example_with_every_pair_two_way():
     index = CompatibilityIndex.from_values(WORKED_VALUES, WORKED_VALUES)
     order = [3, 1, 4, 2, 5, 6]
     assert set(communities(order, index).values()) == {2}
-    svm = assign_sequence_values([1, 2, 3, 4, 5, 6], index, sv0=2.0, delta=2.0)
+    svm = assign_sequence_values([1, 2, 3, 4, 5, 6], index)
     assert svm.values == pytest.approx(WORKED_EXPECTED)
     assert svm.anchors == (3, 1)
 
@@ -100,7 +100,7 @@ def test_worked_example_with_every_pair_two_way():
 )
 def test_user_without_two_way_pair_absorbed_as_in_the_paper(two_way, moved):
     index = CompatibilityIndex.from_values(WORKED_VALUES, two_way)
-    svm = assign_sequence_values([1, 2, 3, 4, 5, 6], index, sv0=2.0, delta=2.0)
+    svm = assign_sequence_values([1, 2, 3, 4, 5, 6], index)
     assert svm.values == pytest.approx({**WORKED_EXPECTED, **moved})
     assert svm.anchors == (3, 1)
     assert (svm[5], svm[6]) == pytest.approx((2.8, 2.4))
@@ -111,7 +111,7 @@ def test_user_without_two_way_pair_absorbed_as_in_the_paper(two_way, moved):
 def test_assignment_with_two_way_pairs_matches_oracle_replay(seed, n_pairs):
     users, values, two_way = random_instance(seed, 60, n_pairs, 0.5)
     index = CompatibilityIndex.from_values(values, two_way)
-    svm = assign_sequence_values(users, index, sv0=2.0, delta=2.0)
+    svm = assign_sequence_values(users, index)
     assert svm.values == pytest.approx(assignment_oracle(users, values, 2.0, 2.0, two_way))
     order = sorted(users, key=lambda u: (-len(index.related(u)), u))
     partners = {u: index.two_way(u) for u in users}
@@ -176,7 +176,7 @@ def test_viewer_friend_owners_fall_under_fewer_anchors_than_in_the_paper():
 
     def mean_anchors(svm):
         # an anchor and the users it absorbs share one step of the ladder
-        steps = {u: int((svm[u] - svm.sv0) // svm.delta) for u in uids}
+        steps = {u: int((svm[u] - SV0) // DELTA) for u in uids}
         return sum(len({steps[o] for o in store.owners_naming(v)}) for v in uids) / len(uids)
 
     ours = mean_anchors(assign_sequence_values(uids, index))
@@ -186,7 +186,7 @@ def test_viewer_friend_owners_fall_under_fewer_anchors_than_in_the_paper():
 
 def test_unrelated_users_get_ladder():
     index = CompatibilityIndex.from_values({})
-    svm = assign_sequence_values([10, 11, 12, 13], index, sv0=2.0, delta=2.0)
+    svm = assign_sequence_values([10, 11, 12, 13], index)
     assert [svm[u] for u in (10, 11, 12, 13)] == [2.0, 4.0, 6.0, 8.0]
     assert svm.anchors == (10, 11, 12, 13)
 
@@ -200,7 +200,7 @@ def test_random_assignment_matches_oracle_replay():
         key = (min(a, b), max(a, b))
         values.setdefault(key, round(rng.uniform(0.05, 0.95), 3))
     index = CompatibilityIndex.from_values(values)
-    svm = assign_sequence_values(users, index, sv0=2.0, delta=2.0)
+    svm = assign_sequence_values(users, index)
     expected = assignment_oracle(users, values, 2.0, 2.0)
     assert svm.values == pytest.approx(expected)
 
@@ -216,9 +216,9 @@ def test_assignment_totality_and_member_locality():
     svm = assign_sequence_values(users, index)
     assert set(svm.values) == set(users)
     anchor_svs = [svm[a] for a in svm.anchors]
-    # consecutive anchors differ by exactly delta
+    # consecutive anchors differ by exactly DELTA
     for a, b in zip(anchor_svs, anchor_svs[1:]):
-        assert b - a == pytest.approx(svm.delta)
+        assert b - a == pytest.approx(DELTA)
     anchors = set(svm.anchors)
     for u in users:
         if u in anchors:
@@ -229,14 +229,6 @@ def test_assignment_totality_and_member_locality():
         assert gaps
         gap, anchor = min(gaps)
         assert gap == pytest.approx(1.0 - index.c(anchor, u))
-
-
-def test_assignment_parameter_validation():
-    index = CompatibilityIndex.from_values({})
-    with pytest.raises(ValueError):
-        assign_sequence_values([1], index, sv0=1.0)
-    with pytest.raises(ValueError):
-        assign_sequence_values([1], index, delta=0.5)
 
 
 LAYOUT = KeyLayout(tid_bits=2, sv_bits=16, zv_bits=8, frac_bits=8)

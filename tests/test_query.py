@@ -1086,7 +1086,8 @@ def churn_world():
     store = PolicyStore(policies, graph, sorted(objects), space_side=cfg.space_side)
     sv_map = assign_sequence_values(sorted(objects), CompatibilityIndex.from_store(store))
     # whole-number sequence values put about five owners in a friend row
-    layout = KeyLayout.for_index(TIME_CFG, GRID, max_sv=sv_map.max_value + 1.0, frac_bits=0)
+    sv_bits = round(sv_map.max_value + 1.0).bit_length()
+    layout = KeyLayout(tid_bits=2, sv_bits=sv_bits, zv_bits=GRID.zv_bits, frac_bits=0)
     return objects, store, sv_map, layout
 
 

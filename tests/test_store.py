@@ -316,7 +316,7 @@ def build_index(kind="bx", buffer_pages=50):
     if kind == "peb":
         from pebtree.keys import SequenceValueMap
 
-        sv_map = SequenceValueMap({uid: 2.0 + 0.01 * uid for uid in range(200)}, 2.0, 2.0, (0,))
+        sv_map = SequenceValueMap({uid: 2.0 + 0.01 * uid for uid in range(200)}, (0,))
     return MovingObjectIndex(time_cfg, grid, layout, sv_map=sv_map, buffer_pages=buffer_pages)
 
 
@@ -567,10 +567,10 @@ def test_untampered_snapshot_still_loads(tmp_path):
     "edit, fault",
     [
         (lambda snap: snap.pop("format"), "format version None"),
-        (lambda snap: snap.update(format=1), "format version 1, expected 2"),
+        (lambda snap: snap.update(format=2), "format version 2, expected 3"),
         (lambda snap: snap.update(format=99), "format version 99"),
         # cut short mid-write, empty, and not UTF-8
-        (lambda snap: b'{"format": 2, "kind": "bx"', "not UTF-8 JSON: Expecting ',' delimiter"),
+        (lambda snap: b'{"format": 3, "kind": "bx"', "not UTF-8 JSON: Expecting ',' delimiter"),
         (lambda snap: b"", "not UTF-8 JSON: Expecting value"),
         (lambda snap: b"\xff\xfe", "not UTF-8 JSON: 'utf-8' codec can't decode"),
     ],
@@ -615,6 +615,16 @@ SNAPSHOT_FIELDS = {
         "leaf entry": ["key", "uid", "x", "y", "vx", "vy", "t"],
         "internal page": ["children", "id", "keys", "leaf"],
     },
+    3: {  # the grid lost y_low
+        "header": ["format", "grid", "kind", "layout", "max_speeds", "partition_labels", "time_cfg", "tree"],
+        "grid": ["L", "levels"],
+        "time_cfg": ["delta_t_mu", "n"],
+        "layout": ["frac_bits", "sv_bits", "tid_bits", "zv_bits"],
+        "tree": ["buffer_pages", "entry_count", "height", "leaf_count", "next_page", "page_size", "pages", "root"],
+        "leaf page": ["entries", "id", "leaf", "next_leaf"],
+        "leaf entry": ["key", "uid", "x", "y", "vx", "vy", "t"],
+        "internal page": ["children", "id", "keys", "leaf"],
+    },
 }
 
 
@@ -624,6 +634,9 @@ def test_snapshot_field_names_are_pinned_per_format(tmp_path):
     assert internal and {len(entry) for p in _leaf_pages(snap) for entry in p["entries"]} == {len(LeafEntry._fields)}
     found = {
         "header": sorted(snap),
+        "grid": sorted(snap["grid"]),
+        "time_cfg": sorted(snap["time_cfg"]),
+        "layout": sorted(snap["layout"]),
         "tree": sorted(snap["tree"]),
         "leaf page": sorted({name for p in _leaf_pages(snap) for name in p}),
         "internal page": sorted({name for p in internal for name in p}),

@@ -263,7 +263,19 @@ def test_policy_duration_outside_the_day_rejected(duration):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("theta", -0.1), ("theta", 1.5), ("theta", math.nan), ("distribution", "gaussian"), ("distribution", "Uniform")],
+    [
+        ("theta", -0.1),
+        ("theta", 1.5),
+        ("theta", math.nan),
+        ("distribution", "gaussian"),
+        ("distribution", "Uniform"),
+        # counts: a group of 0 divided by zero, and the negative counts gave empty output
+        ("n_users", -5),
+        ("policies_per_user", -1),
+        ("queries_per_point", -3),
+        ("group_size", 0),
+        ("k", 0),
+    ],
 )
 def test_config_field_outside_its_domain_rejected(field, value):
     with pytest.raises(ValueError, match=field):

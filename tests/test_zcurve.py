@@ -50,9 +50,8 @@ def test_encode_examples(cell, expected):
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("y_low", [False, True])
-def test_round_trip_exhaustive(levels, y_low):
-    cfg = GridConfig(L=float(1 << levels), levels=levels, y_low=y_low)
+def test_round_trip_exhaustive(levels):
+    cfg = GridConfig(L=float(1 << levels), levels=levels)
     seen = set()
     for cx in range(cfg.cells_per_axis):
         for cy in range(cfg.cells_per_axis):
@@ -72,24 +71,22 @@ def test_encode_range_checks():
 def loop_encode(cell, cfg):
     """The bit-by-bit interleaving loop that ``z_encode`` replaced."""
     cx, cy = cell
-    low, high = (cy, cx) if cfg.y_low else (cx, cy)
     z = 0
     for i in range(cfg.levels):
-        z |= ((low >> i) & 1) << (2 * i)
-        z |= ((high >> i) & 1) << (2 * i + 1)
+        z |= ((cx >> i) & 1) << (2 * i)
+        z |= ((cy >> i) & 1) << (2 * i + 1)
     return z
 
 
-@pytest.mark.parametrize("y_low", [False, True])
-def test_encode_equals_interleaving_loop(y_low):
+def test_encode_equals_interleaving_loop():
     for levels in range(1, 6):
-        cfg = GridConfig(L=1.0, levels=levels, y_low=y_low)
+        cfg = GridConfig(L=1.0, levels=levels)
         for cx in range(cfg.cells_per_axis):
             for cy in range(cfg.cells_per_axis):
                 assert z_encode((cx, cy), cfg) == loop_encode((cx, cy), cfg)
     rng = random.Random(17)
     for levels in range(6, 31):
-        cfg = GridConfig(L=1.0, levels=levels, y_low=y_low)
+        cfg = GridConfig(L=1.0, levels=levels)
         last = cfg.cells_per_axis - 1
         cells = [(0, last), (last, 0), (last, last)]
         cells += [(rng.randint(0, last), rng.randint(0, last)) for _ in range(200)]
@@ -117,12 +114,13 @@ def test_decompose_empty_rect():
 
 
 def test_decompose_reference_example():
-    # 8x8 worked example: corners (2,2) and (4,6); under the recorded
-    # convention (y on the even bits) the cell block spans x 2..3, y 2..5
-    # and decomposes to [12,15] and [24,27]; the reference illustration
-    # numbers curve positions from 1, displaying [13,16] and [25,28].
-    cfg = GridConfig(L=8.0, levels=3, y_low=True)
-    cells = (2, 2, 3, 5)
+    # 8x8 worked example: corners (2,2) and (4,6); the reference
+    # illustration puts y on the even bits, so its cell block (x 2..3,
+    # y 2..5) is stated transposed here, x 2..5 and y 2..3, and decomposes
+    # to [12,15] and [24,27]; the illustration numbers curve positions
+    # from 1, displaying [13,16] and [25,28].
+    cfg = GridConfig(L=8.0, levels=3)
+    cells = (2, 2, 5, 3)
     intervals = z_decompose(cells, cfg)
     assert intervals == [(12, 15), (24, 27)]
     assert [(lo + 1, hi + 1) for lo, hi in intervals] == [(13, 16), (25, 28)]
@@ -133,11 +131,10 @@ def test_decompose_reference_example():
 @settings(max_examples=200, deadline=None)
 @given(
     levels=st.integers(min_value=1, max_value=5),
-    y_low=st.booleans(),
     data=st.data(),
 )
-def test_decompose_matches_bruteforce(levels, y_low, data):
-    cfg = GridConfig(L=float(1 << levels), levels=levels, y_low=y_low)
+def test_decompose_matches_bruteforce(levels, data):
+    cfg = GridConfig(L=float(1 << levels), levels=levels)
     n = cfg.cells_per_axis
     cx_lo = data.draw(st.integers(0, n - 1))
     cx_hi = data.draw(st.integers(cx_lo, n - 1))
@@ -208,8 +205,6 @@ def recursive_decompose(rect, cfg, min_block_shift=0):
         else:
             runs.append([lo, hi])
 
-    y_low = cfg.y_low
-
     def walk(x0: int, y0: int, shift: int, z0: int) -> None:
         last = (1 << shift) - 1
         x1, y1 = x0 + last, y0 + last
@@ -221,21 +216,17 @@ def recursive_decompose(rect, cfg, min_block_shift=0):
         h = 1 << (shift - 1)
         quarter = 1 << (2 * (shift - 1))
         for q in range(4):
-            if y_low:
-                dx, dy = (q >> 1) & 1, q & 1
-            else:
-                dx, dy = q & 1, (q >> 1) & 1
+            dx, dy = q & 1, (q >> 1) & 1
             walk(x0 + dx * h, y0 + dy * h, shift - 1, z0 + q * quarter)
 
     walk(0, 0, cfg.levels, 0)
     return [(lo, hi) for lo, hi in runs]
 
 
-@pytest.mark.parametrize("y_low", [False, True])
-def test_decompose_equals_recursive_walk(y_low):
+def test_decompose_equals_recursive_walk():
     # every rectangle of grids up to 8x8, at every block shift
     for levels in range(1, 4):
-        cfg = GridConfig(L=1.0, levels=levels, y_low=y_low)
+        cfg = GridConfig(L=1.0, levels=levels)
         n = cfg.cells_per_axis
         spans = [(lo, hi) for lo in range(n) for hi in range(lo, n)]
         for x_lo, x_hi in spans:
@@ -245,7 +236,7 @@ def test_decompose_equals_recursive_walk(y_low):
                     assert z_decompose(rect, cfg, shift) == recursive_decompose(rect, cfg, shift)
     # random rectangles of the query grid, exact and at the query block shift
     rng = random.Random(29)
-    cfg = GridConfig(L=1000.0, levels=10, y_low=y_low)
+    cfg = GridConfig(L=1000.0, levels=10)
     last = cfg.cells_per_axis - 1
     for _ in range(300):
         x_lo, x_hi = sorted(rng.randint(0, last) for _ in range(2))
@@ -256,7 +247,7 @@ def test_decompose_equals_recursive_walk(y_low):
     # grids of more than one 64 x 64-unit tile, with rectangle edges on tile
     # borders, next to them and on the grid's edges
     for levels in range(7, 13):
-        cfg = GridConfig(L=1.0, levels=levels, y_low=y_low)
+        cfg = GridConfig(L=1.0, levels=levels)
         last = cfg.cells_per_axis - 1
         for shift in sorted({0, 1, levels - 7, levels - 6, SCAN_BLOCK_SHIFT}):
             unit = 1 << shift
@@ -277,11 +268,10 @@ def test_decompose_equals_recursive_walk(y_low):
 @settings(max_examples=300, deadline=None)
 @given(
     levels=st.integers(min_value=1, max_value=12),
-    y_low=st.booleans(),
     data=st.data(),
 )
-def test_decompose_equals_recursive_walk_at_every_shift(levels, y_low, data):
-    cfg = GridConfig(L=1.0, levels=levels, y_low=y_low)
+def test_decompose_equals_recursive_walk_at_every_shift(levels, data):
+    cfg = GridConfig(L=1.0, levels=levels)
     last = cfg.cells_per_axis - 1
     shift = data.draw(st.integers(0, levels))
     x_lo = data.draw(st.integers(0, last))
