@@ -2,10 +2,12 @@ import json
 import os
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from pebtree import store
 from pebtree.keys import KeyLayout
 from pebtree.motion import MovingObject, TimePartitionConfig
 from pebtree.store import SNAPSHOT_FORMAT, BPlusTree, IoCounters, LeafEntry, MovingObjectIndex
@@ -93,6 +95,40 @@ def test_full_drain_leaves_empty_tree():
     assert stats.leaf_count == 1
     assert stats.height == 1
     assert collect_range(tree, 0, 10_000) == []
+
+
+def test_drains_from_either_end_borrow_and_merge_every_page_kind(monkeypatch):
+    """Leaf and internal pages borrow from a left and from a right sibling, and merge."""
+    cases = Counter()
+    borrow, merge = store._borrow, BPlusTree._merge
+
+    def counted_borrow(parent, i, left, right, to_right):
+        cases["borrow", left.leaf, to_right] += 1
+        borrow(parent, i, left, right, to_right)
+
+    def counted_merge(tree, parent, i, left, right):
+        cases["merge", left.leaf] += 1
+        merge(tree, parent, i, left, right)
+
+    monkeypatch.setattr(store, "_borrow", counted_borrow)
+    monkeypatch.setattr(BPlusTree, "_merge", counted_merge)
+    keys = list(range(1500))
+    random.Random(3).shuffle(keys)
+    for drain in (sorted(keys), sorted(keys, reverse=True)):
+        tree = BPlusTree(page_size=256)  # 4 entries a leaf, 16 children an internal page
+        for k in keys:
+            tree.insert(entry(k))
+        assert tree.height >= 3
+        for n, k in enumerate(drain):
+            tree.delete(k, 0)
+            if n % 100 == 0:
+                tree.audit()
+                assert collect_range(tree, 0, 1500) == sorted((j, 0) for j in drain[n + 1 :])
+        assert tree.stats() == (1, 1, 0, 1)
+    assert set(cases) == {("borrow", leaf, to_right) for leaf in (True, False) for to_right in (True, False)} | {
+        ("merge", True),
+        ("merge", False),
+    }
 
 
 @pytest.mark.parametrize("page_size", [512, 1024])

@@ -28,14 +28,14 @@ ALLOWED = {
     "MovingObjectIndex.load",  # the library's reader of what `pebtree build --snapshot` writes
     # the anchors, which the tests of the paper's worked example and of sequence-value assignment read
     "SequenceValueMap.anchors",
-    # settings that tests lower to keep their trees, timings and sweeps small
+    # settings that tests change to size their trees, timings and sweeps
     "MovingObjectIndex.__init__.buffer_pages",  # a few buffer pages make misses in small trees
-    "MovingObjectIndex.__init__.page_size",  # small pages make deep trees of a few hundred entries
-    "measure_preprocessing.repetitions",  # c10 takes the best of five runs per size
-    "validate_cost.fit_ns",  # the cost-model tests fit and sweep at desk scale
-    "validate_cost.fit_theta",
+    "MovingObjectIndex.__init__.page_size",  # page sizes that give a few hundred entries a deep tree or one leaf
+    "measure_preprocessing.repetitions",  # c10 takes the best of five runs per size, the fast tests one
+    "validate_cost.fit_ns",  # the cost-model test fits and sweeps at desk scale
     "validate_cost.thetas",
     "validate_cost.n_ps",
+    "validate_cost.fit_theta",  # no test sets it either: the grouping factor of the fit points, kept with them
     "main.argv",  # the CLI tests pass the arguments; the console script reads sys.argv
 }
 
