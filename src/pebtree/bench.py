@@ -59,6 +59,7 @@ CSV_COLUMNS = [
 
 DESK_USER_SWEEP = (2_000, 5_000, 10_000, 20_000)
 THETA_SWEEP = (0.0, 0.25, 0.5, 0.75, 1.0)
+FIT_THETA = 0.7  # the grouping factor of validate_cost's two fit points
 # each sweep sets one WorkloadConfig field to each of its values;
 # ``destinations`` runs on the road network, and ``updates`` reruns the base
 # point after each of UPDATE_ROUNDS update rounds
@@ -401,7 +402,6 @@ def measure_prq_leaf_io(inst: Instance) -> float:
 def validate_cost(
     base: WorkloadConfig,
     fit_ns: tuple[int, int] = (5_000, 20_000),
-    fit_theta: float = 0.7,
     thetas: Sequence[float] = THETA_SWEEP,
     n_ps: Sequence[int] = (10, 50, 100),
 ) -> CostReport:
@@ -409,10 +409,10 @@ def validate_cost(
     measured range-query I/O across the theta and policy-count sweeps."""
     samples = []
     for n in fit_ns:
-        inst = build_instance(replace(base, n_users=n, theta=fit_theta))
+        inst = build_instance(replace(base, n_users=n, theta=FIT_THETA))
         measured = measure_prq_leaf_io(inst)
         samples.append(
-            (n, base.space_side, base.policies_per_user, fit_theta, inst.peb.stats().leaf_count, measured)
+            (n, base.space_side, base.policies_per_user, FIT_THETA, inst.peb.stats().leaf_count, measured)
         )
     a1, a2 = fit_cost_params(samples[0], samples[1])
     report = CostReport(a1, a2)

@@ -69,20 +69,25 @@ def _add_workload_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--users", "-N", dest="n_users", type=count, help="number of users")
     p.add_argument("--policies", dest="policies_per_user", type=count, help="policies per user")
     p.add_argument("--theta", type=float, help="grouping factor in [0, 1]")
-    p.add_argument("--group-size", type=int)
+    p.add_argument("--group-size", type=count)
     p.add_argument("--max-speed", type=float)
     p.add_argument("--distribution", choices=DISTRIBUTIONS)
-    p.add_argument("--destinations", type=int)
+    p.add_argument("--destinations", type=count)
     p.add_argument("--window", dest="query_window", type=float, help="range query window side")
-    p.add_argument("--k", type=int, help="kNN neighbor count")
+    p.add_argument("--k", type=count, help="kNN neighbor count")
     p.add_argument("--queries", dest="queries_per_point", type=count, help="queries per type per point")
     p.add_argument("--config", type=Path, help="key=value config file (overridden by flags set explicitly)")
+    p.set_defaults(parser=p)
 
 
 def _workload_from_args(args: argparse.Namespace) -> WorkloadConfig:
-    base = load_config(args.config) if args.config else WorkloadConfig()
-    names = {f.name for f in fields(WorkloadConfig)}
-    return replace(base, **{name: v for name, v in vars(args).items() if name in names and v is not None})
+    # a config file or flag value that WorkloadConfig refuses is a usage error
+    try:
+        base = load_config(args.config) if args.config else WorkloadConfig()
+        names = {f.name for f in fields(WorkloadConfig)}
+        return replace(base, **{name: v for name, v in vars(args).items() if name in names and v is not None})
+    except (OSError, ValueError) as exc:
+        args.parser.error(str(exc))
 
 
 def _load_data_dir(data_dir: Path):

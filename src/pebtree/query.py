@@ -16,7 +16,11 @@ Two engines answer the same queries:
 
 * :class:`BaselineQueryEngine` runs against the baseline index: a plain
   spatial query first, policy filtering after, with kNN by incrementally
-  expanded range queries.
+  expanded range queries.  It searches space without the friend list, so
+  the pages it reads are the paper's baseline cost.  The issuer's owner
+  set (:meth:`~pebtree.policy.PolicyStore.owners_naming`) only spares the
+  policy lookup of candidates that are not friends; answers and I/O are
+  those of checking every candidate's policy.
 
 Both engines read the tree only through
 :meth:`~pebtree.store.BPlusTree.scan_intervals`, so a query's charged I/O
@@ -320,7 +324,14 @@ class PebQueryEngine(_EngineBase):
 
 
 class BaselineQueryEngine(_EngineBase):
-    """Spatial-index-then-filter query processor for the baseline index."""
+    """Spatial-index-then-filter query processor for the baseline index.
+
+    The search reads every candidate in space, as the baseline must without
+    the friend list.  The filter then drops the candidates whose owner holds
+    no policy toward the issuer, by a set lookup, and checks the policy of
+    the rest with :func:`_visible`.  A dropped candidate could not have
+    passed that check, so answers and page reads do not depend on the set.
+    """
 
     def __init__(self, index: MovingObjectIndex, store: PolicyStore) -> None:
         if index.kind != "bx":
@@ -356,8 +367,11 @@ class BaselineQueryEngine(_EngineBase):
         rect = req.rect
         t_q = req.t_q
         store = self.store
+        naming = set(store.owners_naming(req.qid))
         result: set[int] = set()
         for entry in self._spatial_candidates(rect, t_q):
+            if entry.uid not in naming:
+                continue
             px = entry.x + entry.vx * (t_q - entry.t)
             py = entry.y + entry.vy * (t_q - entry.t)
             if rect[0] <= px <= rect[2] and rect[1] <= py <= rect[3]:
@@ -377,6 +391,7 @@ class BaselineQueryEngine(_EngineBase):
         qx, qy = req.qloc
         t_q = req.t_q
         store = self.store
+        naming = set(store.owners_naming(req.qid))
         radius = estimate_dk(min(k, n), n, side) / k
         if radius <= 0:
             radius = self.grid.cell_size
@@ -386,7 +401,7 @@ class BaselineQueryEngine(_EngineBase):
             square = (max(qx - radius, 0.0), max(qy - radius, 0.0), min(qx + radius, side), min(qy + radius, side))
             covers_all = square == (0.0, 0.0, side, side)
             for entry in self._spatial_candidates(square, t_q, scanned):
-                if entry.uid in candidates:
+                if entry.uid not in naming or entry.uid in candidates:
                     continue
                 px = entry.x + entry.vx * (t_q - entry.t)
                 py = entry.y + entry.vy * (t_q - entry.t)

@@ -1,9 +1,11 @@
 import csv
+import re
 import subprocess
 import sys
 import time
 import argparse
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -324,6 +326,30 @@ def test_cli_count_flags_refuse_a_negative_value(tmp_path, capsys, command, flag
         cli_main([command, *small, *own, flag, "-1"])
     assert exc.value.code == 2
     assert "-1 is negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, config, message",
+    [
+        (["--group-size", "0"], None, "group_size 0 is below 1"),
+        (["--theta", "2"], None, r"theta 2.0 is not within \[0, 1\]"),
+        (["--k", "0"], None, "k 0 is below 1"),
+        (["--config", "c.txt"], "seed=1.5\n", r"c.txt, line 1: invalid literal for int\(\)"),
+        (["--config", "c.txt"], None, "No such file or directory"),
+    ],
+    ids=["group-size-0", "theta-2", "k-0", "config-seed-1.5", "config-missing"],
+)
+def test_cli_workload_refusals_are_usage_errors(tmp_path, monkeypatch, capsys, flags, config, message):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        Path("c.txt").write_text(config)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["gen", "--out-dir", "data", "-N", "20", "--policies", "2", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert re.search(f"pebtree gen: error: .*{message}", err)
+    assert "Traceback" not in err
+    assert not Path("data").exists()
 
 
 def test_cli_data_dir_keeps_the_generated_space_side(tmp_path):

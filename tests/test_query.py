@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pebtree import query
 from pebtree.bench import build_instance, run_update_round
 from pebtree.keys import KeyLayout, assign_sequence_values
 from pebtree.motion import MovingObject, TimePartitionConfig, position_at
@@ -374,6 +375,29 @@ def test_random_knn_queries_match_oracle(random_instance):
                     assert {u for u, d in got.neighbors if d < kth - 1e-9} == {
                         u for u, d in want.neighbors if d < kth - 1e-9
                     }
+
+
+def test_baseline_checks_policies_of_the_issuers_owners_only(random_instance, monkeypatch):
+    cfg, objects, store, peb, bx = random_instance
+    users = list(objects.values())
+    queries = list(gen_queries(cfg, "range", users, count=30)) + list(gen_queries(cfg, "knn", users, count=30))
+    oracle = {
+        q: oracle_range(users, store, q) if isinstance(q, PrqRequest) else oracle_knn(users, store, q) for q in queries
+    }
+    calls = []
+
+    def counted(store_, owner, viewer, x, y, t):
+        calls.append((owner, viewer))
+        return _visible(store_, owner, viewer, x, y, t)
+
+    monkeypatch.setattr(query, "_visible", counted)
+    for q in queries:
+        calls.clear()
+        got = bx.range_query(q) if isinstance(q, PrqRequest) else bx.knn_query(q)
+        assert got == oracle[q]
+        assert all(viewer == q.qid and store.row(owner, q.qid) is not None for owner, viewer in calls)
+        # every visible candidate the scan found was checked
+        assert len(calls) >= len(got if isinstance(got, set) else got.neighbors)
 
 
 def test_oracle_full_space_returns_visible_set(random_instance):

@@ -35,7 +35,6 @@ ALLOWED = {
     "validate_cost.fit_ns",  # the cost-model test fits and sweeps at desk scale
     "validate_cost.thetas",
     "validate_cost.n_ps",
-    "validate_cost.fit_theta",  # no test sets it either: the grouping factor of the fit points, kept with them
     "main.argv",  # the CLI tests pass the arguments; the console script reads sys.argv
 }
 
