@@ -40,7 +40,16 @@ DELTA = 2.0  # the step from one anchor to the next
 
 
 class CompatibilityOracle(Protocol):
+    """What sequence value assignment reads of a compatibility index.
+
+    ``related_count(u)`` equals ``len(related(u))``.  Assignment ranks every
+    user by the count and reads the list of its anchors only, so an oracle
+    may build a list on demand.
+    """
+
     def related(self, u: int) -> list[int]: ...
+
+    def related_count(self, u: int) -> int: ...
 
     def two_way(self, u: int) -> list[int]: ...
 
@@ -80,8 +89,8 @@ def assign_sequence_values(users: Iterable[int], compat: CompatibilityOracle) ->
     absorbed.  The result does not depend on the order of ``users``.
     """
     user_set = set(users)
-    related = compat.related
-    order = sorted(user_set, key=lambda u: (-len(related(u)), u))
+    count = compat.related_count
+    order = sorted(user_set, key=lambda u: (-count(u), u))
     community = communities(order, compat)
     # (label, rank, user) triples sort without a key function
     visits = sorted(zip([community.get(u, i) for i, u in enumerate(order)], range(len(order)), order))
@@ -95,7 +104,7 @@ def assign_sequence_values(users: Iterable[int], compat: CompatibilityOracle) ->
         values[u] = anchor_sv
         anchors.append(u)
         label = community.get(u)
-        for m in related(u):
+        for m in compat.related(u):
             # a user without a two-way pair matches any anchor's label
             if m in user_set and m not in values and community.get(m, label) == label:
                 values[m] = anchor_sv + (1.0 - compat.c(u, m))
@@ -168,6 +177,10 @@ class KeyLayout:
         if q >= (1 << self.sv_bits):
             raise ValueError(f"sequence value {sv} overflows {self.sv_bits}-bit field")
         return q
+
+    def quantize_map(self, sv_map: SequenceValueMap) -> dict[int, int]:
+        """Each user's quantized sequence value, by uid."""
+        return {uid: self.quantize_sv(sv) for uid, sv in sv_map.values.items()}
 
     def peb_key_q(self, tid: int, svq: int, zv: int) -> int:
         """Policy-embedded key: tid | quantized sv | zv."""

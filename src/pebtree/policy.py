@@ -18,15 +18,18 @@ Policies are stored as columns.  A :class:`PolicyTable` holds one row per
 policy: ``array('d')`` columns for the rectangle and the window, an owner
 column, a role column and one day length.  :class:`PolicyStore` maps each
 ordered (owner, viewer) pair to the row of its policy in dicts of ints, so
-the garbage collector walks neither the policies nor the maps to them.
-Visibility checks and :meth:`CompatibilityIndex.from_store` read the
-columns in place; a :class:`LocationPrivacyPolicy` record is built only on
-demand, when a table is iterated (the file writer does this).
+the garbage collector walks neither the policies nor the maps to them.  It
+builds them one owner at a time, from each run of rows with one owner, in
+C-level passes rather than one Python step per row.  Visibility checks and
+:meth:`CompatibilityIndex.from_store` read the columns in place; a
+:class:`LocationPrivacyPolicy` record is built only on demand, when a table
+is iterated (the file writer does this).
 
-Sequence value assignment reads every user's related users and two-way
-partners but the degrees of few pairs, so :class:`CompatibilityIndex`
-stores the neighbour lists, the two-way lists and the degrees of two-way
-pairs only, and scores any other pair when asked.
+Sequence value assignment ranks every user by its related count, reads
+every user's two-way partners, but the related users of its anchors only
+and the degrees of few pairs.  So :class:`CompatibilityIndex` keeps the
+related counts, the two-way lists and the degrees of two-way pairs; it
+builds a neighbour list, or scores any other pair, only when asked.
 
 The store and the table it keeps are read-only after construction, so
 readers may share them; the query engines that read them are not safe to
@@ -38,8 +41,10 @@ from __future__ import annotations
 import math
 from array import array
 from collections import defaultdict
+from itertools import chain, groupby, repeat
+from operator import le
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, TypeVar
 
 DAY = 24.0
 
@@ -160,6 +165,27 @@ class RelationshipGraph:
                     yield owner, role, member
 
 
+def _all_le(lows: Iterable[float], highs: Iterable[float]) -> bool:
+    """Whether ``low <= high`` holds pair by pair; a NaN fails it, where ``min`` and ``max`` would skip one."""
+    return all(map(le, lows, highs))
+
+
+def _refuse_rows(table: PolicyTable, roles: dict[int, dict[str, tuple[int, ...]]], day: float) -> NoReturn:
+    """Raise the refusal a row-by-row build meets first; the caller has found that one exists."""
+    seen: defaultdict[int, set[int]] = defaultdict(set)
+    for owner, role, t_lo, t_hi in zip(table.owner, table.role, table.t_lo, table.t_hi):
+        check_window(t_lo, t_hi, day)
+        targets = roles.get(owner, {}).get(role)
+        if not targets:
+            raise ValueError(f"policy role {role!r} of user {owner} has no members")
+        named = seen[owner]
+        for v in targets:
+            if v in named:
+                raise ValueError(f"two policies for ordered pair ({owner}, {v})")
+            named.add(v)
+    raise AssertionError("no row of the policy table is at fault")
+
+
 class PolicyStore:
     """All policies of a deployment, indexed for per-pair lookup.
 
@@ -168,6 +194,14 @@ class PolicyStore:
     At most one policy may apply per ordered pair, the table's day must be
     the store's, every policy's window must lie in that day and every
     region in the space; the constructor rejects violations.
+
+    The constructor checks the regions and windows in C-level passes over
+    the columns, then builds the maps one owner at a time: each run of rows
+    with the same owner becomes the owner's map in one ``dict(zip(...))``,
+    and its members' owner lists grow in one ``map``.  An owner whose rows
+    are not contiguous has its runs merged.  On a fault the rows are walked
+    again one by one, so the refusal is the one a row-by-row build would
+    meet first.
     """
 
     def __init__(
@@ -186,11 +220,9 @@ class PolicyStore:
         self.policies = table
         # a user is visible only inside a region, so with every region in the
         # space the engines may skip a window that misses it without a read
-        if table.owner and not (
-            0.0 <= min(table.x_lo)
-            and 0.0 <= min(table.y_lo)
-            and max(table.x_hi) <= space_side
-            and max(table.y_hi) <= space_side
+        if not (
+            _all_le(repeat(0.0), chain(table.x_lo, table.y_lo))
+            and _all_le(chain(table.x_hi, table.y_hi), repeat(space_side))
         ):
             for owner, *rect in zip(table.owner, table.x_lo, table.y_lo, table.x_hi, table.y_hi):
                 x_lo, y_lo, x_hi, y_hi = rect
@@ -199,26 +231,42 @@ class PolicyStore:
                     raise ValueError(
                         f"policy region {tuple(rect)} of user {owner} reaches beyond the space {side} x {side}"
                     )
-        # role member tuples are read as they are: no set per policy
         roles, no_roles = graph._roles, {}
-        directed: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        if not (
+            _all_le(repeat(0.0), chain(table.t_lo, table.t_hi))
+            and _all_le(chain(table.t_lo, table.t_hi), repeat(day))
+        ):
+            _refuse_rows(table, roles, day)
+        # one run of rows per owner; role member tuples are read as they are
+        role_col = table.role
+        directed: dict[int, dict[int, int]] = {}
         naming: defaultdict[int, list[int]] = defaultdict(list)
-        for row, (owner, role, t_lo, t_hi) in enumerate(zip(table.owner, table.role, table.t_lo, table.t_hi)):
-            if not (0.0 <= t_lo <= day and 0.0 <= t_hi <= day):
-                check_window(t_lo, t_hi, day)
-            targets = roles.get(owner, no_roles).get(role)
-            if not targets:
-                raise ValueError(f"policy role {role!r} of user {owner} has no members")
-            per_owner = directed[owner]
-            for v in targets:
-                if v in per_owner:
-                    raise ValueError(f"two policies for ordered pair ({owner}, {v})")
-                per_owner[v] = row
-                naming[v].append(owner)
+        start = 0
+        for owner, run in groupby(table.owner):
+            end = start + len(list(run))
+            members = list(map(roles.get(owner, no_roles).get, role_col[start:end]))
+            if not all(members):
+                _refuse_rows(table, roles, day)
+            targets = list(chain.from_iterable(members))
+            # every tuple is non-empty, so equal lengths mean one member per row
+            rows = range(start, end)
+            if len(targets) != end - start:
+                rows = chain.from_iterable(map(repeat, rows, map(len, members)))
+            per_owner = dict(zip(targets, rows))
+            if len(per_owner) != len(targets):
+                _refuse_rows(table, roles, day)
+            known = directed.setdefault(owner, per_owner)
+            if known is not per_owner:  # the owner's rows are not contiguous: merge its runs
+                if not known.keys().isdisjoint(per_owner):
+                    _refuse_rows(table, roles, day)
+                known.update(per_owner)
+            # list.append returns None, so any() runs the appends to the end
+            any(map(list.append, map(naming.__getitem__, targets), repeat(owner)))
+            start = end
         for lst in naming.values():
             lst.sort()
         # dicts of ints only: the garbage collector leaves the inner ones untracked
-        self._directed = dict(directed)
+        self._directed = directed
         self._owners_naming = dict(naming)
         for who, uids in (("owner", self._directed.keys()), ("member", self._owners_naming.keys())):
             unknown = uids - self.users
@@ -289,30 +337,38 @@ class CompatibilityIndex:
     """Users related by compatibility, and the degree of any pair.
 
     Only a pair that shares at least one policy can score above zero, so
-    the neighbour lists stay linear in the number of policies rather than
-    quadratic in users.  Built from a store, the index keeps those lists,
-    the two-way lists (the related users toward whom each user holds a
-    policy and who hold one back) and the degrees of the two-way pairs;
-    any other pair is scored on demand by :func:`compatibility`, lower id
-    first.  Sequence value assignment reads every list but the degrees of
-    few pairs.
+    the index stays linear in the number of policies rather than
+    quadratic in users.  The index keeps each user's related count, the
+    pairs dropped for a degree that is not positive, the two-way lists (the
+    related users toward whom each user holds a policy and who hold one
+    back) and the degrees of the two-way pairs.  A user's related users are
+    the union of its entries in ``sources``, less its dropped partners;
+    :meth:`related` builds that list on each call.  Sequence value
+    assignment ranks every user by its count but reads the list of its
+    anchors only, and the degrees of few pairs.  Built from a store, the
+    index scores any other pair on demand by :func:`compatibility`, lower
+    id first.  Nothing is cached, so the index is read-only.
     """
 
     def __init__(
         self,
-        neighbors: dict[int, list[int]],
+        sources: tuple[dict[int, Iterable[int]], ...],
+        dropped: dict[int, set[int]],
+        counts: dict[int, int],
         scores: dict[tuple[int, int], float],
         two_way: dict[int, list[int]],
         store: PolicyStore | None = None,
     ) -> None:
-        self._neighbors = neighbors
+        self._sources = sources
+        self._dropped = dropped
+        self._counts = counts
         self._c = scores  # keyed (lower id, higher id)
         self._two_way = two_way
         self._store = store
 
     @classmethod
     def from_store(cls, store: PolicyStore) -> "CompatibilityIndex":
-        """Neighbour lists from the store's policy maps, scoring two-way pairs only.
+        """Related counts from the store's policy maps, scoring two-way pairs only.
 
         A user's candidates are the viewers it names and the owners naming
         it, less the pairs whose degree is not positive; its two-way list
@@ -332,7 +388,7 @@ class CompatibilityIndex:
             floor = math.inf
         no_policies: dict[int, int] = {}
         scores: dict[tuple[int, int], float] = {}
-        neighbors: dict[int, list[int]] = {}
+        counts: dict[int, int] = {}
         two_way: dict[int, list[int]] = {}
         for u in directed.keys() | naming.keys():
             per_owner = directed.get(u, no_policies)
@@ -343,7 +399,7 @@ class CompatibilityIndex:
                     if u < v:
                         scores[(u, v)] = _degree(*_alpha_mutual_rows(table, per_owner[v], directed[v][u], side))
                 two_way[u] = sorted(both)
-            neighbors[u] = sorted(per_owner.keys() | owners)
+            counts[u] = len(per_owner) + len(owners) - len(both)
         # owners with a policy that may weigh nothing, found in one pass over the columns
         suspects = {
             u
@@ -357,18 +413,20 @@ class CompatibilityIndex:
                 and (t_hi - t_lo > floor if t_lo < t_hi else t_lo > t_hi and t_hi > floor and day - t_lo > floor)
             )
         }
-        dropped = [pair for pair, c in scores.items() if not c > 0]
-        for u, v in dropped:
+        pairs = [pair for pair, c in scores.items() if not c > 0]
+        for u, v in pairs:
             two_way[u].remove(v)
             two_way[v].remove(u)
         for u in suspects:
             for v in directed[u]:
                 if u not in directed.get(v, no_policies) and not compatibility(store, u, v) > 0:
-                    dropped.append((u, v))
-        for u, v in dropped:
-            neighbors[u].remove(v)
-            neighbors[v].remove(u)
-        return cls(neighbors, scores, two_way, store)
+                    pairs.append((u, v))
+        dropped: dict[int, set[int]] = {}
+        for pair in pairs:
+            for u, v in (pair, pair[::-1]):
+                dropped.setdefault(u, set()).add(v)
+                counts[u] -= 1
+        return cls((directed, naming), dropped, counts, scores, two_way, store)
 
     @classmethod
     def from_values(
@@ -382,10 +440,10 @@ class CompatibilityIndex:
         """
         scores = {((u, v) if u < v else (v, u)): c for (u, v), c in values.items()}
         pairs = {(u, v) if u < v else (v, u) for u, v in two_way}
+        related = _adjacency(pair for pair, c in scores.items() if c > 0)
+        counts = {u: len(vs) for u, vs in related.items()}
         return cls(
-            _adjacency(pair for pair, c in scores.items() if c > 0),
-            scores,
-            _adjacency(pair for pair in pairs if scores.get(pair, 0.0) > 0),
+            (related,), {}, counts, scores, _adjacency(pair for pair in pairs if scores.get(pair, 0.0) > 0)
         )
 
     def c(self, u: int, v: int) -> float:
@@ -396,8 +454,18 @@ class CompatibilityIndex:
         return c
 
     def related(self, u: int) -> list[int]:
-        """Users with non-zero compatibility to ``u``, ascending."""
-        return self._neighbors.get(u, [])
+        """Users with non-zero compatibility to ``u``, ascending, in a list built on each call."""
+        found: set[int] = set()
+        for source in self._sources:
+            found.update(source.get(u, ()))
+        dropped = self._dropped.get(u)
+        if dropped:
+            found -= dropped
+        return sorted(found)
+
+    def related_count(self, u: int) -> int:
+        """``len(self.related(u))``, without building the list."""
+        return self._counts.get(u, 0)
 
     def two_way(self, u: int) -> list[int]:
         """Related users toward whom ``u`` holds a policy and who hold one back, ascending."""

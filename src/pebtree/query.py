@@ -180,22 +180,24 @@ class FriendLists:
 
     A user's row list holds the quantized sequence values of every owner
     with a policy naming the user, ascending, each tagged with the owner
-    uids that quantize to it.  Built lazily and cached per user.
+    uids that quantize to it, ascending.  Each user's sequence value is
+    quantized once, here; the rows are built lazily and cached per user.
     """
 
     def __init__(self, store: PolicyStore, sv_map: SequenceValueMap, layout: KeyLayout) -> None:
         self.store = store
-        self.sv_map = sv_map
-        self.layout = layout
+        self._svq = layout.quantize_map(sv_map)
         self._rows: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
 
     def rows(self, viewer: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         cached = self._rows.get(viewer)
         if cached is None:
+            svq = self._svq
             by_svq: dict[int, list[int]] = {}
+            # the store keeps each owner list ascending, so every row's owners are too
             for owner in self.store.owners_naming(viewer):
-                by_svq.setdefault(self.layout.quantize_sv(self.sv_map[owner]), []).append(owner)
-            cached = tuple(sorted((svq, tuple(sorted(us))) for svq, us in by_svq.items()))
+                by_svq.setdefault(svq[owner], []).append(owner)
+            cached = tuple((q, tuple(us)) for q, us in sorted(by_svq.items()))
             self._rows[viewer] = cached
         return cached
 

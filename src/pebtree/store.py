@@ -501,9 +501,7 @@ class MovingObjectIndex:
         self._tid_shift = layout.zv_bits + (layout.sv_bits if sv_map is not None else 0)  # key -> partition
         self._partition_label: dict[int, float] = {}
         self._partition_count: dict[int, int] = {}
-        self._svq: dict[int, int] = {}
-        if sv_map is not None:
-            self._svq = {uid: layout.quantize_sv(sv) for uid, sv in sv_map.values.items()}
+        self._svq = layout.quantize_map(sv_map) if sv_map is not None else {}
 
     @property
     def buffer(self) -> PageBuffer:

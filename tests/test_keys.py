@@ -134,7 +134,7 @@ class WithoutTwoWayPairs:
     """An index's related users and degrees with no two-way pairs: the paper's rule."""
 
     def __init__(self, index):
-        self.related, self.c = index.related, index.c
+        self.related, self.related_count, self.c = index.related, index.related_count, index.c
 
     def two_way(self, u):
         return []

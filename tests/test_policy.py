@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+from collections import defaultdict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,7 @@ from pebtree.policy import (
     PolicyStore,
     PolicyTable,
     RelationshipGraph,
+    check_window,
     compatibility,
     load_policies,
     load_relationships,
@@ -255,6 +257,116 @@ def test_from_store_equals_eager_reference_when_no_weight_fits_a_float():
     index, values = assert_matches_reference(store)
     assert set(values.values()) == {0.0}
     assert [index.related(u) for u in (1, 2, 3)] == [[], [], []]
+
+
+def reference_neighbour_lists(store):
+    """The neighbour lists, two-way lists and scores as the eager build made them, kept as a reference.
+
+    The body is that build's, which sorted every user's candidates into a list.
+    """
+    side, day, table = store.space_side, store.day, store.policies
+    directed, naming = store._directed, store._owners_naming
+    # rounding is monotone, so a policy whose sides and time intervals all
+    # exceed `floor` weighs at least a floor-sized one, which is positive
+    floor = 1e-100
+    if not 0.5 * (((floor * floor) / (side * side)) * (floor / day)) > 0:
+        floor = math.inf
+    no_policies: dict[int, int] = {}
+    scores: dict[tuple[int, int], float] = {}
+    neighbors: dict[int, list[int]] = {}
+    two_way: dict[int, list[int]] = {}
+    for u in directed.keys() | naming.keys():
+        per_owner = directed.get(u, no_policies)
+        owners = naming.get(u, ())
+        both = per_owner.keys() & owners
+        if both:
+            for v in both:
+                if u < v:
+                    scores[(u, v)] = _degree(*_alpha_mutual_rows(table, per_owner[v], directed[v][u], side))
+            two_way[u] = sorted(both)
+        neighbors[u] = sorted(per_owner.keys() | owners)
+    # owners with a policy that may weigh nothing, found in one pass over the columns
+    suspects = {
+        u
+        for u, x_lo, y_lo, x_hi, y_hi, t_lo, t_hi in zip(
+            table.owner, table.x_lo, table.y_lo, table.x_hi, table.y_hi, table.t_lo, table.t_hi
+        )
+        # the time intervals: [t_lo, t_hi), or [0, t_hi) and [t_lo, day) wrapped
+        if not (
+            x_hi - x_lo > floor
+            and y_hi - y_lo > floor
+            and (t_hi - t_lo > floor if t_lo < t_hi else t_lo > t_hi and t_hi > floor and day - t_lo > floor)
+        )
+    }
+    dropped = [pair for pair, c in scores.items() if not c > 0]
+    for u, v in dropped:
+        two_way[u].remove(v)
+        two_way[v].remove(u)
+    for u in suspects:
+        for v in directed[u]:
+            if u not in directed.get(v, no_policies) and not compatibility(store, u, v) > 0:
+                dropped.append((u, v))
+    for u, v in dropped:
+        neighbors[u].remove(v)
+        neighbors[v].remove(u)
+    return neighbors, scores, two_way
+
+
+def assert_matches_eager_lists(store):
+    """Related and two-way lists, counts and every sharing pair's degree equal the eager build's."""
+    index = CompatibilityIndex.from_store(store)
+    neighbors, scores, two_way = reference_neighbour_lists(store)
+    for u in sorted(store.users):
+        assert index.related(u) == neighbors.get(u, [])
+        assert index.related_count(u) == len(index.related(u))
+        assert index.two_way(u) == two_way.get(u, [])
+        for v in set(store._directed.get(u, ())) | set(store.owners_naming(u)):
+            key = (u, v) if u < v else (v, u)
+            want = scores[key] if key in scores else compatibility(store, *key)
+            assert index.c(u, v).hex() == want.hex()
+    return index, neighbors, scores
+
+
+def test_neighbour_lists_on_demand_equal_the_eager_build():
+    cfg = WorkloadConfig(n_users=500, policies_per_user=20, theta=0.7, seed=5)
+    uids = list(range(cfg.n_users))
+    store = PolicyStore(*gen_policies(uids, cfg), uids, space_side=cfg.space_side)
+    assert_matches_eager_lists(store)
+
+
+def test_neighbour_lists_on_demand_equal_the_eager_build_with_dropped_pairs():
+    tiny = 1e-150
+    specs = [
+        # suspects: a zero-area and a zero-length window, one-sided
+        (5, 6, (100.0, 0.0, 100.0, 500.0), 0.0, 12.0),
+        (1, 2, FULL_RECT, 9.0, 9.0),
+        (1, 6, FULL_RECT, 2.0, 4.0),
+        # two-way pairs of zero degree: an empty window and an underflowing overlap
+        (3, 4, FULL_RECT, 5.0, 5.0),
+        (4, 3, FULL_RECT, 12.0, 12.0),
+        (9, 10, (0.0, 0.0, tiny, tiny), 0.0, 1e-20),
+        (10, 9, FULL_RECT, 0.0, 12.0),
+        # positive pairs beside them
+        (1, 3, FULL_RECT, 0.0, DAY),
+        (3, 1, FULL_RECT, 0.0, DAY),
+        (4, 10, (0.0, 0.0, 50.0, 50.0), 8.0, 17.0),
+        (6, 5, (0.0, 0.0, 50.0, 50.0), 8.0, 17.0),
+    ]
+    store = make_store(specs, users=range(1, 12))
+    index, neighbors, scores = assert_matches_eager_lists(store)
+    assert [index.related(u) for u in (1, 2, 3, 4, 5, 6, 9, 10)] == [[3, 6], [], [1], [10], [6], [1, 5], [], [4]]
+    # a two-way pair of which one policy weighs nothing scores by the other
+    assert [index.two_way(u) for u in (1, 3, 4, 5, 9)] == [[3], [1], [], [6], []]
+    # a list is built on each call: changing one leaves the index as it was
+    index.related(1).append(99)
+    assert index.related(1) == [3, 6] and index.related_count(1) == 2
+
+
+def test_related_count_is_the_list_length_from_values():
+    index = CompatibilityIndex.from_values({(1, 2): 0.3, (3, 1): 0.75, (2, 3): 0.0, (4, 5): 0.0}, [(1, 3)])
+    assert [index.related(u) for u in range(1, 7)] == [[2, 3], [1], [1], [], [], []]
+    assert [index.related_count(u) for u in range(1, 7)] == [2, 1, 1, 0, 0, 0]
+    assert index.two_way(3) == [1]
 
 
 # sha256 of every related pair's degree and of the sequence values, written
@@ -553,6 +665,165 @@ def test_store_refuses_a_region_beyond_the_space():
             make_store([(1, 2, rect, 8.0, 11.0)], [1, 2])
     # the side is the store's
     assert make_store([(1, 2, beyond[-1], 8.0, 11.0)], [1, 2], space_side=2000.0)
+
+
+@pytest.mark.parametrize("column", ["x_lo", "y_lo", "x_hi", "y_hi", "t_lo", "t_hi"])
+def test_store_refuses_nan_in_a_later_row(column):
+    # min() and max() skip a NaN that is not first, so the checks must not rest on them
+    table = PolicyTable()
+    for owner in (1, 3):
+        table.append(owner, "u2", 0.0, 0.0, 10.0, 10.0, 8.0, 11.0)
+    getattr(table, column)[1] = math.nan
+    graph = RelationshipGraph()
+    for owner in (1, 3):
+        graph.set_roles(owner, {"u2": (2,)})
+    if column.startswith("t"):
+        message = r"interval \[.*\] outside \[0, 24.0\]"
+    else:
+        message = r"region \(.*\) of user 3 reaches beyond the space \[0, 1000.0\] x \[0, 1000.0\]"
+    with pytest.raises(ValueError, match=message):
+        PolicyStore(table, graph, [1, 2, 3])
+
+
+def reference_store_maps(table, graph, users, space_side=SIDE, day=DAY):
+    """The store's maps as the row-by-row build made them, kept as a reference.
+
+    The body is that constructor's, with the store's attributes as locals:
+    it refuses what the store refuses, with the same message.
+    """
+    users = frozenset(users)
+    if table.day != day:
+        raise ValueError(f"the policy table has a day of {table.day}, the store {day}")
+    # a user is visible only inside a region, so with every region in the
+    # space the engines may skip a window that misses it without a read
+    if table.owner and not (
+        0.0 <= min(table.x_lo)
+        and 0.0 <= min(table.y_lo)
+        and max(table.x_hi) <= space_side
+        and max(table.y_hi) <= space_side
+    ):
+        for owner, *rect in zip(table.owner, table.x_lo, table.y_lo, table.x_hi, table.y_hi):
+            x_lo, y_lo, x_hi, y_hi = rect
+            if not (0.0 <= x_lo and 0.0 <= y_lo and x_hi <= space_side and y_hi <= space_side):
+                side = f"[0, {space_side}]"
+                raise ValueError(
+                    f"policy region {tuple(rect)} of user {owner} reaches beyond the space {side} x {side}"
+                )
+    # role member tuples are read as they are: no set per policy
+    roles, no_roles = graph._roles, {}
+    directed: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    naming: defaultdict[int, list[int]] = defaultdict(list)
+    for row, (owner, role, t_lo, t_hi) in enumerate(zip(table.owner, table.role, table.t_lo, table.t_hi)):
+        if not (0.0 <= t_lo <= day and 0.0 <= t_hi <= day):
+            check_window(t_lo, t_hi, day)
+        targets = roles.get(owner, no_roles).get(role)
+        if not targets:
+            raise ValueError(f"policy role {role!r} of user {owner} has no members")
+        per_owner = directed[owner]
+        for v in targets:
+            if v in per_owner:
+                raise ValueError(f"two policies for ordered pair ({owner}, {v})")
+            per_owner[v] = row
+            naming[v].append(owner)
+    for lst in naming.values():
+        lst.sort()
+    # dicts of ints only: the garbage collector leaves the inner ones untracked
+    _directed = dict(directed)
+    _owners_naming = dict(naming)
+    for who, uids in (("owner", _directed.keys()), ("member", _owners_naming.keys())):
+        unknown = uids - users
+        if unknown:
+            raise ValueError(f"policy {who} {min(unknown)} is not a known user")
+    return _directed, _owners_naming
+
+
+def ordered(maps):
+    """The maps with their key order, inner dicts included, so that == compares it."""
+    directed, naming = maps
+    return [(owner, list(per_owner.items())) for owner, per_owner in directed.items()], list(naming.items())
+
+
+def table_of(rows, roles, day=DAY):
+    """A table of ``(owner, role, t_lo, t_hi)`` rows over the whole space and a graph of ``roles``."""
+    table = PolicyTable(day)
+    for owner, role, t_lo, t_hi in rows:
+        table.append(owner, role, *FULL_RECT, t_lo, t_hi)
+    graph = RelationshipGraph()
+    for owner, owner_roles in roles.items():
+        graph.set_roles(owner, owner_roles)
+    return table, graph
+
+
+# owner 1's rows come in two runs, around owner 2's and owner 5's, and
+# some roles have several members
+INTERLEAVED_ROWS = [
+    (1, "friends", 8.0, 11.0),
+    (1, "boss", 0.0, 24.0),
+    (2, "family", 20.0, 4.0),
+    (1, "team", 9.0, 17.0),
+    (5, "friends", 1.0, 2.0),
+    (1, "gym", 6.0, 7.0),
+    (2, "boss", 3.0, 3.0),
+]
+INTERLEAVED_ROLES = {
+    1: {"friends": (4, 2, 6), "boss": (3,), "team": (7, 5), "gym": (8,)},
+    2: {"family": (1, 6, 3), "boss": (5,)},
+    5: {"friends": (1, 2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "network"])
+def test_store_maps_equal_the_row_by_row_build_on_generated_tables(distribution):
+    cfg = WorkloadConfig(n_users=500, policies_per_user=20, theta=0.7, seed=9, distribution=distribution)
+    uids = list(range(cfg.n_users))
+    table, graph = gen_policies(uids, cfg)
+    store = PolicyStore(table, graph, uids, space_side=cfg.space_side)
+    want = reference_store_maps(table, graph, uids, space_side=cfg.space_side)
+    assert ordered((store._directed, store._owners_naming)) == ordered(want)
+
+
+def test_store_maps_equal_the_row_by_row_build_on_interleaved_runs():
+    table, graph = table_of(INTERLEAVED_ROWS, INTERLEAVED_ROLES)
+    users = range(1, 9)
+    store = PolicyStore(table, graph, users)
+    want = reference_store_maps(table, graph, users)
+    assert ordered((store._directed, store._owners_naming)) == ordered(want)
+    # the second run's rows follow the first's in owner 1's map
+    assert list(store._directed[1].items()) == [(4, 0), (2, 0), (6, 0), (3, 1), (7, 3), (5, 3), (8, 5)]
+    assert store.owners_naming(1) == [2, 5] and store.owners_naming(6) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "rows, roles, users, message",
+    [
+        # a duplicate pair within one run, and across two runs of one owner
+        ([(1, "a", 0.0, 5.0), (1, "b", 5.0, 9.0)], {1: {"a": (2, 3), "b": (4, 3)}}, range(1, 5), "ordered pair"),
+        (
+            [(1, "a", 0.0, 5.0), (2, "a", 0.0, 5.0), (1, "b", 5.0, 9.0)],
+            {1: {"a": (3,), "b": (4, 3)}, 2: {"a": (3,)}},
+            range(1, 5),
+            r"ordered pair \(1, 3\)",
+        ),
+        # a role the owner lacks, an owner with no roles, a role with no members
+        ([(1, "a", 0.0, 5.0), (1, "b", 0.0, 5.0)], {1: {"a": (2,)}}, [1, 2], "'b' of user 1 has no members"),
+        ([(1, "a", 0.0, 5.0), (3, "a", 0.0, 5.0)], {1: {"a": (2,)}}, [1, 2, 3], "of user 3 has no members"),
+        ([(1, "a", 0.0, 5.0), (1, "b", 0.0, 5.0)], {1: {"a": (2,), "b": ()}}, [1, 2], "'b' of user 1 has no"),
+        # a window outside the day; with a role fault in an earlier row, that fault comes first
+        ([(1, "a", 0.0, 5.0), (3, "a", 0.0, 25.0)], {1: {"a": (2,)}, 3: {"a": (2,)}}, [1, 2, 3], r"25.0\] outside"),
+        ([(1, "a", -1.0, 5.0), (1, "b", 0.0, 5.0)], {1: {"a": (2,), "b": (3,)}}, [1, 2, 3], r"\[-1.0, 5.0\] outside"),
+        ([(1, "b", 0.0, 5.0), (1, "a", 0.0, 25.0)], {1: {"a": (2,)}}, [1, 2], "'b' of user 1 has no members"),
+        # an unknown owner and an unknown member
+        ([(1, "a", 0.0, 5.0), (9, "a", 0.0, 5.0)], {1: {"a": (2,)}, 9: {"a": (2,)}}, [1, 2], "owner 9 is not"),
+        ([(1, "a", 0.0, 5.0), (2, "a", 0.0, 5.0)], {1: {"a": (2,)}, 2: {"a": (8, 1)}}, [1, 2], "member 8 is not"),
+    ],
+)
+def test_store_refuses_as_the_row_by_row_build(rows, roles, users, message):
+    table, graph = table_of(rows, roles)
+    with pytest.raises(ValueError, match=message) as want:
+        reference_store_maps(table, graph, users)
+    with pytest.raises(ValueError) as got:
+        PolicyStore(table, graph, users)
+    assert str(got.value) == str(want.value)
 
 
 def test_policy_file_round_trip(tmp_path):

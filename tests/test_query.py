@@ -347,6 +347,22 @@ def random_instance():
     return cfg, by_uid, store, peb, bx
 
 
+def test_friend_rows_equal_quantizing_each_owner_per_viewer(random_instance):
+    # the rows as built before each user's value was quantized once: per
+    # (viewer, owner), with every row's owners sorted again
+    _, objects, store, peb, _ = random_instance
+    sv_map, layout = peb.index.sv_map, peb.layout
+    shared = 0
+    for viewer in objects:
+        by_svq: dict[int, list[int]] = {}
+        for owner in store.owners_naming(viewer):
+            by_svq.setdefault(layout.quantize_sv(sv_map[owner]), []).append(owner)
+        want = tuple(sorted((svq, tuple(sorted(us))) for svq, us in by_svq.items()))
+        assert peb.friends.rows(viewer) == want
+        shared += sum(len(us) > 1 for _, us in want)
+    assert shared > 0  # some rows hold several owners
+
+
 def test_random_range_queries_match_oracle(random_instance):
     cfg, objects, store, peb, bx = random_instance
     queries = gen_queries(cfg, "range", list(objects.values()), count=60)
