@@ -2,7 +2,7 @@
 
 from .costmodel import CostParams, cost_c, cost_c1, fit_cost_params
 from .keys import KeyLayout, SequenceValueMap, assign_sequence_values
-from .motion import MovingObject, TimePartitionConfig, index_partition, label_timestamp, position_at
+from .motion import MovingObject, TimePartitionConfig
 from .policy import (
     CompatibilityIndex,
     LocationPrivacyPolicy,
@@ -61,11 +61,8 @@ __all__ = [
     "gen_policies",
     "gen_queries",
     "gen_uniform",
-    "index_partition",
-    "label_timestamp",
     "oracle_knn",
     "oracle_range",
-    "position_at",
     "z_decompose",
     "z_encode",
 ]

@@ -4,14 +4,12 @@ Objects report a position and velocity at an update time and are assumed
 to move linearly until their next update.  The time axis is cut into a
 grid of label timestamps; every update is indexed as of the nearest later
 label, and the label's cyclic partition number becomes the high-order
-component of the index key.
-
-All functions here are pure and safe to call concurrently.
+component of the index key.  :meth:`pebtree.store.MovingObjectIndex.key_for`
+computes both, with the position at the label, in one pass.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -39,8 +37,8 @@ class TimePartitionConfig:
     re-report within that long.  The label grid step is
     ``delta_t_mu / n`` and there are ``n + 1`` distinct partitions, which
     is exactly enough for all labels that can hold live entries at once.
-    Default configs keep the grid step integral so grid arithmetic is
-    exact in floating point.
+    A label is a whole number of steps, and its partition comes from that
+    count, so a step that is not integral in floating point works too.
     """
 
     delta_t_mu: float = 120.0
@@ -60,31 +58,3 @@ class TimePartitionConfig:
     def num_partitions(self) -> int:
         return self.n + 1
 
-
-def position_at(obj: MovingObject, t: float) -> tuple[float, float]:
-    """Linear position of ``obj`` at time ``t`` (extrapolates both ways)."""
-    dt = t - obj.t_u
-    return (obj.x + obj.vx * dt, obj.y + obj.vy * dt)
-
-
-def label_timestamp(t_u: float, cfg: TimePartitionConfig) -> float:
-    """Nearest later label timestamp for an update at ``t_u``.
-
-    Returns the smallest grid multiple that is >= ``t_u + grid_step``; an
-    update already on the grid maps to the next label, so the result is
-    always strictly in the future of the update.
-    """
-    if t_u < 0:
-        raise ValueError("timestamps are non-negative")
-    g = cfg.grid_step
-    return g * math.ceil((t_u + g) / g)
-
-
-def index_partition(t_lab: float, cfg: TimePartitionConfig) -> int:
-    """Cyclic partition number of a label timestamp, in ``[0, n]``."""
-    g = cfg.grid_step
-    steps = t_lab / g
-    k = round(steps)
-    if abs(steps - k) > 1e-9:
-        raise ValueError(f"{t_lab!r} is not on the label grid (step {g})")
-    return (k - 1) % cfg.num_partitions

@@ -25,6 +25,7 @@ baseline keys.
 from __future__ import annotations
 
 import json
+import math
 import os
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
@@ -33,14 +34,15 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .keys import KeyLayout, SequenceValueMap
-from .motion import MovingObject, TimePartitionConfig, index_partition, label_timestamp, position_at
-from .zcurve import GridConfig, cell_of, z_encode
+from .motion import MovingObject, TimePartitionConfig
+from .zcurve import GridConfig, _spread
 
 PAGE_SIZE = 4096
 LEAF_RECORD_BYTES = 64
 INTERNAL_RECORD_BYTES = 16
 BUFFER_PAGES = 50
 SNAPSHOT_FORMAT = 3  # bump when the snapshot layout changes
+SPREAD_BITS = 15  # a cell coordinate's bits spread by one table lookup per 15 bits
 
 
 class LeafEntry(NamedTuple):
@@ -246,11 +248,11 @@ class BPlusTree:
 
     def insert(self, entry: LeafEntry) -> None:
         """Insert one leaf entry; duplicates of (key, uid) are rejected."""
-        composite = (entry.key, entry.uid)
+        composite = entry[:2]
         path, leaf = self._descend(composite)
         entries = leaf.entries
         i = bisect_left(entries, composite)
-        if i < len(entries) and entries[i][:2] == composite:
+        if i < len(entries) and entries[i][0] == entry[0] and entries[i][1] == entry[1]:
             raise ValueError(f"duplicate entry {composite}")
         entries.insert(i, entry)
         self.entry_count += 1
@@ -296,11 +298,12 @@ class BPlusTree:
         path, leaf = self._descend(composite)
         entries = leaf.entries
         i = bisect_left(entries, composite)
-        if i >= len(entries) or entries[i][:2] != composite:
+        if i >= len(entries) or entries[i][0] != key or entries[i][1] != uid:
             raise KeyError(f"no entry {composite}")
         del entries[i]
         self.entry_count -= 1
-        self._rebalance(leaf, path)
+        if len(entries) < self.leaf_cap // 2:  # a fuller leaf, the root among them, needs no rebalancing
+            self._rebalance(leaf, path)
 
     def _rebalance(self, node: Node, path: list[tuple[Node, int]]) -> None:
         while True:
@@ -471,6 +474,16 @@ class BPlusTree:
         return tree
 
 
+def _refuse_report(obj: MovingObject) -> None:
+    """Raise the ``ValueError`` that names the first field of ``obj`` the index cannot take."""
+    for field in ("x", "y", "vx", "vy", "t_u"):
+        if not math.isfinite(getattr(obj, field)):
+            raise ValueError(f"object {obj.uid}: {field} is {getattr(obj, field)!r}, not a finite number")
+    if obj.t_u < 0:
+        raise ValueError(f"object {obj.uid}: t_u is {obj.t_u!r}; timestamps are non-negative")
+    raise ValueError(f"object {obj.uid}: t_u is {obj.t_u!r}, past the last finite label")
+
+
 class MovingObjectIndex:
     """Moving-object index over the B+-tree, keyed per the chosen layout.
 
@@ -490,6 +503,12 @@ class MovingObjectIndex:
         buffer_pages: int = BUFFER_PAGES,
         page_size: int = PAGE_SIZE,
     ) -> None:
+        if layout.zv_bits != grid.zv_bits:
+            raise ValueError(f"key layout has {layout.zv_bits} z-value bits, grid {grid.zv_bits}")
+        if time_cfg.num_partitions > 1 << layout.tid_bits:
+            raise ValueError(
+                f"{layout.tid_bits}-bit partition field cannot hold {time_cfg.num_partitions} partitions"
+            )
         self.time_cfg = time_cfg
         self.grid = grid
         self.layout = layout
@@ -501,7 +520,14 @@ class MovingObjectIndex:
         self._tid_shift = layout.zv_bits + (layout.sv_bits if sv_map is not None else 0)  # key -> partition
         self._partition_label: dict[int, float] = {}
         self._partition_count: dict[int, int] = {}
-        self._svq = layout.quantize_map(sv_map) if sv_map is not None else {}
+        svq = layout.quantize_map(sv_map) if sv_map is not None else {}
+        self._sv_field = {uid: q << layout.zv_bits for uid, q in svq.items()}  # each sequence value in place
+        # key_for's constants, with each axis's bit spreading as a table of at most 2^15 entries
+        spread = [_spread(v) for v in range(1 << min(grid.levels, SPREAD_BITS))]
+        self._key_consts = (
+            time_cfg.grid_step, time_cfg.num_partitions, grid.L, grid.cell_size, grid.cells_per_axis - 1,
+            len(spread) - 1, spread, [s << 1 for s in spread],
+        )
 
     @property
     def buffer(self) -> PageBuffer:
@@ -512,18 +538,35 @@ class MovingObjectIndex:
         return self.tree.entry_count
 
     def key_for(self, obj: MovingObject) -> tuple[int, int, float]:
-        """Key, partition, and label timestamp the object indexes under."""
-        label = label_timestamp(obj.t_u, self.time_cfg)
-        tid = index_partition(label, self.time_cfg)
-        px, py = position_at(obj, label)
-        side = self.grid.L
-        px = min(max(px, 0.0), side)
-        py = min(max(py, 0.0), side)
-        zv = z_encode(cell_of(px, py, self.grid), self.grid)
+        """Key, partition, and label timestamp the object indexes under.
+
+        The label is the smallest multiple ``c`` of the grid step at least one
+        step past ``t_u``, and its partition is ``(c - 1) mod (n + 1)``.  The
+        position at the label, clamped to the space, picks the cell whose
+        Z-value ends the key; a point at ``L`` lies in the last cell.  A
+        report with a field that is not a finite number, a negative ``t_u``,
+        or a ``t_u`` whose label is past the largest float raises
+        ``ValueError``.
+        """
+        uid, x, y, vx, vy, t_u = obj.uid, obj.x, obj.y, obj.vx, obj.vy, obj.t_u
+        if x - x + y - y + vx - vx + vy - vy + t_u - t_u != 0.0 or t_u < 0:  # NaN unless all are finite
+            _refuse_report(obj)
+        step, partitions, side, size, last, mask, x_spread, y_spread = self._key_consts
+        c = math.ceil((t_u + step) / step)
+        label = step * c
+        if label == math.inf:
+            _refuse_report(obj)
+        tid = (c - 1) % partitions
+        dt = label - t_u
+        px, py = x + vx * dt, y + vy * dt
+        # the cell of the position clamped to [0, L]
+        cx = min(int(px / size), last) if 0.0 < px < side else (0 if px <= 0.0 else last)
+        cy = min(int(py / size), last) if 0.0 < py < side else (0 if py <= 0.0 else last)
+        key = (tid << self._tid_shift) | x_spread[cx & mask] | y_spread[cy & mask]
+        if last > mask:  # more than 2^15 cells per side: the high bits spread by the same tables
+            key |= (x_spread[cx >> SPREAD_BITS] | y_spread[cy >> SPREAD_BITS]) << 2 * SPREAD_BITS
         if self.sv_map is not None:
-            key = self.layout.peb_key_q(tid, self._svq[obj.uid], zv)
-        else:
-            key = self.layout.bx_key(tid, zv)
+            key |= self._sv_field[uid]
         return key, tid, label
 
     def insert(self, obj: MovingObject) -> None:
@@ -541,16 +584,22 @@ class MovingObjectIndex:
             )
 
     def _insert_keyed(self, obj: MovingObject, key: int, tid: int, label: float) -> None:
-        self.tree.insert(LeafEntry(key, obj.uid, obj.x, obj.y, obj.vx, obj.vy, obj.t_u))
+        # tuple.__new__ skips the named tuple's Python-level constructor
+        self.tree.insert(tuple.__new__(LeafEntry, (key, obj.uid, obj.x, obj.y, obj.vx, obj.vy, obj.t_u)))
         self._current[obj.uid] = key
         self._partition_label[tid] = label
         self._partition_count[tid] = self._partition_count.get(tid, 0) + 1
         self.max_speeds = self.max_speeds.absorb(obj.vx, obj.vy)
 
     def delete(self, uid: int) -> None:
-        key = self._current.pop(uid)
-        tid = key >> self._tid_shift
+        key = self._current.pop(uid, None)
+        if key is None:
+            raise KeyError(f"object {uid} is not indexed; use insert()")
         self.tree.delete(key, uid)
+        self._uncount(key >> self._tid_shift)
+
+    def _uncount(self, tid: int) -> None:
+        """One entry fewer in partition ``tid``; a drained partition drops its label."""
         remaining = self._partition_count[tid] - 1
         if remaining:
             self._partition_count[tid] = remaining
@@ -561,14 +610,20 @@ class MovingObjectIndex:
     def update(self, obj: MovingObject) -> None:
         """Replace the object's entry with a fresh one as of ``obj.t_u``.
 
-        A refused update (the target partition still holds entries under
-        another label) raises ``ValueError`` and leaves the index as it was.
+        An object that is not indexed raises ``KeyError``.  A refused update
+        (a field that is not a finite number, or a target partition that still
+        holds entries under another label) raises ``ValueError``.  Either way
+        the index is left as it was.
         """
-        old_tid = self._current[obj.uid] >> self._tid_shift
+        old = self._current.get(obj.uid)
+        if old is None:
+            raise KeyError(f"object {obj.uid} is not indexed; use insert()")
         key, tid, label = self.key_for(obj)
+        old_tid = old >> self._tid_shift
         # the object's own old entry leaves the partition before the insert
         self._check_label(tid, label, self._partition_count.get(tid, 0) - (old_tid == tid))
-        self.delete(obj.uid)
+        self.tree.delete(old, obj.uid)
+        self._uncount(old_tid)
         self._insert_keyed(obj, key, tid, label)
 
     def live_partitions(self) -> list[tuple[int, float]]:
@@ -661,12 +716,6 @@ class MovingObjectIndex:
             raise ValueError("loading a policy-embedded index requires its sequence value map")
         if kind == "bx" and sv_map is not None:
             raise ValueError("baseline snapshot does not take a sequence value map")
-        if layout.zv_bits != grid.zv_bits:
-            raise ValueError(f"key layout has {layout.zv_bits} z-value bits, grid {grid.zv_bits}")
-        if time_cfg.num_partitions > 1 << layout.tid_bits:
-            raise ValueError(
-                f"{layout.tid_bits}-bit partition field cannot hold {time_cfg.num_partitions} partitions"
-            )
         index = cls(time_cfg, grid, layout, sv_map=sv_map)
         index.tree = tree
         try:

@@ -108,13 +108,6 @@ def z_encode(cell: tuple[int, int], cfg: GridConfig) -> int:
     return _spread(cx) | (_spread(cy) << 1)
 
 
-def cell_of(x: float, y: float, cfg: GridConfig) -> tuple[int, int]:
-    """Cell containing a point; coordinates at ``L`` clamp to the last cell."""
-    last = cfg.cells_per_axis - 1
-    size = cfg.cell_size
-    return min(max(int(x / size), 0), last), min(max(int(y / size), 0), last)
-
-
 def cell_span(lo: float, hi: float, cfg: GridConfig) -> tuple[int, int]:
     """Inclusive range of cells overlapping the closed interval [lo, hi].
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from pebtree import query
 from pebtree.bench import build_instance, run_update_round
 from pebtree.keys import KeyLayout, assign_sequence_values
-from pebtree.motion import MovingObject, TimePartitionConfig, position_at
+from pebtree.motion import MovingObject, TimePartitionConfig
 from pebtree.policy import (
     DAY,
     CompatibilityIndex,
@@ -37,6 +38,7 @@ from pebtree.query import (
 from pebtree.store import BPlusTree, DirectionalSpeeds, LeafEntry, MovingObjectIndex
 from pebtree.workload import WorkloadConfig, gen_policies, gen_queries, gen_uniform
 from pebtree.zcurve import GridConfig, cells_covering, z_corner_interval
+from test_motion import position_at
 from test_store import reference_scan_intervals
 
 TIME_CFG = TimePartitionConfig(120.0, 2)
@@ -419,7 +421,6 @@ def test_baseline_checks_policies_of_the_issuers_owners_only(random_instance, mo
 def test_oracle_full_space_returns_visible_set(random_instance):
     cfg, objects, store, peb, bx = random_instance
     from pebtree.query import _visible
-    from pebtree.motion import position_at
 
     req = PrqRequest(3, (0.0, 0.0, cfg.space_side, cfg.space_side), 40.0)
     expected = set()
@@ -1265,16 +1266,53 @@ GOLDEN_QUERY_DIGESTS = {
 }
 
 
+# sha256 per index kind, over the same three points, of the charged-I/O delta
+# of every update and of the uid -> key map at each point.  Pinned before
+# key_for computed the key in one pass and the delete path was trimmed, so
+# they pin that every report kept its key and every update its page reads
+GOLDEN_UPDATE_DIGESTS = {
+    "uniform": {
+        ("peb", "update_io"): "c6903a3ed030886fde27b6c2bc9bc45480baaaa6dbd8092c51bdacf74fd8f4cf",
+        ("peb", "keys"): "0234ec84a392e601701935ea5fa411a2247fee66be7fa0ce7b544e769ccb043c",
+        ("bx", "update_io"): "7a7360e73ea367699da4b5eef3ca3a001c08fa4c53e558c10829ce5be2e12132",
+        ("bx", "keys"): "71ee1b34b2dab9af0969cbeaebc5c2f9478886ed6340a54d4479c1acd49aeae0",
+    },
+    "visible": {
+        ("peb", "update_io"): "e28c6fd3a541d3f8c6d42f99f8c7a359723243c1f3139c090b55c69391703061",
+        ("peb", "keys"): "da2e44d8d35e284e0f30cb6212570ee25dc9d833f90047ca856bd5db736fc14b",
+        ("bx", "update_io"): "7a7360e73ea367699da4b5eef3ca3a001c08fa4c53e558c10829ce5be2e12132",
+        ("bx", "keys"): "71ee1b34b2dab9af0969cbeaebc5c2f9478886ed6340a54d4479c1acd49aeae0",
+    },
+    "network": {
+        ("peb", "update_io"): "119c8402b842bc45cf33f9289233d6a658ab5025864d5739e5caedf6ec0aeb1b",
+        ("peb", "keys"): "8dad1e1eaaf131f54be8dd796d0069b5c5afe2c231f641f4c4de51764c1eecca",
+        ("bx", "update_io"): "3cd69436b5a75089db0de9255424b1f0a8fc43efbf4333c30af76bdf99960208",
+        ("bx", "keys"): "eb0ba519e954cce5af0e349a28af9807f388132681918a186138f00747949be0",
+    },
+}
+
+
 def query_digests(cfg: WorkloadConfig, rounds: int, count: int) -> dict[tuple[str, str], str]:
     inst = build_instance(cfg)
     engines = {
         "peb": (inst.peb, inst.peb_engine.prq, inst.peb_engine.pknn),
         "bx": (inst.bx, inst.bx_engine.range_query, inst.bx_engine.knn_query),
     }
-    digests = {(name, kind): hashlib.sha256() for name in engines for kind in ("range", "knn")}
+    records = ("range", "knn", "update_io", "keys")
+    digests = {(name, record): hashlib.sha256() for name in engines for record in records}
+    for name, (index, _, _) in engines.items():
+
+        def update(obj, index=index, apply=index.update, digest=digests[name, "update_io"]):
+            before = index.buffer.counters()
+            apply(obj)
+            digest.update(f"{obj.uid}|{[a - b for a, b in zip(index.buffer.counters(), before)]}\n".encode())
+
+        index.update = update  # run_update_round calls it through the instance
     for round_no in range(rounds + 1):
         if round_no:
             run_update_round(inst)
+        for name, (index, _, _) in engines.items():
+            digests[name, "keys"].update(f"{sorted(index._current.items())}\n".encode())
         objects = list(inst.objects.values())
         horizon = inst.time_cfg.delta_t_mu
         for kind in ("range", "knn"):
@@ -1295,9 +1333,21 @@ def query_digests(cfg: WorkloadConfig, rounds: int, count: int) -> dict[tuple[st
     return {key: d.hexdigest() for key, d in digests.items()}
 
 
+@functools.cache
+def golden_digests(name: str) -> dict[tuple[str, str], str]:
+    return query_digests(GOLDEN_CONFIGS[name], rounds=2, count=40)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
 def test_answers_and_io_match_golden_digests(name):
-    assert query_digests(GOLDEN_CONFIGS[name], rounds=2, count=40) == GOLDEN_QUERY_DIGESTS[name]
+    digests = golden_digests(name)
+    assert {key: digests[key] for key in GOLDEN_QUERY_DIGESTS[name]} == GOLDEN_QUERY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_update_io_and_keys_match_golden_digests(name):
+    digests = golden_digests(name)
+    assert {key: digests[key] for key in GOLDEN_UPDATE_DIGESTS[name]} == GOLDEN_UPDATE_DIGESTS[name]
 
 
 @pytest.fixture(scope="module")

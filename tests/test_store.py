@@ -1,6 +1,8 @@
 import json
+import math
 import os
 import random
+import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import replace
@@ -427,6 +429,42 @@ def test_index_rejects_double_insert():
     index.insert(MovingObject(1, 0.0, 0.0, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         index.insert(MovingObject(1, 5.0, 5.0, 0.0, 0.0, 0.0))
+
+
+def test_update_and_delete_of_an_unknown_object_name_it():
+    index = build_index()
+    index.insert(MovingObject(1, 0.0, 0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(KeyError, match=r"object 5 is not indexed; use insert\(\)"):
+        index.update(MovingObject(5, 0.0, 0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(KeyError, match=r"object 5 is not indexed; use insert\(\)"):
+        index.delete(5)
+    assert index.entry_count == 1 and not index.contains(5)
+
+
+@pytest.mark.parametrize("field", ["x", "y", "vx", "vy", "t_u"])
+@pytest.mark.parametrize("kind", ["bx", "peb"])
+def test_index_refuses_a_report_field_that_is_not_finite(kind, field):
+    index = build_index(kind)
+    obj = MovingObject(5, 100.0, 200.0, 1.0, -1.0, 0.0)
+    index.insert(obj)
+    state = (all_entries(index.tree), index.live_partitions(), index.max_speeds)
+    for value in (math.nan, math.inf, -math.inf):
+        fault = rf"object {{uid}}: {field} is {value!r}, not a finite number"
+        with pytest.raises(ValueError, match=fault.format(uid=5)):
+            index.update(replace(obj, **{field: value}))
+        with pytest.raises(ValueError, match=fault.format(uid=6)):
+            index.insert(replace(obj, uid=6, **{field: value}))
+        assert (all_entries(index.tree), index.live_partitions(), index.max_speeds) == state
+    assert not index.contains(6)
+    index.tree.audit()
+
+
+@pytest.mark.parametrize("kind", ["bx", "peb"])
+def test_index_refuses_a_report_whose_label_is_past_the_largest_float(kind):
+    index = build_index(kind)
+    with pytest.raises(ValueError, match=r"object 5: t_u is 1\.7976931348623157e\+308, past the last finite label"):
+        index.insert(MovingObject(5, 100.0, 200.0, 0.0, 0.0, sys.float_info.max))
+    assert index.entry_count == 0 and index.live_partitions() == []
 
 
 def test_index_tracks_directional_speeds():

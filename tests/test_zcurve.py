@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from pebtree.query import SCAN_BLOCK_SHIFT
 from pebtree.zcurve import (
     GridConfig,
-    cell_of,
     cells_covering,
     z_corner_interval,
     z_decompose,
     z_encode,
 )
+from test_motion import indexed_cell
 
 
 def interleave_oracle(cx: int, cy: int, levels: int) -> int:
@@ -298,11 +298,12 @@ def test_aligned_blocks_are_contiguous_runs():
 
 
 def test_cell_of_clamps_boundary():
+    # a report's cell: coordinates at L and beyond the space clamp to the edge cells
     cfg = GridConfig(L=1000.0, levels=10)
-    assert cell_of(0.0, 0.0, cfg) == (0, 0)
+    assert indexed_cell(0.0, 0.0, cfg) == (0, 0)
     last = cfg.cells_per_axis - 1
-    assert cell_of(1000.0, 1000.0, cfg) == (last, last)
-    assert cell_of(-5.0, 1005.0, cfg) == (0, last)
+    assert indexed_cell(1000.0, 1000.0, cfg) == (last, last)
+    assert indexed_cell(-5.0, 1005.0, cfg) == (0, last)
 
 
 @pytest.mark.parametrize(
@@ -323,7 +324,7 @@ def test_cells_covering_a_rectangle_that_misses_the_space_is_empty(rect):
 def test_cells_covering_clamps_ends_beyond_the_space():
     cfg = GridConfig(L=1000.0, levels=10)
     last = cfg.cells_per_axis - 1
-    assert cells_covering((-50.0, 990.0, 0.0, 1200.0), cfg) == (0, cell_of(0, 990.0, cfg)[1], 0, last)
+    assert cells_covering((-50.0, 990.0, 0.0, 1200.0), cfg) == (0, indexed_cell(0, 990.0, cfg)[1], 0, last)
     assert cells_covering((1000.0, -1.0, 1000.0, 0.0), cfg) == (last, 0, last, 0)
 
 
@@ -332,6 +333,6 @@ def test_cells_covering_contains_positions():
     rect = (100.0, 250.0, 160.5, 300.25)
     cells = cells_covering(rect, cfg)
     for x, y in [(100.0, 250.0), (160.5, 300.25), (130.0, 275.0)]:
-        cx, cy = cell_of(x, y, cfg)
+        cx, cy = indexed_cell(x, y, cfg)
         assert cells[0] <= cx <= cells[2]
         assert cells[1] <= cy <= cells[3]
