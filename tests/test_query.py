@@ -1292,22 +1292,55 @@ GOLDEN_UPDATE_DIGESTS = {
 }
 
 
+# sha256 per config and index kind of every query's answer alone, both kinds
+# over the three query points, and of every update's charged-I/O delta when
+# each update round starts from an empty buffer, as perfbench measures it.
+# Neither depends on which pages a query reads, so a change that only moves
+# query I/O leaves them as they are
+GOLDEN_ANSWER_DIGESTS = {
+    "uniform": {
+        ("peb", "answers"): "eaad488fccd928eb9eb954c0bd26aae59ed770f9a1e1b83d5827e8c824038f6e",
+        ("peb", "cold_update_io"): "6628e9a2ae20764291a977b876f0921c19c614e3e36751f4b4b6fadd6473817b",
+        ("bx", "answers"): "eaad488fccd928eb9eb954c0bd26aae59ed770f9a1e1b83d5827e8c824038f6e",
+        ("bx", "cold_update_io"): "30e494bfcf25fb1597693d5de1ad6307d30e5dc0f61d188db3864f6cc3e2cf97",
+    },
+    "visible": {
+        ("peb", "answers"): "c1f989ca8f2e90b81d655dfd66a0c268572b2842732018be3dcfa0d72788876a",
+        ("peb", "cold_update_io"): "57caa955e3f6374e727d460767c9236ea3384d2201ddbf0c3b3576ff1abd59e8",
+        ("bx", "answers"): "c1f989ca8f2e90b81d655dfd66a0c268572b2842732018be3dcfa0d72788876a",
+        ("bx", "cold_update_io"): "30e494bfcf25fb1597693d5de1ad6307d30e5dc0f61d188db3864f6cc3e2cf97",
+    },
+    "network": {
+        ("peb", "answers"): "057c0d336ec6015ac21349a4f6f02296f9727e0ae5718cf1fc501baf58195c1b",
+        ("peb", "cold_update_io"): "8d465a7308eb5cbf8f303db434dd622a3e66c478e98c7fbb5d118b9884950bcd",
+        ("bx", "answers"): "057c0d336ec6015ac21349a4f6f02296f9727e0ae5718cf1fc501baf58195c1b",
+        ("bx", "cold_update_io"): "9f08db82f1910ceea1a7191373a3538a75cbb471c5706a1da334528917c1105b",
+    },
+}
+
+
+def _record_update_io(index, digest) -> None:
+    """Hash the charged-I/O delta of every update through ``index.update``."""
+    apply = index.update
+
+    def update(obj):
+        before = index.buffer.counters()
+        apply(obj)
+        digest.update(f"{obj.uid}|{[a - b for a, b in zip(index.buffer.counters(), before)]}\n".encode())
+
+    index.update = update  # run_update_round calls it through the instance
+
+
 def query_digests(cfg: WorkloadConfig, rounds: int, count: int) -> dict[tuple[str, str], str]:
     inst = build_instance(cfg)
     engines = {
         "peb": (inst.peb, inst.peb_engine.prq, inst.peb_engine.pknn),
         "bx": (inst.bx, inst.bx_engine.range_query, inst.bx_engine.knn_query),
     }
-    records = ("range", "knn", "update_io", "keys")
+    records = ("range", "knn", "answers", "update_io", "keys")
     digests = {(name, record): hashlib.sha256() for name in engines for record in records}
     for name, (index, _, _) in engines.items():
-
-        def update(obj, index=index, apply=index.update, digest=digests[name, "update_io"]):
-            before = index.buffer.counters()
-            apply(obj)
-            digest.update(f"{obj.uid}|{[a - b for a, b in zip(index.buffer.counters(), before)]}\n".encode())
-
-        index.update = update  # run_update_round calls it through the instance
+        _record_update_io(index, digests[name, "update_io"])
     for round_no in range(rounds + 1):
         if round_no:
             run_update_round(inst)
@@ -1330,12 +1363,33 @@ def query_digests(cfg: WorkloadConfig, rounds: int, count: int) -> dict[tuple[st
                     after = index.buffer.counters()
                     delta = [a - b for a, b in zip(after, before)]
                     digest.update(f"{answer}|{delta}\n".encode())
+                    digests[name, "answers"].update(f"{kind}|{answer}\n".encode())
+    return {key: d.hexdigest() for key, d in digests.items()}
+
+
+def cold_update_digests(cfg: WorkloadConfig, rounds: int) -> dict[tuple[str, str], str]:
+    """sha256 per index kind of every update's charged-I/O delta, each round from an empty buffer.
+
+    No query runs, so the digest does not depend on the pages queries
+    leave in the buffer; the reports are those of :func:`query_digests`,
+    whose queries change no entry.
+    """
+    inst = build_instance(cfg)
+    digests = {}
+    for name, index in (("peb", inst.peb), ("bx", inst.bx)):
+        digests[name, "cold_update_io"] = hashlib.sha256()
+        _record_update_io(index, digests[name, "cold_update_io"])
+    for _ in range(rounds):
+        inst.peb.reset_io(cold=True)
+        inst.bx.reset_io(cold=True)
+        run_update_round(inst)
     return {key: d.hexdigest() for key, d in digests.items()}
 
 
 @functools.cache
 def golden_digests(name: str) -> dict[tuple[str, str], str]:
-    return query_digests(GOLDEN_CONFIGS[name], rounds=2, count=40)
+    cfg = GOLDEN_CONFIGS[name]
+    return {**query_digests(cfg, rounds=2, count=40), **cold_update_digests(cfg, rounds=2)}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
@@ -1348,6 +1402,12 @@ def test_answers_and_io_match_golden_digests(name):
 def test_update_io_and_keys_match_golden_digests(name):
     digests = golden_digests(name)
     assert {key: digests[key] for key in GOLDEN_UPDATE_DIGESTS[name]} == GOLDEN_UPDATE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_answers_and_cold_update_io_match_golden_digests(name):
+    digests = golden_digests(name)
+    assert {key: digests[key] for key in GOLDEN_ANSWER_DIGESTS[name]} == GOLDEN_ANSWER_DIGESTS[name]
 
 
 @pytest.fixture(scope="module")
@@ -1429,3 +1489,24 @@ def test_regions_beyond_the_space_are_refused_so_skipped_windows_stay_exact():
     # a window over the owner's position inside the space still finds it
     inside = PrqRequest(1, (990.0, 450.0, 1000.0, 550.0), 0.2)
     assert peb.prq(inside) == bx.range_query(inside) == oracle_range(objects.values(), store, inside) == {2}
+
+
+if __name__ == "__main__":
+    # print the current golden digests in the form of the tables above, so
+    # re-pinning after a change that moves them is one command:
+    # PYTHONPATH=src python tests/test_query.py
+    tables = {
+        "GOLDEN_QUERY_DIGESTS": ("range", "knn"),
+        "GOLDEN_UPDATE_DIGESTS": ("update_io", "keys"),
+        "GOLDEN_ANSWER_DIGESTS": ("answers", "cold_update_io"),
+    }
+    current = {name: golden_digests(name) for name in GOLDEN_CONFIGS}
+    for table, records in tables.items():
+        print(f"{table} = {{")
+        for name, digests in current.items():
+            print(f'    "{name}": {{')
+            for engine in ("peb", "bx"):
+                for record in records:
+                    print(f'        ("{engine}", "{record}"): "{digests[engine, record]}",')
+            print("    },")
+        print("}")
