@@ -10,6 +10,7 @@ computes both, with the position at the label, in one pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -45,8 +46,9 @@ class TimePartitionConfig:
     n: int = 2
 
     def __post_init__(self) -> None:
-        if self.delta_t_mu <= 0:
-            raise ValueError("delta_t_mu must be positive")
+        # a NaN fails every comparison, so this refuses it with the infinities
+        if not 0 < self.delta_t_mu < math.inf:
+            raise ValueError(f"delta_t_mu is {self.delta_t_mu!r}, not a positive finite number")
         if self.n < 1:
             raise ValueError("n must be a positive integer")
 

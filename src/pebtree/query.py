@@ -3,13 +3,15 @@
 Two engines answer the same queries:
 
 * :class:`PebQueryEngine` runs against the policy-embedded index.  Both
-  of its queries are one owner scan.  It counts, from the index's uid ->
-  partition map, how many of each friend row's owners sit in each
-  partition, and scans only the (row, partition) pairs that hold an
-  owner.  Each friend sequence value owns the key prefix
-  ``partition | sequence value``, so a pair's key intervals are curve
-  intervals offset by that prefix; the tree's leaf cursor scans them and
-  ends at the entry that meets the pair's count (a user has only one
+  of its queries are one owner scan.  It first checks each friend owner's
+  daily policy window at the query time, from window ends cached beside
+  the friend rows, which reads no page.  It then counts, from the index's
+  uid -> partition map, how many of each friend row's active owners sit
+  in each partition, and scans only the (row, partition) pairs that hold
+  one.  Each friend sequence value owns the key prefix ``partition |
+  sequence value``, so a pair's key intervals are curve intervals offset
+  by that prefix; the tree's leaf cursor scans them and ends at the entry
+  that meets the pair's count of active owners (a user has only one
   location).  A range query enlarges its window per partition and
   decomposes it into curve intervals; a kNN query is the range query over
   the whole space, each pair's full span, ranked by distance.
@@ -30,16 +32,18 @@ Brute-force oracles apply the query definitions literally over all users
 and anchor every correctness test.  Queries leave the index's entries
 unchanged but are not safe to run concurrently: each one moves pages in
 the index's shared LRU buffer and bumps its counters, and
-:class:`FriendLists` fills its row cache lazily.  Issue queries against
-one index from one thread at a time.
+:class:`FriendLists` fills its row and window cache lazily.  Issue
+queries against one index from one thread at a time.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from heapq import nsmallest
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .keys import KeyLayout, SequenceValueMap
@@ -175,31 +179,60 @@ def _visible(store: PolicyStore, owner: int, viewer: int, x: float, y: float, t:
     )
 
 
+Rows = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _gather(seq, indices: list[int]) -> tuple:
+    """``seq[i]`` for each ``i`` in ``indices``, as a tuple.
+
+    ``itemgetter`` reads them in one C loop, which a fresh issuer's cache
+    fill needs: each read misses the processor cache, and the tight loop
+    keeps several misses in flight.  It returns a bare item for one index.
+    """
+    return itemgetter(*indices)(seq) if len(indices) > 1 else tuple(seq[i] for i in indices)
+
+
 class FriendLists:
     """Per-user rows of the sequence values that can ever see the user.
 
     A user's row list holds the quantized sequence values of every owner
     with a policy naming the user, ascending, each tagged with the owner
-    uids that quantize to it, ascending.  Each user's sequence value is
-    quantized once, here; the rows are built lazily and cached per user.
+    uids that quantize to it, ascending.  Beside the rows, two
+    ``array('d')`` columns hold the daily window ends ``t_lo`` and ``t_hi``
+    of each owner's policy toward the user, owners in row order, so a query
+    checks a window without a policy lookup and the collector has nothing
+    to walk in them.  Each user's sequence value is quantized once, here;
+    the rows and windows are built lazily and cached per user.
     """
 
     def __init__(self, store: PolicyStore, sv_map: SequenceValueMap, layout: KeyLayout) -> None:
         self.store = store
         self._svq = layout.quantize_map(sv_map)
-        self._rows: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
+        self._cache: dict[int, tuple[Rows, array, array]] = {}
 
-    def rows(self, viewer: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        cached = self._rows.get(viewer)
+    def _entry(self, viewer: int) -> tuple[Rows, array, array]:
+        cached = self._cache.get(viewer)
         if cached is None:
-            svq = self._svq
-            by_svq: dict[int, list[int]] = {}
-            # the store keeps each owner list ascending, so every row's owners are too
-            for owner in self.store.owners_naming(viewer):
-                by_svq.setdefault(svq[owner], []).append(owner)
-            cached = tuple((q, tuple(us)) for q, us in sorted(by_svq.items()))
-            self._rows[viewer] = cached
+            svq = self._svq.__getitem__
+            # the store keeps each owner list ascending, and a stable sort by
+            # quantized value keeps each row's owners so: the owners in row order
+            owners = sorted(self.store.owners_naming(viewer), key=svq)
+            rows = tuple((q, tuple(us)) for q, us in groupby(owners, svq))
+            table = self.store.policies
+            # the table row of each owner's policy toward the viewer
+            policy_rows = list(map(itemgetter(viewer), _gather(self.store._directed, owners)))
+            t_lo, t_hi = (array("d", _gather(column, policy_rows)) for column in (table.t_lo, table.t_hi))
+            cached = (rows, t_lo, t_hi)
+            self._cache[viewer] = cached
         return cached
+
+    def rows(self, viewer: int) -> Rows:
+        return self._entry(viewer)[0]
+
+    def windows(self, viewer: int) -> tuple[array, array]:
+        """``t_lo`` and ``t_hi`` of each row owner's policy toward ``viewer``, owners in row order."""
+        _, t_lo, t_hi = self._entry(viewer)
+        return t_lo, t_hi
 
 
 class _EngineBase:
@@ -241,27 +274,44 @@ class PebQueryEngine(_EngineBase):
     ) -> list[tuple[int, float, float]]:
         """``(uid, x, y)`` at ``t_q`` of each owner visible to ``qid`` in ``rect``.
 
-        Each (friend row, live partition) pair that holds one of the row's
-        owners is read with one leaf-cursor scan of the row's key
-        intervals, the partition's curve intervals offset by the row's key
-        prefix, taking the partition's rows in ``order(n_rows, 1)``.  A
-        scan ends at the entry that meets its pair's owner count, and every
-        owner entry read is extrapolated to ``t_q`` and verified.
-        ``rect=None`` is the whole space: each pair's full span
-        ``[0, max_z]``, with no window enlarged or decomposed.
+        An owner counts only while its policy toward ``qid`` is active: its
+        daily window holds ``t_q``, by :func:`~pebtree.policy.window_contains`'s
+        test on the window ends :meth:`FriendLists.windows` caches, with
+        ``t_q % day`` taken once.  That is a necessary condition of
+        :func:`_visible`, so skipping the others changes no answer, and the
+        check reads no page.  Each (friend row, live partition) pair that
+        holds one of the row's active owners is read with one leaf-cursor
+        scan of the row's key intervals, the partition's curve intervals
+        offset by the row's key prefix, taking the partition's rows in
+        ``order(n_rows, 1)``.  A scan ends at the entry that meets its
+        pair's count of active owners, and every active owner entry read is
+        extrapolated to ``t_q`` and verified; the entries of other users
+        and of inactive owners are passed over.  ``rect=None`` is the whole
+        space: each pair's full span ``[0, max_z]``, with no window enlarged
+        or decomposed.
         """
         self.store.check_user(qid)
         rows = self.friends.rows(qid)
+        t_lo, t_hi = self.friends.windows(qid)
         index = self.index
         store = self.store
         tree = index.tree
         layout = self.layout
-        # counts[tid][row_i]: how many of row row_i's owners have their entry in
-        # partition tid; an owner that is not indexed counts nowhere
+        zv_bits = layout.zv_bits
+        day = store.day
+        tm = t_q % day
+        # counts[tid][row_i]: how many of row row_i's owners are active at t_q
+        # and have their entry in partition tid; an owner that is not indexed
+        # counts nowhere
         row_of: dict[int, int] = {}
         counts: dict[int, list[int]] = {}
+        los, his = iter(t_lo), iter(t_hi)
         for row_i, (_, uids) in enumerate(rows):
-            for uid in uids:
+            for uid, lo, hi in zip(uids, los, his):
+                # window_contains(lo, hi, day, t_q), with t_q % day taken once:
+                # _visible refuses an owner whose window misses t_q, so it is not counted
+                if not ((lo <= tm < hi) if lo <= hi else (lo <= tm < day or tm < hi)):
+                    continue
                 tid = index.partition_of(uid)
                 if tid is not None:
                     row_of[uid] = row_i
@@ -289,18 +339,20 @@ class PebQueryEngine(_EngineBase):
             zivs = full if rect is None else self._zivs(enlarge(rect, label, t_q, index.max_speeds, self.grid.L))
             if not zivs:
                 continue
+            base = layout.peb_key_q(tid, 0, 0)  # a row's key prefix adds its value above the curve bits
             for row_i, _ in order(len(rows), 1):
                 if left[row_i]:
-                    tree.scan_intervals(zivs, visit, layout.peb_key_q(tid, rows[row_i][0], 0))
+                    tree.scan_intervals(zivs, visit, base | rows[row_i][0] << zv_bits)
         return found
 
     def prq(self, req: PrqRequest) -> set[int]:
         """Users inside the window at query time who allow the issuer to see them.
 
         Each live partition's window is enlarged and decomposed into curve
-        intervals once, and each friend row holding an owner there is
-        scanned over them in row order; only the row's owners can be
-        visible to the issuer, so only their entries are verified.
+        intervals once, and each friend row holding an owner there whose
+        policy window is open at ``t_q`` is scanned over them in row order;
+        only those owners can be visible to the issuer, so only their
+        entries are verified.
         """
         return {uid for uid, _, _ in self._visible_owners(req.qid, req.t_q, req.rect, antidiagonal_order)}
 

@@ -241,8 +241,15 @@ class BPlusTree:
         return path, node
 
     def descend(self, key: int) -> Node:
-        """Seek the leaf where entries with ``key`` start, reading each page on the way."""
-        return self._descend((key, -1))[1]
+        """Seek the leaf where entries with ``key`` start, reading each page on the way.
+
+        The pages and their order are :meth:`_descend`'s, without the path.
+        """
+        composite = (key, -1)
+        node = self.touch_page(self.root_id)
+        while not node.leaf:
+            node = self.touch_page(node.children[bisect_right(node.keys, composite)])
+        return node
 
     # -- mutation -----------------------------------------------------------
 

@@ -24,6 +24,7 @@ import and never written.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
@@ -43,8 +44,9 @@ class GridConfig:
     levels: int = 10
 
     def __post_init__(self) -> None:
-        if self.L <= 0:
-            raise ValueError("space side must be positive")
+        # a NaN fails every comparison, so this refuses it with the infinities
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"space side L is {self.L!r}, not a positive finite number")
         if not 1 <= self.levels <= 30:
             raise ValueError("levels must be in [1, 30]")
 

@@ -216,6 +216,14 @@ def test_config_validation():
         TimePartitionConfig(delta_t_mu=10.0, n=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_configs_refuse_a_length_that_is_not_positive_and_finite(bad):
+    with pytest.raises(ValueError, match=f"delta_t_mu is {bad!r}, not a positive finite number"):
+        TimePartitionConfig(delta_t_mu=bad, n=2)
+    with pytest.raises(ValueError, match=f"space side L is {bad!r}, not a positive finite number"):
+        GridConfig(L=bad)
+
+
 # -- key_for against the reference chain --------------------------------------------
 
 TIME_CFGS = [CFG, TimePartitionConfig(0.1, 1), TimePartitionConfig(100.0, 3), TimePartitionConfig(120.0, 7)]

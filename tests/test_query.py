@@ -6,7 +6,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pebtree import query
 from pebtree.bench import build_instance, run_update_round
@@ -18,6 +18,7 @@ from pebtree.policy import (
     PolicyStore,
     PolicyTable,
     RelationshipGraph,
+    window_contains,
 )
 from pebtree.query import (
     BaselineQueryEngine,
@@ -295,6 +296,83 @@ def test_empty_friend_list_returns_empty():
     assert peb.index.buffer.counters().reads == 0
 
 
+def _owners_toward(issuer_at, owners):
+    """An issuer (uid 0) and owners 1..n, each with a whole-space policy toward the issuer.
+
+    ``owners`` holds one ``((x, y), (t_lo, t_hi))`` per owner.
+    """
+    objects = {0: MovingObject(0, *issuer_at, 0.0, 0.0, 0.0)}
+    graph = RelationshipGraph()
+    policies = PolicyTable()
+    for uid, ((x, y), window) in enumerate(owners, start=1):
+        objects[uid] = MovingObject(uid, x, y, 0.0, 0.0, 0.0)
+        graph.set_roles(uid, {"u1": (0,)})
+        policies.append(uid, "u1", 0.0, 0.0, 1000.0, 1000.0, *window)
+    return objects, PolicyStore(policies, graph, objects, space_side=1000.0)
+
+
+@pytest.mark.parametrize(
+    "window, open_at, closed_at",
+    [
+        ((8.0, 17.0), (8.0, 12.0, 16.5), (17.0, 20.0, 7.9)),
+        ((22.0, 6.0), (22.0, 1.0, 29.0), (6.0, 12.0, 21.9)),
+        ((12.0, 12.0), (), (12.0, 18.0, 0.0)),
+        ((0.0, DAY), (0.0, 23.9, 2 * DAY), ()),
+    ],
+)
+def test_an_owner_is_read_only_while_its_window_is_open(window, open_at, closed_at):
+    # the issuer's one owner: its page is read only when its window holds t_q
+    objects, store = _owners_toward((100.0, 100.0), [((500.0, 500.0), window)])
+    peb, _ = build_engines(objects, store)
+    for t_q, is_open in [(t, True) for t in open_at] + [(t, False) for t in closed_at]:
+        for req in (PrqRequest(0, (400.0, 400.0, 600.0, 600.0), t_q), PknnRequest(0, (100.0, 100.0), 1, t_q)):
+            peb.index.reset_io(cold=True)
+            if isinstance(req, PrqRequest):
+                got, want = peb.prq(req), oracle_range(objects.values(), store, req)
+                assert got == ({1} if is_open else set())
+            else:
+                got, want = peb.pknn(req), oracle_knn(objects.values(), store, req)
+                assert [uid for uid, _ in got.neighbors] == ([1] if is_open else [])
+            assert got == want, req
+            reads = peb.index.buffer.counters().reads
+            assert reads >= 1 if is_open else reads == 0, req
+
+
+coord = st.floats(0.0, 1000.0)
+day_point = st.one_of(st.sampled_from([0.0, DAY / 3, DAY / 2, DAY]), st.floats(0.0, DAY))
+daily_window = st.one_of(
+    st.tuples(day_point, day_point),  # as drawn: t_lo > t_hi wraps past midnight
+    day_point.map(lambda t: (t, t)),  # empty
+    st.just((0.0, DAY)),  # the whole day
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    owners=st.lists(st.tuples(st.tuples(coord, coord), daily_window), min_size=1, max_size=6),
+    pick=st.integers(0, 5),
+    at_end=st.booleans(),
+    days=st.integers(0, 6),
+)
+# each kind of window at each of its ends: plain, wrapped, empty and the whole day
+@example(owners=[((500.0, 500.0), (8.0, 17.0))], pick=0, at_end=False, days=3)
+@example(owners=[((500.0, 500.0), (8.0, 17.0))], pick=0, at_end=True, days=0)
+@example(owners=[((500.0, 500.0), (22.0, 6.0))], pick=0, at_end=False, days=0)
+@example(owners=[((500.0, 500.0), (22.0, 6.0))], pick=0, at_end=True, days=1)
+@example(owners=[((500.0, 500.0), (DAY, 0.0))], pick=0, at_end=False, days=2)
+@example(owners=[((500.0, 500.0), (12.0, 12.0))], pick=0, at_end=False, days=0)
+@example(owners=[((500.0, 500.0), (0.0, DAY))], pick=0, at_end=True, days=2)
+def test_queries_at_window_ends_match_the_oracles(owners, pick, at_end, days):
+    # t_q falls on one owner's t_lo or t_hi, in some day of the horizon
+    objects, store = _owners_toward((500.0, 500.0), owners)
+    peb, _ = build_engines(objects, store)
+    t_q = owners[pick % len(owners)][1][at_end] + days * DAY
+    req = PrqRequest(0, (0.0, 0.0, 1000.0, 1000.0), t_q)
+    assert peb.prq(req) == oracle_range(objects.values(), store, req)
+    knn = PknnRequest(0, (500.0, 500.0), len(owners), t_q)
+    assert peb.pknn(knn) == oracle_knn(objects.values(), store, knn)
+
+
 def test_unknown_issuer_rejected():
     objects, store, t_q = reference_scenario()
     peb, bx = build_engines(objects, store)
@@ -362,6 +440,11 @@ def test_friend_rows_equal_quantizing_each_owner_per_viewer(random_instance):
         want = tuple(sorted((svq, tuple(sorted(us))) for svq, us in by_svq.items()))
         assert peb.friends.rows(viewer) == want
         shared += sum(len(us) > 1 for _, us in want)
+        # the window ends sit beside the rows, one per owner in row order
+        p = store.policies
+        policy_rows = [store.row(owner, viewer) for _, us in want for owner in us]
+        t_lo, t_hi = peb.friends.windows(viewer)
+        assert (list(t_lo), list(t_hi)) == ([p.t_lo[r] for r in policy_rows], [p.t_hi[r] for r in policy_rows])
     assert shared > 0  # some rows hold several owners
 
 
@@ -754,15 +837,25 @@ def test_pknn_matches_full_walk_reference_on_small_pages_and_buffers(churned_lar
     _assert_pknn_matches_reference(engine, store, current.values(), queries)
 
 
+def _active(store, viewer, owners, t_q):
+    """The owners whose policy toward ``viewer`` has its daily window open at ``t_q``."""
+    p = store.policies
+    rows = [store.row(owner, viewer) for owner in owners]
+    return {owner for owner, r in zip(owners, rows) if window_contains(p.t_lo[r], p.t_hi[r], p.day, t_q)}
+
+
 def _row_reads_trace(peb, queries, cold_each):
-    """Per-query buffer counters and LRU order of ``pknn``, and of reading each friend row's span up to its last owner."""
+    """Per-query buffer counters and LRU order of ``pknn``, and of reading each
+    friend row's span up to its last owner active at the query time."""
     index = peb.index
     (tid, _), = index.live_partitions()
     full = ((0, index.grid.max_z),)
 
     def read_rows(req):
         for svq, uids in peb.friends.rows(req.qid):
-            unseen = set(uids)
+            unseen = _active(peb.store, req.qid, uids, req.t_q)
+            if not unseen:
+                continue
 
             def visit(entry):
                 unseen.discard(entry.uid)
@@ -786,7 +879,8 @@ def _row_reads_trace(peb, queries, cold_each):
 @pytest.mark.parametrize("cold_each", [True, False])
 def test_pknn_reads_every_friend_row_once_however_early_it_stops(random_instance, cold_each):
     # in one partition that holds every user, pknn reads each friend row's
-    # key span once, in row order, up to the entry of the row's last owner,
+    # key span once, in row order, up to the entry of the row's last owner
+    # whose policy window holds t_q, and skips the rows with no such owner,
     # whether or not the answer is short
     cfg, objects, store, peb, _ = random_instance
     assert len(peb.index.live_partitions()) == 1
@@ -865,9 +959,10 @@ def reference_prq(self: PebQueryEngine, req: PrqRequest) -> set[int]:
 
     Each row's key intervals are built explicitly and scanned one by one
     with the interval-by-interval cursor loop; every entry is verified.
-    A (row, partition) pair is scanned only if one of the row's owners has
-    its entry in the partition, and its scan ends at the entry that
-    completes the pair's owners.
+    An owner counts only when its policy window holds the query time.  A
+    (row, partition) pair is scanned only if one of the row's counted
+    owners has its entry in the partition, and its scan ends at the entry
+    that completes the pair's counted owners.
     """
     self.store.check_user(req.qid)
     rows = self.friends.rows(req.qid)
@@ -879,7 +974,9 @@ def reference_prq(self: PebQueryEngine, req: PrqRequest) -> set[int]:
     t_q = req.t_q
     rect = req.rect
     seen: set[int] = set()
-    row_of = {uid: row_i for row_i, (_, uids) in enumerate(rows) for uid in uids}
+    row_of = {
+        uid: row_i for row_i, (_, uids) in enumerate(rows) for uid in _active(store, req.qid, uids, t_q)
+    }
     # (row, partition) -> owners not yet retrieved
     unseen = Counter((row_i, self.index.partition_of(uid)) for uid, row_i in row_of.items())
     for tid, label in self.index.live_partitions():
@@ -979,13 +1076,16 @@ def scans(monkeypatch):
     return bases
 
 
-def _pair_owners(engine, rows):
-    """(row, partition) -> curve values of the row's owners, read off the pair's key span."""
+def _pair_owners(engine, rows, keep=None):
+    """(row, partition) -> curve values of the row's owners, read off the pair's key span.
+
+    With ``keep``, only the owners in it count.
+    """
     owners = {}
     for tid, _ in engine.index.live_partitions():
         for row_i, (svq, uids) in enumerate(rows):
             z_list, entries = _row_span(engine, tid, svq)
-            zs = [z for z, entry in zip(z_list, entries) if entry.uid in uids]
+            zs = [z for z, entry in zip(z_list, entries) if entry.uid in uids and (keep is None or entry.uid in keep)]
             if zs:
                 owners[row_i, tid] = zs
     return owners
@@ -1022,10 +1122,12 @@ def test_queries_scan_only_the_pairs_that_hold_an_owner(churned_instance, scans)
     live = [tid for tid, _ in peb.index.live_partitions()]
     assert len(live) == 3
     range_queries = gen_queries(cfg, "range", list(current.values()), now=70.0, count=40)
-    fewer = ownerless = 0
+    fewer = ownerless = idle = 0
     for req in range_queries + knn_queries:
         rows = peb.friends.rows(req.qid)
-        owners = _pair_owners(peb, rows)
+        # only owners whose policy window holds t_q count
+        held = _pair_owners(peb, rows)
+        owners = _pair_owners(peb, rows, _active(peb.store, req.qid, [u for _, us in rows for u in us], req.t_q))
         pair_of = _pair_of_base(peb, rows)
         if isinstance(req, PrqRequest):
             zivs = {
@@ -1054,7 +1156,8 @@ def test_queries_scan_only_the_pairs_that_hold_an_owner(churned_instance, scans)
         assert len(got) <= earlier, req
         fewer += len(got) < earlier
         ownerless += len(rows) * len(windowed) - len(want)
-    assert fewer and ownerless
+        idle += len({pair for pair in held if pair[1] in windowed} - want)
+    assert fewer and ownerless and idle
 
 
 def test_deleted_owners_leave_no_scan_and_no_answer(scans):
@@ -1131,8 +1234,6 @@ def churn_world():
     layout = KeyLayout(tid_bits=2, sv_bits=sv_bits, zv_bits=GRID.zv_bits, frac_bits=0)
     return objects, store, sv_map, layout
 
-
-coord = st.floats(0.0, 1000.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -1243,23 +1344,30 @@ GOLDEN_CONFIGS = {
 # order, stayed bit-identical.  The peb digests were re-pinned when scans
 # became per (friend row, partition) pair: every answer stayed the same, and
 # no batch's total misses rose (in the two-partition round they fell from
-# 66 to 63 for range and from 62 to 59 for kNN in each configuration)
+# 66 to 63 for range and from 62 to 59 for kNN in each configuration).  They
+# were re-pinned again when owners whose policy window misses t_q stopped
+# being counted into the pairs: every answer stayed the same (the answer
+# digests below held), and no batch's total misses rose.  Per configuration,
+# the range / kNN batches of the three query points went
+#   uniform  43 / 43, 63 / 59, 46 / 46 -> 43 / 42, 48 / 47, 43 / 39
+#   visible  43 / 43, 63 / 59, 47 / 47 -> 43 / 43, 56 / 58, 47 / 47
+#   network  43 / 43, 63 / 59, 47 / 47 -> 43 / 42, 48 / 47, 44 / 41
 GOLDEN_QUERY_DIGESTS = {
     "uniform": {
-        ("peb", "range"): "e0a258aadddce68ab60ac2c79e604505be3ab626e6213ce11cecae9805866b5a",
-        ("peb", "knn"): "a81c5144a05f700b9990134d5a3415878d85ca13c858e1ac05e16aea45a765c1",
+        ("peb", "range"): "aa5d4b31018ca31de1bd26e494ed68944b4b6cb01cb766b07b949d54813303dc",
+        ("peb", "knn"): "815a69249a29d4a389325cfca1074b07f47f6f4fb379e495b771e07b7287ded0",
         ("bx", "range"): "ad1ce88fb03358e1038cfbe1e865eef050db8dd4890dd63acbf23a3f3bfa7d66",
         ("bx", "knn"): "ffb7dafd2220d2f3f9fca24c5a98314a5456be9b40a6bcfedb717adb1ac49ab9",
     },
     "visible": {
-        ("peb", "range"): "7fba4c73d782344382533ba2fe5851e5c010a1df39bd4945587c5a9ba6eefc58",
-        ("peb", "knn"): "1ea5b751b860588c192ad038f2f82ae4aa906a42db054a6ac1bd69e929f5f99a",
+        ("peb", "range"): "fdfe0226a95771e056852a9bbd69a0bac39f3c77fad1148af36774507f02f2e8",
+        ("peb", "knn"): "48b4e8d64060943d6238160192eea6621d26bf553b5ef35c25829fca27c4f0ca",
         ("bx", "range"): "7e519e278146303811afd5b88cfdfb4852185e9fd2db41b4c2f56f879fdbc05c",
         ("bx", "knn"): "caa694db4b0013a26e9c8886ccda84b6398bdbdd00933687e4a02405d6702a11",
     },
     "network": {
-        ("peb", "range"): "24dd14868dd3ad746403d9ef374bf90752924fb6267df0ae6dcdf3676ce8be15",
-        ("peb", "knn"): "310b45a61bbe00813f231907b950a65ad5d95aafd0277236178250504dec3e35",
+        ("peb", "range"): "bbdd9ae4eccd425d5fce12cd1110d9c7202a9cd382554667ffc15ddd74d98e5c",
+        ("peb", "knn"): "f5c988a44adbdba0ef86fc01732d76aacb397ba0edc477a4e0609b586700ea1b",
         ("bx", "range"): "690cc9562a83ad5ba69876758cfc0797230cc81b76028eb4a831f1270c0bcb46",
         ("bx", "knn"): "fdf5943ad3bbde17ea9ebb22154d3a75e4cf608bd5f7e9335c9e4d218efc4487",
     },
@@ -1269,22 +1377,27 @@ GOLDEN_QUERY_DIGESTS = {
 # sha256 per index kind, over the same three points, of the charged-I/O delta
 # of every update and of the uid -> key map at each point.  Pinned before
 # key_for computed the key in one pass and the delete path was trimmed, so
-# they pin that every report kept its key and every update its page reads
+# they pin that every report kept its key and every update its page reads.
+# The peb update_io digests were re-pinned with the query digests above:
+# the updates start from the buffer the kNN batch left, so they move with
+# the pages queries read (update misses of the two rounds went 18 + 21 ->
+# 19 + 22, 18 + 21 -> 18 + 20 and 16 + 21 -> 17 + 22).  The cold-buffer
+# update digests below, with no query before the updates, did not move
 GOLDEN_UPDATE_DIGESTS = {
     "uniform": {
-        ("peb", "update_io"): "c6903a3ed030886fde27b6c2bc9bc45480baaaa6dbd8092c51bdacf74fd8f4cf",
+        ("peb", "update_io"): "7de95abecce6df7982799cf9fddfa54027317600c21035f8158604cbf70e743a",
         ("peb", "keys"): "0234ec84a392e601701935ea5fa411a2247fee66be7fa0ce7b544e769ccb043c",
         ("bx", "update_io"): "7a7360e73ea367699da4b5eef3ca3a001c08fa4c53e558c10829ce5be2e12132",
         ("bx", "keys"): "71ee1b34b2dab9af0969cbeaebc5c2f9478886ed6340a54d4479c1acd49aeae0",
     },
     "visible": {
-        ("peb", "update_io"): "e28c6fd3a541d3f8c6d42f99f8c7a359723243c1f3139c090b55c69391703061",
+        ("peb", "update_io"): "abbcef35549d8fd89657f503235cee7839f185399087518be762fef55560e505",
         ("peb", "keys"): "da2e44d8d35e284e0f30cb6212570ee25dc9d833f90047ca856bd5db736fc14b",
         ("bx", "update_io"): "7a7360e73ea367699da4b5eef3ca3a001c08fa4c53e558c10829ce5be2e12132",
         ("bx", "keys"): "71ee1b34b2dab9af0969cbeaebc5c2f9478886ed6340a54d4479c1acd49aeae0",
     },
     "network": {
-        ("peb", "update_io"): "119c8402b842bc45cf33f9289233d6a658ab5025864d5739e5caedf6ec0aeb1b",
+        ("peb", "update_io"): "05eff694fc719c021cba20aa6b4183daeb419c77a466ca8f2b3321e327f93620",
         ("peb", "keys"): "8dad1e1eaaf131f54be8dd796d0069b5c5afe2c231f641f4c4de51764c1eecca",
         ("bx", "update_io"): "3cd69436b5a75089db0de9255424b1f0a8fc43efbf4333c30af76bdf99960208",
         ("bx", "keys"): "eb0ba519e954cce5af0e349a28af9807f388132681918a186138f00747949be0",

@@ -680,6 +680,16 @@ def test_snapshot_load_checks_the_key_layout_and_the_fields(tmp_path, edit, faul
     assert str(path) in str(raised.value)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("section, field, name", [("time_cfg", "delta_t_mu", "delta_t_mu"), ("grid", "L", "space side L")])
+def test_snapshot_load_refuses_a_length_that_is_not_positive_and_finite(tmp_path, bad, section, field, name):
+    # json writes NaN and the infinities as bare NaN / Infinity, and reads them back
+    path = _tampered(tmp_path, lambda snap: snap[section].update({field: bad}))
+    with pytest.raises(ValueError, match=f"{name} is {bad!r}, not a positive finite number") as raised:
+        MovingObjectIndex.load(path)
+    assert str(path) in str(raised.value)
+
+
 # the snapshot's field names per format version: a layout change must bump SNAPSHOT_FORMAT and add its row
 SNAPSHOT_FIELDS = {
     2: {
