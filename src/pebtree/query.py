@@ -4,17 +4,17 @@ Two engines answer the same queries:
 
 * :class:`PebQueryEngine` runs against the policy-embedded index.  Both
   of its queries are one owner scan.  It first checks each friend owner's
-  daily policy window at the query time, from window ends cached beside
-  the friend rows, which reads no page.  It then counts, from the index's
-  uid -> partition map, how many of each friend row's active owners sit
-  in each partition, and scans only the (row, partition) pairs that hold
-  one.  Each friend sequence value owns the key prefix ``partition |
-  sequence value``, so a pair's key intervals are curve intervals offset
-  by that prefix; the tree's leaf cursor scans them and ends at the entry
-  that meets the pair's count of active owners (a user has only one
-  location).  A range query enlarges its window per partition and
-  decomposes it into curve intervals; a kNN query is the range query over
-  the whole space, each pair's full span, ranked by distance.
+  daily policy window at the query time, from window ends it gathers from
+  the policy store, which reads no page.  An owner's key prefix
+  ``partition | sequence value`` names its (friend row, partition) pair,
+  so the engine counts the active owners per prefix, from the index's
+  uid -> key map, and scans only the prefixes that hold one.  A prefix's
+  key intervals are curve intervals offset by it; the tree's leaf cursor
+  scans them and ends at the entry that meets the prefix's count of
+  active owners (a user has only one location).  A range query enlarges
+  its window per partition and decomposes it into curve intervals; a kNN
+  query is the range query over the whole space, each prefix's full span,
+  ranked by distance.
 
 * :class:`BaselineQueryEngine` runs against the baseline index: a plain
   spatial query first, policy filtering after, with kNN by incrementally
@@ -30,16 +30,15 @@ is the buffer misses of the pages it reads.
 
 Brute-force oracles apply the query definitions literally over all users
 and anchor every correctness test.  Queries leave the index's entries
-unchanged but are not safe to run concurrently: each one moves pages in
-the index's shared LRU buffer and bumps its counters, and
-:class:`FriendLists` fills its row and window cache lazily.  Issue
-queries against one index from one thread at a time.
+unchanged and fill no cache, but they are not safe to run concurrently:
+each one moves pages in the index's shared LRU buffer and bumps its
+counters.  Issue queries against one index from one thread at a time.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
+from collections import Counter
 from dataclasses import dataclass
 from heapq import nsmallest
 from itertools import groupby, repeat
@@ -185,54 +184,40 @@ Rows = tuple[tuple[int, tuple[int, ...]], ...]
 def _gather(seq, indices: list[int]) -> tuple:
     """``seq[i]`` for each ``i`` in ``indices``, as a tuple.
 
-    ``itemgetter`` reads them in one C loop, which a fresh issuer's cache
-    fill needs: each read misses the processor cache, and the tight loop
-    keeps several misses in flight.  It returns a bare item for one index.
+    ``itemgetter`` reads them in one C loop, which every query needs: each
+    read of a fresh issuer's policies misses the processor cache, and the
+    tight loop keeps several misses in flight.  It returns a bare item for
+    one index.
     """
     return itemgetter(*indices)(seq) if len(indices) > 1 else tuple(seq[i] for i in indices)
 
 
 class FriendLists:
-    """Per-user rows of the sequence values that can ever see the user.
+    """The owners that can ever see each user, their sequence values and windows.
 
-    A user's row list holds the quantized sequence values of every owner
-    with a policy naming the user, ascending, each tagged with the owner
-    uids that quantize to it, ascending.  Beside the rows, two
-    ``array('d')`` columns hold the daily window ends ``t_lo`` and ``t_hi``
-    of each owner's policy toward the user, owners in row order, so a query
-    checks a window without a policy lookup and the collector has nothing
-    to walk in them.  Each user's sequence value is quantized once, here;
-    the rows and windows are built lazily and cached per user.
+    Each user's sequence value is quantized once, here.  Nothing else is
+    kept: each call reads the policy store afresh, so the lists follow the
+    store and no query fills a cache.
     """
 
     def __init__(self, store: PolicyStore, sv_map: SequenceValueMap, layout: KeyLayout) -> None:
         self.store = store
         self._svq = layout.quantize_map(sv_map)
-        self._cache: dict[int, tuple[Rows, array, array]] = {}
-
-    def _entry(self, viewer: int) -> tuple[Rows, array, array]:
-        cached = self._cache.get(viewer)
-        if cached is None:
-            svq = self._svq.__getitem__
-            # the store keeps each owner list ascending, and a stable sort by
-            # quantized value keeps each row's owners so: the owners in row order
-            owners = sorted(self.store.owners_naming(viewer), key=svq)
-            rows = tuple((q, tuple(us)) for q, us in groupby(owners, svq))
-            table = self.store.policies
-            # the table row of each owner's policy toward the viewer
-            policy_rows = list(map(itemgetter(viewer), _gather(self.store._directed, owners)))
-            t_lo, t_hi = (array("d", _gather(column, policy_rows)) for column in (table.t_lo, table.t_hi))
-            cached = (rows, t_lo, t_hi)
-            self._cache[viewer] = cached
-        return cached
 
     def rows(self, viewer: int) -> Rows:
-        return self._entry(viewer)[0]
+        """The quantized sequence values of the owners naming ``viewer``, ascending, each with its owners ascending."""
+        by_value: dict[int, list[int]] = {}
+        for uid in self.store.owners_naming(viewer):
+            by_value.setdefault(self._svq[uid], []).append(uid)
+        return tuple((q, tuple(uids)) for q, uids in sorted(by_value.items()))
 
-    def windows(self, viewer: int) -> tuple[array, array]:
-        """``t_lo`` and ``t_hi`` of each row owner's policy toward ``viewer``, owners in row order."""
-        _, t_lo, t_hi = self._entry(viewer)
-        return t_lo, t_hi
+    def windows(self, viewer: int) -> tuple[list[int], tuple, tuple]:
+        """The owners naming ``viewer``, ascending, with ``t_lo`` and ``t_hi`` of each one's policy toward it."""
+        owners = self.store.owners_naming(viewer)
+        table = self.store.policies
+        # the table row of each owner's policy toward the viewer
+        policy_rows = list(map(itemgetter(viewer), _gather(self.store._directed, owners)))
+        return owners, _gather(table.t_lo, policy_rows), _gather(table.t_hi, policy_rows)
 
 
 class _EngineBase:
@@ -250,10 +235,10 @@ class PebQueryEngine(_EngineBase):
     """Query processor for the policy-embedded index.
 
     :meth:`prq` and :meth:`pknn` share one scan, :meth:`_visible_owners`.
-    ``traversal`` orders each partition's friend rows in :meth:`pknn`,
-    called as ``traversal(n_rows, 1)``; the default,
-    :func:`antidiagonal_order`, yields them in row order.  It is kept
-    because perfbench counts the rows a kNN query visits through it.
+    ``traversal`` orders the key prefixes :meth:`pknn` scans in each
+    partition, called as ``traversal(n, 1)`` for ``n`` prefixes; the
+    default, :func:`antidiagonal_order`, yields them ascending.  It is kept
+    because perfbench counts the prefixes a kNN query scans through it.
     """
 
     def __init__(
@@ -276,23 +261,23 @@ class PebQueryEngine(_EngineBase):
 
         An owner counts only while its policy toward ``qid`` is active: its
         daily window holds ``t_q``, by :func:`~pebtree.policy.window_contains`'s
-        test on the window ends :meth:`FriendLists.windows` caches, with
+        test on the window ends :meth:`FriendLists.windows` gathers, with
         ``t_q % day`` taken once.  That is a necessary condition of
         :func:`_visible`, so skipping the others changes no answer, and the
-        check reads no page.  Each (friend row, live partition) pair that
-        holds one of the row's active owners is read with one leaf-cursor
-        scan of the row's key intervals, the partition's curve intervals
-        offset by the row's key prefix, taking the partition's rows in
-        ``order(n_rows, 1)``.  A scan ends at the entry that meets its
-        pair's count of active owners, and every active owner entry read is
-        extrapolated to ``t_q`` and verified; the entries of other users
-        and of inactive owners are passed over.  ``rect=None`` is the whole
-        space: each pair's full span ``[0, max_z]``, with no window enlarged
-        or decomposed.
+        check reads no page.  The active owners' keys, from the index's
+        uid -> key map, give each one's prefix ``partition | sequence
+        value``: its (friend row, partition) pair.  Each prefix that holds an
+        active owner is read with one leaf-cursor scan of its key intervals,
+        the partition's curve intervals offset by the prefix, taking the
+        partition's prefixes in ``order(n, 1)`` over their ascending list.
+        A scan ends at the entry that meets its prefix's count of active
+        owners, and every active owner entry read is extrapolated to ``t_q``
+        and verified; the entries of other users and of inactive owners are
+        passed over.  ``rect=None`` is the whole space: each prefix's full
+        span ``[0, max_z]``, with no window enlarged or decomposed.
         """
         self.store.check_user(qid)
-        rows = self.friends.rows(qid)
-        t_lo, t_hi = self.friends.windows(qid)
+        owners, t_lo, t_hi = self.friends.windows(qid)
         index = self.index
         store = self.store
         tree = index.tree
@@ -300,68 +285,62 @@ class PebQueryEngine(_EngineBase):
         zv_bits = layout.zv_bits
         day = store.day
         tm = t_q % day
-        # counts[tid][row_i]: how many of row row_i's owners are active at t_q
-        # and have their entry in partition tid; an owner that is not indexed
-        # counts nowhere
-        row_of: dict[int, int] = {}
-        counts: dict[int, list[int]] = {}
-        los, his = iter(t_lo), iter(t_hi)
-        for row_i, (_, uids) in enumerate(rows):
-            for uid, lo, hi in zip(uids, los, his):
-                # window_contains(lo, hi, day, t_q), with t_q % day taken once:
-                # _visible refuses an owner whose window misses t_q, so it is not counted
-                if not ((lo <= tm < hi) if lo <= hi else (lo <= tm < day or tm < hi)):
-                    continue
-                tid = index.partition_of(uid)
-                if tid is not None:
-                    row_of[uid] = row_i
-                    counts.setdefault(tid, [0] * len(rows))[row_i] += 1
+        # window_contains(lo, hi, day, t_q), with t_q % day taken once:
+        # _visible refuses an owner whose window misses t_q, so it is not counted
+        active = {
+            uid
+            for uid, lo, hi in zip(owners, t_lo, t_hi)
+            if ((lo <= tm < hi) if lo <= hi else (lo <= tm < day or tm < hi))
+        }
+        # left[prefix]: the active owners whose entry has the key prefix that
+        # visit has yet to meet; an owner that is not indexed counts nowhere
+        left = Counter(key >> zv_bits for key in index.keys_of(active) if key is not None)
+        labels = dict(index.live_partitions())
         x_lo, y_lo, x_hi, y_hi = rect or (-math.inf, -math.inf, math.inf, math.inf)
         full = ((0, self.grid.max_z),)
         found: list[tuple[int, float, float]] = []
 
         def visit(entry: LeafEntry) -> bool:
-            # entries of a pair's key span carry its row and partition: an owner found is the pair's own
-            row_i = row_of.get(entry.uid)
-            if row_i is None:
+            # entries of a prefix's key span carry that prefix: an owner found is the scan's own
+            if entry.uid not in active:
                 return False
-            left[row_i] -= 1
+            prefix = entry.key >> zv_bits
+            left[prefix] -= 1
             px = entry.x + entry.vx * (t_q - entry.t)
             py = entry.y + entry.vy * (t_q - entry.t)
             if x_lo <= px <= x_hi and y_lo <= py <= y_hi and _visible(store, entry.uid, qid, px, py, t_q):
                 found.append((entry.uid, px, py))
-            return not left[row_i]
+            return not left[prefix]
 
-        for tid, label in index.live_partitions():
-            left = counts.get(tid)  # per row, the partition's owners that visit has yet to meet
-            if left is None:
-                continue
-            zivs = full if rect is None else self._zivs(enlarge(rect, label, t_q, index.max_speeds, self.grid.L))
+        # (partition, row value) of each prefix, ascending: the live partitions in order, rows ascending in each
+        pairs = sorted(divmod(prefix, 1 << layout.sv_bits) for prefix in left)
+        for tid, group in groupby(pairs, itemgetter(0)):
+            zivs = full if rect is None else self._zivs(enlarge(rect, labels[tid], t_q, index.max_speeds, self.grid.L))
             if not zivs:
                 continue
             base = layout.peb_key_q(tid, 0, 0)  # a row's key prefix adds its value above the curve bits
-            for row_i, _ in order(len(rows), 1):
-                if left[row_i]:
-                    tree.scan_intervals(zivs, visit, base | rows[row_i][0] << zv_bits)
+            values = [q for _, q in group]
+            for i, _ in order(len(values), 1):
+                tree.scan_intervals(zivs, visit, base | values[i] << zv_bits)
         return found
 
     def prq(self, req: PrqRequest) -> set[int]:
         """Users inside the window at query time who allow the issuer to see them.
 
         Each live partition's window is enlarged and decomposed into curve
-        intervals once, and each friend row holding an owner there whose
-        policy window is open at ``t_q`` is scanned over them in row order;
-        only those owners can be visible to the issuer, so only their
-        entries are verified.
+        intervals once, and each key prefix holding an owner there whose
+        policy window is open at ``t_q`` is scanned over them in ascending
+        order; only those owners can be visible to the issuer, so only
+        their entries are verified.
         """
         return {uid for uid, _, _ in self._visible_owners(req.qid, req.t_q, req.rect, antidiagonal_order)}
 
     def pknn(self, req: PknnRequest) -> PknnResult:
         """The k visible users nearest the query point at query time.
 
-        The range query over the whole space, with each partition's rows
-        taken in ``self.traversal`` order: every verified owner is ranked
-        by distance, and the answer is the k nearest, ties broken by
+        The range query over the whole space, with each partition's key
+        prefixes taken in ``self.traversal`` order: every verified owner is
+        ranked by distance, and the answer is the k nearest, ties broken by
         ascending uid as in :func:`oracle_knn`; fewer than k visible users
         yields all of them with the result flagged short.
 

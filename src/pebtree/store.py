@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .keys import KeyLayout, SequenceValueMap
 from .motion import MovingObject, TimePartitionConfig
@@ -640,14 +640,13 @@ class MovingObjectIndex:
     def contains(self, uid: int) -> bool:
         return uid in self._current
 
-    def partition_of(self, uid: int) -> int | None:
-        """Partition of the object's entry, or None when the object is not indexed.
+    def keys_of(self, uids: Iterable[int]) -> list[int | None]:
+        """The key of each object's entry, or None for an object that is not indexed.
 
-        Read from the in-memory uid → key map an update already keeps, so
-        no page is read or charged.
+        Read in one C-level pass from the in-memory uid → key map an update
+        already keeps, so no page is read or charged.
         """
-        key = self._current.get(uid)
-        return None if key is None else key >> self._tid_shift
+        return list(map(self._current.get, uids))
 
     def stats(self) -> TreeStats:
         return self.tree.stats()

@@ -41,8 +41,11 @@ class WorkloadConfig:
     """One benchmark point's data generation parameters.
 
     Construction refuses a ``distribution`` other than those in
-    ``DISTRIBUTIONS``, a ``theta`` outside ``[0, 1]``, a ``policy_duration``
-    outside ``0 < lo <= hi <= day``, a negative count of users, policies or
+    ``DISTRIBUTIONS``, a ``theta`` outside ``[0, 1]``, a ``space_side`` or
+    ``day`` that is not positive and finite, a ``max_speed`` or
+    ``query_window`` that is negative or not finite, a ``policy_side``
+    outside ``0 <= lo <= hi <= space_side``, a ``policy_duration`` outside
+    ``0 < lo <= hi <= day``, a negative count of users, policies or
     queries, and a ``group_size`` or ``k`` below 1, naming the field.
     """
 
@@ -67,6 +70,17 @@ class WorkloadConfig:
             raise ValueError(f"distribution {self.distribution!r} is not one of {DISTRIBUTIONS}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta {self.theta} is not within [0, 1]")
+        for name in ("space_side", "day"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} {getattr(self, name)} is not a positive finite number")
+        for name in ("max_speed", "query_window"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} {getattr(self, name)} is not a non-negative finite number")
+        lo, hi = self.policy_side
+        if not 0.0 <= lo <= hi <= self.space_side:
+            raise ValueError(
+                f"policy_side {self.policy_side} is not within 0 <= lo <= hi <= space_side {self.space_side}"
+            )
         lo, hi = self.policy_duration
         if not 0.0 < lo <= hi <= self.day:
             raise ValueError(f"policy_duration {self.policy_duration} is not within 0 < lo <= hi <= day {self.day}")

@@ -334,10 +334,11 @@ def test_cli_count_flags_refuse_a_negative_value(tmp_path, capsys, command, flag
         (["--group-size", "0"], None, "group_size 0 is below 1"),
         (["--theta", "2"], None, r"theta 2.0 is not within \[0, 1\]"),
         (["--k", "0"], None, "k 0 is below 1"),
+        (["--window", "-5"], None, "query_window -5.0 is not a non-negative finite number"),
         (["--config", "c.txt"], "seed=1.5\n", r"c.txt, line 1: invalid literal for int\(\)"),
         (["--config", "c.txt"], None, "No such file or directory"),
     ],
-    ids=["group-size-0", "theta-2", "k-0", "config-seed-1.5", "config-missing"],
+    ids=["group-size-0", "theta-2", "k-0", "window-negative", "config-seed-1.5", "config-missing"],
 )
 def test_cli_workload_refusals_are_usage_errors(tmp_path, monkeypatch, capsys, flags, config, message):
     monkeypatch.chdir(tmp_path)
@@ -350,6 +351,18 @@ def test_cli_workload_refusals_are_usage_errors(tmp_path, monkeypatch, capsys, f
     assert re.search(f"pebtree gen: error: .*{message}", err)
     assert "Traceback" not in err
     assert not Path("data").exists()
+
+
+def test_cli_gen_refuses_a_nan_speed_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # a NaN speed used to write objects.csv with NaN velocities, then die in gen_queries
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["gen", "--out-dir", "data", "-N", "20", "--policies", "2", "--max-speed", "nan"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert re.search("pebtree gen: error: max_speed nan is not a non-negative finite number", err)
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_data_dir_keeps_the_generated_space_side(tmp_path):

@@ -8,6 +8,7 @@ from pebtree.keys import KeyLayout, SequenceValueMap
 from pebtree.motion import MovingObject, TimePartitionConfig
 from pebtree.store import MovingObjectIndex
 from pebtree.zcurve import GridConfig, z_encode
+from test_store import partition_of
 
 CFG = TimePartitionConfig(delta_t_mu=120.0, n=2)
 GRID = GridConfig(L=256.0, levels=10)  # cells of side 0.25: the examples' positions fall on cell corners
@@ -167,7 +168,7 @@ def test_partition_comes_from_the_labels_step_count(kind, time_cfg, t_u):
     index.insert(obj)
     tid = (steps - 1) % time_cfg.num_partitions
     assert index.live_partitions() == [(tid, g * steps)]
-    assert index.partition_of(3) == tid
+    assert partition_of(index, 3) == tid
     index.update(replace(obj, x=400.0))
     assert index.entry_count == 1
 

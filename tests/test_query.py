@@ -440,10 +440,12 @@ def test_friend_rows_equal_quantizing_each_owner_per_viewer(random_instance):
         want = tuple(sorted((svq, tuple(sorted(us))) for svq, us in by_svq.items()))
         assert peb.friends.rows(viewer) == want
         shared += sum(len(us) > 1 for _, us in want)
-        # the window ends sit beside the rows, one per owner in row order
+        # the window ends come with the owners, one per owner in ascending uid order
         p = store.policies
-        policy_rows = [store.row(owner, viewer) for _, us in want for owner in us]
-        t_lo, t_hi = peb.friends.windows(viewer)
+        owners = sorted(u for _, us in want for u in us)
+        policy_rows = [store.row(owner, viewer) for owner in owners]
+        got_owners, t_lo, t_hi = peb.friends.windows(viewer)
+        assert list(got_owners) == owners
         assert (list(t_lo), list(t_hi)) == ([p.t_lo[r] for r in policy_rows], [p.t_hi[r] for r in policy_rows])
     assert shared > 0  # some rows hold several owners
 
@@ -977,8 +979,10 @@ def reference_prq(self: PebQueryEngine, req: PrqRequest) -> set[int]:
     row_of = {
         uid: row_i for row_i, (_, uids) in enumerate(rows) for uid in _active(store, req.qid, uids, t_q)
     }
-    # (row, partition) -> owners not yet retrieved
-    unseen = Counter((row_i, self.index.partition_of(uid)) for uid, row_i in row_of.items())
+    # (row, partition) -> owners not yet retrieved; a key's partition sits above its value and curve bits
+    tid_shift = layout.zv_bits + layout.sv_bits
+    keys = self.index.keys_of(row_of)
+    unseen = Counter((row_i, key >> tid_shift) for row_i, key in zip(row_of.values(), keys) if key is not None)
     for tid, label in self.index.live_partitions():
         enlarged = enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L)
         zivs = self._zivs(enlarged)

@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pebtree import store
 from pebtree.keys import KeyLayout
@@ -398,6 +399,13 @@ def test_refused_update_leaves_index_unchanged():
     index.tree.audit()
 
 
+def partition_of(index, uid):
+    """The partition field of ``uid``'s key, through ``keys_of``; None when it is not indexed."""
+    (key,) = index.keys_of([uid])
+    shift = index.layout.zv_bits + (index.layout.sv_bits if index.kind == "peb" else 0)
+    return None if key is None else key >> shift
+
+
 @pytest.mark.xfail(strict=True, raises=ValueError, reason="a partition's expired entries are never purged")
 def test_recycled_partition_expires_entries_older_than_the_update_interval():
     # uid 1 last reported at t = 0, so by t = 130 its label-60 entry is older
@@ -407,21 +415,82 @@ def test_recycled_partition_expires_entries_older_than_the_update_interval():
     index.insert(MovingObject(2, 20.0, 20.0, 0.0, 0.0, 0.0))
     index.update(MovingObject(2, 20.0, 20.0, 0.0, 0.0, 60.0))
     index.update(MovingObject(2, 20.0, 20.0, 0.0, 0.0, 130.0))
-    assert index.partition_of(2) == 0
+    assert partition_of(index, 2) == 0
 
 
-def test_partition_of_follows_the_entry():
+def test_keys_of_follows_the_entry():
     index = build_index("peb")
-    assert index.partition_of(5) is None
+    assert partition_of(index, 5) is None
     obj = MovingObject(5, 100.0, 200.0, 1.0, -1.0, 0.0)
     index.insert(obj)
-    assert index.partition_of(5) == 0
+    assert partition_of(index, 5) == 0
     index.update(replace(obj, t_u=30.0))
-    assert index.partition_of(5) == 1
+    assert partition_of(index, 5) == 1
+    key = index.key_for(replace(obj, t_u=30.0))[0]
+    assert index.keys_of([5, 6, 5]) == [key, None, key]
     index.update(replace(obj, t_u=70.0))
-    assert index.partition_of(5) == 2
+    assert partition_of(index, 5) == 2
     index.delete(5)
-    assert index.partition_of(5) is None
+    assert partition_of(index, 5) is None
+    assert index.keys_of([]) == []
+
+
+CHURN_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["report", "delete"]),
+        st.integers(0, 11),  # uid
+        st.integers(0, 170),  # t_u: labels 60 to 240, every partition and one recycled
+        st.floats(0.0, 1000.0),
+        st.floats(0.0, 1000.0),
+    ),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("kind", ["bx", "peb"])
+@settings(max_examples=60, deadline=None)
+@given(ops=CHURN_OPS)
+@example(  # uid 1 moves through partitions 0, 1 and 2, then uid 2 leaves
+    ops=[
+        ("report", 1, 0, 5.0, 5.0),
+        ("report", 2, 0, 9.0, 9.0),
+        ("report", 1, 30, 5.0, 5.0),
+        ("report", 1, 70, 5.0, 5.0),
+        ("delete", 2, 0, 0.0, 0.0),
+    ]
+)
+def test_keys_carry_the_partition_and_sequence_value_through_churn(kind, ops):
+    # what the peb queries rely on: the prefix key >> zv_bits of an indexed
+    # object's key names its partition and, on a peb index, its quantized
+    # sequence value, and keys_of reads exactly the keys in the leaves
+    index = build_index(kind)
+    layout = index.layout
+    step, partitions = index.time_cfg.grid_step, index.time_cfg.num_partitions
+    uids = range(13)  # uid 12 is never reported
+    reported: dict[int, int] = {}  # uid -> t_u of its indexed report
+    for op, uid, t_u, x, y in ops:
+        try:
+            if op == "delete":
+                if uid in reported:
+                    index.delete(uid)
+                    del reported[uid]
+            elif uid in reported:
+                index.update(MovingObject(uid, x, y, 1.0, -1.0, float(t_u)))
+                reported[uid] = t_u
+            else:
+                index.insert(MovingObject(uid, x, y, 1.0, -1.0, float(t_u)))
+                reported[uid] = t_u
+        except ValueError as exc:
+            assert "still holds entries" in str(exc)  # a refused report leaves the index as it was
+        walked = {e.uid: e.key for e in all_entries(index.tree)}
+        assert walked.keys() == reported.keys()
+        assert index.keys_of(uids) == [walked.get(uid) for uid in uids]
+        for uid, key in walked.items():
+            tid = (math.ceil((reported[uid] + step) / step) - 1) % partitions
+            if kind == "peb":
+                assert key >> layout.zv_bits == tid << layout.sv_bits | layout.quantize_sv(index.sv_map[uid])
+            else:
+                assert key >> layout.zv_bits == tid
 
 
 def test_index_rejects_double_insert():

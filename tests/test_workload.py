@@ -275,6 +275,24 @@ def test_policy_duration_outside_the_day_rejected(duration):
         ("queries_per_point", -3),
         ("group_size", 0),
         ("k", 0),
+        # a NaN speed wrote NaN velocities and a negative window a degenerate rectangle
+        ("max_speed", -3.0),
+        ("max_speed", math.nan),
+        ("max_speed", math.inf),
+        ("space_side", 0.0),
+        ("space_side", -1000.0),
+        ("space_side", math.nan),
+        ("space_side", math.inf),
+        ("query_window", -5.0),
+        ("query_window", math.nan),
+        ("query_window", math.inf),
+        ("policy_side", (-50.0, 100.0)),
+        ("policy_side", (300.0, 50.0)),
+        ("policy_side", (50.0, 1000.5)),
+        ("policy_side", (math.nan, 100.0)),
+        ("day", math.inf),  # drew infinite and NaN window ends
+        ("day", math.nan),
+        ("day", 0.0),
     ],
 )
 def test_config_field_outside_its_domain_rejected(field, value):
@@ -282,6 +300,18 @@ def test_config_field_outside_its_domain_rejected(field, value):
         WorkloadConfig(**{field: value})
     with pytest.raises(ValueError, match=field):
         replace(WorkloadConfig(), **{field: value})
+
+
+def test_config_edges_of_the_float_fields_accepted():
+    cfg = WorkloadConfig(max_speed=0.0, query_window=0.0, space_side=300.0, policy_side=(0.0, 300.0))
+    assert (cfg.max_speed, cfg.query_window, cfg.policy_side) == (0.0, 0.0, (0.0, 300.0))
+    assert WorkloadConfig(policy_side=(120.0, 120.0)).policy_side == (120.0, 120.0)
+
+
+def test_policy_side_checked_against_the_configured_space_side():
+    assert WorkloadConfig(space_side=2000.0, policy_side=(50.0, 1500.0)).space_side == 2000.0
+    with pytest.raises(ValueError, match="policy_side"):
+        WorkloadConfig(space_side=200.0)  # the default sides run to 300
 
 
 def test_policy_duration_checked_against_the_configured_day():
