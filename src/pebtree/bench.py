@@ -361,7 +361,11 @@ def measure_preprocessing(
     ns: Sequence[int] = DESK_USER_SWEEP,
     repetitions: int = 2,
 ) -> list[dict]:
-    """Wall time of policy comparison plus sequence value assignment."""
+    """Process CPU seconds of policy comparison plus sequence value assignment.
+
+    CPU time rather than wall time, so a host whose speed swings under
+    other load moves the figures less.
+    """
     rows = []
     for n in ns:
         cfg = replace(base, n_users=n)
@@ -370,9 +374,9 @@ def measure_preprocessing(
         store = PolicyStore(policies, graph, uids, space_side=cfg.space_side, day=cfg.day)
         seconds = []
         for _ in range(max(repetitions, 1)):
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             assign_sequence_values(uids, CompatibilityIndex.from_store(store))
-            seconds.append(time.perf_counter() - t0)
+            seconds.append(time.process_time() - t0)
         rows.append({"N": n, "seconds": min(seconds), "seed": cfg.seed})
     return rows
 

@@ -17,11 +17,13 @@ times therefore score by the one-sided fallback formula.
 Policies are stored as columns.  A :class:`PolicyTable` holds one row per
 policy: ``array('d')`` columns for the rectangle and the window, an owner
 column, a role column and one day length.  :class:`PolicyStore` maps each
-ordered (owner, viewer) pair to the row of its policy in dicts of ints, so
-the garbage collector walks neither the policies nor the maps to them.  It
+ordered (owner, viewer) pair to the row of its policy, and each viewer to
+the rows of the policies naming it, in dicts and tuples of ints, so the
+garbage collector walks neither the policies nor the maps to them.  It
 builds them one owner at a time, from each run of rows with one owner, in
 C-level passes rather than one Python step per row.  Visibility checks and
-:meth:`CompatibilityIndex.from_store` read the columns in place; a
+:meth:`CompatibilityIndex.from_store` read the columns in place, gathering
+a viewer's owners and windows over its rows; a
 :class:`LocationPrivacyPolicy` record is built only on demand, when a table
 is iterated (the file writer does this).
 
@@ -42,7 +44,7 @@ import math
 from array import array
 from collections import defaultdict
 from itertools import chain, groupby, repeat
-from operator import le
+from operator import itemgetter, le
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, TypeVar
 
@@ -165,6 +167,17 @@ class RelationshipGraph:
                     yield owner, role, member
 
 
+def _gather(seq, indices: tuple[int, ...]) -> tuple:
+    """``seq[i]`` for each ``i`` in ``indices``, as a tuple.
+
+    ``itemgetter`` reads them in one C loop, which every query needs: each
+    read of a fresh viewer's policies misses the processor cache, and the
+    tight loop keeps several misses in flight.  It returns a bare item for
+    one index.
+    """
+    return itemgetter(*indices)(seq) if len(indices) > 1 else tuple(seq[i] for i in indices)
+
+
 def _all_le(lows: Iterable[float], highs: Iterable[float]) -> bool:
     """Whether ``low <= high`` holds pair by pair; a NaN fails it, where ``min`` and ``max`` would skip one."""
     return all(map(le, lows, highs))
@@ -189,19 +202,25 @@ def _refuse_rows(table: PolicyTable, roles: dict[int, dict[str, tuple[int, ...]]
 class PolicyStore:
     """All policies of a deployment, indexed for per-pair lookup.
 
-    The store keeps a :class:`PolicyTable` and maps each ordered (owner,
-    viewer) pair to the row of the policy that applies, in dicts of ints.
-    At most one policy may apply per ordered pair, the table's day must be
-    the store's, every policy's window must lie in that day and every
-    region in the space; the constructor rejects violations.
+    The store keeps a :class:`PolicyTable`, maps each ordered (owner,
+    viewer) pair to the row of the policy that applies, in dicts of ints,
+    and keeps each viewer's rows, the policies naming it, in ascending
+    owner order.  A viewer's owners and window ends are gathered from the
+    table's columns over those rows.  At most one policy may apply per
+    ordered pair, the table's day must be the store's, every policy's
+    window must lie in that day and every region in the space, and the
+    space must have a positive area; the constructor rejects violations.
 
     The constructor checks the regions and windows in C-level passes over
     the columns, then builds the maps one owner at a time: each run of rows
     with the same owner becomes the owner's map in one ``dict(zip(...))``,
-    and its members' owner lists grow in one ``map``.  An owner whose rows
-    are not contiguous has its runs merged.  On a fault the rows are walked
-    again one by one, so the refusal is the one a row-by-row build would
-    meet first.
+    and its members' row lists grow in one ``map``, holding the map's own
+    int objects.  Rows appended in table order are in owner order when the
+    owners ascend run by run, as generated tables do; otherwise, such as
+    when an owner's rows are not contiguous and its runs are merged, each
+    viewer's rows are sorted by owner.  Each list is kept as a tuple.  On a
+    fault the rows are walked again one by one, so the refusal is the one a
+    row-by-row build would meet first.
     """
 
     def __init__(
@@ -212,6 +231,9 @@ class PolicyStore:
         space_side: float = 1000.0,
         day: float = DAY,
     ) -> None:
+        # the compatibility scores divide by the space's area
+        if not space_side * space_side > 0:
+            raise ValueError(f"space_side {space_side} gives the space no positive area")
         self.users = frozenset(users)
         self.space_side = space_side
         self.day = day
@@ -241,8 +263,10 @@ class PolicyStore:
         role_col = table.role
         directed: dict[int, dict[int, int]] = {}
         naming: defaultdict[int, list[int]] = defaultdict(list)
-        start = 0
+        start, ascending, last = 0, True, -math.inf
         for owner, run in groupby(table.owner):
+            ascending = ascending and last < owner
+            last = owner
             end = start + len(list(run))
             members = list(map(roles.get(owner, no_roles).get, role_col[start:end]))
             if not all(members):
@@ -260,15 +284,19 @@ class PolicyStore:
                 if not known.keys().isdisjoint(per_owner):
                     _refuse_rows(table, roles, day)
                 known.update(per_owner)
-            # list.append returns None, so any() runs the appends to the end
-            any(map(list.append, map(naming.__getitem__, targets), repeat(owner)))
+            # each member's list takes the row the owner's map holds, the same int
+            # object; list.append returns None, so any() runs the appends to the end
+            any(map(list.append, map(naming.__getitem__, per_owner), per_owner.values()))
             start = end
-        for lst in naming.values():
-            lst.sort()
-        # dicts of ints only: the garbage collector leaves the inner ones untracked
+        if not ascending:  # rows in table order are in owner order only if the owners ascend
+            for lst in naming.values():
+                lst.sort(key=table.owner.__getitem__)
+        # dicts of ints only: the garbage collector leaves the inner ones untracked.
+        # It untracks tuples of ints too, so a full collection does not walk the
+        # row ints, one per policy, as it would walk them in lists
         self._directed = directed
-        self._owners_naming = dict(naming)
-        for who, uids in (("owner", self._directed.keys()), ("member", self._owners_naming.keys())):
+        self._rows_naming = dict(zip(naming, map(tuple, naming.values())))
+        for who, uids in (("owner", self._directed.keys()), ("member", self._rows_naming.keys())):
             unknown = uids - self.users
             if unknown:
                 raise ValueError(f"policy {who} {min(unknown)} is not a known user")
@@ -278,9 +306,19 @@ class PolicyStore:
         per_owner = self._directed.get(owner)
         return None if per_owner is None else per_owner.get(viewer)
 
+    def policy_rows(self, viewer: int) -> tuple[int, ...]:
+        """The table rows of the policies toward ``viewer``, in ascending owner order."""
+        return self._rows_naming.get(viewer, ())
+
     def owners_naming(self, viewer: int) -> list[int]:
-        """Users holding a policy toward ``viewer`` (the viewer's friend set)."""
-        return self._owners_naming.get(viewer, [])
+        """Users holding a policy toward ``viewer`` (the viewer's friend set), ascending."""
+        return list(_gather(self.policies.owner, self.policy_rows(viewer)))
+
+    def windows(self, viewer: int) -> tuple[tuple[int, ...], tuple, tuple, tuple]:
+        """The rows of :meth:`policy_rows`, with each one's owner, ``t_lo`` and ``t_hi``."""
+        rows = self.policy_rows(viewer)
+        table = self.policies
+        return rows, _gather(table.owner, rows), _gather(table.t_lo, rows), _gather(table.t_hi, rows)
 
     def check_user(self, uid: int) -> None:
         if uid not in self.users:
@@ -342,8 +380,8 @@ class CompatibilityIndex:
     pairs dropped for a degree that is not positive, the two-way lists (the
     related users toward whom each user holds a policy and who hold one
     back) and the degrees of the two-way pairs.  A user's related users are
-    the union of its entries in ``sources``, less its dropped partners;
-    :meth:`related` builds that list on each call.  Sequence value
+    the union of what each of ``sources`` returns for it, less its dropped
+    partners; :meth:`related` builds that list on each call.  Sequence value
     assignment ranks every user by its count but reads the list of its
     anchors only, and the degrees of few pairs.  Built from a store, the
     index scores any other pair on demand by :func:`compatibility`, lower
@@ -352,7 +390,7 @@ class CompatibilityIndex:
 
     def __init__(
         self,
-        sources: tuple[dict[int, Iterable[int]], ...],
+        sources: tuple[Callable[[int], Iterable[int]], ...],
         dropped: dict[int, set[int]],
         counts: dict[int, int],
         scores: dict[tuple[int, int], float],
@@ -380,7 +418,7 @@ class CompatibilityIndex:
         owner with a policy that a safe floor cannot clear are scored.
         """
         side, day, table = store.space_side, store.day, store.policies
-        directed, naming = store._directed, store._owners_naming
+        directed, owners_naming = store._directed, store.owners_naming
         # rounding is monotone, so a policy whose sides and time intervals all
         # exceed `floor` weighs at least a floor-sized one, which is positive
         floor = 1e-100
@@ -390,9 +428,9 @@ class CompatibilityIndex:
         scores: dict[tuple[int, int], float] = {}
         counts: dict[int, int] = {}
         two_way: dict[int, list[int]] = {}
-        for u in directed.keys() | naming.keys():
+        for u in directed.keys() | store._rows_naming.keys():
             per_owner = directed.get(u, no_policies)
-            owners = naming.get(u, ())
+            owners = owners_naming(u)
             both = per_owner.keys() & owners
             if both:
                 for v in both:
@@ -426,7 +464,7 @@ class CompatibilityIndex:
             for u, v in (pair, pair[::-1]):
                 dropped.setdefault(u, set()).add(v)
                 counts[u] -= 1
-        return cls((directed, naming), dropped, counts, scores, two_way, store)
+        return cls((lambda u: directed.get(u, ()), owners_naming), dropped, counts, scores, two_way, store)
 
     @classmethod
     def from_values(
@@ -443,7 +481,11 @@ class CompatibilityIndex:
         related = _adjacency(pair for pair, c in scores.items() if c > 0)
         counts = {u: len(vs) for u, vs in related.items()}
         return cls(
-            (related,), {}, counts, scores, _adjacency(pair for pair in pairs if scores.get(pair, 0.0) > 0)
+            (lambda u: related.get(u, ()),),
+            {},
+            counts,
+            scores,
+            _adjacency(pair for pair in pairs if scores.get(pair, 0.0) > 0),
         )
 
     def c(self, u: int, v: int) -> float:
@@ -457,7 +499,7 @@ class CompatibilityIndex:
         """Users with non-zero compatibility to ``u``, ascending, in a list built on each call."""
         found: set[int] = set()
         for source in self._sources:
-            found.update(source.get(u, ()))
+            found.update(source(u))
         dropped = self._dropped.get(u)
         if dropped:
             found -= dropped

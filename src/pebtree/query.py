@@ -4,8 +4,9 @@ Two engines answer the same queries:
 
 * :class:`PebQueryEngine` runs against the policy-embedded index.  Both
   of its queries are one owner scan.  It first checks each friend owner's
-  daily policy window at the query time, from window ends it gathers from
-  the policy store, which reads no page.  An owner's key prefix
+  daily policy window at the query time, from the issuer's policy rows and
+  their window ends, which the policy store gathers without reading a
+  page, and holds the row of each owner that passes.  An owner's key prefix
   ``partition | sequence value`` names its (friend row, partition) pair,
   so the engine counts the active owners per prefix, from the index's
   uid -> key map, and scans only the prefixes that hold one.  A prefix's
@@ -14,15 +15,17 @@ Two engines answer the same queries:
   active owners (a user has only one location).  A range query enlarges
   its window per partition and decomposes it into curve intervals; a kNN
   query is the range query over the whole space, each prefix's full span,
-  ranked by distance.
+  ranked by distance.  An owner entry found is verified by the region of
+  its held row.
 
 * :class:`BaselineQueryEngine` runs against the baseline index: a plain
   spatial query first, policy filtering after, with kNN by incrementally
   expanded range queries.  It searches space without the friend list, so
-  the pages it reads are the paper's baseline cost.  The issuer's owner
-  set (:meth:`~pebtree.policy.PolicyStore.owners_naming`) only spares the
-  policy lookup of candidates that are not friends; answers and I/O are
-  those of checking every candidate's policy.
+  the pages it reads are the paper's baseline cost.  Each candidate is
+  looked up in a map from the issuer's owners to their policy rows
+  (:meth:`~pebtree.policy.PolicyStore.policy_rows`), and a held row is
+  checked in place; answers and I/O are those of checking every
+  candidate's policy.
 
 Both engines read the tree only through
 :meth:`~pebtree.store.BPlusTree.scan_intervals`, so a query's charged I/O
@@ -47,7 +50,7 @@ from typing import Callable, Iterable, Iterator
 
 from .keys import KeyLayout, SequenceValueMap
 from .motion import MovingObject
-from .policy import PolicyStore, window_contains
+from .policy import PolicyStore, PolicyTable, window_contains
 from .store import DirectionalSpeeds, LeafEntry, MovingObjectIndex
 from .zcurve import cells_covering, z_decompose
 from .zcurve import z_corner_interval  # noqa: F401  perfbench/harness.py's tracer wraps it by this name
@@ -161,16 +164,8 @@ def antidiagonal_order(n_rows: int, n_cols: int) -> Iterator[tuple[int, int]]:
 TraversalOrder = Callable[[int, int], Iterator[tuple[int, int]]]
 
 
-def _visible(store: PolicyStore, owner: int, viewer: int, x: float, y: float, t: float) -> bool:
-    # hot path shared by engines and oracles: no id validation here, and the
-    # policy's columns are read where they are, with no record built
-    per_owner = store._directed.get(owner)
-    if per_owner is None:
-        return False
-    row = per_owner.get(viewer)
-    if row is None:
-        return False
-    p = store.policies
+def _row_visible(p: PolicyTable, row: int, x: float, y: float, t: float) -> bool:
+    # the policy's columns are read where they are, with no record built
     return (
         p.x_lo[row] <= x <= p.x_hi[row]
         and p.y_lo[row] <= y <= p.y_hi[row]
@@ -178,26 +173,23 @@ def _visible(store: PolicyStore, owner: int, viewer: int, x: float, y: float, t:
     )
 
 
+def _visible(store: PolicyStore, owner: int, viewer: int, x: float, y: float, t: float) -> bool:
+    # the oracles' test: no id validation here
+    row = store.row(owner, viewer)
+    return row is not None and _row_visible(store.policies, row, x, y, t)
+
+
 Rows = tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _gather(seq, indices: list[int]) -> tuple:
-    """``seq[i]`` for each ``i`` in ``indices``, as a tuple.
-
-    ``itemgetter`` reads them in one C loop, which every query needs: each
-    read of a fresh issuer's policies misses the processor cache, and the
-    tight loop keeps several misses in flight.  It returns a bare item for
-    one index.
-    """
-    return itemgetter(*indices)(seq) if len(indices) > 1 else tuple(seq[i] for i in indices)
-
-
 class FriendLists:
-    """The owners that can ever see each user, their sequence values and windows.
+    """The owners that can ever see each user, grouped by sequence value.
 
     Each user's sequence value is quantized once, here.  Nothing else is
     kept: each call reads the policy store afresh, so the lists follow the
-    store and no query fills a cache.
+    store and no query fills a cache.  The engine reads the store's
+    :meth:`~pebtree.policy.PolicyStore.windows` instead; these lists remain
+    for the benchmark's friend-row count.
     """
 
     def __init__(self, store: PolicyStore, sv_map: SequenceValueMap, layout: KeyLayout) -> None:
@@ -210,14 +202,6 @@ class FriendLists:
         for uid in self.store.owners_naming(viewer):
             by_value.setdefault(self._svq[uid], []).append(uid)
         return tuple((q, tuple(uids)) for q, uids in sorted(by_value.items()))
-
-    def windows(self, viewer: int) -> tuple[list[int], tuple, tuple]:
-        """The owners naming ``viewer``, ascending, with ``t_lo`` and ``t_hi`` of each one's policy toward it."""
-        owners = self.store.owners_naming(viewer)
-        table = self.store.policies
-        # the table row of each owner's policy toward the viewer
-        policy_rows = list(map(itemgetter(viewer), _gather(self.store._directed, owners)))
-        return owners, _gather(table.t_lo, policy_rows), _gather(table.t_hi, policy_rows)
 
 
 class _EngineBase:
@@ -261,10 +245,11 @@ class PebQueryEngine(_EngineBase):
 
         An owner counts only while its policy toward ``qid`` is active: its
         daily window holds ``t_q``, by :func:`~pebtree.policy.window_contains`'s
-        test on the window ends :meth:`FriendLists.windows` gathers, with
-        ``t_q % day`` taken once.  That is a necessary condition of
-        :func:`_visible`, so skipping the others changes no answer, and the
-        check reads no page.  The active owners' keys, from the index's
+        test on the window ends :meth:`~pebtree.policy.PolicyStore.windows`
+        gathers, with ``t_q % day`` taken once.  That is the window half of
+        the visibility test, so skipping the others changes no answer, and
+        the check reads no page.  Each active owner's policy row is held for
+        the region half.  The active owners' keys, from the index's
         uid -> key map, give each one's prefix ``partition | sequence
         value``: its (friend row, partition) pair.  Each prefix that holds an
         active owner is read with one leaf-cursor scan of its key intervals,
@@ -273,25 +258,29 @@ class PebQueryEngine(_EngineBase):
         A scan ends at the entry that meets its prefix's count of active
         owners, and every active owner entry read is extrapolated to ``t_q``
         and verified; the entries of other users and of inactive owners are
-        passed over.  ``rect=None`` is the whole space: each prefix's full
-        span ``[0, max_z]``, with no window enlarged or decomposed.
+        passed over.  An owner entry is verified by the region of its held
+        row alone, since its window was checked before the scan.
+        ``rect=None`` is the whole space: each prefix's full span
+        ``[0, max_z]``, with no window enlarged or decomposed.
         """
-        self.store.check_user(qid)
-        owners, t_lo, t_hi = self.friends.windows(qid)
-        index = self.index
         store = self.store
+        store.check_user(qid)
+        rows, owners, t_lo, t_hi = store.windows(qid)
+        index = self.index
         tree = index.tree
         layout = self.layout
         zv_bits = layout.zv_bits
         day = store.day
         tm = t_q % day
-        # window_contains(lo, hi, day, t_q), with t_q % day taken once:
-        # _visible refuses an owner whose window misses t_q, so it is not counted
+        # window_contains(lo, hi, day, t_q), with t_q % day taken once: an
+        # owner whose window misses t_q is not visible, so it is not counted
         active = {
-            uid
-            for uid, lo, hi in zip(owners, t_lo, t_hi)
+            uid: row
+            for uid, row, lo, hi in zip(owners, rows, t_lo, t_hi)
             if ((lo <= tm < hi) if lo <= hi else (lo <= tm < day or tm < hi))
         }
+        p = store.policies
+        rx_lo, ry_lo, rx_hi, ry_hi = p.x_lo, p.y_lo, p.x_hi, p.y_hi
         # left[prefix]: the active owners whose entry has the key prefix that
         # visit has yet to meet; an owner that is not indexed counts nowhere
         left = Counter(key >> zv_bits for key in index.keys_of(active) if key is not None)
@@ -304,11 +293,18 @@ class PebQueryEngine(_EngineBase):
             # entries of a prefix's key span carry that prefix: an owner found is the scan's own
             if entry.uid not in active:
                 return False
+            row = active[entry.uid]
             prefix = entry.key >> zv_bits
             left[prefix] -= 1
             px = entry.x + entry.vx * (t_q - entry.t)
             py = entry.y + entry.vy * (t_q - entry.t)
-            if x_lo <= px <= x_hi and y_lo <= py <= y_hi and _visible(store, entry.uid, qid, px, py, t_q):
+            # the query window, then the policy region of the held row
+            if (
+                x_lo <= px <= x_hi
+                and y_lo <= py <= y_hi
+                and rx_lo[row] <= px <= rx_hi[row]
+                and ry_lo[row] <= py <= ry_hi[row]
+            ):
                 found.append((entry.uid, px, py))
             return not left[prefix]
 
@@ -360,16 +356,22 @@ class BaselineQueryEngine(_EngineBase):
     """Spatial-index-then-filter query processor for the baseline index.
 
     The search reads every candidate in space, as the baseline must without
-    the friend list.  The filter then drops the candidates whose owner holds
-    no policy toward the issuer, by a set lookup, and checks the policy of
-    the rest with :func:`_visible`.  A dropped candidate could not have
-    passed that check, so answers and page reads do not depend on the set.
+    the friend list.  The filter then looks each candidate up in a map from
+    the owners naming the issuer to the rows of their policies toward it,
+    built once per query, drops the candidates it does not hold and checks
+    the held row's region and window.  A dropped candidate holds no policy
+    toward the issuer, so answers and page reads do not depend on the map.
     """
 
     def __init__(self, index: MovingObjectIndex, store: PolicyStore) -> None:
         if index.kind != "bx":
             raise ValueError("engine requires a baseline index")
         super().__init__(index, store)
+
+    def _held_rows(self, qid: int) -> dict[int, int]:
+        """The row of each owner's policy toward ``qid``, by owner."""
+        store = self.store
+        return dict(zip(store.owners_naming(qid), store.policy_rows(qid)))
 
     def _spatial_candidates(self, rect: Rect, t_q: float, scanned: dict[int, list[tuple[int, int]]] | None = None) -> list[LeafEntry]:
         """Entries whose window scan retrieves them for this rectangle.
@@ -399,17 +401,16 @@ class BaselineQueryEngine(_EngineBase):
         self.store.check_user(req.qid)
         rect = req.rect
         t_q = req.t_q
-        store = self.store
-        naming = set(store.owners_naming(req.qid))
+        p, held = self.store.policies, self._held_rows(req.qid)
         result: set[int] = set()
         for entry in self._spatial_candidates(rect, t_q):
-            if entry.uid not in naming:
+            if entry.uid not in held:
                 continue
             px = entry.x + entry.vx * (t_q - entry.t)
             py = entry.y + entry.vy * (t_q - entry.t)
             if rect[0] <= px <= rect[2] and rect[1] <= py <= rect[3]:
                 # spatial hit; now the policy filter
-                if _visible(store, entry.uid, req.qid, px, py, t_q):
+                if _row_visible(p, held[entry.uid], px, py, t_q):
                     result.add(entry.uid)
         return result
 
@@ -423,8 +424,7 @@ class BaselineQueryEngine(_EngineBase):
         side = self.grid.L
         qx, qy = req.qloc
         t_q = req.t_q
-        store = self.store
-        naming = set(store.owners_naming(req.qid))
+        p, held = self.store.policies, self._held_rows(req.qid)
         radius = estimate_dk(min(k, n), n, side) / k
         if radius <= 0:
             radius = self.grid.cell_size
@@ -434,11 +434,11 @@ class BaselineQueryEngine(_EngineBase):
             square = (max(qx - radius, 0.0), max(qy - radius, 0.0), min(qx + radius, side), min(qy + radius, side))
             covers_all = square == (0.0, 0.0, side, side)
             for entry in self._spatial_candidates(square, t_q, scanned):
-                if entry.uid not in naming or entry.uid in candidates:
+                if entry.uid not in held or entry.uid in candidates:
                     continue
                 px = entry.x + entry.vx * (t_q - entry.t)
                 py = entry.y + entry.vy * (t_q - entry.t)
-                if _visible(store, entry.uid, req.qid, px, py, t_q):
+                if _row_visible(p, held[entry.uid], px, py, t_q):
                     candidates[entry.uid] = math.hypot(px - qx, py - qy)
             if len(candidates) >= k:
                 kdist = sorted(candidates.values())[k - 1]

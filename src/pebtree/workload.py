@@ -42,11 +42,12 @@ class WorkloadConfig:
 
     Construction refuses a ``distribution`` other than those in
     ``DISTRIBUTIONS``, a ``theta`` outside ``[0, 1]``, a ``space_side`` or
-    ``day`` that is not positive and finite, a ``max_speed`` or
-    ``query_window`` that is negative or not finite, a ``policy_side``
-    outside ``0 <= lo <= hi <= space_side``, a ``policy_duration`` outside
-    ``0 < lo <= hi <= day``, a negative count of users, policies or
-    queries, and a ``group_size`` or ``k`` below 1, naming the field.
+    ``day`` that is not positive and finite, a ``space_side`` whose square
+    underflows to 0, a ``max_speed`` or ``query_window`` that is negative
+    or not finite, a ``policy_side`` outside ``0 <= lo <= hi <=
+    space_side``, a ``policy_duration`` outside ``0 < lo <= hi <= day``, a
+    negative count of users, policies or queries, and a ``group_size`` or
+    ``k`` below 1, naming the field.
     """
 
     n_users: int = 10_000
@@ -73,6 +74,8 @@ class WorkloadConfig:
         for name in ("space_side", "day"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} {getattr(self, name)} is not a positive finite number")
+        if not self.space_side * self.space_side > 0:
+            raise ValueError(f"space_side {self.space_side} is so small that the space's area underflows to 0")
         for name in ("max_speed", "query_window"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} {getattr(self, name)} is not a non-negative finite number")
@@ -387,7 +390,7 @@ def gen_policies(
                 f"grouping factor {cfg.theta} with group size {len(g)} cannot host "
                 f"{k_in} in-group policies"
             )
-    if n_p - k_in > n - cfg.group_size and cfg.theta > 0:
+    if cfg.theta > 0 and n_p - k_in > n - max(map(len, groups)):
         raise ValueError("not enough out-of-group users for the requested policies")
 
     graph = RelationshipGraph()

@@ -29,6 +29,7 @@ from pebtree.bench import (
 )
 from pebtree.cli import _add_workload_flags, _load_data_dir
 from pebtree.cli import main as cli_main
+from pebtree.policy import PolicyStore, PolicyTable, RelationshipGraph
 from pebtree.query import PknnResult, PrqRequest, oracle_knn, oracle_range
 from pebtree.workload import WorkloadConfig, gen_queries, load_queries
 
@@ -47,6 +48,25 @@ def test_build_instance_loads_both_indexes(small_instance):
     assert inst.peb.kind == "peb" and inst.bx.kind == "bx"
     inst.peb.tree.audit()
     inst.bx.tree.audit()
+
+
+def test_a_space_whose_area_underflows_is_refused_by_name():
+    # the scores divide by the space's area: at 1e-300 it underflowed to 0,
+    # and the build raised ZeroDivisionError in CompatibilityIndex.from_store
+    tiny = {"n_users": 50, "policies_per_user": 3, "group_size": 10, "seed": 1}
+    with pytest.raises(ValueError, match="space_side"):
+        WorkloadConfig(**tiny, space_side=1e-300, policy_side=(0.0, 1e-300))
+    with pytest.raises(ValueError, match="space_side"):
+        PolicyStore(PolicyTable(), RelationshipGraph(), range(50), space_side=1e-300)
+    # the least sides whose area is positive build and answer as the oracles do
+    for side in (1e-150, 2e-162):
+        inst = build_instance(WorkloadConfig(**tiny, space_side=side, policy_side=(0.0, side)))
+        objects = list(inst.objects.values())
+        for req in gen_queries(inst.cfg, "range", objects, count=10):
+            assert inst.peb_engine.prq(req) == inst.bx_engine.range_query(req) == oracle_range(objects, inst.store, req)
+        for req in gen_queries(inst.cfg, "knn", objects, count=10):
+            want = oracle_knn(objects, inst.store, req)
+            assert inst.peb_engine.pknn(req) == inst.bx_engine.knn_query(req) == want
 
 
 def test_point_rows_schema_and_oracle(small_instance):

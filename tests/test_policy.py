@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -265,7 +266,8 @@ def reference_neighbour_lists(store):
     The body is that build's, which sorted every user's candidates into a list.
     """
     side, day, table = store.space_side, store.day, store.policies
-    directed, naming = store._directed, store._owners_naming
+    directed = store._directed
+    naming = {v: store.owners_naming(v) for v in store._rows_naming}
     # rounding is monotone, so a policy whose sides and time intervals all
     # exceed `floor` weighs at least a floor-sized one, which is positive
     floor = 1e-100
@@ -689,7 +691,9 @@ def reference_store_maps(table, graph, users, space_side=SIDE, day=DAY):
     """The store's maps as the row-by-row build made them, kept as a reference.
 
     The body is that constructor's, with the store's attributes as locals:
-    it refuses what the store refuses, with the same message.
+    it refuses what the store refuses, with the same message.  It kept each
+    viewer's owners in a list; each viewer's rows are kept here, sorted by
+    owner, in a tuple.
     """
     users = frozenset(users)
     if table.day != day:
@@ -724,17 +728,17 @@ def reference_store_maps(table, graph, users, space_side=SIDE, day=DAY):
             if v in per_owner:
                 raise ValueError(f"two policies for ordered pair ({owner}, {v})")
             per_owner[v] = row
-            naming[v].append(owner)
+            naming[v].append(row)
     for lst in naming.values():
-        lst.sort()
+        lst.sort(key=table.owner.__getitem__)
     # dicts of ints only: the garbage collector leaves the inner ones untracked
     _directed = dict(directed)
-    _owners_naming = dict(naming)
-    for who, uids in (("owner", _directed.keys()), ("member", _owners_naming.keys())):
+    _rows_naming = {v: tuple(rows) for v, rows in naming.items()}
+    for who, uids in (("owner", _directed.keys()), ("member", _rows_naming.keys())):
         unknown = uids - users
         if unknown:
             raise ValueError(f"policy {who} {min(unknown)} is not a known user")
-    return _directed, _owners_naming
+    return _directed, _rows_naming
 
 
 def ordered(maps):
@@ -779,7 +783,11 @@ def test_store_maps_equal_the_row_by_row_build_on_generated_tables(distribution)
     table, graph = gen_policies(uids, cfg)
     store = PolicyStore(table, graph, uids, space_side=cfg.space_side)
     want = reference_store_maps(table, graph, uids, space_side=cfg.space_side)
-    assert ordered((store._directed, store._owners_naming)) == ordered(want)
+    assert ordered((store._directed, store._rows_naming)) == ordered(want)
+    assert_rows_are_the_maps_ints(store)
+    # a full collection need not walk the row ints: the collector untracks their tuples
+    gc.collect()
+    assert not any(map(gc.is_tracked, store._rows_naming.values()))
 
 
 def test_store_maps_equal_the_row_by_row_build_on_interleaved_runs():
@@ -787,10 +795,21 @@ def test_store_maps_equal_the_row_by_row_build_on_interleaved_runs():
     users = range(1, 9)
     store = PolicyStore(table, graph, users)
     want = reference_store_maps(table, graph, users)
-    assert ordered((store._directed, store._owners_naming)) == ordered(want)
+    assert ordered((store._directed, store._rows_naming)) == ordered(want)
+    assert_rows_are_the_maps_ints(store)
     # the second run's rows follow the first's in owner 1's map
     assert list(store._directed[1].items()) == [(4, 0), (2, 0), (6, 0), (3, 1), (7, 3), (5, 3), (8, 5)]
     assert store.owners_naming(1) == [2, 5] and store.owners_naming(6) == [1, 2]
+    # viewer 5's rows: owner 1's second run (row 3) and owner 2's "boss" (row 6)
+    assert store.policy_rows(5) == (3, 6) and store.policy_rows(3) == (1, 2, 4)
+
+
+def assert_rows_are_the_maps_ints(store):
+    """Each viewer's rows are the int objects the owners' maps hold, and give its owners ascending."""
+    for viewer, rows in store._rows_naming.items():
+        owners = store.owners_naming(viewer)
+        assert owners == sorted(set(owners))
+        assert all(store._directed[owner][viewer] is row for owner, row in zip(owners, rows))
 
 
 @pytest.mark.parametrize(

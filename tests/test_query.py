@@ -28,6 +28,7 @@ from pebtree.query import (
     PknnResult,
     PrqRequest,
     Rect,
+    _row_visible,
     _visible,
     antidiagonal_order,
     enlarge,
@@ -440,14 +441,59 @@ def test_friend_rows_equal_quantizing_each_owner_per_viewer(random_instance):
         want = tuple(sorted((svq, tuple(sorted(us))) for svq, us in by_svq.items()))
         assert peb.friends.rows(viewer) == want
         shared += sum(len(us) > 1 for _, us in want)
-        # the window ends come with the owners, one per owner in ascending uid order
+        # the viewer's policy rows come with their owners and window ends, one per owner in ascending uid order
         p = store.policies
         owners = sorted(u for _, us in want for u in us)
         policy_rows = [store.row(owner, viewer) for owner in owners]
-        got_owners, t_lo, t_hi = peb.friends.windows(viewer)
+        got_rows, got_owners, t_lo, t_hi = store.windows(viewer)
+        assert got_rows == store.policy_rows(viewer) == tuple(policy_rows)
         assert list(got_owners) == owners
         assert (list(t_lo), list(t_hi)) == ([p.t_lo[r] for r in policy_rows], [p.t_hi[r] for r in policy_rows])
     assert shared > 0  # some rows hold several owners
+
+
+def test_rows_of_non_contiguous_descending_owner_runs():
+    # a generated table re-laid out so that each owner's rows come in two
+    # runs, each half in descending owner order: the store merges the runs
+    # and sorts each viewer's rows by owner.  Wide regions and long windows
+    # make many answers non-empty
+    wide = {"policy_side": (400.0, 1000.0), "policy_duration": (8.0, 24.0)}
+    cfg = WorkloadConfig(n_users=300, policies_per_user=20, theta=0.5, seed=17, group_size=50, **wide)
+    objects = {o.uid: o for o in gen_uniform(cfg)}
+    store = PolicyStore(*gen_policies(objects, cfg), objects, space_side=cfg.space_side)
+    p = store.policies
+    by_owner: dict[int, list[int]] = {}
+    for row, owner in enumerate(p.owner):
+        by_owner.setdefault(owner, []).append(row)
+    descending = sorted(by_owner, reverse=True)
+    layout = [r for owner in descending for r in by_owner[owner][::2]]
+    layout += [r for owner in descending for r in by_owner[owner][1::2]]
+    table = PolicyTable(p.day)
+    for r in layout:
+        table.append(p.owner[r], p.role[r], p.x_lo[r], p.y_lo[r], p.x_hi[r], p.y_hi[r], p.t_lo[r], p.t_hi[r])
+    graph = RelationshipGraph()
+    for owner in by_owner:
+        graph.set_roles(owner, {p.role[r]: (int(p.role[r][1:]),) for r in by_owner[owner]})
+    merged = PolicyStore(table, graph, objects, space_side=cfg.space_side)
+    for viewer in objects:
+        owners = merged.owners_naming(viewer)
+        assert owners == sorted(owners) == store.owners_naming(viewer)
+        rows = merged.policy_rows(viewer)
+        assert list(rows) == [merged.row(owner, viewer) for owner in owners]
+        assert tuple(layout[r] for r in rows) == store.policy_rows(viewer)
+    peb, bx = build_engines(objects, merged)
+    users = list(objects.values())
+    answered = 0
+    for req in gen_queries(cfg, "range", users, count=40):
+        want = oracle_range(users, merged, req)
+        assert want == oracle_range(users, store, req)
+        assert peb.prq(req) == bx.range_query(req) == want
+        answered += bool(want)
+    for req in gen_queries(cfg, "knn", users, count=40):
+        want = oracle_knn(users, merged, req)
+        assert peb.pknn(req) == bx.knn_query(req) == want
+        answered += bool(want.neighbors)
+    assert answered > 40
 
 
 def test_random_range_queries_match_oracle(random_instance):
@@ -489,16 +535,17 @@ def test_baseline_checks_policies_of_the_issuers_owners_only(random_instance, mo
     }
     calls = []
 
-    def counted(store_, owner, viewer, x, y, t):
-        calls.append((owner, viewer))
-        return _visible(store_, owner, viewer, x, y, t)
+    def counted(table, row, x, y, t):
+        calls.append(row)
+        return _row_visible(table, row, x, y, t)
 
-    monkeypatch.setattr(query, "_visible", counted)
+    monkeypatch.setattr(query, "_row_visible", counted)
     for q in queries:
         calls.clear()
         got = bx.range_query(q) if isinstance(q, PrqRequest) else bx.knn_query(q)
         assert got == oracle[q]
-        assert all(viewer == q.qid and store.row(owner, q.qid) is not None for owner, viewer in calls)
+        # each row checked is the policy of an owner naming the issuer, toward the issuer
+        assert set(calls) <= set(store.policy_rows(q.qid))
         # every visible candidate the scan found was checked
         assert len(calls) >= len(got if isinstance(got, set) else got.neighbors)
 

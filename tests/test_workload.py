@@ -4,6 +4,7 @@ import math
 import re
 import statistics
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -237,6 +238,26 @@ def test_policies_infeasible_configs_rejected():
             range(100),
             WorkloadConfig(n_users=100, policies_per_user=60, theta=1.0, group_size=50, seed=0),
         )
+
+
+def test_policies_fit_the_real_out_of_group_count():
+    # fewer users than a group: one group, no out-of-group user.  Asking for
+    # no policy, or for in-group policies only, was refused before
+    assert len(gen_policies(range(50), WorkloadConfig(n_users=50, policies_per_user=0, seed=1))[0]) == 0
+    whole = gen_policies(range(50), WorkloadConfig(n_users=50, policies_per_user=49, theta=1.0, seed=1))[0]
+    assert len(whole) == 50 * 49
+    with pytest.raises(ValueError, match="not enough out-of-group users"):
+        gen_policies(range(50), WorkloadConfig(n_users=50, policies_per_user=2, theta=0.5, seed=1))
+    # 60 users in groups of 10: each has 50 others outside its group, so 5
+    # in-group and 50 out-of-group policies are the most theta 0.1 allows
+    cfg = WorkloadConfig(n_users=60, policies_per_user=55, theta=0.1, group_size=10, seed=1)
+    policies, graph = gen_policies(range(60), cfg)
+    assert len(policies) == 60 * 55
+    _, group_of = assign_groups(range(60), cfg)
+    out = Counter(owner for owner, _, member in graph.records() if group_of[owner] != group_of[member])
+    assert set(out.values()) == {50}
+    with pytest.raises(ValueError, match="not enough out-of-group users"):
+        gen_policies(range(60), replace(cfg, policies_per_user=56))
 
 
 def test_a_full_day_duration_gives_the_whole_day():
