@@ -100,6 +100,14 @@ def _load_data_dir(data_dir: Path):
     return objects, store
 
 
+def _data_from_args(args: argparse.Namespace):
+    # a data directory that the loaders or the store refuse is a usage error
+    try:
+        return _load_data_dir(Path(args.data_dir))
+    except (OSError, ValueError) as exc:
+        args.parser.error(str(exc))
+
+
 def cmd_gen(args) -> int:
     cfg = _workload_from_args(args)
     out = Path(args.out_dir)
@@ -117,7 +125,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_build(args) -> int:
-    objects, store = _load_data_dir(Path(args.data_dir))
+    objects, store = _data_from_args(args)
     built = build_indexes(objects, store, kinds=(args.index,))
     index, _engine = built[args.index]
     stats = index.stats()
@@ -139,7 +147,7 @@ def _shown(answer: set[int] | PknnResult) -> list:
 
 def cmd_query(args) -> int:
     data_dir = Path(args.data_dir)
-    objects, store = _load_data_dir(data_dir)
+    objects, store = _data_from_args(args)
     queries = load_queries(data_dir / "queries.csv")
     if args.limit:
         queries = queries[: args.limit]
@@ -206,13 +214,13 @@ def main(argv: list[str] | None = None) -> int:
     p_build.add_argument("--data-dir", required=True)
     p_build.add_argument("--index", choices=("peb", "bx"), default="peb")
     p_build.add_argument("--snapshot", help="write an index snapshot file")
-    p_build.set_defaults(func=cmd_build)
+    p_build.set_defaults(func=cmd_build, parser=p_build)
 
     p_query = sub.add_parser("query", help="run the generated query file")
     p_query.add_argument("--data-dir", required=True)
     p_query.add_argument("--engine", choices=("peb", "bx", "oracle"), default="peb")
     p_query.add_argument("--limit", type=count, default=0, help="run only the first N queries (0 runs all)")
-    p_query.set_defaults(func=cmd_query)
+    p_query.set_defaults(func=cmd_query, parser=p_query)
 
     p_bench = sub.add_parser("bench", help="run benchmark sweeps, write CSV")
     _add_workload_flags(p_bench)

@@ -30,8 +30,9 @@ is iterated (the file writer does this).
 Sequence value assignment ranks every user by its related count, reads
 every user's two-way partners, but the related users of its anchors only
 and the degrees of few pairs.  So :class:`CompatibilityIndex` keeps the
-related counts, the two-way lists and the degrees of two-way pairs; it
-builds a neighbour list, or scores any other pair, only when asked.
+related counts and the two-way lists; it builds a neighbour list, or
+scores a pair, only when asked.  Building it scores only the pairs whose
+degree might not be positive.
 
 The store and the table it keeps are read-only after construction, so
 readers may share them; the query engines that read them are not safe to
@@ -191,6 +192,8 @@ def _refuse_rows(table: PolicyTable, roles: dict[int, dict[str, tuple[int, ...]]
         targets = roles.get(owner, {}).get(role)
         if not targets:
             raise ValueError(f"policy role {role!r} of user {owner} has no members")
+        if owner in targets:
+            raise ValueError(f"policy role {role!r} of user {owner} names its own owner")
         named = seen[owner]
         for v in targets:
             if v in named:
@@ -207,9 +210,10 @@ class PolicyStore:
     and keeps each viewer's rows, the policies naming it, in ascending
     owner order.  A viewer's owners and window ends are gathered from the
     table's columns over those rows.  At most one policy may apply per
-    ordered pair, the table's day must be the store's, every policy's
-    window must lie in that day and every region in the space, and the
-    space must have a positive area; the constructor rejects violations.
+    ordered pair, no policy may name its own owner, the table's day must
+    be the store's, every policy's window must lie in that day and every
+    region in the space, and the space must have a positive area; the
+    constructor rejects violations.
 
     The constructor checks the regions and windows in C-level passes over
     the columns, then builds the maps one owner at a time: each run of rows
@@ -277,7 +281,7 @@ class PolicyStore:
             if len(targets) != end - start:
                 rows = chain.from_iterable(map(repeat, rows, map(len, members)))
             per_owner = dict(zip(targets, rows))
-            if len(per_owner) != len(targets):
+            if len(per_owner) != len(targets) or owner in per_owner:
                 _refuse_rows(table, roles, day)
             known = directed.setdefault(owner, per_owner)
             if known is not per_owner:  # the owner's rows are not contiguous: merge its runs
@@ -377,15 +381,16 @@ class CompatibilityIndex:
     Only a pair that shares at least one policy can score above zero, so
     the index stays linear in the number of policies rather than
     quadratic in users.  The index keeps each user's related count, the
-    pairs dropped for a degree that is not positive, the two-way lists (the
-    related users toward whom each user holds a policy and who hold one
-    back) and the degrees of the two-way pairs.  A user's related users are
-    the union of what each of ``sources`` returns for it, less its dropped
-    partners; :meth:`related` builds that list on each call.  Sequence value
-    assignment ranks every user by its count but reads the list of its
-    anchors only, and the degrees of few pairs.  Built from a store, the
-    index scores any other pair on demand by :func:`compatibility`, lower
-    id first.  Nothing is cached, so the index is read-only.
+    pairs dropped for a degree that is not positive and the two-way lists
+    (the related users toward whom each user holds a policy and who hold
+    one back).  A user's related users are the union of what each of
+    ``sources`` returns for it, less its dropped partners; :meth:`related`
+    builds that list on each call.  Sequence value assignment ranks every
+    user by its count but reads the list of its anchors only, and the
+    degrees of few pairs.  Built from a store, the index keeps no degree:
+    it scores each pair on demand by :func:`compatibility`, lower id first,
+    the order the build scores in.  Nothing is cached, so the index is
+    read-only.
     """
 
     def __init__(
@@ -406,26 +411,30 @@ class CompatibilityIndex:
 
     @classmethod
     def from_store(cls, store: PolicyStore) -> "CompatibilityIndex":
-        """Related counts from the store's policy maps, scoring two-way pairs only.
+        """Related counts and two-way lists from the store's policy maps.
 
         A user's candidates are the viewers it names and the owners naming
         it, less the pairs whose degree is not positive; its two-way list
-        holds the candidates that are both.  A two-way pair is
-        scored once, from its lower id, since even a mutual overlap can
-        underflow to a zero degree.  A one-sided pair's degree is half its
-        one policy's weight, positive unless the policy has no area, no time
-        or a weight below the float range; only the one-sided pairs of an
-        owner with a policy that a safe floor cannot clear are scored.
+        holds the candidates that are both.  Only a pair with a *suspect*
+        owner, one holding a policy whose sides or time intervals are not
+        longer than a floor ``F``, is scored here (once, lower id first).
+
+        Any other pair is positive.  Coordinates are at least 0 (the store
+        checks it) and rounding is monotone, so a one-sided score is at
+        least half the weight of a policy of sides and duration ``F``.  In
+        a mutual score each positive overlap side or shared time is some
+        ``x - y`` with ``x > F`` and ``y >= 0``: at least ``F/2`` if ``y <=
+        x/2``, else exact (Sterbenz's lemma), so at least ``δ = ulp(F/2)``.
+        If a score built from either bound underflows, ``F`` is infinite
+        and every owner is a suspect.
         """
         side, day, table = store.space_side, store.day, store.policies
         directed, owners_naming = store._directed, store.owners_naming
-        # rounding is monotone, so a policy whose sides and time intervals all
-        # exceed `floor` weighs at least a floor-sized one, which is positive
-        floor = 1e-100
-        if not 0.5 * (((floor * floor) / (side * side)) * (floor / day)) > 0:
+        floor = 1e-50
+        delta, s = math.ulp(floor / 2), side * side
+        if not (0.5 * (((floor * floor) / s) * (floor / day)) > 0 and ((delta * delta) / s) * (delta / day) > 0):
             floor = math.inf
         no_policies: dict[int, int] = {}
-        scores: dict[tuple[int, int], float] = {}
         counts: dict[int, int] = {}
         two_way: dict[int, list[int]] = {}
         for u in directed.keys() | store._rows_naming.keys():
@@ -433,9 +442,6 @@ class CompatibilityIndex:
             owners = owners_naming(u)
             both = per_owner.keys() & owners
             if both:
-                for v in both:
-                    if u < v:
-                        scores[(u, v)] = _degree(*_alpha_mutual_rows(table, per_owner[v], directed[v][u], side))
                 two_way[u] = sorted(both)
             counts[u] = len(per_owner) + len(owners) - len(both)
         # owners with a policy that may weigh nothing, found in one pass over the columns
@@ -451,20 +457,16 @@ class CompatibilityIndex:
                 and (t_hi - t_lo > floor if t_lo < t_hi else t_lo > t_hi and t_hi > floor and day - t_lo > floor)
             )
         }
-        pairs = [pair for pair, c in scores.items() if not c > 0]
-        for u, v in pairs:
-            two_way[u].remove(v)
-            two_way[v].remove(u)
-        for u in suspects:
-            for v in directed[u]:
-                if u not in directed.get(v, no_policies) and not compatibility(store, u, v) > 0:
-                    pairs.append((u, v))
         dropped: dict[int, set[int]] = {}
-        for pair in pairs:
+        for pair in {(u, v) if u < v else (v, u) for u in suspects for v in directed[u]}:
+            if compatibility(store, *pair) > 0:
+                continue
             for u, v in (pair, pair[::-1]):
                 dropped.setdefault(u, set()).add(v)
                 counts[u] -= 1
-        return cls((lambda u: directed.get(u, ()), owners_naming), dropped, counts, scores, two_way, store)
+                if v in two_way.get(u, ()):
+                    two_way[u].remove(v)
+        return cls((lambda u: directed.get(u, ()), owners_naming), dropped, counts, {}, two_way, store)
 
     @classmethod
     def from_values(

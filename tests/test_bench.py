@@ -418,6 +418,26 @@ def test_cli_data_dir_refuses_a_region_beyond_the_space(tmp_path):
         _load_data_dir(data)
 
 
+def test_cli_data_dir_refuses_a_role_that_names_its_owner(tmp_path, capsys):
+    data = tmp_path / "data"
+    argv = ["gen", "--out-dir", str(data), "-N", "120", "--policies", "6", "--group-size", "30", "--seed", "4"]
+    assert cli_main(argv + ["--queries", "5"]) == 0
+    relationships = data / "relationships.csv"
+    owner, role, _ = relationships.read_text().splitlines()[0].split(",")
+    with relationships.open("a") as fh:
+        fh.write(f"{owner},{role},{owner}\n")
+    message = f"policy role '{role}' of user {owner} names its own owner"
+    with pytest.raises(ValueError, match=message):
+        _load_data_dir(data)
+    capsys.readouterr()
+    for command in (["build", "--index", "peb"], ["query", "--engine", "oracle"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*command, "--data-dir", str(data)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"pebtree {command[0]}: error: {message}" in err and "Traceback" not in err
+
+
 def test_cli_bench_writes_csv_and_exits_zero(tmp_path):
     out = tmp_path / "bench.csv"
     rc = cli_main(

@@ -3,11 +3,12 @@ import hashlib
 import math
 import random
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pebtree import policy
 from pebtree.keys import assign_sequence_values
 from pebtree.query import _visible
 from pebtree.policy import (
@@ -196,6 +197,7 @@ def assert_matches_reference(store):
     reference, values = reference_from_store(store)
     for u in store.users:
         assert index.related(u) == reference.related(u)
+        assert index.related_count(u) == reference.related_count(u)
         assert index.two_way(u) == reference.two_way(u)
     for (u, v), c in values.items():
         assert index.c(u, v).hex() == index.c(v, u).hex() == c.hex()
@@ -215,32 +217,34 @@ def test_from_store_equals_eager_reference(distribution, theta):
     assert len(values) > 2000
 
 
+TINY = 1e-150
+DEGENERATE_SPECS = [
+    # an empty time set, one-sided and two-way
+    (1, 2, FULL_RECT, 9.0, 9.0),
+    (3, 4, FULL_RECT, 5.0, 5.0),
+    (4, 3, FULL_RECT, 12.0, 12.0),
+    # a zero-width and a zero-height rectangle
+    (5, 6, (100.0, 0.0, 100.0, 500.0), 0.0, 12.0),
+    (6, 1, (0.0, 300.0, 500.0, 300.0), 0.0, 12.0),
+    # a weight that underflows: 0.5 * area * duration is below the float range
+    (7, 8, (0.0, 0.0, TINY, TINY), 0.0, 1e-20),
+    # a two-way pair whose mutual overlap product underflows to 0
+    (9, 10, (0.0, 0.0, TINY, TINY), 0.0, 1e-20),
+    (10, 9, FULL_RECT, 0.0, 12.0),
+    # wrapping time sets with an empty part still weigh something
+    (11, 12, (0.0, 0.0, 10.0, 10.0), 5.0, 0.0),
+    (12, 13, (0.0, 0.0, 10.0, 10.0), DAY, 3.0),
+    # healthy pairs next to the degenerate ones
+    (1, 3, FULL_RECT, 0.0, DAY),
+    (3, 1, FULL_RECT, 0.0, DAY),
+    (8, 9, (0.0, 0.0, 50.0, 50.0), 8.0, 17.0),
+]
+# the owners of a policy with a side or a time interval of (nearly) no length
+DEGENERATE_OWNERS = {1, 3, 4, 5, 6, 7, 9, 11, 12}
+
+
 def test_from_store_equals_eager_reference_on_degenerate_policies():
-    tiny = 1e-150
-    store = make_store(
-        [
-            # an empty time set, one-sided and two-way
-            (1, 2, FULL_RECT, 9.0, 9.0),
-            (3, 4, FULL_RECT, 5.0, 5.0),
-            (4, 3, FULL_RECT, 12.0, 12.0),
-            # a zero-width and a zero-height rectangle
-            (5, 6, (100.0, 0.0, 100.0, 500.0), 0.0, 12.0),
-            (6, 1, (0.0, 300.0, 500.0, 300.0), 0.0, 12.0),
-            # a weight that underflows: 0.5 * area * duration is below the float range
-            (7, 8, (0.0, 0.0, tiny, tiny), 0.0, 1e-20),
-            # a two-way pair whose mutual overlap product underflows to 0
-            (9, 10, (0.0, 0.0, tiny, tiny), 0.0, 1e-20),
-            (10, 9, FULL_RECT, 0.0, 12.0),
-            # wrapping time sets with an empty part still weigh something
-            (11, 12, (0.0, 0.0, 10.0, 10.0), 5.0, 0.0),
-            (12, 13, (0.0, 0.0, 10.0, 10.0), DAY, 3.0),
-            # healthy pairs next to the degenerate ones
-            (1, 3, FULL_RECT, 0.0, DAY),
-            (3, 1, FULL_RECT, 0.0, DAY),
-            (8, 9, (0.0, 0.0, 50.0, 50.0), 8.0, 17.0),
-        ],
-        users=range(1, 15),
-    )
+    store = make_store(DEGENERATE_SPECS, users=range(1, 15))
     assert _alpha_mutual_rows(store.policies, store.row(9, 10), store.row(10, 9), SIDE) == (0.0, True)
     index, values = assert_matches_reference(store)
     zero = {pair for pair, c in values.items() if c == 0.0}
@@ -258,6 +262,132 @@ def test_from_store_equals_eager_reference_when_no_weight_fits_a_float():
     index, values = assert_matches_reference(store)
     assert set(values.values()) == {0.0}
     assert [index.related(u) for u in (1, 2, 3)] == [[], [], []]
+
+
+def _steps(x: float, k: int, scale: float) -> float:
+    """``x`` moved ``|k|`` float steps, up for ``k > 0`` and down otherwise, kept in ``[0, scale]``."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, scale if k > 0 else 0.0)
+    return min(max(x, 0.0), scale)
+
+
+# lengths near the build's floor and below it, and near the float range's end
+NEAR_FLOOR = (1e-50, math.nextafter(1e-50, 0.0), 2e-50, 5e-51, 1e-66, 1e-100, 1e-150, 1e-300)
+
+
+@st.composite
+def adversarial_tables(draw):
+    """``(specs, users, space_side, day)`` of up to 6 users whose policies sit on float edges.
+
+    Ends come from a few anchors per table (0, the space side or the day,
+    its middle, drawn fractions of it, lengths near the floor), moved a few
+    float steps, or lie a length near the floor past another end; windows
+    are drawn in either order, so some wrap.  The space side and the day
+    span enough decades that the build's floor is finite in some tables and
+    infinite in others.
+    """
+    side = 10.0 ** draw(st.floats(-30, 150))
+    day = 10.0 ** draw(st.floats(-20, 20))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+
+    def interval(scale):
+        anchors = [0.0, scale, scale / 2, *(scale * f for f in fractions), *(min(d, scale) for d in NEAR_FLOOR)]
+
+        def near_anchor():
+            return _steps(draw(st.sampled_from(anchors)), draw(st.integers(-2, 2)), scale)
+
+        lo = near_anchor()
+        kind = draw(st.sampled_from(["steps", "length", "anchor"]))
+        if kind == "steps":
+            return lo, _steps(lo, draw(st.integers(0, 3)), scale)
+        if kind == "length":
+            return lo, min(lo + draw(st.sampled_from(NEAR_FLOOR)), scale)
+        return lo, near_anchor()
+
+    n = draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    specs = []
+    for owner, target in draw(st.lists(pair, unique=True, max_size=12)):
+        (x_lo, x_hi), (y_lo, y_hi) = sorted(interval(side)), sorted(interval(side))
+        specs.append((owner, target, (x_lo, y_lo, x_hi, y_hi), *interval(day)))
+    return specs, range(1, n + 1), side, day
+
+
+def ulp_overlap_specs(edge, side=SIDE, day=DAY):
+    """Two policies that overlap by one float step below ``edge`` on each axis and in time."""
+    below = math.nextafter(edge, 0.0)
+    return [(1, 2, (0.0, 0.0, edge, edge), 0.0, edge), (2, 1, (below, below, side, side), below, day)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(adversarial_tables())
+@example((DEGENERATE_SPECS, range(1, 15), SIDE, DAY))
+@example(
+    (
+        [(1, 2, FULL_RECT, 0.0, DAY), (2, 1, FULL_RECT, 0.0, DAY), (3, 1, FULL_RECT, 8.0, 17.0)],
+        range(1, 4),
+        1e300,
+        DAY,
+    )
+)
+# a mutual overlap of one float step per side and in time, with every policy
+# longer than 1e-100 and than 1e-50: it underflows to a zero degree, which a
+# floor of either size without the float-step test would miss
+@example((ulp_overlap_specs(2e-100), range(1, 3), SIDE, DAY))
+@example((ulp_overlap_specs(2e-50, 1e70, 1.0), range(1, 3), 1e70, 1.0))
+def test_from_store_equals_eager_reference_on_adversarial_tables(case):
+    specs, users, side, day = case
+    store = make_store(specs, users, space_side=side, day=day)
+    index, _ = assert_matches_reference(store)
+    reference, _ = reference_from_store(store)
+    for u in users:
+        for v in users:
+            assert index.c(u, v).hex() == reference.c(u, v).hex()
+
+
+def count_scores(monkeypatch) -> Counter:
+    """Each set of rows that ``_alpha_mutual_rows`` scores, counted, from now on."""
+    calls: Counter = Counter()
+    score = policy._alpha_mutual_rows
+
+    def counting(table, r12, r21, space_side):
+        calls[frozenset({r12, r21} - {None})] += 1
+        return score(table, r12, r21, space_side)
+
+    monkeypatch.setattr(policy, "_alpha_mutual_rows", counting)
+    return calls
+
+
+def pair_rows(store, pairs) -> Counter:
+    """Each pair's set of policy rows, counted once."""
+    return Counter(frozenset({store.row(u, v), store.row(v, u)} - {None}) for u, v in pairs)
+
+
+def test_from_store_scores_no_pair_of_a_generated_table(monkeypatch):
+    cfg = WorkloadConfig(n_users=500, policies_per_user=20, theta=0.7, seed=5)
+    uids = list(range(cfg.n_users))
+    store = PolicyStore(*gen_policies(uids, cfg), uids, space_side=cfg.space_side)
+    calls = count_scores(monkeypatch)
+    index = CompatibilityIndex.from_store(store)
+    assert not calls
+    assert sum(map(index.related_count, uids)) > 10_000
+
+
+def test_from_store_scores_each_pair_of_a_degenerate_owner_once(monkeypatch):
+    store = make_store(DEGENERATE_SPECS, users=range(1, 15))
+    calls = count_scores(monkeypatch)
+    CompatibilityIndex.from_store(store)
+    owned = {(min(o, t), max(o, t)) for o, t, *_ in DEGENERATE_SPECS if o in DEGENERATE_OWNERS}
+    assert calls == pair_rows(store, owned)
+    assert (8, 9) not in owned and len(owned) == 9
+
+
+def test_from_store_scores_every_pair_once_when_no_weight_fits_a_float(monkeypatch):
+    store = make_store(DEGENERATE_SPECS, users=range(1, 15), space_side=1e300)
+    calls = count_scores(monkeypatch)
+    index = CompatibilityIndex.from_store(store)
+    assert calls == pair_rows(store, {(min(o, t), max(o, t)) for o, t, *_ in DEGENERATE_SPECS})
+    assert not any(map(index.related, range(1, 15)))
 
 
 def reference_neighbour_lists(store):
@@ -532,6 +662,30 @@ def test_one_policy_per_ordered_pair_enforced():
     g.set_roles(1, {"u2": (2,), "other": (2,)})
     with pytest.raises(ValueError):
         PolicyStore(table, g, [1, 2])
+
+
+def test_store_refuses_a_policy_that_names_its_own_owner(tmp_path):
+    table = PolicyTable()
+    for owner, role in ((1, "f"), (2, "g"), (1, "me")):  # owner 1's second run names it
+        table.append(owner, role, *FULL_RECT, 8.0, 11.0)
+    graph = RelationshipGraph()
+    graph.set_roles(1, {"me": (1,), "f": (2,)})
+    graph.set_roles(2, {"g": (1, 2)})
+    message = "policy role 'g' of user 2 names its own owner"
+    with pytest.raises(ValueError, match=message):
+        PolicyStore(table, graph, [1, 2])
+    # through the files: the relationship records and the policy table
+    save_policies(table, tmp_path / "policies.csv")
+    save_relationships(graph, tmp_path / "relationships.csv")
+    loaded = load_policies(tmp_path / "policies.csv"), load_relationships(tmp_path / "relationships.csv")
+    with pytest.raises(ValueError, match=message):
+        PolicyStore(*loaded, [1, 2])
+    graph.set_roles(2, {"g": (1,)})
+    with pytest.raises(ValueError, match="policy role 'me' of user 1 names its own owner"):
+        PolicyStore(table, graph, [1, 2])
+    graph.set_roles(1, {"me": (2,), "f": (2,)})
+    with pytest.raises(ValueError, match=r"two policies for ordered pair \(1, 2\)"):
+        PolicyStore(table, graph, [1, 2])
 
 
 @pytest.mark.parametrize("owner, member, uid", [(99, 2, 99), (1, 99, 99)])
