@@ -212,8 +212,8 @@ class PolicyStore:
     table's columns over those rows.  At most one policy may apply per
     ordered pair, no policy may name its own owner, the table's day must
     be the store's, every policy's window must lie in that day and every
-    region in the space, and the space must have a positive area; the
-    constructor rejects violations.
+    region in the space, the space must have a positive area and the day
+    a positive finite length; the constructor rejects violations.
 
     The constructor checks the regions and windows in C-level passes over
     the columns, then builds the maps one owner at a time: each run of rows
@@ -238,6 +238,9 @@ class PolicyStore:
         # the compatibility scores divide by the space's area
         if not space_side * space_side > 0:
             raise ValueError(f"space_side {space_side} gives the space no positive area")
+        # and divide by the day's length
+        if not 0.0 < day < math.inf:
+            raise ValueError(f"day is {day!r}, not a positive finite number")
         self.users = frozenset(users)
         self.space_side = space_side
         self.day = day

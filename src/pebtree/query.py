@@ -29,7 +29,13 @@ Two engines answer the same queries:
 
 Both engines read the tree only through
 :meth:`~pebtree.store.BPlusTree.scan_intervals`, so a query's charged I/O
-is the buffer misses of the pages it reads.
+is the buffer misses of the pages it reads.  Its visitor takes a leaf slice
+at a time, and both engines filter a slice's uid column against the owners
+they hold with C-level passes, ``compress(range(i, j),
+map(owners.__contains__, uids[i:j]))``, which the baseline engine runs
+only on a slice that ``isdisjoint`` finds an owner in.  Only a held
+owner's key and motion record are read, so neither engine steps through
+the other users in Python.
 
 Brute-force oracles apply the query definitions literally over all users
 and anchor every correctness test.  Queries leave the index's entries
@@ -44,14 +50,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from heapq import nsmallest
-from itertools import groupby, repeat
+from itertools import compress, groupby, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .keys import KeyLayout, SequenceValueMap
 from .motion import MovingObject
 from .policy import PolicyStore, PolicyTable, window_contains
-from .store import DirectionalSpeeds, LeafEntry, MovingObjectIndex
+from .store import DirectionalSpeeds, MovingObjectIndex, Node, Record
 from .zcurve import cells_covering, z_decompose
 from .zcurve import z_corner_interval  # noqa: F401  perfbench/harness.py's tracer wraps it by this name
 
@@ -258,8 +264,11 @@ class PebQueryEngine(_EngineBase):
         A scan ends at the entry that meets its prefix's count of active
         owners, and every active owner entry read is extrapolated to ``t_q``
         and verified; the entries of other users and of inactive owners are
-        passed over.  An owner entry is verified by the region of its held
-        row alone, since its window was checked before the scan.
+        passed over.  Each leaf slice the scan hands over is filtered against
+        the active owners in one pass over its uid column, so only an active
+        owner's key and record are read.  An owner entry is verified by the
+        region of its held row alone, since its window was checked before
+        the scan.
         ``rect=None`` is the whole space: each prefix's full span
         ``[0, max_z]``, with no window enlarged or decomposed.
         """
@@ -281,32 +290,35 @@ class PebQueryEngine(_EngineBase):
         }
         p = store.policies
         rx_lo, ry_lo, rx_hi, ry_hi = p.x_lo, p.y_lo, p.x_hi, p.y_hi
-        # left[prefix]: the active owners whose entry has the key prefix that
-        # visit has yet to meet; an owner that is not indexed counts nowhere
+        # left[prefix]: the active owners whose entry has the key prefix; an
+        # owner that is not indexed counts nowhere
         left = Counter(key >> zv_bits for key in index.keys_of(active) if key is not None)
         labels = dict(index.live_partitions())
         x_lo, y_lo, x_hi, y_hi = rect or (-math.inf, -math.inf, math.inf, math.inf)
         full = ((0, self.grid.max_z),)
         found: list[tuple[int, float, float]] = []
+        todo = 0  # the active owners of the scanned prefix that visit has yet to meet
 
-        def visit(entry: LeafEntry) -> bool:
+        def visit(leaf: Node, i: int, j: int) -> bool:
             # entries of a prefix's key span carry that prefix: an owner found is the scan's own
-            if entry.uid not in active:
-                return False
-            row = active[entry.uid]
-            prefix = entry.key >> zv_bits
-            left[prefix] -= 1
-            px = entry.x + entry.vx * (t_q - entry.t)
-            py = entry.y + entry.vy * (t_q - entry.t)
-            # the query window, then the policy region of the held row
-            if (
-                x_lo <= px <= x_hi
-                and y_lo <= py <= y_hi
-                and rx_lo[row] <= px <= rx_hi[row]
-                and ry_lo[row] <= py <= ry_hi[row]
-            ):
-                found.append((entry.uid, px, py))
-            return not left[prefix]
+            nonlocal todo
+            uids = leaf.uids
+            for r in compress(range(i, j), map(active.__contains__, uids[i:j])):
+                uid = uids[r]
+                row = active[uid]
+                todo -= 1
+                x, y, vx, vy, t = leaf.recs[r]
+                px = x + vx * (t_q - t)
+                py = y + vy * (t_q - t)
+                # the query window, then the policy region of the held row
+                if (
+                    x_lo <= px <= x_hi
+                    and y_lo <= py <= y_hi
+                    and rx_lo[row] <= px <= rx_hi[row]
+                    and ry_lo[row] <= py <= ry_hi[row]
+                ):
+                    found.append((uid, px, py))
+            return not todo
 
         # (partition, row value) of each prefix, ascending: the live partitions in order, rows ascending in each
         pairs = sorted(divmod(prefix, 1 << layout.sv_bits) for prefix in left)
@@ -317,6 +329,7 @@ class PebQueryEngine(_EngineBase):
             base = layout.peb_key_q(tid, 0, 0)  # a row's key prefix adds its value above the curve bits
             values = [q for _, q in group]
             for i, _ in order(len(values), 1):
+                todo = left[tid << layout.sv_bits | values[i]]
                 tree.scan_intervals(zivs, visit, base | values[i] << zv_bits)
         return found
 
@@ -361,6 +374,8 @@ class BaselineQueryEngine(_EngineBase):
     built once per query, drops the candidates it does not hold and checks
     the held row's region and window.  A dropped candidate holds no policy
     toward the issuer, so answers and page reads do not depend on the map.
+    The lookup is one C-level pass over each leaf slice's uid column, and
+    only a held owner's motion record is read.
     """
 
     def __init__(self, index: MovingObjectIndex, store: PolicyStore) -> None:
@@ -373,18 +388,32 @@ class BaselineQueryEngine(_EngineBase):
         store = self.store
         return dict(zip(store.owners_naming(qid), store.policy_rows(qid)))
 
-    def _spatial_candidates(self, rect: Rect, t_q: float, scanned: dict[int, list[tuple[int, int]]] | None = None) -> list[LeafEntry]:
-        """Entries whose window scan retrieves them for this rectangle.
+    def _spatial_candidates(
+        self, rect: Rect, t_q: float, held: dict[int, int], scanned: dict[int, list[tuple[int, int]]] | None = None
+    ) -> list[tuple[int, Record]]:
+        """``(uid, record)`` of each entry the window scan retrieves for this rectangle whose owner ``held`` holds.
 
-        ``scanned`` carries per-partition curve intervals already covered
-        by earlier rounds of an incremental search, and only the rest is
-        scanned.  Rounds nest, and a window's intervals cover exactly the
-        scan blocks it meets, so each round's intervals contain the
-        previous round's and replace them.
+        Every entry in the window is read; each leaf slice is filtered
+        against ``held`` in one pass over its uid column, and only a held
+        owner's record is taken.  ``scanned`` carries per-partition curve
+        intervals already covered by earlier rounds of an incremental
+        search, and only the rest is scanned.  Rounds nest, and a window's
+        intervals cover exactly the scan blocks it meets, so each round's
+        intervals contain the previous round's and replace them.
         """
-        out: list[LeafEntry] = []
+        out: list[tuple[int, Record]] = []
         layout = self.layout
         tree = self.index.tree
+        owners = held.keys()
+
+        def visit(leaf: Node, i: int, j: int) -> None:
+            uids = leaf.uids[i:j]
+            if owners.isdisjoint(uids):  # most slices hold no owner, and one C-level pass skips them
+                return
+            recs = leaf.recs
+            for r in compress(range(i, j), map(held.__contains__, uids)):
+                out.append((leaf.uids[r], recs[r]))
+
         for tid, label in self.index.live_partitions():
             enlarged = enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L)
             zivs = self._zivs(enlarged)
@@ -393,7 +422,7 @@ class BaselineQueryEngine(_EngineBase):
                 scanned[tid] = zivs
                 zivs = subtract_intervals(zivs, done)
             if zivs:
-                tree.scan_intervals(zivs, out.append, layout.bx_key(tid, 0))
+                tree.scan_intervals(zivs, visit, layout.bx_key(tid, 0))
         return out
 
     def range_query(self, req: PrqRequest) -> set[int]:
@@ -403,15 +432,13 @@ class BaselineQueryEngine(_EngineBase):
         t_q = req.t_q
         p, held = self.store.policies, self._held_rows(req.qid)
         result: set[int] = set()
-        for entry in self._spatial_candidates(rect, t_q):
-            if entry.uid not in held:
-                continue
-            px = entry.x + entry.vx * (t_q - entry.t)
-            py = entry.y + entry.vy * (t_q - entry.t)
+        for uid, (x, y, vx, vy, t) in self._spatial_candidates(rect, t_q, held):
+            px = x + vx * (t_q - t)
+            py = y + vy * (t_q - t)
             if rect[0] <= px <= rect[2] and rect[1] <= py <= rect[3]:
                 # spatial hit; now the policy filter
-                if _row_visible(p, held[entry.uid], px, py, t_q):
-                    result.add(entry.uid)
+                if _row_visible(p, held[uid], px, py, t_q):
+                    result.add(uid)
         return result
 
     def knn_query(self, req: PknnRequest) -> PknnResult:
@@ -433,13 +460,13 @@ class BaselineQueryEngine(_EngineBase):
         while True:
             square = (max(qx - radius, 0.0), max(qy - radius, 0.0), min(qx + radius, side), min(qy + radius, side))
             covers_all = square == (0.0, 0.0, side, side)
-            for entry in self._spatial_candidates(square, t_q, scanned):
-                if entry.uid not in held or entry.uid in candidates:
+            for uid, (x, y, vx, vy, t) in self._spatial_candidates(square, t_q, held, scanned):
+                if uid in candidates:
                     continue
-                px = entry.x + entry.vx * (t_q - entry.t)
-                py = entry.y + entry.vy * (t_q - entry.t)
-                if _row_visible(p, held[entry.uid], px, py, t_q):
-                    candidates[entry.uid] = math.hypot(px - qx, py - qy)
+                px = x + vx * (t_q - t)
+                py = y + vy * (t_q - t)
+                if _row_visible(p, held[uid], px, py, t_q):
+                    candidates[uid] = math.hypot(px - qx, py - qy)
             if len(candidates) >= k:
                 kdist = sorted(candidates.values())[k - 1]
                 if kdist <= radius:

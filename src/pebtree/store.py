@@ -8,6 +8,19 @@ page holds the (key, uid) fences and its children.  The policy handle is
 the uid, under which the policy store files the owner's policies, so it
 is budgeted in the record size but not stored twice.
 
+A leaf stores its records column by column, as PAX pages do (Ailamaki et
+al., VLDB 2001): a list of int keys, an ``array('q')`` of uids and one
+``(x, y, vx, vy, t)`` tuple of doubles per record, the three in step.  A
+record is then an 8-byte key, an 8-byte uid and five 8-byte doubles: 56 of
+the 64 bytes :data:`LEAF_RECORD_BYTES` budgets, the other 8 being the
+policy handle that the uid doubles as, so a page holds as many records as
+before.  A scan bisects the key column and filters the uid column a leaf
+slice at a time, building nothing for a record it passes over; a
+:class:`LeafEntry` is built only when one is asked for (the snapshot
+writer and the tests ask).  So the garbage collector tracks four objects
+per leaf, not one per record: a motion tuple holds only floats, and the
+collector untracks such tuples.
+
 Every page read goes through :meth:`BPlusTree.touch_page`, which charges
 it to the buffer; the benchmark's charged I/O is the number of buffer
 misses.  Queries read the tree through one leaf cursor,
@@ -27,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from operator import itemgetter
@@ -43,14 +57,13 @@ INTERNAL_RECORD_BYTES = 16
 BUFFER_PAGES = 50
 SNAPSHOT_FORMAT = 3  # bump when the snapshot layout changes
 SPREAD_BITS = 15  # a cell coordinate's bits spread by one table lookup per 15 bits
+UID_LIMIT = 1 << 63  # uids are 64-bit signed column values; the index takes 0 <= uid < UID_LIMIT
+
+Record = tuple[float, float, float, float, float]  # x, y, vx, vy, t of a leaf record
 
 
 class LeafEntry(NamedTuple):
-    """A leaf record; the uid is also its policy handle.
-
-    As a tuple it sorts by (key, uid), so a leaf bisects its records with
-    ``(key, uid)`` and ``(key, -1)`` probes directly.
-    """
+    """A leaf record as one tuple, built on demand from a leaf's columns; the uid is also its policy handle."""
 
     key: int
     uid: int
@@ -144,34 +157,60 @@ class PageBuffer:
 
 
 class Node:
-    """A page: a leaf has ``entries`` and ``next_leaf``, an internal page ``keys`` and ``children``."""
+    """A page: a leaf has the columns ``keys``, ``uids`` and ``recs`` and ``next_leaf``, an internal page ``keys`` and ``children``.
 
-    __slots__ = ("page_id", "leaf", "keys", "entries", "children", "next_leaf")
+    A leaf's record ``i`` is ``keys[i]``, ``uids[i]`` and ``recs[i]``, the
+    motion fields ``(x, y, vx, vy, t)``; records are ordered by (key, uid).
+    The keys are Python ints, so a key layout of any width fits; the uids
+    are an ``array('q')``.  An internal page's ``keys`` are its (key, uid)
+    fences instead.
+    """
+
+    __slots__ = ("page_id", "leaf", "keys", "uids", "recs", "children", "next_leaf")
 
     def __init__(self, page_id: int, leaf: bool) -> None:
         self.page_id = page_id
         self.leaf = leaf
         if leaf:
-            self.entries: list[LeafEntry] = []  # ordered by (key, uid)
+            self.keys: list = []  # a leaf's int keys; an internal page's fences
+            self.uids = array("q")
+            self.recs: list[Record] = []
             self.next_leaf: int | None = None
         else:
-            self.keys: list[tuple[int, int]] = []  # fence (key, uid) before every child but the first
+            self.keys = []  # fence (key, uid) before every child but the first
             self.children: list[int] = []
+
+    def columns(self) -> tuple[list[int], array, list[Record]]:
+        """A leaf's three columns, which every leaf mutation moves in step."""
+        return self.keys, self.uids, self.recs
+
+    def records(self, i: int, j: int) -> list[LeafEntry]:
+        """Records ``i`` to ``j - 1`` of a leaf, each built as a :class:`LeafEntry`."""
+        return [
+            tuple.__new__(LeafEntry, (key, uid, *rec))
+            for key, uid, rec in zip(self.keys[i:j], self.uids[i:j], self.recs[i:j])
+        ]
+
+    @property
+    def entries(self) -> list[LeafEntry]:
+        """Every record of a leaf, built on demand: a read-only view, not the storage."""
+        return self.records(0, len(self.keys))
 
 
 def _fill(node: Node) -> int:
-    """Entries of a leaf, children of an internal page."""
-    return len(node.entries) if node.leaf else len(node.children)
+    """Records of a leaf, children of an internal page."""
+    return len(node.keys) if node.leaf else len(node.children)
 
 
 def _borrow(parent: Node, i: int, left: Node, right: Node, to_right: bool) -> None:
-    """Move one entry or child between siblings ``left`` and ``right`` across fence ``i`` of ``parent``."""
+    """Move one record or child between siblings ``left`` and ``right`` across fence ``i`` of ``parent``."""
     if left.leaf:
-        if to_right:
-            right.entries.insert(0, left.entries.pop())
-        else:
-            left.entries.append(right.entries.pop(0))
-        parent.keys[i] = right.entries[0][:2]  # a leaf fence is the right page's first (key, uid)
+        for lcol, rcol in zip(left.columns(), right.columns()):
+            if to_right:
+                rcol.insert(0, lcol.pop())
+            else:
+                lcol.append(rcol.pop(0))
+        parent.keys[i] = (right.keys[0], right.uids[0])  # a leaf fence is the right page's first (key, uid)
     elif to_right:  # an internal fence rotates through the parent
         right.keys.insert(0, parent.keys[i])
         parent.keys[i] = left.keys.pop()
@@ -244,8 +283,10 @@ class BPlusTree:
         """Seek the leaf where entries with ``key`` start, reading each page on the way.
 
         The pages and their order are :meth:`_descend`'s, without the path.
+        The probe ``(key,)`` sorts before every fence ``(key, uid)``, so the
+        seek lands left of every entry with ``key``, whatever its uid.
         """
-        composite = (key, -1)
+        composite = (key,)
         node = self.touch_page(self.root_id)
         while not node.leaf:
             node = self.touch_page(node.children[bisect_right(node.keys, composite)])
@@ -253,29 +294,32 @@ class BPlusTree:
 
     # -- mutation -----------------------------------------------------------
 
-    def insert(self, entry: LeafEntry) -> None:
-        """Insert one leaf entry; duplicates of (key, uid) are rejected."""
-        composite = entry[:2]
-        path, leaf = self._descend(composite)
-        entries = leaf.entries
-        i = bisect_left(entries, composite)
-        if i < len(entries) and entries[i][0] == entry[0] and entries[i][1] == entry[1]:
-            raise ValueError(f"duplicate entry {composite}")
-        entries.insert(i, entry)
+    def insert(self, key: int, uid: int, rec: Record) -> None:
+        """Insert one record; duplicates of (key, uid) are rejected."""
+        path, leaf = self._descend((key, uid))
+        keys, uids = leaf.keys, leaf.uids
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:  # among the records of this key, the uid places it
+            i = bisect_left(uids, uid, i, bisect_right(keys, key, i))
+            if i < len(keys) and keys[i] == key and uids[i] == uid:
+                raise ValueError(f"duplicate entry {(key, uid)}")
+        uids.insert(i, uid)  # first: a uid the column cannot hold raises before any column moves
+        keys.insert(i, key)
+        leaf.recs.insert(i, rec)
         self.entry_count += 1
-        if len(entries) > self.leaf_cap:
+        if len(keys) > self.leaf_cap:
             self._split_leaf(leaf, path)
 
     def _split_leaf(self, leaf: Node, path: list[tuple[Node, int]]) -> None:
-        mid = len(leaf.entries) // 2
+        mid = len(leaf.keys) // 2
         right = self._alloc(leaf=True)
-        right.entries = leaf.entries[mid:]
-        del leaf.entries[mid:]
+        right.keys, right.uids, right.recs = (col[mid:] for col in leaf.columns())
+        for col in leaf.columns():
+            del col[mid:]
         right.next_leaf = leaf.next_leaf
         leaf.next_leaf = right.page_id
         self.leaf_count += 1
-        first = right.entries[0]
-        self._insert_in_parent(path, (first.key, first.uid), right.page_id)
+        self._insert_in_parent(path, (right.keys[0], right.uids[0]), right.page_id)
 
     def _insert_in_parent(self, path: list[tuple[Node, int]], sep: tuple[int, int], right_pid: int) -> None:
         if not path:
@@ -301,15 +345,16 @@ class BPlusTree:
 
     def delete(self, key: int, uid: int) -> None:
         """Remove the entry with this (key, uid); missing entries are reported."""
-        composite = (key, uid)
-        path, leaf = self._descend(composite)
-        entries = leaf.entries
-        i = bisect_left(entries, composite)
-        if i >= len(entries) or entries[i][0] != key or entries[i][1] != uid:
-            raise KeyError(f"no entry {composite}")
-        del entries[i]
+        path, leaf = self._descend((key, uid))
+        keys, uids = leaf.keys, leaf.uids
+        i = bisect_left(keys, key)
+        if i == len(keys) or keys[i] != key or uids[i] != uid:  # not the key's first record: bisect its run by uid
+            i = bisect_left(uids, uid, i, bisect_right(keys, key, i))
+            if i == len(keys) or keys[i] != key or uids[i] != uid:
+                raise KeyError(f"no entry {(key, uid)}")
+        del keys[i], uids[i], leaf.recs[i]
         self.entry_count -= 1
-        if len(entries) < self.leaf_cap // 2:  # a fuller leaf, the root among them, needs no rebalancing
+        if len(keys) < self.leaf_cap // 2:  # a fuller leaf, the root among them, needs no rebalancing
             self._rebalance(leaf, path)
 
     def _rebalance(self, node: Node, path: list[tuple[Node, int]]) -> None:
@@ -343,7 +388,8 @@ class BPlusTree:
         fence = parent.keys.pop(i)
         del parent.children[i + 1]
         if left.leaf:
-            left.entries.extend(right.entries)
+            for lcol, rcol in zip(left.columns(), right.columns()):
+                lcol.extend(rcol)
             left.next_leaf = right.next_leaf
             self.leaf_count -= 1
         else:
@@ -354,44 +400,49 @@ class BPlusTree:
     # -- scans ---------------------------------------------------------------
 
     def scan_intervals(
-        self, intervals: Sequence[tuple[int, int]], visit: Callable[[LeafEntry], object], base: int = 0
+        self, intervals: Sequence[tuple[int, int]], visit: Callable[[Node, int, int], object], base: int = 0
     ) -> None:
-        """Visit, in key order, the entries with keys in ``base + [lo, hi]`` per interval.
+        """Visit, in key order, the records with keys in ``base + [lo, hi]`` per interval, a leaf slice at a time.
 
-        ``intervals`` are sorted and disjoint.  The cursor seeks through
-        :meth:`descend` when an interval starts beyond the leaf it holds,
-        and otherwise bisects that leaf; it follows the sibling chain while
-        the interval goes on past a leaf's last entry, and jumps over the
-        intervals that hold no entry of the leaf.  This is the Bx-tree's
-        locate-then-walk per search interval, with every seek and sibling
-        read charged as it happens.  A ``visit`` that returns true ends the
-        scan before any further page is read.
+        ``intervals`` are sorted and disjoint.  Each call ``visit(leaf, i,
+        j)`` hands over records ``i`` to ``j - 1`` of ``leaf``, ``i < j``, all
+        inside one interval: the visitor reads the slices it needs of the
+        leaf's columns (``leaf.keys[i:j]``, ``leaf.uids[i:j]``,
+        ``leaf.recs[i:j]``) and must not change them.  A ``visit`` that
+        returns true ends the scan before any further page is read.
+
+        The cursor seeks through :meth:`descend` when an interval starts
+        beyond the leaf it holds, and otherwise bisects that leaf's key
+        column; it follows the sibling chain while the interval goes on past
+        a leaf's last record, and jumps over the intervals that hold no
+        record of the leaf.  This is the Bx-tree's locate-then-walk per
+        search interval, with every seek and sibling read charged as it
+        happens.
         """
         leaf: Node | None = None
-        entries: list[LeafEntry] = []
+        keys: list[int] = []
         k, n = 0, len(intervals)
         while k < n:
             lo, hi = intervals[k]
             lo += base
-            if not entries or entries[-1].key < lo:
+            if not keys or keys[-1] < lo:
                 leaf = self.descend(lo)
-                entries = leaf.entries
-            i = bisect_left(entries, (lo, -1))
-            end = (hi + base + 1, -1)  # sorts before every entry past the interval
+                keys = leaf.keys
+            i = bisect_left(keys, lo)
+            hi += base
             while True:
-                j = bisect_left(entries, end, i)
-                for entry in entries[i:j]:
-                    if visit(entry):
-                        return
-                if j < len(entries) or leaf.next_leaf is None:
+                j = bisect_right(keys, hi, i)
+                if i < j and visit(leaf, i, j):
+                    return
+                if j < len(keys) or leaf.next_leaf is None:
                     break
                 leaf = self.touch_page(leaf.next_leaf)
-                entries = leaf.entries
+                keys = leaf.keys
                 i = 0
-            if j == len(entries):
+            if j == len(keys):
                 k += 1
-            else:  # jump over the intervals that end before the leaf's next entry
-                k = bisect_left(intervals, entries[j].key - base, k + 1, n, key=itemgetter(1))
+            else:  # jump over the intervals that end before the leaf's next record
+                k = bisect_left(intervals, keys[j] - base, k + 1, n, key=itemgetter(1))
 
     def stats(self) -> TreeStats:
         return TreeStats(self.height, self.leaf_count, self.entry_count, len(self.pages))
@@ -409,7 +460,7 @@ class BPlusTree:
         _check(len(leaf_pages) == self.leaf_count, "leaf count drift")
         chain = [self.pages[pid].next_leaf for pid in leaf_pages]
         _check(chain == leaf_pages[1:] + [None], "leaf chain disagrees with tree order")
-        flat = [(e.key, e.uid) for pid in leaf_pages for e in self.pages[pid].entries]
+        flat = [composite for pid in leaf_pages for composite in zip(self.pages[pid].keys, self.pages[pid].uids)]
         _check(flat == sorted(flat), "leaf chain not sorted")
         _check(len(set(flat)) == len(flat), "duplicate composite keys")
 
@@ -418,13 +469,14 @@ class BPlusTree:
         visited.append(node.page_id)
         if node.leaf:
             _check(depth == self.height, "uneven leaf depth")
+            n = len(node.keys)
+            _check(len(node.uids) == n and len(node.recs) == n, "leaf columns of different lengths")
             if not is_root:
-                _check(len(node.entries) >= self.leaf_cap // 2, "leaf underflow")
-            _check(len(node.entries) <= self.leaf_cap, "leaf overflow")
-            for e in node.entries:
-                k = (e.key, e.uid)
+                _check(n >= self.leaf_cap // 2, "leaf underflow")
+            _check(n <= self.leaf_cap, "leaf overflow")
+            for k in zip(node.keys, node.uids):
                 _check((lo is None or k >= lo) and (hi is None or k < hi), "key outside fence range")
-            return len(node.entries)
+            return n
         _check(depth < self.height, "uneven leaf depth")
         if not is_root:
             _check(len(node.children) >= self.internal_cap // 2, "internal underflow")
@@ -466,7 +518,10 @@ class BPlusTree:
         for p in snap["pages"]:
             node = Node(p["id"], p["leaf"])
             if node.leaf:
-                node.entries = [LeafEntry(*e) for e in p["entries"]]
+                records = [LeafEntry(*e) for e in p["entries"]]  # names LeafEntry when a record has too few fields
+                node.keys = [r.key for r in records]
+                node.uids = array("q", [r.uid for r in records])
+                node.recs = [r[2:] for r in records]
                 node.next_leaf = p["next_leaf"]
             else:
                 node.keys = [(key, uid) for key, uid in p["keys"]]
@@ -479,6 +534,12 @@ class BPlusTree:
         tree.entry_count = snap["entry_count"]
         tree.buffer.clear()
         return tree
+
+
+def check_uid(uid: int) -> None:
+    """Refuse, naming it, a uid that is not an int in ``[0, 2**63)``, the range the index stores and scans."""
+    if not (isinstance(uid, int) and 0 <= uid < UID_LIMIT):
+        raise ValueError(f"uid {uid!r} is outside [0, 2**63)")
 
 
 def _refuse_report(obj: MovingObject) -> None:
@@ -579,6 +640,7 @@ class MovingObjectIndex:
     def insert(self, obj: MovingObject) -> None:
         if obj.uid in self._current:
             raise ValueError(f"object {obj.uid} already indexed; use update()")
+        check_uid(obj.uid)
         key, tid, label = self.key_for(obj)
         self._check_label(tid, label, self._partition_count.get(tid, 0))
         self._insert_keyed(obj, key, tid, label)
@@ -591,8 +653,7 @@ class MovingObjectIndex:
             )
 
     def _insert_keyed(self, obj: MovingObject, key: int, tid: int, label: float) -> None:
-        # tuple.__new__ skips the named tuple's Python-level constructor
-        self.tree.insert(tuple.__new__(LeafEntry, (key, obj.uid, obj.x, obj.y, obj.vx, obj.vy, obj.t_u)))
+        self.tree.insert(key, obj.uid, (obj.x, obj.y, obj.vx, obj.vy, obj.t_u))
         self._current[obj.uid] = key
         self._partition_label[tid] = label
         self._partition_count[tid] = self._partition_count.get(tid, 0) + 1
@@ -618,12 +679,13 @@ class MovingObjectIndex:
         """Replace the object's entry with a fresh one as of ``obj.t_u``.
 
         An object that is not indexed raises ``KeyError``.  A refused update
-        (a field that is not a finite number, or a target partition that still
-        holds entries under another label) raises ``ValueError``.  Either way
-        the index is left as it was.
+        (a uid outside ``[0, 2**63)``, a field that is not a finite number, or
+        a target partition that still holds entries under another label)
+        raises ``ValueError``.  Either way the index is left as it was.
         """
         old = self._current.get(obj.uid)
-        if old is None:
+        if old is None:  # an indexed uid was checked when it came in
+            check_uid(obj.uid)
             raise KeyError(f"object {obj.uid} is not indexed; use insert()")
         key, tid, label = self.key_for(obj)
         old_tid = old >> self._tid_shift
@@ -702,7 +764,7 @@ class MovingObjectIndex:
             return cls._from_snapshot(snap, sv_map)
         except KeyError as exc:
             raise ValueError(f"snapshot {path}: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"snapshot {path}: {exc}") from exc
 
     @classmethod
@@ -733,11 +795,12 @@ class MovingObjectIndex:
         counts: dict[int, int] = {}
         for node in tree.pages.values():  # the maps need no key order: read pages, not the leaf chain
             if node.leaf:
-                for entry in node.entries:
-                    if entry.uid in index._current:
-                        raise ValueError(f"two entries for uid {entry.uid}")
-                    tid = entry.key >> index._tid_shift
-                    index._current[entry.uid] = entry.key
+                for key, uid in zip(node.keys, node.uids):
+                    check_uid(uid)
+                    if uid in index._current:
+                        raise ValueError(f"two entries for uid {uid}")
+                    tid = key >> index._tid_shift
+                    index._current[uid] = key
                     counts[tid] = counts.get(tid, 0) + 1
         index._partition_count = counts
         if set(counts) != set(labels):

@@ -29,6 +29,7 @@ from .policy import (
     time_field,
 )
 from .query import PknnRequest, PrqRequest
+from .store import check_uid
 
 
 DISTRIBUTIONS = ("uniform", "network")
@@ -514,8 +515,10 @@ def save_objects(objects: Iterable[MovingObject], path: str | Path) -> None:
 def load_objects(path: str | Path) -> list[MovingObject]:
     def parse(fields: list[str]) -> MovingObject:
         uid, x, y, vx, vy, t_u = record_fields(fields, "uid,x,y,vx,vy,t_u")
+        uid = int(uid)
+        check_uid(uid)  # a uid the index refuses is refused by line
         return MovingObject(
-            int(uid),
+            uid,
             finite_field(x, "x"),
             finite_field(y, "y"),
             finite_field(vx, "vx"),

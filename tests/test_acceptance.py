@@ -24,7 +24,7 @@ from pebtree.costmodel import CostParams, cost_c, fit_cost_params
 from pebtree.keys import KeyLayout, assign_sequence_values
 from pebtree.policy import CompatibilityIndex
 from pebtree.query import PknnRequest, oracle_knn, oracle_range
-from pebtree.store import BPlusTree, LeafEntry
+from pebtree.store import BPlusTree
 from pebtree.workload import WorkloadConfig, gen_queries
 from pebtree.zcurve import GridConfig, z_decompose, z_encode
 
@@ -329,7 +329,7 @@ def test_c11_property_suites(equivalence_instances):
             uid = rng.randrange(4)
             if (key, uid) in member_set:
                 continue
-            tree.insert(LeafEntry(key, uid, 0.0, 0.0, 0.0, 0.0, 0.0))
+            tree.insert(key, uid, (0.0, 0.0, 0.0, 0.0, 0.0))
             member_set.add((key, uid))
             members.append((key, uid))
         else:
@@ -343,8 +343,8 @@ def test_c11_property_suites(equivalence_instances):
             tree.audit()
     tree.audit()
     got = []
-    tree.scan_intervals([(0, 30_000)], got.append)
-    shadow_ok = [(e.key, e.uid) for e in got] == sorted(member_set)
+    tree.scan_intervals([(0, 30_000)], lambda leaf, i, j: got.extend(zip(leaf.keys[i:j], leaf.uids[i:j])))
+    shadow_ok = got == sorted(member_set)
 
     # z-curve bijection between cells and z-values, exhaustive for levels <= 5
     z_ok = True

@@ -438,6 +438,26 @@ def test_cli_data_dir_refuses_a_role_that_names_its_owner(tmp_path, capsys):
         assert f"pebtree {command[0]}: error: {message}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("uid", [-5, 2**63])
+def test_cli_data_dir_refuses_a_uid_outside_the_index_range(tmp_path, capsys, uid):
+    data = tmp_path / "data"
+    argv = ["gen", "--out-dir", str(data), "-N", "120", "--policies", "6", "--group-size", "30", "--seed", "4"]
+    assert cli_main(argv + ["--queries", "5"]) == 0
+    objects = data / "objects.csv"
+    with objects.open("a") as fh:
+        fh.write(f"{uid},1.0,2.0,0.5,0.5,0.0\n")
+    message = f"objects.csv, line 121: uid {uid} is outside [0, 2**63)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _load_data_dir(data)
+    capsys.readouterr()
+    for command in (["build", "--index", "bx"], ["query", "--engine", "peb"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*command, "--data-dir", str(data)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
 def test_cli_bench_writes_csv_and_exits_zero(tmp_path):
     out = tmp_path / "bench.csv"
     rc = cli_main(

@@ -794,6 +794,17 @@ def test_store_refuses_a_policy_of_another_day():
             make_store([(1, 2, FULL_RECT, t_lo, t_hi)], [1, 2])
 
 
+@pytest.mark.parametrize("day", [0.0, -1.0, math.inf, math.nan])
+def test_store_refuses_a_day_that_is_not_positive_and_finite(day):
+    # a zero day once reached CompatibilityIndex.from_store and divided by zero there
+    message = rf"day is {day!r}, not a positive finite number"
+    with pytest.raises(ValueError, match=message):
+        PolicyStore(PolicyTable(day), RelationshipGraph(), [1, 2], day=day)
+    table, graph = table_and_graph([(1, 2, FULL_RECT, 0.0, 0.0)], day)
+    with pytest.raises(ValueError, match=message):
+        PolicyStore(table, graph, [1, 2], day=day)
+
+
 def test_store_refuses_a_region_beyond_the_space():
     # the space's own edges, a signed zero included, lie in it
     for rect in (FULL_RECT, (-0.0, -0.0, 1.0, 1.0), (SIDE, SIDE, SIDE, SIDE)):

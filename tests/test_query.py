@@ -41,7 +41,7 @@ from pebtree.store import BPlusTree, DirectionalSpeeds, LeafEntry, MovingObjectI
 from pebtree.workload import WorkloadConfig, gen_policies, gen_queries, gen_uniform
 from pebtree.zcurve import GridConfig, cells_covering, z_corner_interval
 from test_motion import position_at
-from test_store import reference_scan_intervals
+from test_store import records_into, reference_scan_intervals
 
 TIME_CFG = TimePartitionConfig(120.0, 2)
 GRID = GridConfig(L=1000.0, levels=10)
@@ -130,7 +130,7 @@ def _dense_tree(layout, tid, svqs):
     for svq in svqs:
         for zv in range(1 << layout.zv_bits):
             key = layout.peb_key_q(tid, svq, zv)
-            tree.insert(LeafEntry(key, 0, 0.0, 0.0, 0.0, 0.0, 0.0))
+            tree.insert(key, 0, (0.0, 0.0, 0.0, 0.0, 0.0))
     return tree
 
 
@@ -138,7 +138,7 @@ def _row_scan_keys(tree, layout, tid, svqs, zivs):
     """Keys read by one cursor scan per row, each row's intervals offset by its key prefix."""
     keys = []
     for svq in svqs:
-        tree.scan_intervals(zivs, lambda e: keys.append(e.key), layout.peb_key_q(tid, svq, 0))
+        tree.scan_intervals(zivs, lambda leaf, i, j: keys.extend(leaf.keys[i:j]), layout.peb_key_q(tid, svq, 0))
     return keys
 
 
@@ -617,7 +617,7 @@ def _row_span(engine, tid, svq):
     """Curve values and entries of one (partition, sequence value) key span, in key order."""
     base = engine.layout.peb_key_q(tid, svq, 0)
     entries = []
-    engine.index.tree.scan_intervals(((0, engine.grid.max_z),), entries.append, base)
+    engine.index.tree.scan_intervals(((0, engine.grid.max_z),), records_into(entries), base)
     return [entry.key - base for entry in entries], entries
 
 
@@ -906,8 +906,8 @@ def _row_reads_trace(peb, queries, cold_each):
             if not unseen:
                 continue
 
-            def visit(entry):
-                unseen.discard(entry.uid)
+            def visit(leaf, i, j):
+                unseen.difference_update(leaf.uids[i:j])
                 return not unseen
 
             index.tree.scan_intervals(full, visit, peb.layout.peb_key_q(tid, svq, 0))
@@ -1344,7 +1344,7 @@ def _merge_intervals(a, b):
 class _MergingBaseline(BaselineQueryEngine):
     """The baseline engine as it stood when each round merged its new intervals into the covered ones."""
 
-    def _spatial_candidates(self, rect, t_q, scanned=None):
+    def _spatial_candidates(self, rect, t_q, held, scanned=None):
         out = []
         for tid, label in self.index.live_partitions():
             zivs = self._zivs(enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L))
@@ -1353,8 +1353,8 @@ class _MergingBaseline(BaselineQueryEngine):
                 zivs = subtract_intervals(zivs, done)
                 scanned[tid] = _merge_intervals(done, zivs)
             if zivs:
-                self.index.tree.scan_intervals(zivs, out.append, self.layout.bx_key(tid, 0))
-        return out
+                self.index.tree.scan_intervals(zivs, records_into(out), self.layout.bx_key(tid, 0))
+        return [(e.uid, e[2:]) for e in out if e.uid in held]
 
 
 @pytest.mark.parametrize("instance", ["churned_instance", "churned_large_instance"])

@@ -1,7 +1,10 @@
+import gc
+import hashlib
 import json
 import math
 import os
 import random
+import re
 import sys
 from bisect import bisect_left
 from collections import Counter
@@ -21,15 +24,29 @@ def entry(key, uid=0):
     return LeafEntry(key, uid, float(key % 97), float(key % 89), 0.5, -0.5, 0.0)
 
 
+def put(tree, key, uid=0):
+    """Insert ``entry(key, uid)`` through the tree's column insert."""
+    tree.insert(key, uid, entry(key, uid)[2:])
+
+
+def records_into(out):
+    """A slice visitor for ``scan_intervals`` that appends each record it is handed to ``out`` as a ``LeafEntry``."""
+
+    def visit(leaf, i, j):
+        out.extend(leaf.records(i, j))
+
+    return visit
+
+
 def collect_range(tree, lo, hi):
     out = []
-    tree.scan_intervals([(lo, hi)], out.append)
+    tree.scan_intervals([(lo, hi)], records_into(out))
     return [(e.key, e.uid) for e in out]
 
 
 def test_insert_into_empty_tree():
     tree = BPlusTree()
-    tree.insert(entry(42))
+    put(tree, 42)
     stats = tree.stats()
     assert stats.height == 1
     assert stats.leaf_count == 1
@@ -41,23 +58,23 @@ def test_sequential_inserts_match_sorted_oracle():
     tree = BPlusTree(page_size=512)  # small pages force splits early
     keys = list(range(500))
     for k in keys:
-        tree.insert(entry(k))
+        put(tree, k)
     assert collect_range(tree, 0, 499) == [(k, 0) for k in keys]
     tree.audit()
 
 
 def test_duplicate_insert_rejected():
     tree = BPlusTree()
-    tree.insert(entry(7, uid=1))
-    tree.insert(entry(7, uid=2))  # same key, different uid is fine
+    put(tree, 7, 1)
+    put(tree, 7, 2)  # same key, different uid is fine
     with pytest.raises(ValueError):
-        tree.insert(entry(7, uid=1))
+        put(tree, 7, 1)
 
 
 def test_leaf_split_keeps_entries_reachable():
     tree = BPlusTree(page_size=512)  # leaf capacity 8
     for k in range(9):
-        tree.insert(entry(k))
+        put(tree, k)
     stats = tree.stats()
     assert stats.height == 2
     assert stats.leaf_count == 2
@@ -67,7 +84,7 @@ def test_leaf_split_keeps_entries_reachable():
 
 def test_delete_missing_reported():
     tree = BPlusTree()
-    tree.insert(entry(1))
+    put(tree, 1)
     with pytest.raises(KeyError):
         tree.delete(2, 0)
     with pytest.raises(KeyError):
@@ -77,9 +94,9 @@ def test_delete_missing_reported():
 def test_delete_after_insert_restores_prior_set():
     tree = BPlusTree(page_size=512)
     for k in range(100):
-        tree.insert(entry(k))
+        put(tree, k)
     before = collect_range(tree, 0, 99)
-    tree.insert(entry(1000))
+    put(tree, 1000)
     tree.delete(1000, 0)
     assert collect_range(tree, 0, 2000) == before
     tree.audit()
@@ -90,7 +107,7 @@ def test_full_drain_leaves_empty_tree():
     keys = list(range(200))
     random.Random(1).shuffle(keys)
     for k in keys:
-        tree.insert(entry(k))
+        put(tree, k)
     for k in keys:
         tree.delete(k, 0)
     stats = tree.stats()
@@ -120,7 +137,7 @@ def test_drains_from_either_end_borrow_and_merge_every_page_kind(monkeypatch):
     for drain in (sorted(keys), sorted(keys, reverse=True)):
         tree = BPlusTree(page_size=256)  # 4 entries a leaf, 16 children an internal page
         for k in keys:
-            tree.insert(entry(k))
+            put(tree, k)
         assert tree.height >= 3
         for n, k in enumerate(drain):
             tree.delete(k, 0)
@@ -147,11 +164,10 @@ def test_shadow_set_random_ops(page_size):
             uid = rng.randrange(4)
             if (k, uid) in shadow:
                 with pytest.raises(ValueError):
-                    tree.insert(entry(k, uid))
+                    put(tree, k, uid)
             else:
-                e = entry(k, uid)
-                tree.insert(e)
-                shadow[(k, uid)] = e
+                put(tree, k, uid)
+                shadow[(k, uid)] = entry(k, uid)
         else:
             k, uid = rng.choice(list(shadow))
             tree.delete(k, uid)
@@ -171,7 +187,7 @@ def test_shadow_set_random_ops(page_size):
 def test_range_scan_empty_range_touches_a_leaf():
     tree = BPlusTree()
     for k in range(10):
-        tree.insert(entry(k))
+        put(tree, k)
     tree.buffer.clear()
     assert collect_range(tree, 100, 200) == []
     assert tree.buffer.counters().leaf_reads == 1
@@ -182,10 +198,10 @@ def test_scan_intervals_equals_separate_scans():
     tree = BPlusTree(page_size=512)
     keys = rng.sample(range(5000), 800)
     for k in keys:
-        tree.insert(entry(k))
+        put(tree, k)
     intervals = [(0, 100), (340, 342), (350, 900), (2000, 4999)]
     got = []
-    tree.scan_intervals(intervals, got.append)
+    tree.scan_intervals(intervals, records_into(got))
     expected = [kv for lo, hi in intervals for kv in collect_range(tree, lo, hi)]
     assert [(e.key, e.uid) for e in got] == expected
 
@@ -199,20 +215,23 @@ def reference_scan_intervals(self, intervals, visit):
     leaf, mirroring one locate-then-walk pass per search range.
     """
     leaf = None
+    entries = []  # leaf.entries, built once per leaf read
     for lo, hi in intervals:
         lo_c = (lo, -1)
-        if leaf is None or not leaf.entries or leaf.entries[-1] < lo_c:
+        if leaf is None or not entries or entries[-1] < lo_c:
             _, leaf = self._descend(lo_c)
-        i = bisect_left(leaf.entries, lo_c)
+            entries = leaf.entries
+        i = bisect_left(entries, lo_c)
         while True:
-            while i < len(leaf.entries):
-                if leaf.entries[i].key > hi:
+            while i < len(entries):
+                if entries[i].key > hi:
                     break
-                visit(leaf.entries[i])
+                visit(entries[i])
                 i += 1
             else:
                 if leaf.next_leaf is not None:
                     leaf = self.touch_page(leaf.next_leaf)
+                    entries = leaf.entries
                     i = 0
                     continue
             break
@@ -230,7 +249,7 @@ def test_scan_intervals_charges_like_the_per_interval_loop(buffer_pages):
     for _ in range(2):
         tree = BPlusTree(page_size=256, buffer_pages=buffer_pages)
         for k in random.Random(8).sample(range(20_000), 600):
-            tree.insert(entry(k, k % 3))
+            put(tree, k, k % 3)
         trees.append(tree)
     cursor, reference = trees
     assert cursor.height >= 3
@@ -238,7 +257,7 @@ def test_scan_intervals_charges_like_the_per_interval_loop(buffer_pages):
     for _ in range(300):
         intervals = _random_intervals(rng, 19_000)
         got, want = [], []
-        cursor.scan_intervals(intervals, got.append, base)
+        cursor.scan_intervals(intervals, records_into(got), base)
         reference_scan_intervals(reference, [(base + lo, base + hi) for lo, hi in intervals], want.append)
         assert got == want
         assert cursor.buffer.counters() == reference.buffer.counters()
@@ -271,7 +290,7 @@ def hand_built_tree():
 def test_scan_intervals_charges_its_seeks_and_walked_leaves():
     tree = hand_built_tree()
     got = []
-    tree.scan_intervals([(2, 3), (5, 11), (13, 13), (16, 17), (33, 40)], lambda e: got.append(e.key))
+    tree.scan_intervals([(2, 3), (5, 11), (13, 13), (16, 17), (33, 40)], lambda leaf, i, j: got.extend(leaf.keys[i:j]))
     assert got == [3, 5, 7, 10, 16, 34, 36]
     # seek leaf 1 for (2, 3); walk on to leaf 2 for (5, 11); (13, 13) and
     # (16, 17) bisect leaf 2, and 16 ends it, so the walk reads leaf 3 to
@@ -283,7 +302,7 @@ def test_scan_intervals_charges_its_seeks_and_walked_leaves():
 def test_scan_intervals_offsets_intervals_by_base():
     tree = hand_built_tree()
     got = []
-    tree.scan_intervals([(0, 2), (4, 10)], lambda e: got.append(e.key), base=20)
+    tree.scan_intervals([(0, 2), (4, 10)], lambda leaf, i, j: got.extend(leaf.keys[i:j]), base=20)
     assert got == [20, 22, 24, 26, 30]
 
 
@@ -291,9 +310,9 @@ def test_scan_intervals_stops_when_visit_returns_true():
     tree = hand_built_tree()
     got = []
 
-    def visit(e):
-        got.append(e.key)
-        return e.key == 7  # the last entry of the first leaf
+    def visit(leaf, i, j):
+        got.extend(leaf.keys[i:j])
+        return 7 in leaf.keys[i:j]  # the last entry of the first leaf
 
     tree.scan_intervals([(0, 100)], visit)
     assert got == [1, 3, 5, 7]
@@ -305,7 +324,7 @@ def test_stats_leaf_count_bounds():
     tree = BPlusTree()
     n = 5000
     for k in range(n):
-        tree.insert(entry(k))
+        put(tree, k)
     stats = tree.stats()
     fanout = tree.leaf_cap
     assert -(-n // fanout) <= stats.leaf_count <= -(-2 * n // fanout)
@@ -315,7 +334,7 @@ def test_stats_leaf_count_bounds():
 def test_buffer_repeat_query_costs_zero_when_tree_fits():
     tree = BPlusTree(page_size=1024, buffer_pages=500)
     for k in range(2000):
-        tree.insert(entry(k))
+        put(tree, k)
     assert tree.stats().page_count <= 500
     tree.buffer.clear()
     collect_range(tree, 100, 1900)
@@ -333,7 +352,7 @@ def test_io_determinism():
             k = rng.randrange(10_000)
             uid = rng.randrange(3)
             try:
-                tree.insert(entry(k, uid))
+                put(tree, k, uid)
             except ValueError:
                 pass
         tree.buffer.clear()
@@ -342,6 +361,106 @@ def test_io_determinism():
         return tree.buffer.counters()
 
     assert run() == run()
+
+
+def test_scan_finds_every_uid_of_a_key_whatever_its_sign():
+    # a leaf bisects its key column and a seek probes (key,), which sorts
+    # before every fence (key, uid), so no uid of a key is passed over; a
+    # probe (key, -1) once skipped the uids below -1
+    tree = BPlusTree()
+    put(tree, 10, -5)
+    put(tree, 10, 3)
+    assert collect_range(tree, 10, 10) == [(10, -5), (10, 3)]
+    tree = BPlusTree(page_size=256)  # 4 records a leaf: the run of key 10 crosses leaves
+    for uid in range(-40, 8):
+        put(tree, 10, uid)
+    put(tree, 9, 0)
+    put(tree, 11, 0)
+    tree.audit()
+    assert tree.height >= 2
+    assert collect_range(tree, 10, 10) == [(10, uid) for uid in range(-40, 8)]
+    assert collect_range(tree, 9, 11) == [(9, 0)] + [(10, uid) for uid in range(-40, 8)] + [(11, 0)]
+
+
+def test_a_uid_the_column_cannot_hold_leaves_the_tree_unchanged():
+    tree = BPlusTree(page_size=256)
+    for k in range(6):
+        put(tree, k, 1)
+    before = collect_range(tree, 0, 10)
+    for uid in (2**63, -(2**63) - 1):
+        with pytest.raises(OverflowError):
+            put(tree, 3, uid)
+    with pytest.raises(TypeError):
+        tree.insert(3, 1.5, entry(3)[2:])
+    tree.audit()
+    assert collect_range(tree, 0, 10) == before and tree.entry_count == 6
+
+
+def _intervals_from_steps(steps):
+    """Sorted disjoint intervals from (gap, length) steps: each starts ``gap`` past the last one's end."""
+    out, hi = [], -1
+    for gap, length in steps:
+        lo = hi + 1 + gap
+        hi = lo + length
+        out.append((lo, hi))
+    return out
+
+
+# inserts and deletes over 13 keys and 21 uids a key: runs of equal keys span several 4-record leaves
+LEAF_OPS = st.lists(st.tuples(st.booleans(), st.integers(0, 12), st.integers(0, 20)), max_size=160)
+INTERVAL_SETS = st.lists(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=5).map(_intervals_from_steps),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    page_size=st.sampled_from([256, 320, 512]),
+    buffer_pages=st.integers(3, 6),
+    ops=LEAF_OPS,
+    interval_sets=INTERVAL_SETS,
+    base=st.sampled_from([0, 2]),
+)
+@example(  # fill two runs of 21 equal keys, then drain the first: splits, borrows and merges cut the runs
+    page_size=256,
+    buffer_pages=3,
+    ops=[(True, k, uid) for k in (4, 5) for uid in range(21)] + [(False, 0, 0)] * 21,
+    interval_sets=[[(2, 2)], [(0, 2), (3, 3)], [(3, 9)]],
+    base=2,
+)
+def test_columnar_leaves_through_churn_scan_like_the_reference(page_size, buffer_pages, ops, interval_sets, base):
+    # two trees take the same inserts and deletes; the leaf cursor scans one
+    # slice by slice, the per-entry reference loop the other, and both read
+    # the same records through the same pages in the same order
+    cursor = BPlusTree(page_size=page_size, buffer_pages=buffer_pages)
+    reference = BPlusTree(page_size=page_size, buffer_pages=buffer_pages)
+    shadow: set[tuple[int, int]] = set()
+    for step, (insert, key, uid) in enumerate(ops):
+        if insert and (key, uid) not in shadow:
+            for tree in (cursor, reference):
+                put(tree, key, uid)
+            shadow.add((key, uid))
+        elif not insert and shadow:
+            # a delete takes the uid-th smallest record, wrapping around
+            key, uid = sorted(shadow)[uid % len(shadow)]
+            for tree in (cursor, reference):
+                tree.delete(key, uid)
+            shadow.remove((key, uid))
+        cursor.audit()
+        if step % 20 == 19 or step == len(ops) - 1:
+            for intervals in interval_sets:
+                got, want = [], []
+                cursor.scan_intervals(intervals, records_into(got), base)
+                reference_scan_intervals(reference, [(base + lo, base + hi) for lo, hi in intervals], want.append)
+                assert got == want
+                assert [(e.key, e.uid) for e in got] == sorted(
+                    kv for kv in shadow if any(base + lo <= kv[0] <= base + hi for lo, hi in intervals)
+                )
+                assert cursor.buffer.counters() == reference.buffer.counters()
+                assert list(cursor.buffer._lru) == list(reference.buffer._lru)
+    assert cursor.stats() == reference.stats()
 
 
 # -- moving-object index ------------------------------------------------------
@@ -500,6 +619,55 @@ def test_index_rejects_double_insert():
         index.insert(MovingObject(1, 5.0, 5.0, 0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("kind", ["bx", "peb"])
+@pytest.mark.parametrize("uid", [-1, -5, 2**63, 2**64])
+def test_index_refuses_a_uid_outside_the_stored_range(kind, uid):
+    index = build_index(kind)
+    obj = MovingObject(5, 100.0, 200.0, 1.0, -1.0, 0.0)
+    index.insert(obj)
+    state = (all_entries(index.tree), index.live_partitions(), index.max_speeds)
+    fault = re.escape(f"uid {uid} is outside [0, 2**63)")
+    with pytest.raises(ValueError, match=fault):
+        index.insert(replace(obj, uid=uid, vx=7.0))
+    with pytest.raises(ValueError, match=fault):
+        index.update(replace(obj, uid=uid))
+    assert (all_entries(index.tree), index.live_partitions(), index.max_speeds) == state
+    index.tree.audit()
+
+
+def test_index_takes_the_largest_uid():
+    index = build_index("bx")
+    index.insert(MovingObject(2**63 - 1, 100.0, 200.0, 1.0, -1.0, 0.0))
+    index.insert(MovingObject(0, 100.0, 200.0, 1.0, -1.0, 0.0))
+    assert [e.uid for e in all_entries(index.tree)] == [0, 2**63 - 1]
+    index.update(MovingObject(2**63 - 1, 10.0, 20.0, 1.0, -1.0, 30.0))
+    assert index.keys_of([2**63 - 1]) == [index.key_for(MovingObject(2**63 - 1, 10.0, 20.0, 1.0, -1.0, 30.0))[0]]
+
+
+def test_index_holds_no_gc_tracked_object_per_entry():
+    # a leaf is four tracked objects (the page and its three columns) however
+    # many records it holds: a motion tuple of floats is untracked by the
+    # collector, where a NamedTuple record would stay tracked for good
+    index = build_index("bx")
+    rng = random.Random(9)
+    for uid in range(2000):
+        index.insert(MovingObject(uid, rng.uniform(0, 1000), rng.uniform(0, 1000), rng.uniform(-2, 2), 0.5, 0.0))
+    for uid in range(0, 2000, 3):
+        index.update(MovingObject(uid, rng.uniform(0, 1000), rng.uniform(0, 1000), -0.5, rng.uniform(-2, 2), 30.0))
+    gc.collect()
+    pages = index.tree.pages
+    tracked, seen, todo = 0, set(), [pages]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):  # a page's class is not the page's
+            continue
+        seen.add(id(obj))
+        tracked += gc.is_tracked(obj)
+        todo.extend(gc.get_referents(obj))
+    assert index.entry_count == 2000 and len(pages) < 60
+    assert tracked <= 4 * len(pages) + 1
+
+
 def test_update_and_delete_of_an_unknown_object_name_it():
     index = build_index()
     index.insert(MovingObject(1, 0.0, 0.0, 0.0, 0.0, 0.0))
@@ -577,7 +745,7 @@ def test_index_key_uses_projected_clamped_position():
 
 def all_entries(tree):
     out = []
-    tree.scan_intervals([(0, 1 << 62)], out.append)
+    tree.scan_intervals([(0, 1 << 62)], records_into(out))
     return out
 
 
@@ -600,6 +768,45 @@ def test_snapshot_round_trip(tmp_path):
     obj = all_entries(loaded.tree)[0]
     loaded.update(MovingObject(obj.uid, obj.x, obj.y, obj.vx, obj.vy, 30.0))
     assert loaded.contains(obj.uid)
+
+
+def _churned_snapshot_bytes(kind, tmp_path):
+    """The saved bytes of a small index of 4-record leaves after inserts, updates and deletes."""
+    time_cfg = TimePartitionConfig(120.0, 2)
+    grid = GridConfig(L=1000.0, levels=10)
+    layout = KeyLayout.for_index(time_cfg, grid, max_sv=100.0)
+    sv_map = None
+    if kind == "peb":
+        from pebtree.keys import SequenceValueMap
+
+        sv_map = SequenceValueMap({uid: 2.0 + 0.01 * (uid % 7) for uid in range(300)}, (0,))
+    index = MovingObjectIndex(time_cfg, grid, layout, sv_map=sv_map, page_size=256)
+    rng = random.Random(28)
+
+    def report(uid, t_u):
+        return MovingObject(uid, rng.uniform(0, 1000), rng.uniform(0, 1000), rng.uniform(-2, 2), rng.uniform(-2, 2), t_u)
+
+    for uid in range(300):
+        index.insert(report(uid, 0.0))
+    for uid in range(0, 300, 2):
+        index.update(report(uid, 30.0))
+    for uid in range(1, 300, 3):
+        index.delete(uid)
+    path = tmp_path / f"{kind}.snap"
+    index.save(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("bx", "3d4b646011cac8369fe394e2cb41fee1798880bf388c130f5a561fa9b4d9fb53"),
+        ("peb", "b52e2c6ae94eaca6a9f58661a73f1e5907d4fa49823fb11c5a23578251f468da"),
+    ],
+)
+def test_snapshot_bytes_are_pinned(tmp_path, kind, digest):
+    # format 3 as the list-of-records leaves wrote it: the digests were taken before leaves became columns
+    assert hashlib.sha256(_churned_snapshot_bytes(kind, tmp_path)).hexdigest() == digest
 
 
 def test_snapshot_kind_mismatch(tmp_path):
@@ -736,6 +943,9 @@ def test_snapshot_load_checks_the_format_version(tmp_path, edit, fault):
         (lambda snap: snap["grid"].pop("L"), "missing field 'L'"),
         (lambda snap: snap["max_speeds"].pop(), "DirectionalSpeeds"),
         (lambda snap: _leaf_pages(snap)[0]["entries"][3].pop(), "LeafEntry"),
+        # uids the index refuses: one a scan would pass over, one the uid column cannot hold
+        (lambda snap: _leaf_pages(snap)[0]["entries"][0].__setitem__(1, -3), re.escape("uid -3 is outside [0, 2**63)")),
+        (lambda snap: _leaf_pages(snap)[0]["entries"][0].__setitem__(1, 2**63), "int too big to convert"),
         (lambda snap: snap["grid"].update(levels="10"), "not supported between"),
         (lambda snap: snap.update(tree=[snap["tree"]]), "list indices"),
         (lambda snap: snap["partition_labels"].update(x=60.0), "invalid literal for int"),

@@ -400,6 +400,9 @@ def test_object_and_query_files_round_trip(tmp_path):
         ("7,1.0,2.0,inf,0.5,0.0", "vx is 'inf'"),
         ("7,1.0,2.0,0.5,0.5,-3.0", "t_u is '-3.0', a negative time"),
         ("x7,1.0,2.0,0.5,0.5,0.0", "invalid literal for int"),
+        # uids the index cannot store, or whose entries a scan would pass over
+        ("-1,1.0,2.0,0.5,0.5,0.0", "uid -1 is outside [0, 2**63)"),
+        (f"{2**63},1.0,2.0,0.5,0.5,0.0", f"uid {2**63} is outside [0, 2**63)"),
     ],
 )
 def test_load_objects_rejects_bad_line(tmp_path, bad, fault):
