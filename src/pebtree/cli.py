@@ -4,7 +4,7 @@ and reproduce the benchmark grid.
 Subcommands:
 
 * ``gen``      write a dataset, its policies/relationships, and a query file
-* ``build``    build an index from generated files, optionally snapshot it
+* ``build``    build an index from generated files and print its shape
 * ``query``    run a query file through an engine (or the oracle)
 * ``bench``    run parameter sweeps and write the results CSV
 * ``cost``     fit the cost model and write estimate-vs-measured rows
@@ -133,9 +133,6 @@ def cmd_build(args) -> int:
         f"index={args.index} entries={stats.entry_count} height={stats.height} "
         f"leaves={stats.leaf_count} pages={stats.page_count}"
     )
-    if args.snapshot:
-        index.save(args.snapshot)
-        print(f"snapshot written to {args.snapshot}")
     return 0
 
 
@@ -146,9 +143,16 @@ def _shown(answer: set[int] | PknnResult) -> list:
 
 
 def cmd_query(args) -> int:
-    data_dir = Path(args.data_dir)
     objects, store = _data_from_args(args)
-    queries = load_queries(data_dir / "queries.csv")
+    path = Path(args.data_dir) / "queries.csv"
+    # a query file that the loader refuses, or that names an issuer who is no user, is a usage error too
+    try:
+        queries = load_queries(path)
+    except (OSError, ValueError) as exc:
+        args.parser.error(str(exc))
+    unknown = next((q.qid for q in queries if q.qid not in store.users), None)
+    if unknown is not None:
+        args.parser.error(f"{path}: issuer {unknown} is not a user in objects.csv")
     if args.limit:
         queries = queries[: args.limit]
     if args.engine == "oracle":
@@ -213,7 +217,6 @@ def main(argv: list[str] | None = None) -> int:
     p_build = sub.add_parser("build", help="build an index from generated files")
     p_build.add_argument("--data-dir", required=True)
     p_build.add_argument("--index", choices=("peb", "bx"), default="peb")
-    p_build.add_argument("--snapshot", help="write an index snapshot file")
     p_build.set_defaults(func=cmd_build, parser=p_build)
 
     p_query = sub.add_parser("query", help="run the generated query file")

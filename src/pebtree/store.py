@@ -16,8 +16,8 @@ the 64 bytes :data:`LEAF_RECORD_BYTES` budgets, the other 8 being the
 policy handle that the uid doubles as, so a page holds as many records as
 before.  A scan bisects the key column and filters the uid column a leaf
 slice at a time, building nothing for a record it passes over; a
-:class:`LeafEntry` is built only when one is asked for (the snapshot
-writer and the tests ask).  So the garbage collector tracks four objects
+:class:`LeafEntry` is built only when one is asked for (perfbench's index
+check and the tests ask).  So the garbage collector tracks four objects
 per leaf, not one per record: a motion tuple holds only floats, and the
 collector untracks such tuples.
 
@@ -37,14 +37,11 @@ baseline keys.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from operator import itemgetter
-from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .keys import KeyLayout, SequenceValueMap
@@ -55,7 +52,6 @@ PAGE_SIZE = 4096
 LEAF_RECORD_BYTES = 64
 INTERNAL_RECORD_BYTES = 16
 BUFFER_PAGES = 50
-SNAPSHOT_FORMAT = 3  # bump when the snapshot layout changes
 SPREAD_BITS = 15  # a cell coordinate's bits spread by one table lookup per 15 bits
 UID_LIMIT = 1 << 63  # uids are 64-bit signed column values; the index takes 0 <= uid < UID_LIMIT
 
@@ -63,7 +59,10 @@ Record = tuple[float, float, float, float, float]  # x, y, vx, vy, t of a leaf r
 
 
 class LeafEntry(NamedTuple):
-    """A leaf record as one tuple, built on demand from a leaf's columns; the uid is also its policy handle."""
+    """A leaf record as one tuple, built on demand from a leaf's columns; the uid is also its policy handle.
+
+    No query builds one: perfbench's index check and the tests ask for them.
+    """
 
     key: int
     uid: int
@@ -193,7 +192,10 @@ class Node:
 
     @property
     def entries(self) -> list[LeafEntry]:
-        """Every record of a leaf, built on demand: a read-only view, not the storage."""
+        """Every record of a leaf, built on demand: a read-only view, not the storage.
+
+        perfbench's index check reads a leaf's records through it, and so do the tests.
+        """
         return self.records(0, len(self.keys))
 
 
@@ -447,7 +449,7 @@ class BPlusTree:
     def stats(self) -> TreeStats:
         return TreeStats(self.height, self.leaf_count, self.entry_count, len(self.pages))
 
-    # -- integrity audit (test support) --------------------------------------
+    # -- integrity audit (perfbench's index check and the tests) -------------
 
     def audit(self) -> None:
         """Check structural invariants; raises AssertionError on violation, also under ``-O``."""
@@ -488,52 +490,6 @@ class BPlusTree:
         for i, child_pid in enumerate(node.children):
             total += self._audit_node(self.pages[child_pid], bounds[i], bounds[i + 1], depth + 1, visited)
         return total
-
-    # -- snapshot -------------------------------------------------------------
-
-    def to_snapshot(self) -> dict:
-        """Page images: a leaf writes its entries and chain link, an internal page its fences and children."""
-        pages = []
-        for pid in sorted(self.pages):
-            node = self.pages[pid]
-            if node.leaf:
-                pages.append({"id": pid, "leaf": True, "entries": node.entries, "next_leaf": node.next_leaf})
-            else:
-                pages.append({"id": pid, "leaf": False, "keys": node.keys, "children": node.children})
-        return {
-            "page_size": self.page_size,
-            "buffer_pages": self.buffer.capacity,
-            "root": self.root_id,
-            "next_page": self._next_page,
-            "height": self.height,
-            "leaf_count": self.leaf_count,
-            "entry_count": self.entry_count,
-            "pages": pages,
-        }
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "BPlusTree":
-        tree = cls(page_size=snap["page_size"], buffer_pages=snap["buffer_pages"])
-        tree.pages.clear()
-        for p in snap["pages"]:
-            node = Node(p["id"], p["leaf"])
-            if node.leaf:
-                records = [LeafEntry(*e) for e in p["entries"]]  # names LeafEntry when a record has too few fields
-                node.keys = [r.key for r in records]
-                node.uids = array("q", [r.uid for r in records])
-                node.recs = [r[2:] for r in records]
-                node.next_leaf = p["next_leaf"]
-            else:
-                node.keys = [(key, uid) for key, uid in p["keys"]]
-                node.children = list(p["children"])
-            tree.pages[node.page_id] = node
-        tree.root_id = snap["root"]
-        tree._next_page = snap["next_page"]
-        tree.height = snap["height"]
-        tree.leaf_count = snap["leaf_count"]
-        tree.entry_count = snap["entry_count"]
-        tree.buffer.clear()
-        return tree
 
 
 def check_uid(uid: int) -> None:
@@ -718,93 +674,3 @@ class MovingObjectIndex:
             self.buffer.clear()
         else:
             self.buffer.reset_counters()
-
-    # -- snapshot -------------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        snap = {
-            "format": SNAPSHOT_FORMAT,
-            "kind": self.kind,
-            "time_cfg": {"delta_t_mu": self.time_cfg.delta_t_mu, "n": self.time_cfg.n},
-            "grid": {"L": self.grid.L, "levels": self.grid.levels},
-            "layout": {
-                "tid_bits": self.layout.tid_bits,
-                "sv_bits": self.layout.sv_bits,
-                "zv_bits": self.layout.zv_bits,
-                "frac_bits": self.layout.frac_bits,
-            },
-            "max_speeds": list(self.max_speeds),
-            "partition_labels": {str(t): lab for t, lab in self._partition_label.items()},
-            "tree": self.tree.to_snapshot(),
-        }
-        # write beside the target and rename over it, so a failed save keeps the last good snapshot
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(snap))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
-    @classmethod
-    def load(cls, path: str | Path, sv_map: SequenceValueMap | None = None) -> "MovingObjectIndex":
-        """Rebuild a saved index; a snapshot that is not one :meth:`save` could write raises ``ValueError``."""
-        try:
-            snap = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
-            raise ValueError(f"snapshot {path}: not UTF-8 JSON: {exc}") from exc
-        version = snap.get("format") if isinstance(snap, dict) else None
-        if version != SNAPSHOT_FORMAT:
-            raise ValueError(f"snapshot {path}: format version {version!r}, expected {SNAPSHOT_FORMAT}")
-        try:
-            return cls._from_snapshot(snap, sv_map)
-        except KeyError as exc:
-            raise ValueError(f"snapshot {path}: missing field {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"snapshot {path}: {exc}") from exc
-
-    @classmethod
-    def _from_snapshot(cls, snap: dict, sv_map: SequenceValueMap | None) -> "MovingObjectIndex":
-        kind = snap["kind"]
-        tc, g, lay = snap["time_cfg"], snap["grid"], snap["layout"]
-        # every field save() writes is required: a dataclass default would hide a missing one
-        time_cfg = TimePartitionConfig(tc["delta_t_mu"], tc["n"])
-        grid = GridConfig(g["L"], g["levels"])
-        layout = KeyLayout(lay["tid_bits"], lay["sv_bits"], lay["zv_bits"], lay["frac_bits"])
-        tree = BPlusTree.from_snapshot(snap["tree"])
-        max_speeds = DirectionalSpeeds(*map(float, snap["max_speeds"]))
-        labels = {int(t): float(lab) for t, lab in snap["partition_labels"].items()}
-        if kind not in ("peb", "bx"):
-            raise ValueError(f"unknown index kind {kind!r}")
-        if kind == "peb" and sv_map is None:
-            raise ValueError("loading a policy-embedded index requires its sequence value map")
-        if kind == "bx" and sv_map is not None:
-            raise ValueError("baseline snapshot does not take a sequence value map")
-        index = cls(time_cfg, grid, layout, sv_map=sv_map)
-        index.tree = tree
-        try:
-            tree.audit()
-        except (AssertionError, KeyError, TypeError) as exc:
-            raise ValueError(f"corrupt tree: {exc!r}") from exc
-        index.max_speeds = max_speeds
-        index._partition_label = labels
-        counts: dict[int, int] = {}
-        for node in tree.pages.values():  # the maps need no key order: read pages, not the leaf chain
-            if node.leaf:
-                for key, uid in zip(node.keys, node.uids):
-                    check_uid(uid)
-                    if uid in index._current:
-                        raise ValueError(f"two entries for uid {uid}")
-                    tid = key >> index._tid_shift
-                    index._current[uid] = key
-                    counts[tid] = counts.get(tid, 0) + 1
-        index._partition_count = counts
-        if set(counts) != set(labels):
-            raise ValueError(
-                f"partition labels cover {sorted(labels)} but entries sit in partitions {sorted(counts)}"
-            )
-        return index

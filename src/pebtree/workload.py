@@ -513,10 +513,15 @@ def save_objects(objects: Iterable[MovingObject], path: str | Path) -> None:
 
 
 def load_objects(path: str | Path) -> list[MovingObject]:
+    seen: set[int] = set()
+
     def parse(fields: list[str]) -> MovingObject:
         uid, x, y, vx, vy, t_u = record_fields(fields, "uid,x,y,vx,vy,t_u")
         uid = int(uid)
         check_uid(uid)  # a uid the index refuses is refused by line
+        if uid in seen:  # an index holds one entry per object
+            raise ValueError(f"uid {uid} appears twice")
+        seen.add(uid)
         return MovingObject(
             uid,
             finite_field(x, "x"),

@@ -311,9 +311,7 @@ def test_cli_gen_build_query_round_trip(tmp_path):
     assert rc == 0
     for name in ("objects.csv", "policies.csv", "relationships.csv", "queries.csv", "config.txt"):
         assert (data / name).exists()
-    snap = tmp_path / "index.snap"
-    assert cli_main(["build", "--data-dir", str(data), "--index", "peb", "--snapshot", str(snap)]) == 0
-    assert snap.exists()
+    assert cli_main(["build", "--data-dir", str(data), "--index", "peb"]) == 0
     assert cli_main(["query", "--data-dir", str(data), "--engine", "peb", "--limit", "4"]) == 0
     assert cli_main(["query", "--data-dir", str(data), "--engine", "oracle", "--limit", "4"]) == 0
 
@@ -438,15 +436,19 @@ def test_cli_data_dir_refuses_a_role_that_names_its_owner(tmp_path, capsys):
         assert f"pebtree {command[0]}: error: {message}" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("uid", [-5, 2**63])
-def test_cli_data_dir_refuses_a_uid_outside_the_index_range(tmp_path, capsys, uid):
+@pytest.mark.parametrize(
+    "uid, fault",
+    [(-5, "is outside [0, 2**63)"), (2**63, "is outside [0, 2**63)"), (0, "appears twice")],
+    ids=["-5", str(2**63), "repeated-0"],  # uid 0 is the first generated object's
+)
+def test_cli_data_dir_refuses_a_uid_outside_the_index_range(tmp_path, capsys, uid, fault):
     data = tmp_path / "data"
     argv = ["gen", "--out-dir", str(data), "-N", "120", "--policies", "6", "--group-size", "30", "--seed", "4"]
     assert cli_main(argv + ["--queries", "5"]) == 0
     objects = data / "objects.csv"
     with objects.open("a") as fh:
         fh.write(f"{uid},1.0,2.0,0.5,0.5,0.0\n")
-    message = f"objects.csv, line 121: uid {uid} is outside [0, 2**63)"
+    message = f"objects.csv, line 121: uid {uid} {fault}"
     with pytest.raises(ValueError, match=re.escape(message)):
         _load_data_dir(data)
     capsys.readouterr()
@@ -456,6 +458,35 @@ def test_cli_data_dir_refuses_a_uid_outside_the_index_range(tmp_path, capsys, ui
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (None, "No such file or directory"),
+        ("range,1,abc,0.0,0.0,10.0,10.0", "queries.csv, line 7: could not convert string to float: 'abc'"),
+        ("knn,1,1.0,5,5,0", "queries.csv, line 7: k must be at least 1"),
+        ("range,99999,1.0,0.0,0.0,10.0,10.0", "queries.csv: issuer 99999 is not a user in objects.csv"),
+    ],
+    ids=["missing", "malformed", "k-0", "unknown-issuer"],
+)
+def test_cli_query_refuses_a_bad_query_file(tmp_path, capsys, line, message):
+    data = tmp_path / "data"
+    argv = ["gen", "--out-dir", str(data), "-N", "120", "--policies", "6", "--group-size", "30", "--seed", "4"]
+    assert cli_main(argv + ["--queries", "3"]) == 0  # six queries, so an appended one is line 7
+    queries = data / "queries.csv"
+    if line is None:
+        queries.unlink()
+    else:
+        with queries.open("a") as fh:
+            fh.write(line + "\n")
+    capsys.readouterr()
+    for engine in ("peb", "bx", "oracle"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["query", "--data-dir", str(data), "--engine", engine])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "pebtree query: error: " in err and message in err and "Traceback" not in err
 
 
 def test_cli_bench_writes_csv_and_exits_zero(tmp_path):

@@ -1579,35 +1579,6 @@ def uniform_instance():
     return build_instance(GOLDEN_CONFIGS["uniform"])
 
 
-def test_reloaded_policy_index_answers_and_charges_like_the_original(uniform_instance, tmp_path):
-    inst = uniform_instance
-    path = tmp_path / "peb.snap"
-    inst.peb.save(path)
-    loaded = MovingObjectIndex.load(path, inst.peb.sv_map)
-    assert loaded.stats() == inst.peb.stats()
-    assert loaded.live_partitions() == inst.peb.live_partitions()
-    reloaded = PebQueryEngine(loaded, inst.store, FriendLists(inst.store, loaded.sv_map, loaded.layout))
-    objects = list(inst.objects.values())
-    batches = [
-        (kind, gen_queries(inst.cfg, kind, objects, now=inst.now, horizon=inst.time_cfg.delta_t_mu, count=40))
-        for kind in ("range", "knn")
-    ]
-    traces = []
-    for engine in (inst.peb_engine, reloaded):
-        trace = []
-        for kind, queries in batches:
-            run = engine.prq if kind == "range" else engine.pknn
-            engine.index.reset_io(cold=True)
-            for q in queries:
-                before = engine.index.buffer.counters()
-                answer = run(q)
-                trace.append((answer, [a - b for a, b in zip(engine.index.buffer.counters(), before)]))
-        traces.append(trace)
-    original, again = traces
-    assert len(original) == 80 and any(io[1] for _, io in original)
-    assert again == original
-
-
 @pytest.mark.parametrize(
     "rect",
     [

@@ -25,9 +25,9 @@ PACKAGE = ROOT / "src" / "pebtree"
 # kept on purpose although only tests call it
 ALLOWED = {
     "CompatibilityIndex.from_values",  # builds the worked-example and reference compatibility fakes
-    "MovingObjectIndex.load",  # the library's reader of what `pebtree build --snapshot` writes
     # the anchors, which the tests of the paper's worked example and of sequence-value assignment read
     "SequenceValueMap.anchors",
+    "LeafEntry.key",  # the tests read a record's key; perfbench's index check reads its uid and motion fields
     # settings that tests change to size their trees, timings and sweeps
     "MovingObjectIndex.__init__.buffer_pages",  # a few buffer pages make misses in small trees
     "MovingObjectIndex.__init__.page_size",  # page sizes that give a few hundred entries a deep tree or one leaf
@@ -36,6 +36,11 @@ ALLOWED = {
     "validate_cost.thetas",
     "validate_cost.n_ps",
     "main.argv",  # the CLI tests pass the arguments; the console script reads sys.argv
+    # the program runs the default partitions, grid and quantum; tests shrink them to size small cases
+    "TimePartitionConfig.delta_t_mu",
+    "TimePartitionConfig.n",
+    "GridConfig.levels",
+    "KeyLayout.frac_bits",  # whole-number sequence values of the worked examples take 0 fractional bits
 }
 
 

@@ -403,6 +403,8 @@ def test_object_and_query_files_round_trip(tmp_path):
         # uids the index cannot store, or whose entries a scan would pass over
         ("-1,1.0,2.0,0.5,0.5,0.0", "uid -1 is outside [0, 2**63)"),
         (f"{2**63},1.0,2.0,0.5,0.5,0.0", f"uid {2**63} is outside [0, 2**63)"),
+        # an index holds one entry per object
+        ("1,5.0,5.0,0.0,0.0,0.0", "uid 1 appears twice"),
     ],
 )
 def test_load_objects_rejects_bad_line(tmp_path, bad, fault):
