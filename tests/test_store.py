@@ -395,6 +395,8 @@ def test_a_uid_the_column_cannot_hold_leaves_the_tree_unchanged():
     [
         (lambda tree: [col.reverse() for col in tree.pages[2].columns()], "leaf chain not sorted"),
         (lambda tree: [col.pop() for col in tree.pages[2].columns()], "entry count drift"),
+        # one record gone from inside a leaf, the entry count left as it was
+        (lambda tree: [col.pop(1) for col in tree.pages[3].columns()], "entry count drift"),
         (lambda tree: setattr(tree, "entry_count", 15), "entry count drift"),
         (lambda tree: tree._alloc(leaf=True), "pages outside the tree"),
         (lambda tree: setattr(tree, "_next_page", 1), "page id past the allocation counter"),
@@ -402,7 +404,7 @@ def test_a_uid_the_column_cannot_hold_leaves_the_tree_unchanged():
         (lambda tree: tree.pages[2].uids.pop(), "leaf columns of different lengths"),
         (lambda tree: tree.pages[2].keys.__setitem__(1, 10), "duplicate composite keys"),
     ],
-    ids=["reversed", "record-popped", "count-lowered", "orphan-leaf", "next-page-1", "chain-cycle", "uids-short", "duplicate"],
+    ids=["reversed", "record-popped", "record-popped-inside", "count-lowered", "orphan-leaf", "next-page-1", "chain-cycle", "uids-short", "duplicate"],
 )
 def test_audit_names_the_fault_of_a_corrupted_tree(corrupt, fault):
     # perfbench's index check counts every uid as faulty when the audit raises
