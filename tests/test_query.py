@@ -1483,6 +1483,27 @@ GOLDEN_ANSWER_DIGESTS = {
 }
 
 
+# sha256 per config and index kind of every query's answer with its charged
+# misses and leaf misses, but not its page reads, over the same three points
+# and batches as the query digests above.  A change that reads fewer pages
+# but charges the same misses, as skipping a seek onto a page the same query
+# has just read does, leaves them as they are
+GOLDEN_MISS_DIGESTS = {
+    "uniform": {
+        ("peb", "misses"): "949c5880633dc16144ec956fc8d6a1514144e20b129bcacdc77cc897169ea9c5",
+        ("bx", "misses"): "5106e4eaf516c9f46fffa653e5a866358b72fa3e168c8c3549401f8b77dc15c5",
+    },
+    "visible": {
+        ("peb", "misses"): "53d637a7568e21445d954ba526c8e7b42697c554910ec633acd7902f5f10db5c",
+        ("bx", "misses"): "7024dcd33a087fea6d047b0187092319febb8f9b28b17a0216828ae020eae3e3",
+    },
+    "network": {
+        ("peb", "misses"): "3a0896c41277d7efed32faae4f8287d7250ad38bf5624113029471996b5b1626",
+        ("bx", "misses"): "4b022f288e6f027b7e490ecbd5ae1f6b6c0a00aa9ebf33f42a385d8d72639df5",
+    },
+}
+
+
 def _record_update_io(index, digest) -> None:
     """Hash the charged-I/O delta of every update through ``index.update``."""
     apply = index.update
@@ -1501,7 +1522,7 @@ def query_digests(cfg: WorkloadConfig, rounds: int, count: int) -> dict[tuple[st
         "peb": (inst.peb, inst.peb_engine.prq, inst.peb_engine.pknn),
         "bx": (inst.bx, inst.bx_engine.range_query, inst.bx_engine.knn_query),
     }
-    records = ("range", "knn", "answers", "update_io", "keys")
+    records = ("range", "knn", "answers", "misses", "update_io", "keys")
     digests = {(name, record): hashlib.sha256() for name in engines for record in records}
     for name, (index, _, _) in engines.items():
         _record_update_io(index, digests[name, "update_io"])
@@ -1528,6 +1549,7 @@ def query_digests(cfg: WorkloadConfig, rounds: int, count: int) -> dict[tuple[st
                     delta = [a - b for a, b in zip(after, before)]
                     digest.update(f"{answer}|{delta}\n".encode())
                     digests[name, "answers"].update(f"{kind}|{answer}\n".encode())
+                    digests[name, "misses"].update(f"{kind}|{answer}|{delta[1]},{delta[3]}\n".encode())
     return {key: d.hexdigest() for key, d in digests.items()}
 
 
@@ -1572,6 +1594,12 @@ def test_update_io_and_keys_match_golden_digests(name):
 def test_answers_and_cold_update_io_match_golden_digests(name):
     digests = golden_digests(name)
     assert {key: digests[key] for key in GOLDEN_ANSWER_DIGESTS[name]} == GOLDEN_ANSWER_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_answers_and_misses_match_golden_digests(name):
+    digests = golden_digests(name)
+    assert {key: digests[key] for key in GOLDEN_MISS_DIGESTS[name]} == GOLDEN_MISS_DIGESTS[name]
 
 
 @pytest.fixture(scope="module")
@@ -1634,6 +1662,7 @@ if __name__ == "__main__":
         "GOLDEN_QUERY_DIGESTS": ("range", "knn"),
         "GOLDEN_UPDATE_DIGESTS": ("update_io", "keys"),
         "GOLDEN_ANSWER_DIGESTS": ("answers", "cold_update_io"),
+        "GOLDEN_MISS_DIGESTS": ("misses",),
     }
     current = {name: golden_digests(name) for name in GOLDEN_CONFIGS}
     for table, records in tables.items():
