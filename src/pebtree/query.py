@@ -12,30 +12,34 @@ Two engines answer the same queries:
   uid -> key map, and scans only the prefixes that hold one.  A prefix's
   key intervals are curve intervals offset by it; the tree's leaf cursor
   scans them and ends at the entry that meets the prefix's count of
-  active owners (a user has only one location).  A range query enlarges
-  its window per partition and decomposes it into curve intervals; a kNN
-  query is the range query over the whole space, each prefix's full span,
-  ranked by distance.  An owner entry found is verified by the region of
-  its held row.
+  active owners (a user has only one location).  A partition's prefixes
+  are scanned in ascending order by one cursor, which holds its leaf
+  from one prefix to the next and seeks only when a prefix starts beyond
+  it.  A range query enlarges its window per partition and decomposes it
+  into curve intervals; a kNN query is the range query over the whole
+  space, each prefix's full span, ranked by distance.  An owner entry
+  found is verified by the region of its held row.
 
 * :class:`BaselineQueryEngine` runs against the baseline index: a plain
   spatial query first, policy filtering after, with kNN by incrementally
-  expanded range queries.  It searches space without the friend list, so
-  the pages it reads are the paper's baseline cost.  Each candidate is
-  looked up in a map from the issuer's owners to their policy rows
-  (:meth:`~pebtree.policy.PolicyStore.policy_rows`), and a held row is
+  expanded range queries, each round scanning only the blocks the last
+  round's square did not cover.  It searches space without the friend
+  list, so the pages it reads are the paper's baseline cost.  Each
+  candidate is looked up in a map from the issuer's owners to their policy
+  rows (:meth:`~pebtree.policy.PolicyStore.policy_rows`), and a held row is
   checked in place; answers and I/O are those of checking every
   candidate's policy.
 
 Both engines read the tree only through
 :meth:`~pebtree.store.BPlusTree.scan_intervals`, so a query's charged I/O
 is the buffer misses of the pages it reads.  Its visitor takes a leaf slice
-at a time, and both engines filter a slice's uid column against the owners
-they hold with C-level passes, ``compress(range(i, j),
-map(owners.__contains__, uids[i:j]))``, which the baseline engine runs
-only on a slice that ``isdisjoint`` finds an owner in.  Only a held
-owner's key and motion record are read, so neither engine steps through
-the other users in Python.
+at a time.  The baseline engine's slices run through the whole window, so
+it filters a slice's uid column against the owners it holds with C-level
+passes: ``isdisjoint`` skips a slice with no owner, and ``compress(range(i,
+j), map(owners.__contains__, uids[i:j]))`` picks the owners of the rest.
+The policy-embedded engine's slices lie in key prefix spans and hold one
+or two records on most scans, so it looks each record's uid up among its
+owners in turn.  Only a held owner's motion record is read.
 
 Brute-force oracles apply the query definitions literally over all users
 and anchor every correctness test.  Queries leave the index's entries
@@ -51,14 +55,13 @@ from collections import Counter
 from dataclasses import dataclass
 from heapq import nsmallest
 from itertools import compress, groupby, repeat
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .keys import KeyLayout, SequenceValueMap
 from .motion import MovingObject
 from .policy import PolicyStore, PolicyTable, window_contains
 from .store import DirectionalSpeeds, MovingObjectIndex, Node, Record
-from .zcurve import cells_covering, z_decompose
+from .zcurve import CellRect, cells_covering, z_decompose
 from .zcurve import z_corner_interval  # noqa: F401  perfbench/harness.py's tracer wraps it by this name
 
 Rect = tuple[float, float, float, float]
@@ -229,6 +232,9 @@ class PebQueryEngine(_EngineBase):
     partition, called as ``traversal(n, 1)`` for ``n`` prefixes; the
     default, :func:`antidiagonal_order`, yields them ascending.  It is kept
     because perfbench counts the prefixes a kNN query scans through it.
+    The cursor's leaf is held from one prefix's scan to the next while the
+    prefixes come in ascending order; a prefix that comes before the last
+    one scanned is sought from the root.
     """
 
     def __init__(
@@ -257,18 +263,23 @@ class PebQueryEngine(_EngineBase):
         the check reads no page.  Each active owner's policy row is held for
         the region half.  The active owners' keys, from the index's
         uid -> key map, give each one's prefix ``partition | sequence
-        value``: its (friend row, partition) pair.  Each prefix that holds an
-        active owner is read with one leaf-cursor scan of its key intervals,
-        the partition's curve intervals offset by the prefix, taking the
-        partition's prefixes in ``order(n, 1)`` over their ascending list.
-        A scan ends at the entry that meets its prefix's count of active
-        owners, and every active owner entry read is extrapolated to ``t_q``
-        and verified; the entries of other users and of inactive owners are
-        passed over.  Each leaf slice the scan hands over is filtered against
-        the active owners in one pass over its uid column, so only an active
-        owner's key and record are read.  An owner entry is verified by the
-        region of its held row alone, since its window was checked before
-        the scan.
+        value``: its (friend row, partition) pair.  The active owners are
+        counted per prefix once, in ascending prefix order, so each
+        partition's prefixes form a run of the counts.  Each prefix that
+        holds an active owner is read with one leaf-cursor scan of its key
+        intervals, the partition's curve intervals offset by the prefix,
+        taking the partition's prefixes in ``order(n, 1)`` over their
+        ascending list.  Each scan starts from the leaf the partition's last
+        scan ended on: the prefixes ascend, so every record before that leaf
+        lies below the next prefix, and a prefix that starts on it is read
+        without a seek from the root.  A scan ends at the entry that meets its prefix's
+        count of active owners, and every active owner entry read is
+        extrapolated to ``t_q`` and verified; the entries of other users and
+        of inactive owners are passed over.  Each record of a leaf slice the
+        scan hands over is looked up among the active owners by its uid, and
+        only an active owner's motion record is read.  An owner entry is
+        verified by the region of its held row alone, since its window was
+        checked before the scan.
         ``rect=None`` is the whole space: each prefix's full span
         ``[0, max_z]``, with no window enlarged or decomposed.
         """
@@ -278,7 +289,7 @@ class PebQueryEngine(_EngineBase):
         index = self.index
         tree = index.tree
         layout = self.layout
-        zv_bits = layout.zv_bits
+        zv_bits, sv_bits = layout.zv_bits, layout.sv_bits
         day = store.day
         tm = t_q % day
         # window_contains(lo, hi, day, t_q), with t_q % day taken once: an
@@ -290,9 +301,12 @@ class PebQueryEngine(_EngineBase):
         }
         p = store.policies
         rx_lo, ry_lo, rx_hi, ry_hi = p.x_lo, p.y_lo, p.x_hi, p.y_hi
-        # left[prefix]: the active owners whose entry has the key prefix; an
-        # owner that is not indexed counts nowhere
-        left = Counter(key >> zv_bits for key in index.keys_of(active) if key is not None)
+        # the active owners per key prefix of their entries, in ascending
+        # prefix order; an owner that is not indexed counts nowhere
+        keys = index.keys_of(active)
+        if None in keys:
+            keys = [key for key in keys if key is not None]
+        counts = Counter(map(zv_bits.__rrshift__, sorted(keys)))  # key >> zv_bits, counted in C
         labels = dict(index.live_partitions())
         x_lo, y_lo, x_hi, y_hi = rect or (-math.inf, -math.inf, math.inf, math.inf)
         full = ((0, self.grid.max_z),)
@@ -300,12 +314,15 @@ class PebQueryEngine(_EngineBase):
         todo = 0  # the active owners of the scanned prefix that visit has yet to meet
 
         def visit(leaf: Node, i: int, j: int) -> bool:
-            # entries of a prefix's key span carry that prefix: an owner found is the scan's own
+            # entries of a prefix's key span carry that prefix: an owner found is the scan's own.
+            # A slice holds one or two records on most scans, fewer than a C-level filter pays for
             nonlocal todo
             uids = leaf.uids
-            for r in compress(range(i, j), map(active.__contains__, uids[i:j])):
+            for r in range(i, j):
                 uid = uids[r]
-                row = active[uid]
+                row = active.get(uid)
+                if row is None:
+                    continue
                 todo -= 1
                 x, y, vx, vy, t = leaf.recs[r]
                 px = x + vx * (t_q - t)
@@ -320,17 +337,19 @@ class PebQueryEngine(_EngineBase):
                     found.append((uid, px, py))
             return not todo
 
-        # (partition, row value) of each prefix, ascending: the live partitions in order, rows ascending in each
-        pairs = sorted(divmod(prefix, 1 << layout.sv_bits) for prefix in left)
-        for tid, group in groupby(pairs, itemgetter(0)):
+        # a partition's prefixes are a run of the ascending counts
+        for tid, run in groupby(counts.items(), lambda item: item[0] >> sv_bits):
             zivs = full if rect is None else self._zivs(enlarge(rect, labels[tid], t_q, index.max_speeds, self.grid.L))
             if not zivs:
                 continue
-            base = layout.peb_key_q(tid, 0, 0)  # a row's key prefix adds its value above the curve bits
-            values = [q for _, q in group]
+            values = list(run)
+            leaf = None  # the cursor's leaf, held from one prefix's scan to the next
+            last = -1
             for i, _ in order(len(values), 1):
-                todo = left[tid << layout.sv_bits | values[i]]
-                tree.scan_intervals(zivs, visit, base | values[i] << zv_bits)
+                prefix, todo = values[i]
+                # the held leaf starts the scan only when its prefix follows the last one scanned
+                leaf = tree.scan_intervals(zivs, visit, prefix << zv_bits, leaf if i > last else None)
+                last = i
         return found
 
     def prq(self, req: PrqRequest) -> set[int]:
@@ -389,17 +408,18 @@ class BaselineQueryEngine(_EngineBase):
         return dict(zip(store.owners_naming(qid), store.policy_rows(qid)))
 
     def _spatial_candidates(
-        self, rect: Rect, t_q: float, held: dict[int, int], scanned: dict[int, list[tuple[int, int]]] | None = None
+        self, rect: Rect, t_q: float, held: dict[int, int], scanned: dict[int, CellRect] | None = None
     ) -> list[tuple[int, Record]]:
         """``(uid, record)`` of each entry the window scan retrieves for this rectangle whose owner ``held`` holds.
 
         Every entry in the window is read; each leaf slice is filtered
         against ``held`` in one pass over its uid column, and only a held
-        owner's record is taken.  ``scanned`` carries per-partition curve
-        intervals already covered by earlier rounds of an incremental
-        search, and only the rest is scanned.  Rounds nest, and a window's
-        intervals cover exactly the scan blocks it meets, so each round's
-        intervals contain the previous round's and replace them.
+        owner's record is taken.  ``scanned`` carries each partition's cell
+        rectangle of the last round of an incremental search, and only the
+        rest is scanned: the window's cells are decomposed minus that
+        rectangle's.  Rounds nest, and a window's intervals cover exactly
+        the scan blocks it meets, so the last round's rectangle covers
+        every earlier round's blocks, and this round's replaces it.
         """
         out: list[tuple[int, Record]] = []
         layout = self.layout
@@ -415,12 +435,12 @@ class BaselineQueryEngine(_EngineBase):
                 out.append((leaf.uids[r], recs[r]))
 
         for tid, label in self.index.live_partitions():
-            enlarged = enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L)
-            zivs = self._zivs(enlarged)
+            cells = cells_covering(enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L), self.grid)
+            done = None
             if scanned is not None:
-                done = scanned.get(tid, [])
-                scanned[tid] = zivs
-                zivs = subtract_intervals(zivs, done)
+                done = scanned.get(tid)
+                scanned[tid] = cells
+            zivs = z_decompose(cells, self.grid, SCAN_BLOCK_SHIFT, done)
             if zivs:
                 tree.scan_intervals(zivs, visit, layout.bx_key(tid, 0))
         return out
@@ -455,7 +475,7 @@ class BaselineQueryEngine(_EngineBase):
         radius = estimate_dk(min(k, n), n, side) / k
         if radius <= 0:
             radius = self.grid.cell_size
-        scanned: dict[int, list[tuple[int, int]]] = {}
+        scanned: dict[int, CellRect] = {}
         candidates: dict[int, float] = {}
         while True:
             square = (max(qx - radius, 0.0), max(qy - radius, 0.0), min(qx + radius, side), min(qy + radius, side))
@@ -476,29 +496,6 @@ class BaselineQueryEngine(_EngineBase):
             radius *= 2.0
         ranked = sorted((d, uid) for uid, d in candidates.items())[:k]
         return PknnResult(tuple((uid, d) for d, uid in ranked), short=len(ranked) < k)
-
-
-def subtract_intervals(new: list[tuple[int, int]], covered: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Parts of sorted disjoint ``new`` not covered by sorted disjoint ``covered``."""
-    out: list[tuple[int, int]] = []
-    ci = 0
-    n_cov = len(covered)
-    for lo, hi in new:
-        while ci < n_cov and covered[ci][1] < lo:
-            ci += 1
-        start = lo
-        j = ci
-        while j < n_cov and covered[j][0] <= hi:
-            c_lo, c_hi = covered[j]
-            if c_lo > start:
-                out.append((start, min(c_lo - 1, hi)))
-            start = max(start, c_hi + 1)
-            if start > hi:
-                break
-            j += 1
-        if start <= hi:
-            out.append((start, hi))
-    return out
 
 
 # -- brute-force oracles --------------------------------------------------------

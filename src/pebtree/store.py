@@ -26,9 +26,10 @@ it to the buffer; the benchmark's charged I/O is the number of buffer
 misses.  Queries read the tree through one leaf cursor,
 :meth:`BPlusTree.scan_intervals`, which seeks through
 :meth:`BPlusTree.descend` and walks the leaf chain, so the charged pages
-are exactly the pages a query reads.  Benchmarks are meant to run
-single-threaded so the counters stay reproducible; parallel experiments
-should use independent instances.
+are exactly the pages a query reads.  A scan hands back the leaf it ends
+on, and a scan of keys above it can start there without a seek.
+Benchmarks are meant to run single-threaded so the counters stay
+reproducible; parallel experiments should use independent instances.
 
 :class:`MovingObjectIndex` wraps the tree with key computation for moving
 objects and is instantiated once with policy-embedded keys and once with
@@ -402,8 +403,12 @@ class BPlusTree:
     # -- scans ---------------------------------------------------------------
 
     def scan_intervals(
-        self, intervals: Sequence[tuple[int, int]], visit: Callable[[Node, int, int], object], base: int = 0
-    ) -> None:
+        self,
+        intervals: Sequence[tuple[int, int]],
+        visit: Callable[[Node, int, int], object],
+        base: int = 0,
+        leaf: Node | None = None,
+    ) -> Node | None:
         """Visit, in key order, the records with keys in ``base + [lo, hi]`` per interval, a leaf slice at a time.
 
         ``intervals`` are sorted and disjoint.  Each call ``visit(leaf, i,
@@ -420,9 +425,21 @@ class BPlusTree:
         record of the leaf.  This is the Bx-tree's locate-then-walk per
         search interval, with every seek and sibling read charged as it
         happens.
+
+        The scan returns the leaf it holds when it ends: the last leaf it
+        read, else the ``leaf`` it was given, which may be None.  A later
+        scan can start from it: given ``leaf``, the first interval bisects
+        that leaf if it starts at or before the leaf's last key, and seeks
+        otherwise.  That is exact only if every record before ``leaf`` has a
+        key below ``base + intervals[0][0]``, the invariant the cursor keeps
+        between its own intervals; it holds for the leaf a scan returned
+        when the next scan's keys all lie above the previous scan's, as when
+        a caller scans ascending, disjoint key ranges in order.  The held
+        leaf is not read again, so the pages saved are the seek's: the root
+        and inner pages, and the leaf before the held one when the seek
+        would land there.
         """
-        leaf: Node | None = None
-        keys: list[int] = []
+        keys: list[int] = leaf.keys if leaf is not None else []
         k, n = 0, len(intervals)
         while k < n:
             lo, hi = intervals[k]
@@ -435,7 +452,7 @@ class BPlusTree:
             while True:
                 j = bisect_right(keys, hi, i)
                 if i < j and visit(leaf, i, j):
-                    return
+                    return leaf
                 if j < len(keys) or leaf.next_leaf is None:
                     break
                 leaf = self.touch_page(leaf.next_leaf)
@@ -445,6 +462,7 @@ class BPlusTree:
                 k += 1
             else:  # jump over the intervals that end before the leaf's next record
                 k = bisect_left(intervals, keys[j] - base, k + 1, n, key=itemgetter(1))
+        return leaf
 
     def stats(self) -> TreeStats:
         return TreeStats(self.height, self.leaf_count, self.entry_count, len(self.pages))

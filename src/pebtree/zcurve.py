@@ -101,6 +101,16 @@ def _tile_masks() -> tuple[list[int], list[int], list[int], list[int]]:
 _A_LE, _A_GE, _B_LE, _B_GE = _tile_masks()
 
 
+def _tile_mask(a0: int, b0: int, a_lo: int, b_lo: int, a_hi: int, b_hi: int) -> int:
+    """The units of ``[a_lo, a_hi] x [b_lo, b_hi]`` in the tile whose first unit is ``(a0, b0)``; the two must meet."""
+    return (
+        _A_GE[max(a_lo - a0, 0)]
+        & _A_LE[min(a_hi - a0, _TILE_LAST)]
+        & _B_GE[max(b_lo - b0, 0)]
+        & _B_LE[min(b_hi - b0, _TILE_LAST)]
+    )
+
+
 def z_encode(cell: tuple[int, int], cfg: GridConfig) -> int:
     """Z-value of a grid cell by bit interleaving."""
     cx, cy = cell
@@ -150,7 +160,9 @@ def z_corner_interval(rect: CellRect, cfg: GridConfig) -> tuple[int, int]:
     return z_encode((cx_lo, cy_lo), cfg), z_encode((cx_hi, cy_hi), cfg)
 
 
-def z_decompose(rect: CellRect, cfg: GridConfig, min_block_shift: int = 0) -> list[tuple[int, int]]:
+def z_decompose(
+    rect: CellRect, cfg: GridConfig, min_block_shift: int = 0, minus: CellRect | None = None
+) -> list[tuple[int, int]]:
     """Decompose a cell rectangle into maximal runs of consecutive Z-values.
 
     With ``min_block_shift=0`` the result is exact: sorted, pairwise
@@ -166,6 +178,13 @@ def z_decompose(rect: CellRect, cfg: GridConfig, min_block_shift: int = 0) -> li
     64 x 64 units; each partly covered tile is finished with one AND of
     four precomputed tile masks, whose runs of set bits are the tile's
     runs of the curve.  Grids of at most 64 units per side are one tile.
+
+    ``minus``, a second cell rectangle, leaves out the units it meets: the
+    runs are those of ``rect`` with the runs of ``minus`` (at the same
+    shift) taken out.  The walk skips the blocks inside it, and a tile
+    that meets it ANDs its mask with the complement of ``minus``'s.  An
+    expanding search whose rectangles nest decomposes each one minus the
+    last, and so scans only what the last did not.
     """
     cx_lo, cy_lo, cx_hi, cy_hi = rect
     if cx_lo > cx_hi or cy_lo > cy_hi:
@@ -177,25 +196,32 @@ def z_decompose(rect: CellRect, cfg: GridConfig, min_block_shift: int = 0) -> li
     shift = min(max(min_block_shift, 0), cfg.levels)
     # a is the coordinate on the even bits of the Z-value (x), b the one on the odd bits (y)
     a_lo, b_lo, a_hi, b_hi = cx_lo >> shift, cy_lo >> shift, cx_hi >> shift, cy_hi >> shift
+    # the units left out; with no cell to leave out, a unit left of the grid, which no block meets
+    ma_lo = mb_lo = ma_hi = mb_hi = -1
+    if minus is not None and minus[0] <= minus[2] and minus[1] <= minus[3]:
+        ma_lo, mb_lo, ma_hi, mb_hi = (m >> shift for m in minus)
     unit_bits = 2 * shift
     runs: list[tuple[int, int]] = []
     stack = [(0, 0, cfg.levels - shift, 0)]
     while stack:
         a0, b0, side_bits, z0 = stack.pop()
         last = (1 << side_bits) - 1
-        if a_lo <= a0 and a0 + last <= a_hi and b_lo <= b0 and b0 + last <= b_hi:
+        # the block's overlap with the left-out units: none, part, or all of it
+        clear = a0 > ma_hi or a0 + last < ma_lo or b0 > mb_hi or b0 + last < mb_lo
+        if not clear and ma_lo <= a0 and a0 + last <= ma_hi and mb_lo <= b0 and b0 + last <= mb_hi:
+            continue
+        if clear and a_lo <= a0 and a0 + last <= a_hi and b_lo <= b0 and b0 + last <= b_hi:
             lo = z0 << unit_bits
             hi = ((z0 + (1 << (2 * side_bits))) << unit_bits) - 1
             if runs and runs[-1][1] + 1 == lo:
                 lo = runs.pop()[0]
             runs.append((lo, hi))
         elif side_bits <= _TILE_BITS:
-            mask = (
-                _A_GE[max(a_lo - a0, 0)]
-                & _A_LE[min(a_hi - a0, _TILE_LAST)]
-                & _B_GE[max(b_lo - b0, 0)]
-                & _B_LE[min(b_hi - b0, _TILE_LAST)]
-            )
+            mask = _tile_mask(a0, b0, a_lo, b_lo, a_hi, b_hi)
+            if not clear:
+                mask &= ~_tile_mask(a0, b0, ma_lo, mb_lo, ma_hi, mb_hi)
+                if not mask:
+                    continue
             # format() writes the highest bit first, so string index i is unit
             # top - i and searching from the end finds the runs lowest first;
             # a run's '1's end at index j and start after the '0' before them

@@ -35,13 +35,13 @@ from pebtree.query import (
     estimate_dk,
     oracle_knn,
     oracle_range,
-    subtract_intervals,
 )
 from pebtree.store import BPlusTree, DirectionalSpeeds, LeafEntry, MovingObjectIndex
 from pebtree.workload import WorkloadConfig, gen_policies, gen_queries, gen_uniform
 from pebtree.zcurve import GridConfig, cells_covering, z_corner_interval
 from test_motion import position_at
 from test_store import records_into, reference_scan_intervals
+from test_zcurve import subtract_intervals
 
 TIME_CFG = TimePartitionConfig(120.0, 2)
 GRID = GridConfig(L=1000.0, levels=10)
@@ -895,12 +895,15 @@ def _active(store, viewer, owners, t_q):
 
 def _row_reads_trace(peb, queries, cold_each):
     """Per-query buffer counters and LRU order of ``pknn``, and of reading each
-    friend row's span up to its last owner active at the query time."""
+    friend row's span up to its last owner active at the query time, once
+    with the leaf held from one row's scan to the next and once seeking
+    afresh for every row."""
     index = peb.index
     (tid, _), = index.live_partitions()
     full = ((0, index.grid.max_z),)
 
-    def read_rows(req):
+    def read_rows(req, hold):
+        leaf = None
         for svq, uids in peb.friends.rows(req.qid):
             unseen = _active(peb.store, req.qid, uids, req.t_q)
             if not unseen:
@@ -910,10 +913,10 @@ def _row_reads_trace(peb, queries, cold_each):
                 unseen.difference_update(leaf.uids[i:j])
                 return not unseen
 
-            index.tree.scan_intervals(full, visit, peb.layout.peb_key_q(tid, svq, 0))
+            leaf = index.tree.scan_intervals(full, visit, peb.layout.peb_key_q(tid, svq, 0), leaf if hold else None)
 
     traces = []
-    for call in (peb.pknn, read_rows):
+    for call in (peb.pknn, functools.partial(read_rows, hold=True), functools.partial(read_rows, hold=False)):
         index.reset_io(cold=True)
         trace = []
         for req in queries:
@@ -930,7 +933,9 @@ def test_pknn_reads_every_friend_row_once_however_early_it_stops(random_instance
     # in one partition that holds every user, pknn reads each friend row's
     # key span once, in row order, up to the entry of the row's last owner
     # whose policy window holds t_q, and skips the rows with no such owner,
-    # whether or not the answer is short
+    # whether or not the answer is short; the cursor's leaf is held from one
+    # row to the next, which reads fewer pages than a seek per row and
+    # charges the same misses
     cfg, objects, store, peb, _ = random_instance
     assert len(peb.index.live_partitions()) == 1
     queries = [
@@ -940,8 +945,12 @@ def test_pknn_reads_every_friend_row_once_however_early_it_stops(random_instance
     ]
     results = [peb.pknn(req) for req in queries]
     assert any(r.short for r in results) and not all(r.short for r in results)
-    got, want = _row_reads_trace(peb, queries, cold_each)
-    assert got == want
+    got, held, fresh = _row_reads_trace(peb, queries, cold_each)
+    assert got == held
+    for (g, _), (f, _) in zip(got, fresh):
+        assert (g.misses, g.leaf_misses) == (f.misses, f.leaf_misses)
+        assert g.reads <= f.reads
+    assert got[-1][0].reads < fresh[-1][0].reads
 
 
 def test_pknn_walk_ignores_users_outside_friend_rows():
@@ -997,10 +1006,6 @@ def test_pknn_walk_ignores_users_outside_friend_rows():
 # -- range query against the per-interval reference ----------------------------------------
 
 
-class _RowDone(Exception):
-    """Raised by the reference's visit once a (row, partition) pair's owners are all retrieved."""
-
-
 def reference_prq(self: PebQueryEngine, req: PrqRequest) -> set[int]:
     """The range query as a locate-then-walk per key interval, kept as a reference.
 
@@ -1011,7 +1016,8 @@ def reference_prq(self: PebQueryEngine, req: PrqRequest) -> set[int]:
     An owner counts only when its policy window holds the query time.  A
     (row, partition) pair is scanned only if one of the row's counted
     owners has its entry in the partition, and its scan ends at the entry
-    that completes the pair's counted owners.
+    that completes the pair's counted owners.  A partition's scans hold the
+    cursor's leaf from one row to the next.
     """
     self.store.check_user(req.qid)
     rows = self.friends.rows(req.qid)
@@ -1033,6 +1039,7 @@ def reference_prq(self: PebQueryEngine, req: PrqRequest) -> set[int]:
     for tid, label in self.index.live_partitions():
         enlarged = enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L)
         zivs = self._zivs(enlarged)
+        leaf = None
         for row_i, (svq, _) in enumerate(rows):
             if not unseen[row_i, tid]:
                 continue
@@ -1052,14 +1059,10 @@ def reference_prq(self: PebQueryEngine, req: PrqRequest) -> set[int]:
                     and _visible(store, uid, req.qid, px, py, t_q)
                 ):
                     result.add(uid)
-                if not unseen[row_i, tid]:
-                    raise _RowDone
+                return not unseen[row_i, tid]
 
             key_intervals = [(layout.peb_key_q(tid, svq, zs), layout.peb_key_q(tid, svq, ze)) for zs, ze in zivs]
-            try:
-                reference_scan_intervals(self.index.tree, key_intervals, visit)
-            except _RowDone:
-                pass
+            leaf = reference_scan_intervals(self.index.tree, key_intervals, visit, leaf)
     return result
 
 
@@ -1119,9 +1122,9 @@ def scans(monkeypatch):
     bases = []
     scan = BPlusTree.scan_intervals
 
-    def recording(tree, intervals, visit, base=0):
+    def recording(tree, intervals, visit, base=0, leaf=None):
         bases.append(base)
-        return scan(tree, intervals, visit, base)
+        return scan(tree, intervals, visit, base, leaf)
 
     monkeypatch.setattr(BPlusTree, "scan_intervals", recording)
     return bases
@@ -1403,22 +1406,31 @@ GOLDEN_CONFIGS = {
 #   uniform  43 / 43, 63 / 59, 46 / 46 -> 43 / 42, 48 / 47, 43 / 39
 #   visible  43 / 43, 63 / 59, 47 / 47 -> 43 / 43, 56 / 58, 47 / 47
 #   network  43 / 43, 63 / 59, 47 / 47 -> 43 / 42, 48 / 47, 44 / 41
+# They were re-pinned a third time when a partition's scans began to hold the
+# cursor's leaf from one key prefix to the next, in place of a seek from the
+# root per prefix: the skipped seeks read only pages the same query had just
+# read, so every answer and every batch's misses stayed the same (the misses
+# digests below held) and only page reads fell.  Per configuration, the
+# range / kNN batches' reads at the three query points went
+#   uniform  275 / 266, 255 / 271, 281 / 255 -> 265 / 242, 239 / 255, 267 / 235
+#   visible  581 / 622, 656 / 609, 587 / 564 -> 499 / 524, 576 / 539, 527 / 502
+#   network  275 / 266, 254 / 271, 287 / 255 -> 265 / 242, 238 / 255, 273 / 237
 GOLDEN_QUERY_DIGESTS = {
     "uniform": {
-        ("peb", "range"): "aa5d4b31018ca31de1bd26e494ed68944b4b6cb01cb766b07b949d54813303dc",
-        ("peb", "knn"): "815a69249a29d4a389325cfca1074b07f47f6f4fb379e495b771e07b7287ded0",
+        ("peb", "range"): "5bca97b0d2565370927bc7270784b7a779b19d5e28c6cb2683cd138af581d089",
+        ("peb", "knn"): "95324774445e4351008eb3ad7104041ab8391b94d8da87509bec60d33f26ea58",
         ("bx", "range"): "ad1ce88fb03358e1038cfbe1e865eef050db8dd4890dd63acbf23a3f3bfa7d66",
         ("bx", "knn"): "ffb7dafd2220d2f3f9fca24c5a98314a5456be9b40a6bcfedb717adb1ac49ab9",
     },
     "visible": {
-        ("peb", "range"): "fdfe0226a95771e056852a9bbd69a0bac39f3c77fad1148af36774507f02f2e8",
-        ("peb", "knn"): "48b4e8d64060943d6238160192eea6621d26bf553b5ef35c25829fca27c4f0ca",
+        ("peb", "range"): "03c5a96c616a801802d35c4e8f15c1ffddc539018d7bde0cb93c94a1f5e68ad7",
+        ("peb", "knn"): "bf8afd19ef3faa4050e509f09a53d6686408d0230c253e15a9a23a100781c9ef",
         ("bx", "range"): "7e519e278146303811afd5b88cfdfb4852185e9fd2db41b4c2f56f879fdbc05c",
         ("bx", "knn"): "caa694db4b0013a26e9c8886ccda84b6398bdbdd00933687e4a02405d6702a11",
     },
     "network": {
-        ("peb", "range"): "bbdd9ae4eccd425d5fce12cd1110d9c7202a9cd382554667ffc15ddd74d98e5c",
-        ("peb", "knn"): "f5c988a44adbdba0ef86fc01732d76aacb397ba0edc477a4e0609b586700ea1b",
+        ("peb", "range"): "0da8a14e9ce0f3535e50c3073aeb0883cc1b933adbd55fd96f6cea6ffa4146d3",
+        ("peb", "knn"): "178a13de902013c7b9dec4ea0ae68b38e760ce0ac4331e629d412afda6e75863",
         ("bx", "range"): "690cc9562a83ad5ba69876758cfc0797230cc81b76028eb4a831f1270c0bcb46",
         ("bx", "knn"): "fdf5943ad3bbde17ea9ebb22154d3a75e4cf608bd5f7e9335c9e4d218efc4487",
     },
@@ -1605,6 +1617,31 @@ def test_answers_and_misses_match_golden_digests(name):
 @pytest.fixture(scope="module")
 def uniform_instance():
     return build_instance(GOLDEN_CONFIGS["uniform"])
+
+
+@pytest.mark.parametrize("kind, seeks, prefixes", [("range", 129, 133), ("knn", 120, 132)])
+def test_a_peb_batch_seeks_fewer_times_than_it_scans_prefixes(
+    uniform_instance, scans, monkeypatch, kind, seeks, prefixes
+):
+    # a partition's scans hold the cursor's leaf from one key prefix to the
+    # next, so a prefix that starts on the held leaf is read without a seek
+    inst = uniform_instance
+    cfg = GOLDEN_CONFIGS["uniform"]
+    descents = []
+    descend = BPlusTree.descend
+
+    def counted(tree, key):
+        descents.append(key)
+        return descend(tree, key)
+
+    monkeypatch.setattr(BPlusTree, "descend", counted)
+    run = inst.peb_engine.prq if kind == "range" else inst.peb_engine.pknn
+    objects = list(inst.objects.values())
+    queries = gen_queries(cfg, kind, objects, now=inst.now, horizon=inst.time_cfg.delta_t_mu, count=40)
+    for req in queries:
+        run(req)
+    assert (len(descents), len(scans)) == (seeks, prefixes)
+    assert seeks < prefixes
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import replace
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -203,16 +204,17 @@ def test_scan_intervals_equals_separate_scans():
     assert [(e.key, e.uid) for e in got] == expected
 
 
-def reference_scan_intervals(self, intervals, visit):
+def reference_scan_intervals(self, intervals, visit, leaf=None):
     """The interval-by-interval cursor loop as it stood before intervals were bisected, kept as a reference.
 
-    Scan a sorted list of disjoint key intervals with a leaf cursor.
+    Scan a sorted list of disjoint key intervals with a leaf cursor, from
+    ``leaf`` when one is given, and return the leaf held at the end.  A
+    ``visit`` that returns true ends the scan at its entry.
 
     Re-descends only when the next interval starts beyond the current
     leaf, mirroring one locate-then-walk pass per search range.
     """
-    leaf = None
-    entries = []  # leaf.entries, built once per leaf read
+    entries = [] if leaf is None else leaf.entries  # leaf.entries, built once per leaf read
     for lo, hi in intervals:
         lo_c = (lo, -1)
         if leaf is None or not entries or entries[-1] < lo_c:
@@ -223,7 +225,8 @@ def reference_scan_intervals(self, intervals, visit):
             while i < len(entries):
                 if entries[i].key > hi:
                     break
-                visit(entries[i])
+                if visit(entries[i]):
+                    return leaf
                 i += 1
             else:
                 if leaf.next_leaf is not None:
@@ -232,6 +235,7 @@ def reference_scan_intervals(self, intervals, visit):
                     i = 0
                     continue
             break
+    return leaf
 
 
 def _random_intervals(rng, span):
@@ -480,6 +484,106 @@ def test_columnar_leaves_through_churn_scan_like_the_reference(page_size, buffer
                 assert cursor.buffer.counters() == reference.buffer.counters()
                 assert list(cursor.buffer._lru) == list(reference.buffer._lru)
     assert cursor.stats() == reference.stats()
+
+
+def _prefix_scans(tree, prefixes, hold):
+    """Scan each ``(base, intervals, stop)`` in turn from a cold buffer; return the slices visited and the counters.
+
+    A prefix's scan ends once it has been handed ``stop`` records, as the
+    engine's ends at its prefix's last owner.  With ``hold`` each scan
+    starts from the leaf the previous one returned, else it seeks afresh.
+    """
+    tree.buffer.clear()
+    slices = []
+    leaf = None
+    for base, intervals, stop in prefixes:
+        left = [stop]
+
+        def visit(leaf, i, j):
+            slices.append((base, leaf.page_id, i, j))
+            left[0] -= j - i
+            return left[0] <= 0
+
+        leaf = tree.scan_intervals(intervals, visit, base, leaf if hold else None)
+    return slices, tree.buffer.counters()
+
+
+# a prefix's curve span is 64 keys wide: entries land on 8 prefixes, and
+# equal keys repeat over up to 6 uids, so their runs cross leaves; three of
+# four steps insert, so 4-record leaves make trees of height 3
+PREFIX_OPS = st.lists(
+    st.tuples(st.integers(0, 3).map(bool), st.integers(0, 7), st.integers(0, 39), st.integers(0, 5)),
+    min_size=60,
+    max_size=300,
+)
+PREFIX_SCANS = st.lists(
+    st.tuples(
+        st.integers(0, 7),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=5).map(_intervals_from_steps),
+        st.integers(1, 12),
+    ),
+    min_size=1,
+    max_size=8,
+    unique_by=itemgetter(0),
+).map(sorted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(page_size=st.sampled_from([256, 320, 512]), ops=PREFIX_OPS, scans=PREFIX_SCANS)
+def test_a_held_leaf_scans_ascending_prefixes_like_a_seek_per_prefix(page_size, ops, scans):
+    # prefix by prefix, the leaf held from one scan to the next hands visit
+    # the slices a seek per prefix does, in the same order, and reads no
+    # more pages.  A buffer that holds the tree charges each page's first
+    # read: in a tree of height 2 the seeks skipped read only the root and
+    # leaves the same scans have just read, so the misses are the same; a
+    # deeper seek may also read an inner page the chain walk passed by
+    tree = BPlusTree(page_size=page_size, buffer_pages=10_000)
+    shadow: set[tuple[int, int]] = set()
+    for insert, prefix, offset, uid in ops:
+        key = prefix * 64 + offset
+        if insert and (key, uid) not in shadow:
+            put(tree, key, uid)
+            shadow.add((key, uid))
+        elif not insert and shadow:
+            key, uid = sorted(shadow)[(key * 6 + uid) % len(shadow)]
+            tree.delete(key, uid)
+            shadow.remove((key, uid))
+    tree.audit()
+    prefixes = [(prefix * 64, intervals, stop) for prefix, intervals, stop in scans]
+    held, held_io = _prefix_scans(tree, prefixes, hold=True)
+    fresh, fresh_io = _prefix_scans(tree, prefixes, hold=False)
+    assert held == fresh
+    assert held_io.reads <= fresh_io.reads
+    assert held_io.leaf_reads <= fresh_io.leaf_reads
+    if tree.height <= 2:
+        assert (held_io.misses, held_io.leaf_misses) == (fresh_io.misses, fresh_io.leaf_misses)
+    else:
+        assert held_io.leaf_misses == fresh_io.leaf_misses
+        assert held_io.misses <= fresh_io.misses
+
+
+def test_a_held_leaf_skips_the_seek_into_itself():
+    tree = hand_built_tree()
+    got = []
+
+    def visit(leaf, i, j):
+        got.extend(leaf.keys[i:j])
+
+    leaf = tree.scan_intervals([(2, 5)], visit)
+    assert leaf.page_id == 1
+    # 7 lies on the held leaf, so the next scan bisects it and walks on to
+    # leaf 2 without a seek; 31 lies beyond the leaf it then holds, so the
+    # third scan seeks leaf 4 from the root
+    leaf = tree.scan_intervals([(7, 10)], visit, leaf=leaf)
+    assert leaf.page_id == 2
+    leaf = tree.scan_intervals([(31, 34)], visit, leaf=leaf)
+    assert leaf.page_id == 4
+    assert got == [3, 5, 7, 10, 32, 34]
+    assert tree.buffer.counters() == IoCounters(reads=5, misses=4, leaf_reads=3, leaf_misses=3)
+    assert list(tree.buffer._lru) == [1, 2, 0, 4]
+    # with no interval, the scan reads nothing and hands the leaf back
+    assert tree.scan_intervals([], visit, leaf=leaf) is leaf
+    assert tree.scan_intervals([], visit) is None
 
 
 # -- moving-object index ------------------------------------------------------

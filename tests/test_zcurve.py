@@ -282,6 +282,93 @@ def test_decompose_equals_recursive_walk_at_every_shift(levels, data):
     assert z_decompose(rect, cfg, shift) == recursive_decompose(rect, cfg, shift)
 
 
+def subtract_intervals(new, covered):
+    """Parts of sorted disjoint ``new`` not covered by sorted disjoint ``covered``.
+
+    The baseline's kNN rounds subtracted the last round's runs this way
+    before ``z_decompose`` took a rectangle to leave out; kept as the
+    reference for ``minus``.
+    """
+    out = []
+    ci = 0
+    n_cov = len(covered)
+    for lo, hi in new:
+        while ci < n_cov and covered[ci][1] < lo:
+            ci += 1
+        start = lo
+        j = ci
+        while j < n_cov and covered[j][0] <= hi:
+            c_lo, c_hi = covered[j]
+            if c_lo > start:
+                out.append((start, min(c_lo - 1, hi)))
+            start = max(start, c_hi + 1)
+            if start > hi:
+                break
+            j += 1
+        if start <= hi:
+            out.append((start, hi))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    levels=st.integers(min_value=1, max_value=12),
+    nested=st.booleans(),
+    data=st.data(),
+)
+def test_decompose_minus_a_rectangle_equals_subtracting_its_runs(levels, nested, data):
+    # up to 4 096 units a side, so rectangles span many 64 x 64-unit tiles;
+    # a nested rectangle is the baseline kNN search's last round
+    cfg = GridConfig(L=1.0, levels=levels)
+    last = cfg.cells_per_axis - 1
+    shift = data.draw(st.sampled_from([s for s in (0, 2, 4) if s <= levels] + [levels]))
+    x_lo = data.draw(st.integers(0, last))
+    x_hi = data.draw(st.integers(x_lo, last))
+    y_lo = data.draw(st.integers(0, last))
+    y_hi = data.draw(st.integers(y_lo, last))
+    rect = (x_lo, y_lo, x_hi, y_hi)
+    if nested:
+        mx_lo = data.draw(st.integers(x_lo, x_hi))
+        mx_hi = data.draw(st.integers(mx_lo, x_hi))
+        my_lo = data.draw(st.integers(y_lo, y_hi))
+        my_hi = data.draw(st.integers(my_lo, y_hi))
+    else:
+        mx_lo, mx_hi = sorted(data.draw(st.integers(0, last)) for _ in range(2))
+        my_lo, my_hi = sorted(data.draw(st.integers(0, last)) for _ in range(2))
+    minus = (mx_lo, my_lo, mx_hi, my_hi)
+    want = subtract_intervals(z_decompose(rect, cfg, shift), z_decompose(minus, cfg, shift))
+    assert z_decompose(rect, cfg, shift, minus) == want
+    # an empty rectangle, or none, leaves out nothing
+    whole = z_decompose(rect, cfg, shift)
+    assert z_decompose(rect, cfg, shift, (1, 1, 0, 0)) == z_decompose(rect, cfg, shift, None) == whole
+
+
+def test_decompose_minus_the_last_round_on_the_query_grid():
+    # squares doubling about a point, as the baseline kNN search's rounds are,
+    # each minus the last, cover the last square's blocks once each
+    cfg = GridConfig(L=1000.0, levels=10)
+    rng = random.Random(31)
+    for _ in range(40):
+        qx, qy, radius = rng.uniform(0, 1000), rng.uniform(0, 1000), rng.uniform(1, 40)
+        seen, prev = [], None
+        while True:
+            square = (qx - radius, qy - radius, qx + radius, qy + radius)
+            cells = cells_covering(square, cfg)
+            runs = z_decompose(cells, cfg, SCAN_BLOCK_SHIFT, prev)
+            assert runs == subtract_intervals(
+                z_decompose(cells, cfg, SCAN_BLOCK_SHIFT), z_decompose(prev, cfg, SCAN_BLOCK_SHIFT) if prev else []
+            )
+            seen.extend(runs)
+            if cells == (0, 0, cfg.cells_per_axis - 1, cfg.cells_per_axis - 1):
+                break
+            prev = cells
+            radius *= 2.0
+        # the rounds' runs tile the whole curve, each value once
+        seen.sort()
+        assert [lo for lo, _ in seen] == [0] + [hi + 1 for _, hi in seen[:-1]]
+        assert seen[-1][1] == cfg.max_z
+
+
 def test_aligned_blocks_are_contiguous_runs():
     # every aligned 2^k x 2^k block occupies one contiguous run of the curve
     cfg = GridConfig(L=16, levels=4)
