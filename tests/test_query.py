@@ -950,7 +950,7 @@ def test_pknn_reads_every_friend_row_once_however_early_it_stops(random_instance
     for (g, _), (f, _) in zip(got, fresh):
         assert (g.misses, g.leaf_misses) == (f.misses, f.leaf_misses)
         assert g.reads <= f.reads
-    assert got[-1][0].reads < fresh[-1][0].reads
+    assert any(g.reads < f.reads for (g, _), (f, _) in zip(got, fresh))
 
 
 def test_pknn_walk_ignores_users_outside_friend_rows():
