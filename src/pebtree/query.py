@@ -8,17 +8,18 @@ Two engines answer the same queries:
   their window ends, which the policy store gathers without reading a
   page, and holds the row of each owner that passes.  An owner's key prefix
   ``partition | sequence value`` names its (friend row, partition) pair,
-  so the engine counts the active owners per prefix, from the index's
-  uid -> key map, and scans only the prefixes that hold one.  A prefix's
-  key intervals are curve intervals offset by it; the tree's leaf cursor
-  scans them and ends at the entry that meets the prefix's count of
-  active owners (a user has only one location).  A partition's prefixes
-  are scanned in ascending order by one cursor, which holds its leaf
-  from one prefix to the next and seeks only when a prefix starts beyond
-  it.  A range query enlarges its window per partition and decomposes it
-  into curve intervals; a kNN query is the range query over the whole
-  space, each prefix's full span, ranked by distance.  An owner entry
-  found is verified by the region of its held row.
+  so the engine sorts the active owners' keys, from the index's uid -> key
+  map, and scans only the prefixes that hold one, each over one interval
+  from its first active owner's key to its last.  The tree's leaf cursor
+  ends a scan at the entry that meets the prefix's count of active owners
+  (a user has only one location).  A partition's prefixes are scanned in
+  ascending order by one cursor, which holds its leaf from one prefix to
+  the next and seeks only when a prefix's first owner lies beyond it.  An
+  owner entry found is verified by the query window, if any, and the
+  region of its held row; a kNN query ranks the verified owners by
+  distance.  Unlike the paper's range algorithm, no window is enlarged or
+  decomposed into curve intervals: a prefix span holds a few entries on
+  one or two leaves, so a window would save few pages.
 
 * :class:`BaselineQueryEngine` runs against the baseline index: a plain
   spatial query first, policy filtering after, with kNN by incrementally
@@ -51,10 +52,9 @@ counters.  Issue queries against one index from one thread at a time.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from heapq import nsmallest
-from itertools import compress, groupby, repeat
+from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator
 
 from .keys import KeyLayout, SequenceValueMap
@@ -66,9 +66,10 @@ from .zcurve import z_corner_interval  # noqa: F401  perfbench/harness.py's trac
 
 Rect = tuple[float, float, float, float]
 
-# Query windows are snapped outward to blocks of 2^SCAN_BLOCK_SHIFT cells per
-# side before curve decomposition.  That bounds the number of key intervals
-# per window; the scanned key set only grows, so results are unaffected.
+# The baseline engine's query windows are snapped outward to blocks of
+# 2^SCAN_BLOCK_SHIFT cells per side before curve decomposition.  That bounds
+# the number of key intervals per window; the scanned key set only grows, so
+# results are unaffected.
 SCAN_BLOCK_SHIFT = 4
 
 
@@ -220,9 +221,6 @@ class _EngineBase:
         self.grid = index.grid
         self.layout = index.layout
 
-    def _zivs(self, rect: Rect) -> list[tuple[int, int]]:
-        return z_decompose(cells_covering(rect, self.grid), self.grid, SCAN_BLOCK_SHIFT)
-
 
 class PebQueryEngine(_EngineBase):
     """Query processor for the policy-embedded index.
@@ -263,28 +261,32 @@ class PebQueryEngine(_EngineBase):
         the check reads no page.  Each active owner's policy row is held for
         the region half.  The active owners' keys, from the index's
         uid -> key map, give each one's prefix ``partition | sequence
-        value``: its (friend row, partition) pair.  The active owners are
-        counted per prefix once, in ascending prefix order, so each
-        partition's prefixes form a run of the counts.  Each prefix that
-        holds an active owner is read with one leaf-cursor scan of its key
-        intervals, the partition's curve intervals offset by the prefix,
-        taking the partition's prefixes in ``order(n, 1)`` over their
-        ascending list.  Each scan starts from the leaf the partition's last
-        scan ended on: the prefixes ascend, so every record before that leaf
-        lies below the next prefix, and a prefix that starts on it is read
-        without a seek from the root.  A scan ends at the entry that meets its prefix's
-        count of active owners, and every active owner entry read is
-        extrapolated to ``t_q`` and verified; the entries of other users and
-        of inactive owners are passed over.  Each record of a leaf slice the
-        scan hands over is looked up among the active owners by its uid, and
-        only an active owner's motion record is read.  An owner entry is
-        verified by the region of its held row alone, since its window was
-        checked before the scan.
-        ``rect=None`` is the whole space: each prefix's full span
-        ``[0, max_z]``, with no window enlarged or decomposed.
+        value``: its (friend row, partition) pair.  One pass over the sorted
+        keys splits them per partition and per prefix.  Each prefix that
+        holds an active owner is read with one leaf-cursor scan of one
+        interval, from its first active owner's key to its last, taking the
+        partition's prefixes in ``order(n, 1)`` over their ascending list.
+        Each scan starts from the leaf the partition's last scan ended on:
+        the prefixes ascend, so every record before that leaf lies below the
+        next prefix's first owner, and a prefix whose first owner lies on it
+        is read without a seek from the root.  A scan ends at the entry that
+        meets its prefix's count of active owners (a user has only one
+        location), so it reads no leaf past the one that holds the prefix's
+        last active owner.  Each record of a leaf slice the scan hands over
+        is looked up among the active owners by its uid; only an active
+        owner's motion record is read, extrapolated to ``t_q`` and verified
+        against ``rect`` and the region of its held row.
+        ``rect=None`` is the whole space.  A window that does not meet the
+        space, ``[0, space_side]`` on each axis, holds no visible owner, since
+        the policy store refuses a region beyond the space, so it is answered
+        empty before any read.
         """
         store = self.store
         store.check_user(qid)
+        x_lo, y_lo, x_hi, y_hi = rect or (-math.inf, -math.inf, math.inf, math.inf)
+        side = store.space_side
+        if x_hi < 0.0 or y_hi < 0.0 or x_lo > side or y_lo > side:
+            return []
         rows, owners, t_lo, t_hi = store.windows(qid)
         index = self.index
         tree = index.tree
@@ -293,7 +295,7 @@ class PebQueryEngine(_EngineBase):
         day = store.day
         tm = t_q % day
         # window_contains(lo, hi, day, t_q), with t_q % day taken once: an
-        # owner whose window misses t_q is not visible, so it is not counted
+        # owner whose window misses t_q is not visible, so it is not scanned
         active = {
             uid: row
             for uid, row, lo, hi in zip(owners, rows, t_lo, t_hi)
@@ -301,15 +303,11 @@ class PebQueryEngine(_EngineBase):
         }
         p = store.policies
         rx_lo, ry_lo, rx_hi, ry_hi = p.x_lo, p.y_lo, p.x_hi, p.y_hi
-        # the active owners per key prefix of their entries, in ascending
-        # prefix order; an owner that is not indexed counts nowhere
+        # the active owners' keys, ascending; an owner that is not indexed has none
         keys = index.keys_of(active)
         if None in keys:
             keys = [key for key in keys if key is not None]
-        counts = Counter(map(zv_bits.__rrshift__, sorted(keys)))  # key >> zv_bits, counted in C
-        labels = dict(index.live_partitions())
-        x_lo, y_lo, x_hi, y_hi = rect or (-math.inf, -math.inf, math.inf, math.inf)
-        full = ((0, self.grid.max_z),)
+        keys.sort()
         found: list[tuple[int, float, float]] = []
         todo = 0  # the active owners of the scanned prefix that visit has yet to meet
 
@@ -337,36 +335,46 @@ class PebQueryEngine(_EngineBase):
                     found.append((uid, px, py))
             return not todo
 
-        # a partition's prefixes are a run of the ascending counts
-        for tid, run in groupby(counts.items(), lambda item: item[0] >> sv_bits):
-            zivs = full if rect is None else self._zivs(enlarge(rect, labels[tid], t_q, index.max_speeds, self.grid.L))
-            if not zivs:
-                continue
-            values = list(run)
+        # each partition's prefixes in ascending order, each as [base key, active
+        # owners, first key, last key]: one pass over the sorted keys
+        partitions: list[list[list[int]]] = []
+        prefix = tid = -1
+        for key in keys:
+            if key >> zv_bits != prefix:
+                prefix = key >> zv_bits
+                if prefix >> sv_bits != tid:
+                    tid = prefix >> sv_bits
+                    spans: list[list[int]] = []
+                    partitions.append(spans)
+                span = [prefix << zv_bits, 0, key, key]
+                spans.append(span)
+            span[1] += 1
+            span[3] = key
+        for spans in partitions:
             leaf = None  # the cursor's leaf, held from one prefix's scan to the next
             last = -1
-            for i, _ in order(len(values), 1):
-                prefix, todo = values[i]
+            for i, _ in order(len(spans), 1):
+                base, todo, lo, hi = spans[i]
                 # the held leaf starts the scan only when its prefix follows the last one scanned
-                leaf = tree.scan_intervals(zivs, visit, prefix << zv_bits, leaf if i > last else None)
+                leaf = tree.scan_intervals(((lo - base, hi - base),), visit, base, leaf if i > last else None)
                 last = i
         return found
 
     def prq(self, req: PrqRequest) -> set[int]:
         """Users inside the window at query time who allow the issuer to see them.
 
-        Each live partition's window is enlarged and decomposed into curve
-        intervals once, and each key prefix holding an owner there whose
-        policy window is open at ``t_q`` is scanned over them in ascending
-        order; only those owners can be visible to the issuer, so only
-        their entries are verified.
+        Each key prefix holding an owner whose policy window is open at
+        ``t_q`` is scanned from its first such owner's key to its last, in
+        ascending order; only those owners can be visible to the issuer, so
+        only their entries are verified, against the window and their
+        policy regions.  The window is not enlarged or decomposed.
         """
         return {uid for uid, _, _ in self._visible_owners(req.qid, req.t_q, req.rect, antidiagonal_order)}
 
     def pknn(self, req: PknnRequest) -> PknnResult:
         """The k visible users nearest the query point at query time.
 
-        The range query over the whole space, with each partition's key
+        The owner scan of :meth:`prq` with no window, each partition's key
         prefixes taken in ``self.traversal`` order: every verified owner is
         ranked by distance, and the answer is the k nearest, ties broken by
         ascending uid as in :func:`oracle_knn`; fewer than k visible users

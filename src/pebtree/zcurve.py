@@ -62,10 +62,6 @@ class GridConfig:
     def zv_bits(self) -> int:
         return 2 * self.levels
 
-    @cached_property
-    def max_z(self) -> int:
-        return (1 << (2 * self.levels)) - 1
-
 
 def _spread(v: int) -> int:
     """Move bit i of a value below 2^32 to bit 2i, in five mask steps."""

@@ -82,7 +82,7 @@ def indexed_as(obj: MovingObject, time_cfg: TimePartitionConfig = CFG, grid: Gri
     """Label, partition and cell of the key that a baseline index gives ``obj``."""
     key, tid, label = make_index("bx", time_cfg, grid).key_for(obj)
     assert key >> grid.zv_bits == tid
-    zv = key & grid.max_z
+    zv = key & ((1 << grid.zv_bits) - 1)
     cx = sum(((zv >> 2 * i) & 1) << i for i in range(grid.levels))
     cy = sum(((zv >> 2 * i + 1) & 1) << i for i in range(grid.levels))
     return label, tid, (cx, cy)

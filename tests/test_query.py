@@ -3,14 +3,13 @@ import hashlib
 import math
 import random
 from bisect import bisect_left, bisect_right
-from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pebtree import query
 from pebtree.bench import build_instance, run_update_round
-from pebtree.keys import KeyLayout, assign_sequence_values
+from pebtree.keys import KeyLayout, SequenceValueMap, assign_sequence_values
 from pebtree.motion import MovingObject, TimePartitionConfig
 from pebtree.policy import (
     DAY,
@@ -21,6 +20,7 @@ from pebtree.policy import (
     window_contains,
 )
 from pebtree.query import (
+    SCAN_BLOCK_SHIFT,
     BaselineQueryEngine,
     FriendLists,
     PebQueryEngine,
@@ -38,7 +38,7 @@ from pebtree.query import (
 )
 from pebtree.store import BPlusTree, DirectionalSpeeds, LeafEntry, MovingObjectIndex
 from pebtree.workload import WorkloadConfig, gen_policies, gen_queries, gen_uniform
-from pebtree.zcurve import GridConfig, cells_covering, z_corner_interval
+from pebtree.zcurve import GridConfig, cells_covering, z_corner_interval, z_decompose
 from test_motion import position_at
 from test_store import records_into, reference_scan_intervals
 from test_zcurve import subtract_intervals
@@ -617,7 +617,7 @@ def _row_span(engine, tid, svq):
     """Curve values and entries of one (partition, sequence value) key span, in key order."""
     base = engine.layout.peb_key_q(tid, svq, 0)
     entries = []
-    engine.index.tree.scan_intervals(((0, engine.grid.max_z),), records_into(entries), base)
+    engine.index.tree.scan_intervals(((0, (1 << engine.grid.zv_bits) - 1),), records_into(entries), base)
     return [entry.key - base for entry in entries], entries
 
 
@@ -895,12 +895,11 @@ def _active(store, viewer, owners, t_q):
 
 def _row_reads_trace(peb, queries, cold_each):
     """Per-query buffer counters and LRU order of ``pknn``, and of reading each
-    friend row's span up to its last owner active at the query time, once
-    with the leaf held from one row's scan to the next and once seeking
-    afresh for every row."""
+    friend row's span from its first owner active at the query time to its
+    last, once with the leaf held from one row's scan to the next and once
+    seeking afresh for every row."""
     index = peb.index
     (tid, _), = index.live_partitions()
-    full = ((0, index.grid.max_z),)
 
     def read_rows(req, hold):
         leaf = None
@@ -908,12 +907,14 @@ def _row_reads_trace(peb, queries, cold_each):
             unseen = _active(peb.store, req.qid, uids, req.t_q)
             if not unseen:
                 continue
+            base = peb.layout.peb_key_q(tid, svq, 0)
+            zs = [index._current[uid] - base for uid in unseen]
 
             def visit(leaf, i, j):
                 unseen.difference_update(leaf.uids[i:j])
                 return not unseen
 
-            leaf = index.tree.scan_intervals(full, visit, peb.layout.peb_key_q(tid, svq, 0), leaf if hold else None)
+            leaf = index.tree.scan_intervals(((min(zs), max(zs)),), visit, base, leaf if hold else None)
 
     traces = []
     for call in (peb.pknn, functools.partial(read_rows, hold=True), functools.partial(read_rows, hold=False)):
@@ -931,8 +932,9 @@ def _row_reads_trace(peb, queries, cold_each):
 @pytest.mark.parametrize("cold_each", [True, False])
 def test_pknn_reads_every_friend_row_once_however_early_it_stops(random_instance, cold_each):
     # in one partition that holds every user, pknn reads each friend row's
-    # key span once, in row order, up to the entry of the row's last owner
-    # whose policy window holds t_q, and skips the rows with no such owner,
+    # key span once, in row order, from the entry of the row's first owner
+    # whose policy window holds t_q to that of its last, and skips the rows
+    # with no such owner,
     # whether or not the answer is short; the cursor's leaf is held from one
     # row to the next, which reads fewer pages than a seek per row and
     # charges the same misses
@@ -1007,62 +1009,55 @@ def test_pknn_walk_ignores_users_outside_friend_rows():
 
 
 def reference_prq(self: PebQueryEngine, req: PrqRequest) -> set[int]:
-    """The range query as a locate-then-walk per key interval, kept as a reference.
+    """The range query as one locate-then-walk per (friend row, partition) pair, kept as a reference.
 
     Users inside the window at query time who allow the issuer to see them.
 
-    Each row's key intervals are built explicitly and scanned one by one
-    with the interval-by-interval cursor loop; every entry is verified.
-    An owner counts only when its policy window holds the query time.  A
-    (row, partition) pair is scanned only if one of the row's counted
-    owners has its entry in the partition, and its scan ends at the entry
-    that completes the pair's counted owners.  A partition's scans hold the
-    cursor's leaf from one row to the next.
+    A window that misses the space ``[0, space_side]`` on either axis reads
+    nothing.  An owner counts only when its policy window holds the query
+    time.  Each (row, partition) pair that holds a counted owner's entry is
+    scanned over one key interval, from the key of its first counted owner
+    to that of its last, with the entry-by-entry cursor loop; every entry is
+    verified, and the scan ends at the entry that completes the pair's
+    counted owners.  The pairs are taken partition by partition, each
+    partition's rows in ascending order with the cursor's leaf held from
+    one row to the next.
     """
     self.store.check_user(req.qid)
-    rows = self.friends.rows(req.qid)
     result: set[int] = set()
-    if not rows:
-        return result
     store = self.store
-    layout = self.layout
-    t_q = req.t_q
     rect = req.rect
-    seen: set[int] = set()
-    row_of = {
-        uid: row_i for row_i, (_, uids) in enumerate(rows) for uid in _active(store, req.qid, uids, t_q)
-    }
-    # (row, partition) -> owners not yet retrieved; a key's partition sits above its value and curve bits
-    tid_shift = layout.zv_bits + layout.sv_bits
-    keys = self.index.keys_of(row_of)
-    unseen = Counter((row_i, key >> tid_shift) for row_i, key in zip(row_of.values(), keys) if key is not None)
-    for tid, label in self.index.live_partitions():
-        enlarged = enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L)
-        zivs = self._zivs(enlarged)
-        leaf = None
-        for row_i, (svq, _) in enumerate(rows):
-            if not unseen[row_i, tid]:
-                continue
+    side = store.space_side
+    if rect[2] < 0 or rect[3] < 0 or rect[0] > side or rect[1] > side:
+        return result
+    t_q = req.t_q
+    # (partition, row) -> keys and uids of the row's counted owners; a key's
+    # partition sits above its value and curve bits
+    tid_shift = self.layout.zv_bits + self.layout.sv_bits
+    pairs: dict[tuple[int, int], dict[int, int]] = {}
+    for row_i, (_, uids) in enumerate(self.friends.rows(req.qid)):
+        for uid in _active(store, req.qid, uids, t_q):
+            key = self.index._current.get(uid)
+            if key is not None:
+                pairs.setdefault((key >> tid_shift, row_i), {})[uid] = key
+    leaf = None
+    held_tid = None
+    for tid, row_i in sorted(pairs):
+        if tid != held_tid:
+            leaf, held_tid = None, tid
+        owners = pairs[tid, row_i]
+        unseen = set(owners)
 
-            def visit(entry):
-                uid = entry.uid
-                if uid not in seen:
-                    seen.add(uid)
-                    owner_row = row_of.get(uid)
-                    if owner_row is not None:
-                        unseen[owner_row, tid] -= 1
-                px = entry.x + entry.vx * (t_q - entry.t)
-                py = entry.y + entry.vy * (t_q - entry.t)
-                if (
-                    rect[0] <= px <= rect[2]
-                    and rect[1] <= py <= rect[3]
-                    and _visible(store, uid, req.qid, px, py, t_q)
-                ):
-                    result.add(uid)
-                return not unseen[row_i, tid]
+        def visit(entry):
+            unseen.discard(entry.uid)
+            px = entry.x + entry.vx * (t_q - entry.t)
+            py = entry.y + entry.vy * (t_q - entry.t)
+            if rect[0] <= px <= rect[2] and rect[1] <= py <= rect[3] and _visible(store, entry.uid, req.qid, px, py, t_q):
+                result.add(entry.uid)
+            return not unseen
 
-            key_intervals = [(layout.peb_key_q(tid, svq, zs), layout.peb_key_q(tid, svq, ze)) for zs, ze in zivs]
-            leaf = reference_scan_intervals(self.index.tree, key_intervals, visit, leaf)
+        interval = (min(owners.values()), max(owners.values()))
+        leaf = reference_scan_intervals(self.index.tree, [interval], visit, leaf)
     return result
 
 
@@ -1183,34 +1178,22 @@ def test_queries_scan_only_the_pairs_that_hold_an_owner(churned_instance, scans)
         held = _pair_owners(peb, rows)
         owners = _pair_owners(peb, rows, _active(peb.store, req.qid, [u for _, us in rows for u in us], req.t_q))
         pair_of = _pair_of_base(peb, rows)
+        # a pair's scan meets every active owner it holds, whatever the window
+        found = {pair: len(zs) for pair, zs in owners.items()}
+        scans.clear()
         if isinstance(req, PrqRequest):
-            zivs = {
-                tid: peb._zivs(enlarge(req.rect, label, req.t_q, peb.index.max_speeds, peb.grid.L))
-                for tid, label in peb.index.live_partitions()
-            }
-            windowed = [tid for tid in live if zivs[tid]]
-            # a pair's scan meets the owners inside its partition's window intervals
-            found = {
-                (row_i, tid): sum(any(lo <= z <= hi for lo, hi in zivs[tid]) for z in zs)
-                for (row_i, tid), zs in owners.items()
-            }
-            scans.clear()
             peb.prq(req)
         else:
-            windowed = live
-            found = {pair: len(zs) for pair, zs in owners.items()}
-            scans.clear()
             peb.pknn(req)
         got = [pair_of[b] for b in scans]
-        want = {pair for pair in owners if pair[1] in windowed}
+        want = set(owners)
         assert len(got) == len(set(got)) == len(want), req
         assert set(got) == want, req
-        assert all(pair in owners for pair in got), req
-        earlier = _earlier_rule_scans(rows, windowed, found)
+        earlier = _earlier_rule_scans(rows, live, found)
         assert len(got) <= earlier, req
         fewer += len(got) < earlier
-        ownerless += len(rows) * len(windowed) - len(want)
-        idle += len({pair for pair in held if pair[1] in windowed} - want)
+        ownerless += len(rows) * len(live) - len(want)
+        idle += len(set(held) - want)
     assert fewer and ownerless and idle
 
 
@@ -1254,7 +1237,8 @@ def test_whole_space_knn_is_the_whole_space_range_query(churned_instance):
         xs, ys = zip(*(position_at(obj, q.t_q) for obj in current.values()))
         rect = (min(0.0, *xs), min(0.0, *ys), max(side, *xs), max(side, *ys))
         beyond += rect != (0.0, 0.0, side, side)
-        assert peb._zivs(enlarge(rect, 0.0, q.t_q, peb.index.max_speeds, side)) == [(0, peb.grid.max_z)]
+        cells = cells_covering(enlarge(rect, 0.0, q.t_q, peb.index.max_speeds, side), peb.grid)
+        assert z_decompose(cells, peb.grid, SCAN_BLOCK_SHIFT) == [(0, (1 << peb.grid.zv_bits) - 1)]
         traces = []
         for req in (PknnRequest(q.qid, q.qloc, len(current), q.t_q), PrqRequest(q.qid, rect, q.t_q)):
             peb.index.reset_io(cold=True)
@@ -1330,6 +1314,144 @@ def test_churned_queries_match_the_oracles(churn_world, moves, queries):
         assert engine.pknn(knn) == oracle_knn(current.values(), store, knn)
 
 
+# -- the owner-bounded prefix scan ------------------------------------------------------
+
+# six users per sequence value, so a key prefix holds up to six owners; users
+# placed on the same spot with no velocity share a cell, so a prefix's first
+# or last key is often several users' key
+SPOTS = [(100.0, 100.0), (100.5, 100.5), (500.0, 500.0), (999.0, 20.0)]
+
+
+@pytest.fixture(scope="module")
+def owner_world():
+    uids = list(range(48))
+    rng = random.Random(29)
+    table = PolicyTable()
+    graph = RelationshipGraph()
+    for owner in uids:
+        roles = {}
+        for viewer in uids:
+            if viewer == owner or rng.random() < 0.4:
+                continue
+            role = f"v{viewer}"
+            roles[role] = (viewer,)
+            x_lo, y_lo = (0.0, 0.0) if rng.random() < 0.5 else (rng.uniform(0.0, 600.0), rng.uniform(0.0, 600.0))
+            x_hi, y_hi = (1000.0, 1000.0) if x_lo == y_lo == 0.0 else (x_lo + 400.0, y_lo + 400.0)
+            t_lo, t_hi = (0.0, DAY) if rng.random() < 0.5 else (rng.uniform(0.0, DAY), rng.uniform(0.0, DAY))
+            table.append(owner, role, x_lo, y_lo, x_hi, y_hi, t_lo, t_hi)
+        graph.set_roles(owner, roles)
+    store = PolicyStore(table, graph, uids)
+    sv_map = SequenceValueMap({uid: float(uid // 6) for uid in uids}, ())
+    layout = KeyLayout(tid_bits=2, sv_bits=4, zv_bits=GRID.zv_bits, frac_bits=0)
+    return store, sv_map, layout
+
+
+speed = st.sampled_from([0.0, 1.5, -2.0])
+# a spot with no velocity, or anywhere at any of the speeds
+report = st.one_of(st.sampled_from(SPOTS).map(lambda spot: (spot, 0.0, 0.0)), st.tuples(st.tuples(coord, coord), speed, speed))
+span = st.floats(1.0, 600.0)
+window = st.one_of(
+    st.tuples(st.floats(0.0, 400.0), st.floats(0.0, 400.0), st.floats(200.0, 600.0), st.floats(200.0, 600.0)),  # inside
+    st.tuples(st.floats(-700.0, -1.0), st.floats(-100.0, 900.0), st.floats(700.0, 2000.0), span),  # straddling a wall
+    st.tuples(st.floats(1000.5, 2000.0), st.floats(-2000.0, 2000.0), span, span),  # beyond the space
+    st.tuples(st.floats(-100.0, 900.0), st.floats(-2000.0, -700.0), span, span),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    page_size=st.sampled_from([256, 320, 384, 448, 512]),  # 4 to 8 records a leaf
+    placed=st.lists(report, min_size=48, max_size=48),
+    moves=st.lists(
+        # (uid, delete?, report time, report); reports before t = 120 carry labels 60, 120 and 180
+        st.tuples(st.integers(0, 47), st.booleans(), st.one_of(st.sampled_from([0.0, 30.0, 90.0]), st.floats(0.0, 119.0)), report),
+        max_size=80,
+    ),
+    queries=st.lists(
+        st.tuples(st.integers(0, 47), window, st.integers(1, 8), st.floats(0.0, 150.0)), min_size=1, max_size=6
+    ),
+)
+def test_each_prefix_scan_ends_on_the_leaf_of_its_last_active_owner(owner_world, page_size, placed, moves, queries):
+    store, sv_map, layout = owner_world
+    index = MovingObjectIndex(TIME_CFG, GRID, layout, sv_map=sv_map, page_size=page_size)
+    current = {}
+    for uid, ((x, y), vx, vy) in enumerate(placed):
+        current[uid] = MovingObject(uid, x, y, vx, vy, 0.0)
+        index.insert(current[uid])
+    for uid, delete, t_u, ((x, y), vx, vy) in moves:
+        if delete:
+            if current.pop(uid, None) is not None:
+                index.delete(uid)
+            continue
+        moved = uid in current
+        current[uid] = MovingObject(uid, x, y, vx, vy, t_u)
+        (index.update if moved else index.insert)(current[uid])
+    tree = index.tree
+    engine = PebQueryEngine(index, store, FriendLists(store, sv_map, layout))
+    # what each query asks of the index: the uids whose keys it looks up,
+    # and per scan its base, its intervals and the leaves it reads
+    lookups, scans = [], []
+    keys_of, scan, touch = index.keys_of, tree.scan_intervals, tree.touch_page
+
+    def recording_keys_of(uids):
+        lookups.append(sorted(uids))
+        return keys_of(uids)
+
+    def recording_scan(intervals, visit, base=0, leaf=None):
+        scans.append((base, tuple(intervals), []))
+        return scan(intervals, visit, base, leaf)
+
+    def recording_touch(page_id):
+        node = touch(page_id)
+        if node.leaf and scans:
+            scans[-1][2].append(page_id)
+        return node
+
+    index.keys_of, tree.scan_intervals, tree.touch_page = recording_keys_of, recording_scan, recording_touch
+    # each leaf's place in the chain and the leaf of each (key, uid), read without a charge
+    leaves = [pid for pid, node in tree.pages.items() if node.leaf]
+    first = (set(leaves) - {tree.pages[pid].next_leaf for pid in leaves}).pop()
+    place, leaf_of, pid = {}, {}, first
+    while pid is not None:
+        place[pid] = len(place)
+        node = tree.pages[pid]
+        leaf_of.update((composite, pid) for composite in zip(node.keys, node.uids))
+        pid = node.next_leaf
+    zv_bits = layout.zv_bits
+    for qid, (x_lo, y_lo, w, h), k, t_q in queries:
+        active = sorted(_active(store, qid, store.owners_naming(qid), t_q))
+        # the prefix of each active owner's entry, with its owners' (key, uid) ascending
+        owners_at: dict[int, list[tuple[int, int]]] = {}
+        for uid in active:
+            if uid in current:
+                key = index._current[uid]
+                owners_at.setdefault(key >> zv_bits, []).append((key, uid))
+        for req in (PrqRequest(qid, (x_lo, y_lo, x_lo + w, y_lo + h), t_q), PknnRequest(qid, (x_lo, y_lo), k, t_q)):
+            lookups.clear()
+            scans.clear()
+            index.reset_io(cold=True)
+            if isinstance(req, PrqRequest):
+                assert engine.prq(req) == oracle_range(current.values(), store, req)
+                misses_space = x_lo + w < 0 or y_lo + h < 0 or x_lo > 1000.0 or y_lo > 1000.0
+            else:
+                assert engine.pknn(req) == oracle_knn(current.values(), store, req)
+                misses_space = False
+            if misses_space:
+                # answered empty before any lookup or read
+                assert (lookups, scans, index.buffer.counters().reads) == ([], [], 0)
+                continue
+            # one lookup a query, of exactly the active owners
+            assert lookups == [active]
+            # one scan per prefix that holds an active owner, ascending, each over
+            # its first active owner's key to its last, and no leaf read past the
+            # one that holds its last active owner
+            assert [base >> zv_bits for base, _, _ in scans] == sorted(owners_at)
+            for base, intervals, read in scans:
+                owners = sorted(owners_at[base >> zv_bits])
+                assert intervals == ((owners[0][0] - base, owners[-1][0] - base),)
+                assert all(place[pid] <= place[leaf_of[owners[-1]]] for pid in read)
+
+
 # -- baseline kNN against the interval-merging reference ------------------------------------
 
 
@@ -1350,7 +1472,8 @@ class _MergingBaseline(BaselineQueryEngine):
     def _spatial_candidates(self, rect, t_q, held, scanned=None):
         out = []
         for tid, label in self.index.live_partitions():
-            zivs = self._zivs(enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L))
+            cells = cells_covering(enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L), self.grid)
+            zivs = z_decompose(cells, self.grid, SCAN_BLOCK_SHIFT)
             if scanned is not None:
                 done = scanned.setdefault(tid, [])
                 zivs = subtract_intervals(zivs, done)
@@ -1415,22 +1538,31 @@ GOLDEN_CONFIGS = {
 #   uniform  275 / 266, 255 / 271, 281 / 255 -> 265 / 242, 239 / 255, 267 / 235
 #   visible  581 / 622, 656 / 609, 587 / 564 -> 499 / 524, 576 / 539, 527 / 502
 #   network  275 / 266, 254 / 271, 287 / 255 -> 265 / 242, 238 / 255, 273 / 237
+# They were re-pinned a fourth time when each key prefix began to be scanned
+# over one interval, from its first active owner's key to its last, in place
+# of the range query's enlarged and decomposed window and the kNN query's
+# full span: every answer stayed the same (the answer digests held).  The
+# batches' reads went
+#   uniform  265 / 242, 239 / 255, 267 / 235 -> 256 / 242, 236 / 254, 263 / 234
+#   visible  499 / 524, 576 / 539, 527 / 502 -> 495 / 524, 512 / 539, 526 / 502
+#   network  265 / 242, 238 / 255, 273 / 237 -> 256 / 241, 235 / 254, 265 / 237
+# and their misses did not move (see the misses digests below).
 GOLDEN_QUERY_DIGESTS = {
     "uniform": {
-        ("peb", "range"): "5bca97b0d2565370927bc7270784b7a779b19d5e28c6cb2683cd138af581d089",
-        ("peb", "knn"): "95324774445e4351008eb3ad7104041ab8391b94d8da87509bec60d33f26ea58",
+        ("peb", "range"): "3f105387c7e997222ee5f2592ac8bd9bef3e8fdaa3bf7073abb2c0a2f88ea59a",
+        ("peb", "knn"): "979c105f4fcfa0c0e1af2a6f8248a4a11271f7f8a4ec71030ad5ecf08c8d471b",
         ("bx", "range"): "ad1ce88fb03358e1038cfbe1e865eef050db8dd4890dd63acbf23a3f3bfa7d66",
         ("bx", "knn"): "ffb7dafd2220d2f3f9fca24c5a98314a5456be9b40a6bcfedb717adb1ac49ab9",
     },
     "visible": {
-        ("peb", "range"): "03c5a96c616a801802d35c4e8f15c1ffddc539018d7bde0cb93c94a1f5e68ad7",
+        ("peb", "range"): "8aa6b3b2677f4bc36f60e0768050419c16a3b4fd0da06e9d8844829432579c92",
         ("peb", "knn"): "bf8afd19ef3faa4050e509f09a53d6686408d0230c253e15a9a23a100781c9ef",
         ("bx", "range"): "7e519e278146303811afd5b88cfdfb4852185e9fd2db41b4c2f56f879fdbc05c",
         ("bx", "knn"): "caa694db4b0013a26e9c8886ccda84b6398bdbdd00933687e4a02405d6702a11",
     },
     "network": {
-        ("peb", "range"): "0da8a14e9ce0f3535e50c3073aeb0883cc1b933adbd55fd96f6cea6ffa4146d3",
-        ("peb", "knn"): "178a13de902013c7b9dec4ea0ae68b38e760ce0ac4331e629d412afda6e75863",
+        ("peb", "range"): "4a0c302aeb2b245ed27b69406a5792d4c2e4a3d4989e02df36fd348d14a010d5",
+        ("peb", "knn"): "6fbbe97bbd801fb620daf8289dec1ec7ce2bdc66d5279ad74790fcc364eed734",
         ("bx", "range"): "690cc9562a83ad5ba69876758cfc0797230cc81b76028eb4a831f1270c0bcb46",
         ("bx", "knn"): "fdf5943ad3bbde17ea9ebb22154d3a75e4cf608bd5f7e9335c9e4d218efc4487",
     },
@@ -1499,18 +1631,30 @@ GOLDEN_ANSWER_DIGESTS = {
 # misses and leaf misses, but not its page reads, over the same three points
 # and batches as the query digests above.  A change that reads fewer pages
 # but charges the same misses, as skipping a seek onto a page the same query
-# has just read does, leaves them as they are
+# has just read does, leaves them as they are.  The peb rows were re-pinned
+# with the query digests' fourth re-pinning.  Each batch starts from an empty
+# buffer that holds the whole tree, so its misses are the pages it touches,
+# and no batch's misses moved: per configuration, the range / kNN batches of
+# the three query points charged
+#   uniform  43 / 42, 48 / 47, 43 / 39 -> 43 / 42, 48 / 47, 43 / 39
+#   visible  43 / 43, 56 / 58, 47 / 47 -> 43 / 43, 56 / 58, 47 / 47
+#   network  43 / 42, 48 / 47, 44 / 41 -> 43 / 42, 48 / 47, 44 / 41
+# misses.  Yet in a few range batches a leaf miss moved from one query to
+# a later one: the earlier query no longer reads that leaf, and the later
+# one is the first to read it (one pair of queries in each of network's
+# three rounds and in visible's last round), so those two rows moved; the
+# uniform row did not.
 GOLDEN_MISS_DIGESTS = {
     "uniform": {
         ("peb", "misses"): "949c5880633dc16144ec956fc8d6a1514144e20b129bcacdc77cc897169ea9c5",
         ("bx", "misses"): "5106e4eaf516c9f46fffa653e5a866358b72fa3e168c8c3549401f8b77dc15c5",
     },
     "visible": {
-        ("peb", "misses"): "53d637a7568e21445d954ba526c8e7b42697c554910ec633acd7902f5f10db5c",
+        ("peb", "misses"): "f48a0959cfdf1ee0ee70dfbba5f3f5a17155e2f738126b2b0ccc18d3cfd6b331",
         ("bx", "misses"): "7024dcd33a087fea6d047b0187092319febb8f9b28b17a0216828ae020eae3e3",
     },
     "network": {
-        ("peb", "misses"): "3a0896c41277d7efed32faae4f8287d7250ad38bf5624113029471996b5b1626",
+        ("peb", "misses"): "5f7817c7a7bcd652ae37ac3327c6d0f5fadeb6fad2af22137f646a72fc2c624b",
         ("bx", "misses"): "4b022f288e6f027b7e490ecbd5ae1f6b6c0a00aa9ebf33f42a385d8d72639df5",
     },
 }
@@ -1619,7 +1763,7 @@ def uniform_instance():
     return build_instance(GOLDEN_CONFIGS["uniform"])
 
 
-@pytest.mark.parametrize("kind, seeks, prefixes", [("range", 129, 133), ("knn", 120, 132)])
+@pytest.mark.parametrize("kind, seeks, prefixes", [("range", 128, 133), ("knn", 120, 132)])
 def test_a_peb_batch_seeks_fewer_times_than_it_scans_prefixes(
     uniform_instance, scans, monkeypatch, kind, seeks, prefixes
 ):

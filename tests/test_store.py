@@ -879,7 +879,7 @@ def test_index_key_uses_projected_clamped_position():
     obj = MovingObject(9, 999.0, 999.0, 3.0, 3.0, 0.0)
     key, tid, label = index.key_for(obj)
     assert label == 60.0 and tid == 0
-    assert key <= index.layout.bx_key(tid, index.grid.max_z)
+    assert key <= index.layout.bx_key(tid, (1 << index.grid.zv_bits) - 1)
 
 
 def all_entries(tree):

@@ -92,7 +92,7 @@ def test_encode_equals_interleaving_loop():
         cells += [(rng.randint(0, last), rng.randint(0, last)) for _ in range(200)]
         for cell in cells:
             assert z_encode(cell, cfg) == loop_encode(cell, cfg)
-        assert z_encode((last, last), cfg) == cfg.max_z
+        assert z_encode((last, last), cfg) == (1 << cfg.zv_bits) - 1
 
 
 def test_decompose_full_grid():
@@ -366,7 +366,7 @@ def test_decompose_minus_the_last_round_on_the_query_grid():
         # the rounds' runs tile the whole curve, each value once
         seen.sort()
         assert [lo for lo, _ in seen] == [0] + [hi + 1 for _, hi in seen[:-1]]
-        assert seen[-1][1] == cfg.max_z
+        assert seen[-1][1] == (1 << cfg.zv_bits) - 1
 
 
 def test_aligned_blocks_are_contiguous_runs():
