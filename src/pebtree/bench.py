@@ -15,6 +15,7 @@ exit nonzero.
 from __future__ import annotations
 
 import csv
+import gc
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -85,7 +86,6 @@ class Instance:
     """A fully built measurement point: data, indexes, engines."""
 
     cfg: WorkloadConfig
-    time_cfg: TimePartitionConfig
     objects: dict[int, MovingObject]
     world: object
     store: PolicyStore
@@ -131,7 +131,6 @@ def build_instance(cfg: WorkloadConfig) -> Instance:
     (peb, peb_engine), (bx, bx_engine) = built["peb"], built["bx"]
     return Instance(
         cfg=cfg,
-        time_cfg=peb.time_cfg,
         objects={o.uid: o for o in objects},
         world=world,
         store=store,
@@ -145,7 +144,7 @@ def build_instance(cfg: WorkloadConfig) -> Instance:
 def run_update_round(inst: Instance) -> None:
     """Advance time one quarter of the update interval and refresh the
     least recently updated quarter of the objects."""
-    step = inst.time_cfg.delta_t_mu * UPDATE_FRACTION
+    step = inst.peb.time_cfg.delta_t_mu * UPDATE_FRACTION
     inst.now += step
     inst.world.advance(inst.now)
     uids = sorted(inst.objects)
@@ -261,7 +260,7 @@ def percentile(values: Sequence[float], q: float) -> float:
 def point_rows(inst: Instance, oracle_every: int = 1, round_no: int = 0) -> list[dict]:
     """The four CSV rows (two indexes x two query types) of one point."""
     cfg = inst.cfg
-    horizon = inst.time_cfg.delta_t_mu
+    horizon = inst.peb.time_cfg.delta_t_mu
     range_queries = gen_queries(cfg, "range", list(inst.objects.values()), now=inst.now, horizon=horizon)
     knn_queries = gen_queries(cfg, "knn", list(inst.objects.values()), now=inst.now, horizon=horizon)
     rows = []
@@ -364,7 +363,10 @@ def measure_preprocessing(
     """Process CPU seconds of policy comparison plus sequence value assignment.
 
     CPU time rather than wall time, so a host whose speed swings under
-    other load moves the figures less.
+    other load moves the figures less.  As :mod:`timeit` does, each
+    repetition runs with the cyclic garbage collector off, after a full
+    collection, so the figures leave out collector pauses, whose length
+    follows the objects the rest of the process holds.
     """
     rows = []
     for n in ns:
@@ -374,9 +376,16 @@ def measure_preprocessing(
         store = PolicyStore(policies, graph, uids, space_side=cfg.space_side, day=cfg.day)
         seconds = []
         for _ in range(max(repetitions, 1)):
-            t0 = time.process_time()
-            assign_sequence_values(uids, CompatibilityIndex.from_store(store))
-            seconds.append(time.process_time() - t0)
+            gc.collect()
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                t0 = time.process_time()
+                assign_sequence_values(uids, CompatibilityIndex.from_store(store))
+                seconds.append(time.process_time() - t0)
+            finally:
+                if enabled:
+                    gc.enable()
         rows.append({"N": n, "seconds": min(seconds), "seed": cfg.seed})
     return rows
 
@@ -398,7 +407,8 @@ def measure_prq_leaf_io(inst: Instance) -> float:
     leaf accesses; internal-node and buffer effects are absorbed by the
     fitted parameters.
     """
-    queries = gen_queries(inst.cfg, "range", list(inst.objects.values()), now=inst.now, horizon=inst.time_cfg.delta_t_mu)
+    horizon = inst.peb.time_cfg.delta_t_mu
+    queries = gen_queries(inst.cfg, "range", list(inst.objects.values()), now=inst.now, horizon=horizon)
     stats = run_query_batch(inst, "peb", queries, oracle_every=0)
     return stats.mean_leaf_io
 

@@ -386,31 +386,27 @@ class CompatibilityIndex:
     quadratic in users.  The index keeps each user's related count, the
     pairs dropped for a degree that is not positive and the two-way lists
     (the related users toward whom each user holds a policy and who hold
-    one back).  A user's related users are the union of what each of
-    ``sources`` returns for it, less its dropped partners; :meth:`related`
-    builds that list on each call.  Sequence value assignment ranks every
-    user by its count but reads the list of its anchors only, and the
-    degrees of few pairs.  Built from a store, the index keeps no degree:
-    it scores each pair on demand by :func:`compatibility`, lower id first,
-    the order the build scores in.  Nothing is cached, so the index is
-    read-only.
+    one back).  A user's related users are the viewers it names and the
+    owners naming it in the store, less its dropped partners;
+    :meth:`related` builds that list on each call.  Sequence value
+    assignment ranks every user by its count but reads the list of its
+    anchors only, and the degrees of few pairs.  The index keeps no
+    degree: it scores each pair on demand by :func:`compatibility`, lower
+    id first, the order the build scores in.  Nothing is cached, so the
+    index is read-only.  Build one with :meth:`from_store`.
     """
 
     def __init__(
         self,
-        sources: tuple[Callable[[int], Iterable[int]], ...],
+        store: PolicyStore,
         dropped: dict[int, set[int]],
         counts: dict[int, int],
-        scores: dict[tuple[int, int], float],
         two_way: dict[int, list[int]],
-        store: PolicyStore | None = None,
     ) -> None:
-        self._sources = sources
+        self._store = store
         self._dropped = dropped
         self._counts = counts
-        self._c = scores  # keyed (lower id, higher id)
         self._two_way = two_way
-        self._store = store
 
     @classmethod
     def from_store(cls, store: PolicyStore) -> "CompatibilityIndex":
@@ -469,42 +465,16 @@ class CompatibilityIndex:
                 counts[u] -= 1
                 if v in two_way.get(u, ()):
                     two_way[u].remove(v)
-        return cls((lambda u: directed.get(u, ()), owners_naming), dropped, counts, {}, two_way, store)
-
-    @classmethod
-    def from_values(
-        cls, values: dict[tuple[int, int], float], two_way: Iterable[tuple[int, int]] = ()
-    ) -> "CompatibilityIndex":
-        """Build from given compatibility values, keyed by either id order.
-
-        ``two_way`` names the pairs in which each user holds a policy toward
-        the other; like the related pairs, only those with a positive value
-        count.
-        """
-        scores = {((u, v) if u < v else (v, u)): c for (u, v), c in values.items()}
-        pairs = {(u, v) if u < v else (v, u) for u, v in two_way}
-        related = _adjacency(pair for pair, c in scores.items() if c > 0)
-        counts = {u: len(vs) for u, vs in related.items()}
-        return cls(
-            (lambda u: related.get(u, ()),),
-            {},
-            counts,
-            scores,
-            _adjacency(pair for pair in pairs if scores.get(pair, 0.0) > 0),
-        )
+        return cls(store, dropped, counts, two_way)
 
     def c(self, u: int, v: int) -> float:
-        key = (u, v) if u < v else (v, u)
-        c = self._c.get(key)
-        if c is None:
-            return 0.0 if self._store is None else compatibility(self._store, *key)
-        return c
+        return compatibility(self._store, *((u, v) if u < v else (v, u)))
 
     def related(self, u: int) -> list[int]:
         """Users with non-zero compatibility to ``u``, ascending, in a list built on each call."""
-        found: set[int] = set()
-        for source in self._sources:
-            found.update(source(u))
+        store = self._store
+        found = set(store._directed.get(u, ()))
+        found.update(store.owners_naming(u))
         dropped = self._dropped.get(u)
         if dropped:
             found -= dropped
@@ -517,17 +487,6 @@ class CompatibilityIndex:
     def two_way(self, u: int) -> list[int]:
         """Related users toward whom ``u`` holds a policy and who hold one back, ascending."""
         return self._two_way.get(u, [])
-
-
-def _adjacency(pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
-    """Each id's partners in ``pairs``, ascending."""
-    adjacency: dict[int, list[int]] = {}
-    for u, v in pairs:
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-    for lst in adjacency.values():
-        lst.sort()
-    return adjacency
 
 
 # --- file formats -----------------------------------------------------------

@@ -10,12 +10,12 @@ Two engines answer the same queries:
   ``partition | sequence value`` names its (friend row, partition) pair,
   so the engine sorts the active owners' keys, from the index's uid -> key
   map, and scans only the prefixes that hold one, each over one interval
-  from its first active owner's key to its last.  The tree's leaf cursor
-  ends a scan at the entry that meets the prefix's count of active owners
-  (a user has only one location).  A partition's prefixes are scanned in
-  ascending order by one cursor, which holds its leaf from one prefix to
-  the next and seeks only when a prefix's first owner lies beyond it.  An
-  owner entry found is verified by the query window, if any, and the
+  from its first active owner's key to its last.  One scan of the tree's
+  leaf cursor reads these intervals in ascending order, across partitions;
+  it ends a prefix's interval at the entry that meets the prefix's count of
+  active owners (a user has only one location), holds its leaf from one
+  interval to the next and seeks only when an interval starts beyond it.
+  An owner entry found is verified by the query window, if any, and the
   region of its held row; a kNN query ranks the verified owners by
   distance.  Unlike the paper's range algorithm, no window is enlarged or
   decomposed into curve intervals: a prefix span holds a few entries on
@@ -160,7 +160,8 @@ def antidiagonal_order(n_rows: int, n_cols: int) -> Iterator[tuple[int, int]]:
     Yields 0-based (row, column) pairs; within a diagonal the column
     decreases, so the sequence alternates between advancing the curve
     radius and advancing the sequence-value row.  With one column it is
-    row order.
+    row order, each row once and ascending, the one order
+    :class:`PebQueryEngine` takes for its key prefixes.
     """
     if n_cols == 1:
         return zip(range(n_rows), repeat(0))
@@ -171,6 +172,7 @@ def antidiagonal_order(n_rows: int, n_cols: int) -> Iterator[tuple[int, int]]:
     )
 
 
+# called as order(n, 1) for n key prefixes, it must yield each (prefix, 0) once, ascending
 TraversalOrder = Callable[[int, int], Iterator[tuple[int, int]]]
 
 
@@ -226,13 +228,12 @@ class PebQueryEngine(_EngineBase):
     """Query processor for the policy-embedded index.
 
     :meth:`prq` and :meth:`pknn` share one scan, :meth:`_visible_owners`.
-    ``traversal`` orders the key prefixes :meth:`pknn` scans in each
-    partition, called as ``traversal(n, 1)`` for ``n`` prefixes; the
-    default, :func:`antidiagonal_order`, yields them ascending.  It is kept
-    because perfbench counts the prefixes a kNN query scans through it.
-    The cursor's leaf is held from one prefix's scan to the next while the
-    prefixes come in ascending order; a prefix that comes before the last
-    one scanned is sought from the root.
+    ``traversal`` orders the key prefixes :meth:`pknn` scans, called once
+    per query as ``traversal(n, 1)`` for the ``n`` prefixes of every live
+    partition; it must yield each prefix once, in ascending order, since
+    one scan reads their intervals and its cursor only moves forward.  The
+    default, :func:`antidiagonal_order`, does.  It is kept because perfbench
+    counts the prefixes a kNN query scans through it.
     """
 
     def __init__(
@@ -261,25 +262,25 @@ class PebQueryEngine(_EngineBase):
         the check reads no page.  Each active owner's policy row is held for
         the region half.  The active owners' keys, from the index's
         uid -> key map, give each one's prefix ``partition | sequence
-        value``: its (friend row, partition) pair.  One pass over the sorted
-        keys splits them per partition and per prefix.  Each prefix that
-        holds an active owner is read with one leaf-cursor scan of one
-        interval, from its first active owner's key to its last, taking the
-        partition's prefixes in ``order(n, 1)`` over their ascending list.
-        Each scan starts from the leaf the partition's last scan ended on:
-        the prefixes ascend, so every record before that leaf lies below the
-        next prefix's first owner, and a prefix whose first owner lies on it
-        is read without a seek from the root.  A scan ends at the entry that
-        meets its prefix's count of active owners (a user has only one
-        location), so it reads no leaf past the one that holds the prefix's
-        last active owner.  Each record of a leaf slice the scan hands over
-        is looked up among the active owners by its uid; only an active
-        owner's motion record is read, extrapolated to ``t_q`` and verified
-        against ``rect`` and the region of its held row.
-        ``rect=None`` is the whole space.  A window that does not meet the
-        space, ``[0, space_side]`` on each axis, holds no visible owner, since
-        the policy store refuses a region beyond the space, so it is answered
-        empty before any read.
+        value``: its (friend row, partition) pair, with the partition in the
+        key's top field.  One pass over the sorted keys splits them per
+        prefix.  Each prefix that holds an active owner gives one interval,
+        from its first active owner's key to its last, and one leaf-cursor
+        scan reads the intervals of every live partition, taken in ``order(n,
+        1)`` over their ascending list, which must yield them ascending.
+        The cursor holds its leaf from one interval to the next, so an
+        interval whose first owner lies on that leaf, in the same partition
+        or the next, is read without a seek from the root.  ``visit`` ends
+        an interval at the entry that meets its prefix's count of active
+        owners (a user has only one location), so the scan reads no leaf
+        for it past the one that holds the prefix's last active owner.  Each
+        record of a leaf slice the scan hands over is looked up among the
+        active owners by its uid; only an active owner's motion record is
+        read, extrapolated to ``t_q`` and verified against ``rect`` and the
+        region of its held row.  ``rect=None`` is the whole space.  A window
+        that does not meet the space, ``[0, space_side]`` on each axis, holds
+        no visible owner, since the policy store refuses a region beyond the
+        space, so it is answered empty before any read.
         """
         store = self.store
         store.check_user(qid)
@@ -290,8 +291,7 @@ class PebQueryEngine(_EngineBase):
         rows, owners, t_lo, t_hi = store.windows(qid)
         index = self.index
         tree = index.tree
-        layout = self.layout
-        zv_bits, sv_bits = layout.zv_bits, layout.sv_bits
+        zv_bits = self.layout.zv_bits
         day = store.day
         tm = t_q % day
         # window_contains(lo, hi, day, t_q), with t_q % day taken once: an
@@ -312,9 +312,11 @@ class PebQueryEngine(_EngineBase):
         todo = 0  # the active owners of the scanned prefix that visit has yet to meet
 
         def visit(leaf: Node, i: int, j: int) -> bool:
-            # entries of a prefix's key span carry that prefix: an owner found is the scan's own.
+            # entries of a prefix's key span carry that prefix: an owner found is the interval's own.
             # A slice holds one or two records on most scans, fewer than a C-level filter pays for
             nonlocal todo
+            if not todo:  # the interval's first slice
+                todo = owners_in[leaf.keys[i] >> zv_bits]
             uids = leaf.uids
             for r in range(i, j):
                 uid = uids[r]
@@ -335,29 +337,20 @@ class PebQueryEngine(_EngineBase):
                     found.append((uid, px, py))
             return not todo
 
-        # each partition's prefixes in ascending order, each as [base key, active
-        # owners, first key, last key]: one pass over the sorted keys
-        partitions: list[list[list[int]]] = []
-        prefix = tid = -1
+        # one pass over the sorted keys: [first key, last key] of each prefix that
+        # holds an active owner, ascending, and how many it holds
+        intervals: list[list[int]] = []
+        owners_in: dict[int, int] = {}
+        prefix = -1
         for key in keys:
             if key >> zv_bits != prefix:
                 prefix = key >> zv_bits
-                if prefix >> sv_bits != tid:
-                    tid = prefix >> sv_bits
-                    spans: list[list[int]] = []
-                    partitions.append(spans)
-                span = [prefix << zv_bits, 0, key, key]
-                spans.append(span)
-            span[1] += 1
-            span[3] = key
-        for spans in partitions:
-            leaf = None  # the cursor's leaf, held from one prefix's scan to the next
-            last = -1
-            for i, _ in order(len(spans), 1):
-                base, todo, lo, hi = spans[i]
-                # the held leaf starts the scan only when its prefix follows the last one scanned
-                leaf = tree.scan_intervals(((lo - base, hi - base),), visit, base, leaf if i > last else None)
-                last = i
+                interval = [key, key]
+                intervals.append(interval)
+                owners_in[prefix] = 0
+            interval[1] = key
+            owners_in[prefix] += 1
+        tree.scan_intervals([intervals[i] for i, _ in order(len(intervals), 1)], visit)
         return found
 
     def prq(self, req: PrqRequest) -> set[int]:
@@ -374,11 +367,11 @@ class PebQueryEngine(_EngineBase):
     def pknn(self, req: PknnRequest) -> PknnResult:
         """The k visible users nearest the query point at query time.
 
-        The owner scan of :meth:`prq` with no window, each partition's key
-        prefixes taken in ``self.traversal`` order: every verified owner is
-        ranked by distance, and the answer is the k nearest, ties broken by
-        ascending uid as in :func:`oracle_knn`; fewer than k visible users
-        yields all of them with the result flagged short.
+        The owner scan of :meth:`prq` with no window, its key prefixes taken
+        in ``self.traversal`` order: every verified owner is ranked by
+        distance, and the answer is the k nearest, ties broken by ascending
+        uid as in :func:`oracle_knn`; fewer than k visible users yields all
+        of them with the result flagged short.
 
         This is the paper's (friend row x expansion round) search matrix
         reduced to one round whose square covers the whole space.  The

@@ -26,10 +26,11 @@ it to the buffer; the benchmark's charged I/O is the number of buffer
 misses.  Queries read the tree through one leaf cursor,
 :meth:`BPlusTree.scan_intervals`, which seeks through
 :meth:`BPlusTree.descend` and walks the leaf chain, so the charged pages
-are exactly the pages a query reads.  A scan hands back the leaf it ends
-on, and a scan of keys above it can start there without a seek.
-Benchmarks are meant to run single-threaded so the counters stay
-reproducible; parallel experiments should use independent instances.
+are exactly the pages a query reads.  The cursor holds its leaf from one
+interval to the next, so a policy-embedded query reads all of its key
+prefixes with one scan.  Benchmarks are meant to run single-threaded so
+the counters stay reproducible; parallel experiments should use
+independent instances.
 
 :class:`MovingObjectIndex` wraps the tree with key computation for moving
 objects and is instantiated once with policy-embedded keys and once with
@@ -407,8 +408,7 @@ class BPlusTree:
         intervals: Sequence[tuple[int, int]],
         visit: Callable[[Node, int, int], object],
         base: int = 0,
-        leaf: Node | None = None,
-    ) -> Node | None:
+    ) -> None:
         """Visit, in key order, the records with keys in ``base + [lo, hi]`` per interval, a leaf slice at a time.
 
         ``intervals`` are sorted and disjoint.  Each call ``visit(leaf, i,
@@ -416,7 +416,8 @@ class BPlusTree:
         inside one interval: the visitor reads the slices it needs of the
         leaf's columns (``leaf.keys[i:j]``, ``leaf.uids[i:j]``,
         ``leaf.recs[i:j]``) and must not change them.  A ``visit`` that
-        returns true ends the scan before any further page is read.
+        returns true ends the current interval before any further page is
+        read for it, and the scan goes on with the next interval.
 
         The cursor seeks through :meth:`descend` when an interval starts
         beyond the leaf it holds, and otherwise bisects that leaf's key
@@ -424,22 +425,13 @@ class BPlusTree:
         a leaf's last record, and jumps over the intervals that hold no
         record of the leaf.  This is the Bx-tree's locate-then-walk per
         search interval, with every seek and sibling read charged as it
-        happens.
-
-        The scan returns the leaf it holds when it ends: the last leaf it
-        read, else the ``leaf`` it was given, which may be None.  A later
-        scan can start from it: given ``leaf``, the first interval bisects
-        that leaf if it starts at or before the leaf's last key, and seeks
-        otherwise.  That is exact only if every record before ``leaf`` has a
-        key below ``base + intervals[0][0]``, the invariant the cursor keeps
-        between its own intervals; it holds for the leaf a scan returned
-        when the next scan's keys all lie above the previous scan's, as when
-        a caller scans ascending, disjoint key ranges in order.  The held
-        leaf is not read again, so the pages saved are the seek's: the root
+        happens.  Every record before the held leaf has a key below the
+        next interval's start, so a held leaf that reaches that start is
+        bisected without a seek: the pages saved are the seek's, the root
         and inner pages, and the leaf before the held one when the seek
         would land there.
         """
-        keys: list[int] = leaf.keys if leaf is not None else []
+        keys: list[int] = []
         k, n = 0, len(intervals)
         while k < n:
             lo, hi = intervals[k]
@@ -452,17 +444,18 @@ class BPlusTree:
             while True:
                 j = bisect_right(keys, hi, i)
                 if i < j and visit(leaf, i, j):
-                    return leaf
+                    break
                 if j < len(keys) or leaf.next_leaf is None:
                     break
                 leaf = self.touch_page(leaf.next_leaf)
                 keys = leaf.keys
                 i = 0
-            if j == len(keys):
-                k += 1
-            else:  # jump over the intervals that end before the leaf's next record
+            k += 1
+            # jump over the intervals that end before the leaf's next record.  A
+            # policy-embedded query's next interval never does, as its ends are
+            # keys of records, so a comparison comes before the bisect
+            if j < len(keys) and k < n and intervals[k][1] + base < keys[j]:
                 k = bisect_left(intervals, keys[j] - base, k + 1, n, key=itemgetter(1))
-        return leaf
 
     def stats(self) -> TreeStats:
         return TreeStats(self.height, self.leaf_count, self.entry_count, len(self.pages))

@@ -22,11 +22,11 @@ from pebtree.bench import (
 )
 from pebtree.costmodel import CostParams, cost_c, fit_cost_params
 from pebtree.keys import KeyLayout, assign_sequence_values
-from pebtree.policy import CompatibilityIndex
 from pebtree.query import PknnRequest, oracle_knn, oracle_range
 from pebtree.store import BPlusTree
 from pebtree.workload import WorkloadConfig, gen_queries
 from pebtree.zcurve import GridConfig, z_decompose, z_encode
+from test_keys import ValuesCompatibility
 
 
 def report(criterion: int, passed: bool, detail: str) -> bool:
@@ -104,7 +104,7 @@ def theta_sweep_results():
 def test_c01_golden_sequence_assignment():
     t0 = time.perf_counter()
     values = {(2, 1): 0.4, (4, 1): 0.9, (4, 3): 0.8, (5, 3): 0.2, (6, 3): 0.6}
-    index = CompatibilityIndex.from_values(values)
+    index = ValuesCompatibility(values)
     svm = assign_sequence_values([1, 2, 3, 4, 5, 6], index)
     got = {u: svm[u] for u in (3, 4, 5, 6, 1, 2)}
     expected = {3: 2.0, 4: 2.2, 5: 2.8, 6: 2.4, 1: 4.0, 2: 4.6}

@@ -14,6 +14,46 @@ WORKED_VALUES = {(2, 1): 0.4, (4, 1): 0.9, (4, 3): 0.8, (5, 3): 0.2, (6, 3): 0.6
 WORKED_EXPECTED = {3: 2.0, 4: 2.2, 5: 2.8, 6: 2.4, 1: 4.0, 2: 4.6}
 
 
+def _adjacency(pairs):
+    """Each id's partners in ``pairs``, ascending."""
+    adjacency = {}
+    for u, v in pairs:
+        adjacency.setdefault(u, []).append(v)
+        adjacency.setdefault(v, []).append(u)
+    for lst in adjacency.values():
+        lst.sort()
+    return adjacency
+
+
+class ValuesCompatibility:
+    """A :class:`~pebtree.keys.CompatibilityOracle` over given degrees, keyed by either id order.
+
+    The fake the worked examples and the references assign sequence values
+    over.  A pair with a positive degree is related; ``two_way`` names the
+    pairs in which each user holds a policy toward the other, and like the
+    related pairs, only those with a positive degree count.  A pair with no
+    given degree scores 0.
+    """
+
+    def __init__(self, values, two_way=()):
+        self._c = {((u, v) if u < v else (v, u)): c for (u, v), c in values.items()}
+        pairs = {(u, v) if u < v else (v, u) for u, v in two_way}
+        self._related = _adjacency(pair for pair, c in self._c.items() if c > 0)
+        self._two_way = _adjacency(pair for pair in pairs if self._c.get(pair, 0.0) > 0)
+
+    def related(self, u):
+        return list(self._related.get(u, ()))
+
+    def related_count(self, u):
+        return len(self._related.get(u, ()))
+
+    def two_way(self, u):
+        return self._two_way.get(u, [])
+
+    def c(self, u, v):
+        return self._c.get((u, v) if u < v else (v, u), 0.0)
+
+
 def community_oracle(order, partners):
     """Label propagation replayed with explicit counts: three rounds at most, in ``order``."""
     label = {u: i for i, u in enumerate(order)}
@@ -68,7 +108,7 @@ def random_instance(seed, n_users, n_pairs, two_way_share):
 
 
 def test_worked_example_assignment():
-    index = CompatibilityIndex.from_values(WORKED_VALUES)
+    index = ValuesCompatibility(WORKED_VALUES)
     svm = assign_sequence_values([1, 2, 3, 4, 5, 6], index)
     assert svm[3] == pytest.approx(2.0)
     assert svm[4] == pytest.approx(2.2)
@@ -81,7 +121,7 @@ def test_worked_example_assignment():
 
 def test_worked_example_with_every_pair_two_way():
     # the propagation puts all six users in one community, so the paper's values stand
-    index = CompatibilityIndex.from_values(WORKED_VALUES, WORKED_VALUES)
+    index = ValuesCompatibility(WORKED_VALUES, WORKED_VALUES)
     order = [3, 1, 4, 2, 5, 6]
     assert set(communities(order, index).values()) == {2}
     svm = assign_sequence_values([1, 2, 3, 4, 5, 6], index)
@@ -99,7 +139,7 @@ def test_worked_example_with_every_pair_two_way():
     ],
 )
 def test_user_without_two_way_pair_absorbed_as_in_the_paper(two_way, moved):
-    index = CompatibilityIndex.from_values(WORKED_VALUES, two_way)
+    index = ValuesCompatibility(WORKED_VALUES, two_way)
     svm = assign_sequence_values([1, 2, 3, 4, 5, 6], index)
     assert svm.values == pytest.approx({**WORKED_EXPECTED, **moved})
     assert svm.anchors == (3, 1)
@@ -110,7 +150,7 @@ def test_user_without_two_way_pair_absorbed_as_in_the_paper(two_way, moved):
 @pytest.mark.parametrize("n_pairs", [150, 900])
 def test_assignment_with_two_way_pairs_matches_oracle_replay(seed, n_pairs):
     users, values, two_way = random_instance(seed, 60, n_pairs, 0.5)
-    index = CompatibilityIndex.from_values(values, two_way)
+    index = ValuesCompatibility(values, two_way)
     svm = assign_sequence_values(users, index)
     assert svm.values == pytest.approx(assignment_oracle(users, values, 2.0, 2.0, two_way))
     order = sorted(users, key=lambda u: (-len(index.related(u)), u))
@@ -120,14 +160,14 @@ def test_assignment_with_two_way_pairs_matches_oracle_replay(seed, n_pairs):
 
 def test_assignment_does_not_depend_on_user_order():
     users, values, two_way = random_instance(7, 80, 200, 0.6)
-    want = assign_sequence_values(users, CompatibilityIndex.from_values(values, two_way))
+    want = assign_sequence_values(users, ValuesCompatibility(values, two_way))
     rng = random.Random(1)
     for _ in range(3):
         shuffled = users[:]
         rng.shuffle(shuffled)
         flipped = [(b, a) for a, b in reversed(two_way)]
-        assert assign_sequence_values(shuffled, CompatibilityIndex.from_values(values, flipped)) == want
-    assert assign_sequence_values(reversed(users), CompatibilityIndex.from_values(values, two_way)) == want
+        assert assign_sequence_values(shuffled, ValuesCompatibility(values, flipped)) == want
+    assert assign_sequence_values(reversed(users), ValuesCompatibility(values, two_way)) == want
 
 
 class WithoutTwoWayPairs:
@@ -185,7 +225,7 @@ def test_viewer_friend_owners_fall_under_fewer_anchors_than_in_the_paper():
 
 
 def test_unrelated_users_get_ladder():
-    index = CompatibilityIndex.from_values({})
+    index = ValuesCompatibility({})
     svm = assign_sequence_values([10, 11, 12, 13], index)
     assert [svm[u] for u in (10, 11, 12, 13)] == [2.0, 4.0, 6.0, 8.0]
     assert svm.anchors == (10, 11, 12, 13)
@@ -199,7 +239,7 @@ def test_random_assignment_matches_oracle_replay():
         a, b = rng.sample(users, 2)
         key = (min(a, b), max(a, b))
         values.setdefault(key, round(rng.uniform(0.05, 0.95), 3))
-    index = CompatibilityIndex.from_values(values)
+    index = ValuesCompatibility(values)
     svm = assign_sequence_values(users, index)
     expected = assignment_oracle(users, values, 2.0, 2.0)
     assert svm.values == pytest.approx(expected)
@@ -212,7 +252,7 @@ def test_assignment_totality_and_member_locality():
     for _ in range(80):
         a, b = rng.sample(users, 2)
         values.setdefault((min(a, b), max(a, b)), rng.uniform(0.01, 0.99))
-    index = CompatibilityIndex.from_values(values)
+    index = ValuesCompatibility(values)
     svm = assign_sequence_values(users, index)
     assert set(svm.values) == set(users)
     anchor_svs = [svm[a] for a in svm.anchors]

@@ -31,6 +31,7 @@ from pebtree.policy import (
     window_duration,
 )
 from pebtree.workload import WorkloadConfig, gen_policies
+from test_keys import ValuesCompatibility
 
 SIDE = 1000.0
 FULL_RECT = (0.0, 0.0, SIDE, SIDE)
@@ -117,7 +118,7 @@ def test_compatibility_cases():
 
 def test_worked_example_values_echoed():
     values = {(2, 1): 0.4, (4, 1): 0.9, (4, 3): 0.8, (5, 3): 0.2, (6, 3): 0.6}
-    index = CompatibilityIndex.from_values(values)
+    index = ValuesCompatibility(values)
     for (u, v), c in values.items():
         assert index.c(u, v) == pytest.approx(c)
         assert index.c(v, u) == pytest.approx(c)
@@ -163,7 +164,7 @@ def test_from_store_equals_pairwise_compatibility():
     assert len(two_way) < len(want)
     assert any(want[key] > 0.5 for key in two_way) and any(want[key] <= 0.5 for key in two_way)
     index = CompatibilityIndex.from_store(store)
-    reference = CompatibilityIndex.from_values(want, two_way)
+    reference = ValuesCompatibility(want, two_way)
     for (u, v), c in want.items():
         assert index.c(u, v).hex() == index.c(v, u).hex() == c.hex()
     for u in uids:
@@ -188,7 +189,7 @@ def reference_from_store(store):
             else:
                 continue
             values[(owner, viewer) if owner < viewer else (viewer, owner)] = _degree(a, mutual)
-    return CompatibilityIndex.from_values(values, two_way), values
+    return ValuesCompatibility(values, two_way), values
 
 
 def assert_matches_reference(store):
@@ -495,7 +496,7 @@ def test_neighbour_lists_on_demand_equal_the_eager_build_with_dropped_pairs():
 
 
 def test_related_count_is_the_list_length_from_values():
-    index = CompatibilityIndex.from_values({(1, 2): 0.3, (3, 1): 0.75, (2, 3): 0.0, (4, 5): 0.0}, [(1, 3)])
+    index = ValuesCompatibility({(1, 2): 0.3, (3, 1): 0.75, (2, 3): 0.0, (4, 5): 0.0}, [(1, 3)])
     assert [index.related(u) for u in range(1, 7)] == [[2, 3], [1], [1], [], [], []]
     assert [index.related_count(u) for u in range(1, 7)] == [2, 1, 1, 0, 0, 0]
     assert index.two_way(3) == [1]

@@ -896,25 +896,27 @@ def _active(store, viewer, owners, t_q):
 def _row_reads_trace(peb, queries, cold_each):
     """Per-query buffer counters and LRU order of ``pknn``, and of reading each
     friend row's span from its first owner active at the query time to its
-    last, once with the leaf held from one row's scan to the next and once
-    seeking afresh for every row."""
+    last, once in one scan whose cursor holds its leaf from one row to the
+    next and once in a scan per row, each seeking afresh."""
     index = peb.index
-    (tid, _), = index.live_partitions()
+    zv_bits = peb.layout.zv_bits
 
     def read_rows(req, hold):
-        leaf = None
-        for svq, uids in peb.friends.rows(req.qid):
+        intervals, unseen_at = [], {}  # each row's interval, and its active owners by key prefix
+        for _, uids in peb.friends.rows(req.qid):
             unseen = _active(peb.store, req.qid, uids, req.t_q)
-            if not unseen:
-                continue
-            base = peb.layout.peb_key_q(tid, svq, 0)
-            zs = [index._current[uid] - base for uid in unseen]
+            if unseen:
+                keys = [index._current[uid] for uid in unseen]
+                intervals.append((min(keys), max(keys)))
+                unseen_at[min(keys) >> zv_bits] = unseen
 
-            def visit(leaf, i, j):
-                unseen.difference_update(leaf.uids[i:j])
-                return not unseen
+        def visit(leaf, i, j):
+            unseen = unseen_at[leaf.keys[i] >> zv_bits]
+            unseen.difference_update(leaf.uids[i:j])
+            return not unseen
 
-            leaf = index.tree.scan_intervals(((min(zs), max(zs)),), visit, base, leaf if hold else None)
+        for scan in [intervals] if hold else [[interval] for interval in intervals]:
+            index.tree.scan_intervals(scan, visit)
 
     traces = []
     for call in (peb.pknn, functools.partial(read_rows, hold=True), functools.partial(read_rows, hold=False)):
@@ -1018,10 +1020,10 @@ def reference_prq(self: PebQueryEngine, req: PrqRequest) -> set[int]:
     time.  Each (row, partition) pair that holds a counted owner's entry is
     scanned over one key interval, from the key of its first counted owner
     to that of its last, with the entry-by-entry cursor loop; every entry is
-    verified, and the scan ends at the entry that completes the pair's
-    counted owners.  The pairs are taken partition by partition, each
-    partition's rows in ascending order with the cursor's leaf held from
-    one row to the next.
+    verified, and the pair's interval ends at the entry that completes its
+    counted owners.  One scan takes the pairs partition by partition, each
+    partition's rows in ascending order, and its cursor holds its leaf
+    from one pair to the next, across partitions too.
     """
     self.store.check_user(req.qid)
     result: set[int] = set()
@@ -1033,31 +1035,28 @@ def reference_prq(self: PebQueryEngine, req: PrqRequest) -> set[int]:
     t_q = req.t_q
     # (partition, row) -> keys and uids of the row's counted owners; a key's
     # partition sits above its value and curve bits
-    tid_shift = self.layout.zv_bits + self.layout.sv_bits
+    zv_bits = self.layout.zv_bits
+    tid_shift = zv_bits + self.layout.sv_bits
     pairs: dict[tuple[int, int], dict[int, int]] = {}
     for row_i, (_, uids) in enumerate(self.friends.rows(req.qid)):
         for uid in _active(store, req.qid, uids, t_q):
             key = self.index._current.get(uid)
             if key is not None:
                 pairs.setdefault((key >> tid_shift, row_i), {})[uid] = key
-    leaf = None
-    held_tid = None
-    for tid, row_i in sorted(pairs):
-        if tid != held_tid:
-            leaf, held_tid = None, tid
-        owners = pairs[tid, row_i]
-        unseen = set(owners)
+    # a pair's keys carry its prefix, so an entry's key names the owners its pair has yet to meet
+    unseen_at = {min(owners.values()) >> zv_bits: set(owners) for owners in pairs.values()}
 
-        def visit(entry):
-            unseen.discard(entry.uid)
-            px = entry.x + entry.vx * (t_q - entry.t)
-            py = entry.y + entry.vy * (t_q - entry.t)
-            if rect[0] <= px <= rect[2] and rect[1] <= py <= rect[3] and _visible(store, entry.uid, req.qid, px, py, t_q):
-                result.add(entry.uid)
-            return not unseen
+    def visit(entry):
+        unseen = unseen_at[entry.key >> zv_bits]
+        unseen.discard(entry.uid)
+        px = entry.x + entry.vx * (t_q - entry.t)
+        py = entry.y + entry.vy * (t_q - entry.t)
+        if rect[0] <= px <= rect[2] and rect[1] <= py <= rect[3] and _visible(store, entry.uid, req.qid, px, py, t_q):
+            result.add(entry.uid)
+        return not unseen
 
-        interval = (min(owners.values()), max(owners.values()))
-        leaf = reference_scan_intervals(self.index.tree, [interval], visit, leaf)
+    intervals = [(min(owners.values()), max(owners.values())) for _, owners in sorted(pairs.items())]
+    reference_scan_intervals(self.index.tree, intervals, visit)
     return result
 
 
@@ -1113,16 +1112,16 @@ def test_prq_matches_reference_on_small_pages_and_buffers(churned_large_instance
 
 @pytest.fixture
 def scans(monkeypatch):
-    """The base key of every ``BPlusTree.scan_intervals`` call, in call order."""
-    bases = []
+    """The key intervals of every ``BPlusTree.scan_intervals`` call, offset by its base, in call order."""
+    calls = []
     scan = BPlusTree.scan_intervals
 
-    def recording(tree, intervals, visit, base=0, leaf=None):
-        bases.append(base)
-        return scan(tree, intervals, visit, base, leaf)
+    def recording(tree, intervals, visit, base=0):
+        calls.append([(base + lo, base + hi) for lo, hi in intervals])
+        scan(tree, intervals, visit, base)
 
     monkeypatch.setattr(BPlusTree, "scan_intervals", recording)
-    return bases
+    return calls
 
 
 def _pair_owners(engine, rows, keep=None):
@@ -1140,13 +1139,21 @@ def _pair_owners(engine, rows, keep=None):
     return owners
 
 
-def _pair_of_base(engine, rows):
-    """Scan base key -> (row, partition) for every pair of the rows in a live partition."""
-    return {
-        engine.layout.peb_key_q(tid, svq, 0): (row_i, tid)
+def _pairs_scanned(engine, rows, scans):
+    """The (row, partition) pair of each interval of a query's one ``scan_intervals`` call, in scan order.
+
+    A pair's key span starts at ``peb_key_q(tid, svq, 0)``, and an interval
+    lies in one pair's span.
+    """
+    (intervals,) = scans  # one call per query
+    zv_bits = engine.layout.zv_bits
+    pair_of = {
+        engine.layout.peb_key_q(tid, svq, 0) >> zv_bits: (row_i, tid)
         for tid, _ in engine.index.live_partitions()
         for row_i, (svq, _) in enumerate(rows)
     }
+    assert all(lo >> zv_bits == hi >> zv_bits for lo, hi in intervals)
+    return [pair_of[lo >> zv_bits] for lo, _ in intervals]
 
 
 def _earlier_rule_scans(rows, partitions, found):
@@ -1177,18 +1184,17 @@ def test_queries_scan_only_the_pairs_that_hold_an_owner(churned_instance, scans)
         # only owners whose policy window holds t_q count
         held = _pair_owners(peb, rows)
         owners = _pair_owners(peb, rows, _active(peb.store, req.qid, [u for _, us in rows for u in us], req.t_q))
-        pair_of = _pair_of_base(peb, rows)
-        # a pair's scan meets every active owner it holds, whatever the window
+        # a pair's interval meets every active owner it holds, whatever the window
         found = {pair: len(zs) for pair, zs in owners.items()}
         scans.clear()
         if isinstance(req, PrqRequest):
             peb.prq(req)
         else:
             peb.pknn(req)
-        got = [pair_of[b] for b in scans]
+        got = _pairs_scanned(peb, rows, scans)
         want = set(owners)
-        assert len(got) == len(set(got)) == len(want), req
-        assert set(got) == want, req
+        # one interval per pair that holds an active owner, in key order: by partition, then by row
+        assert got == sorted(want, key=lambda pair: pair[::-1]), req
         earlier = _earlier_rule_scans(rows, live, found)
         assert len(got) <= earlier, req
         fewer += len(got) < earlier
@@ -1210,14 +1216,13 @@ def test_deleted_owners_leave_no_scan_and_no_answer(scans):
     for req, owned in zip(queries, before):
         rows = peb.friends.rows(req.qid)
         owners = _pair_owners(peb, rows)
-        pair_of = _pair_of_base(peb, rows)
         if isinstance(req, PrqRequest):
             scans.clear()
             assert peb.prq(req) == oracle_range(current.values(), store, req), req
         else:
             scans.clear()
             assert peb.pknn(req) == oracle_knn(current.values(), store, req), req
-        scanned = {pair_of[b] for b in scans}
+        scanned = set(_pairs_scanned(peb, rows, scans))
         lost = set(owned) - set(owners)  # pairs whose owners were all deleted
         assert not scanned & lost, req
         assert scanned <= set(owners), req
@@ -1389,7 +1394,9 @@ def test_each_prefix_scan_ends_on_the_leaf_of_its_last_active_owner(owner_world,
     tree = index.tree
     engine = PebQueryEngine(index, store, FriendLists(store, sv_map, layout))
     # what each query asks of the index: the uids whose keys it looks up,
-    # and per scan its base, its intervals and the leaves it reads
+    # and per scan its intervals, each with the leaves read for it: those
+    # read from the end of the interval before, when visit returned true,
+    # to the end of its own
     lookups, scans = [], []
     keys_of, scan, touch = index.keys_of, tree.scan_intervals, tree.touch_page
 
@@ -1397,17 +1404,31 @@ def test_each_prefix_scan_ends_on_the_leaf_of_its_last_active_owner(owner_world,
         lookups.append(sorted(uids))
         return keys_of(uids)
 
-    def recording_scan(intervals, visit, base=0, leaf=None):
-        scans.append((base, tuple(intervals), []))
-        return scan(intervals, visit, base, leaf)
+    def recording_scan(intervals, visit, base=0):
+        reads = [[] for _ in intervals]
+        scans.append(([(base + lo, base + hi) for lo, hi in intervals], reads))
+        ended = 0  # the intervals visit has ended
 
-    def recording_touch(page_id):
-        node = touch(page_id)
-        if node.leaf and scans:
-            scans[-1][2].append(page_id)
-        return node
+        def recording_visit(leaf, i, j):
+            nonlocal ended
+            done = visit(leaf, i, j)
+            ended += bool(done)
+            return done
 
-    index.keys_of, tree.scan_intervals, tree.touch_page = recording_keys_of, recording_scan, recording_touch
+        def recording_touch(page_id):
+            node = touch(page_id)
+            if node.leaf:
+                reads[ended].append(page_id)
+            return node
+
+        tree.touch_page = recording_touch
+        try:
+            scan(intervals, recording_visit, base)
+        finally:
+            tree.touch_page = touch
+        assert ended == len(intervals)  # visit ends every interval
+
+    index.keys_of, tree.scan_intervals = recording_keys_of, recording_scan
     # each leaf's place in the chain and the leaf of each (key, uid), read without a charge
     leaves = [pid for pid, node in tree.pages.items() if node.leaf]
     first = (set(leaves) - {tree.pages[pid].next_leaf for pid in leaves}).pop()
@@ -1442,13 +1463,15 @@ def test_each_prefix_scan_ends_on_the_leaf_of_its_last_active_owner(owner_world,
                 continue
             # one lookup a query, of exactly the active owners
             assert lookups == [active]
-            # one scan per prefix that holds an active owner, ascending, each over
-            # its first active owner's key to its last, and no leaf read past the
-            # one that holds its last active owner
-            assert [base >> zv_bits for base, _, _ in scans] == sorted(owners_at)
-            for base, intervals, read in scans:
-                owners = sorted(owners_at[base >> zv_bits])
-                assert intervals == ((owners[0][0] - base, owners[-1][0] - base),)
+            # one scan a query, of one interval per prefix that holds an active
+            # owner, ascending, each over its first active owner's key to its
+            # last, and no leaf read for it past the one that holds its last
+            # active owner
+            ((intervals, reads),) = scans
+            assert [lo >> zv_bits for lo, _ in intervals] == sorted(owners_at)
+            for (lo, hi), read in zip(intervals, reads):
+                owners = sorted(owners_at[lo >> zv_bits])
+                assert (lo, hi) == (owners[0][0], owners[-1][0])
                 assert all(place[pid] <= place[leaf_of[owners[-1]]] for pid in read)
 
 
@@ -1688,7 +1711,7 @@ def query_digests(cfg: WorkloadConfig, rounds: int, count: int) -> dict[tuple[st
         for name, (index, _, _) in engines.items():
             digests[name, "keys"].update(f"{sorted(index._current.items())}\n".encode())
         objects = list(inst.objects.values())
-        horizon = inst.time_cfg.delta_t_mu
+        horizon = inst.peb.time_cfg.delta_t_mu
         for kind in ("range", "knn"):
             queries = gen_queries(cfg, kind, objects, now=inst.now, horizon=horizon, count=count)
             for name, (index, run_range, run_knn) in engines.items():
@@ -1767,8 +1790,9 @@ def uniform_instance():
 def test_a_peb_batch_seeks_fewer_times_than_it_scans_prefixes(
     uniform_instance, scans, monkeypatch, kind, seeks, prefixes
 ):
-    # a partition's scans hold the cursor's leaf from one key prefix to the
-    # next, so a prefix that starts on the held leaf is read without a seek
+    # a query's one scan holds the cursor's leaf from one key prefix's
+    # interval to the next, so a prefix that starts on the held leaf is read
+    # without a seek
     inst = uniform_instance
     cfg = GOLDEN_CONFIGS["uniform"]
     descents = []
@@ -1781,10 +1805,11 @@ def test_a_peb_batch_seeks_fewer_times_than_it_scans_prefixes(
     monkeypatch.setattr(BPlusTree, "descend", counted)
     run = inst.peb_engine.prq if kind == "range" else inst.peb_engine.pknn
     objects = list(inst.objects.values())
-    queries = gen_queries(cfg, kind, objects, now=inst.now, horizon=inst.time_cfg.delta_t_mu, count=40)
+    queries = gen_queries(cfg, kind, objects, now=inst.now, horizon=inst.peb.time_cfg.delta_t_mu, count=40)
     for req in queries:
         run(req)
-    assert (len(descents), len(scans)) == (seeks, prefixes)
+    assert len(scans) == len(queries)
+    assert (len(descents), sum(map(len, scans))) == (seeks, prefixes)
     assert seeks < prefixes
 
 

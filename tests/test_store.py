@@ -6,7 +6,6 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import replace
-from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -204,38 +203,35 @@ def test_scan_intervals_equals_separate_scans():
     assert [(e.key, e.uid) for e in got] == expected
 
 
-def reference_scan_intervals(self, intervals, visit, leaf=None):
+def reference_scan_intervals(self, intervals, visit):
     """The interval-by-interval cursor loop as it stood before intervals were bisected, kept as a reference.
 
-    Scan a sorted list of disjoint key intervals with a leaf cursor, from
-    ``leaf`` when one is given, and return the leaf held at the end.  A
-    ``visit`` that returns true ends the scan at its entry.
+    Scan a sorted list of disjoint key intervals with a leaf cursor.  A
+    ``visit`` that returns true ends its interval at its entry, and the
+    scan goes on with the next interval from the leaf it holds.
 
     Re-descends only when the next interval starts beyond the current
     leaf, mirroring one locate-then-walk pass per search range.
     """
-    entries = [] if leaf is None else leaf.entries  # leaf.entries, built once per leaf read
+    leaf, entries = None, []  # leaf.entries, built once per leaf read
     for lo, hi in intervals:
         lo_c = (lo, -1)
-        if leaf is None or not entries or entries[-1] < lo_c:
+        if not entries or entries[-1] < lo_c:
             _, leaf = self._descend(lo_c)
             entries = leaf.entries
         i = bisect_left(entries, lo_c)
         while True:
-            while i < len(entries):
-                if entries[i].key > hi:
-                    break
+            while i < len(entries) and entries[i].key <= hi:
                 if visit(entries[i]):
-                    return leaf
+                    break
                 i += 1
             else:
-                if leaf.next_leaf is not None:
+                if i == len(entries) and leaf.next_leaf is not None:
                     leaf = self.touch_page(leaf.next_leaf)
                     entries = leaf.entries
                     i = 0
                     continue
             break
-    return leaf
 
 
 def _random_intervals(rng, span):
@@ -243,26 +239,60 @@ def _random_intervals(rng, span):
     return list(zip(bounds[::2], bounds[1::2]))
 
 
-@pytest.mark.parametrize("buffer_pages", [3, 4, 5, 6])
-def test_scan_intervals_charges_like_the_per_interval_loop(buffer_pages):
+def ending_at(every, out):
+    """Visitors that take records in key order into ``out`` and end an interval at its first key divisible by ``every``.
+
+    The first takes the cursor's leaf slices, the second the reference's
+    entries; ``every=None`` ends no interval early.
+    """
+
+    def visit_slice(leaf, i, j):
+        for r in range(i, j):
+            out.extend(leaf.records(r, r + 1))
+            if every and leaf.keys[r] % every == 0:
+                return True
+        return False
+
+    def visit_entry(entry):
+        out.append(entry)
+        return bool(every) and entry.key % every == 0
+
+    return visit_slice, visit_entry
+
+
+@pytest.mark.parametrize(
+    "buffer_pages, every",
+    [(pages, every) for every in (None, 7) for pages in (3, 4, 5, 6)],
+    ids=[f"{pages}{'-ends-at-7' if every else ''}" for every in (None, 7) for pages in (3, 4, 5, 6)],
+)
+def test_scan_intervals_charges_like_the_per_interval_loop(buffer_pages, every):
+    # with every=7, most intervals end at a key of theirs before their own
+    # end, and the next interval starts from the leaf the cursor holds, the
+    # same leaf or one that lies before it
     rng = random.Random(buffer_pages)
+    keys = random.Random(8).sample(range(20_000), 600)
     trees = []
     for _ in range(2):
         tree = BPlusTree(page_size=256, buffer_pages=buffer_pages)
-        for k in random.Random(8).sample(range(20_000), 600):
+        for k in keys:
             put(tree, k, k % 3)
         trees.append(tree)
     cursor, reference = trees
     assert cursor.height >= 3
     base = 1000
+    cut = 0  # scans that left a record of their intervals unvisited
     for _ in range(300):
         intervals = _random_intervals(rng, 19_000)
         got, want = [], []
-        cursor.scan_intervals(intervals, records_into(got), base)
-        reference_scan_intervals(reference, [(base + lo, base + hi) for lo, hi in intervals], want.append)
+        visit_slice, _ = ending_at(every, got)
+        _, visit_entry = ending_at(every, want)
+        cursor.scan_intervals(intervals, visit_slice, base)
+        reference_scan_intervals(reference, [(base + lo, base + hi) for lo, hi in intervals], visit_entry)
         assert got == want
         assert cursor.buffer.counters() == reference.buffer.counters()
         assert list(cursor.buffer._lru) == list(reference.buffer._lru)
+        cut += len(got) < sum(base + lo <= k <= base + hi for k in keys for lo, hi in intervals)
+    assert bool(cut) == bool(every)
 
 
 def hand_built_tree():
@@ -305,17 +335,24 @@ def test_scan_intervals_offsets_intervals_by_base():
 
 
 def test_scan_intervals_stops_when_visit_returns_true():
-    tree = hand_built_tree()
-    got = []
-
     def visit(leaf, i, j):
         got.extend(leaf.keys[i:j])
         return 7 in leaf.keys[i:j]  # the last entry of the first leaf
 
-    tree.scan_intervals([(0, 100)], visit)
-    assert got == [1, 3, 5, 7]
-    assert tree.buffer.counters().reads == 2  # the root and leaf 1; leaf 2 is never read
-    assert list(tree.buffer._lru) == [0, 1]
+    for intervals, keys, reads, lru in (
+        # the root and leaf 1; leaf 2 is never read
+        ([(0, 100)], [1, 3, 5, 7], 2, [0, 1]),
+        # the first interval ends on leaf 1 before it reaches 10, and the scan
+        # goes on with the next: 13 lies beyond leaf 1, so it seeks leaf 2
+        # and walks on to leaf 3 for 20 and 22
+        ([(0, 11), (13, 22)], [1, 3, 5, 7, 14, 16, 20, 22], 5, [1, 0, 2, 3]),
+    ):
+        tree = hand_built_tree()
+        got = []
+        tree.scan_intervals(intervals, visit)
+        assert got == keys
+        assert tree.buffer.counters().reads == reads
+        assert list(tree.buffer._lru) == lru
 
 
 def test_stats_leaf_count_bounds():
@@ -445,6 +482,7 @@ INTERVAL_SETS = st.lists(
     ops=LEAF_OPS,
     interval_sets=INTERVAL_SETS,
     base=st.sampled_from([0, 2]),
+    every=st.sampled_from([None, 3]),
 )
 @example(  # fill two runs of 21 equal keys, then drain the first: splits, borrows and merges cut the runs
     page_size=256,
@@ -452,11 +490,14 @@ INTERVAL_SETS = st.lists(
     ops=[(True, k, uid) for k in (4, 5) for uid in range(21)] + [(False, 0, 0)] * 21,
     interval_sets=[[(2, 2)], [(0, 2), (3, 3)], [(3, 9)]],
     base=2,
+    every=None,
 )
-def test_columnar_leaves_through_churn_scan_like_the_reference(page_size, buffer_pages, ops, interval_sets, base):
+def test_columnar_leaves_through_churn_scan_like_the_reference(page_size, buffer_pages, ops, interval_sets, base, every):
     # two trees take the same inserts and deletes; the leaf cursor scans one
     # slice by slice, the per-entry reference loop the other, and both read
-    # the same records through the same pages in the same order
+    # the same records through the same pages in the same order.  With
+    # every=3 an interval ends at its first record whose key is a multiple
+    # of 3, whose run of equal keys may go on to the next leaf
     cursor = BPlusTree(page_size=page_size, buffer_pages=buffer_pages)
     reference = BPlusTree(page_size=page_size, buffer_pages=buffer_pages)
     shadow: set[tuple[int, int]] = set()
@@ -475,91 +516,18 @@ def test_columnar_leaves_through_churn_scan_like_the_reference(page_size, buffer
         if step % 20 == 19 or step == len(ops) - 1:
             for intervals in interval_sets:
                 got, want = [], []
-                cursor.scan_intervals(intervals, records_into(got), base)
-                reference_scan_intervals(reference, [(base + lo, base + hi) for lo, hi in intervals], want.append)
+                visit_slice, _ = ending_at(every, got)
+                _, visit_entry = ending_at(every, want)
+                cursor.scan_intervals(intervals, visit_slice, base)
+                reference_scan_intervals(reference, [(base + lo, base + hi) for lo, hi in intervals], visit_entry)
                 assert got == want
-                assert [(e.key, e.uid) for e in got] == sorted(
-                    kv for kv in shadow if any(base + lo <= kv[0] <= base + hi for lo, hi in intervals)
-                )
+                if every is None:
+                    assert [(e.key, e.uid) for e in got] == sorted(
+                        kv for kv in shadow if any(base + lo <= kv[0] <= base + hi for lo, hi in intervals)
+                    )
                 assert cursor.buffer.counters() == reference.buffer.counters()
                 assert list(cursor.buffer._lru) == list(reference.buffer._lru)
     assert cursor.stats() == reference.stats()
-
-
-def _prefix_scans(tree, prefixes, hold):
-    """Scan each ``(base, intervals, stop)`` in turn from a cold buffer; return the slices visited and the counters.
-
-    A prefix's scan ends once it has been handed ``stop`` records, as the
-    engine's ends at its prefix's last owner.  With ``hold`` each scan
-    starts from the leaf the previous one returned, else it seeks afresh.
-    """
-    tree.buffer.clear()
-    slices = []
-    leaf = None
-    for base, intervals, stop in prefixes:
-        left = [stop]
-
-        def visit(leaf, i, j):
-            slices.append((base, leaf.page_id, i, j))
-            left[0] -= j - i
-            return left[0] <= 0
-
-        leaf = tree.scan_intervals(intervals, visit, base, leaf if hold else None)
-    return slices, tree.buffer.counters()
-
-
-# a prefix's curve span is 64 keys wide: entries land on 8 prefixes, and
-# equal keys repeat over up to 6 uids, so their runs cross leaves; three of
-# four steps insert, so 4-record leaves make trees of height 3
-PREFIX_OPS = st.lists(
-    st.tuples(st.integers(0, 3).map(bool), st.integers(0, 7), st.integers(0, 39), st.integers(0, 5)),
-    min_size=60,
-    max_size=300,
-)
-PREFIX_SCANS = st.lists(
-    st.tuples(
-        st.integers(0, 7),
-        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=5).map(_intervals_from_steps),
-        st.integers(1, 12),
-    ),
-    min_size=1,
-    max_size=8,
-    unique_by=itemgetter(0),
-).map(sorted)
-
-
-@settings(max_examples=80, deadline=None)
-@given(page_size=st.sampled_from([256, 320, 512]), ops=PREFIX_OPS, scans=PREFIX_SCANS)
-def test_a_held_leaf_scans_ascending_prefixes_like_a_seek_per_prefix(page_size, ops, scans):
-    # prefix by prefix, the leaf held from one scan to the next hands visit
-    # the slices a seek per prefix does, in the same order, and reads no
-    # more pages.  A buffer that holds the tree charges each page's first
-    # read: in a tree of height 2 the seeks skipped read only the root and
-    # leaves the same scans have just read, so the misses are the same; a
-    # deeper seek may also read an inner page the chain walk passed by
-    tree = BPlusTree(page_size=page_size, buffer_pages=10_000)
-    shadow: set[tuple[int, int]] = set()
-    for insert, prefix, offset, uid in ops:
-        key = prefix * 64 + offset
-        if insert and (key, uid) not in shadow:
-            put(tree, key, uid)
-            shadow.add((key, uid))
-        elif not insert and shadow:
-            key, uid = sorted(shadow)[(key * 6 + uid) % len(shadow)]
-            tree.delete(key, uid)
-            shadow.remove((key, uid))
-    tree.audit()
-    prefixes = [(prefix * 64, intervals, stop) for prefix, intervals, stop in scans]
-    held, held_io = _prefix_scans(tree, prefixes, hold=True)
-    fresh, fresh_io = _prefix_scans(tree, prefixes, hold=False)
-    assert held == fresh
-    assert held_io.reads <= fresh_io.reads
-    assert held_io.leaf_reads <= fresh_io.leaf_reads
-    if tree.height <= 2:
-        assert (held_io.misses, held_io.leaf_misses) == (fresh_io.misses, fresh_io.leaf_misses)
-    else:
-        assert held_io.leaf_misses == fresh_io.leaf_misses
-        assert held_io.misses <= fresh_io.misses
 
 
 def test_a_held_leaf_skips_the_seek_into_itself():
@@ -569,21 +537,17 @@ def test_a_held_leaf_skips_the_seek_into_itself():
     def visit(leaf, i, j):
         got.extend(leaf.keys[i:j])
 
-    leaf = tree.scan_intervals([(2, 5)], visit)
-    assert leaf.page_id == 1
-    # 7 lies on the held leaf, so the next scan bisects it and walks on to
-    # leaf 2 without a seek; 31 lies beyond the leaf it then holds, so the
-    # third scan seeks leaf 4 from the root
-    leaf = tree.scan_intervals([(7, 10)], visit, leaf=leaf)
-    assert leaf.page_id == 2
-    leaf = tree.scan_intervals([(31, 34)], visit, leaf=leaf)
-    assert leaf.page_id == 4
+    # (2, 5) seeks leaf 1; 7 lies on the held leaf, so (7, 10) bisects it and
+    # walks on to leaf 2 without a seek; 31 lies beyond the leaf it then
+    # holds, so (31, 34) seeks leaf 4 from the root
+    tree.scan_intervals([(2, 5), (7, 10), (31, 34)], visit)
     assert got == [3, 5, 7, 10, 32, 34]
     assert tree.buffer.counters() == IoCounters(reads=5, misses=4, leaf_reads=3, leaf_misses=3)
     assert list(tree.buffer._lru) == [1, 2, 0, 4]
-    # with no interval, the scan reads nothing and hands the leaf back
-    assert tree.scan_intervals([], visit, leaf=leaf) is leaf
-    assert tree.scan_intervals([], visit) is None
+    # with no interval, the scan reads nothing
+    tree.buffer.clear()
+    tree.scan_intervals([], visit)
+    assert tree.buffer.counters().reads == 0
 
 
 # -- moving-object index ------------------------------------------------------

@@ -24,7 +24,6 @@ PACKAGE = ROOT / "src" / "pebtree"
 
 # kept on purpose although only tests call it
 ALLOWED = {
-    "CompatibilityIndex.from_values",  # builds the worked-example and reference compatibility fakes
     # the anchors, which the tests of the paper's worked example and of sequence-value assignment read
     "SequenceValueMap.anchors",
     # the layout's statement of a policy-embedded key, against which the tests check key_for's one-pass keys;
