@@ -853,6 +853,98 @@ def test_store_refuses_nan_in_a_later_row(column):
         PolicyStore(table, graph, [1, 2, 3])
 
 
+COLUMNS = ("x_lo", "y_lo", "x_hi", "y_hi", "t_lo", "t_hi")
+# the row of each table below: a 10 x 10 square at the space's origin, 8:00 to 11:00
+GOOD_ROW = (0.0, 0.0, 10.0, 10.0, 8.0, 11.0)
+
+
+def two_owner_table(bad_row=1, **values):
+    """Owners 1 and 3 with a policy toward 2 each; the row ``bad_row`` takes ``values`` by column."""
+    table, graph = PolicyTable(), RelationshipGraph()
+    for owner in (1, 3):
+        table.append(owner, "u2", *GOOD_ROW)
+        graph.set_roles(owner, {"u2": (2,)})
+    for column, value in values.items():
+        getattr(table, column)[bad_row] = value
+    return table, graph
+
+
+def refusal(table, row, space_side=SIDE, day=DAY):
+    """The message a bad value in ``row`` meets: the region's if it leaves the space, else the window's."""
+    rect = (table.x_lo[row], table.y_lo[row], table.x_hi[row], table.y_hi[row])
+    if not (0.0 <= rect[0] and 0.0 <= rect[1] and rect[2] <= space_side and rect[3] <= space_side):
+        side = f"[0, {space_side}]"
+        return f"policy region {rect} of user {table.owner[row]} reaches beyond the space {side} x {side}"
+    return f"interval [{table.t_lo[row]}, {table.t_hi[row]}] outside [0, {day}]"
+
+
+# a region is refused only where it reaches beyond the space: a lower side
+# at +inf or an upper side below 0 leaves it empty, and the store serves it
+EMPTY_REGION_VALUES = {("x_lo", math.inf), ("y_lo", math.inf)} | {
+    (column, value) for column in ("x_hi", "y_hi") for value in (-math.inf, -1.0)
+}
+
+
+@pytest.mark.parametrize("column", COLUMNS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+def test_store_refuses_a_bad_value_in_one_column_by_name(column, value):
+    table, graph = two_owner_table(**{column: value})
+    if (column, value) in EMPTY_REGION_VALUES:
+        store = PolicyStore(table, graph, [1, 2, 3])
+        index = CompatibilityIndex.from_store(store)
+        assert index.related(3) == [] and index.related(1) == [2]
+        return
+    rect = tuple(value if c == column else v for c, v in zip(COLUMNS[:4], GOOD_ROW))
+    window = tuple(value if c == column else v for c, v in zip(COLUMNS[4:], GOOD_ROW[4:]))
+    if column.startswith("t"):
+        message = f"interval [{window[0]}, {window[1]}] outside [0, 24.0]"
+    else:
+        message = f"policy region {rect} of user 3 reaches beyond the space [0, 1000.0] x [0, 1000.0]"
+    assert refusal(table, 1) == message
+    with pytest.raises(ValueError) as got:
+        PolicyStore(table, graph, [1, 2, 3])
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [(c, v) for c in COLUMNS for v in (-0.0, 0.0)] + [(c, SIDE) for c in COLUMNS[:4]] + [(c, DAY) for c in COLUMNS[4:]],
+)
+def test_store_accepts_a_signed_zero_and_the_edges_of_the_space_and_the_day(column, value):
+    table, graph = two_owner_table(**{column: value})
+    store = PolicyStore(table, graph, [1, 2, 3])
+    kept = getattr(store.policies, column)[1]
+    assert kept == value and math.copysign(1.0, kept) == math.copysign(1.0, value)
+    assert store.row(3, 2) == 1 and store.owners_naming(2) == [1, 3]
+
+
+@pytest.mark.parametrize("region_row, window_row", [(1, 0), (0, 1)])
+def test_store_refuses_a_bad_region_before_a_bad_window_in_any_row(region_row, window_row):
+    table, graph = two_owner_table(bad_row=region_row, x_hi=2000.0)
+    table.t_hi[window_row] = 25.0
+    owner = table.owner[region_row]
+    message = (
+        f"policy region (0.0, 0.0, 2000.0, 10.0) of user {owner} reaches beyond the space [0, 1000.0] x [0, 1000.0]"
+    )
+    with pytest.raises(ValueError) as got:
+        PolicyStore(table, graph, [1, 2, 3])
+    assert str(got.value) == message
+
+
+def test_store_refuses_a_role_fault_before_a_bad_window_in_a_later_row():
+    table, graph = two_owner_table(t_lo=-2.0)
+    graph.set_roles(1, {"v2": (2,)})
+    with pytest.raises(ValueError) as got:
+        PolicyStore(table, graph, [1, 2, 3])
+    assert str(got.value) == "policy role 'u2' of user 1 has no members"
+    # and a bad region in a later row before the role fault
+    table.y_lo[1] = -3.0
+    with pytest.raises(ValueError) as got:
+        PolicyStore(table, graph, [1, 2, 3])
+    message = "policy region (0.0, -3.0, 10.0, 10.0) of user 3 reaches beyond the space [0, 1000.0] x [0, 1000.0]"
+    assert str(got.value) == message
+
+
 def reference_store_maps(table, graph, users, space_side=SIDE, day=DAY):
     """The store's maps as the row-by-row build made them, kept as a reference.
 
