@@ -20,19 +20,20 @@ column, a role column and one day length.  :class:`PolicyStore` maps each
 ordered (owner, viewer) pair to the row of its policy, and each viewer to
 the rows of the policies naming it, in dicts and tuples of ints, so the
 garbage collector walks neither the policies nor the maps to them.  It
-builds them one owner at a time, from each run of rows with one owner, in
-C-level passes rather than one Python step per row.  Visibility checks and
-:meth:`CompatibilityIndex.from_store` read the columns in place, gathering
-a viewer's owners and windows over its rows; a
-:class:`LocationPrivacyPolicy` record is built only on demand, when a table
-is iterated (the file writer does this).
+checks the columns in one pass, which also finds the owners whose policies
+may weigh nothing, then builds the maps one owner at a time, from each run
+of rows with one owner, in C-level passes rather than one Python step per
+row.  Visibility checks and :meth:`CompatibilityIndex.from_store` read
+the columns in place, gathering a viewer's owners and windows over its
+rows; a :class:`LocationPrivacyPolicy` record is built only on demand,
+when a table is iterated (the file writer does this).
 
 Sequence value assignment ranks every user by its related count, reads
 every user's two-way partners, but the related users of its anchors only
 and the degrees of few pairs.  So :class:`CompatibilityIndex` keeps the
 related counts and the two-way lists; it builds a neighbour list, or
-scores a pair, only when asked.  Building it scores only the pairs whose
-degree might not be positive.
+scores a pair, only when asked.  Building it scores only the pairs of the
+owners the store found, the pairs whose degree might not be positive.
 
 The store and the table it keeps are read-only after construction, so
 readers may share them; the query engines that read them are not safe to
@@ -45,7 +46,7 @@ import math
 from array import array
 from collections import defaultdict
 from itertools import chain, groupby, repeat
-from operator import itemgetter, le
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, TypeVar
 
@@ -179,9 +180,13 @@ def _gather(seq, indices: tuple[int, ...]) -> tuple:
     return itemgetter(*indices)(seq) if len(indices) > 1 else tuple(seq[i] for i in indices)
 
 
-def _all_le(lows: Iterable[float], highs: Iterable[float]) -> bool:
-    """Whether ``low <= high`` holds pair by pair; a NaN fails it, where ``min`` and ``max`` would skip one."""
-    return all(map(le, lows, highs))
+def _weight_floor(space_side: float, day: float) -> float:
+    """The floor ``F`` of :meth:`CompatibilityIndex.from_store`: ``1e-50``, or infinite where its bounds underflow."""
+    floor = 1e-50
+    delta, s = math.ulp(floor / 2), space_side * space_side
+    if not (0.5 * (((floor * floor) / s) * (floor / day)) > 0 and ((delta * delta) / s) * (delta / day) > 0):
+        return math.inf
+    return floor
 
 
 def _refuse_rows(table: PolicyTable, roles: dict[int, dict[str, tuple[int, ...]]], day: float) -> NoReturn:
@@ -215,16 +220,22 @@ class PolicyStore:
     region in the space, the space must have a positive area and the day
     a positive finite length; the constructor rejects violations.
 
-    The constructor checks the regions and windows in C-level passes over
-    the columns, then builds the maps one owner at a time: each run of rows
-    with the same owner becomes the owner's map in one ``dict(zip(...))``,
-    and its members' row lists grow in one ``map``, holding the map's own
-    int objects.  Rows appended in table order are in owner order when the
-    owners ascend run by run, as generated tables do; otherwise, such as
-    when an owner's rows are not contiguous and its runs are merged, each
-    viewer's rows are sorted by owner.  Each list is kept as a tuple.  On a
-    fault the rows are walked again one by one, so the refusal is the one a
-    row-by-row build would meet first.
+    The constructor reads the columns once, gathering the owner of each
+    row whose region leaves the space or whose window leaves the day, or
+    whose policy may weigh nothing: a side or a time interval not longer
+    than the floor ``F`` of :meth:`CompatibilityIndex.from_store`.  When
+    it gathers nobody, the table is valid; otherwise it checks the regions
+    and then the windows row by row, and if nothing is refused, the owners
+    gathered are :attr:`weightless_owners`.  It then builds the maps one
+    owner at a time: each run of rows with the same owner becomes the
+    owner's map in one ``dict(zip(...))``, and its members' row lists grow
+    in one ``map``, holding the map's own int objects.  Rows appended in
+    table order are in owner order when the owners ascend run by run, as
+    generated tables do; otherwise, such as when an owner's rows are not
+    contiguous and its runs are merged, each viewer's rows are sorted by
+    owner.  Each list is kept as a tuple.  On a fault the rows are walked
+    again one by one, so the refusal is the one a row-by-row build would
+    meet first.
     """
 
     def __init__(
@@ -247,12 +258,31 @@ class PolicyStore:
         if table.day != day:
             raise ValueError(f"the policy table has a day of {table.day}, the store {day}")
         self.policies = table
-        # a user is visible only inside a region, so with every region in the
-        # space the engines may skip a window that misses it without a read
-        if not (
-            _all_le(repeat(0.0), chain(table.x_lo, table.y_lo))
-            and _all_le(chain(table.x_hi, table.y_hi), repeat(space_side))
-        ):
+        # one pass gathers the owner of each row that leaves the space or the day, or
+        # may weigh nothing (see CompatibilityIndex.from_store); a wrapped window needs
+        # no bound test, as t_lo > t_hi > F >= 0 and day - t_lo > F put it in the day
+        floor = _weight_floor(space_side, day)
+        weightless = {
+            u
+            for u, x_lo, y_lo, x_hi, y_hi, t_lo, t_hi in zip(
+                table.owner, table.x_lo, table.y_lo, table.x_hi, table.y_hi, table.t_lo, table.t_hi
+            )
+            if not (
+                0.0 <= x_lo and 0.0 <= y_lo and x_hi <= space_side and y_hi <= space_side
+                and x_hi - x_lo > floor
+                and y_hi - y_lo > floor
+                # the time intervals: [t_lo, t_hi), or [0, t_hi) and [t_lo, day) wrapped
+                and (
+                    0.0 <= t_lo and t_hi <= day and t_hi - t_lo > floor
+                    if t_lo < t_hi
+                    else t_lo > t_hi and t_hi > floor and day - t_lo > floor
+                )
+            )
+        }
+        roles, no_roles = graph._roles, {}
+        if weightless:
+            # a user is visible only inside a region, so with every region in the
+            # space the engines may skip a window that misses it without a read
             for owner, *rect in zip(table.owner, table.x_lo, table.y_lo, table.x_hi, table.y_hi):
                 x_lo, y_lo, x_hi, y_hi = rect
                 if not (0.0 <= x_lo and 0.0 <= y_lo and x_hi <= space_side and y_hi <= space_side):
@@ -260,12 +290,10 @@ class PolicyStore:
                     raise ValueError(
                         f"policy region {tuple(rect)} of user {owner} reaches beyond the space {side} x {side}"
                     )
-        roles, no_roles = graph._roles, {}
-        if not (
-            _all_le(repeat(0.0), chain(table.t_lo, table.t_hi))
-            and _all_le(chain(table.t_lo, table.t_hi), repeat(day))
-        ):
-            _refuse_rows(table, roles, day)
+            if not all(0.0 <= t <= day for t in chain(table.t_lo, table.t_hi)):
+                _refuse_rows(table, roles, day)
+        # no row is refused: the owners gathered are those whose policies may weigh nothing
+        self.weightless_owners = frozenset(weightless)
         # one run of rows per owner; role member tuples are read as they are
         role_col = table.role
         directed: dict[int, dict[int, int]] = {}
@@ -417,6 +445,8 @@ class CompatibilityIndex:
         holds the candidates that are both.  Only a pair with a *suspect*
         owner, one holding a policy whose sides or time intervals are not
         longer than a floor ``F``, is scored here (once, lower id first).
+        The store finds these owners, :attr:`PolicyStore.weightless_owners`,
+        as it checks the table.
 
         Any other pair is positive.  Coordinates are at least 0 (the store
         checks it) and rounding is monotone, so a one-sided score is at
@@ -427,12 +457,7 @@ class CompatibilityIndex:
         If a score built from either bound underflows, ``F`` is infinite
         and every owner is a suspect.
         """
-        side, day, table = store.space_side, store.day, store.policies
         directed, owners_naming = store._directed, store.owners_naming
-        floor = 1e-50
-        delta, s = math.ulp(floor / 2), side * side
-        if not (0.5 * (((floor * floor) / s) * (floor / day)) > 0 and ((delta * delta) / s) * (delta / day) > 0):
-            floor = math.inf
         no_policies: dict[int, int] = {}
         counts: dict[int, int] = {}
         two_way: dict[int, list[int]] = {}
@@ -443,21 +468,8 @@ class CompatibilityIndex:
             if both:
                 two_way[u] = sorted(both)
             counts[u] = len(per_owner) + len(owners) - len(both)
-        # owners with a policy that may weigh nothing, found in one pass over the columns
-        suspects = {
-            u
-            for u, x_lo, y_lo, x_hi, y_hi, t_lo, t_hi in zip(
-                table.owner, table.x_lo, table.y_lo, table.x_hi, table.y_hi, table.t_lo, table.t_hi
-            )
-            # the time intervals: [t_lo, t_hi), or [0, t_hi) and [t_lo, day) wrapped
-            if not (
-                x_hi - x_lo > floor
-                and y_hi - y_lo > floor
-                and (t_hi - t_lo > floor if t_lo < t_hi else t_lo > t_hi and t_hi > floor and day - t_lo > floor)
-            )
-        }
         dropped: dict[int, set[int]] = {}
-        for pair in {(u, v) if u < v else (v, u) for u in suspects for v in directed[u]}:
+        for pair in {(u, v) if u < v else (v, u) for u in store.weightless_owners for v in directed[u]}:
             if compatibility(store, *pair) > 0:
                 continue
             for u, v in (pair, pair[::-1]):

@@ -35,6 +35,8 @@ from test_keys import ValuesCompatibility
 
 SIDE = 1000.0
 FULL_RECT = (0.0, 0.0, SIDE, SIDE)
+# the float columns of a policy table
+COLUMNS = ("x_lo", "y_lo", "x_hi", "y_hi", "t_lo", "t_hi")
 
 
 def table_and_graph(policy_specs, day=DAY):
@@ -260,6 +262,7 @@ def test_from_store_equals_eager_reference_when_no_weight_fits_a_float():
     # a space so large that every weight underflows: no pair is related
     specs = [(1, 2, FULL_RECT, 0.0, DAY), (2, 1, FULL_RECT, 0.0, DAY), (3, 1, FULL_RECT, 8.0, 17.0)]
     store = make_store(specs, [1, 2, 3], space_side=1e300)
+    assert store.weightless_owners == reference_suspects(store, reference_floor(1e300, DAY)) == {1, 2, 3}
     index, values = assert_matches_reference(store)
     assert set(values.values()) == {0.0}
     assert [index.related(u) for u in (1, 2, 3)] == [[], [], []]
@@ -278,14 +281,16 @@ NEAR_FLOOR = (1e-50, math.nextafter(1e-50, 0.0), 2e-50, 5e-51, 1e-66, 1e-100, 1e
 
 @st.composite
 def adversarial_tables(draw):
-    """``(specs, users, space_side, day)`` of up to 6 users whose policies sit on float edges.
+    """``(specs, users, space_side, day, bad)`` of up to 6 users whose policies sit on float edges.
 
     Ends come from a few anchors per table (0, the space side or the day,
     its middle, drawn fractions of it, lengths near the floor), moved a few
     float steps, or lie a length near the floor past another end; windows
     are drawn in either order, so some wrap.  The space side and the day
     span enough decades that the build's floor is finite in some tables and
-    infinite in others.
+    infinite in others.  In about one table of four, ``bad`` is ``(row,
+    column, value)``: a value for one column of one row that is not finite,
+    negative, a signed zero or past the space's side or the day.
     """
     side = 10.0 ** draw(st.floats(-30, 150))
     day = 10.0 ** draw(st.floats(-20, 20))
@@ -311,7 +316,36 @@ def adversarial_tables(draw):
     for owner, target in draw(st.lists(pair, unique=True, max_size=12)):
         (x_lo, x_hi), (y_lo, y_hi) = sorted(interval(side)), sorted(interval(side))
         specs.append((owner, target, (x_lo, y_lo, x_hi, y_hi), *interval(day)))
-    return specs, range(1, n + 1), side, day
+    bad = None
+    if specs and draw(st.integers(0, 3)) == 0:
+        column = draw(st.sampled_from(COLUMNS))
+        scale = day if column.startswith("t") else side
+        value = draw(st.sampled_from(bad_values(scale)))
+        bad = draw(st.integers(0, len(specs) - 1)), column, value
+    return specs, range(1, n + 1), side, day, bad
+
+
+def bad_values(scale):
+    """Values for a column of range ``[0, scale]``: not finite, negative, a signed zero or past its end."""
+    return [math.nan, math.inf, -math.inf, -5e-324, -scale, -0.0, math.nextafter(scale, math.inf), 2 * scale]
+
+
+def build_or_refuse(table, graph, users, side, day, bad=None):
+    """The store of ``table`` with ``bad = (row, column, value)`` put in it, if any.
+
+    ``None`` when the row leaves the space or the day: the store must then
+    refuse the table with the message the row meets.
+    """
+    if bad is not None:
+        row, column, value = bad
+        getattr(table, column)[row] = value
+        message = refusal(table, row, side, day)
+        if message is not None:
+            with pytest.raises(ValueError) as got:
+                PolicyStore(table, graph, users, space_side=side, day=day)
+            assert str(got.value) == message
+            return None
+    return PolicyStore(table, graph, users, space_side=side, day=day)
 
 
 def ulp_overlap_specs(edge, side=SIDE, day=DAY):
@@ -322,28 +356,51 @@ def ulp_overlap_specs(edge, side=SIDE, day=DAY):
 
 @settings(max_examples=300, deadline=None)
 @given(adversarial_tables())
-@example((DEGENERATE_SPECS, range(1, 15), SIDE, DAY))
+@example((DEGENERATE_SPECS, range(1, 15), SIDE, DAY, None))
 @example(
     (
         [(1, 2, FULL_RECT, 0.0, DAY), (2, 1, FULL_RECT, 0.0, DAY), (3, 1, FULL_RECT, 8.0, 17.0)],
         range(1, 4),
         1e300,
         DAY,
+        None,
     )
 )
 # a mutual overlap of one float step per side and in time, with every policy
 # longer than 1e-100 and than 1e-50: it underflows to a zero degree, which a
 # floor of either size without the float-step test would miss
-@example((ulp_overlap_specs(2e-100), range(1, 3), SIDE, DAY))
-@example((ulp_overlap_specs(2e-50, 1e70, 1.0), range(1, 3), 1e70, 1.0))
+@example((ulp_overlap_specs(2e-100), range(1, 3), SIDE, DAY, None))
+@example((ulp_overlap_specs(2e-50, 1e70, 1.0), range(1, 3), 1e70, 1.0, None))
+# a NaN in a later row, and an empty region the store serves
+@example((DEGENERATE_SPECS, range(1, 15), SIDE, DAY, (12, "y_hi", math.nan)))
+@example((DEGENERATE_SPECS, range(1, 15), SIDE, DAY, (12, "x_lo", math.inf)))
 def test_from_store_equals_eager_reference_on_adversarial_tables(case):
-    specs, users, side, day = case
-    store = make_store(specs, users, space_side=side, day=day)
+    specs, users, side, day, bad = case
+    table, graph = table_and_graph(specs, day)
+    store = build_or_refuse(table, graph, users, side, day, bad)
+    if store is None:
+        return
+    assert store.weightless_owners == reference_suspects(store, reference_floor(side, day))
     index, _ = assert_matches_reference(store)
     reference, _ = reference_from_store(store)
     for u in users:
         for v in users:
             assert index.c(u, v).hex() == reference.c(u, v).hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), column=st.sampled_from(COLUMNS))
+def test_store_refuses_or_serves_one_bad_value_in_a_generated_table(data, column):
+    # no owner of a generated table may weigh nothing, so the store's one pass
+    # alone must find the bad value
+    cfg = WorkloadConfig(n_users=60, policies_per_user=4, theta=0.7, seed=5, group_size=20)
+    uids = range(cfg.n_users)
+    table, graph = gen_policies(uids, cfg)
+    assert not PolicyStore(table, graph, uids).weightless_owners
+    value = data.draw(st.sampled_from(bad_values(cfg.day if column.startswith("t") else cfg.space_side)))
+    store = build_or_refuse(table, graph, uids, cfg.space_side, cfg.day, (data.draw(st.integers(0, 239)), column, value))
+    if store is not None:
+        assert store.weightless_owners == reference_suspects(store, reference_floor(cfg.space_side, cfg.day))
 
 
 def count_scores(monkeypatch) -> Counter:
@@ -376,6 +433,7 @@ def test_from_store_scores_no_pair_of_a_generated_table(monkeypatch):
 
 def test_from_store_scores_each_pair_of_a_degenerate_owner_once(monkeypatch):
     store = make_store(DEGENERATE_SPECS, users=range(1, 15))
+    assert store.weightless_owners == reference_suspects(store, reference_floor(SIDE, DAY)) == DEGENERATE_OWNERS
     calls = count_scores(monkeypatch)
     CompatibilityIndex.from_store(store)
     owned = {(min(o, t), max(o, t)) for o, t, *_ in DEGENERATE_SPECS if o in DEGENERATE_OWNERS}
@@ -385,10 +443,39 @@ def test_from_store_scores_each_pair_of_a_degenerate_owner_once(monkeypatch):
 
 def test_from_store_scores_every_pair_once_when_no_weight_fits_a_float(monkeypatch):
     store = make_store(DEGENERATE_SPECS, users=range(1, 15), space_side=1e300)
+    owners = {o for o, *_ in DEGENERATE_SPECS}
+    assert store.weightless_owners == reference_suspects(store, reference_floor(1e300, DAY)) == owners
     calls = count_scores(monkeypatch)
     index = CompatibilityIndex.from_store(store)
     assert calls == pair_rows(store, {(min(o, t), max(o, t)) for o, t, *_ in DEGENERATE_SPECS})
     assert not any(map(index.related, range(1, 15)))
+
+
+def reference_floor(side, day):
+    """The build's floor ``F``: ``1e-50``, or infinite where a score built from its bounds underflows."""
+    floor = 1e-50
+    delta, s = math.ulp(floor / 2), side * side
+    if not (0.5 * (((floor * floor) / s) * (floor / day)) > 0 and ((delta * delta) / s) * (delta / day) > 0):
+        floor = math.inf
+    return floor
+
+
+def reference_suspects(store, floor):
+    """The owners with a policy whose sides or time intervals are not longer than ``floor``, kept as a reference."""
+    day, table = store.day, store.policies
+    # owners with a policy that may weigh nothing, found in one pass over the columns
+    return {
+        u
+        for u, x_lo, y_lo, x_hi, y_hi, t_lo, t_hi in zip(
+            table.owner, table.x_lo, table.y_lo, table.x_hi, table.y_hi, table.t_lo, table.t_hi
+        )
+        # the time intervals: [t_lo, t_hi), or [0, t_hi) and [t_lo, day) wrapped
+        if not (
+            x_hi - x_lo > floor
+            and y_hi - y_lo > floor
+            and (t_hi - t_lo > floor if t_lo < t_hi else t_lo > t_hi and t_hi > floor and day - t_lo > floor)
+        )
+    }
 
 
 def reference_neighbour_lists(store):
@@ -418,19 +505,7 @@ def reference_neighbour_lists(store):
                     scores[(u, v)] = _degree(*_alpha_mutual_rows(table, per_owner[v], directed[v][u], side))
             two_way[u] = sorted(both)
         neighbors[u] = sorted(per_owner.keys() | owners)
-    # owners with a policy that may weigh nothing, found in one pass over the columns
-    suspects = {
-        u
-        for u, x_lo, y_lo, x_hi, y_hi, t_lo, t_hi in zip(
-            table.owner, table.x_lo, table.y_lo, table.x_hi, table.y_hi, table.t_lo, table.t_hi
-        )
-        # the time intervals: [t_lo, t_hi), or [0, t_hi) and [t_lo, day) wrapped
-        if not (
-            x_hi - x_lo > floor
-            and y_hi - y_lo > floor
-            and (t_hi - t_lo > floor if t_lo < t_hi else t_lo > t_hi and t_hi > floor and day - t_lo > floor)
-        )
-    }
+    suspects = reference_suspects(store, floor)
     dropped = [pair for pair, c in scores.items() if not c > 0]
     for u, v in dropped:
         two_way[u].remove(v)
@@ -853,7 +928,6 @@ def test_store_refuses_nan_in_a_later_row(column):
         PolicyStore(table, graph, [1, 2, 3])
 
 
-COLUMNS = ("x_lo", "y_lo", "x_hi", "y_hi", "t_lo", "t_hi")
 # the row of each table below: a 10 x 10 square at the space's origin, 8:00 to 11:00
 GOOD_ROW = (0.0, 0.0, 10.0, 10.0, 8.0, 11.0)
 
@@ -870,12 +944,16 @@ def two_owner_table(bad_row=1, **values):
 
 
 def refusal(table, row, space_side=SIDE, day=DAY):
-    """The message a bad value in ``row`` meets: the region's if it leaves the space, else the window's."""
+    """The message a bad value in ``row`` meets: the region's if it leaves the space, else the window's.
+
+    ``None`` when the row lies in the space and the day.
+    """
     rect = (table.x_lo[row], table.y_lo[row], table.x_hi[row], table.y_hi[row])
     if not (0.0 <= rect[0] and 0.0 <= rect[1] and rect[2] <= space_side and rect[3] <= space_side):
         side = f"[0, {space_side}]"
         return f"policy region {rect} of user {table.owner[row]} reaches beyond the space {side} x {side}"
-    return f"interval [{table.t_lo[row]}, {table.t_hi[row]}] outside [0, {day}]"
+    t_lo, t_hi = table.t_lo[row], table.t_hi[row]
+    return None if 0.0 <= t_lo <= day and 0.0 <= t_hi <= day else f"interval [{t_lo}, {t_hi}] outside [0, {day}]"
 
 
 # a region is refused only where it reaches beyond the space: a lower side
