@@ -366,7 +366,10 @@ def measure_preprocessing(
     other load moves the figures less.  As :mod:`timeit` does, each
     repetition runs with the cyclic garbage collector off, after a full
     collection, so the figures leave out collector pauses, whose length
-    follows the objects the rest of the process holds.
+    follows the objects the rest of the process holds.  The store is built
+    before the timed region, and with it the owners whose policies may
+    weigh nothing (:attr:`PolicyStore.weightless_owners`): the pass over
+    the policy columns that finds them is not timed.
     """
     rows = []
     for n in ns:

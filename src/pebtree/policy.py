@@ -446,7 +446,7 @@ class CompatibilityIndex:
         owner, one holding a policy whose sides or time intervals are not
         longer than a floor ``F``, is scored here (once, lower id first).
         The store finds these owners, :attr:`PolicyStore.weightless_owners`,
-        as it checks the table.
+        as it checks the table, with ``F`` from :func:`_weight_floor`.
 
         Any other pair is positive.  Coordinates are at least 0 (the store
         checks it) and rounding is monotone, so a one-sided score is at

@@ -320,12 +320,12 @@ def adversarial_tables(draw):
     if specs and draw(st.integers(0, 3)) == 0:
         column = draw(st.sampled_from(COLUMNS))
         scale = day if column.startswith("t") else side
-        value = draw(st.sampled_from(bad_values(scale)))
+        value = draw(st.sampled_from(boundary_values(scale)))
         bad = draw(st.integers(0, len(specs) - 1)), column, value
     return specs, range(1, n + 1), side, day, bad
 
 
-def bad_values(scale):
+def boundary_values(scale):
     """Values for a column of range ``[0, scale]``: not finite, negative, a signed zero or past its end."""
     return [math.nan, math.inf, -math.inf, -5e-324, -scale, -0.0, math.nextafter(scale, math.inf), 2 * scale]
 
@@ -397,8 +397,9 @@ def test_store_refuses_or_serves_one_bad_value_in_a_generated_table(data, column
     uids = range(cfg.n_users)
     table, graph = gen_policies(uids, cfg)
     assert not PolicyStore(table, graph, uids).weightless_owners
-    value = data.draw(st.sampled_from(bad_values(cfg.day if column.startswith("t") else cfg.space_side)))
-    store = build_or_refuse(table, graph, uids, cfg.space_side, cfg.day, (data.draw(st.integers(0, 239)), column, value))
+    row = data.draw(st.integers(0, len(table) - 1))
+    value = data.draw(st.sampled_from(boundary_values(cfg.day if column.startswith("t") else cfg.space_side)))
+    store = build_or_refuse(table, graph, uids, cfg.space_side, cfg.day, (row, column, value))
     if store is not None:
         assert store.weightless_owners == reference_suspects(store, reference_floor(cfg.space_side, cfg.day))
 
