@@ -217,8 +217,11 @@ class PolicyStore:
     table's columns over those rows.  At most one policy may apply per
     ordered pair, no policy may name its own owner, the table's day must
     be the store's, every policy's window must lie in that day and every
-    region in the space, the space must have a positive area and the day
-    a positive finite length; the constructor rejects violations.
+    region in the space (each of its four sides in ``[0, space_side]``, so
+    a region empty by a side at ``+inf``, ``-inf`` or below 0 is refused as
+    :func:`load_policies` refuses it), the space must have a positive area
+    and the day a positive finite length; the constructor rejects
+    violations.
 
     The constructor reads the columns once, gathering the owner of each
     row whose region leaves the space or whose window leaves the day, or
@@ -259,8 +262,9 @@ class PolicyStore:
             raise ValueError(f"the policy table has a day of {table.day}, the store {day}")
         self.policies = table
         # one pass gathers the owner of each row that leaves the space or the day, or
-        # may weigh nothing (see CompatibilityIndex.from_store); a wrapped window needs
-        # no bound test, as t_lo > t_hi > F >= 0 and day - t_lo > F put it in the day
+        # may weigh nothing (see CompatibilityIndex.from_store).  A side needs one bound
+        # test: lo >= 0, hi <= side and hi - lo > F >= 0 put both in [0, side].  Nor does
+        # a wrapped window: t_lo > t_hi > F >= 0 and day - t_lo > F put it in the day
         floor = _weight_floor(space_side, day)
         weightless = {
             u
@@ -284,8 +288,7 @@ class PolicyStore:
             # a user is visible only inside a region, so with every region in the
             # space the engines may skip a window that misses it without a read
             for owner, *rect in zip(table.owner, table.x_lo, table.y_lo, table.x_hi, table.y_hi):
-                x_lo, y_lo, x_hi, y_hi = rect
-                if not (0.0 <= x_lo and 0.0 <= y_lo and x_hi <= space_side and y_hi <= space_side):
+                if not all(0.0 <= v <= space_side for v in rect):
                     side = f"[0, {space_side}]"
                     raise ValueError(
                         f"policy region {tuple(rect)} of user {owner} reaches beyond the space {side} x {side}"

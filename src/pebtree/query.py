@@ -66,12 +66,6 @@ from .zcurve import z_corner_interval  # noqa: F401  perfbench/harness.py's trac
 
 Rect = tuple[float, float, float, float]
 
-# The baseline engine's query windows are snapped outward to blocks of
-# 2^SCAN_BLOCK_SHIFT cells per side before curve decomposition.  That bounds
-# the number of key intervals per window; the scanned key set only grows, so
-# results are unaffected.
-SCAN_BLOCK_SHIFT = 4
-
 
 def _check_query(t_q: float, coords: tuple[float, ...], what: str) -> None:
     # the checks load_queries makes on each field
@@ -418,9 +412,12 @@ class BaselineQueryEngine(_EngineBase):
         owner's record is taken.  ``scanned`` carries each partition's cell
         rectangle of the last round of an incremental search, and only the
         rest is scanned: the window's cells are decomposed minus that
-        rectangle's.  Rounds nest, and a window's intervals cover exactly
-        the scan blocks it meets, so the last round's rectangle covers
-        every earlier round's blocks, and this round's replaces it.
+        rectangle's.  ``z_decompose`` snaps a window to the blocks it meets,
+        16 cells per side on the 1024-cell grid, so the window's intervals
+        cover a few keys beyond it, and the filter drops them.  Rounds
+        nest, and a window's intervals cover exactly the blocks it meets,
+        so the last round's rectangle covers every earlier round's blocks,
+        and this round's replaces it.
         """
         out: list[tuple[int, Record]] = []
         layout = self.layout
@@ -441,7 +438,7 @@ class BaselineQueryEngine(_EngineBase):
             if scanned is not None:
                 done = scanned.get(tid)
                 scanned[tid] = cells
-            zivs = z_decompose(cells, self.grid, SCAN_BLOCK_SHIFT, done)
+            zivs = z_decompose(cells, self.grid, done)
             if zivs:
                 tree.scan_intervals(zivs, visit, layout.bx_key(tid, 0))
         return out

@@ -11,7 +11,9 @@ Decomposition is table-driven.  For a 64 x 64 tile, four tables hold one
 the same for rows), with bit z standing for the cell of Z-value z.  The
 AND of four masks is the rectangle's cells in the tile, and its runs of
 set bits are the rectangle's runs of the curve, read off the mask's
-binary string.  Larger grids are walked as a quadtree down to such tiles.
+binary string.  A grid of more than 64 cells per side is coarsened to
+one tile of 64 x 64 blocks, and a rectangle is snapped to the blocks it
+meets.
 
 The x bit of each pair sits at the even (less significant) position.
 Illustrations of the curve differ in orientation: the reference worked
@@ -72,16 +74,15 @@ def _spread(v: int) -> int:
     return (v | (v << 1)) & 0x5555555555555555
 
 
-# Tile masks for z_decompose.  Bit z of a mask stands for the cell of Z-value
-# z in a 64 x 64 tile: _A_LE[v] holds the cells whose even-bit coordinate a is
-# at most v, _A_GE[v] those whose a is at least v, and _B_* the same for the
-# odd-bit coordinate b.  Built once at import and never written.
+# Tile masks for z_decompose.  Bit z of a mask stands for the block of Z-value
+# z in a 64 x 64 tile: _A_LE[v] holds the blocks whose even-bit coordinate a
+# (x) is at most v, _A_GE[v] those whose a is at least v, and _B_* the same for
+# the odd-bit coordinate b (y).  Built once at import and never written.
 _TILE_BITS = 6
-_TILE_LAST = (1 << _TILE_BITS) - 1
 
 
 def _tile_masks() -> tuple[list[int], list[int], list[int], list[int]]:
-    spread = [_spread(v) for v in range(_TILE_LAST + 1)]
+    spread = [_spread(v) for v in range(1 << _TILE_BITS)]
     a_zero = reduce(or_, (1 << (bits << 1) for bits in spread))  # the cells with a = 0
     b_zero = reduce(or_, (1 << bits for bits in spread))  # the cells with b = 0
     a_lines = [a_zero << bits for bits in spread]
@@ -97,14 +98,15 @@ def _tile_masks() -> tuple[list[int], list[int], list[int], list[int]]:
 _A_LE, _A_GE, _B_LE, _B_GE = _tile_masks()
 
 
-def _tile_mask(a0: int, b0: int, a_lo: int, b_lo: int, a_hi: int, b_hi: int) -> int:
-    """The units of ``[a_lo, a_hi] x [b_lo, b_hi]`` in the tile whose first unit is ``(a0, b0)``; the two must meet."""
-    return (
-        _A_GE[max(a_lo - a0, 0)]
-        & _A_LE[min(a_hi - a0, _TILE_LAST)]
-        & _B_GE[max(b_lo - b0, 0)]
-        & _B_LE[min(b_hi - b0, _TILE_LAST)]
-    )
+def _block_mask(rect: CellRect, cfg: GridConfig, shift: int) -> int:
+    """The tile mask of the blocks of ``2^shift`` cells per side that a cell rectangle meets; 0 if it is empty."""
+    cx_lo, cy_lo, cx_hi, cy_hi = rect
+    if cx_lo > cx_hi or cy_lo > cy_hi:
+        return 0
+    n = cfg.cells_per_axis
+    if not (0 <= cx_lo and cx_hi < n and 0 <= cy_lo and cy_hi < n):
+        raise ValueError(f"cell rectangle {rect} outside {n}x{n} grid")
+    return _A_GE[cx_lo >> shift] & _A_LE[cx_hi >> shift] & _B_GE[cy_lo >> shift] & _B_LE[cy_hi >> shift]
 
 
 def z_encode(cell: tuple[int, int], cfg: GridConfig) -> int:
@@ -156,90 +158,41 @@ def z_corner_interval(rect: CellRect, cfg: GridConfig) -> tuple[int, int]:
     return z_encode((cx_lo, cy_lo), cfg), z_encode((cx_hi, cy_hi), cfg)
 
 
-def z_decompose(
-    rect: CellRect, cfg: GridConfig, min_block_shift: int = 0, minus: CellRect | None = None
-) -> list[tuple[int, int]]:
+def z_decompose(rect: CellRect, cfg: GridConfig, minus: CellRect | None = None) -> list[tuple[int, int]]:
     """Decompose a cell rectangle into maximal runs of consecutive Z-values.
 
-    With ``min_block_shift=0`` the result is exact: sorted, pairwise
-    disjoint, non-adjacent intervals whose union is precisely the set of
-    Z-values of cells in the rectangle.  A positive ``min_block_shift``
-    covers every block of ``2^shift`` cells per side that the rectangle
-    meets whole, yielding fewer, slightly wider intervals (a superset of
-    the exact ones); query code uses this to bound per-window interval
-    counts.
+    The grid is coarsened to one tile of at most 64 x 64 blocks, each
+    ``2^max(levels - 6, 0)`` cells per side: one cell on grids of up to 64
+    cells per side, where the runs are exact, and 16 cells on the
+    1024-cell query grid.  One AND of four precomputed tile masks gives the
+    blocks the rectangle meets, and the mask's runs of set bits are the
+    result: sorted, pairwise disjoint, non-adjacent intervals whose union
+    is the Z-values of those blocks, a superset of the rectangle's cells'.
+    Snapping to blocks bounds the number of intervals per window.
 
-    The rectangle is snapped to such blocks ("units").  A quadtree walk
-    over the unit grid emits fully covered blocks and stops at tiles of
-    64 x 64 units; each partly covered tile is finished with one AND of
-    four precomputed tile masks, whose runs of set bits are the tile's
-    runs of the curve.  Grids of at most 64 units per side are one tile.
-
-    ``minus``, a second cell rectangle, leaves out the units it meets: the
-    runs are those of ``rect`` with the runs of ``minus`` (at the same
-    shift) taken out.  The walk skips the blocks inside it, and a tile
-    that meets it ANDs its mask with the complement of ``minus``'s.  An
-    expanding search whose rectangles nest decomposes each one minus the
-    last, and so scans only what the last did not.
+    ``minus``, a second cell rectangle, leaves out the blocks it meets:
+    the mask is ANDed with the complement of ``minus``'s, so the runs are
+    those of ``rect`` with the runs of ``minus`` taken out.  An expanding
+    search whose rectangles nest decomposes each one minus the last, and
+    so scans only what the last did not.  Either rectangle may be empty;
+    one that reaches beyond the grid raises ``ValueError``.
     """
-    cx_lo, cy_lo, cx_hi, cy_hi = rect
-    if cx_lo > cx_hi or cy_lo > cy_hi:
+    shift = max(cfg.levels - _TILE_BITS, 0)
+    mask = _block_mask(rect, cfg, shift)
+    if minus is not None:
+        mask &= ~_block_mask(minus, cfg, shift)
+    if not mask:
         return []
-    n = cfg.cells_per_axis
-    if not (0 <= cx_lo and cx_hi < n and 0 <= cy_lo and cy_hi < n):
-        raise ValueError(f"cell rectangle {rect} outside {n}x{n} grid")
-
-    shift = min(max(min_block_shift, 0), cfg.levels)
-    # a is the coordinate on the even bits of the Z-value (x), b the one on the odd bits (y)
-    a_lo, b_lo, a_hi, b_hi = cx_lo >> shift, cy_lo >> shift, cx_hi >> shift, cy_hi >> shift
-    # the units left out; with no cell to leave out, a unit left of the grid, which no block meets
-    ma_lo = mb_lo = ma_hi = mb_hi = -1
-    if minus is not None and minus[0] <= minus[2] and minus[1] <= minus[3]:
-        ma_lo, mb_lo, ma_hi, mb_hi = (m >> shift for m in minus)
-    unit_bits = 2 * shift
+    # format() writes the highest bit first, so string index i is block top - i
+    # and searching from the end finds the runs lowest first; a run's '1's end
+    # at index j and start after the '0' before them
+    block_bits = 2 * shift
+    bits = format(mask, "b")
+    top = len(bits) - 1
+    end = len(bits)
     runs: list[tuple[int, int]] = []
-    stack = [(0, 0, cfg.levels - shift, 0)]
-    while stack:
-        a0, b0, side_bits, z0 = stack.pop()
-        last = (1 << side_bits) - 1
-        # the block's overlap with the left-out units: none, part, or all of it
-        clear = a0 > ma_hi or a0 + last < ma_lo or b0 > mb_hi or b0 + last < mb_lo
-        if not clear and ma_lo <= a0 and a0 + last <= ma_hi and mb_lo <= b0 and b0 + last <= mb_hi:
-            continue
-        if clear and a_lo <= a0 and a0 + last <= a_hi and b_lo <= b0 and b0 + last <= b_hi:
-            lo = z0 << unit_bits
-            hi = ((z0 + (1 << (2 * side_bits))) << unit_bits) - 1
-            if runs and runs[-1][1] + 1 == lo:
-                lo = runs.pop()[0]
-            runs.append((lo, hi))
-        elif side_bits <= _TILE_BITS:
-            mask = _tile_mask(a0, b0, a_lo, b_lo, a_hi, b_hi)
-            if not clear:
-                mask &= ~_tile_mask(a0, b0, ma_lo, mb_lo, ma_hi, mb_hi)
-                if not mask:
-                    continue
-            # format() writes the highest bit first, so string index i is unit
-            # top - i and searching from the end finds the runs lowest first;
-            # a run's '1's end at index j and start after the '0' before them
-            bits = format(mask, "b")
-            top = z0 + len(bits) - 1
-            end = len(bits)
-            first = len(runs)
-            while end > 0:
-                j = bits.rfind("1", 0, end)
-                end = bits.rfind("0", 0, j)
-                runs.append(((top - j) << unit_bits, ((top - end) << unit_bits) - 1))
-            # a tile's runs are maximal within it; only its first can continue the last tile's
-            if first and runs[first - 1][1] + 1 == runs[first][0]:
-                runs[first - 1 : first + 1] = [(runs[first - 1][0], runs[first][1])]
-        else:
-            side_bits -= 1
-            h = 1 << side_bits
-            quarter = h * h
-            # quadrants last to first, so the depth-first walk pops them in curve order
-            for q in (3, 2, 1, 0):
-                a = a0 + (q & 1) * h
-                b = b0 + (q >> 1) * h
-                if a <= a_hi and b <= b_hi and a + h > a_lo and b + h > b_lo:
-                    stack.append((a, b, side_bits, z0 + q * quarter))
+    while end > 0:
+        j = bits.rfind("1", 0, end)
+        end = bits.rfind("0", 0, j)
+        runs.append(((top - j) << block_bits, ((top - end) << block_bits) - 1))
     return runs

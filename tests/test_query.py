@@ -20,7 +20,6 @@ from pebtree.policy import (
     window_contains,
 )
 from pebtree.query import (
-    SCAN_BLOCK_SHIFT,
     BaselineQueryEngine,
     FriendLists,
     PebQueryEngine,
@@ -1243,7 +1242,7 @@ def test_whole_space_knn_is_the_whole_space_range_query(churned_instance):
         rect = (min(0.0, *xs), min(0.0, *ys), max(side, *xs), max(side, *ys))
         beyond += rect != (0.0, 0.0, side, side)
         cells = cells_covering(enlarge(rect, 0.0, q.t_q, peb.index.max_speeds, side), peb.grid)
-        assert z_decompose(cells, peb.grid, SCAN_BLOCK_SHIFT) == [(0, (1 << peb.grid.zv_bits) - 1)]
+        assert z_decompose(cells, peb.grid) == [(0, (1 << peb.grid.zv_bits) - 1)]
         traces = []
         for req in (PknnRequest(q.qid, q.qloc, len(current), q.t_q), PrqRequest(q.qid, rect, q.t_q)):
             peb.index.reset_io(cold=True)
@@ -1496,7 +1495,7 @@ class _MergingBaseline(BaselineQueryEngine):
         out = []
         for tid, label in self.index.live_partitions():
             cells = cells_covering(enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L), self.grid)
-            zivs = z_decompose(cells, self.grid, SCAN_BLOCK_SHIFT)
+            zivs = z_decompose(cells, self.grid)
             if scanned is not None:
                 done = scanned.setdefault(tid, [])
                 zivs = subtract_intervals(zivs, done)

@@ -1,9 +1,9 @@
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pebtree.query import SCAN_BLOCK_SHIFT
 from pebtree.zcurve import (
     GridConfig,
     cells_covering,
@@ -151,25 +151,40 @@ def test_decompose_matches_bruteforce(levels, data):
     assert z_corner_interval(rect, cfg) == (intervals[0][0], intervals[-1][1])
 
 
+def block_shift(cfg):
+    """The block side ``z_decompose`` snaps to, as a shift: at most 64 blocks per side."""
+    return max(cfg.levels - 6, 0)
+
+
+def covers(outer, inner):
+    """Whether each run of ``inner`` lies within one run of ``outer``; both sorted and disjoint."""
+    starts = [lo for lo, _ in outer]
+    for lo, hi in inner:
+        i = bisect_right(starts, lo) - 1
+        if i < 0 or outer[i][1] < hi:
+            return False
+    return True
+
+
 @settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_coarse_decompose_is_superset(data):
-    cfg = GridConfig(L=32.0, levels=5)
+@given(levels=st.integers(min_value=7, max_value=12), data=st.data())
+def test_coarse_decompose_is_superset(levels, data):
+    # above 64 cells per side the runs are of blocks, and cover the exact runs
+    cfg = GridConfig(L=1.0, levels=levels)
     n = cfg.cells_per_axis
     cx_lo = data.draw(st.integers(0, n - 1))
     cx_hi = data.draw(st.integers(cx_lo, n - 1))
     cy_lo = data.draw(st.integers(0, n - 1))
     cy_hi = data.draw(st.integers(cy_lo, n - 1))
     rect = (cx_lo, cy_lo, cx_hi, cy_hi)
-    exact = intervals_to_set(z_decompose(rect, cfg))
-    coarse = z_decompose(rect, cfg, min_block_shift=2)
-    coarse_set = intervals_to_set(coarse)
-    assert exact <= coarse_set
-    assert len(coarse) <= len(z_decompose(rect, cfg))
+    exact = recursive_decompose(rect, cfg)
+    coarse = z_decompose(rect, cfg)
+    assert covers(coarse, exact)
+    assert len(coarse) <= len(exact)
 
 
 @settings(max_examples=200, deadline=None)
-@given(levels=st.integers(min_value=4, max_value=7), data=st.data())
+@given(levels=st.integers(min_value=4, max_value=12), data=st.data())
 def test_scan_block_decompose_of_a_nested_rectangle_is_covered(levels, data):
     # the baseline kNN search relies on this: its rounds nest, so each
     # round's intervals contain every earlier round's
@@ -183,13 +198,13 @@ def test_scan_block_decompose_of_a_nested_rectangle_is_covered(levels, data):
     ax_hi = data.draw(st.integers(ax_lo, bx_hi))
     ay_lo = data.draw(st.integers(by_lo, by_hi))
     ay_hi = data.draw(st.integers(ay_lo, by_hi))
-    inner = z_decompose((ax_lo, ay_lo, ax_hi, ay_hi), cfg, SCAN_BLOCK_SHIFT)
-    outer = z_decompose((bx_lo, by_lo, bx_hi, by_hi), cfg, SCAN_BLOCK_SHIFT)
-    assert intervals_to_set(inner) <= intervals_to_set(outer)
+    inner = z_decompose((ax_lo, ay_lo, ax_hi, ay_hi), cfg)
+    outer = z_decompose((bx_lo, by_lo, bx_hi, by_hi), cfg)
+    assert covers(outer, inner)
 
 
 def recursive_decompose(rect, cfg, min_block_shift=0):
-    """The recursive quadtree walk that ``z_decompose`` replaced."""
+    """The recursive quadtree walk that ``z_decompose`` replaced, stopping at blocks of ``2^min_block_shift`` cells."""
     cx_lo, cy_lo, cx_hi, cy_hi = rect
     if cx_lo > cx_hi or cy_lo > cy_hi:
         return []
@@ -224,7 +239,7 @@ def recursive_decompose(rect, cfg, min_block_shift=0):
 
 
 def test_decompose_equals_recursive_walk():
-    # every rectangle of grids up to 8x8, at every block shift
+    # every rectangle of grids up to 8x8, where the runs are exact
     for levels in range(1, 4):
         cfg = GridConfig(L=1.0, levels=levels)
         n = cfg.cells_per_axis
@@ -232,37 +247,37 @@ def test_decompose_equals_recursive_walk():
         for x_lo, x_hi in spans:
             for y_lo, y_hi in spans:
                 rect = (x_lo, y_lo, x_hi, y_hi)
-                for shift in range(levels + 1):
-                    assert z_decompose(rect, cfg, shift) == recursive_decompose(rect, cfg, shift)
-    # random rectangles of the query grid, exact and at the query block shift
+                assert z_decompose(rect, cfg) == recursive_decompose(rect, cfg)
+    # grids of more than 64 cells per side, with rectangle edges on block
+    # borders, next to them and on the grid's edges
     rng = random.Random(29)
-    cfg = GridConfig(L=1000.0, levels=10)
+    for levels in range(7, 13):
+        cfg = GridConfig(L=1.0, levels=levels)
+        last = cfg.cells_per_axis - 1
+        unit = 1 << block_shift(cfg)
+        edges = {0, 1, last - 1, last}
+        for border in rng.sample(range(unit, last + 1, unit), 8):
+            edges.update((border - 1, border, border + unit - 1))
+        edges = sorted(edges)
+        for _ in range(40):
+            x_lo, x_hi = sorted(rng.sample(edges, 2))
+            y_lo, y_hi = sorted(rng.sample(edges, 2))
+            rect = (x_lo, y_lo, x_hi, y_hi)
+            assert z_decompose(rect, cfg) == recursive_decompose(rect, cfg, block_shift(cfg))
+
+
+def test_decompose_on_the_query_grid_snaps_to_sixteen_cell_blocks():
+    # the baseline engine's grid: 1024 cells per side in 64 x 64 blocks of 16 x 16 cells
+    cfg = GridConfig()
+    assert block_shift(cfg) == 4
+    rng = random.Random(37)
     last = cfg.cells_per_axis - 1
     for _ in range(300):
         x_lo, x_hi = sorted(rng.randint(0, last) for _ in range(2))
         y_lo, y_hi = sorted(rng.randint(0, last) for _ in range(2))
         rect = (x_lo, y_lo, x_hi, y_hi)
-        for shift in (0, SCAN_BLOCK_SHIFT):
-            assert z_decompose(rect, cfg, shift) == recursive_decompose(rect, cfg, shift)
-    # grids of more than one 64 x 64-unit tile, with rectangle edges on tile
-    # borders, next to them and on the grid's edges
-    for levels in range(7, 13):
-        cfg = GridConfig(L=1.0, levels=levels)
-        last = cfg.cells_per_axis - 1
-        for shift in sorted({0, 1, levels - 7, levels - 6, SCAN_BLOCK_SHIFT}):
-            unit = 1 << shift
-            tile = 64 * unit
-            edges = {0, 1, last - 1, last}
-            for border in range(0, last + 1, tile):
-                for cell in (border - unit, border - 1, border, border + unit - 1, border + unit):
-                    if 0 <= cell <= last:
-                        edges.add(cell)
-            edges = sorted(edges)
-            for _ in range(12):
-                x_lo, x_hi = sorted(rng.sample(edges, 2))
-                y_lo, y_hi = sorted(rng.sample(edges, 2))
-                rect = (x_lo, y_lo, x_hi, y_hi)
-                assert z_decompose(rect, cfg, shift) == recursive_decompose(rect, cfg, shift)
+        assert z_decompose(rect, cfg) == recursive_decompose(rect, cfg, 4)
+    assert z_decompose((0, 0, last, last), cfg) == [(0, (1 << cfg.zv_bits) - 1)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -270,16 +285,24 @@ def test_decompose_equals_recursive_walk():
     levels=st.integers(min_value=1, max_value=12),
     data=st.data(),
 )
-def test_decompose_equals_recursive_walk_at_every_shift(levels, data):
+def test_decompose_equals_recursive_walk_at_the_block_shift(levels, data):
     cfg = GridConfig(L=1.0, levels=levels)
     last = cfg.cells_per_axis - 1
-    shift = data.draw(st.integers(0, levels))
     x_lo = data.draw(st.integers(0, last))
     x_hi = data.draw(st.integers(x_lo, last))
     y_lo = data.draw(st.integers(0, last))
     y_hi = data.draw(st.integers(y_lo, last))
     rect = (x_lo, y_lo, x_hi, y_hi)
-    assert z_decompose(rect, cfg, shift) == recursive_decompose(rect, cfg, shift)
+    assert z_decompose(rect, cfg) == recursive_decompose(rect, cfg, block_shift(cfg))
+
+
+def test_decompose_refuses_a_rectangle_outside_the_grid():
+    cfg = GridConfig(L=8.0, levels=3)
+    for rect in [(0, 0, 8, 3), (-1, 0, 3, 3), (0, 0, 3, 8), (0, -1, 3, 3)]:
+        with pytest.raises(ValueError, match="outside 8x8 grid"):
+            z_decompose(rect, cfg)
+        with pytest.raises(ValueError, match="outside 8x8 grid"):
+            z_decompose((0, 0, 7, 7), cfg, rect)
 
 
 def subtract_intervals(new, covered):
@@ -317,11 +340,10 @@ def subtract_intervals(new, covered):
     data=st.data(),
 )
 def test_decompose_minus_a_rectangle_equals_subtracting_its_runs(levels, nested, data):
-    # up to 4 096 units a side, so rectangles span many 64 x 64-unit tiles;
-    # a nested rectangle is the baseline kNN search's last round
+    # up to 4 096 cells a side, in blocks of up to 64 cells; a nested
+    # rectangle is the baseline kNN search's last round
     cfg = GridConfig(L=1.0, levels=levels)
     last = cfg.cells_per_axis - 1
-    shift = data.draw(st.sampled_from([s for s in (0, 2, 4) if s <= levels] + [levels]))
     x_lo = data.draw(st.integers(0, last))
     x_hi = data.draw(st.integers(x_lo, last))
     y_lo = data.draw(st.integers(0, last))
@@ -336,11 +358,12 @@ def test_decompose_minus_a_rectangle_equals_subtracting_its_runs(levels, nested,
         mx_lo, mx_hi = sorted(data.draw(st.integers(0, last)) for _ in range(2))
         my_lo, my_hi = sorted(data.draw(st.integers(0, last)) for _ in range(2))
     minus = (mx_lo, my_lo, mx_hi, my_hi)
-    want = subtract_intervals(z_decompose(rect, cfg, shift), z_decompose(minus, cfg, shift))
-    assert z_decompose(rect, cfg, shift, minus) == want
+    shift = block_shift(cfg)
+    want = subtract_intervals(recursive_decompose(rect, cfg, shift), recursive_decompose(minus, cfg, shift))
+    assert z_decompose(rect, cfg, minus) == want
     # an empty rectangle, or none, leaves out nothing
-    whole = z_decompose(rect, cfg, shift)
-    assert z_decompose(rect, cfg, shift, (1, 1, 0, 0)) == z_decompose(rect, cfg, shift, None) == whole
+    whole = z_decompose(rect, cfg)
+    assert z_decompose(rect, cfg, (1, 1, 0, 0)) == z_decompose(rect, cfg, None) == whole
 
 
 def test_decompose_minus_the_last_round_on_the_query_grid():
@@ -354,10 +377,8 @@ def test_decompose_minus_the_last_round_on_the_query_grid():
         while True:
             square = (qx - radius, qy - radius, qx + radius, qy + radius)
             cells = cells_covering(square, cfg)
-            runs = z_decompose(cells, cfg, SCAN_BLOCK_SHIFT, prev)
-            assert runs == subtract_intervals(
-                z_decompose(cells, cfg, SCAN_BLOCK_SHIFT), z_decompose(prev, cfg, SCAN_BLOCK_SHIFT) if prev else []
-            )
+            runs = z_decompose(cells, cfg, prev)
+            assert runs == subtract_intervals(z_decompose(cells, cfg), z_decompose(prev, cfg) if prev else [])
             seen.extend(runs)
             if cells == (0, 0, cfg.cells_per_axis - 1, cfg.cells_per_axis - 1):
                 break
@@ -405,7 +426,7 @@ def test_cell_of_clamps_boundary():
 )
 def test_cells_covering_a_rectangle_that_misses_the_space_is_empty(rect):
     cfg = GridConfig(L=1000.0, levels=10)
-    assert z_decompose(cells_covering(rect, cfg), cfg, SCAN_BLOCK_SHIFT) == []
+    assert z_decompose(cells_covering(rect, cfg), cfg) == []
 
 
 def test_cells_covering_clamps_ends_beyond_the_space():
