@@ -21,9 +21,10 @@ check and the tests ask).  So the garbage collector tracks four objects
 per leaf, not one per record: a motion tuple holds only floats, and the
 collector untracks such tuples.
 
-Every page read goes through :meth:`BPlusTree.touch_page`, which charges
-it to the buffer; the benchmark's charged I/O is the number of buffer
-misses.  Queries read the tree through one leaf cursor,
+Every page read goes through :meth:`BPlusTree.touch_page`, the one place
+that charges a page to the buffer, and so does every page a split
+allocates; the benchmark's charged I/O is the number of buffer misses.
+Queries read the tree through one leaf cursor,
 :meth:`BPlusTree.scan_intervals`, which seeks through
 :meth:`BPlusTree.descend` and walks the leaf chain, so the charged pages
 are exactly the pages a query reads.  The cursor holds its leaf from one
@@ -115,8 +116,7 @@ ZERO_SPEEDS = DirectionalSpeeds(0.0, 0.0, 0.0, 0.0)
 class PageBuffer:
     """Strict LRU buffer of page ids with access counters.
 
-    A touch of a non-resident page counts as a miss (one charged I/O) and
-    evicts the least recently used page when full.
+    :meth:`BPlusTree.touch_page` charges every page read to it.
     """
 
     def __init__(self, capacity: int = BUFFER_PAGES) -> None:
@@ -126,21 +126,6 @@ class PageBuffer:
         self.misses = 0
         self.leaf_reads = 0
         self.leaf_misses = 0
-
-    def touch(self, page_id: int, leaf: bool) -> None:
-        """Access a page, counting a miss when it is not resident."""
-        self.reads += 1
-        if leaf:
-            self.leaf_reads += 1
-        if page_id in self._lru:
-            self._lru.move_to_end(page_id)
-            return
-        self.misses += 1
-        if leaf:
-            self.leaf_misses += 1
-        self._lru[page_id] = None
-        while len(self._lru) > self.capacity:
-            self._lru.popitem(last=False)
 
     def drop(self, page_id: int) -> None:
         self._lru.pop(page_id, None)
@@ -258,17 +243,33 @@ class BPlusTree:
         node = Node(self._next_page, leaf)
         self._next_page += 1
         self.pages[node.page_id] = node
-        self.buffer.touch(node.page_id, leaf)
-        return node
+        return self.touch_page(node.page_id)
 
     def _free(self, node: Node) -> None:
         del self.pages[node.page_id]
         self.buffer.drop(node.page_id)
 
     def touch_page(self, page_id: int) -> Node:
-        """Read a page, charging the access to the buffer."""
+        """Read a page, charging the access to the buffer.
+
+        A page not resident counts as a miss (one charged I/O) and evicts
+        the least recently used page when the buffer is full.
+        """
         node = self.pages[page_id]
-        self.buffer.touch(page_id, node.leaf)
+        buf = self.buffer
+        lru = buf._lru
+        buf.reads += 1
+        if node.leaf:
+            buf.leaf_reads += 1
+        if page_id in lru:
+            lru.move_to_end(page_id)
+            return node
+        buf.misses += 1
+        if node.leaf:
+            buf.leaf_misses += 1
+        lru[page_id] = None
+        if len(lru) > buf.capacity:
+            lru.popitem(last=False)
         return node
 
     # -- descent ------------------------------------------------------------
@@ -374,10 +375,11 @@ class BPlusTree:
                 return
             parent, idx = path.pop()
             left = self.touch_page(parent.children[idx - 1]) if idx > 0 else None
-            right = self.touch_page(parent.children[idx + 1]) if idx + 1 < len(parent.children) else None
             if left is not None and _fill(left) > half:
                 _borrow(parent, idx - 1, left, node, to_right=True)
                 return
+            # the right sibling is read only when the left cannot lend
+            right = self.touch_page(parent.children[idx + 1]) if idx + 1 < len(parent.children) else None
             if right is not None and _fill(right) > half:
                 _borrow(parent, idx, node, right, to_right=False)
                 return
@@ -649,6 +651,11 @@ class MovingObjectIndex:
         (a uid outside ``[0, 2**63)``, a field that is not a finite number, or
         a target partition that still holds entries under another label)
         raises ``ValueError``.  Either way the index is left as it was.
+
+        An update is a delete and an insert, each a descent from the root.
+        :meth:`BPlusTree.touch_page` charges every page either reads: an
+        underflowing leaf's left sibling and then, only when the left cannot
+        lend, its right one, and each page a split allocates.
         """
         old = self._current.get(obj.uid)
         if old is None:  # an indexed uid was checked when it came in

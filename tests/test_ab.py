@@ -47,20 +47,42 @@ def test_compare_counts_wins_by_each_metric_direction():
     spec = ab.load_spec()
     base = [result(setup_s=s, update_per_s=u) for s, u in ((1.0, 100.0), (1.2, 90.0), (1.1, 95.0))]
     change = [result(setup_s=s, update_per_s=u) for s, u in ((0.8, 110.0), (0.9, 80.0), (1.0, 99.0))]
-    lines, correct, io_same = ab.compare(base, change, spec)
+    lines, correct, moved = ab.compare(base, change, spec)
     rows = {line.split()[0]: line for line in lines[1:-1]}
     # lower is better for set-up, higher for update throughput; a gain needs
     # nine tenths of the pairs and a margin beyond the base's quartiles
     assert rows["setup_s"].split()[-3:-1] == ["3", "gain"]
     assert rows["update_per_s"].split()[-2] == "2"
     assert rows["peb_knn_io"].split()[-2] == "0"  # ties win nothing
-    assert correct and io_same
+    assert correct and moved == []
 
 
 def test_compare_flags_moved_io_and_failed_runs():
     spec = ab.load_spec()
-    lines, correct, io_same = ab.compare([result(), result()], [result(), result(peb_knn_io=5.5)], spec)
-    assert correct and not io_same
+    lines, correct, moved = ab.compare([result(), result()], [result(), result(peb_knn_io=5.5)], spec)
+    assert correct and moved == ["peb_knn_io"]
     assert "I/O MOVED" in next(line for line in lines if line.startswith("peb_knn_io"))
-    _, correct, io_same = ab.compare([result()], [result(correct=False, failed=3)], spec)
-    assert not correct and io_same
+    _, correct, moved = ab.compare([result()], [result(correct=False, failed=3)], spec)
+    assert not correct and moved == []
+
+
+@pytest.mark.parametrize(
+    "may_move, status",
+    [([], 1), (["update_io"], 0), (["update_io", "peb_pages"], 0), (["peb_pages"], 1), (["peb_knn_io"], 1)],
+)
+def test_only_the_named_io_metrics_may_move(monkeypatch, capsys, may_move, status):
+    # the change moves update_io alone; each run of a side returns that side's result
+    monkeypatch.setattr(ab, "side_tree", lambda spec, stack: Path(spec))
+    monkeypatch.setattr(ab, "run_once", lambda tree, *_: result(update_io=3.0 if tree.name == "base" else 2.8))
+    argv = ["--base", "base", "--change", "change", "--workload", "paper-default", "--seed", "7", "--pairs", "2"]
+    assert ab.main(argv + (["--io-may-move", *may_move] if may_move else [])) == status
+    out = capsys.readouterr().out
+    assert "I/O MOVED" in next(line for line in out.splitlines() if line.startswith("update_io"))
+    assert ("I/O moved outside --io-may-move: update_io" in out) == bool(status)
+
+
+def test_io_may_move_refuses_a_name_that_is_not_an_io_metric(capsys):
+    argv = ["--base", ".", "--change", ".", "--workload", "paper-default", "--seed", "7", "--pairs", "1"]
+    with pytest.raises(SystemExit):
+        ab.main(argv + ["--io-may-move", "update_per_s"])
+    assert "--io-may-move update_per_s: not one of the I/O metrics" in capsys.readouterr().err

@@ -20,9 +20,12 @@ distance between the base's quartiles, ``worse`` when its median is
 worse than the base's by more than the metric's bound.
 
 The exit status is 1 when a run is not correct or failed an operation, or
-when an I/O value (every ``*_io`` metric and ``peb_pages``) takes more than
-one value over all runs, unless ``--io-may-move`` says the change moves
-I/O; it is 0 otherwise.
+when an I/O metric (every ``*_io`` metric and ``peb_pages``) takes more than
+one value over all runs and is not named after ``--io-may-move``; it is 0
+otherwise.  So a change that means to move ``update_io`` alone shows that
+every other I/O value held with
+
+    python3 tools/ab.py --base HEAD~1 --change . --workload paper-default --seed 7 --pairs 10 --io-may-move update_io
 """
 
 from __future__ import annotations
@@ -81,15 +84,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def is_io(name: str) -> bool:
+    """Whether a metric counts pages, which must not move unless the change means to move it."""
+    return name.endswith("_io") or name == "peb_pages"
+
+
 def fmt(value: float) -> str:
     return f"{value:.4g}" if abs(value) < 1e4 else f"{value:.0f}"
 
 
-def compare(base: list[dict], change: list[dict], spec: dict) -> tuple[list[str], bool, bool]:
-    """The report lines for runs paired by position, and whether the I/O and correctness checks hold."""
+def compare(base: list[dict], change: list[dict], spec: dict) -> tuple[list[str], bool, list[str]]:
+    """The report lines for runs paired by position, whether every run is correct, and the I/O metrics that moved."""
     known = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
     lines = [f"{'metric':<18} {'base median (q1-q3)':>28} {'change median (q1-q3)':>28} {'delta':>8}  won  verdict"]
-    io_same = True
+    moved = []
     for name, metric in base[0]["metrics"].items():
         b = [r["metrics"][name]["value"] for r in base]
         c = [r["metrics"][name]["value"] for r in change]
@@ -103,17 +111,18 @@ def compare(base: list[dict], change: list[dict], spec: dict) -> tuple[list[str]
             verdict = "gain"
         elif "bound" in known.get(name, {}) and bm and -gain / bm > known[name]["bound"]:
             verdict = "worse"
-        if (name.endswith("_io") or name == "peb_pages") and len(set(b + c)) > 1:
-            io_same, verdict = False, "I/O MOVED"
+        if is_io(name) and len(set(b + c)) > 1:
+            moved.append(name)
+            verdict = "I/O MOVED"
         cells = f"{fmt(bm)} ({fmt(bq1)}-{fmt(bq3)})", f"{fmt(cm)} ({fmt(cq1)}-{fmt(cq3)})"
         lines.append(f"{name:<18} {cells[0]:>28} {cells[1]:>28} {delta:>+8.1%}  {won:>3}  {verdict}  [{metric['unit']}]")
     runs = base + change
     correct = all(r["correct"] and r["failed"] == 0 for r in runs)
     lines.append(
         f"{len(base)} pairs; every run correct with 0 failed operations: {correct}; "
-        f"every I/O value and peb_pages one value on both sides: {io_same}"
+        f"every I/O value and peb_pages one value on both sides: {not moved}"
     )
-    return lines, correct, io_same
+    return lines, correct, moved
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -124,10 +133,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--io-may-move", action="store_true", help="do not fail when an I/O value differs")
+    parser.add_argument(
+        "--io-may-move", nargs="+", default=[], metavar="METRIC", help="I/O metrics the change may move, e.g. update_io"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs {args.pairs} is below 1")
+    spec = load_spec()
+    io_names = [m["name"] for m in spec["end_to_end"] if is_io(m["name"])]
+    for name in args.io_may_move:
+        if name not in io_names:
+            parser.error(f"--io-may-move {name}: not one of the I/O metrics {', '.join(io_names)}")
     with ExitStack() as stack:
         trees = {"base": side_tree(args.base, stack), "change": side_tree(args.change, stack)}
         results: dict[str, list[dict]] = {"base": [], "change": []}
@@ -136,9 +152,12 @@ def main(argv: list[str] | None = None) -> int:
                 results[side].append(run_once(trees[side], args.workload, args.seed, args.seconds))
             print(f"pair {pair} of {args.pairs} done", file=sys.stderr)
     print(f"{args.workload}, seed {args.seed}, --seconds {args.seconds:g}: base {args.base}, change {args.change}")
-    lines, correct, io_same = compare(results["base"], results["change"], load_spec())
+    lines, correct, moved = compare(results["base"], results["change"], spec)
     print("\n".join(lines))
-    return 0 if correct and (io_same or args.io_may_move) else 1
+    unexpected = [name for name in moved if name not in args.io_may_move]
+    if unexpected:
+        print(f"I/O moved outside --io-may-move: {', '.join(unexpected)}")
+    return 0 if correct and not unexpected else 1
 
 
 if __name__ == "__main__":
