@@ -75,7 +75,7 @@ SWEEPS = {
     "updates": (None, (None,)),
 }
 UPDATE_ROUNDS = 8
-UPDATE_FRACTION = 0.25
+ROUNDS_PER_INTERVAL = 4  # update rounds per maximum update interval
 # the range and kNN methods of each index kind's query engine
 QUERY_METHODS = {"peb": ("prq", "pknn"), "bx": ("range_query", "knn_query")}
 KNN_TOLERANCE = 1e-9  # distance slack when comparing kNN answers
@@ -142,22 +142,21 @@ def build_instance(cfg: WorkloadConfig) -> Instance:
 
 
 def run_update_round(inst: Instance) -> None:
-    """Advance time one quarter of the update interval and refresh the
-    least recently updated quarter of the objects."""
-    step = inst.peb.time_cfg.delta_t_mu * UPDATE_FRACTION
-    inst.now += step
+    """Advance time one :data:`ROUNDS_PER_INTERVAL`'th of the update
+    interval and refresh the least recently updated share of the objects."""
+    inst.now += inst.peb.time_cfg.delta_t_mu / ROUNDS_PER_INTERVAL
     inst.world.advance(inst.now)
     uids = sorted(inst.objects)
-    # ceiling division: every object must re-report within four rounds to
-    # honor the maximum update interval
-    quarter = -(-len(uids) // 4) or len(uids)
+    # ceiling division: every object must re-report within ROUNDS_PER_INTERVAL
+    # rounds, one interval, to honor the maximum update interval
+    share = -(-len(uids) // ROUNDS_PER_INTERVAL)
     start = inst.update_cursor
-    for i in range(start, min(start + quarter, len(uids))):
+    for i in range(start, min(start + share, len(uids))):
         obj = inst.world.report(uids[i])
         inst.peb.update(obj)
         inst.bx.update(obj)
         inst.objects[obj.uid] = obj
-    inst.update_cursor = start + quarter
+    inst.update_cursor = start + share
     if inst.update_cursor >= len(uids):
         inst.update_cursor = 0
 
@@ -269,7 +268,7 @@ def point_rows(inst: Instance, oracle_every: int = 1, round_no: int = 0) -> list
         for query_type, queries in (("range", range_queries), ("knn", knn_queries)):
             stats = run_query_batch(inst, engine_name, queries, oracle_every)
             estimate = ""
-            if engine_name == "peb" and query_type == "range":
+            if engine_name == "peb" and query_type == "range" and cfg.policies_per_user:  # the model needs a policy
                 estimate = cost_c1(cfg.policies_per_user, cfg.theta, leaf_count)
             rows.append(
                 {

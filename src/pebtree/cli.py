@@ -110,14 +110,18 @@ def _data_from_args(args: argparse.Namespace):
 
 def cmd_gen(args) -> int:
     cfg = _workload_from_args(args)
+    # a workload the generators refuse is a usage error, met before any file is written
+    try:
+        objects, _ = make_world(cfg)
+        policies, graph = gen_policies([o.uid for o in objects], cfg)
+        queries = list(gen_queries(cfg, "range", objects)) + list(gen_queries(cfg, "knn", objects))
+    except ValueError as exc:
+        args.parser.error(str(exc))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    objects, _ = make_world(cfg)
-    policies, graph = gen_policies([o.uid for o in objects], cfg)
     save_objects(objects, out / "objects.csv")
     save_policies(policies, out / "policies.csv")
     save_relationships(graph, out / "relationships.csv")
-    queries = list(gen_queries(cfg, "range", objects)) + list(gen_queries(cfg, "knn", objects))
     save_queries(queries, out / "queries.csv")
     save_config(cfg, out / "config.txt")
     print(f"wrote {len(objects)} objects, {len(policies)} policies, {len(queries)} queries to {out}")
@@ -196,7 +200,12 @@ def cmd_cost(args) -> int:
 
 def cmd_preproc(args) -> int:
     base = _workload_from_args(args)
-    rows = measure_preprocessing(base, ns=tuple(args.sizes) if args.sizes else DESK_USER_SWEEP)
+    rows = []
+    for n in args.sizes or DESK_USER_SWEEP:
+        try:  # a size the policy generator refuses is a usage error
+            rows += measure_preprocessing(base, ns=(n,))
+        except ValueError as exc:
+            args.parser.error(f"size {n}: {exc}")
     write_csv(rows, args.out, ["N", "seconds", "seed"])
     for row in rows:
         print(f"N={row['N']}: {row['seconds']:.3f}s")

@@ -24,9 +24,9 @@ checks the columns in one pass, which also finds the owners whose policies
 may weigh nothing, then builds the maps one owner at a time, from each run
 of rows with one owner, in C-level passes rather than one Python step per
 row.  Visibility checks and :meth:`CompatibilityIndex.from_store` read
-the columns in place, gathering a viewer's owners and windows over its
-rows; a :class:`LocationPrivacyPolicy` record is built only on demand,
-when a table is iterated (the file writer does this).
+the columns in place; :meth:`PolicyStore.active_rows` gathers a viewer's
+owners and windows over its rows.  A :class:`LocationPrivacyPolicy` record
+is built only on demand, when a table is iterated (the file writer does this).
 
 Sequence value assignment ranks every user by its related count, reads
 every user's two-way partners, but the related users of its anchors only
@@ -352,11 +352,25 @@ class PolicyStore:
         """Users holding a policy toward ``viewer`` (the viewer's friend set), ascending."""
         return list(_gather(self.policies.owner, self.policy_rows(viewer)))
 
-    def windows(self, viewer: int) -> tuple[tuple[int, ...], tuple, tuple, tuple]:
-        """The rows of :meth:`policy_rows`, with each one's owner, ``t_lo`` and ``t_hi``."""
+    def active_rows(self, viewer: int, t: float) -> dict[int, int]:
+        """The row of each policy toward ``viewer`` whose daily window holds ``t``, by owner.
+
+        :func:`window_contains` over the rows of :meth:`policy_rows`, in
+        ascending owner order, with ``t % day`` taken once and the window
+        ends gathered from the columns.  Raises ``KeyError`` for an unknown
+        viewer.
+        """
+        self.check_user(viewer)
         rows = self.policy_rows(viewer)
-        table = self.policies
-        return rows, _gather(table.owner, rows), _gather(table.t_lo, rows), _gather(table.t_hi, rows)
+        table, day = self.policies, self.day
+        tm = t % day
+        return {
+            owner: row
+            for owner, row, lo, hi in zip(
+                _gather(table.owner, rows), rows, _gather(table.t_lo, rows), _gather(table.t_hi, rows)
+            )
+            if ((lo <= tm < hi) if lo <= hi else (lo <= tm < day or tm < hi))
+        }
 
     def check_user(self, uid: int) -> None:
         if uid not in self.users:

@@ -2,36 +2,36 @@
 
 Two engines answer the same queries:
 
-* :class:`PebQueryEngine` runs against the policy-embedded index.  Both
-  of its queries are one owner scan.  It first checks each friend owner's
-  daily policy window at the query time, from the issuer's policy rows and
-  their window ends, which the policy store gathers without reading a
-  page, and holds the row of each owner that passes.  An owner's key prefix
-  ``partition | sequence value`` names its (friend row, partition) pair,
-  so the engine sorts the active owners' keys, from the index's uid -> key
-  map, and scans only the prefixes that hold one, each over one interval
-  from its first active owner's key to its last.  One scan of the tree's
-  leaf cursor reads these intervals in ascending order, across partitions;
-  it ends a prefix's interval at the entry that meets the prefix's count of
-  active owners (a user has only one location), holds its leaf from one
-  interval to the next and seeks only when an interval starts beyond it.
-  An owner entry found is verified by the query window, if any, and the
-  region of its held row; a kNN query ranks the verified owners by
-  distance.  Unlike the paper's range algorithm, no window is enlarged or
-  decomposed into curve intervals: a prefix span holds a few entries on
-  one or two leaves, so a window would save few pages.
+* :class:`PebQueryEngine` runs against the policy-embedded index.  Both of
+  its queries are one owner scan over the issuer's active owners (see
+  below).  An owner's key prefix ``partition | sequence value`` names its
+  (friend row, partition) pair, so the engine sorts the active owners'
+  keys, from the index's uid -> key map, and scans only the prefixes that
+  hold one, each over one interval from its first active owner's key to
+  its last.  One scan of the tree's leaf cursor reads these intervals in
+  ascending order, across partitions; it ends a prefix's interval at the
+  entry that meets the prefix's count of active owners (a user has only
+  one location), holds its leaf from one interval to the next and seeks
+  only when an interval starts beyond it.  An owner entry found is
+  verified by the query window, if any, and the region of its held row; a
+  kNN query ranks the verified owners by distance.  Unlike the paper's
+  range algorithm, no window is enlarged or decomposed into curve
+  intervals: a prefix span holds a few entries on one or two leaves, so a
+  window would save few pages.
 
 * :class:`BaselineQueryEngine` runs against the baseline index: a plain
   spatial query first, policy filtering after, with kNN by incrementally
   expanded range queries, each round scanning only the blocks the last
   round's square did not cover.  It searches space without the friend
   list, so the pages it reads are the paper's baseline cost.  Each
-  candidate is looked up in a map from the issuer's owners to their policy
-  rows (:meth:`~pebtree.policy.PolicyStore.policy_rows`), and a held row is
-  checked in place; answers and I/O are those of checking every
-  candidate's policy.
+  candidate is looked up among the issuer's active owners, and a held
+  row's region is checked in place; answers and I/O are those of checking
+  every candidate's policy.
 
-Both engines read the tree only through
+Both engines take the issuer's active owners, those whose policy window
+toward it holds ``t_q``, with their policy rows from one call of
+:meth:`~pebtree.policy.PolicyStore.active_rows`, which reads no page, and
+read the tree only through
 :meth:`~pebtree.store.BPlusTree.scan_intervals`, so a query's charged I/O
 is the buffer misses of the pages it reads.  Its visitor takes a leaf slice
 at a time.  The baseline engine's slices run through the whole window, so
@@ -59,8 +59,8 @@ from typing import Callable, Iterable, Iterator
 
 from .keys import KeyLayout, SequenceValueMap
 from .motion import MovingObject
-from .policy import PolicyStore, PolicyTable, window_contains
-from .store import DirectionalSpeeds, MovingObjectIndex, Node, Record
+from .policy import PolicyStore, window_contains
+from .store import DirectionalSpeeds, MovingObjectIndex, Node
 from .zcurve import CellRect, cells_covering, z_decompose
 from .zcurve import z_corner_interval  # noqa: F401  perfbench/harness.py's tracer wraps it by this name
 
@@ -126,17 +126,10 @@ def enlarge(rect: Rect, t_lab: float, t_q: float, speeds: DirectionalSpeeds, spa
     """
     x_lo, y_lo, x_hi, y_hi = rect
     gap = t_q - t_lab
-    if gap >= 0:
-        # labels in the past: an object now inside drifted in since t_lab
-        x_lo -= speeds.pos_x * gap
-        x_hi += speeds.neg_x * gap
-        y_lo -= speeds.pos_y * gap
-        y_hi += speeds.neg_y * gap
-    else:
-        x_lo -= speeds.neg_x * -gap
-        x_hi += speeds.pos_x * -gap
-        y_lo -= speeds.neg_y * -gap
-        y_hi += speeds.pos_y * -gap
+    # labels in the past: an object now inside drifted in since t_lab; labels ahead mirror the directions
+    pos_x, neg_x, pos_y, neg_y = speeds if gap >= 0 else (speeds.neg_x, speeds.pos_x, speeds.neg_y, speeds.pos_y)
+    gap = abs(gap)
+    x_lo, y_lo, x_hi, y_hi = x_lo - pos_x * gap, y_lo - pos_y * gap, x_hi + neg_x * gap, y_hi + neg_y * gap
     return (max(x_lo, 0.0), max(y_lo, 0.0), min(x_hi, space_side), min(y_hi, space_side))
 
 
@@ -170,19 +163,15 @@ def antidiagonal_order(n_rows: int, n_cols: int) -> Iterator[tuple[int, int]]:
 TraversalOrder = Callable[[int, int], Iterator[tuple[int, int]]]
 
 
-def _row_visible(p: PolicyTable, row: int, x: float, y: float, t: float) -> bool:
-    # the policy's columns are read where they are, with no record built
+def _visible(store: PolicyStore, owner: int, viewer: int, x: float, y: float, t: float) -> bool:
+    # the oracles' test: no id validation here, and the policy's columns are read where they are
+    row, p = store.row(owner, viewer), store.policies
     return (
-        p.x_lo[row] <= x <= p.x_hi[row]
+        row is not None
+        and p.x_lo[row] <= x <= p.x_hi[row]
         and p.y_lo[row] <= y <= p.y_hi[row]
         and window_contains(p.t_lo[row], p.t_hi[row], p.day, t)
     )
-
-
-def _visible(store: PolicyStore, owner: int, viewer: int, x: float, y: float, t: float) -> bool:
-    # the oracles' test: no id validation here
-    row = store.row(owner, viewer)
-    return row is not None and _row_visible(store.policies, row, x, y, t)
 
 
 Rows = tuple[tuple[int, tuple[int, ...]], ...]
@@ -193,9 +182,9 @@ class FriendLists:
 
     Each user's sequence value is quantized once, here.  Nothing else is
     kept: each call reads the policy store afresh, so the lists follow the
-    store and no query fills a cache.  The engine reads the store's
-    :meth:`~pebtree.policy.PolicyStore.windows` instead; these lists remain
-    for the benchmark's friend-row count.
+    store and no query fills a cache.  The engines read the store's
+    :meth:`~pebtree.policy.PolicyStore.active_rows` instead; these lists
+    remain for the benchmark's friend-row count.
     """
 
     def __init__(self, store: PolicyStore, sv_map: SequenceValueMap, layout: KeyLayout) -> None:
@@ -248,53 +237,42 @@ class PebQueryEngine(_EngineBase):
     ) -> list[tuple[int, float, float]]:
         """``(uid, x, y)`` at ``t_q`` of each owner visible to ``qid`` in ``rect``.
 
-        An owner counts only while its policy toward ``qid`` is active: its
-        daily window holds ``t_q``, by :func:`~pebtree.policy.window_contains`'s
-        test on the window ends :meth:`~pebtree.policy.PolicyStore.windows`
-        gathers, with ``t_q % day`` taken once.  That is the window half of
-        the visibility test, so skipping the others changes no answer, and
-        the check reads no page.  Each active owner's policy row is held for
-        the region half.  The active owners' keys, from the index's
-        uid -> key map, give each one's prefix ``partition | sequence
-        value``: its (friend row, partition) pair, with the partition in the
-        key's top field.  One pass over the sorted keys splits them per
-        prefix.  Each prefix that holds an active owner gives one interval,
-        from its first active owner's key to its last, and one leaf-cursor
-        scan reads the intervals of every live partition, taken in ``order(n,
-        1)`` over their ascending list, which must yield them ascending.
-        The cursor holds its leaf from one interval to the next, so an
-        interval whose first owner lies on that leaf, in the same partition
-        or the next, is read without a seek from the root.  ``visit`` ends
-        an interval at the entry that meets its prefix's count of active
-        owners (a user has only one location), so the scan reads no leaf
-        for it past the one that holds the prefix's last active owner.  Each
-        record of a leaf slice the scan hands over is looked up among the
-        active owners by its uid; only an active owner's motion record is
-        read, extrapolated to ``t_q`` and verified against ``rect`` and the
-        region of its held row.  ``rect=None`` is the whole space.  A window
-        that does not meet the space, ``[0, space_side]`` on each axis, holds
-        no visible owner, since the policy store refuses a region beyond the
-        space, so it is answered empty before any read.
+        An owner counts only while its policy toward ``qid`` is active, its
+        daily window holding ``t_q``, as
+        :meth:`~pebtree.policy.PolicyStore.active_rows` finds without reading a
+        page.  That is the window half of the visibility test, so skipping the
+        others changes no answer.  Each active owner's policy row is held for
+        the region half.  The active owners' keys, from the index's uid -> key
+        map, give each one's prefix ``partition | sequence value``: its (friend
+        row, partition) pair, with the partition in the key's top field.  One
+        pass over the sorted keys splits them per prefix.  Each prefix that
+        holds an active owner gives one interval, from its first active owner's
+        key to its last, and one leaf-cursor scan reads the intervals of every
+        live partition, taken in ``order(n, 1)`` over their ascending list,
+        which must yield them ascending.  The cursor holds its leaf from one
+        interval to the next, so an interval whose first owner lies on that
+        leaf, in the same partition or the next, is read without a seek from
+        the root.  ``visit`` ends an interval at the entry that meets its
+        prefix's count of active owners (a user has only one location), so the
+        scan reads no leaf for it past the one that holds the prefix's last
+        active owner.  Each record of a leaf slice the scan hands over is
+        looked up among the active owners by its uid; only an active owner's
+        motion record is read, extrapolated to ``t_q`` and verified against
+        ``rect`` and the region of its held row.  ``rect=None`` is the whole
+        space.  A window that does not meet the space, ``[0, space_side]`` on
+        each axis, holds no visible owner, since the policy store refuses a
+        region beyond the space, so it is answered empty before any read.
         """
         store = self.store
-        store.check_user(qid)
+        # an owner whose window misses t_q is not visible, so it is not scanned
+        active = store.active_rows(qid, t_q)
         x_lo, y_lo, x_hi, y_hi = rect or (-math.inf, -math.inf, math.inf, math.inf)
         side = store.space_side
         if x_hi < 0.0 or y_hi < 0.0 or x_lo > side or y_lo > side:
             return []
-        rows, owners, t_lo, t_hi = store.windows(qid)
         index = self.index
         tree = index.tree
         zv_bits = self.layout.zv_bits
-        day = store.day
-        tm = t_q % day
-        # window_contains(lo, hi, day, t_q), with t_q % day taken once: an
-        # owner whose window misses t_q is not visible, so it is not scanned
-        active = {
-            uid: row
-            for uid, row, lo, hi in zip(owners, rows, t_lo, t_hi)
-            if ((lo <= tm < hi) if lo <= hi else (lo <= tm < day or tm < hi))
-        }
         p = store.policies
         rx_lo, ry_lo, rx_hi, ry_hi = p.x_lo, p.y_lo, p.x_hi, p.y_hi
         # the active owners' keys, ascending; an owner that is not indexed has none
@@ -383,13 +361,14 @@ class BaselineQueryEngine(_EngineBase):
     """Spatial-index-then-filter query processor for the baseline index.
 
     The search reads every candidate in space, as the baseline must without
-    the friend list.  The filter then looks each candidate up in a map from
-    the owners naming the issuer to the rows of their policies toward it,
-    built once per query, drops the candidates it does not hold and checks
-    the held row's region and window.  A dropped candidate holds no policy
-    toward the issuer, so answers and page reads do not depend on the map.
-    The lookup is one C-level pass over each leaf slice's uid column, and
-    only a held owner's motion record is read.
+    the friend list.  The filter then looks each candidate up among the
+    owners whose policy toward the issuer is active at ``t_q``, with the
+    rows :meth:`~pebtree.policy.PolicyStore.active_rows` gathers once per
+    query, drops the candidates it does not hold and checks the held row's
+    region.  A dropped candidate is not visible to the issuer, so answers
+    and page reads do not depend on the map.  The lookup is one C-level
+    pass over each leaf slice's uid column, and only a held owner's motion
+    record is read.
     """
 
     def __init__(self, index: MovingObjectIndex, store: PolicyStore) -> None:
@@ -397,79 +376,79 @@ class BaselineQueryEngine(_EngineBase):
             raise ValueError("engine requires a baseline index")
         super().__init__(index, store)
 
-    def _held_rows(self, qid: int) -> dict[int, int]:
-        """The row of each owner's policy toward ``qid``, by owner."""
-        store = self.store
-        return dict(zip(store.owners_naming(qid), store.policy_rows(qid)))
-
-    def _spatial_candidates(
-        self, rect: Rect, t_q: float, held: dict[int, int], scanned: dict[int, CellRect] | None = None
-    ) -> list[tuple[int, Record]]:
-        """``(uid, record)`` of each entry the window scan retrieves for this rectangle whose owner ``held`` holds.
+    def _visible_in(
+        self, rect: Rect, t_q: float, active: dict[int, int], window: Rect | None, scanned: dict[int, CellRect]
+    ) -> list[tuple[int, float, float]]:
+        """``(uid, x, y)`` at ``t_q`` of each owner in ``active`` that the window scan of ``rect`` finds visible.
 
         Every entry in the window is read; each leaf slice is filtered
-        against ``held`` in one pass over its uid column, and only a held
-        owner's record is taken.  ``scanned`` carries each partition's cell
-        rectangle of the last round of an incremental search, and only the
-        rest is scanned: the window's cells are decomposed minus that
-        rectangle's.  ``z_decompose`` snaps a window to the blocks it meets,
-        16 cells per side on the 1024-cell grid, so the window's intervals
-        cover a few keys beyond it, and the filter drops them.  Rounds
-        nest, and a window's intervals cover exactly the blocks it meets,
-        so the last round's rectangle covers every earlier round's blocks,
-        and this round's replaces it.
+        against ``active`` in one pass over its uid column, and only an
+        active owner's record is read, extrapolated to ``t_q`` and verified
+        against ``window``, then the region of its active row.
+        ``window=None`` is the whole space.  ``scanned`` carries each
+        partition's cell rectangle of the last round of an incremental
+        search, and only the rest is scanned: the window's cells are
+        decomposed minus that rectangle's.  ``z_decompose`` snaps a window
+        to the blocks it meets, 16 cells per side on the 1024-cell grid, so
+        the window's intervals cover a few keys beyond it, and the window
+        test drops them.  Rounds nest, and a window's intervals cover exactly
+        the blocks it meets, so the last round's rectangle covers every
+        earlier round's blocks, and this round's replaces it.  So no entry
+        is handed over twice in one search.
         """
-        out: list[tuple[int, Record]] = []
+        found: list[tuple[int, float, float]] = []
+        x_lo, y_lo, x_hi, y_hi = window or (-math.inf, -math.inf, math.inf, math.inf)
+        p = self.store.policies
+        rx_lo, ry_lo, rx_hi, ry_hi = p.x_lo, p.y_lo, p.x_hi, p.y_hi
         layout = self.layout
         tree = self.index.tree
-        owners = held.keys()
+        # a set: most uids looked up are no owner's, and a set's probes answer that
+        # sooner than a dict's of few keys, whose index table is fuller
+        owners = set(active)
 
         def visit(leaf: Node, i: int, j: int) -> None:
             uids = leaf.uids[i:j]
             if owners.isdisjoint(uids):  # most slices hold no owner, and one C-level pass skips them
                 return
             recs = leaf.recs
-            for r in compress(range(i, j), map(held.__contains__, uids)):
-                out.append((leaf.uids[r], recs[r]))
+            for r in compress(range(i, j), map(owners.__contains__, uids)):
+                uid = leaf.uids[r]
+                row = active[uid]
+                x, y, vx, vy, t = recs[r]
+                px = x + vx * (t_q - t)
+                py = y + vy * (t_q - t)
+                # the query window, then the policy region of the active row
+                if (
+                    x_lo <= px <= x_hi
+                    and y_lo <= py <= y_hi
+                    and rx_lo[row] <= px <= rx_hi[row]
+                    and ry_lo[row] <= py <= ry_hi[row]
+                ):
+                    found.append((uid, px, py))
 
         for tid, label in self.index.live_partitions():
             cells = cells_covering(enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L), self.grid)
-            done = None
-            if scanned is not None:
-                done = scanned.get(tid)
-                scanned[tid] = cells
-            zivs = z_decompose(cells, self.grid, done)
+            zivs = z_decompose(cells, self.grid, scanned.get(tid))
+            scanned[tid] = cells
             if zivs:
                 tree.scan_intervals(zivs, visit, layout.bx_key(tid, 0))
-        return out
+        return found
 
     def range_query(self, req: PrqRequest) -> set[int]:
         """Same contract as the policy-embedded range query."""
-        self.store.check_user(req.qid)
-        rect = req.rect
-        t_q = req.t_q
-        p, held = self.store.policies, self._held_rows(req.qid)
-        result: set[int] = set()
-        for uid, (x, y, vx, vy, t) in self._spatial_candidates(rect, t_q, held):
-            px = x + vx * (t_q - t)
-            py = y + vy * (t_q - t)
-            if rect[0] <= px <= rect[2] and rect[1] <= py <= rect[3]:
-                # spatial hit; now the policy filter
-                if _row_visible(p, held[uid], px, py, t_q):
-                    result.add(uid)
-        return result
+        active = self.store.active_rows(req.qid, req.t_q)
+        return {uid for uid, _, _ in self._visible_in(req.rect, req.t_q, active, req.rect, {})}
 
     def knn_query(self, req: PknnRequest) -> PknnResult:
         """Same contract as the policy-embedded kNN query."""
-        self.store.check_user(req.qid)
+        t_q = req.t_q
+        active = self.store.active_rows(req.qid, t_q)
         k = req.k
         n = self.index.entry_count
         if n == 0:
             return PknnResult((), short=True)
         side = self.grid.L
         qx, qy = req.qloc
-        t_q = req.t_q
-        p, held = self.store.policies, self._held_rows(req.qid)
         radius = estimate_dk(min(k, n), n, side) / k
         if radius <= 0:
             radius = self.grid.cell_size
@@ -478,13 +457,8 @@ class BaselineQueryEngine(_EngineBase):
         while True:
             square = (max(qx - radius, 0.0), max(qy - radius, 0.0), min(qx + radius, side), min(qy + radius, side))
             covers_all = square == (0.0, 0.0, side, side)
-            for uid, (x, y, vx, vy, t) in self._spatial_candidates(square, t_q, held, scanned):
-                if uid in candidates:
-                    continue
-                px = x + vx * (t_q - t)
-                py = y + vy * (t_q - t)
-                if _row_visible(p, held[uid], px, py, t_q):
-                    candidates[uid] = math.hypot(px - qx, py - qy)
+            for uid, px, py in self._visible_in(square, t_q, active, None, scanned):
+                candidates[uid] = math.hypot(px - qx, py - qy)
             if len(candidates) >= k:
                 kdist = sorted(candidates.values())[k - 1]
                 if kdist <= radius:

@@ -12,6 +12,7 @@ import pytest
 from pebtree import bench
 from pebtree.bench import (
     CSV_COLUMNS,
+    UPDATE_ROUNDS,
     build_indexes,
     build_instance,
     knn_results_match,
@@ -381,6 +382,38 @@ def test_cli_gen_refuses_a_nan_speed_and_writes_nothing(tmp_path, monkeypatch, c
     assert re.search("pebtree gen: error: max_speed nan is not a non-negative finite number", err)
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_gen_refuses_an_empty_dataset_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # objects, policies and relationships used to be written before gen_queries refused
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["gen", "--out-dir", "data", "-N", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "pebtree gen: error: cannot generate queries for an empty dataset" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_preproc_names_a_size_the_generator_refuses(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["preproc", "--sizes", "1", "--out", str(tmp_path / "preproc.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "pebtree preproc: error: size 1: policies per user must be below the user count" in err
+    assert "Traceback" not in err
+
+
+def test_cli_bench_without_policies_leaves_the_estimate_blank(tmp_path):
+    # the cost model needs a policy per user; the sweep finishes without an estimate
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--seed", "1", "--sweep", "updates", "-N", "50", "--policies", "0", "--queries", "3"]
+    assert cli_main([*argv, "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 * UPDATE_ROUNDS
+    assert {r["cost_estimate"] for r in rows} == {""}
+    assert {r["oracle_ok"] for r in rows} == {"1.0"}
 
 
 def test_cli_data_dir_keeps_the_generated_space_side(tmp_path):

@@ -859,6 +859,40 @@ def test_window_agrees_with_the_time_set(data, day):
     assert_window_agrees(t_lo, t_hi, day, t)
 
 
+@settings(max_examples=300)
+@given(data=st.data(), day=st.sampled_from([DAY, 7.0]))
+def test_active_rows_are_the_policy_rows_whose_window_holds_t(data, day):
+    end = st.floats(0.0, day)
+    window = st.one_of(
+        st.tuples(end, end).map(lambda w: (max(w), min(w))),  # wrapped past midnight
+        end.map(lambda t: (t, t)),  # empty
+        st.just((0.0, day)),  # the whole day
+        st.tuples(end, end),
+    )
+    windows = data.draw(st.lists(window, min_size=1, max_size=8), label="windows")
+    # owners n, ..., 1 name viewer 0 in descending order, so the store sorts the viewer's rows by owner
+    owners = range(len(windows), 0, -1)
+    specs = [(owner, 0, FULL_RECT, lo, hi) for owner, (lo, hi) in zip(owners, windows)]
+    store = make_store(specs, range(len(windows) + 2), day=day)
+    k = data.draw(st.integers(-2, 2), label="days")
+    t = data.draw(
+        st.one_of(
+            st.sampled_from([v for w in windows for v in w]),  # at a window's t_lo or t_hi
+            st.sampled_from([0.0, day, math.nextafter(day, 0.0)]),  # a multiple of the day, and just below the day
+            end,
+        ).map(lambda v: v + k * day),
+        label="t",
+    )
+    p = store.policies
+    want = {p.owner[r]: r for r in store.policy_rows(0) if window_contains(p.t_lo[r], p.t_hi[r], day, t)}
+    got = store.active_rows(0, t)
+    assert got == want
+    assert list(got) == sorted(got)  # in ascending owner order
+    assert store.active_rows(len(windows) + 1, t) == {}  # a user no policy names
+    with pytest.raises(KeyError):
+        store.active_rows(len(windows) + 2, t)
+
+
 def test_store_refuses_a_policy_of_another_day():
     table, g = table_and_graph([(1, 2, FULL_RECT, 8.0, 11.0)])
     assert table.day == DAY

@@ -7,7 +7,6 @@ from bisect import bisect_left, bisect_right
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pebtree import query
 from pebtree.bench import build_instance, run_update_round
 from pebtree.keys import KeyLayout, SequenceValueMap, assign_sequence_values
 from pebtree.motion import MovingObject, TimePartitionConfig
@@ -27,7 +26,6 @@ from pebtree.query import (
     PknnResult,
     PrqRequest,
     Rect,
-    _row_visible,
     _visible,
     antidiagonal_order,
     enlarge,
@@ -440,14 +438,18 @@ def test_friend_rows_equal_quantizing_each_owner_per_viewer(random_instance):
         want = tuple(sorted((svq, tuple(sorted(us))) for svq, us in by_svq.items()))
         assert peb.friends.rows(viewer) == want
         shared += sum(len(us) > 1 for _, us in want)
-        # the viewer's policy rows come with their owners and window ends, one per owner in ascending uid order
+        # the viewer's policy rows, one per owner in ascending uid order, and at each time
+        # the rows of those whose window holds it, by owner in the same order
         p = store.policies
         owners = sorted(u for _, us in want for u in us)
         policy_rows = [store.row(owner, viewer) for owner in owners]
-        got_rows, got_owners, t_lo, t_hi = store.windows(viewer)
-        assert got_rows == store.policy_rows(viewer) == tuple(policy_rows)
-        assert list(got_owners) == owners
-        assert (list(t_lo), list(t_hi)) == ([p.t_lo[r] for r in policy_rows], [p.t_hi[r] for r in policy_rows])
+        assert store.policy_rows(viewer) == tuple(policy_rows)
+        for t in (0.0, 7.5, 13.0, DAY - 1e-9, DAY + 20.25):
+            assert list(store.active_rows(viewer, t).items()) == [
+                (owner, row)
+                for owner, row in zip(owners, policy_rows)
+                if window_contains(p.t_lo[row], p.t_hi[row], p.day, t)
+            ]
     assert shared > 0  # some rows hold several owners
 
 
@@ -533,20 +535,31 @@ def test_baseline_checks_policies_of_the_issuers_owners_only(random_instance, mo
         q: oracle_range(users, store, q) if isinstance(q, PrqRequest) else oracle_knn(users, store, q) for q in queries
     }
     calls = []
+    active_rows = PolicyStore.active_rows
 
-    def counted(table, row, x, y, t):
-        calls.append(row)
-        return _row_visible(table, row, x, y, t)
+    def recorded(self, viewer, t):
+        rows = active_rows(self, viewer, t)
+        calls.append((viewer, t, rows))
+        return rows
 
-    monkeypatch.setattr(query, "_row_visible", counted)
+    monkeypatch.setattr(PolicyStore, "active_rows", recorded)
+    p = store.policies
+    answered = 0
     for q in queries:
         calls.clear()
         got = bx.range_query(q) if isinstance(q, PrqRequest) else bx.knn_query(q)
         assert got == oracle[q]
-        # each row checked is the policy of an owner naming the issuer, toward the issuer
-        assert set(calls) <= set(store.policy_rows(q.qid))
-        # every visible candidate the scan found was checked
-        assert len(calls) >= len(got if isinstance(got, set) else got.neighbors)
+        # one gather per query, of the issuer's rows at t_q
+        [(viewer, t, rows)] = calls
+        assert (viewer, t) == (q.qid, q.t_q)
+        uids = got if isinstance(got, set) else [uid for uid, _ in got.neighbors]
+        for uid in uids:
+            # an answer is an owner whose policy toward the issuer is active at t_q
+            row = rows[uid]
+            assert row == store.row(uid, q.qid)
+            assert window_contains(p.t_lo[row], p.t_hi[row], p.day, q.t_q)
+        answered += bool(uids)
+    assert answered > 4  # some answers hold owners to check
 
 
 def test_oracle_full_space_returns_visible_set(random_instance):
@@ -1491,18 +1504,30 @@ def _merge_intervals(a, b):
 class _MergingBaseline(BaselineQueryEngine):
     """The baseline engine as it stood when each round merged its new intervals into the covered ones."""
 
-    def _spatial_candidates(self, rect, t_q, held, scanned=None):
+    def _visible_in(self, rect, t_q, active, window, scanned):
         out = []
         for tid, label in self.index.live_partitions():
             cells = cells_covering(enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L), self.grid)
-            zivs = z_decompose(cells, self.grid)
-            if scanned is not None:
-                done = scanned.setdefault(tid, [])
-                zivs = subtract_intervals(zivs, done)
-                scanned[tid] = _merge_intervals(done, zivs)
+            done = scanned.setdefault(tid, [])
+            zivs = subtract_intervals(z_decompose(cells, self.grid), done)
+            scanned[tid] = _merge_intervals(done, zivs)
             if zivs:
                 self.index.tree.scan_intervals(zivs, records_into(out), self.layout.bx_key(tid, 0))
-        return [(e.uid, e[2:]) for e in out if e.uid in held]
+        x_lo, y_lo, x_hi, y_hi = window or (-math.inf, -math.inf, math.inf, math.inf)
+        p = self.store.policies
+        found = []
+        for e in out:
+            row = active.get(e.uid)
+            px, py = e.x + e.vx * (t_q - e.t), e.y + e.vy * (t_q - e.t)
+            if (
+                row is not None
+                and x_lo <= px <= x_hi
+                and y_lo <= py <= y_hi
+                and p.x_lo[row] <= px <= p.x_hi[row]
+                and p.y_lo[row] <= py <= p.y_hi[row]
+            ):
+                found.append((e.uid, px, py))
+        return found
 
 
 @pytest.mark.parametrize("instance", ["churned_instance", "churned_large_instance"])
@@ -1524,6 +1549,36 @@ def test_bx_knn_matches_the_merging_reference(instance, request):
         want, got = traces
         for req, g, w in zip(queries, got, want):
             assert g == w, (req, cold_each)
+
+
+@pytest.mark.parametrize("instance", ["churned_instance", "churned_large_instance"])
+def test_bx_hands_no_entry_to_its_visitor_twice_in_one_query(instance, request, monkeypatch):
+    # a kNN search's rounds nest and each scans only the blocks the last round
+    # did not, and a uid has one entry, so the visitor needs no re-read guard
+    cfg, current, _, _, bx, knn_queries = request.getfixturevalue(instance)
+    assert len(bx.index.live_partitions()) == 3
+    handed, calls = [], []
+    scan = BPlusTree.scan_intervals
+
+    def recording(tree, intervals, visit, base=0):
+        def spy(leaf, i, j):
+            handed.extend((leaf.page_id, uid) for uid in leaf.uids[i:j])
+            return visit(leaf, i, j)
+
+        calls.append(base)
+        scan(tree, intervals, spy, base)
+
+    monkeypatch.setattr(BPlusTree, "scan_intervals", recording)
+    range_queries = gen_queries(cfg, "range", list(current.values()), now=70.0, count=20)
+    rounds = []
+    for req in [*knn_queries, *range_queries]:
+        handed.clear()
+        calls.clear()
+        (bx.range_query if isinstance(req, PrqRequest) else bx.knn_query)(req)
+        assert handed and len(set(handed)) == len(handed), req
+        rounds.append(len(calls))
+    # most kNN searches take several rounds, each scanning the three partitions
+    assert sum(n > 3 for n in rounds[: len(knn_queries)]) > len(knn_queries) // 2
 
 
 # -- golden answers and I/O ------------------------------------------------------
