@@ -188,11 +188,10 @@ def cmd_bench(args) -> int:
 
 def cmd_cost(args) -> int:
     base = _workload_from_args(args)
-    try:
+    try:  # a workload the fit's generators refuse is a usage error
         report = validate_cost(base)
     except ValueError as exc:
-        print(f"cost model fit failed: {exc}")
-        return 1
+        args.parser.error(f"cost model fit failed: {exc}")
     write_csv(report.rows, args.out, ["param", "value", "measured", "estimated", "ratio"])
     print(f"fitted a1={report.a1:.4g} a2={report.a2:.4g}; {len(report.rows)} rows -> {args.out}")
     return 0

@@ -55,7 +55,6 @@ PAGE_SIZE = 4096
 LEAF_RECORD_BYTES = 64
 INTERNAL_RECORD_BYTES = 16
 BUFFER_PAGES = 50
-SPREAD_BITS = 15  # a cell coordinate's bits spread by one table lookup per 15 bits
 UID_LIMIT = 1 << 63  # uids are 64-bit signed column values; the index takes 0 <= uid < UID_LIMIT
 
 Record = tuple[float, float, float, float, float]  # x, y, vx, vy, t of a leaf record
@@ -313,40 +312,42 @@ class BPlusTree:
         leaf.recs.insert(i, rec)
         self.entry_count += 1
         if len(keys) > self.leaf_cap:
-            self._split_leaf(leaf, path)
+            self._split(leaf, path)
 
-    def _split_leaf(self, leaf: Node, path: list[tuple[Node, int]]) -> None:
-        mid = len(leaf.keys) // 2
-        right = self._alloc(leaf=True)
-        right.keys, right.uids, right.recs = (col[mid:] for col in leaf.columns())
-        for col in leaf.columns():
-            del col[mid:]
-        right.next_leaf = leaf.next_leaf
-        leaf.next_leaf = right.page_id
-        self.leaf_count += 1
-        self._insert_in_parent(path, (right.keys[0], right.uids[0]), right.page_id)
+    def _split(self, node: Node, path: list[tuple[Node, int]]) -> None:
+        """Split the overflowing ``node`` and post the fence to its parent, going up while that overflows.
 
-    def _insert_in_parent(self, path: list[tuple[Node, int]], sep: tuple[int, int], right_pid: int) -> None:
-        if not path:
-            old_root = self.root_id
-            new_root = self._alloc(leaf=False)
-            new_root.keys = [sep]
-            new_root.children = [old_root, right_pid]
-            self.root_id = new_root.page_id
-            self.height += 1
-            return
-        parent, idx = path.pop()
-        parent.keys.insert(idx, sep)
-        parent.children.insert(idx + 1, right_pid)
-        if len(parent.children) > self.internal_cap:
-            mid = len(parent.keys) // 2
-            up_sep = parent.keys[mid]
-            right = self._alloc(leaf=False)
-            right.keys = parent.keys[mid + 1 :]
-            right.children = parent.children[mid + 1 :]
-            del parent.keys[mid:]
-            del parent.children[mid + 1 :]
-            self._insert_in_parent(path, up_sep, right.page_id)
+        A leaf's fence is its right half's first (key, uid); an internal page's middle fence moves up.
+        """
+        while True:
+            mid = len(node.keys) // 2
+            right = self._alloc(node.leaf)
+            if node.leaf:
+                right.keys, right.uids, right.recs = (col[mid:] for col in node.columns())
+                for col in node.columns():
+                    del col[mid:]
+                right.next_leaf = node.next_leaf
+                node.next_leaf = right.page_id
+                self.leaf_count += 1
+                fence = (right.keys[0], right.uids[0])
+            else:
+                fence = node.keys[mid]
+                right.keys = node.keys[mid + 1 :]
+                right.children = node.children[mid + 1 :]
+                del node.keys[mid:]
+                del node.children[mid + 1 :]
+            if not path:
+                root = self._alloc(leaf=False)
+                root.keys = [fence]
+                root.children = [node.page_id, right.page_id]
+                self.root_id = root.page_id
+                self.height += 1
+                return
+            node, i = path.pop()
+            node.keys.insert(i, fence)
+            node.children.insert(i + 1, right.page_id)
+            if len(node.children) <= self.internal_cap:
+                return
 
     def delete(self, key: int, uid: int) -> None:
         """Remove the entry with this (key, uid); missing entries are reported."""
@@ -525,10 +526,10 @@ class MovingObjectIndex:
     """Moving-object index over the B+-tree, keyed per the chosen layout.
 
     One physical tree stores all time partitions, distinguished by the
-    partition prefix of the key.  The index keeps per-partition entry
-    counts (so queries can skip drained partitions), the label timestamp
-    each live partition was filled under, and dataset-wide directional
-    speed maxima used for query-window enlargement.
+    partition prefix of the key.  The index keeps one map from each live
+    partition to the label timestamp it was filled under and its entry
+    count (so queries can skip drained partitions), and dataset-wide
+    directional speed maxima used for query-window enlargement.
     """
 
     def __init__(
@@ -555,15 +556,15 @@ class MovingObjectIndex:
         self.max_speeds = ZERO_SPEEDS
         self._current: dict[int, int] = {}  # uid -> key
         self._tid_shift = layout.zv_bits + (layout.sv_bits if sv_map is not None else 0)  # key -> partition
-        self._partition_label: dict[int, float] = {}
-        self._partition_count: dict[int, int] = {}
+        self._partitions: dict[int, tuple[float, int]] = {}  # live tid -> (label, entry count)
         svq = layout.quantize_map(sv_map) if sv_map is not None else {}
         self._sv_field = {uid: q << layout.zv_bits for uid, q in svq.items()}  # each sequence value in place
-        # key_for's constants, with each axis's bit spreading as a table of at most 2^15 entries
-        spread = [_spread(v) for v in range(1 << min(grid.levels, SPREAD_BITS))]
+        # key_for's constants, with each axis's bit spreading as a table over every cell
+        # coordinate: at most 2^15 entries, as a grid has at most 15 levels
+        spread = [_spread(v) for v in range(grid.cells_per_axis)]
         self._key_consts = (
             time_cfg.grid_step, time_cfg.num_partitions, grid.L, grid.cell_size, grid.cells_per_axis - 1,
-            len(spread) - 1, spread, [s << 1 for s in spread],
+            spread, [s << 1 for s in spread],
         )
 
     @property
@@ -588,7 +589,7 @@ class MovingObjectIndex:
         uid, x, y, vx, vy, t_u = obj.uid, obj.x, obj.y, obj.vx, obj.vy, obj.t_u
         if x - x + y - y + vx - vx + vy - vy + t_u - t_u != 0.0 or t_u < 0:  # NaN unless all are finite
             _refuse_report(obj)
-        step, partitions, side, size, last, mask, x_spread, y_spread = self._key_consts
+        step, partitions, side, size, last, x_spread, y_spread = self._key_consts
         c = math.ceil((t_u + step) / step)
         label = step * c
         if label == math.inf:
@@ -599,9 +600,7 @@ class MovingObjectIndex:
         # the cell of the position clamped to [0, L]
         cx = min(int(px / size), last) if 0.0 < px < side else (0 if px <= 0.0 else last)
         cy = min(int(py / size), last) if 0.0 < py < side else (0 if py <= 0.0 else last)
-        key = (tid << self._tid_shift) | x_spread[cx & mask] | y_spread[cy & mask]
-        if last > mask:  # more than 2^15 cells per side: the high bits spread by the same tables
-            key |= (x_spread[cx >> SPREAD_BITS] | y_spread[cy >> SPREAD_BITS]) << 2 * SPREAD_BITS
+        key = (tid << self._tid_shift) | x_spread[cx] | y_spread[cy]
         if self.sv_map is not None:
             key |= self._sv_field[uid]
         return key, tid, label
@@ -611,21 +610,20 @@ class MovingObjectIndex:
             raise ValueError(f"object {obj.uid} already indexed; use update()")
         check_uid(obj.uid)
         key, tid, label = self.key_for(obj)
-        self._check_label(tid, label, self._partition_count.get(tid, 0))
+        self._check_label(tid, label, 0)
         self._insert_keyed(obj, key, tid, label)
 
-    def _check_label(self, tid: int, label: float, others: int) -> None:
-        """Refuse ``label`` for partition ``tid`` while ``others`` entries hold another."""
-        if others > 0 and self._partition_label[tid] != label:
-            raise ValueError(
-                f"partition {tid} still holds entries for label {self._partition_label[tid]}"
-            )
+    def _check_label(self, tid: int, label: float, own: int) -> None:
+        """Refuse ``label`` for partition ``tid`` while it holds another label's entries besides the object's ``own``."""
+        held = self._partitions.get(tid)
+        if held is not None and held[1] > own and held[0] != label:
+            raise ValueError(f"partition {tid} still holds entries for label {held[0]}")
 
     def _insert_keyed(self, obj: MovingObject, key: int, tid: int, label: float) -> None:
         self.tree.insert(key, obj.uid, (obj.x, obj.y, obj.vx, obj.vy, obj.t_u))
         self._current[obj.uid] = key
-        self._partition_label[tid] = label
-        self._partition_count[tid] = self._partition_count.get(tid, 0) + 1
+        held = self._partitions.get(tid)
+        self._partitions[tid] = (label, held[1] + 1 if held else 1)
         self.max_speeds = self.max_speeds.absorb(obj.vx, obj.vy)
 
     def delete(self, uid: int) -> None:
@@ -636,13 +634,12 @@ class MovingObjectIndex:
         self._uncount(key >> self._tid_shift)
 
     def _uncount(self, tid: int) -> None:
-        """One entry fewer in partition ``tid``; a drained partition drops its label."""
-        remaining = self._partition_count[tid] - 1
-        if remaining:
-            self._partition_count[tid] = remaining
+        """One entry fewer in partition ``tid``; a drained partition leaves the map."""
+        label, count = self._partitions[tid]
+        if count > 1:
+            self._partitions[tid] = (label, count - 1)
         else:
-            del self._partition_count[tid]
-            del self._partition_label[tid]
+            del self._partitions[tid]
 
     def update(self, obj: MovingObject) -> None:
         """Replace the object's entry with a fresh one as of ``obj.t_u``.
@@ -664,14 +661,14 @@ class MovingObjectIndex:
         key, tid, label = self.key_for(obj)
         old_tid = old >> self._tid_shift
         # the object's own old entry leaves the partition before the insert
-        self._check_label(tid, label, self._partition_count.get(tid, 0) - (old_tid == tid))
+        self._check_label(tid, label, old_tid == tid)
         self.tree.delete(old, obj.uid)
         self._uncount(old_tid)
         self._insert_keyed(obj, key, tid, label)
 
     def live_partitions(self) -> list[tuple[int, float]]:
         """Partitions currently holding entries, with their labels."""
-        return sorted((tid, self._partition_label[tid]) for tid in self._partition_count)
+        return sorted((tid, label) for tid, (label, _) in self._partitions.items())
 
     def contains(self, uid: int) -> bool:
         return uid in self._current

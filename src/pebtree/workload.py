@@ -471,6 +471,8 @@ def gen_queries(
     the space; kNN issuers query from their own position.  Query times are
     drawn within the current update horizon.
     """
+    if kind not in ("range", "knn"):
+        raise ValueError(f"unknown query kind {kind!r}")
     if not objects:
         raise ValueError("cannot generate queries for an empty dataset")
     rng = cfg.stream(f"queries/{kind}/{now}")
@@ -487,15 +489,13 @@ def gen_queries(
             cx = rng.uniform(w / 2, side - w / 2)
             cy = rng.uniform(w / 2, side - w / 2)
             out.append(PrqRequest(qid, (cx - w / 2, cy - w / 2, cx + w / 2, cy + w / 2), t_q))
-        elif kind == "knn":
+        else:
             obj = by_uid[qid]
             px = obj.x + obj.vx * (t_q - obj.t_u)
             py = obj.y + obj.vy * (t_q - obj.t_u)
             px = min(max(px, 0.0), side)
             py = min(max(py, 0.0), side)
             out.append(PknnRequest(qid, (px, py), cfg.k, t_q))
-        else:
-            raise ValueError(f"unknown query kind {kind!r}")
     return out
 
 

@@ -39,7 +39,7 @@ CellRect = tuple[int, int, int, int]  # (cx_lo, cy_lo, cx_hi, cy_hi), inclusive
 class GridConfig:
     """Geometry of the Z-curve grid.
 
-    ``levels`` is the number of bits per axis.
+    ``levels`` is the number of bits per axis, 1 to 15 (at most 32 768 cells per side).
     """
 
     L: float = 1000.0
@@ -49,8 +49,8 @@ class GridConfig:
         # a NaN fails every comparison, so this refuses it with the infinities
         if not 0 < self.L < math.inf:
             raise ValueError(f"space side L is {self.L!r}, not a positive finite number")
-        if not 1 <= self.levels <= 30:
-            raise ValueError("levels must be in [1, 30]")
+        if not 1 <= self.levels <= 15:
+            raise ValueError("levels must be in [1, 15]")
 
     @cached_property
     def cells_per_axis(self) -> int:

@@ -225,11 +225,18 @@ def test_configs_refuse_a_length_that_is_not_positive_and_finite(bad):
         GridConfig(L=bad)
 
 
+@pytest.mark.parametrize("levels", [0, 16])
+def test_grid_refuses_levels_outside_1_to_15(levels):
+    # 15 levels keep every cell coordinate in key_for's 2^15-entry spread tables
+    with pytest.raises(ValueError, match=r"levels must be in \[1, 15\]"):
+        GridConfig(levels=levels)
+
+
 # -- key_for against the reference chain --------------------------------------------
 
 TIME_CFGS = [CFG, TimePartitionConfig(0.1, 1), TimePartitionConfig(100.0, 3), TimePartitionConfig(120.0, 7)]
-# 20 and 30 levels spread the cell bits above the 15th through a second lookup
-GRIDS = [GridConfig(), GRID, GridConfig(L=3.0, levels=20), GridConfig(L=5000.0, levels=30)]
+# 15 levels, the most a grid takes, fill the spread tables' 2^15 entries
+GRIDS = [GridConfig(), GRID, GridConfig(L=3.0, levels=15), GridConfig(L=5000.0, levels=15)]
 
 
 @st.composite

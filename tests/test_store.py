@@ -818,9 +818,12 @@ CHURN_OPS = st.lists(
 def test_keys_carry_the_partition_and_sequence_value_through_churn(kind, ops):
     # what the peb queries rely on: the prefix key >> zv_bits of an indexed
     # object's key names its partition and, on a peb index, its quantized
-    # sequence value, and keys_of reads exactly the keys in the leaves
+    # sequence value, and keys_of reads exactly the keys in the leaves.  The
+    # partition map holds each live partition's label and entry count, and a
+    # drained partition leaves it
     index = build_index(kind)
     layout = index.layout
+    shift = layout.zv_bits + (layout.sv_bits if kind == "peb" else 0)
     step, partitions = index.time_cfg.grid_step, index.time_cfg.num_partitions
     uids = range(13)  # uid 12 is never reported
     reported: dict[int, int] = {}  # uid -> t_u of its indexed report
@@ -847,6 +850,13 @@ def test_keys_carry_the_partition_and_sequence_value_through_churn(kind, ops):
                 assert key >> layout.zv_bits == tid << layout.sv_bits | layout.quantize_sv(index.sv_map[uid])
             else:
                 assert key >> layout.zv_bits == tid
+        labels: dict[int, float] = {}
+        for t_u in reported.values():
+            c = math.ceil((t_u + step) / step)
+            assert labels.setdefault((c - 1) % partitions, step * c) == step * c  # one label per partition
+        counts = Counter(key >> shift for key in index.keys_of(reported))
+        assert index.live_partitions() == sorted(labels.items())
+        assert index._partitions == {tid: (label, counts[tid]) for tid, label in labels.items()}
 
 
 def test_index_rejects_double_insert():

@@ -371,6 +371,14 @@ def test_queries_windows_inside_space_and_deterministic():
     assert knn == gen_queries(cfg, "knn", objects, count=50)
 
 
+@pytest.mark.parametrize("count", [0, 3])
+def test_gen_queries_refuses_an_unknown_kind_before_any_draw(count):
+    # the kind used to be checked inside the draw loop, so count=0 returned []
+    cfg = WorkloadConfig(n_users=5, seed=21)
+    with pytest.raises(ValueError, match="unknown query kind 'bogus'"):
+        gen_queries(cfg, "bogus", gen_uniform(cfg), count=count)
+
+
 def test_object_and_query_files_round_trip(tmp_path):
     cfg = WorkloadConfig(n_users=40, seed=31)
     objects = gen_uniform(cfg)

@@ -85,7 +85,7 @@ def test_encode_equals_interleaving_loop():
             for cy in range(cfg.cells_per_axis):
                 assert z_encode((cx, cy), cfg) == loop_encode((cx, cy), cfg)
     rng = random.Random(17)
-    for levels in range(6, 31):
+    for levels in range(6, 16):
         cfg = GridConfig(L=1.0, levels=levels)
         last = cfg.cells_per_axis - 1
         cells = [(0, last), (last, 0), (last, last)]
