@@ -122,7 +122,7 @@ def build_indexes(
 
 
 def build_instance(cfg: WorkloadConfig) -> Instance:
-    """Generate data and policies, encode them, and load both indexes; an instance needs a user to query."""
+    """Generate data and policies, encode them, and load both indexes."""
     if cfg.n_users == 0:
         raise ValueError("n_users is 0: an instance needs at least one user to issue queries")
     objects, world = make_world(cfg)
