@@ -79,6 +79,7 @@ ROUNDS_PER_INTERVAL = 4  # update rounds per maximum update interval
 # the range and kNN methods of each index kind's query engine
 QUERY_METHODS = {"peb": ("prq", "pknn"), "bx": ("range_query", "knn_query")}
 KNN_TOLERANCE = 1e-9  # distance slack when comparing kNN answers
+_NO_USERS = "n_users is 0: an instance needs at least one user to issue queries"
 
 
 @dataclass
@@ -124,7 +125,7 @@ def build_indexes(
 def build_instance(cfg: WorkloadConfig) -> Instance:
     """Generate data and policies, encode them, and load both indexes."""
     if cfg.n_users == 0:
-        raise ValueError("n_users is 0: an instance needs at least one user to issue queries")
+        raise ValueError(_NO_USERS)
     objects, world = make_world(cfg)
     uids = [o.uid for o in objects]
     policies, graph = gen_policies(uids, cfg)
@@ -425,6 +426,8 @@ def validate_cost(
 ) -> CostReport:
     """Fit (a1, a2) from two sample points and compare the estimate with
     measured range-query I/O across the theta and policy-count sweeps."""
+    if base.n_users == 0:  # every sweep point keeps the base's users, so none could be built
+        raise ValueError(_NO_USERS)
     samples = []
     for n in fit_ns:
         inst = build_instance(replace(base, n_users=n, theta=FIT_THETA))

@@ -86,14 +86,6 @@ def window_time_set(t_lo: float, t_hi: float, day: float) -> TimeSet:
     return ()
 
 
-def window_duration(t_lo: float, t_hi: float, day: float) -> float:
-    if t_lo < t_hi:
-        return t_hi - t_lo
-    if t_lo > t_hi:
-        return t_hi + (day - t_lo)
-    return 0.0
-
-
 def window_contains(t_lo: float, t_hi: float, day: float, t: float) -> bool:
     tm = t % day
     if t_lo <= t_hi:
@@ -405,7 +397,7 @@ def _alpha_mutual_rows(
         if r is not None:
             w, h = x_hi[r] - x_lo[r], y_hi[r] - y_lo[r]
             area = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
-            total += (area / s) * (window_duration(t_lo[r], t_hi[r], day) / day)
+            total += (area / s) * (sum(hi - lo for lo, hi in window_time_set(t_lo[r], t_hi[r], day)) / day)
     return 0.5 * total, False
 
 

@@ -12,21 +12,20 @@ Two engines answer the same queries:
   ascending order, across partitions; it ends a prefix's interval at the
   entry that meets the prefix's count of active owners (a user has only
   one location), holds its leaf from one interval to the next and seeks
-  only when an interval starts beyond it.  An owner entry found is
-  verified by the query window, if any, and the region of its held row; a
-  kNN query ranks the verified owners by distance.  Unlike the paper's
-  range algorithm, no window is enlarged or decomposed into curve
-  intervals: a prefix span holds a few entries on one or two leaves, so a
-  window would save few pages.
+  only when an interval starts beyond it.  The owner entries found are
+  verified (see below), and a kNN query ranks the verified owners by
+  distance.  Unlike the paper's range algorithm, no window is enlarged or
+  decomposed into curve intervals: a prefix span holds a few entries on
+  one or two leaves, so a window would save few pages.
 
 * :class:`BaselineQueryEngine` runs against the baseline index: a plain
   spatial query first, policy filtering after, with kNN by incrementally
   expanded range queries, each round scanning only the blocks the last
   round's square did not cover.  It searches space without the friend
   list, so the pages it reads are the paper's baseline cost.  Each
-  candidate is looked up among the issuer's active owners, and a held
-  row's region is checked in place; answers and I/O are those of checking
-  every candidate's policy.
+  candidate is looked up among the issuer's active owners, and only a
+  held one is verified; answers and I/O are those of checking every
+  candidate's policy.
 
 Both engines take the issuer's active owners, those whose policy window
 toward it holds ``t_q``, with their policy rows from one call of
@@ -34,13 +33,16 @@ toward it holds ``t_q``, with their policy rows from one call of
 read the tree only through
 :meth:`~pebtree.store.BPlusTree.scan_intervals`, so a query's charged I/O
 is the buffer misses of the pages it reads.  Its visitor takes a leaf slice
-at a time.  The baseline engine's slices run through the whole window, so
-it filters a slice's uid column against the owners it holds with C-level
-passes: ``isdisjoint`` skips a slice with no owner, and ``compress(range(i,
-j), map(owners.__contains__, uids[i:j]))`` picks the owners of the rest.
-The policy-embedded engine's slices lie in key prefix spans and hold one
-or two records on most scans, so it looks each record's uid up among its
-owners in turn.  Only a held owner's motion record is read.
+at a time and only collects each active owner's ``(uid, row, record)``.
+The baseline engine's slices run through the whole window, so it filters a
+slice's uid column against the owners it holds with C-level passes:
+``isdisjoint`` skips a slice with no owner, and ``compress(range(i, j),
+map(owners.__contains__, uids[i:j]))`` picks the owners of the rest.  The
+policy-embedded engine's slices lie in key prefix spans and hold one or two
+records on most scans, so it looks each record's uid up among its owners in
+turn.  Only a held owner's motion record is read.  One check,
+:func:`_verified`, then keeps the owners whose record at ``t_q`` lies in
+the query window, if any, and in the region of their row.
 
 Brute-force oracles apply the query definitions literally over all users
 and anchor every correctness test.  Queries leave the index's entries
@@ -60,19 +62,21 @@ from typing import Callable, Iterable, Iterator
 from .keys import KeyLayout, SequenceValueMap
 from .motion import MovingObject
 from .policy import PolicyStore, window_contains
-from .store import DirectionalSpeeds, MovingObjectIndex, Node
+from .store import DirectionalSpeeds, MovingObjectIndex, Node, Record
 from .zcurve import CellRect, cells_covering, z_decompose
 from .zcurve import z_corner_interval  # noqa: F401  perfbench/harness.py's tracer wraps it by this name
 
 Rect = tuple[float, float, float, float]
 
 
-def _check_query(t_q: float, coords: tuple[float, ...], what: str) -> None:
-    # the checks load_queries makes on each field
+def _check_query(t_q: float, coords: tuple[float, ...], field: str, n: int, what: str) -> None:
+    # the checks load_queries makes on each field, and the shape it parses
     if not math.isfinite(t_q):
         raise ValueError(f"t_q is {t_q!r}, not a finite number")
     if t_q < 0:
         raise ValueError(f"t_q is {t_q!r}, a negative time")
+    if len(coords) != n or not all(isinstance(c, (int, float)) for c in coords):
+        raise ValueError(f"{field} {coords!r} is not {n} numbers")
     if not all(map(math.isfinite, coords)):
         raise ValueError(f"query {what} {coords} is not finite")
 
@@ -86,7 +90,7 @@ class PrqRequest:
     t_q: float
 
     def __post_init__(self) -> None:
-        _check_query(self.t_q, self.rect, "rectangle")
+        _check_query(self.t_q, self.rect, "rect", 4, "rectangle")
         x_lo, y_lo, x_hi, y_hi = self.rect
         if x_lo > x_hi or y_lo > y_hi:
             raise ValueError(f"degenerate query rectangle {self.rect}")
@@ -102,7 +106,9 @@ class PknnRequest:
     t_q: float
 
     def __post_init__(self) -> None:
-        _check_query(self.t_q, self.qloc, "point")
+        _check_query(self.t_q, self.qloc, "qloc", 2, "point")
+        if not isinstance(self.k, int):
+            raise ValueError(f"k {self.k!r} is not an int")
         if self.k < 1:
             raise ValueError("k must be at least 1")
 
@@ -172,6 +178,28 @@ def _visible(store: PolicyStore, owner: int, viewer: int, x: float, y: float, t:
         and p.y_lo[row] <= y <= p.y_hi[row]
         and window_contains(p.t_lo[row], p.t_hi[row], p.day, t)
     )
+
+
+def _verified(
+    met: list[tuple[int, int, Record]], t_q: float, window: Rect | None, store: PolicyStore
+) -> list[tuple[int, float, float]]:
+    """``(uid, x, y)`` at ``t_q``, in the order met, of each ``(uid, row, record)`` a scan met that is visible:
+
+    whose record extrapolated to ``t_q`` lies in the closed ``window``
+    (``None`` is the whole space) and in the closed region of policy ``row``.
+    """
+    x_lo, y_lo, x_hi, y_hi = window or (-math.inf, -math.inf, math.inf, math.inf)
+    p = store.policies
+    rx_lo, ry_lo, rx_hi, ry_hi = p.x_lo, p.y_lo, p.x_hi, p.y_hi
+    found = []
+    for uid, row, (x, y, vx, vy, t) in met:
+        px = x + vx * (t_q - t)
+        py = y + vy * (t_q - t)
+        # the query window, then the policy region of the row
+        if x_lo <= px <= x_hi and y_lo <= py <= y_hi:
+            if rx_lo[row] <= px <= rx_hi[row] and ry_lo[row] <= py <= ry_hi[row]:
+                found.append((uid, px, py))
+    return found
 
 
 Rows = tuple[tuple[int, tuple[int, ...]], ...]
@@ -256,12 +284,12 @@ class PebQueryEngine(_EngineBase):
         prefix's count of active owners (a user has only one location), so the
         scan reads no leaf for it past the one that holds the prefix's last
         active owner.  Each record of a leaf slice the scan hands over is
-        looked up among the active owners by its uid; only an active owner's
-        motion record is read, extrapolated to ``t_q`` and verified against
-        ``rect`` and the region of its held row.  ``rect=None`` is the whole
-        space.  A window that does not meet the space, ``[0, space_side]`` on
-        each axis, holds no visible owner, since the policy store refuses a
-        region beyond the space, so it is answered empty before any read.
+        looked up among the active owners by its uid, and an active owner's
+        is collected for :func:`_verified` to test against ``rect`` and the
+        held row's region.  ``rect=None`` is the whole space.  A window that
+        does not meet the space, ``[0, space_side]`` on each axis, holds no
+        visible owner, since the policy store refuses a region beyond the
+        space, so it is answered empty before any read.
         """
         store = self.store
         # an owner whose window misses t_q is not visible, so it is not scanned
@@ -271,16 +299,13 @@ class PebQueryEngine(_EngineBase):
         if x_hi < 0.0 or y_hi < 0.0 or x_lo > side or y_lo > side:
             return []
         index = self.index
-        tree = index.tree
         zv_bits = self.layout.zv_bits
-        p = store.policies
-        rx_lo, ry_lo, rx_hi, ry_hi = p.x_lo, p.y_lo, p.x_hi, p.y_hi
         # the active owners' keys, ascending; an owner that is not indexed has none
         keys = index.keys_of(active)
         if None in keys:
             keys = [key for key in keys if key is not None]
         keys.sort()
-        found: list[tuple[int, float, float]] = []
+        met: list[tuple[int, int, Record]] = []
         todo = 0  # the active owners of the scanned prefix that visit has yet to meet
 
         def visit(leaf: Node, i: int, j: int) -> bool:
@@ -289,24 +314,13 @@ class PebQueryEngine(_EngineBase):
             nonlocal todo
             if not todo:  # the interval's first slice
                 todo = owners_in[leaf.keys[i] >> zv_bits]
-            uids = leaf.uids
+            uids, recs = leaf.uids, leaf.recs
             for r in range(i, j):
                 uid = uids[r]
                 row = active.get(uid)
-                if row is None:
-                    continue
-                todo -= 1
-                x, y, vx, vy, t = leaf.recs[r]
-                px = x + vx * (t_q - t)
-                py = y + vy * (t_q - t)
-                # the query window, then the policy region of the held row
-                if (
-                    x_lo <= px <= x_hi
-                    and y_lo <= py <= y_hi
-                    and rx_lo[row] <= px <= rx_hi[row]
-                    and ry_lo[row] <= py <= ry_hi[row]
-                ):
-                    found.append((uid, px, py))
+                if row is not None:
+                    todo -= 1
+                    met.append((uid, row, recs[r]))
             return not todo
 
         # one pass over the sorted keys: [first key, last key] of each prefix that
@@ -322,8 +336,8 @@ class PebQueryEngine(_EngineBase):
                 owners_in[prefix] = 0
             interval[1] = key
             owners_in[prefix] += 1
-        tree.scan_intervals([intervals[i] for i, _ in order(len(intervals), 1)], visit)
-        return found
+        index.tree.scan_intervals([intervals[i] for i, _ in order(len(intervals), 1)], visit)
+        return _verified(met, t_q, rect, store)
 
     def prq(self, req: PrqRequest) -> set[int]:
         """Users inside the window at query time who allow the issuer to see them.
@@ -364,7 +378,8 @@ class BaselineQueryEngine(_EngineBase):
     the friend list.  The filter then looks each candidate up among the
     owners whose policy toward the issuer is active at ``t_q``, with the
     rows :meth:`~pebtree.policy.PolicyStore.active_rows` gathers once per
-    query, drops the candidates it does not hold and checks the held row's
+    query, and drops the candidates it does not hold; :func:`_verified`
+    then checks each held one's position against the window and its row's
     region.  A dropped candidate is not visible to the issuer, so answers
     and page reads do not depend on the map.  The lookup is one C-level
     pass over each leaf slice's uid column, and only a held owner's motion
@@ -383,56 +398,40 @@ class BaselineQueryEngine(_EngineBase):
 
         Every entry in the window is read; each leaf slice is filtered
         against ``active`` in one pass over its uid column, and only an
-        active owner's record is read, extrapolated to ``t_q`` and verified
-        against ``window``, then the region of its active row.
-        ``window=None`` is the whole space.  ``scanned`` carries each
-        partition's cell rectangle of the last round of an incremental
-        search, and only the rest is scanned: the window's cells are
-        decomposed minus that rectangle's.  ``z_decompose`` snaps a window
-        to the blocks it meets, 16 cells per side on the 1024-cell grid, so
-        the window's intervals cover a few keys beyond it, and the window
-        test drops them.  Rounds nest, and a window's intervals cover exactly
-        the blocks it meets, so the last round's rectangle covers every
-        earlier round's blocks, and this round's replaces it.  So no entry
-        is handed over twice in one search.
+        active owner's record is collected, for :func:`_verified` to test
+        against ``window`` and its row's region.  ``window=None`` is the
+        whole space.  ``scanned`` carries each partition's cell rectangle of
+        the last round of an incremental search, and only the rest is
+        scanned: the window's cells are decomposed minus that rectangle's.
+        ``z_decompose`` snaps a window to the blocks it meets, 16 cells per
+        side on the 1024-cell grid, so the window's intervals cover a few
+        keys beyond it, and the window test drops them.  Rounds nest, and a
+        window's intervals cover exactly the blocks it meets, so the last
+        round's rectangle covers every earlier round's blocks, and this
+        round's replaces it.  So no entry is handed over twice in one search.
         """
-        found: list[tuple[int, float, float]] = []
-        x_lo, y_lo, x_hi, y_hi = window or (-math.inf, -math.inf, math.inf, math.inf)
-        p = self.store.policies
-        rx_lo, ry_lo, rx_hi, ry_hi = p.x_lo, p.y_lo, p.x_hi, p.y_hi
-        layout = self.layout
-        tree = self.index.tree
+        met: list[tuple[int, int, Record]] = []
         # a set: most uids looked up are no owner's, and a set's probes answer that
         # sooner than a dict's of few keys, whose index table is fuller
         owners = set(active)
 
         def visit(leaf: Node, i: int, j: int) -> None:
+            # returns None: scan_intervals would end the window's interval at a truthy return
             uids = leaf.uids[i:j]
             if owners.isdisjoint(uids):  # most slices hold no owner, and one C-level pass skips them
                 return
             recs = leaf.recs
             for r in compress(range(i, j), map(owners.__contains__, uids)):
                 uid = leaf.uids[r]
-                row = active[uid]
-                x, y, vx, vy, t = recs[r]
-                px = x + vx * (t_q - t)
-                py = y + vy * (t_q - t)
-                # the query window, then the policy region of the active row
-                if (
-                    x_lo <= px <= x_hi
-                    and y_lo <= py <= y_hi
-                    and rx_lo[row] <= px <= rx_hi[row]
-                    and ry_lo[row] <= py <= ry_hi[row]
-                ):
-                    found.append((uid, px, py))
+                met.append((uid, active[uid], recs[r]))
 
         for tid, label in self.index.live_partitions():
             cells = cells_covering(enlarge(rect, label, t_q, self.index.max_speeds, self.grid.L), self.grid)
             zivs = z_decompose(cells, self.grid, scanned.get(tid))
             scanned[tid] = cells
             if zivs:
-                tree.scan_intervals(zivs, visit, layout.bx_key(tid, 0))
-        return found
+                self.index.tree.scan_intervals(zivs, visit, self.layout.bx_key(tid, 0))
+        return _verified(met, t_q, window, self.store)
 
     def range_query(self, req: PrqRequest) -> set[int]:
         """Same contract as the policy-embedded range query."""

@@ -57,6 +57,24 @@ def test_compare_counts_wins_by_each_metric_direction():
     assert correct and moved == []
 
 
+@pytest.mark.parametrize(
+    "base, change, unresolved",
+    [
+        # peb_knn_ms_p50's bound is 0.2; the change's quartiles span 0.09 over a base median of 0.2
+        ([0.2, 0.2, 0.2, 0.2, 0.2], [0.15, 0.16, 0.2, 0.25, 0.26], True),
+        # the base's quartiles span 0.19, too wide for a gain, but every change run beats every base run
+        ([0.1, 0.11, 0.2, 0.3, 0.31], [0.05, 0.06, 0.07, 0.08, 0.09], False),
+        # a narrow spread resolves a move within the bound
+        ([0.2, 0.2, 0.21, 0.21, 0.2], [0.22, 0.22, 0.23, 0.22, 0.22], False),
+    ],
+)
+def test_compare_reads_unresolved_when_the_spread_exceeds_the_bound(base, change, unresolved):
+    spec = ab.load_spec()
+    lines, _, _ = ab.compare([result(peb_knn_ms_p50=v) for v in base], [result(peb_knn_ms_p50=v) for v in change], spec)
+    verdict = next(line for line in lines if line.startswith("peb_knn_ms_p50")).split()[-2]
+    assert verdict == ("unresolved" if unresolved else str(sum(y < x for x, y in zip(base, change))))
+
+
 def test_compare_flags_moved_io_and_failed_runs():
     spec = ab.load_spec()
     lines, correct, moved = ab.compare([result(), result()], [result(), result(peb_knn_io=5.5)], spec)

@@ -5,7 +5,6 @@ import sys
 import time
 import argparse
 from dataclasses import fields, replace
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -405,7 +404,7 @@ def test_cli_preproc_names_a_size_the_generator_refuses(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_cli_bench_and_cost_write_error_rows_for_an_empty_dataset(tmp_path, monkeypatch):
+def test_cli_bench_writes_error_rows_and_cost_refuses_an_empty_dataset(tmp_path, capsys):
     # build_instance refuses 0 users; both commands used to go on and die in gen_queries
     fault = "n_users is 0: an instance needs at least one user to issue queries"
     with pytest.raises(ValueError, match=fault):
@@ -415,14 +414,15 @@ def test_cli_bench_and_cost_write_error_rows_for_an_empty_dataset(tmp_path, monk
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["index"], r["query_type"], r["oracle_ok"]) for r in rows] == [("error", "k", fault)] * 5
-    monkeypatch.setattr("pebtree.cli.validate_cost", partial(validate_cost, fit_ns=(100, 150)))  # a small fit
+    # every sweep point of cost keeps the base's users, so it refuses them before the fit, as gen does
     out = tmp_path / "cost.csv"
-    argv = ["cost", "--seed", "1", "-N", "0", "--policies", "8", "--group-size", "30", "--queries", "6"]
-    assert cli_main([*argv, "--out", str(out)]) == 0
-    with open(out) as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["param"] for r in rows] == ["theta"] * 5 + ["n_p"] * 3
-    assert {(r["measured"], r["estimated"], r["ratio"]) for r in rows} == {("", "", fault)}
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["cost", "--seed", "1", "-N", "0", "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 2
+    assert f"pebtree cost: error: cost model fit failed: {fault}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_cost_reports_a_refused_workload_as_a_usage_error(tmp_path, capsys):

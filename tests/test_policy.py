@@ -28,7 +28,6 @@ from pebtree.policy import (
     save_relationships,
     time_set_overlap,
     window_contains,
-    window_duration,
 )
 from pebtree.workload import WorkloadConfig, gen_policies
 from test_keys import ValuesCompatibility
@@ -780,7 +779,8 @@ def test_wraparound_interval():
         return LocationPrivacyPolicy(1, "u2", FULL_RECT, t_lo, t_hi).t_int
 
     assert t_int(20.0, 4.0) == ((0.0, 4.0), (20.0, DAY))
-    assert window_duration(20.0, 4.0, DAY) == pytest.approx(8.0)
+    # a one-sided pair's degree: half the area share times the window's share of the day
+    assert compatibility(make_store([(1, 2, FULL_RECT, 20.0, 4.0)], [1, 2]), 1, 2) == pytest.approx(0.5 * 8.0 / DAY)
     assert time_set_overlap(t_int(20.0, 4.0), t_int(22.0, 23.0)) == pytest.approx(1.0)
     assert time_set_overlap(t_int(20.0, 4.0), t_int(2.0, 6.0)) == pytest.approx(2.0)
     assert time_set_overlap(t_int(20.0, 4.0), t_int(5.0, 19.0)) == 0.0
@@ -804,11 +804,11 @@ def assert_window_agrees(t_lo, t_hi, day, t):
     want = reference_time_set(t_lo, t_hi, day)
     p = LocationPrivacyPolicy(1, "u2", FULL_RECT, t_lo, t_hi, day)
     assert p.t_int == want
-    # bit for bit, as the degree of a one-sided pair reads it
-    assert window_duration(t_lo, t_hi, day).hex() == float(sum(hi - lo for lo, hi in want)).hex()
     inside = reference_time_in_set(t, want, day)
     assert window_contains(t_lo, t_hi, day, t) == inside
     store = make_store([(1, 2, FULL_RECT, t_lo, t_hi)], [1, 2], day=day)
+    # the one-sided degree, bit for bit: half the full region's share times the time set's share of the day
+    assert compatibility(store, 1, 2).hex() == (0.5 * (sum(hi - lo for lo, hi in want) / day)).hex()
     assert _visible(store, 1, 2, 5.0, 5.0, t) == inside
     return inside
 

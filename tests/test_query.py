@@ -26,6 +26,7 @@ from pebtree.query import (
     PknnResult,
     PrqRequest,
     Rect,
+    _verified,
     _visible,
     antidiagonal_order,
     enlarge,
@@ -409,6 +410,98 @@ def test_request_refuses_a_non_finite_coordinate(bad):
     for qloc in ((bad, 50.0), (50.0, bad)):
         with pytest.raises(ValueError, match="query point .* is not finite"):
             PknnRequest(1, qloc, 1, 12.0)
+
+
+@pytest.mark.parametrize(
+    "make, fault",
+    [
+        (lambda: PknnRequest(1, (10.0, 10.0), 2.5, 1.0), r"^k 2\.5 is not an int$"),
+        (lambda: PknnRequest(1, (10.0, 10.0), "2", 1.0), r"^k '2' is not an int$"),
+        (lambda: PknnRequest(1, (0.0,), 2, 1.0), r"^qloc \(0\.0,\) is not 2 numbers$"),
+        (lambda: PknnRequest(1, (0.0, 1.0, 2.0), 2, 1.0), r"^qloc \(0\.0, 1\.0, 2\.0\) is not 2 numbers$"),
+        (lambda: PknnRequest(1, ("0", 1.0), 2, 1.0), r"^qloc \('0', 1\.0\) is not 2 numbers$"),
+        (lambda: PrqRequest(1, (0.0, 0.0, 5.0), 1.0), r"^rect \(0\.0, 0\.0, 5\.0\) is not 4 numbers$"),
+        (lambda: PrqRequest(1, (0.0, 0.0, 5.0, 5.0, 9.0), 1.0), r"^rect \(0\.0, 0\.0, 5\.0, 5\.0, 9\.0\) is not 4"),
+    ],
+)
+def test_request_refuses_a_misshapen_field(make, fault):
+    # before, each was accepted and every engine and oracle then failed on it
+    with pytest.raises(ValueError, match=fault):
+        make()
+
+
+# -- the candidate check ------------------------------------------------------------
+
+VERIFY_SIDE = 100.0
+edge = st.sampled_from([0.0, 10.0, 25.0, 50.0, VERIFY_SIDE])
+span = st.tuples(edge, edge).map(sorted)
+# a coordinate on an edge, one step either side of one, -0.0, or anywhere in and around the space
+coordinate = st.one_of(
+    edge,
+    edge.map(lambda v: math.nextafter(v, -math.inf)),
+    edge.map(lambda v: math.nextafter(v, math.inf)),
+    st.just(-0.0),
+    st.floats(-10.0, VERIFY_SIDE + 10.0),
+)
+# x, y, vx, vy, t: a record at rest, or moving and met at time 0 or 4
+record = st.tuples(
+    coordinate, coordinate, st.sampled_from([0.0, 1.5, -2.0]), st.sampled_from([0.0, -0.5]), st.sampled_from([0.0, 4.0])
+)
+
+
+def _reference_verified(met, t_q, window, store):
+    """The triples whose position at ``t_q`` lies in ``window`` and that ``_visible`` finds visible to uid 0."""
+    x_lo, y_lo, x_hi, y_hi = window or (-math.inf, -math.inf, math.inf, math.inf)
+    kept = []
+    for uid, _, rec in met:
+        px, py = position_at(MovingObject(uid, *rec), t_q)
+        if x_lo <= px <= x_hi and y_lo <= py <= y_hi and _visible(store, uid, 0, px, py, t_q):
+            kept.append((uid, px, py))
+    return kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    regions=st.lists(st.tuples(span, span), min_size=1, max_size=4),
+    window=st.one_of(st.none(), st.tuples(span, span).map(lambda s: (s[0][0], s[1][0], s[0][1], s[1][1]))),
+    met=st.lists(st.tuples(st.integers(0, 3), record), max_size=8),
+    t_q=st.sampled_from([0.0, 4.0]),
+)
+# the empty list; every window and region edge; -0.0 on the lower edges; a one-point window
+@example(regions=[((0.0, 50.0), (0.0, 50.0))], window=None, met=[], t_q=4.0)
+@example(
+    regions=[((10.0, 50.0), (10.0, 50.0))],
+    window=(10.0, 10.0, 50.0, 50.0),
+    met=[(0, (x, y, 0.0, 0.0, 4.0)) for x, y in [(10.0, 20.0), (50.0, 20.0), (20.0, 10.0), (20.0, 50.0)]],
+    t_q=4.0,
+)
+@example(
+    regions=[((0.0, 100.0), (0.0, 100.0))],
+    window=(10.0, 10.0, 50.0, 50.0),
+    met=[(0, (x, y, 0.0, 0.0, 4.0)) for x, y in [(10.0, 20.0), (50.0, 20.0), (20.0, 10.0), (20.0, 50.0), (9.0, 20.0)]],
+    t_q=4.0,
+)
+@example(
+    regions=[((0.0, 25.0), (0.0, 25.0))],
+    window=None,
+    met=[(0, (x, y, 0.0, 0.0, 0.0)) for x, y in [(-0.0, -0.0), (25.0, 0.0), (-1.0, 5.0), (5.0, 26.0)]],
+    t_q=0.0,
+)
+@example(
+    regions=[((0.0, 25.0), (0.0, 25.0)), ((25.0, 50.0), (25.0, 50.0))],
+    window=(25.0, 25.0, 25.0, 25.0),
+    met=[(0, (25.0, 25.0, 0.0, 0.0, 4.0)), (1, (25.0, 25.0, 0.0, 0.0, 4.0)), (1, (25.0, 26.0, 0.0, 0.0, 4.0))],
+    t_q=4.0,
+)
+def test_verified_keeps_exactly_the_triples_visible_at_t_q(regions, window, met, t_q):
+    # owners 1..n, each with one whole-day policy toward the issuer, uid 0
+    graph, policies = RelationshipGraph(), PolicyTable()
+    for uid, ((x_lo, x_hi), (y_lo, y_hi)) in enumerate(regions, start=1):
+        graph.set_roles(uid, {"u0": (0,)})
+        policies.append(uid, "u0", x_lo, y_lo, x_hi, y_hi, 0.0, DAY)
+    store = PolicyStore(policies, graph, range(len(regions) + 1), space_side=VERIFY_SIDE)
+    triples = [(uid, store.row(uid, 0), rec) for uid, rec in ((1 + pick % len(regions), rec) for pick, rec in met)]
+    assert _verified(triples, t_q, window, store) == _reference_verified(triples, t_q, window, store)
 
 
 # -- randomized equivalence ------------------------------------------------------------

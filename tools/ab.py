@@ -17,7 +17,11 @@ of the medians, the pairs the change won (ties count for neither) and a
 verdict from ``BENCHMARK.json``: ``gain`` when the change won at least
 nine tenths of the pairs and its median beats the base's by more than the
 distance between the base's quartiles, ``worse`` when its median is
-worse than the base's by more than the metric's bound.
+worse than the base's by more than the metric's bound, and else
+``unresolved`` when the wider of the two sides' interquartile ranges,
+over the base median, exceeds the bound, unless every change run beats
+every base run: the runs then spread too widely to tell a move within
+the bound from noise.
 
 The exit status is 1 when a run is not correct or failed an operation, or
 when an I/O metric (every ``*_io`` metric and ``peb_pages``) takes more than
@@ -109,8 +113,13 @@ def compare(base: list[dict], change: list[dict], spec: dict) -> tuple[list[str]
         verdict = ""
         if won >= 0.9 * len(b) and gain > bq3 - bq1:
             verdict = "gain"
-        elif "bound" in known.get(name, {}) and bm and -gain / bm > known[name]["bound"]:
-            verdict = "worse"
+        elif "bound" in known.get(name, {}) and bm:
+            bound = known[name]["bound"]
+            beats_all = max(c) < min(b) if lower else min(c) > max(b)
+            if -gain / bm > bound:
+                verdict = "worse"
+            elif max(bq3 - bq1, cq3 - cq1) / bm > bound and not beats_all:
+                verdict = "unresolved"
         if is_io(name) and len(set(b + c)) > 1:
             moved.append(name)
             verdict = "I/O MOVED"
