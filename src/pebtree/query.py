@@ -183,9 +183,9 @@ def _visible(store: PolicyStore, owner: int, viewer: int, x: float, y: float, t:
 def _verified(
     met: list[tuple[int, int, Record]], t_q: float, window: Rect | None, store: PolicyStore
 ) -> list[tuple[int, float, float]]:
-    """``(uid, x, y)`` at ``t_q``, in the order met, of each ``(uid, row, record)`` a scan met that is visible:
+    """``(uid, x, y)`` at ``t_q`` of each ``(uid, row, record)`` a scan met that is visible, in the order met.
 
-    whose record extrapolated to ``t_q`` lies in the closed ``window``
+    Visible: the record extrapolated to ``t_q`` lies in the closed ``window``
     (``None`` is the whole space) and in the closed region of policy ``row``.
     """
     x_lo, y_lo, x_hi, y_hi = window or (-math.inf, -math.inf, math.inf, math.inf)
